@@ -4,10 +4,14 @@
  * byte-aligned Dynamic block starts, so the ground truth is known without
  * trusting any finder); the rapid finder's cascaded filters must agree with
  * the naive full parse on EVERY bit offset of random data (zero false
- * negatives — and, by equality, zero extra positives); and the
- * non-compressed finder must locate stored-block LEN fields.
+ * negatives — and, by equality, zero extra positives); the
+ * non-compressed finder must locate stored-block LEN fields; and the
+ * full-flush marker scan must agree with a byte-by-byte reference, short
+ * reads included.
  */
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "blockfinder/DynamicBlockFinderNaive.hpp"
@@ -18,6 +22,7 @@
 #include "core/DeflateChunks.hpp"
 #include "gzip/GzipHeader.hpp"
 #include "gzip/ZlibCompressor.hpp"
+#include "io/FaultyFileReader.hpp"
 #include "io/MemoryFileReader.hpp"
 #include "workloads/DataGenerators.hpp"
 
@@ -219,6 +224,116 @@ testCraftedAlmostValidHeaders()
     }
 }
 
+/** Byte-by-byte reference for findFullFlushMarkers(): the end offset of
+ * every 00 00 FF FF lying wholly in [searchBegin, min(searchEnd, size)). */
+[[nodiscard]] std::vector<std::size_t>
+naiveFullFlushMarkers( const std::vector<std::uint8_t>& bytes,
+                       std::size_t searchBegin,
+                       std::size_t searchEnd )
+{
+    std::vector<std::size_t> result;
+    searchEnd = std::min( searchEnd, bytes.size() );
+    for ( auto i = searchBegin; i + FULL_FLUSH_MARKER_SIZE <= searchEnd; ++i ) {
+        if ( ( bytes[i] == 0x00 ) && ( bytes[i + 1] == 0x00 ) && ( bytes[i + 2] == 0xFF )
+             && ( bytes[i + 3] == 0xFF ) ) {
+            result.push_back( i + FULL_FLUSH_MARKER_SIZE );
+        }
+    }
+    return result;
+}
+
+void
+testFullFlushScan()
+{
+    /* The scan reads in blocks of this size, counted from searchBegin. */
+    constexpr std::size_t SCAN_BLOCK = 4 * MiB;
+
+    /* Exhaustive over a short stream: markers at the very start and the
+     * very end, the overlapping runs 00 00 00 FF FF (one marker) and
+     * 00 00 FF FF 00 00 FF FF (two), and near-misses — under every
+     * [searchBegin, searchEnd) pair, so the bounds cut through each marker
+     * at every byte, including bounds past the end of the file. */
+    {
+        const std::vector<std::uint8_t> bytes = {
+            0x00, 0x00, 0xFF, 0xFF, 0x42,
+            0x00, 0x00, 0x00, 0xFF, 0xFF, 0x42,
+            0x00, 0x00, 0xFF, 0xFF, 0x00, 0x00, 0xFF, 0xFF,
+            0x00, 0xFF, 0xFF, 0x00, 0x00, 0xFF, 0x42, 0xFF,
+            0x00, 0x00, 0xFF, 0xFF,
+        };
+        const MemoryFileReader file( bytes );
+        REQUIRE( findFullFlushMarkers( file, 0, bytes.size() )
+                 == std::vector<std::size_t>( { 4, 10, 15, 19, 31 } ) );
+        for ( std::size_t begin = 0; begin <= bytes.size() + 1; ++begin ) {
+            for ( std::size_t end = 0; end <= bytes.size() + 2; ++end ) {
+                REQUIRE( findFullFlushMarkers( file, begin, end )
+                         == naiveFullFlushMarkers( bytes, begin, end ) );
+            }
+        }
+    }
+
+    /* Markers starting at SCAN_BLOCK - 3 .. SCAN_BLOCK straddle or abut the
+     * seam between the first two read blocks: each is reported exactly once. */
+    {
+        const auto noise = workloads::randomData( SCAN_BLOCK + 64 * KiB, 0x5CA7 );
+        for ( const std::size_t searchBegin : { std::size_t( 0 ), std::size_t( 7 ) } ) {
+            for ( auto start = searchBegin + SCAN_BLOCK - 3; start <= searchBegin + SCAN_BLOCK;
+                  ++start ) {
+                auto bytes = noise;
+                bytes[start] = 0x00;
+                bytes[start + 1] = 0x00;
+                bytes[start + 2] = 0xFF;
+                bytes[start + 3] = 0xFF;
+                const MemoryFileReader file( bytes );
+                const auto found = findFullFlushMarkers( file, searchBegin, bytes.size() );
+                REQUIRE( found == naiveFullFlushMarkers( bytes, searchBegin, bytes.size() ) );
+                REQUIRE( std::count( found.begin(), found.end(), start + FULL_FLUSH_MARKER_SIZE )
+                         == 1 );
+            }
+        }
+    }
+
+    /* Random bytes over the alphabet {00, FF, 42} — markers, zero runs and
+     * near-misses everywhere — spanning three read blocks, under the full
+     * range and random bounds. */
+    {
+        static constexpr std::uint8_t ALPHABET[] = { 0x00, 0xFF, 0x42 };
+        Xorshift64 random( 0xF1A5 );
+        std::vector<std::uint8_t> bytes( 2 * SCAN_BLOCK + 1000 );
+        for ( auto& byte : bytes ) {
+            byte = ALPHABET[random.below( 3 )];
+        }
+        const MemoryFileReader file( bytes );
+        REQUIRE( findFullFlushMarkers( file, 0, bytes.size() )
+                 == naiveFullFlushMarkers( bytes, 0, bytes.size() ) );
+        for ( int i = 0; i < 8; ++i ) {
+            const auto begin = random.below( bytes.size() );
+            const auto end = begin + random.below( bytes.size() - begin + 1 );
+            REQUIRE( findFullFlushMarkers( file, begin, end )
+                     == naiveFullFlushMarkers( bytes, begin, end ) );
+        }
+    }
+
+    /* Short reads must not move the restart points: on a pigz-style file
+     * spanning three read blocks, a reader whose every second pread returns
+     * half of what was asked yields the same markers as a clean one. */
+    {
+        const auto data = workloads::base64Data( 12 * MiB, 0x5407 );
+        const auto gz = compressPigzLike( { data.data(), data.size() }, 1, 256 * KiB );
+        REQUIRE( gz.size() > 2 * SCAN_BLOCK );
+        const auto deflateStart = parseGzipHeader( { gz.data(), gz.size() } );
+        const MemoryFileReader clean( gz );
+        const auto expected = findFullFlushMarkers( clean, deflateStart, gz.size() );
+        REQUIRE( expected.size() >= 40 );
+
+        FaultyFileReader::Behavior behavior;
+        behavior.shortReadEveryN = 2;
+        const FaultyFileReader faulty( std::make_unique<MemoryFileReader>( gz ), behavior );
+        REQUIRE( findFullFlushMarkers( faulty, deflateStart, gz.size() ) == expected );
+        REQUIRE( faulty.faultCount() > 0 );
+    }
+}
+
 }  // namespace
 
 int
@@ -363,6 +478,8 @@ main()
      * the packed stages 1-4 and must be decided — identically across
      * finders — by the cold stages 5-7. */
     testCraftedAlmostValidHeaders();
+
+    testFullFlushScan();
 
     return rapidgzip::test::finish( "testBlockFinder" );
 }

@@ -21,6 +21,7 @@
 #include "index/IndexSerializer.hpp"
 #include "index/WindowMap.hpp"
 #include "io/MemoryFileReader.hpp"
+#include "simd/Crc32.hpp"
 #include "workloads/DataGenerators.hpp"
 
 #include "TestHelpers.hpp"
@@ -332,6 +333,60 @@ testNoFlushEndToEnd( const std::vector<std::uint8_t>& data,
                               seed + 1 );
 }
 
+/**
+ * The index a cold decompressAll() harvests from a no-flush silesia-like
+ * stream — sparse windows included — survives both on-disk formats
+ * losslessly: the compressed windows come back byte-identical, and a fresh
+ * reader importing either file reads the whole stream to the CRC32 in the
+ * gzip footer.
+ */
+void
+testSweepIndexRoundTrip()
+{
+    const auto data = workloads::silesiaLikeData( 4 * MiB + 99, 0x5EED );
+    const auto plain = compressGzipLike( { data.data(), data.size() }, 6 );
+    const auto* const footer = plain.data() + plain.size() - 8;
+    const auto footerCrc = static_cast<std::uint32_t>( footer[0] )
+                           | ( static_cast<std::uint32_t>( footer[1] ) << 8U )
+                           | ( static_cast<std::uint32_t>( footer[2] ) << 16U )
+                           | ( static_cast<std::uint32_t>( footer[3] ) << 24U );
+
+    GzipIndex index;
+    {
+        ParallelGzipReader builder( std::make_unique<MemoryFileReader>( plain ), config() );
+        REQUIRE( builder.decompressAll() == data.size() );
+        REQUIRE( builder.usesIndex() );
+        index = builder.exportIndex();
+    }
+    REQUIRE( index.checkpoints.size() > 1 );
+    REQUIRE( index.windows.size() >= index.checkpoints.size() - 1 );
+
+    const auto readCrc = [&data, &plain] ( const GzipIndex& imported ) {
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( plain ), config() );
+        reader.importIndex( imported );
+        REQUIRE( reader.usesIndex() );
+        std::vector<std::uint8_t> buffer( 1 * MiB );
+        std::uint32_t crc = 0;
+        std::size_t total = 0;
+        while ( const auto got = reader.read( buffer.data(), buffer.size() ) ) {
+            crc = simd::crc32( crc, buffer.data(), got );
+            total += got;
+        }
+        REQUIRE( total == data.size() );
+        return crc;
+    };
+
+    const auto native = index::serializeIndex( index );
+    const auto loaded = index::deserializeIndex( { native.data(), native.size() } );
+    REQUIRE( loaded.windows == index.windows );
+    REQUIRE( readCrc( loaded ) == footerCrc );
+
+    const auto gztool = index::exportGztoolIndex( index );
+    const auto imported = index::importGztoolIndex( { gztool.data(), gztool.size() } );
+    REQUIRE( imported.windows == index.windows );
+    REQUIRE( readCrc( imported ) == footerCrc );
+}
+
 }  // namespace
 
 int
@@ -340,6 +395,7 @@ main()
     testWindowMap();
     testNativeSerialization();
     testGztoolFormat();
+    testSweepIndexRoundTrip();
 
     /* The acceptance workloads: no-flush-point gzip across data shapes —
      * quickly-dying backward pointers (base64), long-lived markers
