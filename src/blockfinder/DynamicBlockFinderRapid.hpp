@@ -50,6 +50,29 @@ struct FilterStatistics
     std::uint64_t validHeaders{ 0 };
 };
 
+[[nodiscard]] inline bool
+operator==( const FilterStatistics& a, const FilterStatistics& b ) noexcept
+{
+    return ( a.positionsTested == b.positionsTested )
+           && ( a.invalidFinalBlock == b.invalidFinalBlock )
+           && ( a.invalidCompressionType == b.invalidCompressionType )
+           && ( a.invalidPrecodeSize == b.invalidPrecodeSize )
+           && ( a.invalidPrecodeCode == b.invalidPrecodeCode )
+           && ( a.nonOptimalPrecodeCode == b.nonOptimalPrecodeCode )
+           && ( a.invalidPrecodeEncodedData == b.invalidPrecodeEncodedData )
+           && ( a.invalidDistanceCode == b.invalidDistanceCode )
+           && ( a.nonOptimalDistanceCode == b.nonOptimalDistanceCode )
+           && ( a.invalidLiteralCode == b.invalidLiteralCode )
+           && ( a.nonOptimalLiteralCode == b.nonOptimalLiteralCode )
+           && ( a.validHeaders == b.validHeaders );
+}
+
+[[nodiscard]] inline bool
+operator!=( const FilterStatistics& a, const FilterStatistics& b ) noexcept
+{
+    return !( a == b );
+}
+
 /**
  * "DBF rapidgzip" in paper Table 2 / §3.2: the cascaded-filter Dynamic block
  * finder. It accepts exactly the headers deflate::readDynamicCodings accepts
@@ -468,14 +491,44 @@ private:
     }
 
 public:
-    /** Sliding probe over every bit offset — positionless, so each probe is
-     * a direct load with no cursor bookkeeping at all. */
+    /**
+     * First valid header in the bit range [@p fromBit, @p untilBit), or
+     * NOT_FOUND. Word-parallel: one load yields the stage 1-3 verdicts
+     * (BFINAL = 0, BTYPE = Dynamic, HLIT <= 29) of STRIDE_LANES consecutive
+     * positions as one bitmask, and only its survivors (~12%) run
+     * testCandidate — so the per-position branch chain on BFINAL and BTYPE
+     * is gone. The statistics stay exactly those of a per-position
+     * testCandidate loop over the scanned range: the mask-rejected lanes are
+     * tallied by popcount, and on the stride that returns a hit only the
+     * lanes before it. The range tail shorter than one stride runs the
+     * per-position loop.
+     */
     [[nodiscard]] std::size_t
-    find( BufferView data, std::size_t fromBit )
+    find( BufferView data, std::size_t fromBit, std::size_t untilBit = NOT_FOUND )
     {
         const auto sizeBits = data.size() * 8;
-        for ( auto offset = fromBit; offset + deflate::MIN_DYNAMIC_HEADER_BITS <= sizeBits;
-              ++offset ) {
+        if ( sizeBits < deflate::MIN_DYNAMIC_HEADER_BITS ) {
+            return NOT_FOUND;
+        }
+        const auto end = std::min( untilBit, sizeBits - deflate::MIN_DYNAMIC_HEADER_BITS + 1 );
+        auto offset = fromBit;
+        for ( ; ( offset < end ) && ( end - offset >= STRIDE_LANES ); offset += STRIDE_LANES ) {
+            const auto bits = loadBits( data.data(), data.size(), offset, HEADER_PEEK_BITS );
+            const auto dynamicType = ~bits & ~( bits >> 1U ) & ( bits >> 2U );
+            /* HLIT is bits 3-7; 30 and 31 are the only values with bits 4-7 all set. */
+            const auto hlitTooLarge = ( bits >> 4U ) & ( bits >> 5U ) & ( bits >> 6U ) & ( bits >> 7U );
+            for ( auto survivors = dynamicType & ~hlitTooLarge & STRIDE_MASK; survivors != 0;
+                  survivors &= survivors - 1 ) {
+                const auto lane = static_cast<unsigned>( __builtin_ctzll( survivors ) );
+                if ( testCandidate( data, offset + lane, &m_statistics ) ) {
+                    tallyMaskRejections( bits, dynamicType, hlitTooLarge,
+                                         ( std::uint64_t( 1 ) << lane ) - 1U );
+                    return offset + lane;
+                }
+            }
+            tallyMaskRejections( bits, dynamicType, hlitTooLarge, STRIDE_MASK );
+        }
+        for ( ; offset < end; ++offset ) {
             if ( testCandidate( data, offset, &m_statistics ) ) {
                 return offset;
             }
@@ -490,6 +543,36 @@ public:
     }
 
 private:
+    /**
+     * Positions per find() stride. Lane i reads bits i..i+7 of one
+     * HEADER_PEEK_BITS load; a multiple of 8 keeps the load's sub-byte shift
+     * the same for every stride of a scan.
+     */
+    static constexpr unsigned STRIDE_LANES = 48;
+    static constexpr std::uint64_t STRIDE_MASK = ( std::uint64_t( 1 ) << STRIDE_LANES ) - 1U;
+    static_assert( STRIDE_LANES + 7 < HEADER_PEEK_BITS, "every lane must see its HLIT bits" );
+
+    /** Stage 1-3 rejections of the mask-filtered @p lanes, as the
+     * per-position cascade would have counted them. */
+    void
+    tallyMaskRejections( std::uint64_t bits, std::uint64_t dynamicType, std::uint64_t hlitTooLarge,
+                         std::uint64_t lanes ) noexcept
+    {
+        const auto finalBlock = popcount( bits & lanes );
+        const auto otherType = popcount( ~bits & ~dynamicType & lanes );
+        const auto precodeSize = popcount( dynamicType & hlitTooLarge & lanes );
+        m_statistics.positionsTested += finalBlock + otherType + precodeSize;
+        m_statistics.invalidFinalBlock += finalBlock;
+        m_statistics.invalidCompressionType += otherType;
+        m_statistics.invalidPrecodeSize += precodeSize;
+    }
+
+    [[nodiscard]] static std::uint64_t
+    popcount( std::uint64_t value ) noexcept
+    {
+        return static_cast<std::uint64_t>( __builtin_popcountll( value ) );
+    }
+
     /**
      * Kraft-sum validity from per-length symbol counts: over-subscribed is
      * invalid, incomplete is "non-optimal" (rejected — real encoders emit

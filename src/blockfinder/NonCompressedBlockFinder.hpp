@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -23,14 +24,17 @@ namespace rapidgzip::blockfinder {
 class NonCompressedBlockFinder
 {
 public:
+    /** First LEN offset in the bit range [@p fromBit, @p untilBit), or NOT_FOUND. */
     [[nodiscard]] std::size_t
-    find( BufferView data, std::size_t fromBit ) const
+    find( BufferView data, std::size_t fromBit, std::size_t untilBit = NOT_FOUND ) const
     {
         if ( data.size() < 4 ) {
             return NOT_FOUND;
         }
         const auto* const bytes = data.data();
-        const auto end = data.size() - 4 + 1;
+        /* Byte offsets whose bit offset lies below untilBit (no overflow for NOT_FOUND). */
+        const auto untilByte = untilBit / 8 + ( untilBit % 8 != 0 ? 1 : 0 );
+        const auto end = std::min( data.size() - 4 + 1, untilByte );
         for ( auto offset = ceilDiv<std::size_t>( fromBit, 8 ); offset < end; ++offset ) {
             if ( ( ( bytes[offset] ^ bytes[offset + 2] ) == 0xFFU )
                  && ( ( bytes[offset + 1] ^ bytes[offset + 3] ) == 0xFFU ) ) {

@@ -184,18 +184,35 @@ public:
                 ~StatisticsFlusher() { tallyFilterStatistics( finder.statistics() ); }
             } statisticsFlusher{ dynamicFinder };
 
-            std::size_t nextDynamic{ blockfinder::NOT_FOUND };
+            /* Bounded, interleaved search: candidates come in ascending
+             * offset below the end guess, Dynamic first on a tie — the order
+             * an exhaustive search of both finders yields. The cheap
+             * byte-wise stored scan runs ahead; the bit-wise Dynamic scan
+             * only reaches up to and including the next stored candidate,
+             * because a decode from that candidate usually succeeds and
+             * makes every Dynamic position past it moot. A failed candidate
+             * resumes the scans where they stopped. */
+            const auto fromLocal = startBitGuess - baseBit;
             std::size_t nextStored{ blockfinder::NOT_FOUND };
             {
                 telemetry::Span findSpan{ "pipeline", "chunk.find" };
-                nextDynamic = dynamicFinder.find( view, startBitGuess - baseBit );
-                nextStored = storedFinder.find( view, startBitGuess - baseBit );
+                nextStored = storedFinder.find( view, fromLocal, searchEndLocal );
             }
+            std::size_t nextDynamic{ blockfinder::NOT_FOUND };
+            /* Dynamic positions below this are scanned and hold no untried candidate. */
+            auto dynamicResume = fromLocal;
 
             bool truncatedAttempt = false;
             while ( true ) {
+                const auto dynamicUntil = nextStored == blockfinder::NOT_FOUND ? searchEndLocal
+                                                                                : nextStored + 1;
+                if ( ( nextDynamic == blockfinder::NOT_FOUND ) && ( dynamicResume < dynamicUntil ) ) {
+                    telemetry::Span findSpan{ "pipeline", "chunk.find" };
+                    nextDynamic = dynamicFinder.find( view, dynamicResume, dynamicUntil );
+                    dynamicResume = dynamicUntil;
+                }
                 const auto candidate = std::min( nextDynamic, nextStored );
-                if ( ( candidate == blockfinder::NOT_FOUND ) || ( candidate >= searchEndLocal ) ) {
+                if ( candidate == blockfinder::NOT_FOUND ) {
                     break;
                 }
                 /* Both finders can report the same offset; try the dynamic
@@ -237,14 +254,13 @@ public:
                         truncatedAttempt = true;
                     }
                 }
-                {
+                if ( candidate == nextDynamic ) {
+                    nextDynamic = blockfinder::NOT_FOUND;
+                    dynamicResume = candidate + 1;
+                }
+                if ( candidate == nextStored ) {
                     telemetry::Span findSpan{ "pipeline", "chunk.find" };
-                    if ( candidate == nextDynamic ) {
-                        nextDynamic = dynamicFinder.find( view, candidate + 1 );
-                    }
-                    if ( candidate == nextStored ) {
-                        nextStored = storedFinder.find( view, candidate + 1 );
-                    }
+                    nextStored = storedFinder.find( view, candidate + 1, searchEndLocal );
                 }
             }
 

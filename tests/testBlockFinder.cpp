@@ -4,8 +4,10 @@
  * byte-aligned Dynamic block starts, so the ground truth is known without
  * trusting any finder); the rapid finder's cascaded filters must agree with
  * the naive full parse on EVERY bit offset of random data (zero false
- * negatives — and, by equality, zero extra positives); the
- * non-compressed finder must locate stored-block LEN fields; and the
+ * negatives — and, by equality, zero extra positives); its bounded
+ * word-parallel find() must match a per-position cascade loop in offsets
+ * and Table 1 tallies; the non-compressed finder must locate stored-block
+ * LEN fields; and the
  * full-flush marker scan must agree with a byte-by-byte reference, short
  * reads included.
  */
@@ -224,6 +226,97 @@ testCraftedAlmostValidHeaders()
     }
 }
 
+/** Every candidate of a scan over [fromBit, untilBit) and the cascade
+ * tallies it accumulated. */
+struct ScanResult
+{
+    std::vector<std::size_t> offsets;
+    blockfinder::FilterStatistics statistics;
+};
+
+/** The scan through DynamicBlockFinderRapid::find(), resuming one past each hit. */
+[[nodiscard]] ScanResult
+scanWithFind( BufferView view, std::size_t fromBit, std::size_t untilBit )
+{
+    blockfinder::DynamicBlockFinderRapid finder;
+    ScanResult result;
+    for ( auto cursor = fromBit; ; ) {
+        const auto offset = finder.find( view, cursor, untilBit );
+        if ( offset == blockfinder::NOT_FOUND ) {
+            break;
+        }
+        REQUIRE( ( offset >= cursor ) && ( offset < untilBit ) );
+        result.offsets.push_back( offset );
+        cursor = offset + 1;
+    }
+    result.statistics = finder.statistics();
+    return result;
+}
+
+/** The same scan as a per-position testCandidate loop over every probeable
+ * offset below untilBit. */
+[[nodiscard]] ScanResult
+scanPerPosition( BufferView view, std::size_t fromBit, std::size_t untilBit )
+{
+    ScanResult result;
+    const auto sizeBits = view.size() * 8;
+    for ( auto position = fromBit;
+          ( position < untilBit ) && ( position + deflate::MIN_DYNAMIC_HEADER_BITS <= sizeBits );
+          ++position ) {
+        if ( blockfinder::DynamicBlockFinderRapid::testCandidate( view, position,
+                                                                  &result.statistics ) ) {
+            result.offsets.push_back( position );
+        }
+    }
+    return result;
+}
+
+/**
+ * The word-parallel find() must return the offsets and the full Table 1
+ * tallies of the per-position cascade, under every sub-byte start phase and
+ * with the scan bound inside a 48-bit stride, on a stride edge, within
+ * MIN_DYNAMIC_HEADER_BITS of the buffer end, past the end, and below the
+ * start. Resuming one past each hit also checks that the stride returning
+ * a hit tallies none of the lanes after it: an overcount would persist.
+ */
+void
+checkFindMatchesPerPosition( const char* name, BufferView view, bool expectHits )
+{
+    constexpr std::size_t STRIDE = 48;
+    const auto sizeBits = view.size() * 8;
+    std::size_t hits = 0;
+    for ( std::size_t phase = 0; phase < 8; ++phase ) {
+        const auto fromBit = phase;
+        const std::vector<std::size_t> untilBits = {
+            fromBit + 100 * STRIDE + 17,                         /* inside a stride */
+            fromBit + 100 * STRIDE,                              /* on a stride edge */
+            fromBit + 3,                                         /* shorter than one stride */
+            sizeBits - deflate::MIN_DYNAMIC_HEADER_BITS + 1,     /* the last probeable offset + 1 */
+            sizeBits - deflate::MIN_DYNAMIC_HEADER_BITS / 2,     /* within the header size of the end */
+            sizeBits - STRIDE - 5,
+            sizeBits + 1000,                                     /* past the end */
+            blockfinder::NOT_FOUND,                              /* unbounded */
+            fromBit,                                             /* empty range */
+            fromBit > 0 ? fromBit - 1 : 0,                       /* ends below the start */
+        };
+        for ( const auto untilBit : untilBits ) {
+            const auto found = scanWithFind( view, fromBit, untilBit );
+            const auto expected = scanPerPosition( view, fromBit, untilBit );
+            if ( ( found.offsets != expected.offsets ) || ( found.statistics != expected.statistics ) ) {
+                std::fprintf( stderr, "%s: find() diverges from the per-position cascade "
+                              "for [%zu, %zu): %zu vs %zu offsets, %llu vs %llu positions\n",
+                              name, fromBit, untilBit, found.offsets.size(), expected.offsets.size(),
+                              static_cast<unsigned long long>( found.statistics.positionsTested ),
+                              static_cast<unsigned long long>( expected.statistics.positionsTested ) );
+            }
+            REQUIRE( found.offsets == expected.offsets );
+            REQUIRE( found.statistics == expected.statistics );
+            hits += found.offsets.size();
+        }
+    }
+    REQUIRE( !expectHits || ( hits > 0 ) );
+}
+
 /** Byte-by-byte reference for findFullFlushMarkers(): the end offset of
  * every 00 00 FF FF lying wholly in [searchBegin, min(searchEnd, size)). */
 [[nodiscard]] std::vector<std::size_t>
@@ -430,6 +523,24 @@ main()
             REQUIRE( blockfinder::DynamicBlockFinderRapid::testCandidate( view, position, nullptr )
                      == naiveAccepts );
         }
+
+        /* Bounded word-parallel find() vs the per-position cascade, offsets
+         * and tallies, on three kinds of streams. 32 KiB windows keep the
+         * exhaustive reference cheap; the two gzip windows start 64 bytes
+         * before a header, so the bounded scans have hits to stop at. */
+        checkFindMatchesPerPosition( "random noise", { noise.data(), 32 * KiB }, false );
+
+        const auto base64Window = stream.data() + knownBlockBits[1] / 8 - 64;
+        checkFindMatchesPerPosition( "pigz base64", { base64Window, 32 * KiB }, true );
+
+        const auto silesia = workloads::silesiaLikeData( 1 * MiB, 0x51E5 );
+        const auto silesiaGz = compressGzipLike( { silesia.data(), silesia.size() }, 6 );
+        const BufferView silesiaStream( silesiaGz.data(), silesiaGz.size() );
+        blockfinder::DynamicBlockFinderRapid locator;
+        const auto header = locator.find( silesiaStream, silesiaGz.size() / 4 * 8 );
+        REQUIRE( ( header != blockfinder::NOT_FOUND ) && ( header / 8 + 32 * KiB < silesiaGz.size() ) );
+        checkFindMatchesPerPosition( "silesia-like gzip",
+                                     { silesiaGz.data() + header / 8 - 64, 32 * KiB }, true );
     }
 
     /* NonCompressedBlockFinder: stored blocks from incompressible data. The

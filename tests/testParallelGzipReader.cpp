@@ -2,13 +2,18 @@
  * core layer: ParallelGzipReader must reproduce the serial decoder's output
  * exactly — decompressAll counts, random access reads, index export/import,
  * every prefetch strategy, multi-member streams, and single-chunk files
- * without any flush markers.
+ * without any flush markers. A guessed chunk that starts inside an
+ * incompressible stretch must bound its block search at the stored block it
+ * decodes from.
  */
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
+#include "blockfinder/NonCompressedBlockFinder.hpp"
 #include "core/ParallelGzipReader.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
@@ -47,6 +52,87 @@ checkFullRead( const std::vector<std::uint8_t>& original,
     const auto got = byteReader.read( reassembled.data(), reassembled.size() );
     reassembled.resize( got );
     REQUIRE( reassembled == original );
+}
+
+/**
+ * A guess inside a run of stored blocks (an incompressible stretch of a
+ * silesia-like file) must start its chunk at the next stored block and test
+ * no Dynamic-header position past it: the bit-wise scan stops at the
+ * byte-wise stored candidate instead of running on to the next Dynamic
+ * header. The chunk must equal the serial decode from the stream start:
+ * same start and end boundaries, same bytes.
+ */
+void
+testGuessInsideStoredStretch()
+{
+    constexpr auto NO_LIMIT = std::numeric_limits<std::size_t>::max();
+    const auto data = workloads::silesiaLikeData( 2 * MiB, 0x5707 );
+    const auto gz = compressGzipLike( { data.data(), data.size() }, 6 );
+    const MemoryFileReader file( gz );
+    const auto deflateStartBit = parseGzipHeader( { gz.data(), gz.size() } ) * 8;
+
+    /* A stored block of at least 8 KiB followed directly by another stored
+     * block: the next block's 3 header bits and padding fill the byte after
+     * the payload, and its LEN/NLEN pair follows. */
+    const blockfinder::NonCompressedBlockFinder storedFinder;
+    std::size_t storedBit = 0;
+    for ( auto bit = deflateStartBit; storedBit == 0; ) {
+        const auto lenBit = storedFinder.find( { gz.data(), gz.size() }, bit );
+        REQUIRE( lenBit != blockfinder::NOT_FOUND );
+        const auto lenByte = lenBit / 8;
+        const auto length = static_cast<std::size_t>( gz[lenByte] | ( gz[lenByte + 1] << 8U ) );
+        const auto next = lenByte + 4 + length + 1;
+        if ( ( length >= 8 * KiB ) && ( next + 4 <= gz.size() ) && ( ( gz[next - 1] & 0b111U ) == 0 )
+             && ( ( gz[next] ^ gz[next + 2] ) == 0xFF ) && ( ( gz[next + 1] ^ gz[next + 3] ) == 0xFF ) ) {
+            storedBit = next * 8;
+        }
+        bit = lenBit + 8;
+    }
+    /* 256 bytes before the end of the first block's payload, off byte alignment. */
+    const auto guessBit = storedBit - 8 - 256 * 8 - 5;
+    const auto endBitGuess = guessBit + 256 * KiB * 8;
+
+    auto& registry = telemetry::Registry::instance();
+    telemetry::setMetricsEnabled( true );
+    const auto testedBefore = registry.counterTotal( "rapidgzip_blockfinder_positions_tested_total" );
+    auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, guessBit, endBitGuess, NO_LIMIT );
+    const auto tested = registry.counterTotal( "rapidgzip_blockfinder_positions_tested_total" )
+                        - testedBefore;
+    telemetry::setMetricsEnabled( false );
+    REQUIRE( chunk.error == Error::NONE );
+    REQUIRE( chunk.startedAtStoredBlock );
+    REQUIRE( chunk.decodedStartBit == storedBit );
+    /* Every position up to and including the stored candidate, plus at most
+     * one 48-position stride. An unbounded scan runs on through the second
+     * block's payload to the next Dynamic header. */
+    REQUIRE( tested <= storedBit - guessBit + 48 );
+
+    /* Serial reference: decode from the stream start up to the second
+     * block's header in the byte before its LEN, then on from there with the
+     * propagated window to the first boundary at or past the end guess. */
+    const auto prefix = GzipChunkFetcher::decodeChunkAtOffset( file, deflateStartBit, storedBit - 8,
+                                                               NO_LIMIT, {} );
+    REQUIRE( prefix.error == Error::NONE );
+    REQUIRE( prefix.decodedEndBit == storedBit - 8 );
+    std::vector<std::uint8_t> prefixBytes;
+    deflate::resolveInto( prefix.data, {}, prefixBytes );
+    REQUIRE( std::equal( prefixBytes.begin(), prefixBytes.end(), data.begin() ) );
+    const auto windowSize = std::min<std::size_t>( prefixBytes.size(), deflate::WINDOW_SIZE );
+    const BufferView window( prefixBytes.data() + prefixBytes.size() - windowSize, windowSize );
+    const auto reference = GzipChunkFetcher::decodeChunkAtOffset( file, storedBit - 8, endBitGuess,
+                                                                  NO_LIMIT, window );
+    REQUIRE( reference.error == Error::NONE );
+    REQUIRE( chunk.decodedEndBit == reference.decodedEndBit );
+
+    std::vector<std::uint8_t> resolved;
+    deflate::resolveInto( chunk.data, window, resolved );
+    std::vector<std::uint8_t> expected;
+    deflate::resolveInto( reference.data, window, expected );
+    REQUIRE( !resolved.empty() );
+    REQUIRE( resolved == expected );
+    REQUIRE( prefixBytes.size() + resolved.size() <= data.size() );
+    REQUIRE( std::equal( resolved.begin(), resolved.end(),
+                         data.begin() + static_cast<std::ptrdiff_t>( prefixBytes.size() ) ) );
 }
 
 }  // namespace
@@ -293,6 +379,8 @@ main()
         reader.setVerifyChecksums( false );
         REQUIRE( reader.decompressAll() == data.size() );
     }
+
+    testGuessInsideStoredStretch();
 
     return rapidgzip::test::finish( "testParallelGzipReader" );
 }
