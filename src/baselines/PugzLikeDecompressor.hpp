@@ -61,7 +61,7 @@ public:
     [[nodiscard]] std::size_t
     decompressAllSize()
     {
-        const auto chunks = discoverChunks( *m_file, m_options.chunkSizeBytes );
+        const auto starts = discoverRestartPoints( *m_file, m_options.chunkSizeBytes );
 
         /* Sliding window of at most threadCount in-flight decodes; results
          * are consumed strictly in order through the serial output stage. */
@@ -71,12 +71,12 @@ public:
         std::size_t total = 0;
 
         const auto dispatch = [&] () {
-            while ( ( nextToDispatch < chunks.size() )
+            while ( ( nextToDispatch < starts.size() )
                     && ( inFlight.size() < m_options.threadCount ) ) {
-                const auto boundary = chunks[nextToDispatch++];
-                inFlight.push_back( std::async( std::launch::async, [file, boundary] () {
-                    return decodeRawDeflateChunk( *file, boundary.compressedBegin,
-                                                  boundary.compressedEnd );
+                const auto begin = starts[nextToDispatch++];
+                const auto end = nextToDispatch < starts.size() ? starts[nextToDispatch] : file->size();
+                inFlight.push_back( std::async( std::launch::async, [file, begin, end] () {
+                    return decodeRawDeflateChunk( *file, begin, end );
                 } ) );
             }
         };

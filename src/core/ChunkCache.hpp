@@ -18,10 +18,11 @@ namespace rapidgzip {
  * Identifies one decoded chunk across EVERY reader in the process. The
  * token folds together the archive identity (path + size + mtime hash, see
  * serve/ArchiveRegistry.hpp) and the reader's chunk-table geometry
- * (ChunkFetcher mixes in chunk count, chunk size, and chunking mode), so a
- * re-chunked reader — after a false-boundary merge or an index adoption —
- * can never hit entries from the stale table, and two readers share entries
- * exactly when their decodes are byte-identical.
+ * (ChunkFetcher mixes in chunk count, chunk size and checkpoint spacing;
+ * the gzip reader first folds a hash of its checkpoint bit offsets into the
+ * identity), so a re-chunked reader — after a false-boundary merge or an
+ * index adoption — can never hit entries from the stale table, and two
+ * readers share entries exactly when their decodes are byte-identical.
  */
 struct ChunkCacheKey
 {

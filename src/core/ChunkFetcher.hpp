@@ -108,24 +108,7 @@ public:
      * runs concurrently on the pool workers). */
     using ChunkDecoder = std::function<DecodedChunk( const FileReader&, std::size_t index )>;
 
-    /** Full-flush chunking: byte ranges, each raw-inflated with zlib. */
-    ChunkFetcher( std::shared_ptr<const FileReader> file,
-                  std::vector<ChunkBoundary> chunks,
-                  const ChunkFetcherConfiguration& configuration ) :
-        m_file( std::move( file ) ),
-        m_chunks( std::move( chunks ) ),
-        m_chunkCount( m_chunks.size() ),
-        m_configuration( configuration ),
-        m_cacheCapacity( configuration.cacheChunkCount > 0
-                         ? configuration.cacheChunkCount
-                         : std::max<std::size_t>( 2 * configuration.parallelism + 4, 8 ) ),
-        m_cacheToken( makeCacheToken( configuration, m_chunkCount, /* boundary mode */ 1 ) ),
-        m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
-    {}
-
-    /** Index-driven chunking: @p decoder owns the mapping from chunk index
-     * to checkpoint span; the prefetch/cache machinery is shared verbatim
-     * with the full-flush path. */
+    /** @p decoder owns the mapping from chunk index to compressed span. */
     ChunkFetcher( std::shared_ptr<const FileReader> file,
                   std::size_t chunkCount,
                   ChunkDecoder decoder,
@@ -137,7 +120,7 @@ public:
         m_cacheCapacity( configuration.cacheChunkCount > 0
                          ? configuration.cacheChunkCount
                          : std::max<std::size_t>( 2 * configuration.parallelism + 4, 8 ) ),
-        m_cacheToken( makeCacheToken( configuration, m_chunkCount, /* index mode */ 2 ) ),
+        m_cacheToken( makeCacheToken( configuration, m_chunkCount ) ),
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
 
@@ -228,6 +211,23 @@ public:
     }
 
     /**
+     * Serve only the first @p chunkCount chunks from now on, and start the
+     * prefetch strategy's access pattern afresh; cached chunks stay. For an
+     * owner whose first pass over the chunks found the rest to be past the
+     * end of the stream, and whose later reads should not be prefetched as
+     * a continuation of that pass.
+     */
+    void
+    resetAccessPattern( std::size_t chunkCount )
+    {
+        const std::lock_guard<std::mutex> lock( m_mutex );
+        m_chunkCount = std::min( m_chunkCount, chunkCount );
+        m_lastAccess = SIZE_MAX;
+        m_sequentialStreak = 0;
+        m_streams.clear();
+    }
+
+    /**
      * Span-lending accessor: fetch chunk @p index (same cache/prefetch path
      * as get()) and lend [offsetInChunk, offsetInChunk + size) of it as a
      * refcounted borrowed span. The span pins the whole chunk, so the bytes
@@ -247,26 +247,6 @@ public:
         return lendChunkSpan( std::move( chunk ), offsetInChunk, take );
     }
 
-    /**
-     * Cache-populating decode that bypasses the prefetch strategy and the
-     * statistics — used by the offset-discovery sweep so its work is not
-     * thrown away and does not skew the strategy ablations. Errors surface
-     * on future.get().
-     */
-    [[nodiscard]] std::shared_future<ChunkDataPtr>
-    fetchQuietly( std::size_t index )
-    {
-        const std::lock_guard<std::mutex> lock( m_mutex );
-        ++m_accessClock;
-        if ( const auto match = m_cache.find( index ); match != m_cache.end() ) {
-            match->second.lastUse = m_accessClock;
-            return match->second.future;
-        }
-        auto future = insertDecodeTask( index, /* prefetched */ false );
-        evictStaleEntries( index );
-        return future;
-    }
-
 private:
     struct CacheEntry
     {
@@ -277,15 +257,13 @@ private:
     };
 
     [[nodiscard]] static std::uint64_t
-    makeCacheToken( const ChunkFetcherConfiguration& configuration,
-                    std::size_t chunkCount,
-                    std::uint64_t modeTag )
+    makeCacheToken( const ChunkFetcherConfiguration& configuration, std::size_t chunkCount )
     {
         /* Chunk-table geometry is folded in so a re-chunked reader — e.g.
          * after a false-boundary merge rebuilt the fetcher — can never hit
          * entries keyed under the stale table. */
         return mixHash( configuration.cacheIdentity )
-               ^ mixHash( ( static_cast<std::uint64_t>( chunkCount ) << 8U ) | modeTag )
+               ^ mixHash( static_cast<std::uint64_t>( chunkCount ) << 8U )
                ^ mixHash( configuration.chunkSizeBytes + 3 * configuration.checkpointSpacingBytes );
     }
 
@@ -300,19 +278,10 @@ private:
     std::shared_future<ChunkDataPtr>
     insertDecodeTask( std::size_t index, bool prefetched )
     {
-        std::function<ChunkDataPtr()> decode;
-        if ( m_decoder ) {
-            decode = [file = m_file, decoder = m_decoder, index] () -> ChunkDataPtr {
+        std::function<ChunkDataPtr()> decode =
+            [file = m_file, decoder = m_decoder, index] () -> ChunkDataPtr {
                 return std::make_shared<const DecodedChunk>( decoder( *file, index ) );
             };
-        } else {
-            const auto boundary = m_chunks[index];
-            decode = [file = m_file, boundary] () -> ChunkDataPtr {
-                return std::make_shared<const DecodedChunk>(
-                    decodeRawDeflateChunk( *file, boundary.compressedBegin,
-                                           boundary.compressedEnd ) );
-            };
-        }
         /* Bounded transient-retry around the decode itself (inside the
          * shared-cache single-flight wrapper below, so waiters of one
          * in-flight decode benefit from its retries too). Transient =
@@ -484,9 +453,8 @@ private:
     };
 
     std::shared_ptr<const FileReader> m_file;
-    std::vector<ChunkBoundary> m_chunks;  /**< full-flush mode only */
     std::size_t m_chunkCount{ 0 };
-    ChunkDecoder m_decoder;               /**< index mode only */
+    ChunkDecoder m_decoder;
     ChunkFetcherConfiguration m_configuration;
     std::size_t m_cacheCapacity;
     std::uint64_t m_cacheToken;

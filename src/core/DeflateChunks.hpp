@@ -6,7 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,15 +23,14 @@ namespace rapidgzip {
 /**
  * Shared machinery for chunked parallel gzip decompression: locating
  * full-flush restart points (the pigz/Z_FULL_FLUSH `00 00 FF FF` sync
- * marker), partitioning the stream into chunks, and raw-Deflate-decoding a
- * chunk that starts at such a restart point. Used by ParallelGzipReader and
- * the pugz-like baseline.
+ * marker) and raw-Deflate-decoding a chunk that starts at one. The restart
+ * points seed ParallelGzipReader's marker-derived index checkpoints and the
+ * pugz-like baseline's chunks.
  *
  * A full flush both byte-aligns the stream (empty stored block) and resets
  * the LZ77 window, so a chunk starting right after the marker decodes
- * standalone with an empty window. Chunks that need window propagation
- * (arbitrary block offsets) arrive with the two-stage decoder in a later
- * PR.
+ * standalone with an empty window. Chunks that start anywhere else need the
+ * propagated window of GzipChunkFetcher.
  */
 
 inline constexpr std::size_t FULL_FLUSH_MARKER_SIZE = 4;
@@ -82,12 +81,6 @@ findFullFlushMarkers( const FileReader& file, std::size_t searchBegin, std::size
     return result;
 }
 
-struct ChunkBoundary
-{
-    std::size_t compressedBegin{ 0 };  /**< first byte of the chunk's Deflate data */
-    std::size_t compressedEnd{ 0 };    /**< one past the last byte this chunk may consume */
-};
-
 /**
  * Cheap validation that @p offset really is a Deflate restart point: raw
  * inflate a small probe window and check zlib does not reject it. False
@@ -121,37 +114,60 @@ probeRawDeflatePoint( const FileReader& file, std::size_t offset )
     return ( code == Z_OK ) || ( code == Z_STREAM_END ) || ( code == Z_BUF_ERROR );
 }
 
-/**
- * Partition [firstDeflateByte, compressedEnd) into chunks of at least
- * @p chunkSizeBytes compressed bytes, cutting only at validated restart
- * candidates. Candidates are marker-end offsets from findFullFlushMarkers().
- */
-[[nodiscard]] inline std::vector<ChunkBoundary>
-buildChunkTable( const FileReader& file,
-                 const std::vector<std::size_t>& restartCandidates,
-                 std::size_t firstDeflateByte,
-                 std::size_t compressedEnd,
-                 std::size_t chunkSizeBytes )
+/** Room for any gzip header the readers accept. */
+inline constexpr std::size_t MAX_GZIP_HEADER_READ = 64 * KiB;
+
+/** Up to MAX_GZIP_HEADER_READ bytes of @p file from @p offset. */
+[[nodiscard]] inline std::vector<std::uint8_t>
+readHeaderBytes( const FileReader& file, std::size_t offset )
 {
-    std::vector<ChunkBoundary> chunks;
-    std::size_t currentBegin = firstDeflateByte;
-    for ( const auto candidate : restartCandidates ) {
-        if ( ( candidate <= currentBegin ) || ( candidate >= compressedEnd ) ) {
-            continue;
-        }
-        if ( candidate - currentBegin < std::max<std::size_t>( chunkSizeBytes, 1 ) ) {
-            continue;  /* merge flush intervals until the chunk is big enough */
-        }
-        if ( !probeRawDeflatePoint( file, candidate ) ) {
-            continue;  /* false marker match — keep the bytes in the current chunk */
-        }
-        chunks.push_back( { currentBegin, candidate } );
-        currentBegin = candidate;
+    std::vector<std::uint8_t> bytes(
+        offset < file.size() ? std::min( file.size() - offset, MAX_GZIP_HEADER_READ ) : 0 );
+    preadExactly( file, bytes.data(), bytes.size(), offset );
+    return bytes;
+}
+
+/** The trailing-bytes rule (nextGzipMember) applied to @p file right after
+ * the footer that ends at @p offset: the absolute offset of the next
+ * member's first Deflate byte, or std::nullopt when the rest is padding.
+ * @p known, the file's bytes from @p offset on as far as the caller holds
+ * them, spares the read when it is MAX_GZIP_HEADER_READ bytes or longer. */
+[[nodiscard]] inline std::optional<std::size_t>
+nextGzipMember( const FileReader& file, std::size_t offset, BufferView known = {} )
+{
+    std::vector<std::uint8_t> bytes;
+    if ( known.size() < MAX_GZIP_HEADER_READ ) {
+        bytes = readHeaderBytes( file, offset );
+        known = bytes;
     }
-    if ( currentBegin < compressedEnd || chunks.empty() ) {
-        chunks.push_back( { currentBegin, compressedEnd } );
+    const auto deflateStart = nextGzipMember(
+        BufferView( known.data(), std::min( known.size(), MAX_GZIP_HEADER_READ ) ) );
+    return deflateStart ? std::optional<std::size_t>( offset + *deflateStart ) : std::nullopt;
+}
+
+/**
+ * Chunk starts of a gzip stream cut at full-flush restart points: the first
+ * member's first Deflate byte, then every marker end at least
+ * @p chunkSizeBytes past the previous start that passes
+ * probeRawDeflatePoint(). ParallelGzipReader turns them into marker-derived
+ * index checkpoints; the pugz-like baseline decodes between them, so the
+ * measured implementation and its baseline never diverge on chunking.
+ */
+[[nodiscard]] inline std::vector<std::size_t>
+discoverRestartPoints( const FileReader& file, std::size_t chunkSizeBytes )
+{
+    const auto header = readHeaderBytes( file, 0 );
+    std::vector<std::size_t> starts{ parseGzipHeader( { header.data(), header.size() } ) };
+    for ( const auto candidate : findFullFlushMarkers( file, starts.front(), file.size() ) ) {
+        /* Merge flush intervals until the chunk is big enough; a candidate the
+         * probe rejects is a false marker match and stays inside its chunk. */
+        if ( ( candidate < file.size() )
+             && ( candidate - starts.back() >= std::max<std::size_t>( chunkSizeBytes, 1 ) )
+             && probeRawDeflatePoint( file, candidate ) ) {
+            starts.push_back( candidate );
+        }
     }
-    return chunks;
+    return starts;
 }
 
 struct DecodedChunk
@@ -188,6 +204,14 @@ struct DecodedChunk
     std::uint32_t trailingCrc32{ 0 };
 };
 
+/** Thrown by a chunk decode whose end boundary lies inside a gzip footer or
+ * member header: the next chunk's start is no Deflate restart point. */
+class FalseChunkEndError : public InvalidGzipStreamError
+{
+public:
+    using InvalidGzipStreamError::InvalidGzipStreamError;
+};
+
 namespace detail {
 
 /** Owns a raw-inflate z_stream; inflateEnd runs on every exit path. */
@@ -218,12 +242,6 @@ private:
 }  // namespace detail
 
 /**
- * Raw-Deflate-decode the chunk [begin, end). @p begin must be a restart
- * point (empty window). Handles gzip member transitions that fall inside
- * the chunk (trailer + next member's header + fresh Deflate stream).
- * Throws InvalidGzipStreamError if zlib rejects the data.
- */
-/**
  * Derive the whole-chunk CRC32 from the per-member segment CRCs via
  * simd::crc32Combine — O(log n) per segment instead of a second hashing
  * pass, with no z_off_t length ceiling (the zlib-era re-hash fallback for
@@ -246,6 +264,15 @@ combineSegmentCrcs( const DecodedChunk& chunk )
     return combined;
 }
 
+/**
+ * Raw-Deflate-decode the chunk [begin, end). @p begin must be a restart
+ * point (empty window). Handles gzip member transitions that fall inside
+ * the chunk (footer + next member's header + fresh Deflate stream), with
+ * the trailing-bytes rule of nextGzipMember() deciding on the file what
+ * follows a footer. Throws InvalidGzipStreamError if zlib rejects the data,
+ * and FalseChunkEndError if @p end cuts a footer or header that a further
+ * member follows.
+ */
 [[nodiscard]] inline DecodedChunk
 decodeRawDeflateChunk( const FileReader& file, std::size_t begin, std::size_t end )
 {
@@ -282,32 +309,38 @@ decodeRawDeflateChunk( const FileReader& file, std::size_t begin, std::size_t en
         }
 
         if ( code == Z_STREAM_END ) {
-            result.reachedStreamEnd = true;
             const auto consumed = feeder.consumed( stream );
             result.deflateEndOffset = begin + consumed;
             result.memberEnds.push_back( { result.data.size(), segmentCrc,
                                            begin + consumed } );
             segmentCrc = 0;
-            /* A further gzip member may start inside this chunk. */
-            const auto remaining = input.size() - consumed;
-            if ( remaining > GZIP_FOOTER_SIZE + 2 ) {
-                const BufferView rest( input.data() + consumed + GZIP_FOOTER_SIZE,
-                                       remaining - GZIP_FOOTER_SIZE );
-                if ( ( rest[0] == GZIP_MAGIC_1 ) && ( rest[1] == GZIP_MAGIC_2 ) ) {
-                    /* parseGzipHeader throws on a header truncated by the
-                     * chunk end; propagate — the caller's merge/serial
-                     * fallback handles it, and RAII frees the stream. */
-                    const auto deflateStart = parseGzipHeader( rest );
-                    if ( inflateReset( &stream ) != Z_OK ) {
-                        throw InvalidGzipStreamError( "inflateReset failed between members" );
-                    }
-                    feeder.seekTo( stream, consumed + GZIP_FOOTER_SIZE + deflateStart );
-                    ++result.memberRestarts;
-                    result.reachedStreamEnd = false;
-                    continue;
-                }
+            /* What follows the footer is decided on the file, not on this
+             * chunk's bytes: the footer and the next member's header may run
+             * past the chunk end. A header cut by the end of the file throws
+             * (truncated stream), and RAII frees the stream. */
+            const auto footerEnd = consumed + GZIP_FOOTER_SIZE;
+            const auto next = nextGzipMember(
+                file, begin + footerEnd,
+                footerEnd < input.size() ? BufferView( input.data() + footerEnd, input.size() - footerEnd )
+                                         : BufferView() );
+            if ( !next ) {
+                result.reachedStreamEnd = true;  /* the rest is padding */
+                break;
             }
-            break;
+            if ( *next > end ) {
+                throw FalseChunkEndError( "Chunk end " + std::to_string( end )
+                                          + " lies inside the gzip footer or header before offset "
+                                          + std::to_string( *next ) );
+            }
+            if ( *next == end ) {
+                break;  /* the next chunk starts with the next member */
+            }
+            if ( inflateReset( &stream ) != Z_OK ) {
+                throw InvalidGzipStreamError( "inflateReset failed between members" );
+            }
+            feeder.seekTo( stream, *next - begin );
+            ++result.memberRestarts;
+            continue;
         }
         if ( ( code != Z_OK ) && ( code != Z_BUF_ERROR ) ) {
             throw InvalidGzipStreamError( "Chunk at offset " + std::to_string( begin )
@@ -324,26 +357,6 @@ decodeRawDeflateChunk( const FileReader& file, std::size_t begin, std::size_t en
     result.trailingCrc32 = segmentCrc;
     result.crc32 = combineSegmentCrcs( result );
     return result;
-}
-
-/**
- * One-stop chunk discovery for a gzip stream: parse the leading member
- * header, locate full-flush restart candidates, and partition the stream.
- * Shared by ParallelGzipReader and the pugz-like baseline so the measured
- * implementation and its baseline can never diverge on chunking.
- */
-[[nodiscard]] inline std::vector<ChunkBoundary>
-discoverChunks( const FileReader& file, std::size_t chunkSizeBytes )
-{
-    const auto fileSize = file.size();
-    std::vector<std::uint8_t> headerBytes( std::min<std::size_t>( fileSize, 64 * KiB ) );
-    if ( file.pread( headerBytes.data(), headerBytes.size(), 0 ) != headerBytes.size() ) {
-        throw FileIoError( "Short read of gzip header" );
-    }
-    const auto firstDeflateByte = parseGzipHeader( { headerBytes.data(), headerBytes.size() } );
-
-    const auto candidates = findFullFlushMarkers( file, firstDeflateByte, fileSize );
-    return buildChunkTable( file, candidates, firstDeflateByte, fileSize, chunkSizeBytes );
 }
 
 }  // namespace rapidgzip

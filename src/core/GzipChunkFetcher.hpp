@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -84,8 +85,8 @@ tallyFilterStatistics( const blockfinder::FilterStatistics& statistics )
  *
  * Correctness does not rest on the finders: a surviving false positive
  * produces wrong bytes whose CRC32 cannot match the gzip footer, which the
- * caller verifies — the same layering DeflateChunks.hpp documents for the
- * full-flush fast path.
+ * caller verifies — the same layering that guards marker-derived restart
+ * points (probeRawDeflatePoint in DeflateChunks.hpp).
  */
 class GzipChunkFetcher
 {
@@ -360,10 +361,12 @@ public:
      * (footer + next member's header + fresh Deflate stream with an empty
      * window), so BGZF and concatenated members ride the same path. This is
      * what makes seek()/read() O(1) in decoded work: exactly one
-     * inter-checkpoint span is decoded, never the prefix of the file.
+     * inter-checkpoint span is decoded, never the prefix of the file. It is
+     * ParallelGzipReader's only chunk decoder: imported, BGZF, harvested and
+     * marker-derived checkpoints all decode here.
      *
      * Throws InvalidGzipStreamError when the data under the checkpoint does
-     * not decode — a stale or corrupt index.
+     * not decode — a stale or corrupt index, or a false restart point.
      */
     [[nodiscard]] static DecodedChunk
     decodeChunkFromCheckpoint( const FileReader& file,
@@ -428,22 +431,12 @@ public:
             result.deflateEndOffset = footerByte;
             result.memberEnds.push_back( { result.data.size(), segmentCrc, footerByte } );
             segmentCrc = 0;
-            const auto nextMember = footerByte + GZIP_FOOTER_SIZE;
-            std::uint8_t magic[2];
-            if ( ( nextMember + 2 > fileSize )
-                 || ( file.pread( magic, 2, nextMember ) != 2 )
-                 || ( magic[0] != GZIP_MAGIC_1 ) || ( magic[1] != GZIP_MAGIC_2 ) ) {
-                /* No further member; trailing bytes are padding (gzip -d
-                 * semantics). */
-                result.reachedStreamEnd = true;
+            const auto nextMember = nextGzipMember( file, footerByte + GZIP_FOOTER_SIZE );
+            if ( !nextMember ) {
+                result.reachedStreamEnd = true;  /* the rest is padding */
                 break;
             }
-            std::vector<std::uint8_t> headerBytes(
-                std::min<std::size_t>( fileSize - nextMember, 64 * KiB ) );
-            preadExactly( file, headerBytes.data(), headerBytes.size(), nextMember );
-            const auto deflateStart =
-                parseGzipHeader( { headerBytes.data(), headerBytes.size() } );
-            const auto newBit = ( nextMember + deflateStart ) * 8;
+            const auto newBit = *nextMember * 8;
             if ( newBit >= untilBits ) {
                 break;  /* the next checkpoint owns the next member */
             }

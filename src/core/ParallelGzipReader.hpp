@@ -7,9 +7,9 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,18 +28,25 @@
 namespace rapidgzip {
 
 /**
- * Parallel gzip decompressor over chunked streams (pigz-style full-flush
- * members, concatenated members, BGZF once its writer lands). Architecture
- * per the paper: a SharedFileReader feeds per-chunk raw-Deflate decodes on
- * a thread pool; a strategy-driven prefetcher keeps the pool busy ahead of
- * the consumer; decoded chunks land in a bounded cache serving random
- * access reads.
+ * Parallel gzip decompressor (paper §3): a SharedFileReader feeds per-chunk
+ * decodes on a thread pool; a strategy-driven prefetcher keeps the pool busy
+ * ahead of the consumer; decoded chunks land in a bounded cache serving
+ * random access reads.
  *
- * Correctness is layered: chunk boundaries are validated restart points; a
- * full decompressAll() cross-checks the combined CRC32 and ISIZE against
- * the gzip footer (setVerifyChecksums(false) disables this); any failure in
- * the parallel path falls back to a serial zlib decode, which is the
- * authority.
+ * One chunk table drives all of it: the checkpoints of a GzipIndex (the
+ * paper's §3.5 seek index), chunk i spanning checkpoint i to checkpoint
+ * i + 1, every chunk decoded by GzipChunkFetcher::decodeChunkFromCheckpoint.
+ * The table is an imported index, the BGZF BC-field scan, or full-flush
+ * discovery. Discovery yields *marker-derived* checkpoints: byte-aligned,
+ * windowless, found at `00 00 FF FF` sync markers, and guesses until the
+ * footer-verified sweep fills in their uncompressed offsets. A stream
+ * without restart points has a single such checkpoint; its sweep runs the
+ * two-stage pipeline, whose harvested bit-granular index replaces the table.
+ *
+ * Correctness is layered: the sweep checks every member against its own
+ * footer; a chunk that fails to decode at a marker-derived checkpoint had a
+ * false boundary and is merged away; whatever the chunked state cannot
+ * verify falls back to the serial zlib decode, which is the authority.
  *
  * Thread model: one consumer thread drives this object; the parallelism
  * lives in the chunk decoding underneath.
@@ -56,98 +63,24 @@ public:
     /* --- whole-stream interface ------------------------------------- */
 
     /**
-     * Decompress the whole stream in parallel, returning the number of
-     * uncompressed bytes. Output is verified (unless disabled) and then
-     * discarded; use read() to obtain the bytes.
+     * Decompress the whole stream in parallel with the footer-verified sweep
+     * and return the number of uncompressed bytes. The bytes are discarded;
+     * use read() to obtain them.
      *
-     * A chunk that fails to decode had a false restart boundary: it is
-     * merged away and the sweep restarted, still parallel. Only silent
-     * corruption (checksum mismatch) or a completely undecodable stream
-     * escalates to the serial zlib decode, which is the authority and
-     * throws if the file itself is broken.
+     * When the chunked state cannot produce verified bytes — a footer
+     * mismatch, or a failing chunk that is no false marker boundary — the
+     * serial zlib decode answers: it is the authority and throws if the file
+     * itself is broken.
      */
     [[nodiscard]] std::size_t
     decompressAll()
     {
-        if ( m_parallelResultUntrusted ) {
-            return serialDecompressCount();
-        }
-
-        /* Streams WITHOUT full-flush restart points (plain `gzip` output)
-         * used to degrade to one serial chunk. The two-stage pipeline
-         * decodes them in parallel from guessed bit offsets instead — and,
-         * as a byproduct, builds the bit-granular seek index that makes
-         * every subsequent seek()/read() constant-time. The full-flush path
-         * remains the fast path when restart points or an imported index
-         * make block finding unnecessary. Any two-stage failure falls
-         * through to the flush-point path, whose own fallback is the
-         * authoritative serial zlib decode. */
-        ensureChunkTable();
-        if ( !m_indexed && ( m_chunks.size() <= 1 ) ) {
-            try {
-                return decompressAllTwoStage();
-            } catch ( const RapidgzipError& ) {
-                /* fall through */
+        if ( !m_parallelResultUntrusted ) {
+            if ( const auto total = sweep() ) {
+                return *total;
             }
         }
-
-        ensureFetcher();
-        while ( true ) {
-            std::size_t total = 0;
-            bool lastChunkEndedStream = false;
-            std::vector<std::size_t> sizes( m_fetcher->chunkCount() );
-            std::size_t failedChunk = SIZE_MAX;
-            /* Per-MEMBER verification state: every concatenated member's
-             * CRC32 and ISIZE are checked against ITS footer, combined
-             * across chunk boundaries from the chunks' member segments. */
-            MemberVerifier verifier( *m_file );
-            bool checksumMismatch = false;
-
-            for ( std::size_t i = 0; i < m_fetcher->chunkCount(); ++i ) {
-                ChunkFetcher::ChunkDataPtr chunk;
-                try {
-                    chunk = m_fetcher->get( i );
-                } catch ( const RapidgzipError& ) {
-                    failedChunk = i;
-                    break;
-                }
-                sizes[i] = chunk->data.size();
-                total += chunk->data.size();
-                lastChunkEndedStream = chunk->reachedStreamEnd;
-                if ( m_verifyChecksums && !verifier.consume( *chunk ) ) {
-                    checksumMismatch = true;
-                    break;
-                }
-            }
-
-            if ( checksumMismatch ) {
-                /* The parallel chunking produced wrong bytes (e.g. a false
-                 * restart point that decoded "cleanly"): poison the chunked
-                 * state so read()/seek() cannot serve the corrupt data, and
-                 * let the serial decode answer. */
-                m_parallelResultUntrusted = true;
-                m_offsetsKnown = false;
-                m_chunkTableKnown = false;
-                m_indexed = false;
-                m_index.reset();
-                m_fetcher.reset();
-                return serialDecompressCount();
-            }
-            if ( failedChunk != SIZE_MAX ) {
-                if ( !mergeFalseBoundary( failedChunk ) ) {
-                    return serialDecompressCount();
-                }
-                continue;
-            }
-
-            if ( !lastChunkEndedStream ) {
-                throw InvalidGzipStreamError(
-                    "Gzip stream ended before the final Deflate block — truncated file" );
-            }
-
-            recordChunkSizes( sizes );
-            return total;
-        }
+        return serialDecompressCount();
     }
 
     /**
@@ -213,12 +146,13 @@ public:
 
     /* --- random access interface ------------------------------------ */
 
-    /** Total uncompressed size (triggers chunk size discovery if unknown). */
+    /** Total uncompressed size. On a table of marker-derived checkpoints the
+     * first call runs the footer-verified sweep. */
     [[nodiscard]] std::size_t
     size()
     {
         ensureOffsetsKnown();
-        return m_uncompressedOffsets.back();
+        return m_index->uncompressedSizeBytes;
     }
 
     void
@@ -237,34 +171,11 @@ public:
     [[nodiscard]] std::size_t
     read( std::uint8_t* buffer, std::size_t size )
     {
-        ensureOffsetsKnown();
-        const auto totalSize = m_uncompressedOffsets.back();
-
-        std::size_t produced = 0;
-        while ( ( produced < size ) && ( m_position < totalSize ) ) {
-            const auto next = std::upper_bound( m_uncompressedOffsets.begin(),
-                                                m_uncompressedOffsets.end(), m_position );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( m_uncompressedOffsets.begin(), next ) ) - 1U;
-            const auto chunk = m_fetcher->get( chunkIndex );
-            const auto claimedSpan = m_uncompressedOffsets[chunkIndex + 1]
-                                     - m_uncompressedOffsets[chunkIndex];
-            if ( chunk->data.size() != claimedSpan ) {
-                /* Only possible when an imported index misstates a chunk's
-                 * uncompressed span — never with discovered offsets. Both
-                 * directions are corruption: overstated spans would read
-                 * out of bounds, understated ones would return bytes from
-                 * the wrong stream position. */
-                throw RapidgzipError( "Chunk size disagrees with the gzip index — "
-                                      "stale or corrupt index" );
-            }
-            const auto offsetInChunk = m_position - m_uncompressedOffsets[chunkIndex];
-            const auto toCopy = std::min( size - produced, chunk->data.size() - offsetInChunk );
-            std::memcpy( buffer + produced, chunk->data.data() + offsetInChunk, toCopy );
-            produced += toCopy;
-            m_position += toCopy;
-        }
-        return produced;
+        return walkChunks( size, [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                             std::size_t offsetInChunk, std::size_t length ) {
+            std::memcpy( buffer, chunk->data.data() + offsetInChunk, length );
+            buffer += length;
+        } );
     }
 
     /** Zero-copy variant of read(): lends refcounted spans straight out of
@@ -275,59 +186,26 @@ public:
     [[nodiscard]] std::size_t
     readSpans( std::size_t size, std::vector<OwnedSpan>& spans )
     {
-        ensureOffsetsKnown();
-        const auto totalSize = m_uncompressedOffsets.back();
-
-        std::size_t produced = 0;
-        while ( ( produced < size ) && ( m_position < totalSize ) ) {
-            const auto next = std::upper_bound( m_uncompressedOffsets.begin(),
-                                                m_uncompressedOffsets.end(), m_position );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( m_uncompressedOffsets.begin(), next ) ) - 1U;
-            const auto chunk = m_fetcher->get( chunkIndex );
-            const auto claimedSpan = m_uncompressedOffsets[chunkIndex + 1]
-                                     - m_uncompressedOffsets[chunkIndex];
-            if ( chunk->data.size() != claimedSpan ) {
-                throw RapidgzipError( "Chunk size disagrees with the gzip index — "
-                                      "stale or corrupt index" );
-            }
-            const auto offsetInChunk = m_position - m_uncompressedOffsets[chunkIndex];
-            const auto take = std::min( size - produced, chunk->data.size() - offsetInChunk );
-            spans.push_back( lendChunkSpan( chunk, offsetInChunk, take ) );
-            produced += take;
-            m_position += take;
-        }
-        return produced;
+        return walkChunks( size, [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                            std::size_t offsetInChunk, std::size_t length ) {
+            spans.push_back( lendChunkSpan( chunk, offsetInChunk, length ) );
+        } );
     }
 
     /* --- index interface --------------------------------------------- */
 
     /**
-     * The seek index for this stream. When none exists yet it is built
-     * first: from BGZF BC fields or full-flush chunk boundaries when the
-     * stream has restart points (byte-aligned checkpoints, no windows), or
-     * by the two-stage sweep for arbitrary gzip (bit-granular checkpoints
-     * with compressed windows). Serialize with index::serializeIndex() /
-     * index::exportGztoolIndex().
+     * The seek index for this stream, which is the reader's chunk table.
+     * Marker-derived checkpoints get their uncompressed offsets from the
+     * footer-verified sweep first; a stream without restart points gets the
+     * two-stage sweep's bit-granular checkpoints with compressed windows.
+     * Serialize with index::serializeIndex() / index::exportGztoolIndex().
      */
     [[nodiscard]] GzipIndex
     exportIndex()
     {
         ensureOffsetsKnown();
-        if ( m_indexed ) {
-            return *m_index;
-        }
-        /* Full-flush chunking: every chunk start is a byte-aligned restart
-         * point with an empty window. */
-        GzipIndex index;
-        index.compressedSizeBytes = m_file->size();
-        index.uncompressedSizeBytes = m_uncompressedOffsets.back();
-        index.checkpoints.reserve( m_chunks.size() );
-        for ( std::size_t i = 0; i < m_chunks.size(); ++i ) {
-            index.checkpoints.push_back( { m_chunks[i].compressedBegin * 8,
-                                           m_uncompressedOffsets[i] } );
-        }
-        return index;
+        return *m_index;
     }
 
     /** Adopt checkpoints, windows, and offsets from @p index, skipping
@@ -375,13 +253,7 @@ public:
         adoptIndex( std::move( adopted ) );
     }
 
-    /* --- configuration / introspection -------------------------------- */
-
-    void
-    setVerifyChecksums( bool verify ) noexcept
-    {
-        m_verifyChecksums = verify;
-    }
+    /* --- introspection ----------------------------------------------- */
 
     [[nodiscard]] const FetcherStatistics&
     fetcherStatistics() const noexcept
@@ -390,110 +262,189 @@ public:
         return m_fetcher ? m_fetcher->statistics() : empty;
     }
 
+    /** Chunks in the current table; runs chunk-table discovery if needed. */
     [[nodiscard]] std::size_t
     chunkCount()
     {
         ensureChunkTable();
-        return m_indexed ? m_index->checkpoints.size() : m_chunks.size();
-    }
-
-    /** True when seek()/read() dispatch from index checkpoints (imported,
-     * BGZF-scanned, or harvested by the two-stage sweep). Triggers format
-     * detection, which for BGZF adopts the BC-field index. */
-    [[nodiscard]] bool
-    usesIndex()
-    {
-        ensureChunkTable();
-        return m_indexed;
+        return m_index->checkpoints.size();
     }
 
 private:
     /**
-     * Whole-stream decompression via the two-stage pipeline: per member,
+     * The footer-verified sweep behind decompressAll() and the first
+     * size()/read()/readSpans(): decode every chunk in order through the
+     * fetcher, check each member against its own footer, and fill the chunk
+     * sizes into the checkpoints' uncompressed offsets. Filling them in keeps
+     * the fetcher, so the sweep's tail stays cached for the reads that
+     * follow.
+     *
+     * A table of one marker-derived checkpoint (no restart points) tries the
+     * two-stage sweep first; when that fails, the stream decodes as one
+     * chunk. A chunk that fails to decode at a marker-derived checkpoint had
+     * a false boundary — its start, or its end when that cuts a footer or
+     * member header — which is merged away before the sweep restarts.
+     * Returns std::nullopt and poisons the chunked state when it cannot
+     * produce verified bytes; throws when the stream ends before its final
+     * block.
+     */
+    [[nodiscard]] std::optional<std::size_t>
+    sweep()
+    {
+        ensureChunkTable();
+        if ( m_markerDerived && ( m_index->checkpoints.size() == 1 ) ) {
+            try {
+                return decompressAllTwoStage();
+            } catch ( const RapidgzipError& ) {
+                /* decode the stream as one chunk below */
+            }
+        }
+        ensureFetcher();
+        while ( true ) {
+            MemberVerifier verifier( *m_file );
+            std::vector<std::size_t> sizes;
+            std::optional<std::size_t> falseBoundary;
+            bool endedStream = false;
+            for ( std::size_t i = 0; i < m_index->checkpoints.size(); ++i ) {
+                ChunkFetcher::ChunkDataPtr chunk;
+                try {
+                    chunk = m_fetcher->get( i );
+                } catch ( const FalseChunkEndError& ) {
+                    falseBoundary = i + 1;
+                    break;
+                } catch ( const InvalidGzipStreamError& ) {
+                    /* A bad chunk start; chunk 0 starts at the member's first
+                     * Deflate byte, so there the end is the suspect. */
+                    falseBoundary = std::max<std::size_t>( i, 1 );
+                    break;
+                } catch ( ... ) {
+                    /* A transient failure (I/O, allocation, injected fault)
+                     * leaves failed prefetches in the cache: let the next
+                     * sweep start on a fresh fetcher. */
+                    m_fetcher.reset();
+                    throw;
+                }
+                if ( !verifier.consume( *chunk ) ) {
+                    return poison();
+                }
+                sizes.push_back( chunk->data.size() );
+                endedStream = chunk->reachedStreamEnd;
+                if ( endedStream && m_markerDerived ) {
+                    break;  /* later marker-derived checkpoints lie in trailing padding */
+                }
+            }
+            if ( falseBoundary ) {
+                if ( mergeFalseBoundary( *falseBoundary ) ) {
+                    continue;
+                }
+                return poison();
+            }
+            if ( !endedStream ) {
+                throw InvalidGzipStreamError(
+                    "Gzip stream ended before the final Deflate block — truncated file" );
+            }
+            return recordChunkSizes( sizes );
+        }
+    }
+
+    /**
+     * The two-stage sweep for a stream without restart points: per member,
      * parallel chunk decodes from guessed bit offsets (GzipChunkFetcher),
-     * sequential marker resolution with window propagation, and MANDATORY
-     * footer verification — with guessed offsets the CRC32 check is the
-     * correctness authority, so setVerifyChecksums() does not disable it
-     * here. Throws on any failure; the caller falls back.
+     * sequential marker resolution with window propagation, and footer
+     * verification — with guessed offsets the CRC32 check is the
+     * correctness authority. On success the harvested index becomes the
+     * chunk table. Throws on any failure.
      */
     [[nodiscard]] std::size_t
     decompressAllTwoStage()
     {
-        const auto fileSize = m_file->size();
         index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
-        std::size_t memberStart = 0;
+        std::optional<std::size_t> deflateStart = m_index->checkpoints.front().compressedOffsetBits / 8;
         std::size_t total = 0;
-        while ( true ) {
-            std::vector<std::uint8_t> headerBytes(
-                std::min<std::size_t>( fileSize - memberStart, 64 * KiB ) );
-            if ( m_file->pread( headerBytes.data(), headerBytes.size(), memberStart )
-                 != headerBytes.size() ) {
-                throw FileIoError( "Short read of gzip header" );
-            }
-            const auto deflateStart = parseGzipHeader( { headerBytes.data(), headerBytes.size() } );
-
+        while ( deflateStart ) {
             const auto member = GzipChunkFetcher::decompressMember(
-                *m_file, memberStart + deflateStart, m_configuration.parallelism,
+                *m_file, *deflateStart, m_configuration.parallelism,
                 m_configuration.chunkSizeBytes, nullptr, &builder );
-
-            std::uint8_t footerBytes[GZIP_FOOTER_SIZE];
-            if ( ( member.footerStartByte + GZIP_FOOTER_SIZE > fileSize )
-                 || ( m_file->pread( footerBytes, GZIP_FOOTER_SIZE, member.footerStartByte )
-                      != GZIP_FOOTER_SIZE ) ) {
-                throw InvalidGzipStreamError( "Cannot read gzip footer" );
-            }
-            const auto footer = parseGzipFooter( { footerBytes, GZIP_FOOTER_SIZE },
-                                                 GZIP_FOOTER_SIZE );
-            if ( ( member.crc32 != footer.crc32 )
-                 || ( static_cast<std::uint32_t>( member.uncompressedSize )
-                      != footer.uncompressedSizeModulo32 ) ) {
+            if ( !footerMatches( *m_file, member.footerStartByte, member.crc32,
+                                 member.uncompressedSize ) ) {
                 throw ChecksumError( "Two-stage parallel decode does not match the gzip footer" );
             }
             total += member.uncompressedSize;
             builder.finishMember( member.uncompressedSize );
-
-            /* Another member may follow; anything else is trailing padding,
-             * ignored like `gzip -d`. */
-            const auto next = member.footerStartByte + GZIP_FOOTER_SIZE;
-            std::uint8_t magic[2];
-            if ( ( next + 2 <= fileSize ) && ( m_file->pread( magic, 2, next ) == 2 )
-                 && ( magic[0] == GZIP_MAGIC_1 ) && ( magic[1] == GZIP_MAGIC_2 ) ) {
-                memberStart = next;
-                continue;
-            }
-            /* Every member verified against its footer: the harvested index
-             * is trustworthy. Adopt it so seek()/read() resume from
-             * checkpoints instead of re-running (or serializing) the sweep. */
-            adoptIndex( std::make_shared<const GzipIndex>( builder.build( fileSize ) ) );
-            return total;
+            deflateStart = nextGzipMember( *m_file, member.footerStartByte + GZIP_FOOTER_SIZE );
         }
+        /* Every member verified against its footer: the harvested index is
+         * trustworthy, and seek()/read() resume from its checkpoints instead
+         * of re-running (or serializing) the sweep. */
+        adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size() ) ) );
+        return total;
     }
 
-    /** Switch to index-driven chunking: offsets come from the checkpoints,
-     * chunk decodes from decodeChunkFromCheckpoint with seeded windows. */
+    /** Fill the swept chunk sizes into the checkpoints' uncompressed offsets,
+     * dropping checkpoints past the end of the stream. The fetcher decodes
+     * from the same bit offsets, so it stays, cache and all; it stops at the
+     * shortened table and forgets the sweep's access pattern, which would
+     * otherwise skew its prefetch strategy for the reads that follow. */
+    [[nodiscard]] std::size_t
+    recordChunkSizes( const std::vector<std::size_t>& sizes )
+    {
+        m_fetcher->resetAccessPattern( sizes.size() );
+        auto table = std::make_shared<GzipIndex>( *m_index );
+        table->checkpoints.resize( sizes.size() );
+        std::size_t offset = 0;
+        for ( std::size_t i = 0; i < sizes.size(); ++i ) {
+            table->checkpoints[i].uncompressedOffset = offset;
+            offset += sizes[i];
+        }
+        table->uncompressedSizeBytes = offset;
+        m_index = std::move( table );
+        m_markerDerived = false;
+        return offset;
+    }
+
+    /**
+     * Erase the marker-derived checkpoint @p boundary that a failing chunk
+     * exposed as false, merging its chunk into the predecessor. Returns false
+     * for any other table, and when @p boundary is no inner checkpoint.
+     */
+    [[nodiscard]] bool
+    mergeFalseBoundary( std::size_t boundary )
+    {
+        if ( !m_markerDerived || ( boundary == 0 ) || ( boundary >= m_index->checkpoints.size() ) ) {
+            return false;
+        }
+        auto table = std::make_shared<GzipIndex>( *m_index );
+        table->checkpoints.erase( table->checkpoints.begin() + static_cast<std::ptrdiff_t>( boundary ) );
+        adoptIndex( std::move( table ), /* markerDerived */ true );
+        ensureFetcher();
+        return true;
+    }
+
+    /** The chunked state cannot produce verified bytes for this stream; only
+     * the serial path may answer from now on. */
+    [[nodiscard]] std::optional<std::size_t>
+    poison()
+    {
+        m_parallelResultUntrusted = true;
+        m_fetcher.reset();
+        return std::nullopt;
+    }
+
+    /** Make @p index the chunk table; the fetcher is rebuilt lazily on it. */
     void
-    adoptIndex( std::shared_ptr<const GzipIndex> index )
+    adoptIndex( std::shared_ptr<const GzipIndex> index, bool markerDerived = false )
     {
         m_index = std::move( index );
-        m_indexed = true;
-        m_chunks.clear();
-        m_chunkTableKnown = true;
-        m_uncompressedOffsets.clear();
-        m_uncompressedOffsets.reserve( m_index->checkpoints.size() + 1 );
-        for ( const auto& checkpoint : m_index->checkpoints ) {
-            m_uncompressedOffsets.push_back( checkpoint.uncompressedOffset );
-        }
-        m_uncompressedOffsets.push_back( m_index->uncompressedSizeBytes );
-        m_offsetsKnown = true;
+        m_markerDerived = markerDerived;
         /* A trustworthy index supersedes whatever chunking failed before. */
         m_parallelResultUntrusted = false;
-        m_fetcher.reset();  /* rebuild lazily on the indexed decoder */
+        m_fetcher.reset();
     }
 
     void
     ensureChunkTable()
     {
-        if ( m_chunkTableKnown ) {
+        if ( m_index ) {
             return;
         }
         /* BGZF is an index special case: the BC extra fields describe every
@@ -504,8 +455,12 @@ private:
             adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ) );
             return;
         }
-        m_chunks = discoverChunks( *m_file, m_configuration.chunkSizeBytes );
-        m_chunkTableKnown = true;
+        auto markers = std::make_shared<GzipIndex>();
+        markers->compressedSizeBytes = m_file->size();
+        for ( const auto start : discoverRestartPoints( *m_file, m_configuration.chunkSizeBytes ) ) {
+            markers->checkpoints.push_back( { start * 8, 0 } );
+        }
+        adoptIndex( std::move( markers ), /* markerDerived */ true );
     }
 
     void
@@ -515,138 +470,105 @@ private:
         if ( m_fetcher ) {
             return;
         }
-        auto file = std::shared_ptr<const FileReader>( m_file->clone().release() );
-        if ( m_indexed ) {
-            /* The decoder callback runs on pool workers: it captures the
-             * immutable index by shared_ptr and only uses const accessors. */
-            auto decoder = [index = m_index] ( const FileReader& reader, std::size_t i ) {
-                const auto& checkpoints = index->checkpoints;
-                const auto startBits = checkpoints[i].compressedOffsetBits;
-                const auto untilBits = i + 1 < checkpoints.size()
-                                       ? checkpoints[i + 1].compressedOffsetBits
-                                       : std::numeric_limits<std::size_t>::max();
-                const auto window = index->windows.get( startBits );
-                return GzipChunkFetcher::decodeChunkFromCheckpoint(
-                    reader, startBits, untilBits, { window.data(), window.size() } );
-            };
-            m_fetcher = std::make_unique<ChunkFetcher>(
-                std::move( file ), m_index->checkpoints.size(), std::move( decoder ),
-                m_configuration );
-        } else {
-            m_fetcher = std::make_unique<ChunkFetcher>( std::move( file ), m_chunks,
-                                                        m_configuration );
+        /* The table's bit offsets go into the shared-cache key, so readers of
+         * one archive with different tables never share entries. */
+        auto configuration = m_configuration;
+        for ( const auto& checkpoint : m_index->checkpoints ) {
+            configuration.cacheIdentity =
+                mixHash( configuration.cacheIdentity ^ checkpoint.compressedOffsetBits );
         }
+        /* The decoder callback runs on pool workers: it captures the
+         * immutable table by shared_ptr and only uses const accessors. */
+        auto decoder = [index = m_index] ( const FileReader& reader, std::size_t i ) {
+            const auto& checkpoints = index->checkpoints;
+            const auto startBits = checkpoints[i].compressedOffsetBits;
+            const auto untilBits = i + 1 < checkpoints.size()
+                                   ? checkpoints[i + 1].compressedOffsetBits
+                                   : std::numeric_limits<std::size_t>::max();
+            const auto window = index->windows.get( startBits );
+            return GzipChunkFetcher::decodeChunkFromCheckpoint(
+                reader, startBits, untilBits, { window.data(), window.size() } );
+        };
+        m_fetcher = std::make_unique<ChunkFetcher>(
+            std::shared_ptr<const FileReader>( m_file->clone().release() ),
+            m_index->checkpoints.size(), std::move( decoder ), configuration );
     }
 
-    /**
-     * Discover every chunk's uncompressed size with one parallel sweep.
-     * Decodes go through the fetcher's cache (without touching the prefetch
-     * statistics), so the tail of the sweep stays resident for subsequent
-     * reads; batching bounds memory to ~2 cache capacities. A chunk that
-     * fails to decode had a false boundary: merge it away and retry —
-     * into its predecessor (bad start) or, when chunk 0 fails, into its
-     * successor (boundary truncating a member header near the chunk end).
-     */
+    /** Make the checkpoints' uncompressed offsets trustworthy for
+     * size()/read(): marker-derived ones run the footer-verified sweep. */
     void
     ensureOffsetsKnown()
     {
-        if ( m_parallelResultUntrusted ) {
-            throw ChecksumError( "Parallel chunking failed footer verification for this "
-                                 "stream; use the serial GzipReader for it" );
-        }
-        if ( m_offsetsKnown ) {
-            ensureFetcher();
-            return;
-        }
         ensureChunkTable();
-        /* A stream without restart points would degrade to ONE serial chunk
-         * for every read. Run the two-stage sweep once instead: it verifies
-         * against the footer and leaves behind the bit-granular index, after
-         * which random access decodes single inter-checkpoint spans in
-         * parallel. Failure (exotic streams the sweep cannot chunk) falls
-         * back to the serial single-chunk path below. */
-        if ( !m_indexed && ( m_chunks.size() <= 1 ) ) {
-            try {
-                (void)decompressAllTwoStage();  /* adopts the index on success */
-                ensureFetcher();
-                return;
-            } catch ( const RapidgzipError& ) {
-                /* fall through to the single-chunk path */
-            }
+        if ( m_markerDerived && !m_parallelResultUntrusted ) {
+            (void)sweep();
+        }
+        if ( m_parallelResultUntrusted ) {
+            throw RapidgzipError( "The parallel chunked decode cannot verify this stream; "
+                                  "use the serial GzipReader for it" );
         }
         ensureFetcher();
-
-        while ( true ) {
-            std::vector<std::size_t> sizes( m_chunks.size() );
-            std::size_t failedChunk = SIZE_MAX;
-            bool lastChunkEndedStream = false;
-            const auto batchSize = std::max<std::size_t>( 2 * m_configuration.parallelism, 8 );
-            for ( std::size_t batch = 0; batch < m_chunks.size() && failedChunk == SIZE_MAX;
-                  batch += batchSize ) {
-                const auto batchEnd = std::min( batch + batchSize, m_chunks.size() );
-                std::vector<std::shared_future<ChunkFetcher::ChunkDataPtr> > futures;
-                for ( std::size_t i = batch; i < batchEnd; ++i ) {
-                    futures.push_back( m_fetcher->fetchQuietly( i ) );
-                }
-                for ( std::size_t i = batch; i < batchEnd; ++i ) {
-                    try {
-                        const auto chunk = futures[i - batch].get();
-                        sizes[i] = chunk->data.size();
-                        lastChunkEndedStream = chunk->reachedStreamEnd;
-                    } catch ( const RapidgzipError& ) {
-                        failedChunk = i;
-                        break;
-                    }
-                }
-            }
-
-            if ( failedChunk == SIZE_MAX ) {
-                if ( !lastChunkEndedStream ) {
-                    throw InvalidGzipStreamError(
-                        "Gzip stream ended before the final Deflate block — truncated file" );
-                }
-                recordChunkSizes( sizes );
-                return;
-            }
-            if ( !mergeFalseBoundary( failedChunk ) ) {
-                throw InvalidGzipStreamError( "The gzip stream is undecodable" );
-            }
-        }
     }
 
     /**
-     * Remove the chunk boundary exposed as false by @p failedChunk failing
-     * to decode: merge into the predecessor (bad chunk start) or, for chunk
-     * 0, into the successor (boundary truncating a member header near the
-     * chunk end). Rebuilds the fetcher on the new table. Returns false when
-     * a single full-stream chunk remains — nothing left to merge.
+     * The chunk walk under read() and readSpans(): from the current position
+     * on, hand @p take each chunk holding it, the offset into the chunk and
+     * the byte count to take, until @p size bytes or the end of the stream.
+     * Returns the bytes walked.
      */
-    [[nodiscard]] bool
-    mergeFalseBoundary( std::size_t failedChunk )
+    template<typename Take>
+    [[nodiscard]] std::size_t
+    walkChunks( std::size_t size, const Take& take )
     {
-        if ( m_chunks.size() <= 1 ) {
-            return false;
+        ensureOffsetsKnown();
+        const auto& checkpoints = m_index->checkpoints;
+        const auto totalSize = m_index->uncompressedSizeBytes;
+
+        std::size_t produced = 0;
+        while ( ( produced < size ) && ( m_position < totalSize ) ) {
+            const auto next = std::upper_bound(
+                checkpoints.begin(), checkpoints.end(), m_position,
+                [] ( std::size_t position, const index::Checkpoint& checkpoint ) {
+                    return position < checkpoint.uncompressedOffset;
+                } );
+            const auto chunkIndex = static_cast<std::size_t>(
+                std::distance( checkpoints.begin(), next ) ) - 1U;
+            const auto chunkBegin = checkpoints[chunkIndex].uncompressedOffset;
+            const auto chunkEnd = next == checkpoints.end() ? totalSize : next->uncompressedOffset;
+            const auto chunk = m_fetcher->get( chunkIndex );
+            if ( chunk->data.size() != chunkEnd - chunkBegin ) {
+                /* Only possible when an imported index misstates a chunk's
+                 * uncompressed span — never with swept offsets. Both
+                 * directions are corruption: overstated spans would read
+                 * out of bounds, understated ones would return bytes from
+                 * the wrong stream position. */
+                throw RapidgzipError( "Chunk size disagrees with the gzip index — "
+                                      "stale or corrupt index" );
+            }
+            const auto offsetInChunk = m_position - chunkBegin;
+            const auto length = std::min( size - produced, chunk->data.size() - offsetInChunk );
+            take( chunk, offsetInChunk, length );
+            produced += length;
+            m_position += length;
         }
-        const auto mergeInto = failedChunk == 0 ? std::size_t( 0 ) : failedChunk - 1;
-        const auto mergeFrom = failedChunk == 0 ? std::size_t( 1 ) : failedChunk;
-        m_chunks[mergeInto].compressedEnd = m_chunks[mergeFrom].compressedEnd;
-        m_chunks.erase( m_chunks.begin() + static_cast<std::ptrdiff_t>( mergeFrom ) );
-        m_offsetsKnown = false;
-        m_fetcher = std::make_unique<ChunkFetcher>(
-            std::shared_ptr<const FileReader>( m_file->clone().release() ),
-            m_chunks, m_configuration );
-        return true;
+        return produced;
     }
 
-    void
-    recordChunkSizes( const std::vector<std::size_t>& sizes )
+    /** True when the footer at @p footerOffset states @p crc and @p size.
+     * The footer sits right after the member's final Deflate byte — NOT at
+     * the end of the file, which may carry padding or further members. */
+    [[nodiscard]] static bool
+    footerMatches( const FileReader& file, std::size_t footerOffset, std::uint32_t crc,
+                   std::size_t size )
     {
-        m_uncompressedOffsets.assign( 1, 0 );
-        m_uncompressedOffsets.reserve( sizes.size() + 1 );
-        for ( const auto size : sizes ) {
-            m_uncompressedOffsets.push_back( m_uncompressedOffsets.back() + size );
+        std::uint8_t footerBytes[GZIP_FOOTER_SIZE];
+        if ( ( footerOffset + GZIP_FOOTER_SIZE > file.size() )
+             || ( file.pread( footerBytes, GZIP_FOOTER_SIZE, footerOffset ) != GZIP_FOOTER_SIZE ) ) {
+            return false;
         }
-        m_offsetsKnown = true;
+        const auto footer = parseGzipFooter( { footerBytes, GZIP_FOOTER_SIZE }, GZIP_FOOTER_SIZE );
+        return ( crc == footer.crc32 )
+               && ( static_cast<std::uint32_t>( size ) == footer.uncompressedSizeModulo32 );
     }
 
     /**
@@ -655,8 +577,7 @@ private:
      * OWN footer: CRC32 (simd::crc32Combine'd across the chunks a member
      * spans; the combine has no z_off_t ceiling, so CRC verification never
      * degrades to size-only) and ISIZE. consume() returns false on any
-     * mismatch or unreadable footer; the caller falls back to the
-     * authoritative serial decode.
+     * mismatch or unreadable footer.
      */
     class MemberVerifier
     {
@@ -671,7 +592,7 @@ private:
             std::size_t segmentBegin = 0;
             for ( const auto& memberEnd : chunk.memberEnds ) {
                 append( memberEnd.segmentCrc32, memberEnd.dataEndOffset - segmentBegin );
-                if ( !verifyFooter( memberEnd.footerStartByte ) ) {
+                if ( !footerMatches( m_file, memberEnd.footerStartByte, m_memberCrc, m_memberSize ) ) {
                     return false;
                 }
                 m_memberCrc = 0;
@@ -693,25 +614,6 @@ private:
             m_memberSize += length;
         }
 
-        [[nodiscard]] bool
-        verifyFooter( std::size_t footerOffset ) const
-        {
-            /* The footer sits right after the member's final Deflate byte —
-             * NOT at the end of the file, which may carry padding or
-             * further members. */
-            std::uint8_t footerBytes[GZIP_FOOTER_SIZE];
-            if ( ( footerOffset + GZIP_FOOTER_SIZE > m_file.size() )
-                 || ( m_file.pread( footerBytes, GZIP_FOOTER_SIZE, footerOffset )
-                      != GZIP_FOOTER_SIZE ) ) {
-                return false;
-            }
-            const auto footer = parseGzipFooter( { footerBytes, GZIP_FOOTER_SIZE },
-                                                 GZIP_FOOTER_SIZE );
-            return ( m_memberCrc == footer.crc32 )
-                   && ( static_cast<std::uint32_t>( m_memberSize )
-                        == footer.uncompressedSizeModulo32 );
-        }
-
         const FileReader& m_file;
         std::uint32_t m_memberCrc{ 0 };
         std::size_t m_memberSize{ 0 };
@@ -727,23 +629,18 @@ private:
     std::unique_ptr<SharedFileReader> m_file;
     ChunkFetcherConfiguration m_configuration;
 
-    std::vector<ChunkBoundary> m_chunks;             /**< full-flush mode only */
-    std::vector<std::size_t> m_uncompressedOffsets;  /**< size chunks+1 once known */
-    bool m_chunkTableKnown{ false };
-    bool m_offsetsKnown{ false };
-
-    /** Set when chunking is index-driven (imported, BGZF-scanned, or
-     * harvested by the two-stage sweep); m_index then owns the chunk
-     * geometry and the windows. Shared with the fetcher's worker threads —
-     * immutable once adopted. */
-    bool m_indexed{ false };
+    /** The chunk table: chunk i spans checkpoint i to checkpoint i + 1.
+     * Shared with the fetcher's worker threads, so a change swaps in a new
+     * table instead of modifying this one. */
     std::shared_ptr<const GzipIndex> m_index;
+    /** The checkpoints are sync-marker guesses whose uncompressed offsets no
+     * sweep has verified yet; only such checkpoints may be merged away. */
+    bool m_markerDerived{ false };
 
     std::unique_ptr<ChunkFetcher> m_fetcher;
     std::size_t m_position{ 0 };
-    bool m_verifyChecksums{ true };
-    /** Set when the parallel result failed footer verification: the chunked
-     * state is poisoned and only the serial path may answer. */
+    /** Set when the chunked state cannot produce verified bytes for this
+     * stream: only the serial path may answer. */
     bool m_parallelResultUntrusted{ false };
 };
 

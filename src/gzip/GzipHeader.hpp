@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
@@ -74,6 +75,25 @@ parseGzipHeader( BufferView data, std::size_t offset = 0 )
         offset += 2;
     }
     return offset;
+}
+
+/**
+ * The trailing-bytes rule every chunked decode path shares: decide what
+ * follows a gzip footer. @p data starts right after the footer. Two bytes of
+ * gzip magic start another member, whose header must then be complete —
+ * a cut header is a truncated stream and throws InvalidGzipStreamError, as
+ * in GzipReader and `gzip -d`. Anything else, fewer than two bytes
+ * included, is trailing padding that ends the stream. Returns the offset of
+ * the next member's first Deflate byte within @p data, or std::nullopt for
+ * padding.
+ */
+[[nodiscard]] inline std::optional<std::size_t>
+nextGzipMember( BufferView data )
+{
+    if ( ( data.size() < 2 ) || ( data[0] != GZIP_MAGIC_1 ) || ( data[1] != GZIP_MAGIC_2 ) ) {
+        return std::nullopt;
+    }
+    return parseGzipHeader( data );
 }
 
 struct GzipFooter

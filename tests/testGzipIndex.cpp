@@ -266,7 +266,6 @@ checkIndexedRandomAccess( const std::vector<std::uint8_t>& original,
 {
     ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ), config() );
     reader.importIndex( index );
-    REQUIRE( reader.usesIndex() );
     REQUIRE( reader.chunkCount() == index.checkpoints.size() );
     REQUIRE( reader.size() == original.size() );
 
@@ -303,7 +302,7 @@ testNoFlushEndToEnd( const std::vector<std::uint8_t>& data,
     {
         ParallelGzipReader builder( std::make_unique<MemoryFileReader>( plain ), config() );
         index = builder.exportIndex();
-        REQUIRE( builder.usesIndex() );
+        REQUIRE( builder.chunkCount() == index.checkpoints.size() );
     }
     REQUIRE( index.checkpoints.size() > 1 );
     REQUIRE( index.compressedSizeBytes == plain.size() );
@@ -355,8 +354,8 @@ testSweepIndexRoundTrip()
     {
         ParallelGzipReader builder( std::make_unique<MemoryFileReader>( plain ), config() );
         REQUIRE( builder.decompressAll() == data.size() );
-        REQUIRE( builder.usesIndex() );
         index = builder.exportIndex();
+        REQUIRE( builder.chunkCount() == index.checkpoints.size() );
     }
     REQUIRE( index.checkpoints.size() > 1 );
     REQUIRE( index.windows.size() >= index.checkpoints.size() - 1 );
@@ -364,7 +363,7 @@ testSweepIndexRoundTrip()
     const auto readCrc = [&data, &plain] ( const GzipIndex& imported ) {
         ParallelGzipReader reader( std::make_unique<MemoryFileReader>( plain ), config() );
         reader.importIndex( imported );
-        REQUIRE( reader.usesIndex() );
+        REQUIRE( reader.chunkCount() == imported.checkpoints.size() );
         std::vector<std::uint8_t> buffer( 1 * MiB );
         std::uint32_t crc = 0;
         std::size_t total = 0;
@@ -447,8 +446,10 @@ main()
         const auto compressed = writeBgzf( { data.data(), data.size() }, 6 );
         ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ),
                                    config() );
-        REQUIRE( reader.chunkCount() >= 1 );
-        REQUIRE( reader.usesIndex() );
+        const auto bgzfIndex = index::tryBuildBgzfIndex( MemoryFileReader( compressed ),
+                                                         config().chunkSizeBytes );
+        REQUIRE( bgzfIndex.has_value() );
+        REQUIRE( reader.chunkCount() == bgzfIndex->checkpoints.size() );
         REQUIRE( reader.decompressAll() == data.size() );
         const auto index = reader.exportIndex();
         REQUIRE( index.windows.size() == 0 );

@@ -1,20 +1,29 @@
 /**
  * core layer: ParallelGzipReader must reproduce the serial decoder's output
  * exactly — decompressAll counts, random access reads, index export/import,
- * every prefetch strategy, multi-member streams, and single-chunk files
- * without any flush markers. A guessed chunk that starts inside an
- * incompressible stretch must bound its block search at the stored block it
- * decodes from.
+ * every prefetch strategy, and single-chunk files without any flush markers.
+ * On every base (plain, pigz-like, BGZF) with every kind of trailing bytes
+ * (padding, cut or damaged members, intact members), GzipReader,
+ * decompressAll() and a fresh reader's size() + read() agree; a sync
+ * marker inside stored data never makes size()/read() return unverified
+ * bytes, and a restart point at a member's footer never drops the members
+ * after it. The sweep behind size() leaves no access pattern for the
+ * prefetch strategy. A guessed chunk that starts inside an incompressible
+ * stretch must bound its block search at the stored block it decodes from.
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "blockfinder/NonCompressedBlockFinder.hpp"
 #include "core/ParallelGzipReader.hpp"
+#include "gzip/BgzfWriter.hpp"
+#include "gzip/GzipReader.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
 #include "telemetry/Registry.hpp"
@@ -52,6 +61,260 @@ checkFullRead( const std::vector<std::uint8_t>& original,
     const auto got = byteReader.read( reassembled.data(), reassembled.size() );
     reassembled.resize( got );
     REQUIRE( reassembled == original );
+}
+
+/** @p decode's result, or std::nullopt when it threw RapidgzipError. */
+template<typename Decode>
+[[nodiscard]] auto
+answerOf( const Decode& decode ) -> std::optional<decltype( decode() )>
+{
+    try {
+        return decode();
+    } catch ( const RapidgzipError& ) {
+        return std::nullopt;
+    }
+}
+
+/** A fresh reader's size() and then read() of everything. */
+[[nodiscard]] std::vector<std::uint8_t>
+sizeThenRead( const std::vector<std::uint8_t>& file, const ChunkFetcherConfiguration& configuration )
+{
+    ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
+    std::vector<std::uint8_t> bytes( reader.size() + 16 );
+    bytes.resize( reader.read( bytes.data(), bytes.size() ) );
+    return bytes;
+}
+
+/**
+ * The reader-agreement matrix: each base — plain gzip (two-stage sweep),
+ * pigz-like (marker-derived checkpoints) and BGZF (BC-field index) — with
+ * each tail: none, 512 zero bytes, a bare `1f 8b`, `1f 8b 08`, and a
+ * pigz-like second member that is damaged in its magic, damaged in its
+ * body, or intact. In every cell GzipReader, decompressAll() (count and
+ * streamed bytes) and a fresh reader's size() + read() return the same
+ * bytes, or all throw RapidgzipError.
+ */
+void
+testReadersAgreeOnTrailingBytes()
+{
+    const auto data = workloads::base64Data( 512 * KiB + 4321, 0xF00D );
+    const auto extra = workloads::fastqData( 1 * MiB, 0xFA57 );
+    const auto member = compressPigzLike( { extra.data(), extra.size() }, 6, 64 * KiB );
+
+    struct Base
+    {
+        const char* name;
+        std::vector<std::uint8_t> bytes;
+    };
+    const std::vector<Base> bases = {
+        { "plain", compressGzipLike( { data.data(), data.size() }, 6 ) },
+        { "pigz-like", compressPigzLike( { data.data(), data.size() }, 6, 64 * KiB ) },
+        { "BGZF", writeBgzf( { data.data(), data.size() }, 6 ) },
+    };
+    auto damagedMagic = member;
+    damagedMagic[1] ^= 0x01U;
+    auto damagedBody = member;
+    damagedBody[damagedBody.size() / 2] ^= 0x10U;
+    struct Tail
+    {
+        const char* name;
+        std::vector<std::uint8_t> bytes;
+        bool serialDecodes;  /**< false: GzipReader reports a truncated or corrupt stream */
+    };
+    const std::vector<Tail> tails = {
+        { "no tail", {}, true },
+        { "512 zero bytes", std::vector<std::uint8_t>( 512, 0 ), true },
+        { "1f 8b", { GZIP_MAGIC_1, GZIP_MAGIC_2 }, false },
+        { "1f 8b 08", { GZIP_MAGIC_1, GZIP_MAGIC_2, GZIP_CM_DEFLATE }, false },
+        { "member with damaged magic", damagedMagic, true },  /* padding, like `gzip -d` */
+        { "member with flipped body byte", damagedBody, false },
+        { "intact member", member, true },
+    };
+
+    const auto configuration = config( 4, 128 * KiB );
+    for ( const auto& base : bases ) {
+        for ( const auto& tail : tails ) {
+            auto file = base.bytes;
+            file.insert( file.end(), tail.bytes.begin(), tail.bytes.end() );
+
+            const auto serial = answerOf( [&file] () {
+                return GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector();
+            } );
+            const auto count = answerOf( [&] () {
+                return ParallelGzipReader( std::make_unique<MemoryFileReader>( file ),
+                                           configuration ).decompressAll();
+            } );
+            const auto streamed = answerOf( [&] () {
+                ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
+                std::vector<std::uint8_t> bytes;
+                const auto total = reader.decompressAll( [&bytes] ( BufferView view ) {
+                    bytes.insert( bytes.end(), view.begin(), view.end() );
+                } );
+                REQUIRE( total == bytes.size() );
+                return bytes;
+            } );
+            const auto readBack = answerOf( [&] () { return sizeThenRead( file, configuration ); } );
+
+            REQUIRE( serial.has_value() == tail.serialDecodes );
+            const bool agree = ( count.has_value() == serial.has_value() )
+                               && ( !count || ( *count == serial->size() ) )
+                               && ( streamed == serial ) && ( readBack == serial );
+            if ( !agree ) {
+                std::fprintf( stderr, "Readers disagree on %s + %s\n", base.name, tail.name );
+            }
+            REQUIRE( agree );
+        }
+    }
+}
+
+/**
+ * A gzip member holding @p payload in stored blocks of at most 65 535 bytes.
+ * With @p emptyFinalBlock, all payload blocks are non-final and an empty
+ * final stored block `01 00 00 FF FF` closes the stream, as Go's
+ * compress/flate writes on Close.
+ */
+[[nodiscard]] std::vector<std::uint8_t>
+storedGzipMember( const std::vector<std::uint8_t>& payload, bool emptyFinalBlock )
+{
+    constexpr std::size_t STORED_MAX = 65535;
+    std::vector<std::uint8_t> file{ GZIP_MAGIC_1, GZIP_MAGIC_2, GZIP_CM_DEFLATE, 0, 0, 0, 0, 0, 0, 0xFF };
+    const auto appendLE = [&file] ( std::uint32_t value, int bytes ) {
+        for ( int i = 0; i < bytes; ++i ) {
+            file.push_back( static_cast<std::uint8_t>( value >> ( 8 * i ) ) );
+        }
+    };
+    const auto appendBlock = [&] ( bool final, std::size_t offset, std::uint32_t length ) {
+        file.push_back( final ? 1 : 0 );  /* BFINAL, BTYPE 00 */
+        appendLE( length, 2 );
+        appendLE( ~length, 2 );
+        file.insert( file.end(), payload.begin() + static_cast<std::ptrdiff_t>( offset ),
+                     payload.begin() + static_cast<std::ptrdiff_t>( offset + length ) );
+    };
+    for ( std::size_t offset = 0; offset < payload.size(); offset += STORED_MAX ) {
+        const auto length = static_cast<std::uint32_t>( std::min( STORED_MAX, payload.size() - offset ) );
+        appendBlock( !emptyFinalBlock && ( offset + length == payload.size() ), offset, length );
+    }
+    if ( emptyFinalBlock ) {
+        appendBlock( true, payload.size(), 0 );
+    }
+    appendLE( simd::crc32( 0, payload.data(), payload.size() ), 4 );
+    appendLE( static_cast<std::uint32_t>( payload.size() ), 4 );
+    return file;
+}
+
+/**
+ * A sync marker inside stored data is a false restart point that decodes:
+ * a stored block's payload holds `00 00 FF FF` and then a complete raw
+ * Deflate stream, more than a chunk into the stream. It becomes a
+ * marker-derived checkpoint, and the footer-verified sweep must keep its
+ * bytes out of size() and read(): they equal the serial decode or throw.
+ */
+void
+testSyncMarkerInsideStoredData()
+{
+    constexpr std::size_t STORED_MAX = 65535;
+    auto payload = workloads::base64Data( 300 * KiB, 0x5707 );
+    const auto text = workloads::base64Data( 16 * KiB, 0xDEC0 );
+    const auto decoyMember = compressGzipLike( { text.data(), text.size() }, 6 );
+    const auto decoyStart = parseGzipHeader( { decoyMember.data(), decoyMember.size() } );
+    std::vector<std::uint8_t> decoy{ 0x00, 0x00, 0xFF, 0xFF };
+    decoy.insert( decoy.end(), decoyMember.begin() + static_cast<std::ptrdiff_t>( decoyStart ),
+                  decoyMember.end() - GZIP_FOOTER_SIZE );
+    /* Inside the fourth stored block, so no block header interrupts it. */
+    const auto decoyOffset = 3 * STORED_MAX + 100;
+    REQUIRE( decoyOffset + decoy.size() <= 4 * STORED_MAX );
+    std::copy( decoy.begin(), decoy.end(), payload.begin() + static_cast<std::ptrdiff_t>( decoyOffset ) );
+
+    const auto file = storedGzipMember( payload, /* emptyFinalBlock */ false );
+
+    const auto configuration = config( 4, 128 * KiB );
+    REQUIRE( GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector() == payload );
+    /* The decoy passes the restart-point probe and cuts the stream in two. */
+    REQUIRE( ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), configuration ).chunkCount()
+             == 2 );
+    REQUIRE( ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), configuration ).decompressAll()
+             == payload.size() );
+    const auto readBack = answerOf( [&] () { return sizeThenRead( file, configuration ); } );
+    REQUIRE( !readBack || ( *readBack == payload ) );
+}
+
+/**
+ * A member closed by an empty final stored block ends in a sync marker, so
+ * its footer start is a restart-point candidate. When the CRC32 bytes there
+ * decode as an empty final block, the probe accepts it, and the chunk before
+ * it ends where the footer and the next member's header begin. The sweep
+ * must merge that checkpoint away instead of taking the member end for the
+ * stream end: size(), read() and decompressAll() keep the later member, as
+ * GzipReader does.
+ */
+void
+testRestartPointAtFooter()
+{
+    /* Vary three leading letters until CRC32 bits 0-9 read 0x003: BFINAL,
+     * fixed Huffman codes, and the 7-bit end-of-block code. */
+    auto payload = workloads::base64Data( 200 * KiB, 0xF007 );
+    std::uint32_t tweak = 0;
+    while ( ( simd::crc32( 0, payload.data(), payload.size() ) & 0x3FFU ) != 0x003U ) {
+        ++tweak;
+        REQUIRE( tweak < 26U * 26U * 26U );
+        for ( std::size_t i = 0, rest = tweak; i < 3; ++i, rest /= 26 ) {
+            payload[i] = static_cast<std::uint8_t>( 'A' + rest % 26 );
+        }
+    }
+    auto file = storedGzipMember( payload, /* emptyFinalBlock */ true );
+    const auto footerStart = file.size() - GZIP_FOOTER_SIZE;
+    const auto text = workloads::base64Data( 64 * KiB, 0x5EC0 );
+    const auto second = compressGzipLike( { text.data(), text.size() }, 6 );
+    file.insert( file.end(), second.begin(), second.end() );
+    auto expected = payload;
+    expected.insert( expected.end(), text.begin(), text.end() );
+
+    const auto configuration = config( 4, 128 * KiB );
+    const auto starts = discoverRestartPoints( MemoryFileReader( file ), configuration.chunkSizeBytes );
+    REQUIRE( std::find( starts.begin(), starts.end(), footerStart ) != starts.end() );
+
+    REQUIRE( GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector() == expected );
+    REQUIRE( ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), configuration ).decompressAll()
+             == expected.size() );
+    REQUIRE( sizeThenRead( file, configuration ) == expected );
+}
+
+/**
+ * The sweep behind size() must leave no access pattern behind for the
+ * prefetch strategy: two interleaved sequential readers after size() get
+ * the prefetches they get from a reader that never swept. With
+ * MULTI_STREAM, a stream left at the sweep's end would take a share of the
+ * prefetch budget for the whole run.
+ */
+void
+testSweepLeavesNoAccessPattern()
+{
+    const auto data = workloads::base64Data( 2 * MiB, 0xACCE );
+    const auto compressed = compressPigzLike( { data.data(), data.size() }, 6, 32 * KiB );
+    const auto configuration = config( 4, 32 * KiB, ChunkFetcherConfiguration::Strategy::MULTI_STREAM );
+
+    /* Alternate 16 KiB reads over the first and the second quarter of the
+     * stream, past the chunks the sweep left cached near the end. */
+    const auto interleavedPrefetches = [&] ( ParallelGzipReader& reader ) {
+        const auto before = reader.fetcherStatistics().prefetchDispatched;
+        const auto quarter = data.size() / 4;
+        std::vector<std::uint8_t> buffer( 16 * KiB );
+        for ( std::size_t offset = 0; offset + buffer.size() <= quarter; offset += buffer.size() ) {
+            for ( const auto base : { std::size_t( 0 ), quarter } ) {
+                reader.seek( base + offset );
+                REQUIRE( reader.read( buffer.data(), buffer.size() ) == buffer.size() );
+                REQUIRE( std::memcmp( buffer.data(), data.data() + base + offset, buffer.size() ) == 0 );
+            }
+        }
+        return reader.fetcherStatistics().prefetchDispatched - before;
+    };
+
+    ParallelGzipReader swept( std::make_unique<MemoryFileReader>( compressed ), configuration );
+    REQUIRE( swept.size() == data.size() );
+    REQUIRE( swept.chunkCount() >= 32 );
+    ParallelGzipReader fresh( std::make_unique<MemoryFileReader>( compressed ), configuration );
+    fresh.importIndex( swept.exportIndex() );
+    REQUIRE( interleavedPrefetches( swept ) == interleavedPrefetches( fresh ) );
 }
 
 /**
@@ -220,6 +483,17 @@ main()
                                    config( 4, 256 * 1024 ) );
         REQUIRE( reader.size() == data.size() );
 
+        /* Filling in the swept offsets keeps the fetcher: the tail of the
+         * sweep behind size() serves the next read without a decode. */
+        const auto sweptDecodes = reader.fetcherStatistics().onDemandDecodes
+                                  + reader.fetcherStatistics().prefetchDispatched;
+        std::uint8_t lastByte = 0;
+        reader.seek( data.size() - 1 );
+        REQUIRE( reader.read( &lastByte, 1 ) == 1 );
+        REQUIRE( lastByte == data.back() );
+        REQUIRE( reader.fetcherStatistics().onDemandDecodes
+                 + reader.fetcherStatistics().prefetchDispatched == sweptDecodes );
+
         Xorshift64 random( 0xACCE55 );
         std::vector<std::uint8_t> buffer( 70000 );
         for ( int i = 0; i < 25; ++i ) {
@@ -297,17 +571,6 @@ main()
         }
     }
 
-    /* Trailing padding after the footer (tar/tape style) must not break
-     * verification: the footer sits after the final Deflate byte, not at
-     * the file end. */
-    {
-        auto padded = compressed;
-        padded.insert( padded.end(), 512, 0 );
-        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( padded ),
-                                   config( 4, 256 * 1024 ) );
-        REQUIRE( reader.decompressAll() == data.size() );
-    }
-
     /* Truncated streams must raise, not silently return a partial count —
      * on both the decompressAll and the read/size (offset discovery) path. */
     {
@@ -335,26 +598,6 @@ main()
         REQUIRE( stats.prefetchHits + stats.onDemandDecodes >= reader.chunkCount() );
     }
 
-    /* Multi-member stream (concatenated pigz members). */
-    {
-        const auto extra = workloads::fastqData( 2 * MiB, 0xFA57 );
-        auto concatenated = compressPigzLike( { data.data(), data.size() }, 6, 256 * 1024 );
-        const auto second = compressPigzLike( { extra.data(), extra.size() }, 6, 256 * 1024 );
-        concatenated.insert( concatenated.end(), second.begin(), second.end() );
-
-        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( concatenated ),
-                                   config( 4, 512 * 1024 ) );
-        REQUIRE( reader.decompressAll() == data.size() + extra.size() );
-
-        auto expected = data;
-        expected.insert( expected.end(), extra.begin(), extra.end() );
-        ParallelGzipReader byteReader( std::make_unique<MemoryFileReader>( concatenated ),
-                                       config( 4, 512 * 1024 ) );
-        std::vector<std::uint8_t> reassembled( expected.size() );
-        REQUIRE( byteReader.read( reassembled.data(), reassembled.size() ) == expected.size() );
-        REQUIRE( reassembled == expected );
-    }
-
     /* Incompressible data: stored blocks may contain fake sync markers; the
      * probe/merge/verify layers must still produce the exact stream. */
     {
@@ -372,14 +615,10 @@ main()
         REQUIRE( reassembled == noise );
     }
 
-    /* setVerifyChecksums(false) still returns the right count. */
-    {
-        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ),
-                                   config( 4, 256 * 1024 ) );
-        reader.setVerifyChecksums( false );
-        REQUIRE( reader.decompressAll() == data.size() );
-    }
-
+    testReadersAgreeOnTrailingBytes();
+    testSyncMarkerInsideStoredData();
+    testRestartPointAtFooter();
+    testSweepLeavesNoAccessPattern();
     testGuessInsideStoredStretch();
 
     return rapidgzip::test::finish( "testParallelGzipReader" );

@@ -5,8 +5,8 @@
  * (budget invariant, eviction order, single-flight decode dedup), the
  * shared cache tier across independent readers, sidecar-index adoption,
  * and an end-to-end loopback run of the daemon: concurrent ranged GETs
- * against gzip (and zstd when the vendor library is present) archives,
- * byte-compared with the reference data.
+ * against gzip (pigz-like, and BGZF without a sidecar) and, when the vendor
+ * library is present, zstd archives, byte-compared with the reference data.
  */
 
 #include <arpa/inet.h>
@@ -32,6 +32,7 @@
 #include "formats/Formats.hpp"
 #include "formats/Lz4Writer.hpp"
 #include "formats/Sidecar.hpp"
+#include "gzip/BgzfWriter.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
 #include "serve/Http.hpp"
@@ -663,6 +664,10 @@ testServeEndToEnd()
     const auto directory = makeTempDirectory();
     const auto gzipData = workloads::base64Data( 1 * MiB, 11 );
     writeFile( directory + "/corpus.gz", compressPigzLike( gzipData, 6, 128 * KiB ) );
+    /* BGZF without a sidecar: a fresh reader serves it from the BC-field
+     * index, with no sweep. */
+    const auto bgzfData = workloads::silesiaLikeData( 1 * MiB, 13 );
+    writeFile( directory + "/corpus-bgzf.gz", writeBgzf( bgzfData, 6 ) );
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
     const auto zstdData = workloads::silesiaLikeData( 1 * MiB, 12 );
     writeFile( directory + "/corpus.zst", formats::writeZstdSeekable( zstdData, 3, 128 * KiB ) );
@@ -739,6 +744,14 @@ testServeEndToEnd()
         REQUIRE( response.status == 400 );
         REQUIRE( response.headers.at( "connection" ) == "close" );
     }
+
+    const auto bgzfRanged =
+        simpleRequest( port, "GET", "/corpus-bgzf.gz", "Range: bytes=300000-300999\r\n" );
+    REQUIRE( bgzfRanged.status == 206 );
+    REQUIRE( bgzfRanged.body.size() == 1000 );
+    REQUIRE( std::memcmp( bgzfRanged.body.data(), bgzfData.data() + 300000, 1000 ) == 0 );
+    REQUIRE( bgzfRanged.headers.at( "content-range" )
+             == "bytes 300000-300999/" + std::to_string( bgzfData.size() ) );
 
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
     const auto zstdRanged =
