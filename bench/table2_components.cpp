@@ -7,8 +7,13 @@
  * 11.3, DBF skip-LUT 18.3, DBF rapidgzip 43.1, NBF 301.8, marker
  * replacement 1254, write to /dev/shm 3799, count newlines 9550.
  * (The pugz finder is approximated by the skip-LUT variant; see DESIGN.md.)
+ *
+ * Two rows without a paper counterpart price the Deflate decoder's fixed
+ * per-block costs: parsing a Dynamic header and building its tables, and
+ * copying a stored block.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +28,9 @@
 #include "blockfinder/DynamicBlockFinderZlib.hpp"
 #include "blockfinder/NonCompressedBlockFinder.hpp"
 #include "deflate/DecodedData.hpp"
+#include "deflate/DeflateDecoder.hpp"
+#include "gzip/GzipHeader.hpp"
+#include "gzip/ZlibCompressor.hpp"
 #include "simd/Dispatch.hpp"
 #include "workloads/DataGenerators.hpp"
 
@@ -55,6 +63,87 @@ measureFinder(const std::vector<std::uint8_t>& data, std::size_t repeats,
         }
         sink = sink + checksum;
     });
+}
+
+/** Raw Deflate stream of a level-6 single-member gzip of @p data. */
+[[nodiscard]] std::vector<std::uint8_t>
+deflateLevel6(const std::vector<std::uint8_t>& data)
+{
+    const auto gz = compressGzipLike({ data.data(), data.size() }, 6);
+    const auto start = parseGzipHeader({ gz.data(), gz.size() });
+    return { gz.begin() + static_cast<std::ptrdiff_t>(start), gz.end() };
+}
+
+/** Bit offsets just past the 3-bit block header of every Dynamic block,
+ * found by decoding @p stream one block at a time. */
+[[nodiscard]] std::vector<std::size_t>
+dynamicHeaderOffsets(const std::vector<std::uint8_t>& stream)
+{
+    std::vector<std::size_t> offsets;
+    BitReader reader(stream.data(), stream.size());
+    deflate::Decoder decoder;
+    decoder.setInitialWindow({});
+    deflate::DecodedData decoded;
+    while (true) {
+        const auto blockStart = reader.tell();
+        const auto header = BitReader::peekAt(stream.data(), stream.size(), blockStart, 3);
+        const auto result = decoder.decode(reader, decoded, blockStart + 1);
+        if ((result.error != Error::NONE) || (result.blockCount == 0)) {
+            break;
+        }
+        if (((header >> 1U) & 0b11U) == deflate::BLOCK_TYPE_DYNAMIC) {
+            offsets.push_back(blockStart + 3);
+        }
+        if (result.reachedFinalBlock) {
+            break;
+        }
+    }
+    return offsets;
+}
+
+/** Microseconds per readDynamicCodings() call (header parse plus every table
+ * the decoder uses), mean ± stddev over @p repeats sweeps of all headers. */
+void
+measureDynamicHeaders(const char* corpus, const std::vector<std::uint8_t>& data,
+                      std::size_t repeats)
+{
+    const auto stream = deflateLevel6(data);
+    const auto offsets = dynamicHeaderOffsets(stream);
+    const auto label = std::string("Dynamic header + tables (") + corpus + ")";
+    if (offsets.empty()) {
+        std::printf("  %-42s UNAVAILABLE (no Dynamic block)\n", label.c_str());
+        return;
+    }
+    deflate::DynamicHuffmanCodings codings;
+    std::vector<double> samples;
+    bool failed = false;
+    for (std::size_t repeat = 0; repeat < repeats; ++repeat) {
+        Stopwatch stopwatch;
+        for (const auto offset : offsets) {
+            BitReader reader(stream.data(), stream.size());
+            reader.seek(offset);
+            failed = failed || (deflate::readDynamicCodings(reader, codings) != Error::NONE);
+        }
+        samples.push_back(stopwatch.elapsed() * 1e6 / static_cast<double>(offsets.size()));
+    }
+    if (failed) {
+        std::printf("  %-42s FAILED (a header did not parse)\n", label.c_str());
+        return;
+    }
+    double mean = 0;
+    for (const auto sample : samples) {
+        mean += sample;
+    }
+    mean /= static_cast<double>(samples.size());
+    double variance = 0;
+    for (const auto sample : samples) {
+        variance += (sample - mean) * (sample - mean);
+    }
+    const auto stddev = samples.size() > 1
+                        ? std::sqrt(variance / static_cast<double>(samples.size() - 1)) : 0.0;
+    std::printf("  %-42s %12.2f ± %-10.2f us/header (%zu headers)\n",
+                label.c_str(), mean, stddev, offsets.size());
+    std::fflush(stdout);
 }
 
 }  // namespace
@@ -96,6 +185,42 @@ main()
              measureFinder<blockfinder::DynamicBlockFinderRapid>(medium, repeats), "43.1 MB/s");
     printRow("NBF", measureFinder<blockfinder::NonCompressedBlockFinder>(large, repeats),
              "301.8 MB/s");
+
+    /* The decoder's per-block costs on 32 MiB level-6 streams. */
+    measureDynamicHeaders("base64", workloads::base64Data(bench::scaledSize(32 * MiB), 0x7AB1E6),
+                          repeats);
+    measureDynamicHeaders("silesia-like",
+                          workloads::silesiaLikeData(bench::scaledSize(32 * MiB), 0x7AB1E7),
+                          repeats);
+    measureDynamicHeaders("FASTQ", workloads::fastqData(bench::scaledSize(32 * MiB), 0x7AB1E8),
+                          repeats);
+    {
+        /* zlib stores incompressible input: every block of this stream is
+         * a stored block. The output buffer is reused and touched by one
+         * untimed decode first, so the row prices the copy, not buffer
+         * growth or page faults. */
+        const auto stream = deflateLevel6(large);
+        deflate::DecodedData decoded;
+        decoded.plain.emplace_back();
+        decoded.plain.front().data.reserve(large.size());
+        bool failed = false;
+        const auto decodeAll = [&]() {
+            decoded.plain.front().data.clear();
+            BitReader reader(stream.data(), stream.size());
+            deflate::Decoder decoder;
+            decoder.setInitialWindow({});
+            const auto result = decoder.decode(reader, decoded);
+            failed = failed || (result.error != Error::NONE)
+                     || (decoded.plain.front().data.size() != large.size());
+        };
+        decodeAll();
+        const auto bandwidth = bench::measureBandwidth(large.size(), repeats, decodeAll);
+        if (failed) {
+            std::printf("  %-42s FAILED (decoded output differs)\n", "Stored block copy");
+        } else {
+            printRow("Stored block copy", bandwidth);
+        }
+    }
 
     /* Marker replacement: resolve a 16-bit buffer with ~10% markers. */
     {

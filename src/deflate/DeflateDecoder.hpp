@@ -118,9 +118,9 @@ public:
     }
 
     /** Decode Huffman blocks symbol-by-symbol through the two-level LUT with
-     * checked reads — the pre-optimization hot path, kept as the bit-exact
-     * reference for the equivalence tests and the before/after benchmark
-     * (bench/components_hotpath.cpp). */
+     * checked reads, and stored blocks byte by byte — the pre-optimization
+     * hot paths, kept as the bit-exact reference for the equivalence tests
+     * and the before/after benchmark (bench/components_hotpath.cpp). */
     void
     setReferenceHuffmanDecoding( bool reference ) noexcept
     {
@@ -183,9 +183,8 @@ public:
                 result.error = decodeHuffmanBlock( reader, data, detail::fixedCodings() );
                 break;
             case BLOCK_TYPE_DYNAMIC:
-                /* The reference path builds only the two-level tables — the
-                 * exact pre-optimization construction cost — so before/after
-                 * benchmarks compare true end-to-end costs. */
+                /* The reference path builds only the two-level tables it
+                 * decodes with. */
                 result.error = readDynamicCodings( reader, m_codings, !m_referenceDecoding );
                 if ( result.error == Error::NONE ) {
                     result.error = decodeHuffmanBlock( reader, data, m_codings );
@@ -241,13 +240,41 @@ private:
         if ( reader.bitsLeft() < length * 8 ) {
             return Error::TRUNCATED_STREAM;
         }
-        for ( std::uint64_t i = 0; i < length; ++i ) {
-            emitLiteral( data, static_cast<std::uint8_t>( reader.read( 8 ) ) );
-            if ( m_totalDecoded >= m_hardByteLimit ) {
-                return Error::EXCEEDED_OUTPUT_LIMIT;
+        if ( m_referenceDecoding ) {
+            for ( std::uint64_t i = 0; i < length; ++i ) {
+                emitLiteral( data, static_cast<std::uint8_t>( reader.read( 8 ) ) );
+                if ( m_totalDecoded >= m_hardByteLimit ) {
+                    return Error::EXCEEDED_OUTPUT_LIMIT;
+                }
             }
+            return Error::NONE;
         }
-        return Error::NONE;
+
+        /* Bulk copy straight out of the reader's buffer — the payload is
+         * byte-aligned and known to be complete. It stops where the byte
+         * loop above stops: after the byte that reaches the hard limit (or
+         * after one byte when the limit was already reached). */
+        if ( length == 0 ) {
+            return Error::NONE;
+        }
+        const auto room = m_hardByteLimit - std::min( m_hardByteLimit, m_totalDecoded );
+        const auto count = std::min<std::size_t>( length, std::max<std::size_t>( room, 1 ) );
+        const auto byteOffset = reader.tell() / 8U;
+        const auto* const source = reader.data() + byteOffset;
+        if ( m_plainMode ) {
+            auto& out = data.plain.back().data;
+            const auto size = out.size();
+            out.resize( size + count );
+            std::memcpy( out.data() + size, source, count );
+        } else {
+            auto& out = data.marked;
+            const auto size = out.size();
+            out.resize( size + count );
+            std::copy( source, source + count, out.data() + size );  /* widening */
+        }
+        m_totalDecoded += count;
+        reader.seek( ( byteOffset + count ) * 8U );
+        return m_totalDecoded >= m_hardByteLimit ? Error::EXCEEDED_OUTPUT_LIMIT : Error::NONE;
     }
 
     /**

@@ -24,12 +24,18 @@ namespace rapidgzip::deflate {
  * accept/reject behavior and the reference decode path are unchanged: the
  * literal/length side packs two literals or a folded length+extra into one
  * lookup, the distance side folds the distance extra bits the same way.
+ *
+ * Reused across headers, the codings allocate nothing in steady state: the
+ * tables are fixed-size members, and the heap parts (the precode LUT, the
+ * fallback subtables of codes longer than 9 bits) keep their capacity.
  */
 struct DynamicHuffmanCodings
 {
     HuffmanCodingMultiCached literal;
     HuffmanCodingDistanceCached distance;
     bool distanceUsable{ false };
+    /** Header-parsing scratch: max length 7 -> at most a 128-entry LUT. */
+    HuffmanCoding precode;
 };
 
 /**
@@ -66,7 +72,7 @@ readDynamicCodings( BitReader& reader, DynamicHuffmanCodings& codings,
         precodeLengths[PRECODE_ORDER[i]] = static_cast<std::uint8_t>( reader.read( PRECODE_BITS ) );
     }
 
-    HuffmanCoding precode;  /* max length 7 -> 128-entry single-level LUT, cheap to build */
+    auto& precode = codings.precode;
     if ( !precode.initializeFromLengths( { precodeLengths.data(), precodeLengths.size() } ) ) {
         return Error::INVALID_PRECODE;
     }

@@ -12,7 +12,7 @@ namespace rapidgzip {
  * Single-level full-length LUT decoder: one table with 2^maxCodeLength
  * entries, each holding (symbol, code length), indexed directly by the
  * peeked bits. Decoding is one load per symbol — the fastest possible — but
- * construction fills 2^(maxLength - length) entries per symbol, which gets
+ * construction (by doubling) fills all 2^maxLength entries, which gets
  * expensive for 15-bit codes. The ablation benchmark quantifies exactly this
  * trade-off against the two-level layout.
  */
@@ -47,17 +47,15 @@ private:
     };
 
     [[nodiscard]] bool
-    buildLookupTables()
+    buildLookupTables( const CanonicalCodes& codes )
     {
-        m_lookupTable.assign( std::size_t( 1 ) << m_maxLength, Entry{} );
-        for ( const auto& code : m_codes ) {
-            const Entry entry{ code.symbol, code.length };
-            const auto stride = std::size_t( 1 ) << code.length;
-            for ( std::size_t index = code.reversedCode; index < m_lookupTable.size();
-                  index += stride ) {
-                m_lookupTable[index] = entry;
+        m_lookupTable.resize( std::size_t( 1 ) << m_maxLength );
+        auto* const table = m_lookupTable.data();
+        buildTableByDoubling( table, m_maxLength, [&, table] ( unsigned level ) {
+            for ( const auto& code : codes.withLength( level ) ) {
+                table[code.reversedCode] = Entry{ code.symbol, code.length };
             }
-        }
+        } );
         return true;
     }
 

@@ -1,9 +1,8 @@
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "HuffmanCodingBase.hpp"
 #include "HuffmanCodingDoubleLUT.hpp"
@@ -27,6 +26,10 @@ namespace rapidgzip {
  * decode time on compressible data (two thirds of silesia's output bytes
  * come from matches), so folding the extra-bits read into the same table
  * hit pays exactly like it does for lengths.
+ *
+ * Built by doubling (buildTableByDoubling) like HuffmanCodingMultiCached:
+ * each entry is written once, at the level of the bits it consumes (code
+ * length, or code length plus extra bits when they fold).
  */
 class HuffmanCodingDistanceCached final
     : public HuffmanCodingBase<HuffmanCodingDistanceCached>
@@ -56,17 +59,18 @@ public:
         { return kindAndExtra >> 4U; }
     };
 
-    /** @p buildCache false skips the cache build (see
+    /** One canonical code assignment serves the fallback and the cache;
+     * @p buildCache false skips the cache build (see
      * HuffmanCodingMultiCached::initializeFromLengths). */
     [[nodiscard]] bool
     initializeFromLengths( VectorView<std::uint8_t> codeLengths, bool buildCache = true )
     {
-        if ( !m_fallback.initializeFromLengths( codeLengths ) ) {
+        CanonicalCodes codes;
+        if ( !codes.assign( codeLengths ) || !m_fallback.initializeFromCodes( codes ) ) {
             return false;
         }
         m_buildCache = buildCache;
-        return HuffmanCodingBase<HuffmanCodingDistanceCached>::initializeFromLengths(
-            codeLengths );
+        return initializeFromCodes( codes );
     }
 
     [[nodiscard]] const Entry*
@@ -103,56 +107,47 @@ private:
     };
 
     [[nodiscard]] bool
-    buildLookupTables()
+    buildLookupTables( const CanonicalCodes& codes )
     {
         if ( !m_buildCache ) {
             return true;
         }
-        /* Wider than one code on purpose so short codes fold their extra
-         * bits into the same lookup. */
-        m_cacheBits = CACHE_BITS;
-
-        m_table.assign( std::size_t( 1 ) << m_cacheBits, Entry{} );
-        for ( const auto& code : m_codes ) {
-            if ( ( code.length > m_cacheBits ) || ( code.symbol > 29 ) ) {
-                continue;  /* FALLBACK entries (symbols 30/31 rejected downstream) */
-            }
-            const auto extra = DISTANCE_EXTRAS[code.symbol];
-            const auto stride = std::size_t( 1 ) << code.length;
-            if ( code.length + extra <= m_cacheBits ) {
-                /* Folded: enumerate every extra-bit pattern. */
-                const auto patterns = std::size_t( 1 ) << extra;
-                for ( std::size_t extraValue = 0; extraValue < patterns; ++extraValue ) {
-                    Entry entry;
-                    entry.payload = static_cast<std::uint16_t>( DISTANCE_BASES[code.symbol]
-                                                                + extraValue );
-                    entry.bitsConsumed = static_cast<std::uint8_t>( code.length + extra );
-                    entry.kindAndExtra = DISTANCE;
-                    const auto base = code.reversedCode
-                                      | ( extraValue << code.length );
-                    const auto combinedStride = stride << extra;
-                    for ( auto index = base; index < m_table.size();
-                          index += combinedStride ) {
-                        m_table[index] = entry;
+        auto* const table = m_table.data();
+        buildTableByDoubling( table, CACHE_BITS, [&, table] ( unsigned level ) {
+            /* Entries consuming exactly `level` bits: codes with their extra
+             * bits folded (one entry per extra-bit pattern), or unfolded at
+             * their own length. Symbols 30/31 stay FALLBACK entries and are
+             * rejected downstream. */
+            for ( const auto& code : codes.all() ) {
+                if ( code.length > level ) {
+                    break;  /* canonical order: nothing further is this short */
+                }
+                if ( code.symbol > 29 ) {
+                    continue;
+                }
+                const auto extra = DISTANCE_EXTRAS[code.symbol];
+                if ( code.length + extra <= CACHE_BITS ) {
+                    if ( code.length + extra != level ) {
+                        continue;
                     }
-                }
-            } else {
-                Entry entry;
-                entry.payload = DISTANCE_BASES[code.symbol];
-                entry.bitsConsumed = code.length;
-                entry.kindAndExtra = static_cast<std::uint8_t>( DISTANCE | ( extra << 4U ) );
-                for ( auto index = std::size_t( code.reversedCode ); index < m_table.size();
-                      index += stride ) {
-                    m_table[index] = entry;
+                    for ( std::size_t extraValue = 0; extraValue < ( std::size_t( 1 ) << extra );
+                          ++extraValue ) {
+                        table[code.reversedCode | ( extraValue << code.length )] = Entry{
+                            static_cast<std::uint16_t>( DISTANCE_BASES[code.symbol] + extraValue ),
+                            static_cast<std::uint8_t>( level ), DISTANCE };
+                    }
+                } else if ( code.length == level ) {
+                    table[code.reversedCode] = Entry{
+                        DISTANCE_BASES[code.symbol], code.length,
+                        static_cast<std::uint8_t>( DISTANCE | ( extra << 4U ) ) };
                 }
             }
-        }
+        } );
         return true;
     }
 
     HuffmanCodingDoubleLUT m_fallback;
-    std::vector<Entry> m_table;
-    unsigned m_cacheBits{ CACHE_BITS };
+    std::array<Entry, std::size_t( 1 ) << CACHE_BITS> m_table;
     bool m_buildCache{ true };
 };
 

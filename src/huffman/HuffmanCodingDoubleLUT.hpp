@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -99,66 +100,58 @@ private:
     };
 
     [[nodiscard]] bool
-    buildLookupTables()
+    buildLookupTables( const CanonicalCodes& codes )
     {
         m_rootBits = std::min( ROOT_BITS, m_maxLength );
         m_rootMask = ( std::uint64_t( 1 ) << m_rootBits ) - 1U;
-        m_rootTable.assign( std::size_t( 1 ) << m_rootBits, RootEntry{} );
-        m_subTable.clear();
 
         /* Short codes resolve in the root table alone. */
-        for ( const auto& code : m_codes ) {
-            if ( code.length > m_rootBits ) {
-                continue;
+        auto* const root = m_rootTable.data();
+        buildTableByDoubling( root, m_rootBits, [&, root] ( unsigned level ) {
+            for ( const auto& code : codes.withLength( level ) ) {
+                root[code.reversedCode] = RootEntry{ code.symbol, code.length, 0 };
             }
-            const RootEntry entry{ code.symbol, code.length, 0 };
-            const auto stride = std::size_t( 1 ) << code.length;
-            for ( std::size_t index = code.reversedCode; index < m_rootTable.size();
-                  index += stride ) {
-                m_rootTable[index] = entry;
-            }
-        }
+        } );
 
-        /* Long codes: size each prefix's subtable by its longest member. */
-        std::vector<std::uint8_t> subBitsPerPrefix( m_rootTable.size(), 0 );
-        for ( const auto& code : m_codes ) {
-            if ( code.length <= m_rootBits ) {
-                continue;
-            }
-            const auto prefix = code.reversedCode & m_rootMask;
-            subBitsPerPrefix[prefix] = std::max<std::uint8_t>(
-                subBitsPerPrefix[prefix],
-                static_cast<std::uint8_t>( code.length - m_rootBits ) );
+        /* Long codes: size each prefix's subtable by its longest member.
+         * Codes come in canonical order, so the last code per prefix is the
+         * longest; the root entries double as the scratch for that size.
+         * Prefix-freeness guarantees no short code owns these root slots. */
+        m_subTable.clear();
+        const auto longCodes = codes.longerThan( m_rootBits );
+        for ( const auto& code : longCodes ) {
+            root[code.reversedCode & m_rootMask] =
+                RootEntry{ 0, static_cast<std::uint8_t>( code.length - m_rootBits ), 0 };
         }
-        for ( std::size_t prefix = 0; prefix < subBitsPerPrefix.size(); ++prefix ) {
-            const auto subBits = subBitsPerPrefix[prefix];
-            if ( subBits == 0 ) {
+        std::size_t subTableSize = 0;
+        for ( const auto& code : longCodes ) {
+            auto& entry = root[code.reversedCode & m_rootMask];
+            if ( entry.isSubtable != 0 ) {
                 continue;
             }
-            if ( m_subTable.size() + ( std::size_t( 1 ) << subBits ) > UINT16_MAX + std::size_t( 1 ) ) {
+            const auto size = std::size_t( 1 ) << entry.length;
+            if ( subTableSize + size > UINT16_MAX + std::size_t( 1 ) ) {
                 return false;  /* cannot address the subtable from a uint16_t */
             }
-            m_rootTable[prefix] = RootEntry{ static_cast<std::uint16_t>( m_subTable.size() ),
-                                             subBits, 1 };
-            m_subTable.resize( m_subTable.size() + ( std::size_t( 1 ) << subBits ) );
+            entry = RootEntry{ static_cast<std::uint16_t>( subTableSize ), entry.length, 1 };
+            subTableSize += size;
         }
-        for ( const auto& code : m_codes ) {
-            if ( code.length <= m_rootBits ) {
-                continue;
-            }
-            const auto prefix = code.reversedCode & m_rootMask;
-            const auto& root = m_rootTable[prefix];
+        m_subTable.resize( subTableSize );
+        for ( const auto& code : longCodes ) {
+            const auto& entry = root[code.reversedCode & m_rootMask];
             const auto subCode = code.reversedCode >> m_rootBits;
             const auto stride = std::size_t( 1 ) << ( code.length - m_rootBits );
-            const auto subSize = std::size_t( 1 ) << root.length;
+            const auto subSize = std::size_t( 1 ) << entry.length;
             for ( std::size_t index = subCode; index < subSize; index += stride ) {
-                m_subTable[root.value + index] = SubEntry{ code.symbol, code.length };
+                m_subTable[entry.value + index] = SubEntry{ code.symbol, code.length };
             }
         }
         return true;
     }
 
-    std::vector<RootEntry> m_rootTable;
+    /* Fixed size: rebuilding per Dynamic block allocates nothing; only the
+     * subtables of long codes live on the heap, reusing their capacity. */
+    std::array<RootEntry, std::size_t( 1 ) << ROOT_BITS> m_rootTable;
     std::vector<SubEntry> m_subTable;
     unsigned m_rootBits{ ROOT_BITS };
     std::uint64_t m_rootMask{ 0 };

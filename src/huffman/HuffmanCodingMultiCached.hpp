@@ -1,9 +1,8 @@
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "HuffmanCodingBase.hpp"
 #include "HuffmanCodingDoubleLUT.hpp"
@@ -32,16 +31,17 @@ namespace rapidgzip {
  * wherever the two-level coding was used, with lookup() as the additional
  * fast-path interface.
  *
- * Construction is by ENUMERATION, not by combining a per-index base table:
- * singles, lengths, and EOB are stride-filled directly, then every
- * compatible literal pair (len1 + len2 <= CACHE_BITS) upgrades its slots.
- * The Kraft inequality bounds the total pair slots by the table size, so
- * the whole build is O(2^CACHE_BITS) stores with no dependent loads —
- * cheap enough to redo every Dynamic block (~every 30-100 KiB of output).
- * CACHE_BITS = 12 balances reach (two 6-bit codes — base64's whole
- * alphabet — and most length codes plus their extra bits) against the
- * 16 KiB footprint that must share L1 with the distance table, the output
- * stream, and the window.
+ * Construction is by DOUBLING (buildTableByDoubling): at each level L the
+ * entries that consume exactly L bits are written at their single index —
+ * a code of that length (single literal, end-of-block, or a length whose
+ * extra bits do not fit), a literal pair with len1 + len2 = L (overwriting
+ * the replicas of its first literal exactly where the second code
+ * follows), or a length code with its extra bits folded in
+ * (len + extra = L, one entry per extra-bit pattern). Every entry is stored
+ * once and ~16 KiB are copied. CACHE_BITS = 12 balances reach
+ * (two 6-bit codes — base64's whole alphabet — and most length codes plus
+ * their extra bits) against the 16 KiB footprint that must share L1 with
+ * the distance table, the output stream, and the window.
  */
 class HuffmanCodingMultiCached final : public HuffmanCodingBase<HuffmanCodingMultiCached>
 {
@@ -86,19 +86,20 @@ public:
         { return kindAndAux >> 4U; }
     };
 
-    /** Build both the fallback two-level tables and the multi-symbol cache.
-     * Accept/reject behavior is identical to HuffmanCodingDoubleLUT.
-     * @p buildCache false skips the cache build (lookup() is then unusable):
-     * the reference decode path uses it so its per-block construction cost
-     * stays exactly the pre-optimization cost. */
+    /** Build both the fallback two-level tables and the multi-symbol cache
+     * from one canonical code assignment. Accept/reject behavior is
+     * identical to HuffmanCodingDoubleLUT. @p buildCache false skips the
+     * cache build (lookup() is then unusable): the reference decode path
+     * builds only the two-level tables it decodes with. */
     [[nodiscard]] bool
     initializeFromLengths( VectorView<std::uint8_t> codeLengths, bool buildCache = true )
     {
-        if ( !m_fallback.initializeFromLengths( codeLengths ) ) {
+        CanonicalCodes codes;
+        if ( !codes.assign( codeLengths ) || !m_fallback.initializeFromCodes( codes ) ) {
             return false;
         }
         m_buildCache = buildCache;
-        return HuffmanCodingBase<HuffmanCodingMultiCached>::initializeFromLengths( codeLengths );
+        return initializeFromCodes( codes );
     }
 
     /** Fast-path lookup; @p bits must hold at least cacheBits() peeked bits
@@ -106,29 +107,23 @@ public:
     [[nodiscard]] const Entry&
     lookup( std::uint64_t bits ) const noexcept
     {
-        return m_table[bits & m_cacheMask];
+        return m_table[bits & ( ( std::uint64_t( 1 ) << CACHE_BITS ) - 1U )];
     }
 
     /** Raw table for hot loops that hoist the pointer into a local — going
-     * through lookup() would reload the vector's data pointer around every
-     * output store (byte stores alias everything). Index with
-     * peeked-bits & cacheMask(). */
+     * through lookup() would recompute it from the coding object around
+     * every output store (byte stores alias everything). Index with the low
+     * CACHE_BITS peeked bits. */
     [[nodiscard]] const Entry*
     tableData() const noexcept
     {
         return m_table.data();
     }
 
-    [[nodiscard]] std::uint64_t
-    cacheMask() const noexcept
+    [[nodiscard]] static constexpr unsigned
+    cacheBits() noexcept
     {
-        return m_cacheMask;
-    }
-
-    [[nodiscard]] unsigned
-    cacheBits() const noexcept
-    {
-        return m_cacheBits;
+        return CACHE_BITS;
     }
 
     /** Reference single-symbol decode — identical semantics to the two-level
@@ -159,108 +154,94 @@ private:
     };
 
     [[nodiscard]] bool
-    buildLookupTables()
+    buildLookupTables( const CanonicalCodes& codes )
     {
         if ( !m_buildCache ) {
             return true;
         }
-        /* Deliberately NOT clamped to maxCodeLength(): the whole point is a
-         * window WIDER than one code so a second literal or the length's
-         * extra bits fit into the same lookup. */
-        m_cacheBits = CACHE_BITS;
-        m_cacheMask = ( std::uint64_t( 1 ) << m_cacheBits ) - 1U;
-        const auto tableSize = std::size_t( 1 ) << m_cacheBits;
-        m_table.assign( tableSize, Entry{} );
+        /* Length codes whose extra bits fold in below the cache width wait
+         * here until the level of their combined length. */
+        std::array<CanonicalCode, 29> folded{};
+        std::size_t foldedCount = 0;
 
-        /* Pass 1: stride-fill per code — single literals, EOB, and lengths
-         * (extra bits folded when they fit); codes longer than cacheBits
-         * leave FALLBACK entries. Literal codes are also collected sorted by
-         * length for the pair pass. */
-        m_literalCodes.clear();
-        for ( const auto& code : m_codes ) {
-            if ( code.length > m_cacheBits ) {
-                continue;
+        /* Canonical order puts the literals of each length first. */
+        std::array<std::size_t, CACHE_BITS + 1> literalCount{};
+        for ( unsigned length = 1; length < CACHE_BITS; ++length ) {
+            for ( const auto& code : codes.withLength( length ) ) {
+                if ( code.symbol >= 256 ) {
+                    break;
+                }
+                ++literalCount[length];
             }
-            const auto stride = std::size_t( 1 ) << code.length;
-            if ( code.symbol < 256 ) {
-                m_literalCodes.push_back( code );
-                const Entry entry{ code.symbol, code.length,
-                                   static_cast<std::uint8_t>( LITERALS | ( 1U << 4U ) ) };
-                for ( auto index = std::size_t( code.reversedCode ); index < tableSize;
-                      index += stride ) {
-                    m_table[index] = entry;
+        }
+
+        auto* const table = m_table.data();
+        buildTableByDoubling( table, CACHE_BITS, [&, table] ( unsigned level ) {
+            /* Codes of exactly this length. */
+            for ( const auto& code : codes.withLength( level ) ) {
+                if ( code.symbol < 256 ) {
+                    table[code.reversedCode] = Entry{
+                        code.symbol, code.length,
+                        static_cast<std::uint8_t>( LITERALS | ( 1U << 4U ) ) };
+                } else if ( code.symbol == 256 ) {
+                    table[code.reversedCode] = Entry{ 0, code.length, END_OF_BLOCK };
+                } else if ( code.symbol <= 285 ) {
+                    const auto lengthIndex = static_cast<std::size_t>( code.symbol - 257 );
+                    const auto extra = LENGTH_EXTRAS[lengthIndex];
+                    if ( level + extra > CACHE_BITS ) {
+                        table[code.reversedCode] = Entry{
+                            LENGTH_BASES[lengthIndex], code.length,
+                            static_cast<std::uint8_t>( LENGTH | ( extra << 4U ) ) };
+                    } else {
+                        folded[foldedCount++] = code;
+                    }
                 }
-            } else if ( code.symbol == 256 ) {
-                const Entry entry{ 0, code.length, END_OF_BLOCK };
-                for ( auto index = std::size_t( code.reversedCode ); index < tableSize;
-                      index += stride ) {
-                    m_table[index] = entry;
-                }
-            } else if ( code.symbol <= 285 ) {
+                /* else: 286/287 — valid code, invalid Deflate symbol. Left as
+                 * a FALLBACK entry: the two-level decode returns the raw
+                 * symbol and the decoder rejects it exactly like the
+                 * reference path. */
+            }
+
+            /* Lengths with their extra bits folded: one entry per pattern. */
+            for ( std::size_t i = 0; i < foldedCount; ++i ) {
+                const auto& code = folded[i];
                 const auto lengthIndex = static_cast<std::size_t>( code.symbol - 257 );
                 const auto extra = LENGTH_EXTRAS[lengthIndex];
-                if ( code.length + extra <= m_cacheBits ) {
-                    /* Folded: enumerate every extra-bit pattern. */
-                    const auto patterns = std::size_t( 1 ) << extra;
-                    const auto combinedStride = stride << extra;
-                    for ( std::size_t extraValue = 0; extraValue < patterns; ++extraValue ) {
-                        const Entry entry{
-                            static_cast<std::uint16_t>( LENGTH_BASES[lengthIndex] + extraValue ),
-                            static_cast<std::uint8_t>( code.length + extra ),
-                            LENGTH };
-                        for ( auto index = code.reversedCode | ( extraValue << code.length );
-                              index < tableSize; index += combinedStride ) {
-                            m_table[index] = entry;
-                        }
-                    }
-                } else {
-                    const Entry entry{ LENGTH_BASES[lengthIndex], code.length,
-                                       static_cast<std::uint8_t>( LENGTH | ( extra << 4U ) ) };
-                    for ( auto index = std::size_t( code.reversedCode ); index < tableSize;
-                          index += stride ) {
-                        m_table[index] = entry;
-                    }
+                if ( code.length + extra != level ) {
+                    continue;
+                }
+                for ( std::size_t extraValue = 0; extraValue < ( std::size_t( 1 ) << extra );
+                      ++extraValue ) {
+                    table[code.reversedCode | ( extraValue << code.length )] = Entry{
+                        static_cast<std::uint16_t>( LENGTH_BASES[lengthIndex] + extraValue ),
+                        static_cast<std::uint8_t>( level ), LENGTH };
                 }
             }
-            /* else: 286/287 — valid code, invalid Deflate symbol. Left as a
-             * FALLBACK entry: the two-level decode returns the raw symbol
-             * and the decoder rejects it exactly like the reference path. */
-        }
 
-        /* Pass 2: upgrade compatible literal pairs. Kraft bounds the total
-         * filled slots by the table size, so this stays O(2^cacheBits)
-         * regardless of the coding shape. Sorting by length lets the inner
-         * loop stop at the first second-code that no longer fits. */
-        std::sort( m_literalCodes.begin(), m_literalCodes.end(),
-                   [] ( const CanonicalCode& a, const CanonicalCode& b ) {
-                       return a.length < b.length;
-                   } );
-        for ( const auto& first : m_literalCodes ) {
-            const auto remaining = m_cacheBits - first.length;
-            for ( const auto& second : m_literalCodes ) {
-                if ( second.length > remaining ) {
-                    break;  /* sorted: nothing further fits */
-                }
-                const Entry entry{ static_cast<std::uint16_t>(
-                                       first.symbol | ( second.symbol << 8U ) ),
-                                   static_cast<std::uint8_t>( first.length + second.length ),
+            /* Literal pairs of this combined length. */
+            for ( unsigned firstLength = 1; firstLength < level; ++firstLength ) {
+                const auto* const firsts = codes.withLength( firstLength ).data();
+                const auto* const seconds = codes.withLength( level - firstLength ).data();
+                const auto secondCount = literalCount[level - firstLength];
+                for ( std::size_t i = 0; i < literalCount[firstLength]; ++i ) {
+                    /* Locals: the byte-sized table stores may alias the codes. */
+                    const std::size_t firstCode = firsts[i].reversedCode;
+                    const unsigned firstSymbol = firsts[i].symbol;
+                    for ( std::size_t j = 0; j < secondCount; ++j ) {
+                        const auto& second = seconds[j];
+                        table[firstCode | ( std::size_t( second.reversedCode ) << firstLength )] =
+                            Entry{ static_cast<std::uint16_t>( firstSymbol | ( second.symbol << 8U ) ),
+                                   static_cast<std::uint8_t>( level ),
                                    static_cast<std::uint8_t>( LITERALS | ( 2U << 4U ) ) };
-                const auto base = first.reversedCode
-                                  | ( std::size_t( second.reversedCode ) << first.length );
-                const auto stride = std::size_t( 1 ) << ( first.length + second.length );
-                for ( auto index = base; index < tableSize; index += stride ) {
-                    m_table[index] = entry;
+                    }
                 }
             }
-        }
+        } );
         return true;
     }
 
     HuffmanCodingDoubleLUT m_fallback;
-    std::vector<Entry> m_table;
-    std::vector<CanonicalCode> m_literalCodes;  /* scratch, kept for reuse */
-    unsigned m_cacheBits{ CACHE_BITS };
-    std::uint64_t m_cacheMask{ 0 };
+    std::array<Entry, std::size_t( 1 ) << CACHE_BITS> m_table;
     bool m_buildCache{ true };
 };
 

@@ -5,21 +5,63 @@
  * replacement. The §3.3 fallback must trigger where back-references die out
  * (base64) and must NOT trigger where markers persist (FASTQ's long-range
  * header repeats), and marker replacement itself must honor the window
- * indexing convention end to end.
+ * indexing convention end to end. Stored blocks and the output limit are
+ * checked on hand-built streams against the reference loop and zlib, and
+ * steady-state decoding must not allocate per block.
  */
 
+#include <zlib.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <new>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "blockfinder/DynamicBlockFinderNaive.hpp"
 #include "deflate/DecodedData.hpp"
 #include "deflate/DeflateDecoder.hpp"
+#include "gzip/DeflateBlockWriter.hpp"
 #include "gzip/GzipHeader.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "workloads/DataGenerators.hpp"
 
 #include "TestHelpers.hpp"
+
+/* Every heap allocation of this test binary is counted, so a test can assert
+ * how often a stretch of decoding allocates. The operators stay out of line:
+ * inlined, GCC pairs each delete's free() with the new-expression it came
+ * from and warns about a mismatch that the replacement pair rules out. */
+namespace {
+std::atomic<std::size_t> g_allocationCount{ 0 };
+}  // namespace
+
+[[gnu::noinline]] void*
+operator new( std::size_t size )
+{
+    g_allocationCount.fetch_add( 1, std::memory_order_relaxed );
+    if ( void* const pointer = std::malloc( size == 0 ? 1 : size ) ) {
+        return pointer;
+    }
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete( void* pointer ) noexcept
+{
+    std::free( pointer );
+}
+
+[[gnu::noinline]] void
+operator delete( void* pointer, std::size_t /* size */ ) noexcept
+{
+    std::free( pointer );
+}
 
 using namespace rapidgzip;
 
@@ -96,6 +138,451 @@ checkMidStreamStart( const std::vector<std::uint8_t>& data )
     deflate::resolveInto( decoded, window, resolved );
     REQUIRE( std::equal( resolved.begin(), resolved.end(), data.begin() + tailStart ) );
     return decoded;
+}
+
+/** zlib raw inflate, the oracle for hand-built streams. */
+struct ZlibInflated
+{
+    std::vector<std::uint8_t> output;
+    bool complete{ false };  /**< reached the final block without error */
+};
+
+[[nodiscard]] ZlibInflated
+inflateRawWithZlib( BufferView stream )
+{
+    z_stream zstream{};
+    REQUIRE( inflateInit2( &zstream, -15 ) == Z_OK );
+    zstream.next_in = const_cast<Bytef*>( stream.data() );
+    zstream.avail_in = static_cast<uInt>( stream.size() );
+    ZlibInflated result;
+    std::vector<std::uint8_t> buffer( 64 * KiB );
+    int status = Z_OK;
+    while ( status == Z_OK ) {
+        zstream.next_out = buffer.data();
+        zstream.avail_out = static_cast<uInt>( buffer.size() );
+        status = inflate( &zstream, Z_NO_FLUSH );
+        result.output.insert( result.output.end(), buffer.data(),
+                              buffer.data() + ( buffer.size() - zstream.avail_out ) );
+        if ( ( status == Z_OK ) && ( zstream.avail_in == 0 ) && ( zstream.avail_out != 0 ) ) {
+            break;  /* input exhausted before the final block */
+        }
+    }
+    result.complete = status == Z_STREAM_END;
+    inflateEnd( &zstream );
+    return result;
+}
+
+/** Raw Deflate of @p parts, each at its own zlib level. Switching levels
+ * ends the block in progress; the window carries over, so a part may
+ * reference earlier ones. Level 0 emits stored blocks. */
+[[nodiscard]] std::vector<std::uint8_t>
+deflateRawParts( const std::vector<std::pair<int, std::vector<std::uint8_t> > >& parts )
+{
+    std::size_t totalSize = 0;
+    for ( const auto& part : parts ) {
+        totalSize += part.second.size();
+    }
+    std::vector<std::uint8_t> output( compressBound( static_cast<uLong>( totalSize ) )
+                                      + 1024 * parts.size() );
+    z_stream zstream{};
+    REQUIRE( deflateInit2( &zstream, parts.front().first, Z_DEFLATED, -15, 8,
+                           Z_DEFAULT_STRATEGY ) == Z_OK );
+    zstream.next_out = output.data();
+    zstream.avail_out = static_cast<uInt>( output.size() );
+    for ( std::size_t i = 0; i < parts.size(); ++i ) {
+        if ( i > 0 ) {
+            REQUIRE( deflateParams( &zstream, parts[i].first, Z_DEFAULT_STRATEGY ) == Z_OK );
+        }
+        zstream.next_in = const_cast<Bytef*>( parts[i].second.data() );
+        zstream.avail_in = static_cast<uInt>( parts[i].second.size() );
+        const auto isLast = i + 1 == parts.size();
+        const auto status = ::deflate( &zstream, isLast ? Z_FINISH : Z_NO_FLUSH );
+        REQUIRE( isLast ? status == Z_STREAM_END : status == Z_OK );
+        REQUIRE( zstream.avail_in == 0 );
+    }
+    output.resize( output.size() - zstream.avail_out );
+    deflateEnd( &zstream );
+    return output;
+}
+
+struct BlockStart
+{
+    std::size_t bitOffset{ 0 };
+    std::uint64_t type{ 0 };
+    std::size_t outputOffset{ 0 };  /**< decoded bytes before the block */
+};
+
+/** Start offset, BTYPE and output offset of every block, found by decoding
+ * one block at a time. */
+[[nodiscard]] std::vector<BlockStart>
+blockStarts( BufferView stream )
+{
+    std::vector<BlockStart> starts;
+    BitReader reader( stream.data(), stream.size() );
+    deflate::Decoder decoder;
+    decoder.setInitialWindow( {} );
+    deflate::DecodedData decoded;
+    while ( true ) {
+        const auto start = reader.tell();
+        const auto header = BitReader::peekAt( stream.data(), stream.size(), start, 3 );
+        const auto outputOffset = decoder.totalDecoded();
+        const auto result = decoder.decode( reader, decoded, start + 1 );
+        REQUIRE( result.error == Error::NONE );
+        REQUIRE( result.blockCount == 1 );
+        starts.push_back( { start, ( header >> 1U ) & 0b11U, outputOffset } );
+        if ( result.reachedFinalBlock ) {
+            return starts;
+        }
+    }
+}
+
+/** Everything one decode() call leaves behind, for fast-vs-reference
+ * comparisons. */
+struct DecodeOutcome
+{
+    deflate::Decoder::Result result;
+    deflate::DecodedData decoded;
+    std::size_t readerPosition{ 0 };
+    std::size_t totalDecoded{ 0 };
+};
+
+struct DecodeSetup
+{
+    std::size_t fromBit{ 0 };
+    bool windowKnown{ true };
+    bool startAtStoredData{ false };
+    std::size_t maxBytes{ std::numeric_limits<std::size_t>::max() };
+};
+
+[[nodiscard]] DecodeOutcome
+decodeOnce( BufferView stream, const DecodeSetup& setup, bool reference )
+{
+    BitReader reader( stream.data(), stream.size() );
+    reader.seek( setup.fromBit );
+    deflate::Decoder decoder;
+    decoder.setReferenceHuffmanDecoding( reference );
+    decoder.setStartAtStoredData( setup.startAtStoredData );
+    if ( setup.windowKnown ) {
+        decoder.setInitialWindow( {} );
+    }
+    DecodeOutcome outcome;
+    outcome.result = decoder.decode( reader, outcome.decoded,
+                                     std::numeric_limits<std::size_t>::max(), setup.maxBytes );
+    outcome.readerPosition = reader.tell();
+    outcome.totalDecoded = decoder.totalDecoded();
+    return outcome;
+}
+
+/** The bulk stored copy and the fast Huffman loop against the reference
+ * loops: same error, block count, boundary, reader position and symbols.
+ * Returns the fast outcome. */
+DecodeOutcome
+decodeFastAndReference( BufferView stream, const DecodeSetup& setup )
+{
+    auto fast = decodeOnce( stream, setup, false );
+    const auto reference = decodeOnce( stream, setup, true );
+    REQUIRE( fast.result.error == reference.result.error );
+    REQUIRE( fast.result.blockCount == reference.result.blockCount );
+    REQUIRE( fast.result.endBitOffset == reference.result.endBitOffset );
+    REQUIRE( fast.result.reachedFinalBlock == reference.result.reachedFinalBlock );
+    REQUIRE( fast.readerPosition == reference.readerPosition );
+    REQUIRE( fast.totalDecoded == reference.totalDecoded );
+    REQUIRE( fast.decoded.marked.size() == reference.decoded.marked.size() );
+    REQUIRE( std::equal( fast.decoded.marked.begin(), fast.decoded.marked.end(),
+                         reference.decoded.marked.begin() ) );
+    REQUIRE( fast.decoded.plain.size() == reference.decoded.plain.size() );
+    for ( std::size_t i = 0; i < fast.decoded.plain.size(); ++i ) {
+        REQUIRE( fast.decoded.plain[i].data.size() == reference.decoded.plain[i].data.size() );
+        REQUIRE( std::equal( fast.decoded.plain[i].data.begin(), fast.decoded.plain[i].data.end(),
+                             reference.decoded.plain[i].data.begin() ) );
+    }
+    return fast;
+}
+
+/** Append a stored block; @p complement overrides NLEN. */
+void
+writeStoredBlock( std::vector<std::uint8_t>& stream, deflatewriter::LsbBitWriter& writer,
+                  bool isFinal, const std::vector<std::uint8_t>& payload,
+                  std::optional<std::uint16_t> complement = std::nullopt )
+{
+    const auto length = static_cast<std::uint16_t>( payload.size() );
+    writer.writeBits( isFinal ? 1U : 0U, 1 );
+    writer.writeBits( 0, 2 );
+    writer.alignToByte();
+    writer.writeBits( length, 16 );
+    writer.writeBits( complement.value_or( static_cast<std::uint16_t>( ~length ) ), 16 );
+    stream.insert( stream.end(), payload.begin(), payload.end() );
+}
+
+/** Stored blocks with LEN 0, 1 and 65535, corrupt NLEN, cut-off payloads,
+ * and every output limit around each stored block's end. */
+void
+testStoredBlocks()
+{
+    /* Stored blocks with LEN 0, 1, 700, 1200 and 65535; each header's 3
+     * bits are followed by padding to the LEN field's byte boundary. */
+    const std::vector<std::size_t> lengths{ 0, 1, 700, 1200, 65535 };
+    std::vector<std::uint8_t> stream;
+    std::vector<std::uint8_t> expected;
+    {
+        deflatewriter::LsbBitWriter writer( stream );
+        for ( std::size_t i = 0; i < lengths.size(); ++i ) {
+            const auto block = workloads::randomData( lengths[i], 0x5701 + i );
+            writeStoredBlock( stream, writer, i + 1 == lengths.size(), block );
+            expected.insert( expected.end(), block.begin(), block.end() );
+        }
+    }
+    const BufferView view( stream.data(), stream.size() );
+    {
+        const auto zlib = inflateRawWithZlib( view );
+        REQUIRE( zlib.complete );
+        REQUIRE( zlib.output == expected );
+
+        const auto plain = decodeFastAndReference( view, {} );
+        REQUIRE( plain.result.error == Error::NONE );
+        REQUIRE( plain.result.reachedFinalBlock );
+        REQUIRE( plain.result.blockCount == 5 );
+        REQUIRE( plain.result.endBitOffset == stream.size() * 8 );
+        std::vector<std::uint8_t> resolved;
+        deflate::resolveInto( plain.decoded, {}, resolved );
+        REQUIRE( resolved == expected );
+
+        /* Windowless: every block comes out as 16-bit symbols; the fallback
+         * to plain bytes is checked only after a block ends. */
+        DecodeSetup windowless;
+        windowless.windowKnown = false;
+        const auto marked = decodeFastAndReference( view, windowless );
+        REQUIRE( marked.result.error == Error::NONE );
+        REQUIRE( marked.decoded.marked.size() == expected.size() );
+        resolved.clear();
+        deflate::resolveInto( marked.decoded, {}, resolved );
+        REQUIRE( resolved == expected );
+    }
+
+    /* Output limits: every maxBytes from just before a stored block's end to
+     * just past it, with the hard limit (maxBytes + 2 * MAX_MATCH_LENGTH)
+     * swept across the same end, in both output modes. */
+    {
+        std::size_t blockEnd = 0;
+        for ( const auto length : lengths ) {
+            blockEnd += length;
+            const auto slack = 2 * deflate::MAX_MATCH_LENGTH;
+            const auto first = blockEnd > slack + 1 ? blockEnd - slack - 1 : 0;
+            for ( auto maxBytes = first; maxBytes <= blockEnd + 1; ++maxBytes ) {
+                for ( const bool windowKnown : { true, false } ) {
+                    DecodeSetup setup;
+                    setup.windowKnown = windowKnown;
+                    setup.maxBytes = maxBytes;
+                    const auto outcome = decodeFastAndReference( view, setup );
+                    const auto hardLimit = maxBytes + slack;
+                    if ( outcome.result.error == Error::EXCEEDED_OUTPUT_LIMIT ) {
+                        REQUIRE( outcome.totalDecoded == hardLimit );
+                    } else {
+                        REQUIRE( outcome.result.error == Error::NONE );
+                        REQUIRE( outcome.totalDecoded >= std::min( maxBytes, expected.size() ) );
+                    }
+                    std::vector<std::uint8_t> resolved;
+                    deflate::resolveInto( outcome.decoded, {}, resolved );
+                    REQUIRE( resolved.size() == outcome.totalDecoded );
+                    REQUIRE( std::equal( resolved.begin(), resolved.end(), expected.begin() ) );
+                }
+            }
+        }
+    }
+
+    /* NLEN that is not the complement of LEN. */
+    {
+        std::vector<std::uint8_t> corrupt;
+        deflatewriter::LsbBitWriter writer( corrupt );
+        writeStoredBlock( corrupt, writer, false, workloads::randomData( 10, 1 ) );
+        writeStoredBlock( corrupt, writer, true, workloads::randomData( 10, 2 ),
+                          std::uint16_t( 0x1234 ) );
+        const BufferView corruptView( corrupt.data(), corrupt.size() );
+        REQUIRE( !inflateRawWithZlib( corruptView ).complete );
+        for ( const bool windowKnown : { true, false } ) {
+            DecodeSetup setup;
+            setup.windowKnown = windowKnown;
+            const auto outcome = decodeFastAndReference( corruptView, setup );
+            REQUIRE( outcome.result.error == Error::INVALID_STORED_LENGTH );
+            REQUIRE( outcome.result.blockCount == 1 );
+            REQUIRE( outcome.totalDecoded == 10 );
+        }
+    }
+
+    /* A payload cut short by the end of input, at every cut inside it. */
+    {
+        std::vector<std::uint8_t> full;
+        deflatewriter::LsbBitWriter writer( full );
+        writeStoredBlock( full, writer, false, workloads::randomData( 5, 3 ) );
+        writeStoredBlock( full, writer, true, workloads::randomData( 300, 4 ) );
+        const auto payloadStart = full.size() - 300;
+        for ( auto size = payloadStart - 4; size < full.size(); ++size ) {
+            const BufferView cut( full.data(), size );
+            REQUIRE( !inflateRawWithZlib( cut ).complete );
+            for ( const bool windowKnown : { true, false } ) {
+                DecodeSetup setup;
+                setup.windowKnown = windowKnown;
+                const auto outcome = decodeFastAndReference( cut, setup );
+                REQUIRE( outcome.result.error == Error::TRUNCATED_STREAM );
+                REQUIRE( outcome.result.blockCount == 1 );
+                REQUIRE( outcome.totalDecoded == 5 );
+            }
+        }
+    }
+}
+
+/** Stored blocks next to Dynamic blocks, from zlib streams that switch
+ * levels mid-stream. */
+void
+testStoredAndDynamicBlocks()
+{
+    const auto text = workloads::silesiaLikeData( 96 * KiB, 0x5702 );
+
+    /* A stored block, then a Dynamic block whose matches reach back into
+     * it: the second part starts by repeating the first. */
+    {
+        const std::vector<std::uint8_t> head( text.begin(), text.begin() + 20 * KiB );
+        std::vector<std::uint8_t> tail = head;
+        tail.insert( tail.end(), text.begin() + 20 * KiB, text.begin() + 40 * KiB );
+        std::vector<std::uint8_t> data = head;
+        data.insert( data.end(), tail.begin(), tail.end() );
+        const auto stream = deflateRawParts( { { 0, head }, { 9, tail } } );
+        const BufferView view( stream.data(), stream.size() );
+        const auto starts = blockStarts( view );
+        REQUIRE( starts.size() >= 2 );
+        REQUIRE( starts[0].type == deflate::BLOCK_TYPE_STORED );
+        const auto dynamic = std::find_if( starts.begin(), starts.end(), [&] ( const auto& start ) {
+            return start.outputOffset == head.size();
+        } );
+        REQUIRE( dynamic != starts.end() );
+        REQUIRE( dynamic->type == deflate::BLOCK_TYPE_DYNAMIC );
+
+        const auto zlib = inflateRawWithZlib( view );
+        REQUIRE( zlib.complete );
+        REQUIRE( zlib.output == data );
+        for ( const bool windowKnown : { true, false } ) {
+            DecodeSetup setup;
+            setup.windowKnown = windowKnown;
+            const auto outcome = decodeFastAndReference( view, setup );
+            REQUIRE( outcome.result.error == Error::NONE );
+            REQUIRE( outcome.result.reachedFinalBlock );
+            std::vector<std::uint8_t> resolved;
+            deflate::resolveInto( outcome.decoded, {}, resolved );
+            REQUIRE( resolved == data );
+        }
+
+        /* The Dynamic block does reach back: without the stored bytes as
+         * its window it cannot be decoded. */
+        DecodeSetup alone;
+        alone.fromBit = dynamic->bitOffset;
+        REQUIRE( decodeOnce( view, alone, false ).result.error == Error::EXCEEDED_WINDOW );
+    }
+
+    /* Stored data in marker mode: after a windowless Dynamic block whose
+     * matches reach before the decode start, and entered directly at a
+     * stored block's LEN field. Switching levels ends a block, so every part
+     * starts on a block boundary. */
+    {
+        const std::vector<std::uint8_t> first( text.begin(), text.begin() + 30 * KiB );
+        std::vector<std::uint8_t> second( text.begin() + 10 * KiB, text.begin() + 20 * KiB );
+        second.insert( second.end(), text.begin() + 30 * KiB, text.begin() + 40 * KiB );
+        const auto incompressible = workloads::randomData( 40 * KiB, 0x5703 );
+        const std::vector<std::uint8_t> last( text.begin() + 40 * KiB, text.begin() + 50 * KiB );
+        std::vector<std::uint8_t> data = first;
+        data.insert( data.end(), second.begin(), second.end() );
+        data.insert( data.end(), incompressible.begin(), incompressible.end() );
+        data.insert( data.end(), last.begin(), last.end() );
+        const auto stream = deflateRawParts(
+            { { 6, first }, { 1, second }, { 0, incompressible }, { 6, last } } );
+        const BufferView view( stream.data(), stream.size() );
+        REQUIRE( inflateRawWithZlib( view ).output == data );
+
+        const auto starts = blockStarts( view );
+        const auto blockAt = [&] ( std::size_t outputOffset ) {
+            const auto match = std::find_if( starts.begin(), starts.end(),
+                                             [&] ( const auto& start ) {
+                                                 return start.outputOffset == outputOffset;
+                                             } );
+            REQUIRE( match != starts.end() );
+            return *match;
+        };
+        const auto dynamic = blockAt( first.size() );
+        REQUIRE( dynamic.type == deflate::BLOCK_TYPE_DYNAMIC );
+        const auto firstStored = blockAt( first.size() + second.size() );
+        REQUIRE( firstStored.type == deflate::BLOCK_TYPE_STORED );
+
+        DecodeSetup windowless;
+        windowless.windowKnown = false;
+        windowless.fromBit = dynamic.bitOffset;
+        const auto outcome = decodeFastAndReference( view, windowless );
+        REQUIRE( outcome.result.error == Error::NONE );
+        REQUIRE( outcome.result.reachedFinalBlock );
+        const auto& marked = outcome.decoded.marked;
+        REQUIRE( std::any_of( marked.begin(), marked.end(), [] ( std::uint16_t symbol ) {
+            return symbol >= deflate::MARKER_BASE;
+        } ) );
+        REQUIRE( marked.size() > second.size() );  /* stored data came out as 16-bit symbols */
+        std::vector<std::uint8_t> resolved;
+        deflate::resolveInto( outcome.decoded, { first.data() + first.size() - deflate::WINDOW_SIZE,
+                                                 deflate::WINDOW_SIZE }, resolved );
+        REQUIRE( std::equal( resolved.begin(), resolved.end(), data.begin() + first.size(),
+                             data.end() ) );
+
+        /* setStartAtStoredData: decode from the LEN field of the first
+         * (non-final) stored block, as after the non-compressed block
+         * finder, with no window. */
+        DecodeSetup atStored;
+        atStored.windowKnown = false;
+        atStored.startAtStoredData = true;
+        atStored.fromBit = ceilDiv<std::size_t>( firstStored.bitOffset + 3, 8 ) * 8;
+        const auto stored = decodeFastAndReference( view, atStored );
+        REQUIRE( stored.result.error == Error::NONE );
+        REQUIRE( stored.result.reachedFinalBlock );
+        REQUIRE( !stored.decoded.marked.empty() );
+        resolved.clear();
+        deflate::resolveInto( stored.decoded, {}, resolved );
+        REQUIRE( std::equal( resolved.begin(), resolved.end(),
+                             data.begin() + first.size() + second.size(), data.end() ) );
+    }
+}
+
+/**
+ * One Decoder over a whole level-6 stream, output pre-reserved: the number
+ * of heap allocations must not grow with the number of Dynamic blocks —
+ * the header parse and the table builds reuse fixed-size and pooled
+ * storage.
+ */
+void
+testAllocationFreeDynamicHeaders()
+{
+    for ( const auto& data : { workloads::base64Data( 4 * MiB, 7 ),
+                               workloads::silesiaLikeData( 4 * MiB, 7 ) } ) {
+        const auto gz = compressGzipLike( { data.data(), data.size() }, 6 );
+        const auto stream = deflateStream( gz );
+        deflate::DecodedData decoded;
+        decoded.plain.emplace_back();
+        decoded.plain.front().data.reserve( data.size() + 1 * MiB );
+
+        BitReader reader( stream.data(), stream.size() );
+        const auto allocationsBefore = g_allocationCount.load();
+        std::size_t blockCount = 0;
+        {
+            deflate::Decoder decoder;
+            decoder.setInitialWindow( {} );
+            const auto result = decoder.decode( reader, decoded );
+            REQUIRE( result.error == Error::NONE );
+            REQUIRE( result.reachedFinalBlock );
+            blockCount = result.blockCount;
+        }
+        const auto allocations = g_allocationCount.load() - allocationsBefore;
+        std::printf( "  %zu blocks decoded with %zu heap allocations\n", blockCount, allocations );
+        REQUIRE( blockCount >= 100 );
+        REQUIRE( allocations <= 16 );
+
+        std::vector<std::uint8_t> resolved;
+        deflate::resolveInto( decoded, {}, resolved );
+        REQUIRE( resolved == data );
+    }
 }
 
 }  // namespace
@@ -325,6 +812,10 @@ main()
                                  baseline.marked.begin() ) );
         }
     }
+
+    testStoredBlocks();
+    testStoredAndDynamicBlocks();
+    testAllocationFreeDynamicHeaders();
 
     return rapidgzip::test::finish( "testDeflate" );
 }

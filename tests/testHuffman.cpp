@@ -2,16 +2,25 @@
  * Huffman layer: canonical code construction, decode correctness for both
  * LUT layouts against a reference encoder, Kraft validation, EOF and
  * invalid-code behavior — including the 15-bit pathological shape whose
- * construction cost motivates the two-level layout.
+ * construction cost motivates the two-level layout. The cached Deflate
+ * tables are checked exhaustively, slot by slot, against two-level decodes
+ * of the same bits, for every Dynamic header of the synthetic corpora and
+ * for hand-shaped corner cases.
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "bits/BitReader.hpp"
 #include "deflate/DeflateDecoder.hpp"
 #include "deflate/definitions.hpp"
+#include "gzip/GzipHeader.hpp"
+#include "gzip/ZlibCompressor.hpp"
 #include "huffman/HuffmanCoding.hpp"
+#include "huffman/HuffmanCodingDistanceCached.hpp"
 #include "huffman/HuffmanCodingDoubleLUT.hpp"
 #include "huffman/HuffmanCodingMultiCached.hpp"
 #include "workloads/DataGenerators.hpp"
@@ -311,6 +320,270 @@ checkEventEquivalence( const std::vector<std::uint8_t>& lengths,
     }
 }
 
+/** Symbol and code length the two-level LUT decodes from the low bits of
+ * @p bits (zero-padded above bit 16). */
+[[nodiscard]] std::pair<int, unsigned>
+decodeTwoLevel( const HuffmanCodingDoubleLUT& coding, std::uint64_t bits )
+{
+    std::array<std::uint8_t, 8> bytes{};
+    bytes[0] = static_cast<std::uint8_t>( bits & 0xFFU );
+    bytes[1] = static_cast<std::uint8_t>( ( bits >> 8U ) & 0xFFU );
+    BitReader reader( bytes.data(), bytes.size() );
+    const auto symbol = coding.decode( reader );
+    return { symbol, static_cast<unsigned>( reader.tell() ) };
+}
+
+[[nodiscard]] std::uint64_t
+lowBits( std::uint64_t value, unsigned count )
+{
+    return value & ( ( std::uint64_t( 1 ) << count ) - 1U );
+}
+
+/**
+ * What the literal/length cache slot for @p pattern must hold, derived from
+ * two-level decodes of the same bits: kind, symbol(s), bits consumed and
+ * extra-bit count. FALLBACK (all zero) wherever the first code is longer
+ * than the cache, invalid, or the reserved symbol 286/287.
+ */
+[[nodiscard]] HuffmanCodingMultiCached::Entry
+expectedLiteralEntry( const HuffmanCodingDoubleLUT& reference, std::uint64_t pattern )
+{
+    using Multi = HuffmanCodingMultiCached;
+    constexpr auto BITS = Multi::CACHE_BITS;
+    const auto makeEntry = [] ( unsigned payload, unsigned bits, unsigned kindAndAux ) {
+        Multi::Entry entry;
+        entry.payload = static_cast<std::uint16_t>( payload );
+        entry.bitsConsumed = static_cast<std::uint8_t>( bits );
+        entry.kindAndAux = static_cast<std::uint8_t>( kindAndAux );
+        return entry;
+    };
+    const auto [symbol, length] = decodeTwoLevel( reference, pattern );
+    if ( ( symbol < 0 ) || ( length > BITS ) || ( symbol > 285 ) ) {
+        return Multi::Entry{};
+    }
+    if ( symbol < 256 ) {
+        const auto [second, secondLength] = decodeTwoLevel( reference, pattern >> length );
+        if ( ( second >= 0 ) && ( second < 256 ) && ( length + secondLength <= BITS ) ) {
+            return makeEntry( static_cast<unsigned>( symbol | ( second << 8 ) ),
+                              length + secondLength, Multi::LITERALS | ( 2U << 4U ) );
+        }
+        return makeEntry( static_cast<unsigned>( symbol ), length, Multi::LITERALS | ( 1U << 4U ) );
+    }
+    if ( symbol == 256 ) {
+        return makeEntry( 0, length, Multi::END_OF_BLOCK );
+    }
+    const auto lengthIndex = static_cast<std::size_t>( symbol - 257 );
+    const auto extra = deflate::LENGTH_EXTRA_BITS[lengthIndex];
+    const auto base = deflate::LENGTH_BASE[lengthIndex];
+    if ( length + extra <= BITS ) {
+        return makeEntry( base + static_cast<unsigned>( lowBits( pattern >> length, extra ) ),
+                          length + extra, Multi::LENGTH );
+    }
+    return makeEntry( base, length, Multi::LENGTH | ( extra << 4U ) );
+}
+
+/** The distance-side counterpart of expectedLiteralEntry(). */
+[[nodiscard]] HuffmanCodingDistanceCached::Entry
+expectedDistanceEntry( const HuffmanCodingDoubleLUT& reference, std::uint64_t pattern )
+{
+    using Distance = HuffmanCodingDistanceCached;
+    constexpr auto BITS = Distance::CACHE_BITS;
+    const auto [symbol, length] = decodeTwoLevel( reference, pattern );
+    if ( ( symbol < 0 ) || ( length > BITS ) || ( symbol > 29 ) ) {
+        return Distance::Entry{};
+    }
+    const auto extra = deflate::DISTANCE_EXTRA_BITS[static_cast<std::size_t>( symbol )];
+    const auto base = deflate::DISTANCE_BASE[static_cast<std::size_t>( symbol )];
+    Distance::Entry entry;
+    entry.kindAndExtra = Distance::DISTANCE;
+    if ( length + extra <= BITS ) {
+        entry.payload = static_cast<std::uint16_t>( base + lowBits( pattern >> length, extra ) );
+        entry.bitsConsumed = static_cast<std::uint8_t>( length + extra );
+    } else {
+        entry.payload = base;
+        entry.bitsConsumed = static_cast<std::uint8_t>( length );
+        entry.kindAndExtra = static_cast<std::uint8_t>( Distance::DISTANCE | ( extra << 4U ) );
+    }
+    return entry;
+}
+
+/** Peak bits a cached table's entries consume, for corner-case coverage. */
+struct TableCoverage
+{
+    unsigned pairBits{ 0 };
+    unsigned foldedLengthBits{ 0 };
+    unsigned foldedDistanceBits{ 0 };
+};
+
+/** Every 12-bit pattern of @p table against a two-level LUT built
+ * independently from @p lengths. */
+void
+checkLiteralTable( const HuffmanCodingMultiCached::Entry* table,
+                   const std::vector<std::uint8_t>& lengths, TableCoverage& coverage )
+{
+    HuffmanCodingDoubleLUT reference;
+    REQUIRE( reference.initializeFromLengths( { lengths.data(), lengths.size() } ) );
+    for ( std::uint64_t pattern = 0; pattern < ( 1U << HuffmanCodingMultiCached::CACHE_BITS );
+          ++pattern ) {
+        const auto expected = expectedLiteralEntry( reference, pattern );
+        const auto& actual = table[pattern];
+        REQUIRE( actual.payload == expected.payload );
+        REQUIRE( actual.bitsConsumed == expected.bitsConsumed );
+        REQUIRE( actual.kindAndAux == expected.kindAndAux );
+        if ( ( actual.kind() == HuffmanCodingMultiCached::LITERALS ) && ( actual.count() == 2 ) ) {
+            coverage.pairBits = std::max<unsigned>( coverage.pairBits, actual.bitsConsumed );
+        }
+        if ( ( actual.kind() == HuffmanCodingMultiCached::LENGTH )
+             && ( actual.extraBits() == 0 ) ) {
+            coverage.foldedLengthBits = std::max<unsigned>( coverage.foldedLengthBits,
+                                                            actual.bitsConsumed );
+        }
+    }
+}
+
+void
+checkDistanceTable( const HuffmanCodingDistanceCached::Entry* table,
+                    const std::vector<std::uint8_t>& lengths, TableCoverage& coverage )
+{
+    HuffmanCodingDoubleLUT reference;
+    REQUIRE( reference.initializeFromLengths( { lengths.data(), lengths.size() } ) );
+    for ( std::uint64_t pattern = 0; pattern < ( 1U << HuffmanCodingDistanceCached::CACHE_BITS );
+          ++pattern ) {
+        const auto expected = expectedDistanceEntry( reference, pattern );
+        const auto& actual = table[pattern];
+        REQUIRE( actual.payload == expected.payload );
+        REQUIRE( actual.bitsConsumed == expected.bitsConsumed );
+        REQUIRE( actual.kindAndExtra == expected.kindAndExtra );
+        if ( ( actual.kind() == HuffmanCodingDistanceCached::DISTANCE )
+             && ( actual.extraBits() == 0 ) ) {
+            coverage.foldedDistanceBits = std::max<unsigned>( coverage.foldedDistanceBits,
+                                                              actual.bitsConsumed );
+        }
+    }
+}
+
+/** Literal/length and distance code lengths of one Dynamic header, parsed
+ * independently of deflate::readDynamicCodings. */
+struct HeaderLengths
+{
+    std::vector<std::uint8_t> literal;
+    std::vector<std::uint8_t> distance;
+};
+
+[[nodiscard]] HeaderLengths
+parseHeaderLengths( BitReader& reader )
+{
+    const auto literalCount = 257 + reader.read( 5 );
+    const auto distanceCount = 1 + reader.read( 5 );
+    const auto precodeCount = 4 + reader.read( 4 );
+    std::vector<std::uint8_t> precodeLengths( deflate::PRECODE_SYMBOLS, 0 );
+    for ( std::size_t i = 0; i < precodeCount; ++i ) {
+        precodeLengths[deflate::PRECODE_ORDER[i]] = static_cast<std::uint8_t>( reader.read( 3 ) );
+    }
+    HuffmanCoding precode;
+    REQUIRE( precode.initializeFromLengths( { precodeLengths.data(), precodeLengths.size() } ) );
+    std::vector<std::uint8_t> lengths;
+    while ( lengths.size() < literalCount + distanceCount ) {
+        const auto symbol = precode.decode( reader );
+        REQUIRE( symbol >= 0 );
+        if ( symbol <= 15 ) {
+            lengths.push_back( static_cast<std::uint8_t>( symbol ) );
+        } else if ( symbol == 16 ) {
+            lengths.insert( lengths.end(), 3 + reader.read( 2 ), lengths.back() );
+        } else {
+            const auto repeat = symbol == 17 ? 3 + reader.read( 3 ) : 11 + reader.read( 7 );
+            lengths.insert( lengths.end(), repeat, 0 );
+        }
+    }
+    return { { lengths.begin(), lengths.begin() + static_cast<std::ptrdiff_t>( literalCount ) },
+             { lengths.begin() + static_cast<std::ptrdiff_t>( literalCount ), lengths.end() } };
+}
+
+/** Every Dynamic header of a level-@p level gzip of @p data: the decoder's
+ * own tables from deflate::readDynamicCodings against independently built
+ * two-level LUTs, plus the event sweep on the literal coding. Returns the
+ * number of headers checked. */
+std::size_t
+checkCorpusHeaders( const std::vector<std::uint8_t>& data, int level, TableCoverage& coverage )
+{
+    const auto gz = compressGzipLike( { data.data(), data.size() }, level );
+    const auto start = parseGzipHeader( { gz.data(), gz.size() } );
+    const BufferView stream( gz.data() + start, gz.size() - start );
+
+    std::size_t headerCount = 0;
+    BitReader blockReader( stream.data(), stream.size() );
+    deflate::Decoder decoder;
+    decoder.setInitialWindow( {} );
+    deflate::DecodedData decoded;
+    deflate::DynamicHuffmanCodings codings;
+    while ( true ) {
+        const auto blockStart = blockReader.tell();
+        const auto header = BitReader::peekAt( stream.data(), stream.size(), blockStart, 3 );
+        if ( ( ( header >> 1U ) & 0b11U ) == deflate::BLOCK_TYPE_DYNAMIC ) {
+            BitReader reader( stream.data(), stream.size() );
+            reader.seek( blockStart + 3 );
+            const auto lengths = parseHeaderLengths( reader );
+            reader.seek( blockStart + 3 );
+            REQUIRE( deflate::readDynamicCodings( reader, codings ) == Error::NONE );
+            checkLiteralTable( codings.literal.tableData(), lengths.literal, coverage );
+            checkEventEquivalence( lengths.literal,
+                                   workloads::randomData( 4 * KiB, blockStart ) );
+            if ( codings.distanceUsable ) {
+                checkDistanceTable( codings.distance.tableData(), lengths.distance, coverage );
+            }
+            ++headerCount;
+        }
+        const auto result = decoder.decode( blockReader, decoded, blockStart + 1 );
+        REQUIRE( result.error == Error::NONE );
+        if ( result.reachedFinalBlock ) {
+            return headerCount;
+        }
+    }
+}
+
+/** Give each target symbol its wanted code length by swapping lengths with
+ * a symbol that is no target. Permuting lengths keeps the code complete. */
+void
+placeLengths( std::vector<std::uint8_t>& lengths,
+              const std::vector<std::pair<std::size_t, std::uint8_t> >& placements )
+{
+    const auto isTarget = [&] ( std::size_t symbol ) {
+        return std::any_of( placements.begin(), placements.end(),
+                            [symbol] ( const auto& placement ) {
+                                return placement.first == symbol;
+                            } );
+    };
+    for ( const auto& [symbol, wanted] : placements ) {
+        std::size_t donor = 0;
+        while ( ( donor < lengths.size() )
+                && ( ( lengths[donor] != wanted ) || isTarget( donor ) ) ) {
+            ++donor;
+        }
+        REQUIRE( donor < lengths.size() );
+        std::swap( lengths[donor], lengths[symbol] );
+    }
+}
+
+/** A synthetic literal/length coding: exhaustive table check and event
+ * sweep. */
+void
+checkLiteralCoding( const std::vector<std::uint8_t>& lengths, std::uint64_t seed,
+                    TableCoverage& coverage )
+{
+    HuffmanCodingMultiCached multi;
+    REQUIRE( multi.initializeFromLengths( { lengths.data(), lengths.size() } ) );
+    checkLiteralTable( multi.tableData(), lengths, coverage );
+    checkEventEquivalence( lengths, workloads::randomData( 16 * KiB, seed ) );
+}
+
+void
+checkDistanceCoding( const std::vector<std::uint8_t>& lengths, TableCoverage& coverage )
+{
+    HuffmanCodingDistanceCached distance;
+    REQUIRE( distance.initializeFromLengths( { lengths.data(), lengths.size() } ) );
+    checkDistanceTable( distance.tableData(), lengths, coverage );
+}
+
 }  // namespace
 
 int
@@ -413,6 +686,70 @@ main()
         for ( std::size_t i = 256; i < 280; ++i ) { fixedLengths[i] = 7; }
         for ( std::size_t i = 280; i < 288; ++i ) { fixedLengths[i] = 8; }
         checkEventEquivalence( fixedLengths, workloads::randomData( 16 * KiB, 0xF1E0 ) );
+    }
+
+    /* Exhaustive cached-table equivalence: every 12-bit literal and 11-bit
+     * distance peek pattern resolves through the cached table to what the
+     * two-level LUT decodes from the same bits — first for every Dynamic
+     * header the decoder meets on the synthetic corpora ... */
+    {
+        constexpr std::size_t SIZE = 4 * MiB;
+        TableCoverage coverage;
+        std::size_t headerCount = 0;
+        for ( const auto& data : { workloads::base64Data( SIZE, 0x7AB1E ),
+                                   workloads::silesiaLikeData( SIZE, 0x7AB1F ),
+                                   workloads::fastqData( SIZE, 0x7AB20 ) } ) {
+            for ( const int level : { 1, 6, 9 } ) {
+                headerCount += checkCorpusHeaders( data, level, coverage );
+            }
+        }
+        REQUIRE( headerCount > 500 );
+        REQUIRE( coverage.pairBits == HuffmanCodingMultiCached::CACHE_BITS );
+    }
+
+    /* ... then for hand-shaped corner cases. */
+    {
+        TableCoverage coverage;
+
+        /* 15-bit codes on both alphabets. */
+        for ( std::uint64_t seed = 1; seed <= 3; ++seed ) {
+            checkLiteralCoding( makeCompleteCode( 286, 15, 0x15B17 + seed ), 0x15B27 + seed,
+                                coverage );
+            checkDistanceCoding( makeCompleteCode( 30, 15, 0x15B37 + seed ), coverage );
+        }
+
+        /* All 288 symbols coded: HLIT's 286 plus the reserved 286 and 287,
+         * which must stay FALLBACK entries. */
+        {
+            auto lengths = makeCompleteCode( 288, 10, 0x288 );
+            placeLengths( lengths, { { 286, 4 } } );
+            checkLiteralCoding( lengths, 0x289, coverage );
+        }
+
+        /* A single distance code — incomplete, legal — at symbols with no,
+         * folded and unfolded extra bits. */
+        for ( const std::size_t symbol : { 0, 7, 29 } ) {
+            std::vector<std::uint8_t> lengths( 30, 0 );
+            lengths[symbol] = 1;
+            checkDistanceCoding( lengths, coverage );
+        }
+
+        /* Entries that use exactly the cache width: literal pairs of 6 + 6
+         * and 5 + 7 bits, lengths of 7 code + 5 extra and 8 code + 4 extra
+         * bits, and distances of 5 code + 6 extra bits. */
+        {
+            auto lengths = makeCompleteCode( 286, 12, 0x12B17 );
+            /* 284 is a length symbol with 5 extra bits, 280 one with 4. */
+            placeLengths( lengths, { { 'a', 6 }, { 'b', 5 }, { 'c', 7 }, { 284, 7 }, { 280, 8 } } );
+            checkLiteralCoding( lengths, 0x12B18, coverage );
+
+            auto distanceLengths = makeCompleteCode( 30, 11, 0x11B17 );
+            placeLengths( distanceLengths, { { 14, 5 } } );  /* 6 extra bits */
+            checkDistanceCoding( distanceLengths, coverage );
+        }
+        REQUIRE( coverage.pairBits == HuffmanCodingMultiCached::CACHE_BITS );
+        REQUIRE( coverage.foldedLengthBits == HuffmanCodingMultiCached::CACHE_BITS );
+        REQUIRE( coverage.foldedDistanceBits == HuffmanCodingDistanceCached::CACHE_BITS );
     }
 
     return rapidgzip::test::finish( "testHuffman" );
