@@ -16,7 +16,6 @@
 
 #include "baselines/PugzLikeDecompressor.hpp"
 #include "core/ParallelGzipReader.hpp"
-#include "gzip/GzipReader.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
 
@@ -85,8 +84,8 @@ sequentialGzipTool()
 {
     return { "rapidgzip sequential decoder (1 thread)", false,
              [](const std::vector<std::uint8_t>& file, std::size_t) {
-                 GzipReader reader(std::make_unique<MemoryFileReader>(file));
-                 return reader.decompressAll();
+                 return GzipChunkFetcher::decompressSerially(MemoryFileReader(file),
+                                                             scalingConfig(1).chunkSizeBytes);
              } };
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -12,7 +13,7 @@
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
-#include "../core/DeflateChunks.hpp"
+#include "../core/GzipChunkFetcher.hpp"
 #include "../gzip/GzipHeader.hpp"
 #include "../io/SharedFileReader.hpp"
 
@@ -22,10 +23,11 @@ namespace rapidgzip {
  * Emulation of pugz's synchronous parallel decompression pipeline, the
  * baseline in paper Figs. 9/11/12:
  *
- *  - chunks are decoded by worker threads, but the output stage is strictly
- *    serial and in-order — workers hand over to a synchronous validator, so
- *    the pipeline stalls on the slowest chunk (the paper's explanation for
- *    pugz saturating around 1.2-1.4 GB/s);
+ *  - chunks are decoded by worker threads, through the same checkpoint
+ *    decode as ParallelGzipReader's restart-point chunks, but the output
+ *    stage is strictly serial and in-order — workers hand over to a
+ *    synchronous validator, so the pipeline stalls on the slowest chunk (the
+ *    paper's explanation for pugz saturating around 1.2-1.4 GB/s);
  *  - like pugz, only printable-ASCII text (bytes 9..126) is supported; any
  *    other byte aborts decompression (UnsupportedDataError), which is why
  *    this tool has no Fig. 10 (Silesia) row in the paper.
@@ -73,10 +75,12 @@ public:
         const auto dispatch = [&] () {
             while ( ( nextToDispatch < starts.size() )
                     && ( inFlight.size() < m_options.threadCount ) ) {
-                const auto begin = starts[nextToDispatch++];
-                const auto end = nextToDispatch < starts.size() ? starts[nextToDispatch] : file->size();
-                inFlight.push_back( std::async( std::launch::async, [file, begin, end] () {
-                    return decodeRawDeflateChunk( *file, begin, end );
+                const auto beginBits = starts[nextToDispatch++] * 8;
+                const auto untilBits = nextToDispatch < starts.size()
+                                       ? starts[nextToDispatch] * 8
+                                       : std::numeric_limits<std::size_t>::max();
+                inFlight.push_back( std::async( std::launch::async, [file, beginBits, untilBits] () {
+                    return GzipChunkFetcher::decodeChunkFromCheckpoint( *file, beginBits, untilBits, {} );
                 } ) );
             }
         };

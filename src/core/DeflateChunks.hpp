@@ -1,19 +1,19 @@
 #pragma once
 
-#include <zlib.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "../bits/BitReader.hpp"
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
+#include "../deflate/DeflateDecoder.hpp"
 #include "../gzip/GzipHeader.hpp"
-#include "../gzip/ZlibHelpers.hpp"
 #include "../io/FileReader.hpp"
 #include "../simd/Crc32.hpp"
 #include "../telemetry/Trace.hpp"
@@ -23,9 +23,10 @@ namespace rapidgzip {
 /**
  * Shared machinery for chunked parallel gzip decompression: locating
  * full-flush restart points (the pigz/Z_FULL_FLUSH `00 00 FF FF` sync
- * marker) and raw-Deflate-decoding a chunk that starts at one. The restart
- * points seed ParallelGzipReader's marker-derived index checkpoints and the
- * pugz-like baseline's chunks.
+ * marker), the decoded-chunk record every chunk decode returns, and the
+ * per-member footer check over such records. The restart points seed
+ * ParallelGzipReader's marker-derived index checkpoints and the pugz-like
+ * baseline's chunks.
  *
  * A full flush both byte-aligns the stream (empty stored block) and resets
  * the LZ77 window, so a chunk starting right after the marker decodes
@@ -82,11 +83,13 @@ findFullFlushMarkers( const FileReader& file, std::size_t searchBegin, std::size
 }
 
 /**
- * Cheap validation that @p offset really is a Deflate restart point: raw
- * inflate a small probe window and check zlib does not reject it. False
- * sync-marker matches inside compressed data (probability ~2^-32 per byte)
- * virtually never survive this; the ones that would are caught later by the
- * checksum verification and its serial fallback.
+ * Cheap validation that @p offset really is a Deflate restart point: decode
+ * a small probe window with an empty history and check the decoder does not
+ * reject it. It accepts what zlib raw inflate accepted here: a stream that
+ * finishes, one that fills the probe output, and one that runs out of probe
+ * input. False sync-marker matches inside compressed data (probability
+ * ~2^-32 per byte) virtually never survive this; the ones that would are
+ * caught later by the chunk decode's end check and the footer verification.
  */
 [[nodiscard]] inline bool
 probeRawDeflatePoint( const FileReader& file, std::size_t offset )
@@ -100,18 +103,14 @@ probeRawDeflatePoint( const FileReader& file, std::size_t offset )
         return false;
     }
 
-    z_stream stream{};
-    if ( inflateInit2( &stream, RAW_DEFLATE_WINDOW_BITS ) != Z_OK ) {
-        throw RapidgzipError( "inflateInit2 failed" );
-    }
-    stream.next_in = input.data();
-    stream.avail_in = static_cast<uInt>( got );
-    std::uint8_t output[PROBE_OUTPUT];
-    stream.next_out = output;
-    stream.avail_out = sizeof( output );
-    const auto code = inflate( &stream, Z_NO_FLUSH );
-    inflateEnd( &stream );
-    return ( code == Z_OK ) || ( code == Z_STREAM_END ) || ( code == Z_BUF_ERROR );
+    BitReader reader( input.data(), got );
+    deflate::Decoder decoder;
+    decoder.setInitialWindow( {} );
+    deflate::DecodedData output;
+    const auto error = decoder.decode( reader, output, std::numeric_limits<std::size_t>::max(),
+                                       PROBE_OUTPUT ).error;
+    return ( error == Error::NONE ) || ( error == Error::EXCEEDED_OUTPUT_LIMIT )
+           || ( error == Error::TRUNCATED_STREAM );
 }
 
 /** Room for any gzip header the readers accept. */
@@ -190,12 +189,14 @@ struct DecodedChunk
 
     std::vector<std::uint8_t> data;
     std::uint32_t crc32{ 0 };          /**< CRC32 of data (zlib polynomial) */
-    std::size_t memberRestarts{ 0 };   /**< gzip member transitions crossed inside the chunk */
+    /** The last member's footer is followed by padding or nothing; bytes
+     * beyond it are ignored, mirroring `gzip -d`. */
     bool reachedStreamEnd{ false };
-    /** Absolute file offset just past the final Deflate byte when
-     * reachedStreamEnd — where the gzip footer begins. Trailing bytes
-     * beyond footer + padding are ignored, mirroring `gzip -d`. */
-    std::size_t deflateEndOffset{ 0 };
+    /** Absolute bit offset where decoding stopped: the block boundary at or
+     * past the requested end, the first Deflate bit of the member that
+     * starts there, or the end of the stream's final block. A decode
+     * resuming here continues the stream. */
+    std::size_t endBitOffset{ 0 };
 
     /** Members ending inside this chunk, in stream order. */
     std::vector<MemberEnd> memberEnds;
@@ -204,42 +205,23 @@ struct DecodedChunk
     std::uint32_t trailingCrc32{ 0 };
 };
 
-/** Thrown by a chunk decode whose end boundary lies inside a gzip footer or
- * member header: the next chunk's start is no Deflate restart point. */
+/** Thrown by a chunk decode whose end boundary lies inside a Deflate block,
+ * a gzip footer or a member header: the next chunk's start is no block
+ * boundary of the stream. */
 class FalseChunkEndError : public InvalidGzipStreamError
 {
 public:
     using InvalidGzipStreamError::InvalidGzipStreamError;
 };
 
-namespace detail {
-
-/** Owns a raw-inflate z_stream; inflateEnd runs on every exit path. */
-class RawInflateStream
+/** Thrown by a chunk decode that reaches the end of the file before the
+ * end of the gzip stream: the file is truncated, whichever chunk boundary
+ * is false. */
+class TruncatedStreamError : public InvalidGzipStreamError
 {
 public:
-    RawInflateStream()
-    {
-        if ( inflateInit2( &m_stream, RAW_DEFLATE_WINDOW_BITS ) != Z_OK ) {
-            throw RapidgzipError( "inflateInit2 failed" );
-        }
-    }
-
-    ~RawInflateStream()
-    {
-        inflateEnd( &m_stream );
-    }
-
-    RawInflateStream( const RawInflateStream& ) = delete;
-    RawInflateStream& operator=( const RawInflateStream& ) = delete;
-
-    [[nodiscard]] z_stream& get() noexcept { return m_stream; }
-
-private:
-    z_stream m_stream{};
+    using InvalidGzipStreamError::InvalidGzipStreamError;
 };
-
-}  // namespace detail
 
 /**
  * Derive the whole-chunk CRC32 from the per-member segment CRCs via
@@ -264,99 +246,68 @@ combineSegmentCrcs( const DecodedChunk& chunk )
     return combined;
 }
 
-/**
- * Raw-Deflate-decode the chunk [begin, end). @p begin must be a restart
- * point (empty window). Handles gzip member transitions that fall inside
- * the chunk (footer + next member's header + fresh Deflate stream), with
- * the trailing-bytes rule of nextGzipMember() deciding on the file what
- * follows a footer. Throws InvalidGzipStreamError if zlib rejects the data,
- * and FalseChunkEndError if @p end cuts a footer or header that a further
- * member follows.
- */
-[[nodiscard]] inline DecodedChunk
-decodeRawDeflateChunk( const FileReader& file, std::size_t begin, std::size_t end )
+/** True when the footer at @p footerOffset states @p crc and @p size.
+ * The footer sits right after the member's final Deflate byte — NOT at
+ * the end of the file, which may carry padding or further members. */
+[[nodiscard]] inline bool
+footerMatches( const FileReader& file, std::size_t footerOffset, std::uint32_t crc, std::size_t size )
 {
-    telemetry::Span decodeSpan{ "pipeline", "chunk.decode" };
-    end = std::min( end, file.size() );
-    DecodedChunk result;
-    if ( begin >= end ) {
-        return result;
+    std::uint8_t footerBytes[GZIP_FOOTER_SIZE];
+    if ( ( footerOffset + GZIP_FOOTER_SIZE > file.size() )
+         || ( file.pread( footerBytes, GZIP_FOOTER_SIZE, footerOffset ) != GZIP_FOOTER_SIZE ) ) {
+        return false;
     }
-
-    std::vector<std::uint8_t> input( end - begin );
-    if ( file.pread( input.data(), input.size(), begin ) != input.size() ) {
-        throw FileIoError( "Short read of compressed chunk" );
-    }
-
-    detail::RawInflateStream inflater;
-    auto& stream = inflater.get();
-    detail::ZlibInputFeeder feeder( input.data(), input.size() );
-
-    /* One running CRC per member SEGMENT (reset at member boundaries); the
-     * whole-chunk crc32 is combined from the segments afterwards, so
-     * per-member footer verification costs no second hashing pass. */
-    std::uint32_t segmentCrc = 0;
-    std::vector<std::uint8_t> buffer( 256 * 1024 );
-    while ( true ) {
-        feeder.feed( stream );
-        stream.next_out = buffer.data();
-        stream.avail_out = static_cast<uInt>( buffer.size() );
-        const auto code = inflate( &stream, Z_NO_FLUSH );
-        const auto produced = buffer.size() - stream.avail_out;
-        if ( produced > 0 ) {
-            segmentCrc = simd::crc32( segmentCrc, buffer.data(), produced );
-            result.data.insert( result.data.end(), buffer.data(), buffer.data() + produced );
-        }
-
-        if ( code == Z_STREAM_END ) {
-            const auto consumed = feeder.consumed( stream );
-            result.deflateEndOffset = begin + consumed;
-            result.memberEnds.push_back( { result.data.size(), segmentCrc,
-                                           begin + consumed } );
-            segmentCrc = 0;
-            /* What follows the footer is decided on the file, not on this
-             * chunk's bytes: the footer and the next member's header may run
-             * past the chunk end. A header cut by the end of the file throws
-             * (truncated stream), and RAII frees the stream. */
-            const auto footerEnd = consumed + GZIP_FOOTER_SIZE;
-            const auto next = nextGzipMember(
-                file, begin + footerEnd,
-                footerEnd < input.size() ? BufferView( input.data() + footerEnd, input.size() - footerEnd )
-                                         : BufferView() );
-            if ( !next ) {
-                result.reachedStreamEnd = true;  /* the rest is padding */
-                break;
-            }
-            if ( *next > end ) {
-                throw FalseChunkEndError( "Chunk end " + std::to_string( end )
-                                          + " lies inside the gzip footer or header before offset "
-                                          + std::to_string( *next ) );
-            }
-            if ( *next == end ) {
-                break;  /* the next chunk starts with the next member */
-            }
-            if ( inflateReset( &stream ) != Z_OK ) {
-                throw InvalidGzipStreamError( "inflateReset failed between members" );
-            }
-            feeder.seekTo( stream, *next - begin );
-            ++result.memberRestarts;
-            continue;
-        }
-        if ( ( code != Z_OK ) && ( code != Z_BUF_ERROR ) ) {
-            throw InvalidGzipStreamError( "Chunk at offset " + std::to_string( begin )
-                                          + " failed to decode (zlib code "
-                                          + std::to_string( code ) + ")" );
-        }
-        if ( feeder.exhausted( stream ) ) {
-            break;  /* chunk exhausted; the next chunk continues the stream */
-        }
-        if ( ( code == Z_BUF_ERROR ) && ( stream.avail_out != 0 ) && ( stream.avail_in != 0 ) ) {
-            break;  /* no forward progress possible (trailing partial marker bytes) */
-        }
-    }
-    result.trailingCrc32 = segmentCrc;
-    result.crc32 = combineSegmentCrcs( result );
-    return result;
+    const auto footer = parseGzipFooter( { footerBytes, GZIP_FOOTER_SIZE }, GZIP_FOOTER_SIZE );
+    return ( crc == footer.crc32 )
+           && ( static_cast<std::uint32_t>( size ) == footer.uncompressedSizeModulo32 );
 }
+
+/**
+ * Walks decoded chunks' member segments in stream order and checks every
+ * member — including each member of a concatenated stream — against ITS
+ * OWN footer: CRC32 (simd::crc32Combine'd across the chunks a member
+ * spans; the combine has no z_off_t ceiling, so CRC verification never
+ * degrades to size-only) and ISIZE. consume() returns false on any
+ * mismatch or unreadable footer.
+ */
+class MemberVerifier
+{
+public:
+    explicit MemberVerifier( const FileReader& file ) noexcept :
+        m_file( file )
+    {}
+
+    [[nodiscard]] bool
+    consume( const DecodedChunk& chunk )
+    {
+        std::size_t segmentBegin = 0;
+        for ( const auto& memberEnd : chunk.memberEnds ) {
+            append( memberEnd.segmentCrc32, memberEnd.dataEndOffset - segmentBegin );
+            if ( !footerMatches( m_file, memberEnd.footerStartByte, m_memberCrc, m_memberSize ) ) {
+                return false;
+            }
+            m_memberCrc = 0;
+            m_memberSize = 0;
+            segmentBegin = memberEnd.dataEndOffset;
+        }
+        append( chunk.trailingCrc32, chunk.data.size() - segmentBegin );
+        return true;
+    }
+
+private:
+    void
+    append( std::uint32_t segmentCrc, std::size_t length )
+    {
+        if ( length == 0 ) {
+            return;
+        }
+        m_memberCrc = simd::crc32Combine( m_memberCrc, segmentCrc, length );
+        m_memberSize += length;
+    }
+
+    const FileReader& m_file;
+    std::uint32_t m_memberCrc{ 0 };
+    std::size_t m_memberSize{ 0 };
+};
 
 }  // namespace rapidgzip

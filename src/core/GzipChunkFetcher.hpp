@@ -1,13 +1,13 @@
 #pragma once
 
-#include <zlib.h>
-
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -123,24 +123,13 @@ public:
      * @p startBitGuess (before @p endBitGuess) and decode — windowless, with
      * 16-bit markers — until the first block boundary at or past
      * @p endBitGuess, the final block, or @p maxBytes outputs.
-     *
-     * Seeded-window fast path: when @p seededWindow is non-null the start is
-     * not a guess but an exact checkpoint (index hit), so stage one is
-     * skipped entirely — no block finding, no markers, conventional 8-bit
-     * decoding from the seeded window. An empty window is a valid seed
-     * (restart point).
      */
     [[nodiscard]] static ChunkResult
     decodeChunkFromGuess( const FileReader& file,
                           std::size_t startBitGuess,
                           std::size_t endBitGuess,
-                          std::size_t maxBytes,
-                          const BufferView* seededWindow = nullptr )
+                          std::size_t maxBytes )
     {
-        if ( seededWindow != nullptr ) {
-            return decodeChunkAtOffset( file, startBitGuess, endBitGuess, maxBytes,
-                                        *seededWindow );
-        }
         const auto fileSize = file.size();
         const auto fileBits = fileSize * 8;
         endBitGuess = std::min( endBitGuess, fileBits );
@@ -357,16 +346,18 @@ public:
      * Index-driven chunk decode: resume at the checkpoint bit offset
      * @p startBits with the checkpoint's @p window and decode until the
      * block boundary at @p untilBits (the next checkpoint) or the end of the
-     * stream. Handles gzip member transitions that fall inside the chunk
-     * (footer + next member's header + fresh Deflate stream with an empty
-     * window), so BGZF and concatenated members ride the same path. This is
-     * what makes seek()/read() O(1) in decoded work: exactly one
-     * inter-checkpoint span is decoded, never the prefix of the file. It is
+     * stream, crossing the gzip members inside the chunk (see decodeMembers()),
+     * so BGZF and concatenated members ride the same path. This is what
+     * makes seek()/read() O(1) in decoded work: exactly one inter-checkpoint
+     * span is decoded, never the prefix of the file. It is
      * ParallelGzipReader's only chunk decoder: imported, BGZF, harvested and
      * marker-derived checkpoints all decode here.
      *
      * Throws InvalidGzipStreamError when the data under the checkpoint does
-     * not decode — a stale or corrupt index, or a false restart point.
+     * not decode — a stale or corrupt index, or a false restart point —
+     * FalseChunkEndError when the decode stops past @p untilBits: the next
+     * checkpoint lies inside a block, a footer or a member header, and
+     * TruncatedStreamError when the file ends inside a block.
      */
     [[nodiscard]] static DecodedChunk
     decodeChunkFromCheckpoint( const FileReader& file,
@@ -374,79 +365,58 @@ public:
                                std::size_t untilBits,
                                BufferView window )
     {
-        const auto fileSize = file.size();
-
-        /* Restart-point chunks (byte-aligned, empty window, byte-aligned
-         * end) — BGZF blocks, full-flush points, member starts — take the
-         * zlib path: it reads the chunk's byte span ONCE and follows member
-         * transitions within it, where the generic loop below would re-read
-         * the remaining span per member (ruinous for BGZF's ~64 KiB
-         * members). A bit-granular end boundary disqualifies: zlib would
-         * decode the trailing partial block past the next checkpoint. */
-        constexpr auto NO_LIMIT = std::numeric_limits<std::size_t>::max();
-        if ( ( startBits % 8 == 0 ) && window.empty()
-             && ( ( untilBits == NO_LIMIT ) || ( untilBits % 8 == 0 ) ) ) {
-            return decodeRawDeflateChunk( file, startBits / 8,
-                                          untilBits == NO_LIMIT ? fileSize : untilBits / 8 );
+        auto chunk = decodeMembers( file, startBits, untilBits, window );
+        if ( !chunk.reachedStreamEnd && ( chunk.endBitOffset > untilBits ) ) {
+            throw FalseChunkEndError( "Chunk end at bit " + std::to_string( untilBits )
+                                      + " is no block boundary; the decode stopped at bit "
+                                      + std::to_string( chunk.endBitOffset ) );
         }
+        return chunk;
+    }
 
-        DecodedChunk result;
-
-        /* One running CRC per member SEGMENT within this chunk (reset at
-         * member boundaries), recorded in memberEnds so a sequential
-         * consumer can verify every concatenated member's footer; the
-         * whole-chunk crc32 is combined from the segments at the end. */
-        std::uint32_t segmentCrc = 0;
-
-        std::vector<std::uint8_t> memberWindow( window.begin(), window.end() );
-        auto bit = startBits;
+    /**
+     * The serial authority: one sequential walk over the whole gzip stream
+     * with the same decoder as the chunks, span by span of @p spanBytes
+     * compressed bytes from the first member's first Deflate byte. The
+     * window carries across spans and empties at every member start; every
+     * member is checked against its footer, and the trailing-bytes rule
+     * decides what follows each footer. Memory stays bounded by one span's
+     * output. Hands every byte to @p sink when it is set and returns the
+     * uncompressed size. Throws for a truncated stream, a member that
+     * disagrees with its footer, and undecodable data.
+     */
+    [[nodiscard]] static std::size_t
+    decompressSerially( const FileReader& file,
+                        std::size_t spanBytes,
+                        const std::function<void( BufferView )>& sink = {} )
+    {
+        const auto spanBits = std::max<std::size_t>( spanBytes, 1 ) * 8;
+        const auto header = readHeaderBytes( file, 0 );
+        auto bit = parseGzipHeader( { header.data(), header.size() } ) * 8;
+        MemberVerifier verifier( file );
+        std::vector<std::uint8_t> window;
+        std::size_t total = 0;
         while ( true ) {
-            const BufferView windowView{ memberWindow.data(), memberWindow.size() };
-            auto chunk = decodeChunkFromGuess( file, bit, untilBits,
-                                               std::numeric_limits<std::size_t>::max(),
-                                               &windowView );
-            if ( chunk.error != Error::NONE ) {
-                throw InvalidGzipStreamError(
-                    "Cannot decode the gzip stream at indexed bit offset "
-                    + std::to_string( bit ) + ": " + std::string( toString( chunk.error ) )
-                    + " — stale or corrupt index" );
+            const auto chunk = decodeMembers( file, bit, bit + spanBits, { window.data(), window.size() } );
+            if ( !verifier.consume( chunk ) ) {
+                throw ChecksumError( "Gzip member does not match its footer" );
             }
-
-            const auto before = result.data.size();
-            {
-                telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
-                deflate::resolveInto( chunk.data, windowView, result.data );
+            if ( sink && !chunk.data.empty() ) {
+                sink( { chunk.data.data(), chunk.data.size() } );
             }
-            deflate::DecodedDataPool::release( std::move( chunk.data ) );
-            segmentCrc = simd::crc32( segmentCrc, result.data.data() + before,
-                                      result.data.size() - before );
-
-            if ( !chunk.reachedStreamEnd ) {
-                break;  /* stopped exactly at the next checkpoint's boundary */
+            total += chunk.data.size();
+            if ( chunk.reachedStreamEnd ) {
+                return total;
             }
-
-            /* The member ended inside this chunk: footer, then possibly
-             * another member whose Deflate data still belongs to this chunk. */
-            const auto footerByte = ceilDiv<std::size_t>( chunk.decodedEndBit, 8 );
-            result.deflateEndOffset = footerByte;
-            result.memberEnds.push_back( { result.data.size(), segmentCrc, footerByte } );
-            segmentCrc = 0;
-            const auto nextMember = nextGzipMember( file, footerByte + GZIP_FOOTER_SIZE );
-            if ( !nextMember ) {
-                result.reachedStreamEnd = true;  /* the rest is padding */
-                break;
+            /* The next span continues the member the chunk ends in. */
+            std::size_t memberBegin = 0;
+            if ( !chunk.memberEnds.empty() ) {
+                memberBegin = chunk.memberEnds.back().dataEndOffset;
+                window.clear();
             }
-            const auto newBit = *nextMember * 8;
-            if ( newBit >= untilBits ) {
-                break;  /* the next checkpoint owns the next member */
-            }
-            ++result.memberRestarts;
-            memberWindow.clear();  /* a fresh member starts with an empty window */
-            bit = newBit;
+            slideWindow( window, { chunk.data.data() + memberBegin, chunk.data.size() - memberBegin } );
+            bit = chunk.endBitOffset;
         }
-        result.trailingCrc32 = segmentCrc;
-        result.crc32 = combineSegmentCrcs( result );
-        return result;
     }
 
     /**
@@ -608,16 +578,7 @@ public:
                     if ( collectOutput != nullptr ) {
                         collectOutput->insert( collectOutput->end(), resolved.begin(), resolved.end() );
                     }
-                    /* Slide the window: last WINDOW_SIZE bytes of (window ++ resolved). */
-                    if ( resolved.size() >= deflate::WINDOW_SIZE ) {
-                        window.assign( resolved.end() - deflate::WINDOW_SIZE, resolved.end() );
-                    } else {
-                        const auto keep = std::min( window.size(),
-                                                    deflate::WINDOW_SIZE - resolved.size() );
-                        window.erase( window.begin(),
-                                      window.end() - static_cast<std::ptrdiff_t>( keep ) );
-                        window.insert( window.end(), resolved.begin(), resolved.end() );
-                    }
+                    slideWindow( window, { resolved.data(), resolved.size() } );
                 }
             }
 
@@ -642,6 +603,134 @@ public:
     }
 
 private:
+    /** Make @p window the last WINDOW_SIZE bytes of @p window ++ @p bytes. */
+    static void
+    slideWindow( std::vector<std::uint8_t>& window, BufferView bytes )
+    {
+        if ( bytes.size() >= deflate::WINDOW_SIZE ) {
+            window.assign( bytes.end() - deflate::WINDOW_SIZE, bytes.end() );
+            return;
+        }
+        const auto keep = std::min( window.size(), deflate::WINDOW_SIZE - bytes.size() );
+        window.erase( window.begin(), window.end() - static_cast<std::ptrdiff_t>( keep ) );
+        window.insert( window.end(), bytes.begin(), bytes.end() );
+    }
+
+    /**
+     * The one decode loop behind decodeChunkFromCheckpoint() and
+     * decompressSerially(): decode from the block boundary @p startBits,
+     * with @p window as the history, to the first block boundary at or past
+     * @p untilBits or the end of the stream. The compressed span is read
+     * once, into the per-thread buffer, with an overshoot margin that widens
+     * when a block runs past it. Every member in the span decodes from that
+     * buffer: to its final block; its segment CRC and footer offset go into
+     * memberEnds; the trailing-bytes rule runs on the buffered bytes; and the
+     * next member starts on a fresh decoder with an empty window. Members
+     * share the chunk's output, but each decodes into its own emptied buffer,
+     * so a back-reference into the previous member's bytes is
+     * EXCEEDED_WINDOW, zlib's "invalid distance too far back". A next member
+     * that starts at or past @p untilBits ends the span there.
+     */
+    [[nodiscard]] static DecodedChunk
+    decodeMembers( const FileReader& file,
+                   std::size_t startBits,
+                   std::size_t untilBits,
+                   BufferView window )
+    {
+        constexpr auto TRUNCATED = "Gzip stream ended before the final Deflate block — truncated file";
+        const auto fileSize = file.size();
+        if ( startBits >= fileSize * 8 ) {
+            throw TruncatedStreamError( TRUNCATED );
+        }
+        const auto endBits = std::clamp( untilBits, startBits, fileSize * 8 );
+
+        static thread_local std::vector<std::uint8_t> buffer;
+        auto decoded = deflate::DecodedDataPool::acquire();
+        const auto expectedYield =
+            std::min( ( std::max( endBits, startBits + 8 ) - startBits ) / 8 * EXPECTED_RATIO + 64 * KiB,
+                      PRESIZE_CAP );
+
+        auto margin = INITIAL_DECODE_OVERSHOOT;
+        while ( true ) {
+            const auto startByte = startBits / 8;
+            const auto bufferEnd = std::min( fileSize, ceilDiv<std::size_t>( endBits, 8 ) + margin );
+            buffer.resize( bufferEnd - startByte );
+            preadExactly( file, buffer.data(), buffer.size(), startByte );
+            const auto baseBit = startByte * 8;
+
+            DecodedChunk result;
+            auto memberStartBit = startBits;
+            auto memberWindow = window;
+            bool truncated = false;
+            while ( true ) {
+                BitReader reader( buffer.data(), buffer.size() );
+                reader.seek( memberStartBit - baseBit );
+                deflate::Decoder decoder;
+                decoder.setInitialWindow( memberWindow );
+                decoded.reset();
+                if ( decoded.plain.empty() ) {
+                    decoded.plain.emplace_back();
+                }
+                decoded.plain.front().data.reserve( expectedYield );
+                const auto status = [&] () {
+                    telemetry::Span decodeSpan{ "pipeline", "chunk.decode" };
+                    return decoder.decode( reader, decoded, endBits - baseBit );
+                }();
+                if ( status.error == Error::TRUNCATED_STREAM ) {
+                    if ( bufferEnd == fileSize ) {
+                        throw TruncatedStreamError( TRUNCATED );
+                    }
+                    truncated = true;
+                    break;
+                }
+                if ( status.error != Error::NONE ) {
+                    throw InvalidGzipStreamError(
+                        "Cannot decode the gzip stream at bit offset " + std::to_string( memberStartBit )
+                        + ": " + std::string( toString( status.error ) ) );
+                }
+
+                const auto before = result.data.size();
+                std::uint32_t segmentCrc = 0;
+                {
+                    telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
+                    deflate::resolveInto( decoded, memberWindow, result.data );
+                    segmentCrc = simd::crc32( 0, result.data.data() + before, result.data.size() - before );
+                }
+                result.endBitOffset = baseBit + status.endBitOffset;
+                if ( !status.reachedFinalBlock ) {
+                    result.trailingCrc32 = segmentCrc;
+                    break;  /* stopped at the block boundary at or past untilBits */
+                }
+
+                const auto footerByte = ceilDiv<std::size_t>( result.endBitOffset, 8 );
+                result.memberEnds.push_back( { result.data.size(), segmentCrc, footerByte } );
+                const auto footerEnd = footerByte + GZIP_FOOTER_SIZE;
+                const auto next = nextGzipMember(
+                    file, footerEnd,
+                    footerEnd < bufferEnd ? BufferView( buffer.data() + ( footerEnd - startByte ),
+                                                        bufferEnd - footerEnd )
+                                          : BufferView() );
+                if ( !next ) {
+                    result.reachedStreamEnd = true;  /* the rest is padding */
+                    break;
+                }
+                result.endBitOffset = *next * 8;
+                if ( result.endBitOffset >= untilBits ) {
+                    break;  /* the next member starts the next span */
+                }
+                memberStartBit = result.endBitOffset;
+                memberWindow = {};  /* a fresh member starts with an empty window */
+            }
+            if ( truncated ) {
+                margin *= 4;  /* a block outran the buffer — widen and retry */
+                continue;
+            }
+            deflate::DecodedDataPool::release( std::move( decoded ) );
+            result.crc32 = combineSegmentCrcs( result );
+            return result;
+        }
+    }
+
     /* Covers the boundary block overshooting the end guess in one read for
      * typical block sizes; the TRUNCATED retry loop (margin *= 4) widens it
      * for the rare longer block, so a small start avoids per-chunk read

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <zlib.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -16,7 +14,6 @@
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
 #include "../gzip/GzipHeader.hpp"
-#include "../gzip/GzipReader.hpp"
 #include "../index/BgzfIndex.hpp"
 #include "../index/GzipIndex.hpp"
 #include "../index/IndexBuilder.hpp"
@@ -44,9 +41,12 @@ namespace rapidgzip {
  * two-stage pipeline, whose harvested bit-granular index replaces the table.
  *
  * Correctness is layered: the sweep checks every member against its own
- * footer; a chunk that fails to decode at a marker-derived checkpoint had a
- * false boundary and is merged away; whatever the chunked state cannot
- * verify falls back to the serial zlib decode, which is the authority.
+ * footer; a chunk that fails to decode at a marker-derived checkpoint, or
+ * whose decode stops past the next one, had a false boundary that is merged
+ * away; whatever the chunked state cannot verify falls back to the serial
+ * walk (GzipChunkFetcher::decompressSerially), which is the authority. One
+ * Deflate decoder serves all of it: chunks, the restart-point probe and the
+ * serial walk.
  *
  * Thread model: one consumer thread drives this object; the parallelism
  * lives in the chunk decoding underneath.
@@ -69,7 +69,7 @@ public:
      *
      * When the chunked state cannot produce verified bytes — a footer
      * mismatch, or a failing chunk that is no false marker boundary — the
-     * serial zlib decode answers: it is the authority and throws if the file
+     * serial walk answers: it is the authority and throws if the file
      * itself is broken.
      */
     [[nodiscard]] std::size_t
@@ -91,9 +91,9 @@ public:
      * instead of re-decoding. When the chunked state cannot serve the
      * stream the verification sweep just proved decodable (footer mismatch
      * poisoned it, or a false restart boundary could not be merged away),
-     * the serial zlib authority streams it instead — the consumer never
-     * sees unverified bytes and never loses a stream the serial decoder
-     * can handle.
+     * the serial walk streams it instead — the consumer never sees
+     * unverified bytes and never loses a stream the serial walk can
+     * handle.
      */
     [[nodiscard]] std::size_t
     decompressAll( const std::function<void( BufferView )>& sink )
@@ -127,21 +127,16 @@ public:
             }
         }
 
-        GzipReader serial( m_file->clone() );
-        std::vector<std::uint8_t> buffer( 1 * MiB );
         std::size_t position = 0;
-        while ( true ) {
-            const auto got = serial.read( buffer.data(), buffer.size() );
-            if ( got == 0 ) {
-                break;
-            }
-            if ( position + got > emitted ) {
-                const auto skip = position < emitted ? emitted - position : 0;
-                sink( { buffer.data() + skip, got - skip } );
-            }
-            position += got;
-        }
-        return std::max( position, emitted );
+        const auto total = GzipChunkFetcher::decompressSerially(
+            *m_file, m_configuration.chunkSizeBytes, [&] ( BufferView bytes ) {
+                if ( position + bytes.size() > emitted ) {
+                    const auto skip = position < emitted ? emitted - position : 0;
+                    sink( { bytes.data() + skip, bytes.size() - skip } );
+                }
+                position += bytes.size();
+            } );
+        return std::max( total, emitted );
     }
 
     /* --- random access interface ------------------------------------ */
@@ -282,11 +277,11 @@ private:
      * A table of one marker-derived checkpoint (no restart points) tries the
      * two-stage sweep first; when that fails, the stream decodes as one
      * chunk. A chunk that fails to decode at a marker-derived checkpoint had
-     * a false boundary — its start, or its end when that cuts a footer or
-     * member header — which is merged away before the sweep restarts.
-     * Returns std::nullopt and poisons the chunked state when it cannot
-     * produce verified bytes; throws when the stream ends before its final
-     * block.
+     * a false boundary — its start, or its end when that cuts a block, a
+     * footer or a member header — which is merged away before the sweep
+     * restarts. Returns std::nullopt and poisons the chunked state when it
+     * cannot produce verified bytes; throws when the file ends before the
+     * stream's final block.
      */
     [[nodiscard]] std::optional<std::size_t>
     sweep()
@@ -312,6 +307,8 @@ private:
                 } catch ( const FalseChunkEndError& ) {
                     falseBoundary = i + 1;
                     break;
+                } catch ( const TruncatedStreamError& ) {
+                    throw;  /* no merge can make the file longer */
                 } catch ( const InvalidGzipStreamError& ) {
                     /* A bad chunk start; chunk 0 starts at the member's first
                      * Deflate byte, so there the end is the suspect. */
@@ -505,7 +502,7 @@ private:
         }
         if ( m_parallelResultUntrusted ) {
             throw RapidgzipError( "The parallel chunked decode cannot verify this stream; "
-                                  "use the serial GzipReader for it" );
+                                  "decompressAll() decodes it serially" );
         }
         ensureFetcher();
     }
@@ -554,76 +551,10 @@ private:
         return produced;
     }
 
-    /** True when the footer at @p footerOffset states @p crc and @p size.
-     * The footer sits right after the member's final Deflate byte — NOT at
-     * the end of the file, which may carry padding or further members. */
-    [[nodiscard]] static bool
-    footerMatches( const FileReader& file, std::size_t footerOffset, std::uint32_t crc,
-                   std::size_t size )
-    {
-        std::uint8_t footerBytes[GZIP_FOOTER_SIZE];
-        if ( ( footerOffset + GZIP_FOOTER_SIZE > file.size() )
-             || ( file.pread( footerBytes, GZIP_FOOTER_SIZE, footerOffset ) != GZIP_FOOTER_SIZE ) ) {
-            return false;
-        }
-        const auto footer = parseGzipFooter( { footerBytes, GZIP_FOOTER_SIZE }, GZIP_FOOTER_SIZE );
-        return ( crc == footer.crc32 )
-               && ( static_cast<std::uint32_t>( size ) == footer.uncompressedSizeModulo32 );
-    }
-
-    /**
-     * Walks the chunks' member segments in stream order and checks every
-     * member — including each member of a concatenated stream — against ITS
-     * OWN footer: CRC32 (simd::crc32Combine'd across the chunks a member
-     * spans; the combine has no z_off_t ceiling, so CRC verification never
-     * degrades to size-only) and ISIZE. consume() returns false on any
-     * mismatch or unreadable footer.
-     */
-    class MemberVerifier
-    {
-    public:
-        explicit MemberVerifier( const FileReader& file ) noexcept :
-            m_file( file )
-        {}
-
-        [[nodiscard]] bool
-        consume( const DecodedChunk& chunk )
-        {
-            std::size_t segmentBegin = 0;
-            for ( const auto& memberEnd : chunk.memberEnds ) {
-                append( memberEnd.segmentCrc32, memberEnd.dataEndOffset - segmentBegin );
-                if ( !footerMatches( m_file, memberEnd.footerStartByte, m_memberCrc, m_memberSize ) ) {
-                    return false;
-                }
-                m_memberCrc = 0;
-                m_memberSize = 0;
-                segmentBegin = memberEnd.dataEndOffset;
-            }
-            append( chunk.trailingCrc32, chunk.data.size() - segmentBegin );
-            return true;
-        }
-
-    private:
-        void
-        append( std::uint32_t segmentCrc, std::size_t length )
-        {
-            if ( length == 0 ) {
-                return;
-            }
-            m_memberCrc = simd::crc32Combine( m_memberCrc, segmentCrc, length );
-            m_memberSize += length;
-        }
-
-        const FileReader& m_file;
-        std::uint32_t m_memberCrc{ 0 };
-        std::size_t m_memberSize{ 0 };
-    };
-
     [[nodiscard]] std::size_t
     serialDecompressCount()
     {
-        GzipReader reader( m_file->clone() );
-        return reader.decompressAll();
+        return GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes );
     }
 
     std::unique_ptr<SharedFileReader> m_file;

@@ -6,6 +6,7 @@
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
+#include "../simd/Crc32.hpp"
 
 namespace rapidgzip {
 
@@ -24,12 +25,16 @@ inline constexpr std::uint8_t FHCRC = 1U << 1U;
 inline constexpr std::uint8_t FEXTRA = 1U << 2U;
 inline constexpr std::uint8_t FNAME = 1U << 3U;
 inline constexpr std::uint8_t FCOMMENT = 1U << 4U;
+/** FLG bits 5-7, reserved: `gzip -d` and zlib reject a header that sets one. */
+inline constexpr std::uint8_t RESERVED = 0xE0U;
 }  // namespace gzipflag
 
 /**
  * Parse a gzip member header starting at @p offset and return the byte
  * offset of the first Deflate bit. Throws InvalidGzipStreamError on
- * malformed input. Only the header is validated — the Deflate stream and
+ * malformed input, as `gzip -d` and zlib reject it: a reserved FLG bit, and
+ * an FHCRC field that is not the low 16 bits of the CRC32 of the header
+ * bytes before it. Only the header is validated — the Deflate stream and
  * footer are the decoder's business.
  */
 [[nodiscard]] inline std::size_t
@@ -49,6 +54,10 @@ parseGzipHeader( BufferView data, std::size_t offset = 0 )
         throw InvalidGzipStreamError( "Unsupported gzip compression method" );
     }
     const auto flags = data[offset + 3];
+    if ( ( flags & gzipflag::RESERVED ) != 0 ) {
+        throw InvalidGzipStreamError( "Reserved gzip header flag bits are set" );
+    }
+    const auto headerBegin = offset;
     offset += 10;  /* magic(2) CM(1) FLG(1) MTIME(4) XFL(1) OS(1) */
 
     if ( ( flags & gzipflag::FEXTRA ) != 0 ) {
@@ -72,6 +81,12 @@ parseGzipHeader( BufferView data, std::size_t offset = 0 )
     }
     if ( ( flags & gzipflag::FHCRC ) != 0 ) {
         require( 2 );
+        const auto stored = static_cast<std::uint32_t>( data[offset] )
+                            | ( static_cast<std::uint32_t>( data[offset + 1] ) << 8U );
+        const auto computed = simd::crc32( 0, data.data() + headerBegin, offset - headerBegin ) & 0xFFFFU;
+        if ( stored != computed ) {
+            throw InvalidGzipStreamError( "Gzip header CRC16 mismatch" );
+        }
         offset += 2;
     }
     return offset;

@@ -18,10 +18,11 @@
 namespace rapidgzip {
 
 /**
- * Serial streaming gzip decompressor over a FileReader — the single-threaded
- * baseline in the scaling figures and the reference implementation the
- * parallel reader's results are validated against in the tests. Handles
- * multi-member files (pigz, bgzip, concatenated .gz).
+ * Serial streaming gzip decompressor over a FileReader, backed by zlib — the
+ * oracle the parallel reader's results are validated against in the tests
+ * and the zlib reference of the end-to-end benchmark. No read path of the
+ * library uses it. Handles multi-member files (pigz, bgzip, concatenated
+ * .gz).
  */
 class GzipReader
 {

@@ -7,7 +7,13 @@
  * printed by the harness.
  *
  * Per format:
- *   gzip  — ParallelGzipReader (two-stage pipeline) vs zlib inflate;
+ *   gzip  — ParallelGzipReader vs zlib inflate, on plain (two-stage
+ *           pipeline), pigz-like and BGZF (restart-point checkpoints)
+ *           layouts, with seeded single-byte flips in the Deflate data
+ *           that every reader must agree on, the restart-point probe
+ *           against zlib raw inflate on real and decoy markers, and a
+ *           second member whose history reaches into the first, which
+ *           every reader must reject;
  *   zstd  — frame-parallel dispatch reader vs ZSTD_decompressStream;
  *   lz4   — from-scratch frame+block decoder vs LZ4_decompress_safe per
  *           block (both directions: our writer → vendor, vendor → ours);
@@ -21,9 +27,12 @@
  * ctest runs; the nightly CI job runs 0.05).
  */
 
+#include <zlib.h>
+
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -37,6 +46,8 @@
 #include "formats/VendorLz4.hpp"
 #include "formats/VendorZstd.hpp"
 #include "formats/VendorBzip2.hpp"
+#include "gzip/BgzfWriter.hpp"
+#include "gzip/GzipReader.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
 #include "workloads/DataGenerators.hpp"
@@ -49,8 +60,10 @@
 #endif
 
 #include "TestHelpers.hpp"
+#include "GzipTestHelpers.hpp"
 
 using namespace rapidgzip;
+using rapidgzip::test::answerOf;
 
 namespace {
 
@@ -150,9 +163,225 @@ requireTruncationsRejected( const std::vector<std::uint8_t>& file,
     }
 }
 
+/** The answers of GzipReader (zlib), decompressAll() and decompressAll(sink)
+ * for @p file: the same bytes, or a throw from all three. */
 void
-testGzipDifferential( const Corpus& corpus )
+requireReadersAgree( const std::vector<std::uint8_t>& file )
 {
+    const auto serial = answerOf( [&file] () {
+        return GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector();
+    } );
+    const auto count = answerOf( [&file] () {
+        return ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), config() ).decompressAll();
+    } );
+    const auto streamed = answerOf( [&file] () {
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), config() );
+        std::vector<std::uint8_t> bytes;
+        const auto total = reader.decompressAll( [&bytes] ( BufferView view ) {
+            bytes.insert( bytes.end(), view.begin(), view.end() );
+        } );
+        REQUIRE( total == bytes.size() );
+        return bytes;
+    } );
+    REQUIRE( count.has_value() == serial.has_value() );
+    REQUIRE( !count || ( *count == serial->size() ) );
+    REQUIRE( streamed == serial );
+}
+
+/**
+ * Flip single bytes at seeded positions in the Deflate data of @p file —
+ * between each member's header and footer — and require the readers to
+ * agree on every flipped file. The serial walk is our own decoder, so no
+ * fallback hides a stream that zlib decodes and ours rejects.
+ */
+void
+requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed )
+{
+    constexpr std::size_t FLIPS = 12;
+    const MemoryFileReader reader( file );
+    const auto header = readHeaderBytes( reader, 0 );
+    auto memberStart = parseGzipHeader( { header.data(), header.size() } );
+    const auto whole = GzipChunkFetcher::decodeChunkFromCheckpoint(
+        reader, memberStart * 8, std::numeric_limits<std::size_t>::max(), {} );
+    REQUIRE( whole.reachedStreamEnd );
+    std::vector<std::pair<std::size_t, std::size_t> > deflateRanges;
+    std::size_t deflateBytes = 0;
+    for ( const auto& memberEnd : whole.memberEnds ) {
+        deflateRanges.emplace_back( memberStart, memberEnd.footerStartByte );
+        deflateBytes += memberEnd.footerStartByte - memberStart;
+        memberStart = nextGzipMember( reader, memberEnd.footerStartByte + GZIP_FOOTER_SIZE ).value_or( 0 );
+    }
+
+    Xorshift64 random( seed );
+    for ( std::size_t i = 0; i < FLIPS; ++i ) {
+        auto offset = random() % deflateBytes;
+        auto range = deflateRanges.begin();
+        while ( offset >= range->second - range->first ) {
+            offset -= range->second - range->first;
+            ++range;
+        }
+        auto flipped = file;
+        flipped[range->first + offset] ^= static_cast<std::uint8_t>( 1 + random() % 255 );
+        requireReadersAgree( flipped );
+    }
+}
+
+/** Raw Deflate of @p data with @p dictionary preset as its history. */
+[[nodiscard]] std::vector<std::uint8_t>
+rawDeflateWithDictionary( BufferView data, BufferView dictionary )
+{
+    z_stream stream{};
+    REQUIRE( deflateInit2( &stream, 6, Z_DEFLATED, RAW_DEFLATE_WINDOW_BITS, 8, Z_DEFAULT_STRATEGY ) == Z_OK );
+    if ( !dictionary.empty() ) {
+        REQUIRE( deflateSetDictionary( &stream, dictionary.data(), static_cast<uInt>( dictionary.size() ) )
+                 == Z_OK );
+    }
+    std::vector<std::uint8_t> result( deflateBound( &stream, static_cast<uLong>( data.size() ) ) );
+    stream.next_in = const_cast<Bytef*>( data.data() );
+    stream.avail_in = static_cast<uInt>( data.size() );
+    stream.next_out = result.data();
+    stream.avail_out = static_cast<uInt>( result.size() );
+    REQUIRE( ::deflate( &stream, Z_FINISH ) == Z_STREAM_END );
+    result.resize( stream.total_out );
+    deflateEnd( &stream );
+    return result;
+}
+
+/** A gzip member of @p payload around its raw Deflate data @p deflated:
+ * a plain 10-byte header, or BGZF's 18-byte header with its BC field. */
+[[nodiscard]] std::vector<std::uint8_t>
+gzipMember( const std::vector<std::uint8_t>& deflated, BufferView payload, bool bgzf )
+{
+    std::vector<std::uint8_t> member{ GZIP_MAGIC_1, GZIP_MAGIC_2, GZIP_CM_DEFLATE,
+                                      bgzf ? gzipflag::FEXTRA : std::uint8_t( 0 ), 0, 0, 0, 0, 0, 0xFF };
+    const auto appendLE = [&member] ( std::size_t value, int bytes ) {
+        for ( int i = 0; i < bytes; ++i ) {
+            member.push_back( static_cast<std::uint8_t>( value >> ( 8 * i ) ) );
+        }
+    };
+    if ( bgzf ) {
+        appendLE( 6, 2 );  /* XLEN */
+        member.insert( member.end(), { 'B', 'C', 2, 0 } );
+        appendLE( 18 + deflated.size() + GZIP_FOOTER_SIZE - 1, 2 );  /* BSIZE - 1 */
+    }
+    member.insert( member.end(), deflated.begin(), deflated.end() );
+    appendLE( simd::crc32( 0, payload.data(), payload.size() ), 4 );
+    appendLE( payload.size(), 4 );
+    return member;
+}
+
+/**
+ * A back-reference may not reach into the previous member. The second
+ * member is deflated with the first member's tail as its dictionary, and
+ * both members' CRCs are valid, so only the decoder can catch a history
+ * that runs across members. GzipReader rejects such a file, and so must
+ * every reader on plain, pigz-like and BGZF-style layouts in which both
+ * members fall in one chunk. The same layouts with a second member deflated
+ * without the dictionary decode to both payloads.
+ */
+void
+testCrossMemberBackReference()
+{
+    const auto first = workloads::base64Data( 48 * KiB, 0xC805 );
+    const BufferView firstView( first.data(), first.size() );
+    const BufferView tail = firstView.subView( first.size() - deflate::WINDOW_SIZE, deflate::WINDOW_SIZE );
+    const BufferView second = firstView.subView( first.size() - 8 * KiB, 8 * KiB );
+    std::vector<std::uint8_t> expected = first;
+    expected.insert( expected.end(), second.begin(), second.end() );
+
+    auto bgzfFirst = writeBgzf( firstView, 6 );
+    const std::vector<std::uint8_t> bgzfEof( bgzfFirst.end() - 28, bgzfFirst.end() );
+    bgzfFirst.resize( bgzfFirst.size() - bgzfEof.size() );
+
+    for ( const bool withDictionary : { true, false } ) {
+        const auto deflated = rawDeflateWithDictionary( second, withDictionary ? tail : BufferView() );
+        const auto plainSecond = gzipMember( deflated, second, false );
+        const auto concatenate = [] ( std::vector<std::uint8_t> file,
+                                      std::initializer_list<const std::vector<std::uint8_t>*> parts ) {
+            for ( const auto* part : parts ) {
+                file.insert( file.end(), part->begin(), part->end() );
+            }
+            return file;
+        };
+        const auto bgzfSecond = gzipMember( deflated, second, true );
+        const std::vector<std::pair<const char*, std::vector<std::uint8_t> > > layouts = {
+            { "plain", concatenate( compressGzipLike( firstView, 6 ), { &plainSecond } ) },
+            { "pigz-like", concatenate( compressPigzLike( firstView, 6, 16 * KiB ), { &plainSecond } ) },
+            { "BGZF-style", concatenate( bgzfFirst, { &bgzfSecond, &bgzfEof } ) },
+        };
+        for ( const auto& [name, file] : layouts ) {
+            std::printf( "  cross-member back-reference: %s, %s dictionary\n", name,
+                         withDictionary ? "with" : "without" );
+            std::fflush( stdout );
+            requireReadersAgree( file );
+            const auto serial = answerOf( [&file] () {
+                return GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector();
+            } );
+            REQUIRE( serial.has_value() != withDictionary );
+            REQUIRE( !serial || ( *serial == expected ) );
+
+            /* Both members in one chunk: the decode crosses the member
+             * boundary inside one buffer. */
+            const MemoryFileReader reader( file );
+            const auto header = readHeaderBytes( reader, 0 );
+            const auto chunk = answerOf( [&] () {
+                return GzipChunkFetcher::decodeChunkFromCheckpoint(
+                    reader, parseGzipHeader( { header.data(), header.size() } ) * 8,
+                    std::numeric_limits<std::size_t>::max(), {} ).data;
+            } );
+            REQUIRE( chunk == serial );
+            const auto readBack = answerOf( [&file] () {
+                ParallelGzipReader parallel( std::make_unique<MemoryFileReader>( file ), config() );
+                std::vector<std::uint8_t> bytes( parallel.size() );
+                bytes.resize( parallel.read( bytes.data(), bytes.size() ) );
+                return bytes;
+            } );
+            REQUIRE( readBack == serial );
+        }
+    }
+}
+
+/**
+ * The probe on decoy sync markers that zlib rejects as well as accepts.
+ * Real layouts only carry markers both accept, so stored data of a level-0
+ * member carries a marker before each of: a valid raw Deflate stream whose
+ * output overruns the probe's 8 KiB, the same text deflated against a
+ * preset dictionary (its back-references reach before the marker), a
+ * reserved block type, and a stored block whose NLEN is not ~LEN.
+ */
+void
+testProbeOnDecoys()
+{
+    const auto text = workloads::base64Data( 12 * KiB, 0x9B0B );
+    const BufferView view( text.data(), text.size() );
+    const std::vector<std::vector<std::uint8_t> > decoys = {
+        rawDeflateWithDictionary( view, {} ),
+        rawDeflateWithDictionary( view, view ),
+        { 0x07, 0xA5, 0x5A },              /* BFINAL 1, BTYPE 11 */
+        { 0x00, 0x34, 0x12, 0x00, 0x00 },  /* stored, LEN 0x1234, NLEN 0 */
+    };
+    std::vector<std::uint8_t> payload;
+    for ( std::size_t i = 0; i < 3; ++i ) {
+        for ( const auto& decoy : decoys ) {
+            const auto filler = workloads::base64Data( 3 * KiB, payload.size() );
+            payload.insert( payload.end(), filler.begin(), filler.end() );
+            payload.insert( payload.end(), { 0x00, 0x00, 0xFF, 0xFF } );
+            payload.insert( payload.end(), decoy.begin(), decoy.end() );
+        }
+    }
+    const auto file = compressGzipLike( { payload.data(), payload.size() }, 0 );
+    REQUIRE( decompressWithZlib( { file.data(), file.size() } ) == payload );
+    const auto verdicts = test::requireProbeAgreesWithZlib( file );
+    std::printf( "  probe decoys: %zu accepted, %zu rejected\n", verdicts.accepted, verdicts.rejected );
+    REQUIRE( verdicts.accepted >= 2 );
+    REQUIRE( verdicts.rejected >= 6 );
+}
+
+void
+testGzipDifferential( const Corpus& corpus, std::uint64_t seed )
+{
+    const BufferView span{ corpus.data.data(), corpus.data.size() };
+
     /* Our parallel reader vs the vendor (zlib) oracle, single member. */
     const auto file = compressGzipLike( { corpus.data.data(), corpus.data.size() }, 6 );
     REQUIRE( formats::detectFormat( { file.data(), file.size() } ) == formats::Format::GZIP );
@@ -169,6 +398,21 @@ testGzipDifferential( const Corpus& corpus )
     REQUIRE( decompressOurs( concatenated ) == expected );
 
     requireTruncationsRejected( file, corpus.data );
+
+    /* The restart-point layouts: pigz-like full flushes (marker-derived
+     * checkpoints) and BGZF (several members per chunk), both decoded by the
+     * checkpoint decode that crosses member boundaries. */
+    const auto pigzLike = compressPigzLike( span, 6, 64 * KiB );
+    const auto bgzf = writeBgzf( span, 6 );
+    for ( const auto* layout : { &pigzLike, &bgzf } ) {
+        REQUIRE( decompressWithZlib( { layout->data(), layout->size() } ) == corpus.data );
+        REQUIRE( decompressOurs( *layout ) == corpus.data );
+        requireTruncationsRejected( *layout, corpus.data );
+        (void)test::requireProbeAgreesWithZlib( *layout );
+    }
+    for ( const auto* layout : { &file, &pigzLike, &bgzf } ) {
+        requireFlipsAgree( *layout, seed++ );
+    }
 }
 
 #if defined( RAPIDGZIP_HAVE_VENDOR_LZ4 )
@@ -572,10 +816,11 @@ main()
     std::printf( "differential scale %.3f, seed %llu\n", diffScale(),
                  static_cast<unsigned long long>( seed ) );
 
+    auto flipSeed = seed;
     for ( const auto& corpus : buildCorpora( seed ) ) {
         std::printf( "  corpus %-12s (%zu bytes)\n", corpus.name.c_str(), corpus.data.size() );
         std::fflush( stdout );
-        testGzipDifferential( corpus );
+        testGzipDifferential( corpus, flipSeed += 16 );
         testLz4Differential( corpus );
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
         testZstdDifferential( corpus );
@@ -584,6 +829,8 @@ main()
         testBzip2Differential( corpus );
 #endif
     }
+    testCrossMemberBackReference();
+    testProbeOnDecoys();
     testCorruptionMatrix();
     return rapidgzip::test::finish( "testDifferential" );
 }

@@ -7,12 +7,17 @@
  * decompressAll() and a fresh reader's size() + read() agree; a sync
  * marker inside stored data never makes size()/read() return unverified
  * bytes, and a restart point at a member's footer never drops the members
- * after it. The sweep behind size() leaves no access pattern for the
- * prefetch strategy. A guessed chunk that starts inside an incompressible
- * stretch must bound its block search at the stored block it decodes from.
+ * after it. A member header with a wrong FHCRC or a reserved flag bit is
+ * rejected wherever it sits, as `gzip -d` rejects it. The restart-point
+ * probe accepts the decoy markers exactly when zlib does. A checkpoint
+ * decode reads its compressed span once, whatever the number of members in
+ * it. The sweep behind size() leaves no access pattern for the prefetch
+ * strategy. A guessed chunk that starts inside an incompressible stretch
+ * must bound its block search at the stored block it decodes from.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -25,13 +30,16 @@
 #include "gzip/BgzfWriter.hpp"
 #include "gzip/GzipReader.hpp"
 #include "gzip/ZlibCompressor.hpp"
+#include "index/BgzfIndex.hpp"
 #include "io/MemoryFileReader.hpp"
 #include "telemetry/Registry.hpp"
 #include "workloads/DataGenerators.hpp"
 
 #include "TestHelpers.hpp"
+#include "GzipTestHelpers.hpp"
 
 using namespace rapidgzip;
+using rapidgzip::test::answerOf;
 
 namespace {
 
@@ -63,18 +71,6 @@ checkFullRead( const std::vector<std::uint8_t>& original,
     REQUIRE( reassembled == original );
 }
 
-/** @p decode's result, or std::nullopt when it threw RapidgzipError. */
-template<typename Decode>
-[[nodiscard]] auto
-answerOf( const Decode& decode ) -> std::optional<decltype( decode() )>
-{
-    try {
-        return decode();
-    } catch ( const RapidgzipError& ) {
-        return std::nullopt;
-    }
-}
-
 /** A fresh reader's size() and then read() of everything. */
 [[nodiscard]] std::vector<std::uint8_t>
 sizeThenRead( const std::vector<std::uint8_t>& file, const ChunkFetcherConfiguration& configuration )
@@ -86,13 +82,29 @@ sizeThenRead( const std::vector<std::uint8_t>& file, const ChunkFetcherConfigura
 }
 
 /**
+ * @p member, whose header has no optional fields, with an FHCRC field: the
+ * low 16 bits of the CRC32 of the header, or that value with one bit flipped.
+ */
+[[nodiscard]] std::vector<std::uint8_t>
+withHeaderCrc( std::vector<std::uint8_t> member, bool correct )
+{
+    const auto headerSize = parseGzipHeader( { member.data(), member.size() } );
+    member[3] |= gzipflag::FHCRC;
+    const auto crc16 = ( simd::crc32( 0, member.data(), headerSize ) & 0xFFFFU ) ^ ( correct ? 0U : 1U );
+    const std::uint8_t field[2] = { static_cast<std::uint8_t>( crc16 ), static_cast<std::uint8_t>( crc16 >> 8U ) };
+    member.insert( member.begin() + static_cast<std::ptrdiff_t>( headerSize ), field, field + 2 );
+    return member;
+}
+
+/**
  * The reader-agreement matrix: each base — plain gzip (two-stage sweep),
- * pigz-like (marker-derived checkpoints) and BGZF (BC-field index) — with
- * each tail: none, 512 zero bytes, a bare `1f 8b`, `1f 8b 08`, and a
- * pigz-like second member that is damaged in its magic, damaged in its
- * body, or intact. In every cell GzipReader, decompressAll() (count and
- * streamed bytes) and a fresh reader's size() + read() return the same
- * bytes, or all throw RapidgzipError.
+ * pigz-like (marker-derived checkpoints), BGZF (BC-field index), and plain
+ * gzip whose header carries a wrong FHCRC — with each tail: none, 512 zero
+ * bytes, a bare `1f 8b`, `1f 8b 08`, and a pigz-like second member that is
+ * damaged in its magic, damaged in its body, intact, or intact with a wrong
+ * FHCRC, a reserved flag bit or a correct FHCRC. In every cell GzipReader,
+ * decompressAll() (count and streamed bytes) and a fresh reader's size() +
+ * read() return the same bytes, or all throw RapidgzipError.
  */
 void
 testReadersAgreeOnTrailingBytes()
@@ -100,21 +112,26 @@ testReadersAgreeOnTrailingBytes()
     const auto data = workloads::base64Data( 512 * KiB + 4321, 0xF00D );
     const auto extra = workloads::fastqData( 1 * MiB, 0xFA57 );
     const auto member = compressPigzLike( { extra.data(), extra.size() }, 6, 64 * KiB );
+    const auto plain = compressGzipLike( { data.data(), data.size() }, 6 );
 
     struct Base
     {
         const char* name;
         std::vector<std::uint8_t> bytes;
+        bool serialDecodes;  /**< false: GzipReader rejects the base itself */
     };
     const std::vector<Base> bases = {
-        { "plain", compressGzipLike( { data.data(), data.size() }, 6 ) },
-        { "pigz-like", compressPigzLike( { data.data(), data.size() }, 6, 64 * KiB ) },
-        { "BGZF", writeBgzf( { data.data(), data.size() }, 6 ) },
+        { "plain", plain, true },
+        { "pigz-like", compressPigzLike( { data.data(), data.size() }, 6, 64 * KiB ), true },
+        { "BGZF", writeBgzf( { data.data(), data.size() }, 6 ), true },
+        { "plain with wrong FHCRC", withHeaderCrc( plain, false ), false },
     };
     auto damagedMagic = member;
     damagedMagic[1] ^= 0x01U;
     auto damagedBody = member;
     damagedBody[damagedBody.size() / 2] ^= 0x10U;
+    auto reservedFlag = member;
+    reservedFlag[3] |= 0x20U;
     struct Tail
     {
         const char* name;
@@ -129,6 +146,9 @@ testReadersAgreeOnTrailingBytes()
         { "member with damaged magic", damagedMagic, true },  /* padding, like `gzip -d` */
         { "member with flipped body byte", damagedBody, false },
         { "intact member", member, true },
+        { "member with wrong FHCRC", withHeaderCrc( member, false ), false },
+        { "member with a reserved flag bit", reservedFlag, false },
+        { "member with correct FHCRC", withHeaderCrc( member, true ), true },
     };
 
     const auto configuration = config( 4, 128 * KiB );
@@ -155,7 +175,7 @@ testReadersAgreeOnTrailingBytes()
             } );
             const auto readBack = answerOf( [&] () { return sizeThenRead( file, configuration ); } );
 
-            REQUIRE( serial.has_value() == tail.serialDecodes );
+            REQUIRE( serial.has_value() == ( base.serialDecodes && tail.serialDecodes ) );
             const bool agree = ( count.has_value() == serial.has_value() )
                                && ( !count || ( *count == serial->size() ) )
                                && ( streamed == serial ) && ( readBack == serial );
@@ -229,6 +249,7 @@ testSyncMarkerInsideStoredData()
 
     const auto configuration = config( 4, 128 * KiB );
     REQUIRE( GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector() == payload );
+    REQUIRE( test::requireProbeAgreesWithZlib( file ).accepted >= 1 );
     /* The decoy passes the restart-point probe and cuts the stream in two. */
     REQUIRE( ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), configuration ).chunkCount()
              == 2 );
@@ -272,11 +293,128 @@ testRestartPointAtFooter()
     const auto configuration = config( 4, 128 * KiB );
     const auto starts = discoverRestartPoints( MemoryFileReader( file ), configuration.chunkSizeBytes );
     REQUIRE( std::find( starts.begin(), starts.end(), footerStart ) != starts.end() );
+    REQUIRE( test::requireProbeAgreesWithZlib( file ).accepted >= 1 );
 
     REQUIRE( GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector() == expected );
     REQUIRE( ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), configuration ).decompressAll()
              == expected.size() );
     REQUIRE( sizeThenRead( file, configuration ) == expected );
+}
+
+/** A FileReader over an in-memory file that counts the bytes its preads
+ * return, summed over all clones. */
+class CountingFileReader final : public FileReader
+{
+public:
+    explicit CountingFileReader( const std::vector<std::uint8_t>& data ) :
+        m_file( std::make_shared<MemoryFileReader>( data ) ),
+        m_bytesRead( std::make_shared<std::atomic<std::size_t> >( 0 ) )
+    {}
+
+    [[nodiscard]] std::size_t
+    read( void* buffer, std::size_t size ) override
+    {
+        const auto got = m_file->read( buffer, size );
+        *m_bytesRead += got;
+        return got;
+    }
+
+    [[nodiscard]] std::size_t
+    pread( void* buffer, std::size_t size, std::size_t offset ) const override
+    {
+        const auto got = m_file->pread( buffer, size, offset );
+        *m_bytesRead += got;
+        return got;
+    }
+
+    void
+    seek( std::size_t offset ) override
+    {
+        m_file->seek( offset );
+    }
+
+    [[nodiscard]] std::size_t
+    tell() const override
+    {
+        return m_file->tell();
+    }
+
+    [[nodiscard]] std::size_t
+    size() const override
+    {
+        return m_file->size();
+    }
+
+    [[nodiscard]] std::unique_ptr<FileReader>
+    clone() const override
+    {
+        return std::make_unique<CountingFileReader>( *this );
+    }
+
+    [[nodiscard]] std::size_t
+    bytesRead() const
+    {
+        return *m_bytesRead;
+    }
+
+private:
+    std::shared_ptr<MemoryFileReader> m_file;
+    std::shared_ptr<std::atomic<std::size_t> > m_bytesRead;
+};
+
+/**
+ * A checkpoint decode reads its compressed span once and decodes every
+ * member in it from that buffer: decoding every 1 MiB chunk of an 8 MiB
+ * silesia-like BGZF file (~64 KiB members) and of a pigz-like file reads at
+ * most 1.25x the compressed size. A loop that re-read the rest of the span
+ * per member read the BGZF file ~23 times over.
+ */
+void
+testCheckpointDecodeReadsSpanOnce()
+{
+    constexpr auto NO_LIMIT = std::numeric_limits<std::size_t>::max();
+    constexpr std::size_t CHUNK_SIZE = 1 * MiB;
+    const auto data = workloads::silesiaLikeData( 8 * MiB, 0xA3F1 );
+    const BufferView view( data.data(), data.size() );
+    const auto dataCrc = simd::crc32( 0, data.data(), data.size() );
+
+    for ( const bool bgzf : { true, false } ) {
+        const auto file = bgzf ? writeBgzf( view, 6 ) : compressPigzLike( view, 6, 64 * KiB );
+        const MemoryFileReader reader( file );
+        std::vector<std::size_t> startBits;
+        if ( bgzf ) {
+            const auto bgzfIndex = index::tryBuildBgzfIndex( reader, CHUNK_SIZE );
+            REQUIRE( bgzfIndex.has_value() );
+            for ( const auto& checkpoint : bgzfIndex->checkpoints ) {
+                startBits.push_back( checkpoint.compressedOffsetBits );
+            }
+        } else {
+            for ( const auto start : discoverRestartPoints( reader, CHUNK_SIZE ) ) {
+                startBits.push_back( start * 8 );
+            }
+        }
+        REQUIRE( startBits.size() >= 3 );
+
+        const CountingFileReader counting( file );
+        std::size_t total = 0;
+        std::uint32_t crc = 0;
+        std::size_t members = 0;
+        for ( std::size_t i = 0; i < startBits.size(); ++i ) {
+            const auto chunk = GzipChunkFetcher::decodeChunkFromCheckpoint(
+                counting, startBits[i], i + 1 < startBits.size() ? startBits[i + 1] : NO_LIMIT, {} );
+            crc = simd::crc32Combine( crc, chunk.crc32, chunk.data.size() );
+            total += chunk.data.size();
+            members += chunk.memberEnds.size();
+        }
+        REQUIRE( total == data.size() );
+        REQUIRE( crc == dataCrc );
+        REQUIRE( members >= ( bgzf ? 100U : 1U ) );
+        const auto amplification = static_cast<double>( counting.bytesRead() )
+                                   / static_cast<double>( file.size() );
+        std::printf( "  %s: %zu chunks read %.3fx the compressed size\n", bgzf ? "BGZF" : "pigz-like",
+                     startBits.size(), amplification );
+        REQUIRE( amplification <= 1.25 );
+    }
 }
 
 /**
@@ -572,13 +710,18 @@ main()
     }
 
     /* Truncated streams must raise, not silently return a partial count —
-     * on both the decompressAll and the read/size (offset discovery) path. */
+     * on both the decompressAll and the read/size (offset discovery) path.
+     * The chunk the file ends in is no false boundary to merge away: the
+     * sweep stops there instead of re-decoding the stream once per chunk. */
     {
         auto truncated = compressed;
         truncated.resize( truncated.size() / 2 );
-        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( truncated ),
-                                   config( 4, 256 * 1024 ) );
+        auto counting = std::make_unique<CountingFileReader>( truncated );
+        const auto* const counter = counting.get();
+        ParallelGzipReader reader( std::move( counting ), config( 4, 256 * 1024 ) );
+        REQUIRE( reader.chunkCount() >= 10 );
         REQUIRE_THROWS_AS( (void)reader.decompressAll(), RapidgzipError );
+        REQUIRE( counter->bytesRead() <= 4 * truncated.size() );
 
         ParallelGzipReader sizeReader( std::make_unique<MemoryFileReader>( truncated ),
                                        config( 4, 256 * 1024 ) );
@@ -618,6 +761,7 @@ main()
     testReadersAgreeOnTrailingBytes();
     testSyncMarkerInsideStoredData();
     testRestartPointAtFooter();
+    testCheckpointDecodeReadsSpanOnce();
     testSweepLeavesNoAccessPattern();
     testGuessInsideStoredStretch();
 
