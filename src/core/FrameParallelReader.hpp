@@ -12,6 +12,7 @@
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
+#include "../index/Checkpoint.hpp"
 #include "../io/FileReader.hpp"
 #include "ChunkFetcher.hpp"
 #include "DeflateChunks.hpp"
@@ -191,18 +192,18 @@ public:
         return produced;
     }
 
-    /** Chunk-granular seek points: (compressed bit offset, uncompressed
-     * offset) of every chunk start. */
-    [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t> >
+    /** Chunk-granular seek points: the compressed bit offset and
+     * uncompressed offset of every chunk start. */
+    [[nodiscard]] std::vector<index::Checkpoint>
     chunkSeekPoints()
     {
         ensureOffsetsKnown();
-        std::vector<std::pair<std::size_t, std::size_t> > result;
+        std::vector<index::Checkpoint> result;
         result.reserve( m_chunkToFrames.size() );
         for ( std::size_t i = 0; i < m_chunkToFrames.size(); ++i ) {
             const auto firstFrame = m_chunkToFrames[i].first;
-            result.emplace_back( ( *m_frames )[firstFrame].compressedBeginBits,
-                                 m_uncompressedOffsets[i] );
+            result.push_back( { ( *m_frames )[firstFrame].compressedBeginBits,
+                                m_uncompressedOffsets[i] } );
         }
         return result;
     }
@@ -216,8 +217,8 @@ public:
     /**
      * Adopt chunk offsets from a previously exported index (the sidecar
      * fast path): @p seekPoints must be exactly what chunkSeekPoints()
-     * returned when the index was built — one (compressed bit offset,
-     * uncompressed offset) per chunk. Every compressed offset is validated
+     * returned when the index was built — one per chunk. Every compressed
+     * offset is validated
      * against the freshly scanned frame table (the geometry scan is pure
      * header arithmetic and always runs; what adoption skips is the
      * MEASURING decode sweep unsized formats pay in ensureOffsetsKnown).
@@ -225,7 +226,7 @@ public:
      * disagrees: stale sidecar, different chunking configuration.
      */
     [[nodiscard]] bool
-    adoptChunkOffsets( const std::vector<std::pair<std::size_t, std::size_t> >& seekPoints,
+    adoptChunkOffsets( const std::vector<index::Checkpoint>& seekPoints,
                        std::size_t uncompressedSize )
     {
         if ( m_offsetsKnown ) {
@@ -236,21 +237,21 @@ public:
         }
         for ( std::size_t i = 0; i < seekPoints.size(); ++i ) {
             const auto firstFrame = m_chunkToFrames[i].first;
-            if ( seekPoints[i].first != ( *m_frames )[firstFrame].compressedBeginBits ) {
+            if ( seekPoints[i].compressedOffsetBits != ( *m_frames )[firstFrame].compressedBeginBits ) {
                 return false;
             }
-            if ( ( i > 0 ) && ( seekPoints[i].second < seekPoints[i - 1].second ) ) {
+            if ( ( i > 0 ) && ( seekPoints[i].uncompressedOffset < seekPoints[i - 1].uncompressedOffset ) ) {
                 return false;
             }
         }
-        if ( !seekPoints.empty() && ( uncompressedSize < seekPoints.back().second ) ) {
+        if ( !seekPoints.empty() && ( uncompressedSize < seekPoints.back().uncompressedOffset ) ) {
             return false;
         }
         std::vector<std::size_t> sizes( seekPoints.size() );
         for ( std::size_t i = 0; i < seekPoints.size(); ++i ) {
-            const auto next = i + 1 < seekPoints.size() ? seekPoints[i + 1].second
+            const auto next = i + 1 < seekPoints.size() ? seekPoints[i + 1].uncompressedOffset
                                                         : uncompressedSize;
-            sizes[i] = next - seekPoints[i].second;
+            sizes[i] = next - seekPoints[i].uncompressedOffset;
         }
         recordChunkSizes( sizes );
         return true;

@@ -140,32 +140,17 @@ public:
         return Decompressor::readSpansAt( uncompressedOffset, size, spans );
     }
 
-    [[nodiscard]] std::vector<SeekPoint>
+    [[nodiscard]] std::vector<index::Checkpoint>
     seekPoints() override
     {
-        if ( !m_parallelUsable ) {
-            return {};
-        }
-        std::vector<SeekPoint> result;
-        for ( const auto& [bits, offset] : m_parallel->chunkSeekPoints() ) {
-            result.push_back( { bits, offset } );
-        }
-        return result;
+        return m_parallelUsable ? m_parallel->chunkSeekPoints() : std::vector<index::Checkpoint>{};
     }
 
     [[nodiscard]] bool
-    importSeekPoints( const std::vector<SeekPoint>& seekPoints,
+    importSeekPoints( const std::vector<index::Checkpoint>& seekPoints,
                       std::size_t uncompressedSizeBytes ) override
     {
-        if ( !m_parallelUsable ) {
-            return false;
-        }
-        std::vector<std::pair<std::size_t, std::size_t> > points;
-        points.reserve( seekPoints.size() );
-        for ( const auto& point : seekPoints ) {
-            points.emplace_back( point.compressedOffsetBits, point.uncompressedOffset );
-        }
-        return m_parallel->adoptChunkOffsets( points, uncompressedSizeBytes );
+        return m_parallelUsable && m_parallel->adoptChunkOffsets( seekPoints, uncompressedSizeBytes );
     }
 
     [[nodiscard]] std::size_t
@@ -222,6 +207,45 @@ public:
         writer.put( blockCrc, 32 );
         writer.flush();
         return std::move( writer.bytes() );
+    }
+
+    /**
+     * (begin bit, is end-of-stream) of every 48-bit block and end-of-stream
+     * magic in @p file: one linear pass sliding a 64-bit register across
+     * every bit position, over 4 MiB windows. Pure pattern matching — the
+     * backend's block scan and salvage's both start from it.
+     */
+    [[nodiscard]] static std::vector<std::pair<std::size_t, bool> >
+    scanMagics( const FileReader& file )
+    {
+        constexpr std::size_t WINDOW = 4 * MiB;
+        const auto fileSize = file.size();
+        std::vector<std::uint8_t> buffer( std::min( WINDOW, fileSize ) );
+        std::uint64_t reg = 0;
+        std::vector<std::pair<std::size_t, bool> > magics;
+
+        std::size_t absoluteBit = 0;
+        for ( std::size_t offset = 0; offset < fileSize; offset += buffer.size() ) {
+            const auto toRead = std::min( buffer.size(), fileSize - offset );
+            preadExactly( file, buffer.data(), toRead, offset );
+            for ( std::size_t i = 0; i < toRead; ++i ) {
+                const auto byte = buffer[i];
+                for ( int bit = 7; bit >= 0; --bit ) {
+                    reg = ( reg << 1U ) | ( ( byte >> bit ) & 1U );
+                    ++absoluteBit;
+                    if ( absoluteBit < 48 ) {
+                        continue;
+                    }
+                    const auto window = reg & MAGIC_MASK;
+                    if ( window == BLOCK_MAGIC ) {
+                        magics.emplace_back( absoluteBit - 48, false );
+                    } else if ( window == EOS_MAGIC ) {
+                        magics.emplace_back( absoluteBit - 48, true );
+                    }
+                }
+            }
+        }
+        return magics;
     }
 
 private:
@@ -308,8 +332,7 @@ private:
     };
 
     /**
-     * One linear pass over the file sliding a 64-bit register across every
-     * bit position, recording block and end-of-stream magic offsets. Also
+     * Segment the file into blocks at the magics scanMagics() finds. Also
      * verifies stream structure: every EOS is followed by its 32-bit
      * combined CRC, then either EOF or a new "BZh" stream header
      * (byte-aligned, possibly after padding bits of the previous stream).
@@ -328,33 +351,7 @@ private:
             throw RapidgzipError( "Not a bzip2 stream" );
         }
 
-        /* Buffered scan: 4 MiB windows with a 64-bit carry register. */
-        constexpr std::size_t WINDOW = 4 * MiB;
-        std::vector<std::uint8_t> buffer( std::min( WINDOW, fileSize ) );
-        std::uint64_t reg = 0;
-        std::vector<std::pair<std::size_t, bool> > magics;  /* (beginBit, isEos) */
-
-        std::size_t absoluteBit = 0;
-        for ( std::size_t offset = 0; offset < fileSize; offset += buffer.size() ) {
-            const auto toRead = std::min( buffer.size(), fileSize - offset );
-            preadExactly( *m_file, buffer.data(), toRead, offset );
-            for ( std::size_t i = 0; i < toRead; ++i ) {
-                const auto byte = buffer[i];
-                for ( int bit = 7; bit >= 0; --bit ) {
-                    reg = ( reg << 1U ) | ( ( byte >> bit ) & 1U );
-                    ++absoluteBit;
-                    if ( absoluteBit < 48 ) {
-                        continue;
-                    }
-                    const auto window = reg & MAGIC_MASK;
-                    if ( window == BLOCK_MAGIC ) {
-                        magics.emplace_back( absoluteBit - 48, false );
-                    } else if ( window == EOS_MAGIC ) {
-                        magics.emplace_back( absoluteBit - 48, true );
-                    }
-                }
-            }
-        }
+        const auto magics = scanMagics( *m_file );
 
         /* Segment into blocks; each block ends where the next magic (block
          * or EOS) begins. Streams contribute their EOS CRC and footer

@@ -10,18 +10,10 @@
 
 #include "../common/Util.hpp"
 #include "../core/ChunkCache.hpp"
+#include "../index/Checkpoint.hpp"
 #include "Format.hpp"
 
 namespace rapidgzip::formats {
-
-/** A position decoding can resume from without any prior state: a frame,
- * block, or checkpoint start. Bit-granular (bzip2 blocks, gzip Deflate
- * boundaries); byte-aligned formats use multiples of 8. */
-struct SeekPoint
-{
-    std::size_t compressedOffsetBits{ 0 };
-    std::size_t uncompressedOffset{ 0 };
-};
 
 /**
  * The format-dispatch layer's one consumer-facing interface. Each backend
@@ -98,9 +90,11 @@ public:
         return got;
     }
 
-    /** Positions decoding can resume from independently; empty when the
-     * format exposes none (single-frame streams). */
-    [[nodiscard]] virtual std::vector<SeekPoint>
+    /** Positions decoding can resume from without any prior state — frame,
+     * block, or checkpoint starts; empty when the format exposes none
+     * (single-frame streams). Bit-granular (bzip2 blocks, gzip Deflate
+     * boundaries); byte-aligned formats use multiples of 8. */
+    [[nodiscard]] virtual std::vector<index::Checkpoint>
     seekPoints()
     {
         return {};
@@ -127,7 +121,7 @@ public:
      * Sidecar.hpp for the dispatch).
      */
     [[nodiscard]] virtual bool
-    importSeekPoints( const std::vector<SeekPoint>& /* seekPoints */,
+    importSeekPoints( const std::vector<index::Checkpoint>& /* seekPoints */,
                       std::size_t /* uncompressedSizeBytes */ )
     {
         return false;

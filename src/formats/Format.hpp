@@ -3,7 +3,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 
+#include "../common/Error.hpp"
 #include "../common/Util.hpp"
 #include "../io/FileReader.hpp"
 
@@ -82,6 +85,28 @@ detectFormat( BufferView header ) noexcept
         return Format::GZIP;
     }
     return Format::UNKNOWN;
+}
+
+/**
+ * The one skippable-frame parser (zstd and lz4 share the 0x184D2A5x range):
+ * when a skippable frame starts at @p offset of @p file, the offset one past
+ * its payload, else std::nullopt. Throws RapidgzipError when the frame's
+ * 8-byte header or its payload runs past the end of the file.
+ */
+[[nodiscard]] inline std::optional<std::size_t>
+skippableFrameEnd( const FileReader& file, std::size_t offset )
+{
+    std::array<std::uint8_t, 8> header{};
+    const auto got = file.pread( header.data(), header.size(), offset );
+    if ( ( got < 4 )
+         || ( ( readLE32( header.data() ) & ZSTD_SKIPPABLE_MAGIC_MASK ) != ZSTD_SKIPPABLE_MAGIC_BASE ) ) {
+        return std::nullopt;
+    }
+    const auto end = offset + 8 + readLE32( header.data() + 4 );
+    if ( ( got < header.size() ) || ( end > file.size() ) ) {
+        throw RapidgzipError( "Truncated skippable frame at offset " + std::to_string( offset ) );
+    }
+    return end;
 }
 
 /**

@@ -79,17 +79,10 @@ public:
         return m_reader.readSpans( size, spans );
     }
 
-    [[nodiscard]] std::vector<SeekPoint>
+    [[nodiscard]] std::vector<index::Checkpoint>
     seekPoints() override
     {
-        const auto index = m_reader.exportIndex();
-        std::vector<SeekPoint> result;
-        result.reserve( index.checkpoints.size() );
-        for ( const auto& checkpoint : index.checkpoints ) {
-            result.push_back( { checkpoint.compressedOffsetBits,
-                                checkpoint.uncompressedOffset } );
-        }
-        return result;
+        return m_reader.exportIndex().checkpoints;
     }
 
     [[nodiscard]] ParallelGzipReader&

@@ -22,6 +22,184 @@
 
 namespace rapidgzip::formats {
 
+/** One LZ4 data block, as the frame parser locates it. */
+struct Lz4Block
+{
+    std::size_t dataBegin{ 0 };      /**< file offset of the block's payload */
+    std::size_t dataSize{ 0 };
+    bool storedUncompressed{ false };
+    bool hasChecksum{ false };
+    std::size_t maxDecompressedSize{ 0 };
+};
+
+/** One LZ4 data frame: its blocks and the integrity material it carries. */
+struct Lz4Frame
+{
+    std::size_t begin{ 0 };          /**< file offset of the magic */
+    std::size_t end{ 0 };            /**< one past the frame's last byte */
+    std::vector<Lz4Block> blocks;
+    bool independentBlocks{ false };
+    bool hasContentChecksum{ false };
+    std::uint32_t contentChecksum{ 0 };
+    /** From the header when C.Size is set, else measured by a serial
+     * sweep (0 until known for content-size-less frames). */
+    std::size_t contentSize{ 0 };
+    bool contentSizeKnown{ false };
+};
+
+/**
+ * Parse the LZ4 data frame at @p begin of @p file. Pure header
+ * arithmetic (block sizes are explicit): no block is decoded. The
+ * frame header's checksum byte is verified here; block and content
+ * checksums are left to decodeLz4Block() and decodeLz4Frame(). Throws on
+ * a missing magic, truncation, an unsupported version or dictionary ID,
+ * and a block larger than the frame's maximum.
+ */
+[[nodiscard]] inline Lz4Frame
+parseLz4Frame( const FileReader& file, std::size_t begin )
+{
+    const auto fileSize = file.size();
+    Lz4Frame frame;
+    frame.begin = begin;
+
+    if ( begin + 4 + 3 > fileSize ) {
+        throw RapidgzipError( "Truncated LZ4 frame header" );
+    }
+    std::uint8_t head[6];
+    preadExactly( file, head, sizeof( head ), begin );
+    if ( readLE32( head ) != LZ4_FRAME_MAGIC ) {
+        throw RapidgzipError( "Not an LZ4 frame at offset " + std::to_string( begin ) );
+    }
+    const auto flg = head[4];
+    const auto bd = head[5];
+    if ( ( flg >> 6U ) != 1 ) {
+        throw RapidgzipError( "Unsupported LZ4 frame version" );
+    }
+    if ( ( flg & 0x01U ) != 0 ) {
+        throw UnsupportedDataError( "LZ4 frames with dictionary IDs are not supported" );
+    }
+    frame.independentBlocks = ( flg & 0x20U ) != 0;
+    const bool blockChecksums = ( flg & 0x10U ) != 0;
+    const bool contentSizePresent = ( flg & 0x08U ) != 0;
+    frame.hasContentChecksum = ( flg & 0x04U ) != 0;
+
+    const auto blockMaxCode = ( bd >> 4U ) & 0x7U;
+    if ( blockMaxCode < 4 ) {
+        throw RapidgzipError( "Invalid LZ4 block max-size code" );
+    }
+    const auto blockMaxSize = Lz4Writer::blockMaxSizeBytes(
+        static_cast<Lz4Writer::BlockMaxSize>( blockMaxCode ) );
+
+    const auto descriptorSize = std::size_t( 2 ) + ( contentSizePresent ? 8 : 0 );
+    if ( begin + 4 + descriptorSize + 1 > fileSize ) {
+        throw RapidgzipError( "Truncated LZ4 frame header" );
+    }
+    std::vector<std::uint8_t> descriptor( descriptorSize + 1 );
+    preadExactly( file, descriptor.data(), descriptor.size(), begin + 4 );
+    const auto expectedHC = descriptor.back();
+    const auto actualHC = static_cast<std::uint8_t>(
+        ( xxhash32( descriptor.data(), descriptorSize ) >> 8U ) & 0xFFU );
+    if ( expectedHC != actualHC ) {
+        throw ChecksumError( "LZ4 frame header checksum mismatch" );
+    }
+    if ( contentSizePresent ) {
+        std::uint64_t contentSize = 0;
+        for ( unsigned i = 0; i < 8; ++i ) {
+            contentSize |= static_cast<std::uint64_t>( descriptor[2 + i] ) << ( 8U * i );
+        }
+        frame.contentSize = contentSize;
+        frame.contentSizeKnown = true;
+    }
+
+    auto position = begin + 4 + descriptorSize + 1;
+    while ( true ) {
+        if ( position + 4 > fileSize ) {
+            throw RapidgzipError( "Truncated LZ4 frame (missing EndMark)" );
+        }
+        std::uint8_t headerBytes[4];
+        preadExactly( file, headerBytes, sizeof( headerBytes ), position );
+        const auto blockHeader = readLE32( headerBytes );
+        position += 4;
+        if ( blockHeader == 0 ) {
+            break;  /* EndMark */
+        }
+        Lz4Block block;
+        block.storedUncompressed = ( blockHeader & 0x80000000U ) != 0;
+        block.dataSize = blockHeader & 0x7FFFFFFFU;
+        block.dataBegin = position;
+        block.hasChecksum = blockChecksums;
+        block.maxDecompressedSize = blockMaxSize;
+        if ( block.dataSize > blockMaxSize ) {
+            throw RapidgzipError( "LZ4 block exceeds the frame's max block size" );
+        }
+        position += block.dataSize + ( blockChecksums ? 4 : 0 );
+        if ( position > fileSize ) {
+            throw RapidgzipError( "Truncated LZ4 block" );
+        }
+        frame.blocks.push_back( block );
+    }
+    if ( frame.hasContentChecksum ) {
+        if ( position + 4 > fileSize ) {
+            throw RapidgzipError( "Truncated LZ4 frame (missing content checksum)" );
+        }
+        std::uint8_t checksumBytes[4];
+        preadExactly( file, checksumBytes, sizeof( checksumBytes ), position );
+        frame.contentChecksum = readLE32( checksumBytes );
+        position += 4;
+    }
+    frame.end = position;
+    return frame;
+}
+
+/**
+ * The one LZ4 block body: verify the block's xxhash32 when it carries one,
+ * then append the stored bytes, or decode with the last @p history bytes of
+ * @p out as match history (0 for independent blocks).
+ */
+inline void
+decodeLz4Block( const FileReader& file,
+                const Lz4Block& block,
+                std::vector<std::uint8_t>& out,
+                std::size_t history )
+{
+    std::vector<std::uint8_t> compressed( block.dataSize + ( block.hasChecksum ? 4 : 0 ) );
+    preadExactly( file, compressed.data(), compressed.size(), block.dataBegin );
+    if ( block.hasChecksum
+         && ( readLE32( compressed.data() + block.dataSize ) != xxhash32( compressed.data(), block.dataSize ) ) ) {
+        throw ChecksumError( "LZ4 block checksum mismatch" );
+    }
+    if ( block.storedUncompressed ) {
+        out.insert( out.end(), compressed.begin(),
+                    compressed.begin() + static_cast<std::ptrdiff_t>( block.dataSize ) );
+        return;
+    }
+    lz4DecompressBlock( { compressed.data(), block.dataSize }, out, history, block.maxDecompressedSize );
+}
+
+/**
+ * Decode and verify one whole frame: its blocks in order, linked blocks
+ * with up to 64 KiB of the frame's earlier output as history, then the
+ * content size and content checksum when the header records them. The
+ * backend's serial path and salvage both run this.
+ */
+[[nodiscard]] inline std::vector<std::uint8_t>
+decodeLz4Frame( const FileReader& file, const Lz4Frame& frame )
+{
+    std::vector<std::uint8_t> output;
+    for ( const auto& block : frame.blocks ) {
+        decodeLz4Block( file, block, output,
+                        frame.independentBlocks ? 0 : std::min<std::size_t>( output.size(), 64 * KiB ) );
+    }
+    if ( frame.contentSizeKnown && ( output.size() != frame.contentSize ) ) {
+        throw RapidgzipError( "LZ4 frame content size mismatch" );
+    }
+    if ( frame.hasContentChecksum
+         && ( xxhash32( output.data(), output.size() ) != frame.contentChecksum ) ) {
+        throw ChecksumError( "LZ4 content checksum mismatch" );
+    }
+    return output;
+}
+
 /**
  * LZ4 frame-format reader on the from-scratch block codec. The frame walk
  * is pure header arithmetic (block sizes are explicit), so the whole
@@ -151,67 +329,20 @@ public:
         return Decompressor::readSpansAt( uncompressedOffset, size, spans );
     }
 
-    [[nodiscard]] std::vector<SeekPoint>
+    [[nodiscard]] std::vector<index::Checkpoint>
     seekPoints() override
     {
-        if ( !m_allIndependent ) {
-            return {};
-        }
-        std::vector<SeekPoint> result;
-        for ( const auto& [bits, offset] : m_parallel->chunkSeekPoints() ) {
-            result.push_back( { bits, offset } );
-        }
-        return result;
+        return m_allIndependent ? m_parallel->chunkSeekPoints() : std::vector<index::Checkpoint>{};
     }
 
     [[nodiscard]] bool
-    importSeekPoints( const std::vector<SeekPoint>& seekPoints,
+    importSeekPoints( const std::vector<index::Checkpoint>& seekPoints,
                       std::size_t uncompressedSizeBytes ) override
     {
-        if ( !m_allIndependent ) {
-            return false;
-        }
-        std::vector<std::pair<std::size_t, std::size_t> > points;
-        points.reserve( seekPoints.size() );
-        for ( const auto& point : seekPoints ) {
-            points.emplace_back( point.compressedOffsetBits, point.uncompressedOffset );
-        }
-        return m_parallel->adoptChunkOffsets( points, uncompressedSizeBytes );
+        return m_allIndependent && m_parallel->adoptChunkOffsets( seekPoints, uncompressedSizeBytes );
     }
 
 private:
-    struct Block
-    {
-        std::size_t dataBegin{ 0 };      /**< file offset of the block's payload */
-        std::size_t dataSize{ 0 };
-        bool storedUncompressed{ false };
-        bool hasChecksum{ false };
-        std::size_t maxDecompressedSize{ 0 };
-    };
-
-    struct Frame
-    {
-        std::size_t begin{ 0 };          /**< file offset of the magic */
-        std::size_t end{ 0 };            /**< one past the frame's last byte */
-        std::size_t firstBlock{ 0 };     /**< index range into m_blocks */
-        std::size_t blockEnd{ 0 };
-        bool independentBlocks{ false };
-        bool hasContentChecksum{ false };
-        std::uint32_t contentChecksum{ 0 };
-        /** From the header when C.Size is set, else measured by a serial
-         * sweep (0 until known for content-size-less frames). */
-        std::size_t contentSize{ 0 };
-        bool contentSizeKnown{ false };
-    };
-
-    [[nodiscard]] std::uint32_t
-    readLE32At( std::size_t offset ) const
-    {
-        std::uint8_t bytes[4];
-        preadExactly( *m_file, bytes, sizeof( bytes ), offset );
-        return readLE32( bytes );
-    }
-
     void
     parseFrames()
     {
@@ -221,22 +352,12 @@ private:
             if ( offset + 4 > fileSize ) {
                 throw RapidgzipError( "Truncated LZ4 stream (dangling bytes after last frame)" );
             }
-            const auto magic = readLE32At( offset );
-            if ( ( magic & ZSTD_SKIPPABLE_MAGIC_MASK ) == ZSTD_SKIPPABLE_MAGIC_BASE ) {
-                if ( offset + 8 > fileSize ) {
-                    throw RapidgzipError( "Truncated LZ4 skippable frame" );
-                }
-                const auto skipSize = readLE32At( offset + 4 );
-                if ( offset + 8 + skipSize > fileSize ) {
-                    throw RapidgzipError( "Truncated LZ4 skippable frame" );
-                }
-                offset += 8 + skipSize;
+            if ( const auto skippableEnd = skippableFrameEnd( *m_file, offset ) ) {
+                offset = *skippableEnd;
                 continue;
             }
-            if ( magic != LZ4_FRAME_MAGIC ) {
-                throw RapidgzipError( "Not an LZ4 frame at offset " + std::to_string( offset ) );
-            }
-            offset = parseFrame( offset, fileSize );
+            m_frames.push_back( parseLz4Frame( *m_file, offset ) );
+            offset = m_frames.back().end;
         }
         /* Blockwise parallelism needs every frame independent AND sized:
          * the verifying sink walks frame boundaries by content size. Our
@@ -249,180 +370,40 @@ private:
         }
     }
 
-    /** Parse one data frame starting at @p begin; returns the end offset. */
-    std::size_t
-    parseFrame( std::size_t begin, std::size_t fileSize )
-    {
-        Frame frame;
-        frame.begin = begin;
-        frame.firstBlock = m_blocks.size();
-
-        if ( begin + 4 + 3 > fileSize ) {
-            throw RapidgzipError( "Truncated LZ4 frame header" );
-        }
-        std::uint8_t flgBd[2];
-        preadExactly( *m_file, flgBd, sizeof( flgBd ), begin + 4 );
-        const auto flg = flgBd[0];
-        const auto bd = flgBd[1];
-        if ( ( flg >> 6U ) != 1 ) {
-            throw RapidgzipError( "Unsupported LZ4 frame version" );
-        }
-        if ( ( flg & 0x01U ) != 0 ) {
-            throw UnsupportedDataError( "LZ4 frames with dictionary IDs are not supported" );
-        }
-        frame.independentBlocks = ( flg & 0x20U ) != 0;
-        const bool blockChecksums = ( flg & 0x10U ) != 0;
-        const bool contentSizePresent = ( flg & 0x08U ) != 0;
-        frame.hasContentChecksum = ( flg & 0x04U ) != 0;
-
-        const auto blockMaxCode = ( bd >> 4U ) & 0x7U;
-        if ( blockMaxCode < 4 ) {
-            throw RapidgzipError( "Invalid LZ4 block max-size code" );
-        }
-        const auto blockMaxSize = Lz4Writer::blockMaxSizeBytes(
-            static_cast<Lz4Writer::BlockMaxSize>( blockMaxCode ) );
-
-        const auto descriptorSize = std::size_t( 2 ) + ( contentSizePresent ? 8 : 0 );
-        if ( begin + 4 + descriptorSize + 1 > fileSize ) {
-            throw RapidgzipError( "Truncated LZ4 frame header" );
-        }
-        std::vector<std::uint8_t> descriptor( descriptorSize + 1 );
-        preadExactly( *m_file, descriptor.data(), descriptor.size(), begin + 4 );
-        const auto expectedHC = descriptor.back();
-        const auto actualHC = static_cast<std::uint8_t>(
-            ( xxhash32( descriptor.data(), descriptorSize ) >> 8U ) & 0xFFU );
-        if ( expectedHC != actualHC ) {
-            throw ChecksumError( "LZ4 frame header checksum mismatch" );
-        }
-        if ( contentSizePresent ) {
-            std::uint64_t contentSize = 0;
-            for ( unsigned i = 0; i < 8; ++i ) {
-                contentSize |= static_cast<std::uint64_t>( descriptor[2 + i] ) << ( 8U * i );
-            }
-            frame.contentSize = contentSize;
-            frame.contentSizeKnown = true;
-        }
-
-        auto position = begin + 4 + descriptorSize + 1;
-        while ( true ) {
-            if ( position + 4 > fileSize ) {
-                throw RapidgzipError( "Truncated LZ4 frame (missing EndMark)" );
-            }
-            const auto blockHeader = readLE32At( position );
-            position += 4;
-            if ( blockHeader == 0 ) {
-                break;  /* EndMark */
-            }
-            Block block;
-            block.storedUncompressed = ( blockHeader & 0x80000000U ) != 0;
-            block.dataSize = blockHeader & 0x7FFFFFFFU;
-            block.dataBegin = position;
-            block.hasChecksum = blockChecksums;
-            block.maxDecompressedSize = blockMaxSize;
-            if ( block.dataSize > blockMaxSize ) {
-                throw RapidgzipError( "LZ4 block exceeds the frame's max block size" );
-            }
-            position += block.dataSize + ( blockChecksums ? 4 : 0 );
-            if ( position > fileSize ) {
-                throw RapidgzipError( "Truncated LZ4 block" );
-            }
-            m_blocks.push_back( block );
-        }
-        if ( frame.hasContentChecksum ) {
-            if ( position + 4 > fileSize ) {
-                throw RapidgzipError( "Truncated LZ4 frame (missing content checksum)" );
-            }
-            frame.contentChecksum = readLE32At( position );
-            position += 4;
-        }
-        frame.blockEnd = m_blocks.size();
-        frame.end = position;
-        m_frames.push_back( frame );
-        return position;
-    }
-
     void
     buildParallelReader()
     {
+        auto blocks = std::make_shared<std::vector<Lz4Block> >();
+        for ( const auto& frame : m_frames ) {
+            blocks->insert( blocks->end(), frame.blocks.begin(), frame.blocks.end() );
+        }
         std::vector<CompressedFrame> units;
-        units.reserve( m_blocks.size() );
-        for ( const auto& block : m_blocks ) {
+        units.reserve( blocks->size() );
+        for ( const auto& block : *blocks ) {
             CompressedFrame unit;
             unit.compressedBeginBits = block.dataBegin * 8;
             unit.compressedEndBits = ( block.dataBegin + block.dataSize
                                        + ( block.hasChecksum ? 4 : 0 ) ) * 8;
             units.push_back( unit );
         }
-        auto blocks = std::make_shared<const std::vector<Block> >( m_blocks );
         auto decoder = [blocks] ( const FileReader& file, const CompressedFrame& /* unit */,
                                   std::size_t index, std::vector<std::uint8_t>& out ) {
-            decodeBlock( file, ( *blocks )[index], out );
+            decodeLz4Block( file, ( *blocks )[index], out, /* history */ 0 );
         };
         m_parallel = std::make_unique<FrameParallelReader>(
             std::shared_ptr<const FileReader>( m_file->clone().release() ),
             std::move( units ), std::move( decoder ), m_configuration );
     }
 
-    static void
-    decodeBlock( const FileReader& file, const Block& block, std::vector<std::uint8_t>& out )
-    {
-        std::vector<std::uint8_t> compressed( block.dataSize );
-        preadExactly( file, compressed.data(), compressed.size(), block.dataBegin );
-        if ( block.hasChecksum ) {
-            std::uint8_t checksumBytes[4];
-            preadExactly( file, checksumBytes, sizeof( checksumBytes ),
-                          block.dataBegin + block.dataSize );
-            if ( readLE32( checksumBytes ) != xxhash32( compressed.data(), compressed.size() ) ) {
-                throw ChecksumError( "LZ4 block checksum mismatch" );
-            }
-        }
-        if ( block.storedUncompressed ) {
-            out.insert( out.end(), compressed.begin(), compressed.end() );
-            return;
-        }
-        lz4DecompressBlock( { compressed.data(), compressed.size() }, out,
-                            /* history */ 0, block.maxDecompressedSize );
-    }
-
-    /** Serial path: frames in order; linked blocks decode with up to 64 KiB
-     * of prior output as history. Flushes at frame ends so the sink's spans
-     * respect frame boundaries (the checksum plan depends on that). */
+    /** Serial path: frames in order, each decoded and verified whole.
+     * Flushes at frame ends so the sink's spans respect frame boundaries
+     * (the checksum plan depends on that). */
     std::size_t
     serialDecompress( const Sink& sink )
     {
         std::size_t total = 0;
         for ( auto& frame : m_frames ) {
-            std::vector<std::uint8_t> output;
-            for ( auto i = frame.firstBlock; i < frame.blockEnd; ++i ) {
-                const auto& block = m_blocks[i];
-                std::vector<std::uint8_t> compressed( block.dataSize );
-                preadExactly( *m_file, compressed.data(), compressed.size(), block.dataBegin );
-                if ( block.hasChecksum ) {
-                    std::uint8_t checksumBytes[4];
-                    preadExactly( *m_file, checksumBytes, sizeof( checksumBytes ),
-                                  block.dataBegin + block.dataSize );
-                    if ( readLE32( checksumBytes )
-                         != xxhash32( compressed.data(), compressed.size() ) ) {
-                        throw ChecksumError( "LZ4 block checksum mismatch" );
-                    }
-                }
-                if ( block.storedUncompressed ) {
-                    output.insert( output.end(), compressed.begin(), compressed.end() );
-                } else {
-                    const auto history = frame.independentBlocks
-                                         ? std::size_t( 0 )
-                                         : std::min<std::size_t>( output.size(), 64 * KiB );
-                    lz4DecompressBlock( { compressed.data(), compressed.size() }, output,
-                                        history, block.maxDecompressedSize );
-                }
-            }
-            if ( frame.contentSizeKnown && ( output.size() != frame.contentSize ) ) {
-                throw RapidgzipError( "LZ4 frame content size mismatch" );
-            }
-            if ( frame.hasContentChecksum
-                 && ( xxhash32( output.data(), output.size() ) != frame.contentChecksum ) ) {
-                throw ChecksumError( "LZ4 content checksum mismatch" );
-            }
+            const auto output = decodeLz4Frame( *m_file, frame );
             frame.contentSize = output.size();
             frame.contentSizeKnown = true;
             total += output.size();
@@ -447,8 +428,7 @@ private:
     std::unique_ptr<SharedFileReader> m_file;
     ChunkFetcherConfiguration m_configuration;
 
-    std::vector<Frame> m_frames;
-    std::vector<Block> m_blocks;
+    std::vector<Lz4Frame> m_frames;
     bool m_allIndependent{ false };
     std::unique_ptr<FrameParallelReader> m_parallel;
 };

@@ -1,27 +1,31 @@
 #pragma once
 
-#include <zlib.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <exception>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "../bits/BitReader.hpp"
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
+#include "../core/DeflateChunks.hpp"
+#include "../deflate/DecodedData.hpp"
+#include "../deflate/DeflateDecoder.hpp"
+#include "../gzip/GzipHeader.hpp"
 #include "../io/FileReader.hpp"
 #include "../io/MemoryFileReader.hpp"
+#include "../simd/Crc32.hpp"
 #include "Bzip2Decompressor.hpp"
 #include "Format.hpp"
-#include "Lz4Codec.hpp"
-#include "Lz4Writer.hpp"
+#include "Lz4Decompressor.hpp"
 #include "VendorBzip2.hpp"
 #include "VendorZstd.hpp"
-#include "XxHash32.hpp"
+#include "ZstdDecompressor.hpp"
 
 namespace rapidgzip::formats {
 
@@ -30,11 +34,15 @@ namespace rapidgzip::formats {
  * normal decode path throws on the first damaged byte, salvage decodes
  * every VERIFIABLE unit it can find — gzip member, zstd frame, lz4 frame,
  * bzip2 block — and reports the byte ranges it had to skip as holes
- * instead of aborting the whole archive. A unit only counts as recovered
- * when its own integrity check passes (gzip CRC32+ISIZE, lz4 block/content
- * xxhash, bzip2 block CRC, zstd frame checksum inside the vendor decoder),
- * so emitted output is never unverified guesswork; the uncertainty lives
- * entirely in the holes.
+ * instead of aborting the whole archive. Each unit is parsed, decoded and
+ * verified by the code its strict backend runs (gzip: the header rule, our
+ * Deflate decoder and the CRC32+ISIZE footer check; lz4: the frame parser
+ * and block body with their xxhash checks; zstd: the frame walk and the
+ * vendor decoder with its frame checksum; bzip2: the magic scan and the
+ * vendor decoder with its block CRC), so emitted output is never
+ * unverified guesswork; the uncertainty lives entirely in the holes.
+ * What salvage adds is its own: the resync search after damage, the hole
+ * accounting, and verify-before-emit.
  *
  * Salvage buffers one unit at a time in memory and only hands it to the
  * sink AFTER verification — a deliberately different trade-off from the
@@ -117,12 +125,6 @@ public:
         }
     }
 
-    [[nodiscard]] std::size_t
-    lastGoodEnd() const noexcept
-    {
-        return m_lastGoodEnd;
-    }
-
 private:
     SalvageReport& m_report;
     std::size_t m_lastGoodEnd{ 0 };
@@ -140,108 +142,28 @@ emitUnit( const SalvageSink& sink,
     }
 }
 
-/* --------------------------------- gzip --------------------------------- */
+/* ------------------ byte-aligned units: gzip, zstd, lz4 ------------------ */
 
 /** Next plausible member start: 1F 8B (magic) 08 (deflate method). */
 [[nodiscard]] inline std::size_t
 findGzipCandidate( BufferView data, std::size_t from )
 {
     for ( auto pos = from; pos + 3 <= data.size(); ++pos ) {
-        if ( ( data[pos] == 0x1FU ) && ( data[pos + 1] == 0x8BU ) && ( data[pos + 2] == 0x08U ) ) {
+        if ( ( data[pos] == GZIP_MAGIC_1 ) && ( data[pos + 1] == GZIP_MAGIC_2 )
+             && ( data[pos + 2] == GZIP_CM_DEFLATE ) ) {
             return pos;
         }
     }
     return NOT_FOUND;
 }
 
-/**
- * Decode exactly ONE gzip member starting at @p begin, appending its
- * output to @p out. zlib verifies the CRC32 + ISIZE footer before
- * reporting Z_STREAM_END, so success implies a verified unit. Returns the
- * compressed bytes consumed. Throws on any malformed or truncated input.
- */
+/** Next zstd or lz4 frame start: @p dataMagic or a skippable-frame magic. */
 [[nodiscard]] inline std::size_t
-decodeOneGzipMember( BufferView data,
-                     std::size_t begin,
-                     std::vector<std::uint8_t>& out )
-{
-    z_stream stream{};
-    if ( inflateInit2( &stream, 15 + 16 /* gzip wrapper only */ ) != Z_OK ) {
-        throw RapidgzipError( "inflateInit2 failed" );
-    }
-    struct StreamGuard
-    {
-        z_stream* stream;
-        ~StreamGuard() { inflateEnd( stream ); }
-    } guard{ &stream };
-
-    const std::uint8_t* input = data.data() + begin;
-    std::size_t remaining = data.size() - begin;
-    std::size_t fed = 0;
-    std::vector<std::uint8_t> buffer( 256 * KiB );
-
-    while ( true ) {
-        if ( ( stream.avail_in == 0 ) && ( remaining > 0 ) ) {
-            /* avail_in is 32-bit; feed bounded slices so >4 GiB inputs work. */
-            const auto feed = std::min<std::size_t>( remaining, 64 * MiB );
-            stream.next_in = const_cast<Bytef*>( input );
-            stream.avail_in = static_cast<uInt>( feed );
-            input += feed;
-            remaining -= feed;
-            fed += feed;
-        }
-        stream.next_out = buffer.data();
-        stream.avail_out = static_cast<uInt>( buffer.size() );
-        const auto result = ::inflate( &stream, Z_NO_FLUSH );
-        out.insert( out.end(), buffer.data(), buffer.data() + ( buffer.size() - stream.avail_out ) );
-        if ( result == Z_STREAM_END ) {
-            return fed - stream.avail_in;
-        }
-        if ( ( result != Z_OK ) && ( result != Z_BUF_ERROR ) ) {
-            throw InvalidGzipStreamError( "damaged gzip member" );
-        }
-        if ( ( stream.avail_in == 0 ) && ( remaining == 0 ) ) {
-            throw InvalidGzipStreamError( "truncated gzip member" );
-        }
-    }
-}
-
-[[nodiscard]] inline SalvageReport
-salvageGzip( BufferView data, const SalvageSink& sink )
-{
-    SalvageReport report;
-    report.format = Format::GZIP;
-    HoleTracker tracker( report );
-    std::vector<std::uint8_t> unit;
-
-    std::size_t pos = 0;
-    while ( true ) {
-        const auto candidate = findGzipCandidate( data, pos );
-        if ( candidate == NOT_FOUND ) {
-            break;
-        }
-        unit.clear();
-        try {
-            const auto consumed = decodeOneGzipMember( data, candidate, unit );
-            tracker.markGood( candidate, candidate + consumed );
-            emitUnit( sink, report, unit );
-            pos = candidate + consumed;
-        } catch ( const RapidgzipError& ) {
-            pos = candidate + 1;
-        }
-    }
-    tracker.finish( data.size() );
-    return report;
-}
-
-/* --------------------------------- zstd --------------------------------- */
-
-[[nodiscard]] inline std::size_t
-findZstdCandidate( BufferView data, std::size_t from )
+findFrameCandidate( BufferView data, std::size_t from, std::uint32_t dataMagic )
 {
     for ( auto pos = from; pos + 4 <= data.size(); ++pos ) {
         const auto magic = readLE32( data.data() + pos );
-        if ( ( magic == ZSTD_FRAME_MAGIC )
+        if ( ( magic == dataMagic )
              || ( ( magic & ZSTD_SKIPPABLE_MAGIC_MASK ) == ZSTD_SKIPPABLE_MAGIC_BASE ) ) {
             return pos;
         }
@@ -250,312 +172,140 @@ findZstdCandidate( BufferView data, std::size_t from )
 }
 
 /**
- * Frame end from pure header arithmetic (buffer twin of
- * ZstdDecompressor::walkDataFrame): frame header size from the descriptor,
- * then 3-byte block headers until the last-block flag, plus the optional
- * 4-byte checksum. Throws on truncation or reserved fields.
+ * Decode and verify ONE gzip member at @p begin with the parts behind
+ * ParallelGzipReader: the header rule (parseGzipHeader), our Deflate
+ * decoder from an empty window to the member's final block, and the
+ * CRC32 + ISIZE footer check (footerMatches). The decoder runs directly
+ * on the in-memory buffer, so it stops at this member's final block.
+ * Returns one past the footer; throws when any part rejects the member.
  */
 [[nodiscard]] inline std::size_t
-walkZstdDataFrame( BufferView data, std::size_t begin )
+decodeGzipMember( const MemoryFileReader& file,
+                  std::size_t begin,
+                  std::vector<std::uint8_t>& out )
 {
-    const auto fileSize = data.size();
-    if ( begin + 4 + 1 > fileSize ) {
-        throw RapidgzipError( "Truncated zstd frame header" );
+    const auto data = file.view();
+    BitReader reader( data.data(), data.size() );
+    reader.seek( parseGzipHeader( data, begin ) * 8 );
+    deflate::Decoder decoder;
+    decoder.setInitialWindow( {} );
+    deflate::DecodedData decoded;
+    const auto status = decoder.decode( reader, decoded );
+    if ( ( status.error != Error::NONE ) || !status.reachedFinalBlock ) {
+        throw InvalidGzipStreamError( "Damaged gzip member: " + std::string( toString( status.error ) ) );
     }
-    const auto descriptor = data[begin + 4];
-    const auto fcsFlag = descriptor >> 6U;
-    const bool singleSegment = ( descriptor & 0x20U ) != 0;
-    const bool hasChecksum = ( descriptor & 0x04U ) != 0;
-    const auto dictIDFlag = descriptor & 0x03U;
-    if ( ( descriptor & 0x08U ) != 0 ) {
-        throw RapidgzipError( "Reserved bit set in zstd frame descriptor" );
+    deflate::resolveInto( decoded, {}, out );
+    const auto footer = ceilDiv<std::size_t>( status.endBitOffset, 8 );
+    if ( !footerMatches( file, footer, simd::crc32( 0, out.data(), out.size() ), out.size() ) ) {
+        throw ChecksumError( "Gzip member does not match its footer" );
     }
-
-    static constexpr std::size_t DICT_ID_SIZES[4] = { 0, 1, 2, 4 };
-    const auto windowSize = singleSegment ? std::size_t( 0 ) : std::size_t( 1 );
-    std::size_t fcsSize = 0;
-    switch ( fcsFlag ) {
-    case 0: fcsSize = singleSegment ? 1 : 0; break;
-    case 1: fcsSize = 2; break;
-    case 2: fcsSize = 4; break;
-    default: fcsSize = 8; break;
-    }
-
-    auto position = begin + 4 + 1 + windowSize + DICT_ID_SIZES[dictIDFlag] + fcsSize;
-    if ( position > fileSize ) {
-        throw RapidgzipError( "Truncated zstd frame header" );
-    }
-
-    while ( true ) {
-        if ( position + 3 > fileSize ) {
-            throw RapidgzipError( "Truncated zstd frame (block header)" );
-        }
-        const auto header = static_cast<std::uint32_t>( data[position] )
-                            | ( static_cast<std::uint32_t>( data[position + 1] ) << 8U )
-                            | ( static_cast<std::uint32_t>( data[position + 2] ) << 16U );
-        position += 3;
-        const bool lastBlock = ( header & 1U ) != 0;
-        const auto blockType = ( header >> 1U ) & 3U;
-        const auto blockSize = header >> 3U;
-        if ( blockType == 3 ) {
-            throw RapidgzipError( "Reserved zstd block type" );
-        }
-        /* RLE blocks store ONE byte regardless of their decoded size. */
-        position += blockType == 1 ? 1 : blockSize;
-        if ( position > fileSize ) {
-            throw RapidgzipError( "Truncated zstd block" );
-        }
-        if ( lastBlock ) {
-            break;
-        }
-    }
-    if ( hasChecksum ) {
-        position += 4;
-        if ( position > fileSize ) {
-            throw RapidgzipError( "Truncated zstd frame (checksum)" );
-        }
-    }
-    return position;
+    return footer + GZIP_FOOTER_SIZE;
 }
 
-[[nodiscard]] inline SalvageReport
-salvageZstd( BufferView data, const SalvageSink& sink )
+/**
+ * The recovery loop of the byte-aligned containers. Candidates are visited
+ * in ascending order; @p decodeUnit verifies the unit at a candidate and
+ * returns its end, or throws, and the search resumes one byte further. A
+ * skippable frame (zstd and lz4; no gzip candidate starts with its magic)
+ * carries no content: intact, it extends verified coverage but counts no
+ * unit.
+ */
+template<typename FindCandidate, typename DecodeUnit>
+[[nodiscard]] SalvageReport
+salvageUnits( const MemoryFileReader& file,
+              Format format,
+              const SalvageSink& sink,
+              const FindCandidate& findCandidate,
+              const DecodeUnit& decodeUnit )
 {
-#if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
     SalvageReport report;
-    report.format = Format::ZSTD;
+    report.format = format;
     HoleTracker tracker( report );
+    const auto data = file.view();
 
     std::size_t pos = 0;
-    while ( true ) {
-        const auto candidate = findZstdCandidate( data, pos );
-        if ( candidate == NOT_FOUND ) {
-            break;
-        }
-        const auto magic = readLE32( data.data() + candidate );
-        if ( ( magic & ZSTD_SKIPPABLE_MAGIC_MASK ) == ZSTD_SKIPPABLE_MAGIC_BASE ) {
-            /* Skippable frames carry no content: consume them (they extend
-             * verified coverage when intact) but count no unit. */
-            if ( candidate + 8 > data.size() ) {
-                pos = candidate + 1;
-                continue;
-            }
-            const auto payload = readLE32( data.data() + candidate + 4 );
-            const auto end = candidate + 8 + payload;
-            if ( ( end < candidate ) || ( end > data.size() ) ) {
-                pos = candidate + 1;
-                continue;
-            }
-            tracker.markGood( candidate, end );
-            pos = end;
+    while ( ( pos = findCandidate( data, pos ) ) != NOT_FOUND ) {
+        std::vector<std::uint8_t> unit;
+        std::optional<std::size_t> skippableEnd;
+        std::size_t end = 0;
+        try {
+            skippableEnd = skippableFrameEnd( file, pos );
+            end = skippableEnd ? *skippableEnd : decodeUnit( file, pos, unit );
+        } catch ( const std::exception& ) {
+            ++pos;
             continue;
         }
-        try {
-            const auto end = walkZstdDataFrame( data, candidate );
-            /* The vendor decoder re-verifies everything including the frame
-             * checksum when present. */
-            const auto unit = vendorZstdDecompressAll( { data.data() + candidate,
-                                                         end - candidate } );
-            tracker.markGood( candidate, end );
+        tracker.markGood( pos, end );
+        if ( !skippableEnd ) {
             emitUnit( sink, report, unit );
-            pos = end;
-        } catch ( const std::exception& ) {
-            pos = candidate + 1;
         }
+        pos = end;
     }
     tracker.finish( data.size() );
     return report;
+}
+
+/** Bytes after the last footer stay a hole: the strict readers' trailing-
+ * bytes rule would call a last member with a damaged magic padding, and
+ * salvage must report that member as lost. */
+[[nodiscard]] inline SalvageReport
+salvageGzip( const MemoryFileReader& file, const SalvageSink& sink )
+{
+    return salvageUnits( file, Format::GZIP, sink, findGzipCandidate, decodeGzipMember );
+}
+
+[[nodiscard]] inline SalvageReport
+salvageZstd( const MemoryFileReader& file, const SalvageSink& sink )
+{
+#if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
+    return salvageUnits(
+        file, Format::ZSTD, sink,
+        [] ( BufferView data, std::size_t from ) { return findFrameCandidate( data, from, ZSTD_FRAME_MAGIC ); },
+        [] ( const MemoryFileReader& archive, std::size_t begin, std::vector<std::uint8_t>& unit ) {
+            const auto end = walkZstdDataFrame( archive, begin ).first;
+            /* The vendor decoder verifies the frame, its checksum included
+             * when present. */
+            unit = vendorZstdDecompressAll( archive.view().subView( begin, end - begin ) );
+            return end;
+        } );
 #else
-    (void)data;
+    (void)file;
     (void)sink;
     throw UnsupportedDataError( "zstd salvage requires the zstd backend (libzstd not found at build time)" );
 #endif
 }
 
-/* ---------------------------------- lz4 ---------------------------------- */
-
-[[nodiscard]] inline std::size_t
-findLz4Candidate( BufferView data, std::size_t from )
-{
-    for ( auto pos = from; pos + 4 <= data.size(); ++pos ) {
-        if ( readLE32( data.data() + pos ) == LZ4_FRAME_MAGIC ) {
-            return pos;
-        }
-    }
-    return NOT_FOUND;
-}
-
-/**
- * Decode and verify ONE lz4 frame at @p begin, appending its output to
- * @p out. All integrity material the frame carries is checked: the header
- * checksum byte, per-block xxhash32 when present, and the whole-content
- * xxhash32 when present. Returns the compressed bytes consumed.
- */
-[[nodiscard]] inline std::size_t
-decodeOneLz4Frame( BufferView data,
-                   std::size_t begin,
-                   std::vector<std::uint8_t>& out )
-{
-    const auto fileSize = data.size();
-    if ( begin + 4 + 3 > fileSize ) {
-        throw RapidgzipError( "Truncated LZ4 frame header" );
-    }
-    const auto flg = data[begin + 4];
-    const auto bd = data[begin + 5];
-    if ( ( flg >> 6U ) != 1 ) {
-        throw RapidgzipError( "Unsupported LZ4 frame version" );
-    }
-    if ( ( flg & 0x01U ) != 0 ) {
-        throw UnsupportedDataError( "LZ4 frames with dictionary IDs are not supported" );
-    }
-    const bool independentBlocks = ( flg & 0x20U ) != 0;
-    const bool blockChecksums = ( flg & 0x10U ) != 0;
-    const bool contentSizePresent = ( flg & 0x08U ) != 0;
-    const bool hasContentChecksum = ( flg & 0x04U ) != 0;
-
-    const auto blockMaxCode = ( bd >> 4U ) & 0x7U;
-    if ( blockMaxCode < 4 ) {
-        throw RapidgzipError( "Invalid LZ4 block max-size code" );
-    }
-    const auto blockMaxSize = Lz4Writer::blockMaxSizeBytes(
-        static_cast<Lz4Writer::BlockMaxSize>( blockMaxCode ) );
-
-    const auto descriptorSize = std::size_t( 2 ) + ( contentSizePresent ? 8 : 0 );
-    if ( begin + 4 + descriptorSize + 1 > fileSize ) {
-        throw RapidgzipError( "Truncated LZ4 frame header" );
-    }
-    const auto* descriptor = data.data() + begin + 4;
-    const auto expectedHC = descriptor[descriptorSize];
-    const auto actualHC = static_cast<std::uint8_t>(
-        ( xxhash32( descriptor, descriptorSize ) >> 8U ) & 0xFFU );
-    if ( expectedHC != actualHC ) {
-        throw ChecksumError( "LZ4 frame header checksum mismatch" );
-    }
-    std::uint64_t contentSize = 0;
-    if ( contentSizePresent ) {
-        for ( unsigned i = 0; i < 8; ++i ) {
-            contentSize |= static_cast<std::uint64_t>( descriptor[2 + i] ) << ( 8U * i );
-        }
-    }
-
-    const auto outBase = out.size();
-    auto position = begin + 4 + descriptorSize + 1;
-    while ( true ) {
-        if ( position + 4 > fileSize ) {
-            throw RapidgzipError( "Truncated LZ4 frame (missing EndMark)" );
-        }
-        const auto blockHeader = readLE32( data.data() + position );
-        position += 4;
-        if ( blockHeader == 0 ) {
-            break;  /* EndMark */
-        }
-        const bool storedUncompressed = ( blockHeader & 0x80000000U ) != 0;
-        const std::size_t dataSize = blockHeader & 0x7FFFFFFFU;
-        if ( dataSize > blockMaxSize ) {
-            throw RapidgzipError( "LZ4 block exceeds the frame's max block size" );
-        }
-        if ( position + dataSize + ( blockChecksums ? 4 : 0 ) > fileSize ) {
-            throw RapidgzipError( "Truncated LZ4 block" );
-        }
-        const auto* blockData = data.data() + position;
-        if ( blockChecksums
-             && ( xxhash32( blockData, dataSize ) != readLE32( blockData + dataSize ) ) ) {
-            throw ChecksumError( "LZ4 block checksum mismatch" );
-        }
-        if ( storedUncompressed ) {
-            out.insert( out.end(), blockData, blockData + dataSize );
-        } else {
-            const auto history = independentBlocks
-                                 ? std::size_t( 0 )
-                                 : std::min<std::size_t>( out.size() - outBase, 64 * KiB );
-            lz4DecompressBlock( { blockData, dataSize }, out, history, blockMaxSize );
-        }
-        position += dataSize + ( blockChecksums ? 4 : 0 );
-    }
-    if ( contentSizePresent && ( out.size() - outBase != contentSize ) ) {
-        throw RapidgzipError( "LZ4 frame decoded to a different size than its header records" );
-    }
-    if ( hasContentChecksum ) {
-        if ( position + 4 > fileSize ) {
-            throw RapidgzipError( "Truncated LZ4 frame (missing content checksum)" );
-        }
-        if ( xxhash32( out.data() + outBase, out.size() - outBase )
-             != readLE32( data.data() + position ) ) {
-            throw ChecksumError( "LZ4 content checksum mismatch" );
-        }
-        position += 4;
-    }
-    return position - begin;
-}
-
 [[nodiscard]] inline SalvageReport
-salvageLz4( BufferView data, const SalvageSink& sink )
+salvageLz4( const MemoryFileReader& file, const SalvageSink& sink )
 {
-    SalvageReport report;
-    report.format = Format::LZ4;
-    HoleTracker tracker( report );
-    std::vector<std::uint8_t> unit;
-
-    std::size_t pos = 0;
-    while ( true ) {
-        const auto candidate = findLz4Candidate( data, pos );
-        if ( candidate == NOT_FOUND ) {
-            break;
-        }
-        unit.clear();
-        try {
-            const auto consumed = decodeOneLz4Frame( data, candidate, unit );
-            tracker.markGood( candidate, candidate + consumed );
-            emitUnit( sink, report, unit );
-            pos = candidate + consumed;
-        } catch ( const RapidgzipError& ) {
-            pos = candidate + 1;
-        }
-    }
-    tracker.finish( data.size() );
-    return report;
+    return salvageUnits(
+        file, Format::LZ4, sink,
+        [] ( BufferView data, std::size_t from ) { return findFrameCandidate( data, from, LZ4_FRAME_MAGIC ); },
+        [] ( const MemoryFileReader& archive, std::size_t begin, std::vector<std::uint8_t>& unit ) {
+            const auto frame = parseLz4Frame( archive, begin );
+            unit = decodeLz4Frame( archive, frame );
+            return frame.end;
+        } );
 }
 
 /* --------------------------------- bzip2 --------------------------------- */
 
 #if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
 /**
- * Bzip2 salvage works at BIT granularity: a sliding 48-bit window scan
- * finds every block and end-of-stream magic (the same technique the
- * parallel reader's scanBlocks uses), then each candidate block is lifted
- * into a synthetic single-block stream ("BZh9" + block bits + EOS + the
- * block's own CRC) and decoded by the vendor library, which verifies the
- * CRC. Holes are reported rounded to bytes.
+ * Bzip2 salvage works at BIT granularity: the backend's 48-bit magic scan
+ * finds every block and end-of-stream magic, then each candidate block is
+ * lifted into a synthetic single-block stream ("BZh9" + block bits + EOS +
+ * the block's own CRC) and decoded by the vendor library, which verifies
+ * the CRC. Holes are reported rounded to bytes.
  */
 [[nodiscard]] inline SalvageReport
-salvageBzip2Impl( BufferView data, const SalvageSink& sink )
+salvageBzip2Impl( const MemoryFileReader& file, const SalvageSink& sink )
 {
     SalvageReport report;
     report.format = Format::BZIP2;
     HoleTracker tracker( report );
-
-    /* (beginBit, isEos) of every 48-bit magic in the stream. */
-    std::vector<std::pair<std::size_t, bool> > magics;
-    {
-        std::uint64_t reg = 0;
-        std::size_t absoluteBit = 0;
-        for ( std::size_t i = 0; i < data.size(); ++i ) {
-            const auto byte = data[i];
-            for ( int bit = 7; bit >= 0; --bit ) {
-                reg = ( reg << 1U ) | ( ( byte >> bit ) & 1U );
-                ++absoluteBit;
-                if ( absoluteBit < 48 ) {
-                    continue;
-                }
-                const auto window = reg & Bzip2Decompressor::MAGIC_MASK;
-                if ( window == Bzip2Decompressor::BLOCK_MAGIC ) {
-                    magics.emplace_back( absoluteBit - 48, false );
-                } else if ( window == Bzip2Decompressor::EOS_MAGIC ) {
-                    magics.emplace_back( absoluteBit - 48, true );
-                }
-            }
-        }
-    }
+    const auto data = file.view();
+    const auto magics = Bzip2Decompressor::scanMagics( file );
 
     /* A valid stream header directly in front of the first verified block
      * belongs to the good region; same for each follow-up stream of a
@@ -572,7 +322,6 @@ salvageBzip2Impl( BufferView data, const SalvageSink& sink )
         return NOT_FOUND;
     };
 
-    const MemoryFileReader file{ data };
     std::size_t lastGoodBitEnd = NOT_FOUND;  /* exact bit end of the last verified block */
     for ( std::size_t i = 0; i < magics.size(); ++i ) {
         const auto [ bit, isEos ] = magics[i];
@@ -592,20 +341,18 @@ salvageBzip2Impl( BufferView data, const SalvageSink& sink )
         if ( endBits <= bit + 48 + 32 ) {
             continue;
         }
+        std::vector<std::uint8_t> unit;
         try {
             const auto synthetic = Bzip2Decompressor::buildSingleBlockStream( file, bit, endBits );
-            const auto unit = vendorBzip2DecompressAll( { synthetic.data(), synthetic.size() } );
-            auto goodBegin = bit / 8;
-            const auto header = headerBefore( bit );
-            if ( header != NOT_FOUND ) {
-                goodBegin = header;
-            }
-            tracker.markGood( goodBegin, ceilDiv<std::size_t>( endBits, 8 ) );
-            emitUnit( sink, report, unit );
-            lastGoodBitEnd = endBits;
+            unit = vendorBzip2DecompressAll( { synthetic.data(), synthetic.size() } );
         } catch ( const std::exception& ) {
             lastGoodBitEnd = NOT_FOUND;
+            continue;
         }
+        const auto header = headerBefore( bit );
+        tracker.markGood( header != NOT_FOUND ? header : bit / 8, ceilDiv<std::size_t>( endBits, 8 ) );
+        emitUnit( sink, report, unit );
+        lastGoodBitEnd = endBits;
     }
     tracker.finish( data.size() );
     return report;
@@ -613,29 +360,31 @@ salvageBzip2Impl( BufferView data, const SalvageSink& sink )
 #endif  /* RAPIDGZIP_HAVE_VENDOR_BZIP2 */
 
 [[nodiscard]] inline SalvageReport
-salvageBzip2( BufferView data, const SalvageSink& sink )
+salvageBzip2( const MemoryFileReader& file, const SalvageSink& sink )
 {
 #if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
-    return salvageBzip2Impl( data, sink );
+    return salvageBzip2Impl( file, sink );
 #else
-    (void)data;
+    (void)file;
     (void)sink;
     throw UnsupportedDataError( "bzip2 salvage requires the bzip2 backend (libbz2 not found at build time)" );
 #endif
 }
 
 /**
- * Format detection for salvage: the normal magic probe first, then — the
- * head may be exactly what is corrupted — the EARLIEST occurrence of any
- * known unit magic anywhere in the buffer.
+ * Format detection for salvage: the strict readers' probe first, which
+ * walks leading skippable frames to the first data frame, then — the head
+ * may be exactly what is corrupted — the EARLIEST occurrence of any known
+ * unit magic anywhere in the buffer.
  */
 [[nodiscard]] inline Format
-detectFormatForSalvage( BufferView data )
+detectFormatForSalvage( const MemoryFileReader& file )
 {
-    const auto direct = detectFormat( data );
+    const auto direct = detectFormat( file );
     if ( direct != Format::UNKNOWN ) {
         return direct;
     }
+    const auto data = file.view();
     auto best = Format::UNKNOWN;
     auto bestPos = NOT_FOUND;
     const auto consider = [&best, &bestPos] ( std::size_t pos, Format format ) {
@@ -645,8 +394,8 @@ detectFormatForSalvage( BufferView data )
         }
     };
     consider( findGzipCandidate( data, 0 ), Format::GZIP );
-    consider( findZstdCandidate( data, 0 ), Format::ZSTD );
-    consider( findLz4Candidate( data, 0 ), Format::LZ4 );
+    consider( findFrameCandidate( data, 0, ZSTD_FRAME_MAGIC ), Format::ZSTD );
+    consider( findFrameCandidate( data, 0, LZ4_FRAME_MAGIC ), Format::LZ4 );
     /* bzip2: byte-aligned "BZh1".."BZh9" stream header anywhere. The block
      * magic itself is rarely byte-aligned; the bit-level scan inside
      * salvageBzip2 handles that, but FINDING bzip2 data in an unknown
@@ -659,6 +408,29 @@ detectFormatForSalvage( BufferView data )
         }
     }
     return best;
+}
+
+[[nodiscard]] inline SalvageReport
+salvage( const MemoryFileReader& file, Format format, const SalvageSink& sink )
+{
+    switch ( format ) {
+    case Format::GZIP:
+        return salvageGzip( file, sink );
+    case Format::ZSTD:
+        return salvageZstd( file, sink );
+    case Format::LZ4:
+        return salvageLz4( file, sink );
+    case Format::BZIP2:
+        return salvageBzip2( file, sink );
+    case Format::UNKNOWN:
+        break;
+    }
+    /* Nothing recognizable anywhere: one hole covering the whole input. */
+    SalvageReport report;
+    if ( file.size() > 0 ) {
+        report.holes.push_back( { 0, file.size() } );
+    }
+    return report;
 }
 
 }  // namespace salvage_detail
@@ -674,24 +446,7 @@ salvageDecompress( BufferView data,
                    Format format,
                    const SalvageSink& sink = {} )
 {
-    switch ( format ) {
-    case Format::GZIP:
-        return salvage_detail::salvageGzip( data, sink );
-    case Format::ZSTD:
-        return salvage_detail::salvageZstd( data, sink );
-    case Format::LZ4:
-        return salvage_detail::salvageLz4( data, sink );
-    case Format::BZIP2:
-        return salvage_detail::salvageBzip2( data, sink );
-    case Format::UNKNOWN:
-        break;
-    }
-    /* Nothing recognizable anywhere: one hole covering the whole input. */
-    SalvageReport report;
-    if ( !data.empty() ) {
-        report.holes.push_back( { 0, data.size() } );
-    }
-    return report;
+    return salvage_detail::salvage( MemoryFileReader( data ), format, sink );
 }
 
 /** Format-probing overload: dispatches on the magic bytes, falling back to
@@ -699,7 +454,8 @@ salvageDecompress( BufferView data,
 [[nodiscard]] inline SalvageReport
 salvageDecompress( BufferView data, const SalvageSink& sink = {} )
 {
-    return salvageDecompress( data, salvage_detail::detectFormatForSalvage( data ), sink );
+    const MemoryFileReader file( data );
+    return salvage_detail::salvage( file, salvage_detail::detectFormatForSalvage( file ), sink );
 }
 
 /** FileReader convenience: salvage runs over an in-memory image of the
@@ -710,7 +466,8 @@ salvageDecompress( const FileReader& file, const SalvageSink& sink = {} )
 {
     std::vector<std::uint8_t> data( file.size() );
     preadExactly( file, data.data(), data.size(), 0 );
-    return salvageDecompress( BufferView{ data.data(), data.size() }, sink );
+    const MemoryFileReader memory( std::move( data ) );
+    return salvage_detail::salvage( memory, salvage_detail::detectFormatForSalvage( memory ), sink );
 }
 
 }  // namespace rapidgzip::formats

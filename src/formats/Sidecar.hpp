@@ -53,9 +53,7 @@ buildArchiveIndex( Decompressor& decompressor, std::size_t compressedSizeBytes )
     index.formatTag = static_cast<std::uint8_t>( decompressor.format() );
     index.compressedSizeBytes = compressedSizeBytes;
     index.uncompressedSizeBytes = decompressor.size();
-    for ( const auto& point : decompressor.seekPoints() ) {
-        index.checkpoints.push_back( { point.compressedOffsetBits, point.uncompressedOffset } );
-    }
+    index.checkpoints = decompressor.seekPoints();
     return index;
 }
 
@@ -129,12 +127,7 @@ trySidecarAdoption( Decompressor& decompressor, const std::string& archivePath )
         return true;
     }
 
-    std::vector<SeekPoint> points;
-    points.reserve( index.checkpoints.size() );
-    for ( const auto& checkpoint : index.checkpoints ) {
-        points.push_back( { checkpoint.compressedOffsetBits, checkpoint.uncompressedOffset } );
-    }
-    return decompressor.importSeekPoints( points, index.uncompressedSizeBytes );
+    return decompressor.importSeekPoints( index.checkpoints, index.uncompressedSizeBytes );
 }
 
 /**

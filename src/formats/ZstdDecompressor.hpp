@@ -5,12 +5,14 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
 #include "../core/FrameParallelReader.hpp"
+#include "../index/Checkpoint.hpp"
 #include "../io/FileReader.hpp"
 #include "../io/SharedFileReader.hpp"
 #include "Decompressor.hpp"
@@ -21,6 +23,97 @@
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
 
 namespace rapidgzip::formats {
+
+/**
+ * Byte length of the zstd data frame whose magic is at @p begin of @p file,
+ * from pure header arithmetic: frame header size from the descriptor, then
+ * 3-byte block headers until the last-block flag, plus the optional 4-byte
+ * checksum. Also recovers the content size when the header records one.
+ * Throws on truncation and reserved fields. The backend's frame walk and
+ * salvage's both run this.
+ */
+[[nodiscard]] inline std::pair<std::size_t, std::size_t>  /* (frame end, content size|0) */
+walkZstdDataFrame( const FileReader& file, std::size_t begin )
+{
+    const auto fileSize = file.size();
+    if ( begin + 4 + 1 > fileSize ) {
+        throw RapidgzipError( "Truncated zstd frame header" );
+    }
+    std::uint8_t descriptor = 0;
+    preadExactly( file, &descriptor, 1, begin + 4 );
+    const auto fcsFlag = descriptor >> 6U;
+    const bool singleSegment = ( descriptor & 0x20U ) != 0;
+    const bool hasChecksum = ( descriptor & 0x04U ) != 0;
+    const auto dictIDFlag = descriptor & 0x03U;
+    if ( ( descriptor & 0x08U ) != 0 ) {
+        throw RapidgzipError( "Reserved bit set in zstd frame descriptor" );
+    }
+
+    static constexpr std::size_t DICT_ID_SIZES[4] = { 0, 1, 2, 4 };
+    const auto windowSize = singleSegment ? std::size_t( 0 ) : std::size_t( 1 );
+    std::size_t fcsSize = 0;
+    switch ( fcsFlag ) {
+    case 0: fcsSize = singleSegment ? 1 : 0; break;
+    case 1: fcsSize = 2; break;
+    case 2: fcsSize = 4; break;
+    default: fcsSize = 8; break;
+    }
+
+    auto position = begin + 4 + 1 + windowSize + DICT_ID_SIZES[dictIDFlag];
+    std::size_t contentSize = 0;
+    if ( fcsSize > 0 ) {
+        if ( position + fcsSize > fileSize ) {
+            throw RapidgzipError( "Truncated zstd frame header" );
+        }
+        std::uint8_t bytes[8] = {};
+        preadExactly( file, bytes, fcsSize, position );
+        std::uint64_t value = 0;
+        for ( std::size_t i = 0; i < fcsSize; ++i ) {
+            value |= static_cast<std::uint64_t>( bytes[i] ) << ( 8U * i );
+        }
+        if ( fcsSize == 2 ) {
+            value += 256;  /* spec: 2-byte field stores size - 256 */
+        }
+        contentSize = static_cast<std::size_t>( value );
+        position += fcsSize;
+    }
+
+    while ( true ) {
+        if ( position + 3 > fileSize ) {
+            throw RapidgzipError( "Truncated zstd frame (block header)" );
+        }
+        std::uint8_t headerBytes[3];
+        preadExactly( file, headerBytes, sizeof( headerBytes ), position );
+        const auto header = static_cast<std::uint32_t>( headerBytes[0] )
+                            | ( static_cast<std::uint32_t>( headerBytes[1] ) << 8U )
+                            | ( static_cast<std::uint32_t>( headerBytes[2] ) << 16U );
+        position += 3;
+        const bool lastBlock = ( header & 1U ) != 0;
+        const auto blockType = ( header >> 1U ) & 3U;
+        const auto blockSize = header >> 3U;
+        if ( blockType == 3 ) {
+            throw RapidgzipError( "Reserved zstd block type" );
+        }
+        /* RLE blocks store ONE byte regardless of their decoded size. */
+        position += blockType == 1 ? 1 : blockSize;
+        if ( position > fileSize ) {
+            throw RapidgzipError( "Truncated zstd block" );
+        }
+        if ( lastBlock ) {
+            break;
+        }
+    }
+    if ( hasChecksum ) {
+        position += 4;
+        if ( position > fileSize ) {
+            throw RapidgzipError( "Truncated zstd frame (checksum)" );
+        }
+    }
+    /* fcsSize == 0 means "unknown", and a genuinely empty frame also
+     * reports 0 — the empty case is harmless to treat as unknown (its
+     * serial fallback cost is nil). */
+    return { position, contentSize };
+}
 
 /**
  * zstd reader: frame segmentation is done by THIS code — walking frame
@@ -118,34 +211,19 @@ public:
         return Decompressor::readSpansAt( uncompressedOffset, size, spans );
     }
 
-    [[nodiscard]] std::vector<SeekPoint>
+    [[nodiscard]] std::vector<index::Checkpoint>
     seekPoints() override
     {
-        if ( !m_allSized ) {
-            return {};
-        }
-        std::vector<SeekPoint> result;
-        for ( const auto& [bits, offset] : m_parallel->chunkSeekPoints() ) {
-            result.push_back( { bits, offset } );
-        }
-        return result;
+        return m_allSized ? m_parallel->chunkSeekPoints() : std::vector<index::Checkpoint>{};
     }
 
     [[nodiscard]] bool
-    importSeekPoints( const std::vector<SeekPoint>& seekPoints,
+    importSeekPoints( const std::vector<index::Checkpoint>& seekPoints,
                       std::size_t uncompressedSizeBytes ) override
     {
         /* Without per-frame sizes there is no parallel reader to hand the
          * offsets to (frame decodes need exact destination sizes). */
-        if ( !m_allSized ) {
-            return false;
-        }
-        std::vector<std::pair<std::size_t, std::size_t> > points;
-        points.reserve( seekPoints.size() );
-        for ( const auto& point : seekPoints ) {
-            points.emplace_back( point.compressedOffsetBits, point.uncompressedOffset );
-        }
-        return m_parallel->adoptChunkOffsets( points, uncompressedSizeBytes );
+        return m_allSized && m_parallel->adoptChunkOffsets( seekPoints, uncompressedSizeBytes );
     }
 
     /** True when a seekable-format seek table was found and adopted. */
@@ -162,94 +240,6 @@ private:
         std::uint8_t bytes[4];
         preadExactly( *m_file, bytes, sizeof( bytes ), offset );
         return readLE32( bytes );
-    }
-
-    /**
-     * Byte length of the data frame starting at @p begin, from pure header
-     * arithmetic: frame header size from the descriptor, then 3-byte block
-     * headers until the last-block flag. Also recovers the content size
-     * when the header records one.
-     */
-    [[nodiscard]] std::pair<std::size_t, std::size_t>  /* (frame end, content size|0) */
-    walkDataFrame( std::size_t begin, std::size_t fileSize ) const
-    {
-        if ( begin + 4 + 1 > fileSize ) {
-            throw RapidgzipError( "Truncated zstd frame header" );
-        }
-        std::uint8_t descriptor = 0;
-        preadExactly( *m_file, &descriptor, 1, begin + 4 );
-        const auto fcsFlag = descriptor >> 6U;
-        const bool singleSegment = ( descriptor & 0x20U ) != 0;
-        const bool hasChecksum = ( descriptor & 0x04U ) != 0;
-        const auto dictIDFlag = descriptor & 0x03U;
-        if ( ( descriptor & 0x08U ) != 0 ) {
-            throw RapidgzipError( "Reserved bit set in zstd frame descriptor" );
-        }
-
-        static constexpr std::size_t DICT_ID_SIZES[4] = { 0, 1, 2, 4 };
-        const auto windowSize = singleSegment ? std::size_t( 0 ) : std::size_t( 1 );
-        std::size_t fcsSize = 0;
-        switch ( fcsFlag ) {
-        case 0: fcsSize = singleSegment ? 1 : 0; break;
-        case 1: fcsSize = 2; break;
-        case 2: fcsSize = 4; break;
-        default: fcsSize = 8; break;
-        }
-
-        auto position = begin + 4 + 1 + windowSize + DICT_ID_SIZES[dictIDFlag];
-        std::size_t contentSize = 0;
-        if ( fcsSize > 0 ) {
-            if ( position + fcsSize > fileSize ) {
-                throw RapidgzipError( "Truncated zstd frame header" );
-            }
-            std::uint8_t bytes[8] = {};
-            preadExactly( *m_file, bytes, fcsSize, position );
-            std::uint64_t value = 0;
-            for ( std::size_t i = 0; i < fcsSize; ++i ) {
-                value |= static_cast<std::uint64_t>( bytes[i] ) << ( 8U * i );
-            }
-            if ( fcsSize == 2 ) {
-                value += 256;  /* spec: 2-byte field stores size - 256 */
-            }
-            contentSize = static_cast<std::size_t>( value );
-            position += fcsSize;
-        }
-
-        while ( true ) {
-            if ( position + 3 > fileSize ) {
-                throw RapidgzipError( "Truncated zstd frame (block header)" );
-            }
-            std::uint8_t headerBytes[3];
-            preadExactly( *m_file, headerBytes, sizeof( headerBytes ), position );
-            const auto header = static_cast<std::uint32_t>( headerBytes[0] )
-                                | ( static_cast<std::uint32_t>( headerBytes[1] ) << 8U )
-                                | ( static_cast<std::uint32_t>( headerBytes[2] ) << 16U );
-            position += 3;
-            const bool lastBlock = ( header & 1U ) != 0;
-            const auto blockType = ( header >> 1U ) & 3U;
-            const auto blockSize = header >> 3U;
-            if ( blockType == 3 ) {
-                throw RapidgzipError( "Reserved zstd block type" );
-            }
-            /* RLE blocks store ONE byte regardless of their decoded size. */
-            position += blockType == 1 ? 1 : blockSize;
-            if ( position > fileSize ) {
-                throw RapidgzipError( "Truncated zstd block" );
-            }
-            if ( lastBlock ) {
-                break;
-            }
-        }
-        if ( hasChecksum ) {
-            position += 4;
-            if ( position > fileSize ) {
-                throw RapidgzipError( "Truncated zstd frame (checksum)" );
-            }
-        }
-        /* fcsSize == 0 means "unknown", and a genuinely empty frame also
-         * reports 0 — the empty case is harmless to treat as unknown (its
-         * serial fallback cost is nil). */
-        return { position, contentSize };
     }
 
     void
@@ -271,30 +261,23 @@ private:
             if ( offset + 4 > fileSize ) {
                 throw RapidgzipError( "Truncated zstd stream (dangling bytes)" );
             }
-            const auto magic = readLE32At( offset );
-            if ( ( magic & ZSTD_SKIPPABLE_MAGIC_MASK ) == ZSTD_SKIPPABLE_MAGIC_BASE ) {
-                if ( offset + 8 > fileSize ) {
-                    throw RapidgzipError( "Truncated zstd skippable frame" );
-                }
-                const auto skipSize = readLE32At( offset + 4 );
-                if ( offset + 8 + skipSize > fileSize ) {
-                    throw RapidgzipError( "Truncated zstd skippable frame" );
-                }
+            if ( const auto skippableEnd = skippableFrameEnd( *m_file, offset ) ) {
                 /* The LAST skippable frame may be a seekable-format seek
                  * table: content ends with the 9-byte footer whose magic is
                  * 0x8F92EAB1. */
-                if ( ( offset + 8 + skipSize == fileSize )
+                const auto skipSize = *skippableEnd - offset - 8;
+                if ( ( *skippableEnd == fileSize )
                      && ( skipSize >= ZSTD_SEEKABLE_FOOTER_SIZE )
                      && ( readLE32At( fileSize - 4 ) == ZSTD_SEEKABLE_FOOTER_MAGIC ) ) {
                     seekTable = parseSeekTable( offset + 8, skipSize );
                 }
-                offset += 8 + skipSize;
+                offset = *skippableEnd;
                 continue;
             }
-            if ( magic != ZSTD_FRAME_MAGIC ) {
+            if ( readLE32At( offset ) != ZSTD_FRAME_MAGIC ) {
                 throw RapidgzipError( "Not a zstd frame at offset " + std::to_string( offset ) );
             }
-            const auto [end, contentSize] = walkDataFrame( offset, fileSize );
+            const auto [end, contentSize] = walkZstdDataFrame( *m_file, offset );
             rawFrames.push_back( { offset, end, contentSize, contentSize > 0 } );
             offset = end;
         }

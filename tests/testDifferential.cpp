@@ -10,10 +10,11 @@
  *   gzip  — ParallelGzipReader vs zlib inflate, on plain (two-stage
  *           pipeline), pigz-like and BGZF (restart-point checkpoints)
  *           layouts, with seeded single-byte flips in the Deflate data
- *           that every reader must agree on, the restart-point probe
- *           against zlib raw inflate on real and decoy markers, and a
- *           second member whose history reaches into the first, which
- *           every reader must reject;
+ *           that every reader must agree on (salvage included: it must
+ *           recover exactly the members zlib accepts one by one), the
+ *           restart-point probe against zlib raw inflate on real and
+ *           decoy markers, and a second member whose history reaches
+ *           into the first, which every reader must reject;
  *   zstd  — frame-parallel dispatch reader vs ZSTD_decompressStream;
  *   lz4   — from-scratch frame+block decoder vs LZ4_decompress_safe per
  *           block (both directions: our writer → vendor, vendor → ours);
@@ -34,6 +35,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -164,8 +166,9 @@ requireTruncationsRejected( const std::vector<std::uint8_t>& file,
 }
 
 /** The answers of GzipReader (zlib), decompressAll() and decompressAll(sink)
- * for @p file: the same bytes, or a throw from all three. */
-void
+ * for @p file: the same bytes, or a throw from all three. Returns that
+ * answer. */
+std::optional<std::vector<std::uint8_t> >
 requireReadersAgree( const std::vector<std::uint8_t>& file )
 {
     const auto serial = answerOf( [&file] () {
@@ -186,13 +189,31 @@ requireReadersAgree( const std::vector<std::uint8_t>& file )
     REQUIRE( count.has_value() == serial.has_value() );
     REQUIRE( !count || ( *count == serial->size() ) );
     REQUIRE( streamed == serial );
+    return serial;
+}
+
+/** Run salvage over @p file collecting output; no throw allowed. */
+[[nodiscard]] std::pair<formats::SalvageReport, std::vector<std::uint8_t>>
+salvageAll( const std::vector<std::uint8_t>& file )
+{
+    std::vector<std::uint8_t> output;
+    const auto report = formats::salvageDecompress(
+        BufferView{ file.data(), file.size() },
+        [&output] ( BufferView view ) {
+            output.insert( output.end(), view.begin(), view.end() );
+        } );
+    REQUIRE( report.recoveredBytes == output.size() );
+    return { report, output };
 }
 
 /**
  * Flip single bytes at seeded positions in the Deflate data of @p file —
  * between each member's header and footer — and require the readers to
  * agree on every flipped file. The serial walk is our own decoder, so no
- * fallback hides a stream that zlib decodes and ours rejects.
+ * fallback hides a stream that zlib decodes and ours rejects. Salvage is
+ * one more reader: it must recover exactly the members GzipReader accepts
+ * when given each member's bytes alone, and report clean() exactly when
+ * the strict readers return bytes.
  */
 void
 requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed )
@@ -205,11 +226,14 @@ requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed )
         reader, memberStart * 8, std::numeric_limits<std::size_t>::max(), {} );
     REQUIRE( whole.reachedStreamEnd );
     std::vector<std::pair<std::size_t, std::size_t> > deflateRanges;
+    std::vector<std::pair<std::size_t, std::size_t> > memberRanges;  /* header to footer end */
     std::size_t deflateBytes = 0;
     for ( const auto& memberEnd : whole.memberEnds ) {
         deflateRanges.emplace_back( memberStart, memberEnd.footerStartByte );
         deflateBytes += memberEnd.footerStartByte - memberStart;
-        memberStart = nextGzipMember( reader, memberEnd.footerStartByte + GZIP_FOOTER_SIZE ).value_or( 0 );
+        const auto memberEndByte = memberEnd.footerStartByte + GZIP_FOOTER_SIZE;
+        memberRanges.emplace_back( memberRanges.empty() ? 0 : memberRanges.back().second, memberEndByte );
+        memberStart = nextGzipMember( reader, memberEndByte ).value_or( 0 );
     }
 
     Xorshift64 random( seed );
@@ -222,7 +246,22 @@ requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed )
         }
         auto flipped = file;
         flipped[range->first + offset] ^= static_cast<std::uint8_t>( 1 + random() % 255 );
-        requireReadersAgree( flipped );
+        const auto strict = requireReadersAgree( flipped );
+
+        std::vector<std::uint8_t> acceptedMembers;
+        for ( const auto& [begin, end] : memberRanges ) {
+            const std::vector<std::uint8_t> member( flipped.begin() + static_cast<std::ptrdiff_t>( begin ),
+                                                    flipped.begin() + static_cast<std::ptrdiff_t>( end ) );
+            const auto alone = answerOf( [&member] () {
+                return GzipReader( std::make_unique<MemoryFileReader>( member ) ).decompressToVector();
+            } );
+            if ( alone ) {
+                acceptedMembers.insert( acceptedMembers.end(), alone->begin(), alone->end() );
+            }
+        }
+        const auto [report, output] = salvageAll( flipped );
+        REQUIRE( output == acceptedMembers );
+        REQUIRE( report.clean() == strict.has_value() );
     }
 }
 
@@ -647,20 +686,6 @@ requireStrictContainment( const std::vector<std::uint8_t>& corrupted,
     }
 }
 
-/** Run @p salvage over @p file collecting output; no throw allowed. */
-[[nodiscard]] std::pair<formats::SalvageReport, std::vector<std::uint8_t>>
-salvageAll( const std::vector<std::uint8_t>& file )
-{
-    std::vector<std::uint8_t> output;
-    const auto report = formats::salvageDecompress(
-        BufferView{ file.data(), file.size() },
-        [&output] ( BufferView view ) {
-            output.insert( output.end(), view.begin(), view.end() );
-        } );
-    REQUIRE( report.recoveredBytes == output.size() );
-    return { report, output };
-}
-
 /**
  * The corruption matrix the robustness acceptance asks for: per backend,
  * an archive of four independent units (members / frames / streams) is
@@ -733,13 +758,19 @@ testCorruptionMatrix()
         std::fflush( stdout );
 
         /* Intact archive: salvage is a no-op recovery — clean report, all
-         * units, byte-exact against the strict decode. */
+         * units, byte-exact against the strict decode. A failing sink (a
+         * full disk under rapidgzip-cat) aborts salvage; it is no damaged
+         * unit to skip. */
         {
             const auto [report, output] = salvageAll( layout.file );
             REQUIRE( report.clean() );
             REQUIRE( report.recoveredUnits == BLOCK_COUNT );
             REQUIRE( output == reference );
             REQUIRE( decompressOurs( layout.file ) == reference );
+            REQUIRE_THROWS_AS( (void)formats::salvageDecompress(
+                                   BufferView{ layout.file.data(), layout.file.size() },
+                                   [] ( BufferView ) { throw FileIoError( "sink failed" ); } ),
+                               FileIoError );
         }
 
         const auto unitEnd = [&layout] ( std::size_t i ) {
@@ -807,6 +838,46 @@ testCorruptionMatrix()
     }
 }
 
+/**
+ * Intact lz4 archives with a skippable frame: between the two data frames,
+ * and ahead of the first. Salvage must route both to lz4, count the
+ * skippable frame as covered bytes, and return the strict decode's bytes.
+ */
+void
+testSalvageLz4SkippableFrames()
+{
+    const auto first = workloads::base64Data( 100'000, 0x5A1 );
+    const auto second = workloads::base64Data( 100'000, 0x5A2 );
+    const auto firstFrame = formats::writeLz4( { first.data(), first.size() } );
+    const auto secondFrame = formats::writeLz4( { second.data(), second.size() } );
+    const std::vector<std::uint8_t> payload( 16, 0xA5 );
+    std::vector<std::uint8_t> skippable;
+    formats::Lz4Writer::writeSkippableFrame( skippable, { payload.data(), payload.size() }, 3 );
+
+    const auto concatenate = [] ( std::initializer_list<const std::vector<std::uint8_t>*> parts ) {
+        std::vector<std::uint8_t> result;
+        for ( const auto* part : parts ) {
+            result.insert( result.end(), part->begin(), part->end() );
+        }
+        return result;
+    };
+    const std::vector<std::pair<const char*, std::vector<std::uint8_t> > > layouts = {
+        { "between the frames", concatenate( { &firstFrame, &skippable, &secondFrame } ) },
+        { "ahead of the first frame", concatenate( { &skippable, &firstFrame, &secondFrame } ) },
+    };
+    for ( const auto& [name, file] : layouts ) {
+        std::printf( "  salvage lz4 with a skippable frame %s\n", name );
+        std::fflush( stdout );
+        const auto strict = decompressOurs( file );
+        REQUIRE( strict == concatenate( { &first, &second } ) );
+        const auto [report, output] = salvageAll( file );
+        REQUIRE( report.clean() );
+        REQUIRE( report.format == formats::Format::LZ4 );
+        REQUIRE( report.recoveredUnits == 2 );
+        REQUIRE( output == strict );
+    }
+}
+
 }  // namespace
 
 int
@@ -832,5 +903,6 @@ main()
     testCrossMemberBackReference();
     testProbeOnDecoys();
     testCorruptionMatrix();
+    testSalvageLz4SkippableFrames();
     return rapidgzip::test::finish( "testDifferential" );
 }

@@ -42,6 +42,9 @@
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
 #include "formats/ZstdWriter.hpp"
 #endif
+#if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
+#include "formats/Bzip2Writer.hpp"
+#endif
 
 #include "TestHelpers.hpp"
 
@@ -455,40 +458,39 @@ testSidecarAdoption()
     configuration.parallelism = 2;
     configuration.chunkSizeBytes = 128 * KiB;
 
+    /* Open, measure and write the sidecar; then a fresh open adopts it and
+     * serves a slice at @p sliceOffset. */
+    const auto roundTrip = [&] ( const std::string& path, const std::vector<std::uint8_t>& archive,
+                                 std::size_t sliceOffset ) {
+        writeFile( path, archive );
+        {
+            auto cold = formats::openArchive( path, configuration );
+            REQUIRE( cold->size() == data.size() );  /* forces discovery */
+            formats::writeSidecarIndex( *cold, path );
+        }
+        auto fresh = formats::openArchive( path, configuration, /* adoptSidecar */ false );
+        REQUIRE( formats::trySidecarAdoption( *fresh, path ) );
+        REQUIRE( fresh->size() == data.size() );
+        std::vector<std::uint8_t> slice( 4096 );
+        REQUIRE( fresh->readAt( sliceOffset, slice.data(), slice.size() ) == slice.size() );
+        REQUIRE( std::memcmp( slice.data(), data.data() + sliceOffset, slice.size() ) == 0 );
+    };
+
     /* gzip: the sidecar carries the full bit-granular index with windows,
      * so adoption replaces the two-stage discovery sweep. */
     const auto gzipPath = directory + "/data.gz";
-    writeFile( gzipPath, compressGzipLike( data ) );
-    {
-        auto cold = formats::openArchive( gzipPath, configuration );
-        REQUIRE( cold->size() == data.size() );  /* forces discovery */
-        formats::writeSidecarIndex( *cold, gzipPath );
-    }
-    {
-        auto fresh = formats::openArchive( gzipPath, configuration, /* adoptSidecar */ false );
-        REQUIRE( formats::trySidecarAdoption( *fresh, gzipPath ) );
-        REQUIRE( fresh->size() == data.size() );
-        std::vector<std::uint8_t> slice( 4096 );
-        REQUIRE( fresh->readAt( 300 * KiB, slice.data(), slice.size() ) == slice.size() );
-        REQUIRE( std::memcmp( slice.data(), data.data() + 300 * KiB, slice.size() ) == 0 );
-    }
+    roundTrip( gzipPath, compressGzipLike( data ), 300 * KiB );
 
-    /* lz4: the sidecar's seek points replace the measuring decode sweep. */
+    /* Frame backends adopt the sidecar's seek points; for lz4 and bzip2
+     * blocks they replace the measuring decode sweep. */
     const auto lz4Path = directory + "/data.lz4";
-    writeFile( lz4Path, formats::writeLz4( data, formats::Lz4Writer::BlockMaxSize::KIB64 ) );
-    {
-        auto cold = formats::openArchive( lz4Path, configuration );
-        REQUIRE( cold->size() == data.size() );
-        formats::writeSidecarIndex( *cold, lz4Path );
-    }
-    {
-        auto fresh = formats::openArchive( lz4Path, configuration, /* adoptSidecar */ false );
-        REQUIRE( formats::trySidecarAdoption( *fresh, lz4Path ) );
-        REQUIRE( fresh->size() == data.size() );
-        std::vector<std::uint8_t> slice( 4096 );
-        REQUIRE( fresh->readAt( 500 * KiB, slice.data(), slice.size() ) == slice.size() );
-        REQUIRE( std::memcmp( slice.data(), data.data() + 500 * KiB, slice.size() ) == 0 );
-    }
+    roundTrip( lz4Path, formats::writeLz4( data, formats::Lz4Writer::BlockMaxSize::KIB64 ), 500 * KiB );
+#if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
+    roundTrip( directory + "/data.zst", formats::writeZstdFrames( data, 3, 128 * KiB ), 400 * KiB );
+#endif
+#if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
+    roundTrip( directory + "/data.bz2", formats::writeBzip2( data, 1 ), 600 * KiB );
+#endif
 
     /* Stale sidecar (older than the archive) is ignored. */
     {
