@@ -95,10 +95,11 @@ struct FetcherStatistics
 };
 
 /**
- * Decodes chunks of a chunked Deflate stream on a thread pool, caches the
- * results, and prefetches according to the configured strategy. All public
- * methods are thread-compatible with the single-owner usage pattern of
- * ParallelGzipReader (one consumer thread; decoding is what parallelizes).
+ * Decodes the chunks of a chunk table on a thread pool, caches the results,
+ * and prefetches according to the configured strategy. Every public method
+ * is safe to call from many threads: the cache, the statistics and the
+ * access pattern sit behind one mutex, which get() releases while it waits
+ * for a decode.
  */
 class ChunkFetcher
 {
@@ -124,15 +125,11 @@ public:
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
 
-    [[nodiscard]] std::size_t
-    chunkCount() const noexcept
+    /** A snapshot, taken under the cache lock. */
+    [[nodiscard]] FetcherStatistics
+    statistics() const
     {
-        return m_chunkCount;
-    }
-
-    [[nodiscard]] const FetcherStatistics&
-    statistics() const noexcept
-    {
+        const std::lock_guard<std::mutex> lock( m_mutex );
         return m_statistics;
     }
 
@@ -225,26 +222,6 @@ public:
         m_lastAccess = SIZE_MAX;
         m_sequentialStreak = 0;
         m_streams.clear();
-    }
-
-    /**
-     * Span-lending accessor: fetch chunk @p index (same cache/prefetch path
-     * as get()) and lend [offsetInChunk, offsetInChunk + size) of it as a
-     * refcounted borrowed span. The span pins the whole chunk, so the bytes
-     * survive both per-reader bridge-drop and shared-tier LRU eviction for
-     * as long as the caller holds the span — the primitive under the serve
-     * daemon's zero-copy response path. Throws when @p offsetInChunk lies
-     * beyond the decoded chunk; @p size is clamped to the chunk end.
-     */
-    [[nodiscard]] OwnedSpan
-    lendSpan( std::size_t index, std::size_t offsetInChunk, std::size_t size )
-    {
-        auto chunk = get( index );
-        if ( offsetInChunk >= chunk->data.size() ) {
-            throw RapidgzipError( "Span offset lies beyond the decoded chunk" );
-        }
-        const auto take = std::min( size, chunk->data.size() - offsetInChunk );
-        return lendChunkSpan( std::move( chunk ), offsetInChunk, take );
     }
 
 private:
@@ -459,7 +436,7 @@ private:
     std::size_t m_cacheCapacity;
     std::uint64_t m_cacheToken;
 
-    std::mutex m_mutex;
+    mutable std::mutex m_mutex;
     std::map<std::size_t, CacheEntry> m_cache;
     FetcherStatistics m_statistics;
     std::uint64_t m_accessClock{ 0 };

@@ -1,0 +1,333 @@
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "../common/Error.hpp"
+#include "../common/Util.hpp"
+#include "../index/Checkpoint.hpp"
+#include "../io/FileReader.hpp"
+#include "ChunkFetcher.hpp"
+
+namespace rapidgzip {
+
+/** Chunk i starts at checkpoints[i] and ends where chunk i + 1 starts; the
+ * last chunk ends at the end of the stream. */
+struct ChunkTable
+{
+    std::vector<index::Checkpoint> checkpoints;
+    /** Total uncompressed size. Without @ref sized, neither it nor the
+     * checkpoints' uncompressed offsets are known yet. */
+    std::size_t size{ 0 };
+    bool sized{ false };
+};
+
+/**
+ * The one chunked reader under every format (paper §3): a chunk table, the
+ * ChunkFetcher that decodes, caches and prefetches its chunks on a thread
+ * pool, one ordered sweep that measures unknown chunk sizes, and one walk
+ * from uncompressed offsets to chunks behind readAt() and readSpansAt().
+ * The formats build tables on top of it: gzip hands it index checkpoints
+ * decoded by GzipChunkFetcher::decodeChunkFromCheckpoint; zstd, lz4 and
+ * bzip2 hand it their frames or blocks grouped into chunks.
+ *
+ * Thread model: a table builder establishes or changes the table under
+ * lock(). The builder given to the constructor runs there when a read finds
+ * no table with known sizes. The table and its fetcher are published
+ * together as one immutable object, so a read in flight keeps its own table
+ * and fetcher alive across any later change. Once a sized table is
+ * published, size(), readAt() and readSpansAt() take no lock of this
+ * reader's; they only call ChunkFetcher::get, which locks its own cache.
+ * Reads and statistics() may be called from many threads at once; the
+ * table-building methods require lock().
+ */
+class ChunkedReader
+{
+public:
+    using ChunkDecoder = ChunkFetcher::ChunkDecoder;
+    /** Publishes a sized table, or throws. Runs under lock(). */
+    using TableBuilder = std::function<void()>;
+
+    ChunkedReader( std::shared_ptr<const FileReader> file,
+                   ChunkFetcherConfiguration configuration,
+                   TableBuilder buildTable ) :
+        m_file( std::move( file ) ),
+        m_configuration( std::move( configuration ) ),
+        m_buildTable( std::move( buildTable ) )
+    {}
+
+    /* --- reads: lock-free once a sized table is published ---------------- */
+
+    [[nodiscard]] std::size_t
+    size()
+    {
+        return published()->table.size;
+    }
+
+    /** The sized table. */
+    [[nodiscard]] ChunkTable
+    table()
+    {
+        return published()->table;
+    }
+
+    /** Copy up to @p size bytes at uncompressed @p offset into @p buffer.
+     * Returns the bytes copied (short only at the end of the stream). */
+    [[nodiscard]] std::size_t
+    readAt( std::size_t offset, std::uint8_t* buffer, std::size_t size )
+    {
+        return walk( offset, size, [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                               std::size_t offsetInChunk, std::size_t length ) {
+            std::memcpy( buffer, chunk->data.data() + offsetInChunk, length );
+            buffer += length;
+        } );
+    }
+
+    /** Zero-copy variant of readAt(): lends refcounted spans straight out of
+     * the decoded chunks. Each span keeps its whole chunk alive, so the bytes
+     * stay valid past cache eviction for as long as the caller holds the
+     * span. Returns the bytes appended (short only at the end of the
+     * stream). */
+    [[nodiscard]] std::size_t
+    readSpansAt( std::size_t offset, std::size_t size, std::vector<OwnedSpan>& spans )
+    {
+        return walk( offset, size, [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                              std::size_t offsetInChunk, std::size_t length ) {
+            spans.push_back( lendChunkSpan( chunk, offsetInChunk, length ) );
+        } );
+    }
+
+    /** A snapshot of the current fetcher's statistics; all zero before a
+     * read or sweep built one. */
+    [[nodiscard]] FetcherStatistics
+    statistics() const
+    {
+        const auto state = std::atomic_load( &m_state );
+        return state && state->fetcher ? state->fetcher->statistics() : FetcherStatistics{};
+    }
+
+    /* --- table building: the caller holds lock() -------------------------- */
+
+    [[nodiscard]] std::unique_lock<std::mutex>
+    lock()
+    {
+        return std::unique_lock<std::mutex>( m_mutex );
+    }
+
+    /** The table as it stands, sized or not; empty before the first
+     * publish(). */
+    [[nodiscard]] const ChunkTable&
+    current() const
+    {
+        static const ChunkTable empty{};
+        return m_state ? m_state->table : empty;
+    }
+
+    /** Make @p checkpoints the table, decoded by @p decoder: sized with the
+     * total @p size, or awaiting a sweep() when @p size is std::nullopt. The
+     * fetcher is built when a read or sweep first needs it. A constructor,
+     * which owns the reader alone, may call this without lock(). */
+    void
+    publish( std::vector<index::Checkpoint> checkpoints,
+             std::optional<std::size_t> size,
+             ChunkDecoder decoder )
+    {
+        store( { ChunkTable{ std::move( checkpoints ), size.value_or( 0 ), size.has_value() },
+                 std::move( decoder ), {} } );
+    }
+
+    /** Drop the fetcher, with its cache and any failed prefetches. Without
+     * @p keepSizes the table loses its sizes too, so the next read runs the
+     * table builder again. */
+    void
+    reset( bool keepSizes )
+    {
+        auto state = *m_state;
+        state.fetcher.reset();
+        state.table.sized = state.table.sized && keepSizes;
+        store( std::move( state ) );
+    }
+
+    /**
+     * Adopt the uncompressed offsets of @p checkpoints, exported from this
+     * table earlier (a sidecar index), instead of sweeping for them. Every
+     * compressed offset must match the table's, and a sized table must agree
+     * with every offset and with @p size. Returns false, leaving the table as
+     * it was, when they do not.
+     */
+    [[nodiscard]] bool
+    adopt( const std::vector<index::Checkpoint>& checkpoints, std::size_t size )
+    {
+        const auto& table = current();
+        if ( checkpoints.empty() || ( checkpoints.size() != table.checkpoints.size() )
+             || ( checkpoints.front().uncompressedOffset != 0 )
+             || ( size < checkpoints.back().uncompressedOffset ) ) {
+            return false;
+        }
+        for ( std::size_t i = 0; i < checkpoints.size(); ++i ) {
+            if ( ( checkpoints[i].compressedOffsetBits != table.checkpoints[i].compressedOffsetBits )
+                 || ( ( i > 0 ) && ( checkpoints[i].uncompressedOffset
+                                     < checkpoints[i - 1].uncompressedOffset ) ) ) {
+                return false;
+            }
+        }
+        if ( table.sized ) {
+            return ( checkpoints == table.checkpoints ) && ( size == table.size );
+        }
+        auto state = *m_state;
+        state.table = { checkpoints, size, true };
+        store( std::move( state ) );
+        return true;
+    }
+
+    /**
+     * The ordered sweep: decode every chunk in order through the fetcher,
+     * hand each to @p hook( index, chunk ), and publish the measured sizes
+     * as the table's uncompressed offsets. @p hook returns false when its
+     * chunk ends the stream; the chunks after it leave the table. The
+     * fetcher stays, so the sweep's tail serves the reads that follow, but
+     * forgets the sweep's access pattern, which would otherwise skew its
+     * prefetch strategy. A failing decode or hook propagates and leaves the
+     * table as it was. Returns the total uncompressed size.
+     */
+    template<typename Hook>
+    std::size_t
+    sweep( const Hook& hook )
+    {
+        const auto state = withFetcher();
+        auto table = state->table;
+        std::size_t offset = 0;
+        std::size_t count = 0;
+        while ( count < table.checkpoints.size() ) {
+            const auto chunk = state->fetcher->get( count );
+            table.checkpoints[count].uncompressedOffset = offset;
+            offset += chunk->data.size();
+            if ( !hook( count++, *chunk ) ) {
+                break;
+            }
+        }
+        table.checkpoints.resize( count );
+        table.size = offset;
+        table.sized = true;
+        state->fetcher->resetAccessPattern( count );
+        store( { std::move( table ), state->decoder, state->fetcher } );
+        return offset;
+    }
+
+private:
+    struct State
+    {
+        ChunkTable table;
+        ChunkDecoder decoder;
+        std::shared_ptr<ChunkFetcher> fetcher;
+    };
+
+    void
+    store( State state )
+    {
+        std::atomic_store( &m_state, std::shared_ptr<const State>(
+                                         std::make_shared<State>( std::move( state ) ) ) );
+    }
+
+    /** The current state with its fetcher, built on first need. Caller holds
+     * lock() and has published a table. */
+    [[nodiscard]] std::shared_ptr<const State>
+    withFetcher()
+    {
+        if ( !m_state->fetcher ) {
+            /* The table's bit offsets go into the shared-cache key, so readers
+             * of one archive with different tables never share entries. */
+            auto configuration = m_configuration;
+            for ( const auto& checkpoint : m_state->table.checkpoints ) {
+                configuration.cacheIdentity =
+                    mixHash( configuration.cacheIdentity ^ checkpoint.compressedOffsetBits );
+            }
+            auto state = *m_state;
+            state.fetcher = std::make_shared<ChunkFetcher>(
+                m_file, state.table.checkpoints.size(), state.decoder, configuration );
+            store( std::move( state ) );
+        }
+        return m_state;
+    }
+
+    /** The published sized table with its fetcher; the first call runs the
+     * table builder. */
+    [[nodiscard]] std::shared_ptr<const State>
+    published()
+    {
+        if ( auto state = std::atomic_load( &m_state );
+             state && state->table.sized && state->fetcher ) {
+            return state;
+        }
+        const std::lock_guard<std::mutex> guard( m_mutex );
+        if ( !m_state || !m_state->table.sized ) {
+            m_buildTable();
+            if ( !m_state || !m_state->table.sized ) {
+                throw RapidgzipError( "The chunk table builder published no chunk sizes" );
+            }
+        }
+        return withFetcher();
+    }
+
+    /**
+     * The one offset-to-chunk walk: from @p offset on, hand @p take each
+     * chunk holding it, the offset into the chunk and the byte count to
+     * take, until @p size bytes or the end of the stream. Returns the bytes
+     * walked.
+     */
+    template<typename Take>
+    [[nodiscard]] std::size_t
+    walk( std::size_t offset, std::size_t size, const Take& take )
+    {
+        const auto state = published();
+        const auto& checkpoints = state->table.checkpoints;
+        const auto totalSize = state->table.size;
+
+        std::size_t produced = 0;
+        while ( ( produced < size ) && ( offset < totalSize ) ) {
+            const auto next = std::upper_bound(
+                checkpoints.begin(), checkpoints.end(), offset,
+                [] ( std::size_t position, const index::Checkpoint& checkpoint ) {
+                    return position < checkpoint.uncompressedOffset;
+                } );
+            const auto chunkIndex = static_cast<std::size_t>(
+                std::distance( checkpoints.begin(), next ) ) - 1U;
+            const auto chunkBegin = checkpoints[chunkIndex].uncompressedOffset;
+            const auto chunkEnd = next == checkpoints.end() ? totalSize : next->uncompressedOffset;
+            const auto chunk = state->fetcher->get( chunkIndex );
+            if ( chunk->data.size() != chunkEnd - chunkBegin ) {
+                /* Only possible when an imported index or a sidecar misstates
+                 * a chunk's span, never with swept offsets. Both directions
+                 * are corruption: an overstated span would read out of
+                 * bounds, an understated one would return bytes from the
+                 * wrong stream position. */
+                throw RapidgzipError( "Chunk size disagrees with the chunk table — "
+                                      "stale or corrupt index" );
+            }
+            const auto length = std::min( size - produced, chunkEnd - offset );
+            take( chunk, offset - chunkBegin, length );
+            produced += length;
+            offset += length;
+        }
+        return produced;
+    }
+
+    const std::shared_ptr<const FileReader> m_file;
+    const ChunkFetcherConfiguration m_configuration;
+    const TableBuilder m_buildTable;
+
+    std::mutex m_mutex;
+    /** Replaced only under m_mutex, read lock-free with std::atomic_load. */
+    std::shared_ptr<const State> m_state;
+};
+
+}  // namespace rapidgzip

@@ -18,7 +18,7 @@
 #include "../index/GzipIndex.hpp"
 #include "../index/IndexBuilder.hpp"
 #include "../io/SharedFileReader.hpp"
-#include "ChunkFetcher.hpp"
+#include "ChunkedReader.hpp"
 #include "DeflateChunks.hpp"
 #include "GzipChunkFetcher.hpp"
 
@@ -48,8 +48,12 @@ namespace rapidgzip {
  * Deflate decoder serves all of it: chunks, the restart-point probe and the
  * serial walk.
  *
- * Thread model: one consumer thread drives this object; the parallelism
- * lives in the chunk decoding underneath.
+ * The table, its fetcher and the walk from offsets to chunks are a
+ * ChunkedReader's. Thread model: the table is established under the chunked
+ * reader's lock, by import, the BGZF scan or the sweep; once it is
+ * published, size(), readAt() and readSpansAt() take no lock of their own
+ * and may be called from many threads. seek(), tell() and read() are a
+ * cursor over readAt() for one thread.
  */
 class ParallelGzipReader
 {
@@ -57,7 +61,9 @@ public:
     explicit ParallelGzipReader( std::unique_ptr<FileReader> fileReader,
                                  ChunkFetcherConfiguration configuration = {} ) :
         m_file( ensureSharedFileReader( std::move( fileReader ) ) ),
-        m_configuration( configuration )
+        m_configuration( configuration ),
+        m_chunks( std::shared_ptr<const FileReader>( m_file->clone().release() ), configuration,
+                  [this] () { establishOffsets(); } )
     {}
 
     /* --- whole-stream interface ------------------------------------- */
@@ -75,12 +81,15 @@ public:
     [[nodiscard]] std::size_t
     decompressAll()
     {
-        if ( !m_parallelResultUntrusted ) {
-            if ( const auto total = sweep() ) {
-                return *total;
+        {
+            const auto lock = m_chunks.lock();
+            if ( !m_parallelResultUntrusted ) {
+                if ( const auto total = sweep() ) {
+                    return *total;
+                }
             }
         }
-        return serialDecompressCount();
+        return GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes );
     }
 
     /**
@@ -105,26 +114,19 @@ public:
         static_cast<void>( decompressAll() );  /* throws on real corruption */
 
         std::size_t emitted = 0;
-        if ( !m_parallelResultUntrusted ) {
-            try {
-                seek( 0 );
-                std::vector<std::uint8_t> buffer( 4 * MiB );
-                while ( true ) {
-                    const auto got = read( buffer.data(), buffer.size() );
-                    if ( got == 0 ) {
-                        break;
-                    }
-                    sink( { buffer.data(), got } );
-                    emitted += got;
-                }
-                return emitted;
-            } catch ( const RapidgzipError& ) {
-                /* The chunked state cannot replay what the verification
-                 * sweep answered serially; fall through to the authority.
-                 * Bytes already emitted came from footer-verified chunks,
-                 * so the serial stream below resumes AFTER them — decoding
-                 * is deterministic and both paths verified the same file. */
+        try {
+            std::vector<std::uint8_t> buffer( 4 * MiB );
+            while ( const auto got = readAt( emitted, buffer.data(), buffer.size() ) ) {
+                sink( { buffer.data(), got } );
+                emitted += got;
             }
+            return emitted;
+        } catch ( const RapidgzipError& ) {
+            /* The chunked state cannot replay what the verification sweep
+             * answered serially; fall through to the authority. Bytes
+             * already emitted came from footer-verified chunks, so the
+             * serial stream below resumes AFTER them — decoding is
+             * deterministic and both paths verified the same file. */
         }
 
         std::size_t position = 0;
@@ -146,8 +148,21 @@ public:
     [[nodiscard]] std::size_t
     size()
     {
-        ensureOffsetsKnown();
-        return m_index->uncompressedSizeBytes;
+        return m_chunks.size();
+    }
+
+    /** Read up to @p size bytes at @p offset. Returns bytes read. */
+    [[nodiscard]] std::size_t
+    readAt( std::size_t offset, std::uint8_t* buffer, std::size_t size )
+    {
+        return m_chunks.readAt( offset, buffer, size );
+    }
+
+    /** Zero-copy variant of readAt() (see ChunkedReader::readSpansAt()). */
+    [[nodiscard]] std::size_t
+    readSpansAt( std::size_t offset, std::size_t size, std::vector<OwnedSpan>& spans )
+    {
+        return m_chunks.readSpansAt( offset, size, spans );
     }
 
     void
@@ -162,29 +177,13 @@ public:
         return m_position;
     }
 
-    /** Read up to @p size bytes at the current position. Returns bytes read. */
+    /** Read up to @p size bytes at the cursor and advance it. */
     [[nodiscard]] std::size_t
     read( std::uint8_t* buffer, std::size_t size )
     {
-        return walkChunks( size, [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
-                                             std::size_t offsetInChunk, std::size_t length ) {
-            std::memcpy( buffer, chunk->data.data() + offsetInChunk, length );
-            buffer += length;
-        } );
-    }
-
-    /** Zero-copy variant of read(): lends refcounted spans straight out of
-     * the decoded chunks instead of copying into a caller buffer. Each span
-     * keeps its whole chunk alive, so the window stays valid past cache
-     * eviction for as long as the caller holds the span. Returns bytes
-     * appended (short at EOF). */
-    [[nodiscard]] std::size_t
-    readSpans( std::size_t size, std::vector<OwnedSpan>& spans )
-    {
-        return walkChunks( size, [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
-                                            std::size_t offsetInChunk, std::size_t length ) {
-            spans.push_back( lendChunkSpan( chunk, offsetInChunk, length ) );
-        } );
+        const auto got = readAt( m_position, buffer, size );
+        m_position += got;
+        return got;
     }
 
     /* --- index interface --------------------------------------------- */
@@ -199,8 +198,12 @@ public:
     [[nodiscard]] GzipIndex
     exportIndex()
     {
-        ensureOffsetsKnown();
-        return *m_index;
+        auto table = m_chunks.table();
+        const auto lock = m_chunks.lock();
+        auto index = *m_index;
+        index.checkpoints = std::move( table.checkpoints );
+        index.uncompressedSizeBytes = table.size;
+        return index;
     }
 
     /** Adopt checkpoints, windows, and offsets from @p index, skipping
@@ -245,34 +248,35 @@ public:
 
         auto adopted = std::make_shared<GzipIndex>( index );
         adopted->compressedSizeBytes = m_file->size();
+        const auto lock = m_chunks.lock();
         adoptIndex( std::move( adopted ) );
     }
 
     /* --- introspection ----------------------------------------------- */
 
-    [[nodiscard]] const FetcherStatistics&
-    fetcherStatistics() const noexcept
+    /** A snapshot of the chunk fetcher's statistics. */
+    [[nodiscard]] FetcherStatistics
+    fetcherStatistics() const
     {
-        static const FetcherStatistics empty{};
-        return m_fetcher ? m_fetcher->statistics() : empty;
+        return m_chunks.statistics();
     }
 
     /** Chunks in the current table; runs chunk-table discovery if needed. */
     [[nodiscard]] std::size_t
     chunkCount()
     {
+        const auto lock = m_chunks.lock();
         ensureChunkTable();
-        return m_index->checkpoints.size();
+        return m_chunks.current().checkpoints.size();
     }
 
 private:
     /**
      * The footer-verified sweep behind decompressAll() and the first
-     * size()/read()/readSpans(): decode every chunk in order through the
-     * fetcher, check each member against its own footer, and fill the chunk
-     * sizes into the checkpoints' uncompressed offsets. Filling them in keeps
-     * the fetcher, so the sweep's tail stays cached for the reads that
-     * follow.
+     * size()/readAt(): decode every chunk in order through the chunked
+     * reader, check each member against its own footer, and fill the chunk
+     * sizes into the checkpoints' uncompressed offsets. The caller holds the
+     * chunked reader's lock.
      *
      * A table of one marker-derived checkpoint (no restart points) tries the
      * two-stage sweep first; when that fails, the stream decodes as one
@@ -287,60 +291,58 @@ private:
     sweep()
     {
         ensureChunkTable();
-        if ( m_markerDerived && ( m_index->checkpoints.size() == 1 ) ) {
+        if ( m_markerDerived && ( m_chunks.current().checkpoints.size() == 1 ) ) {
             try {
                 return decompressAllTwoStage();
             } catch ( const RapidgzipError& ) {
                 /* decode the stream as one chunk below */
             }
         }
-        ensureFetcher();
         while ( true ) {
             MemberVerifier verifier( *m_file );
-            std::vector<std::size_t> sizes;
-            std::optional<std::size_t> falseBoundary;
-            bool endedStream = false;
-            for ( std::size_t i = 0; i < m_index->checkpoints.size(); ++i ) {
-                ChunkFetcher::ChunkDataPtr chunk;
-                try {
-                    chunk = m_fetcher->get( i );
-                } catch ( const FalseChunkEndError& ) {
-                    falseBoundary = i + 1;
-                    break;
-                } catch ( const TruncatedStreamError& ) {
-                    throw;  /* no merge can make the file longer */
-                } catch ( const InvalidGzipStreamError& ) {
-                    /* A bad chunk start; chunk 0 starts at the member's first
-                     * Deflate byte, so there the end is the suspect. */
-                    falseBoundary = std::max<std::size_t>( i, 1 );
-                    break;
-                } catch ( ... ) {
-                    /* A transient failure (I/O, allocation, injected fault)
-                     * leaves failed prefetches in the cache: let the next
-                     * sweep start on a fresh fetcher. */
-                    m_fetcher.reset();
-                    throw;
-                }
-                if ( !verifier.consume( *chunk ) ) {
-                    return poison();
-                }
-                sizes.push_back( chunk->data.size() );
-                endedStream = chunk->reachedStreamEnd;
-                if ( endedStream && m_markerDerived ) {
-                    break;  /* later marker-derived checkpoints lie in trailing padding */
-                }
+            const auto chunkCount = m_chunks.current().checkpoints.size();
+            /* The hook sees the chunks in order, so a failing decode is
+             * chunk number `verified`. */
+            std::size_t verified = 0;
+            std::size_t falseBoundary = 0;
+            try {
+                const auto total = m_chunks.sweep( [&] ( std::size_t i, const DecodedChunk& chunk ) {
+                    if ( !verifier.consume( chunk ) ) {
+                        throw ChecksumError( "Gzip member does not match its footer" );
+                    }
+                    ++verified;
+                    if ( chunk.reachedStreamEnd ) {
+                        /* Later marker-derived checkpoints lie in trailing padding. */
+                        return !m_markerDerived;
+                    }
+                    if ( i + 1 == chunkCount ) {
+                        throw TruncatedStreamError(
+                            "Gzip stream ended before the final Deflate block — truncated file" );
+                    }
+                    return true;
+                } );
+                m_markerDerived = false;
+                return total;
+            } catch ( const ChecksumError& ) {
+                return poison();
+            } catch ( const FalseChunkEndError& ) {
+                falseBoundary = verified + 1;
+            } catch ( const TruncatedStreamError& ) {
+                throw;  /* no merge can make the file longer */
+            } catch ( const InvalidGzipStreamError& ) {
+                /* A bad chunk start; chunk 0 starts at the member's first
+                 * Deflate byte, so there the end is the suspect. */
+                falseBoundary = std::max<std::size_t>( verified, 1 );
+            } catch ( ... ) {
+                /* A transient failure (I/O, allocation, injected fault)
+                 * leaves failed prefetches in the cache: let the next sweep
+                 * start on a fresh fetcher. */
+                m_chunks.reset( /* keepSizes */ true );
+                throw;
             }
-            if ( falseBoundary ) {
-                if ( mergeFalseBoundary( *falseBoundary ) ) {
-                    continue;
-                }
+            if ( !mergeFalseBoundary( falseBoundary ) ) {
                 return poison();
             }
-            if ( !endedStream ) {
-                throw InvalidGzipStreamError(
-                    "Gzip stream ended before the final Deflate block — truncated file" );
-            }
-            return recordChunkSizes( sizes );
         }
     }
 
@@ -377,28 +379,6 @@ private:
         return total;
     }
 
-    /** Fill the swept chunk sizes into the checkpoints' uncompressed offsets,
-     * dropping checkpoints past the end of the stream. The fetcher decodes
-     * from the same bit offsets, so it stays, cache and all; it stops at the
-     * shortened table and forgets the sweep's access pattern, which would
-     * otherwise skew its prefetch strategy for the reads that follow. */
-    [[nodiscard]] std::size_t
-    recordChunkSizes( const std::vector<std::size_t>& sizes )
-    {
-        m_fetcher->resetAccessPattern( sizes.size() );
-        auto table = std::make_shared<GzipIndex>( *m_index );
-        table->checkpoints.resize( sizes.size() );
-        std::size_t offset = 0;
-        for ( std::size_t i = 0; i < sizes.size(); ++i ) {
-            table->checkpoints[i].uncompressedOffset = offset;
-            offset += sizes[i];
-        }
-        table->uncompressedSizeBytes = offset;
-        m_index = std::move( table );
-        m_markerDerived = false;
-        return offset;
-    }
-
     /**
      * Erase the marker-derived checkpoint @p boundary that a failing chunk
      * exposed as false, merging its chunk into the predecessor. Returns false
@@ -413,21 +393,24 @@ private:
         auto table = std::make_shared<GzipIndex>( *m_index );
         table->checkpoints.erase( table->checkpoints.begin() + static_cast<std::ptrdiff_t>( boundary ) );
         adoptIndex( std::move( table ), /* markerDerived */ true );
-        ensureFetcher();
         return true;
     }
 
     /** The chunked state cannot produce verified bytes for this stream; only
-     * the serial path may answer from now on. */
+     * the serial path may answer from now on, and reads throw. */
     [[nodiscard]] std::optional<std::size_t>
     poison()
     {
         m_parallelResultUntrusted = true;
-        m_fetcher.reset();
+        m_chunks.reset( /* keepSizes */ false );
         return std::nullopt;
     }
 
-    /** Make @p index the chunk table; the fetcher is rebuilt lazily on it. */
+    /**
+     * Make @p index the chunk table, every chunk decoded by
+     * GzipChunkFetcher::decodeChunkFromCheckpoint from its checkpoint and
+     * window. Marker-derived checkpoints await the sweep's sizes.
+     */
     void
     adoptIndex( std::shared_ptr<const GzipIndex> index, bool markerDerived = false )
     {
@@ -435,7 +418,21 @@ private:
         m_markerDerived = markerDerived;
         /* A trustworthy index supersedes whatever chunking failed before. */
         m_parallelResultUntrusted = false;
-        m_fetcher.reset();
+        /* The decoder runs on pool workers: it captures the immutable index
+         * by shared_ptr and only uses const accessors. */
+        m_chunks.publish(
+            m_index->checkpoints,
+            markerDerived ? std::nullopt : std::optional<std::size_t>( m_index->uncompressedSizeBytes ),
+            [index = m_index] ( const FileReader& reader, std::size_t i ) {
+                const auto& checkpoints = index->checkpoints;
+                const auto startBits = checkpoints[i].compressedOffsetBits;
+                const auto untilBits = i + 1 < checkpoints.size()
+                                       ? checkpoints[i + 1].compressedOffsetBits
+                                       : std::numeric_limits<std::size_t>::max();
+                const auto window = index->windows.get( startBits );
+                return GzipChunkFetcher::decodeChunkFromCheckpoint(
+                    reader, startBits, untilBits, { window.data(), window.size() } );
+            } );
     }
 
     void
@@ -460,41 +457,11 @@ private:
         adoptIndex( std::move( markers ), /* markerDerived */ true );
     }
 
+    /** The chunked reader's table builder: make the checkpoints'
+     * uncompressed offsets trustworthy; marker-derived ones run the
+     * footer-verified sweep. */
     void
-    ensureFetcher()
-    {
-        ensureChunkTable();
-        if ( m_fetcher ) {
-            return;
-        }
-        /* The table's bit offsets go into the shared-cache key, so readers of
-         * one archive with different tables never share entries. */
-        auto configuration = m_configuration;
-        for ( const auto& checkpoint : m_index->checkpoints ) {
-            configuration.cacheIdentity =
-                mixHash( configuration.cacheIdentity ^ checkpoint.compressedOffsetBits );
-        }
-        /* The decoder callback runs on pool workers: it captures the
-         * immutable table by shared_ptr and only uses const accessors. */
-        auto decoder = [index = m_index] ( const FileReader& reader, std::size_t i ) {
-            const auto& checkpoints = index->checkpoints;
-            const auto startBits = checkpoints[i].compressedOffsetBits;
-            const auto untilBits = i + 1 < checkpoints.size()
-                                   ? checkpoints[i + 1].compressedOffsetBits
-                                   : std::numeric_limits<std::size_t>::max();
-            const auto window = index->windows.get( startBits );
-            return GzipChunkFetcher::decodeChunkFromCheckpoint(
-                reader, startBits, untilBits, { window.data(), window.size() } );
-        };
-        m_fetcher = std::make_unique<ChunkFetcher>(
-            std::shared_ptr<const FileReader>( m_file->clone().release() ),
-            m_index->checkpoints.size(), std::move( decoder ), configuration );
-    }
-
-    /** Make the checkpoints' uncompressed offsets trustworthy for
-     * size()/read(): marker-derived ones run the footer-verified sweep. */
-    void
-    ensureOffsetsKnown()
+    establishOffsets()
     {
         ensureChunkTable();
         if ( m_markerDerived && !m_parallelResultUntrusted ) {
@@ -504,75 +471,23 @@ private:
             throw RapidgzipError( "The parallel chunked decode cannot verify this stream; "
                                   "decompressAll() decodes it serially" );
         }
-        ensureFetcher();
-    }
-
-    /**
-     * The chunk walk under read() and readSpans(): from the current position
-     * on, hand @p take each chunk holding it, the offset into the chunk and
-     * the byte count to take, until @p size bytes or the end of the stream.
-     * Returns the bytes walked.
-     */
-    template<typename Take>
-    [[nodiscard]] std::size_t
-    walkChunks( std::size_t size, const Take& take )
-    {
-        ensureOffsetsKnown();
-        const auto& checkpoints = m_index->checkpoints;
-        const auto totalSize = m_index->uncompressedSizeBytes;
-
-        std::size_t produced = 0;
-        while ( ( produced < size ) && ( m_position < totalSize ) ) {
-            const auto next = std::upper_bound(
-                checkpoints.begin(), checkpoints.end(), m_position,
-                [] ( std::size_t position, const index::Checkpoint& checkpoint ) {
-                    return position < checkpoint.uncompressedOffset;
-                } );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( checkpoints.begin(), next ) ) - 1U;
-            const auto chunkBegin = checkpoints[chunkIndex].uncompressedOffset;
-            const auto chunkEnd = next == checkpoints.end() ? totalSize : next->uncompressedOffset;
-            const auto chunk = m_fetcher->get( chunkIndex );
-            if ( chunk->data.size() != chunkEnd - chunkBegin ) {
-                /* Only possible when an imported index misstates a chunk's
-                 * uncompressed span — never with swept offsets. Both
-                 * directions are corruption: overstated spans would read
-                 * out of bounds, understated ones would return bytes from
-                 * the wrong stream position. */
-                throw RapidgzipError( "Chunk size disagrees with the gzip index — "
-                                      "stale or corrupt index" );
-            }
-            const auto offsetInChunk = m_position - chunkBegin;
-            const auto length = std::min( size - produced, chunk->data.size() - offsetInChunk );
-            take( chunk, offsetInChunk, length );
-            produced += length;
-            m_position += length;
-        }
-        return produced;
-    }
-
-    [[nodiscard]] std::size_t
-    serialDecompressCount()
-    {
-        return GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes );
     }
 
     std::unique_ptr<SharedFileReader> m_file;
     ChunkFetcherConfiguration m_configuration;
 
-    /** The chunk table: chunk i spans checkpoint i to checkpoint i + 1.
-     * Shared with the fetcher's worker threads, so a change swaps in a new
-     * table instead of modifying this one. */
+    /* Under m_chunks' lock: the index behind the chunk table, whose windows
+     * and metadata the table's checkpoints pair with, and its state. */
     std::shared_ptr<const GzipIndex> m_index;
     /** The checkpoints are sync-marker guesses whose uncompressed offsets no
      * sweep has verified yet; only such checkpoints may be merged away. */
     bool m_markerDerived{ false };
-
-    std::unique_ptr<ChunkFetcher> m_fetcher;
-    std::size_t m_position{ 0 };
     /** Set when the chunked state cannot produce verified bytes for this
      * stream: only the serial path may answer. */
     bool m_parallelResultUntrusted{ false };
+
+    ChunkedReader m_chunks;
+    std::size_t m_position{ 0 };
 };
 
 }  // namespace rapidgzip

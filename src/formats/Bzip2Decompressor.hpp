@@ -11,7 +11,6 @@
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
-#include "../core/FrameParallelReader.hpp"
 #include "../io/FileReader.hpp"
 #include "../io/SharedFileReader.hpp"
 #include "Decompressor.hpp"
@@ -36,12 +35,13 @@ namespace rapidgzip::formats {
  * CRC as it would in a real stream.
  *
  * A chance 48-bit magic inside compressed data (~2^-48 per bit) would make
- * a synthetic block undecodable; any scan-path failure falls back to the
- * serial whole-stream vendor decode, which is authoritative. Each stream's
- * combined CRC (rotate-xor over its blocks' CRCs) is additionally checked
- * against the footer on every full decompress().
+ * a synthetic block undecodable; a failing scan, or a failing sweep over
+ * the blocks, replaces the block table with one unit: the whole-stream
+ * vendor decode, which is authoritative. Each stream's combined CRC
+ * (rotate-xor over its blocks' CRCs) is checked against its footer by the
+ * scan, before any block decodes.
  */
-class Bzip2Decompressor final : public Decompressor
+class Bzip2Decompressor final : public FrameDecompressor
 {
 public:
     static constexpr std::uint64_t BLOCK_MAGIC = 0x314159265359ULL;
@@ -50,107 +50,33 @@ public:
 
     explicit Bzip2Decompressor( std::unique_ptr<FileReader> file,
                                 ChunkFetcherConfiguration configuration = {} ) :
-        m_file( ensureSharedFileReader( std::move( file ) ) ),
-        m_configuration( configuration )
+        FrameDecompressor( std::move( file ), configuration )
     {
         try {
             scanBlocks();
-            buildParallelReader();
-            m_parallelUsable = true;
         } catch ( const RapidgzipError& ) {
-            /* Scan failure (exotic/corrupt layout): the serial path still
-             * answers, and decompress() reports ITS verdict on the data. */
-            m_parallelUsable = false;
+            /* Scan failure (exotic/corrupt layout): the whole-stream decode
+             * still answers, and reports ITS verdict on the data. */
+            publishWholeStream();
+            return;
         }
+        auto units = std::make_shared<std::vector<Unit> >();
+        for ( const auto& block : m_blocks ) {
+            units->push_back( { block.beginBits, block.endBits, 0 } );
+        }
+        publishUnits( *units, [units] ( const FileReader& reader, std::size_t index,
+                                        std::vector<std::uint8_t>& out ) {
+            const auto& unit = ( *units )[index];
+            const auto synthetic = buildSingleBlockStream( reader, unit.beginBits, unit.endBits );
+            const auto decoded = vendorBzip2DecompressAll( { synthetic.data(), synthetic.size() } );
+            out.insert( out.end(), decoded.begin(), decoded.end() );
+        }, /* independent */ true );
     }
 
     [[nodiscard]] Format
     format() const noexcept override
     {
         return Format::BZIP2;
-    }
-
-    [[nodiscard]] bool
-    parallelizable() const noexcept override
-    {
-        return m_parallelUsable;
-    }
-
-    std::size_t
-    decompress( const Sink& sink ) override
-    {
-        if ( m_parallelUsable ) {
-            try {
-                return m_parallel->decompress( sink ? sink : Sink{} );
-            } catch ( const RapidgzipError& ) {
-                /* False magic or damaged block: the serial decode decides
-                 * whether the file itself is bad. */
-                m_parallelUsable = false;
-            }
-        }
-        return serialDecompress( sink );
-    }
-
-    [[nodiscard]] std::size_t
-    size() override
-    {
-        if ( m_parallelUsable ) {
-            try {
-                return m_parallel->size();
-            } catch ( const RapidgzipError& ) {
-                m_parallelUsable = false;
-            }
-        }
-        if ( !m_serialSizeKnown ) {
-            m_serialSize = serialDecompress( {} );
-            m_serialSizeKnown = true;
-        }
-        return m_serialSize;
-    }
-
-    [[nodiscard]] std::size_t
-    readAt( std::size_t uncompressedOffset, std::uint8_t* buffer, std::size_t size ) override
-    {
-        if ( m_parallelUsable ) {
-            try {
-                return m_parallel->readAt( uncompressedOffset, buffer, size );
-            } catch ( const RapidgzipError& ) {
-                m_parallelUsable = false;
-            }
-        }
-        return readRangeViaStreaming(
-            [this] ( const Sink& sink ) { return serialDecompress( sink ); },
-            uncompressedOffset, buffer, size );
-    }
-
-    [[nodiscard]] std::size_t
-    readSpansAt( std::size_t uncompressedOffset,
-                 std::size_t size,
-                 std::vector<OwnedSpan>& spans ) override
-    {
-        const auto priorSpans = spans.size();
-        if ( m_parallelUsable ) {
-            try {
-                return m_parallel->readSpansAt( uncompressedOffset, size, spans );
-            } catch ( const RapidgzipError& ) {
-                m_parallelUsable = false;
-                spans.resize( priorSpans );  /* drop partial zero-copy progress */
-            }
-        }
-        return Decompressor::readSpansAt( uncompressedOffset, size, spans );
-    }
-
-    [[nodiscard]] std::vector<index::Checkpoint>
-    seekPoints() override
-    {
-        return m_parallelUsable ? m_parallel->chunkSeekPoints() : std::vector<index::Checkpoint>{};
-    }
-
-    [[nodiscard]] bool
-    importSeekPoints( const std::vector<index::Checkpoint>& seekPoints,
-                      std::size_t uncompressedSizeBytes ) override
-    {
-        return m_parallelUsable && m_parallel->adoptChunkOffsets( seekPoints, uncompressedSizeBytes );
     }
 
     [[nodiscard]] std::size_t
@@ -425,40 +351,48 @@ private:
         return result;
     }
 
+    /** The one-unit table: the whole file through the vendor decoder. */
     void
-    buildParallelReader()
+    publishWholeStream()
     {
-        std::vector<CompressedFrame> units;
-        units.reserve( m_blocks.size() );
-        for ( const auto& block : m_blocks ) {
-            CompressedFrame unit;
-            unit.compressedBeginBits = block.beginBits;
-            unit.compressedEndBits = block.endBits;
-            units.push_back( unit );
-        }
-        auto decoder = [] ( const FileReader& file, const CompressedFrame& unit,
-                            std::size_t /* index */, std::vector<std::uint8_t>& out ) {
-            const auto synthetic = buildSingleBlockStream(
-                file, unit.compressedBeginBits, unit.compressedEndBits );
-            const auto decoded = vendorBzip2DecompressAll(
-                { synthetic.data(), synthetic.size() } );
-            out.insert( out.end(), decoded.begin(), decoded.end() );
-        };
-        m_parallel = std::make_unique<FrameParallelReader>(
-            std::shared_ptr<const FileReader>( m_file->clone().release() ),
-            std::move( units ), std::move( decoder ), m_configuration );
+        publishUnits( { Unit{ 0, m_file->size() * 8, 0 } }, [] ( const FileReader& file, std::size_t,
+                                                                   std::vector<std::uint8_t>& out ) {
+            std::vector<std::uint8_t> compressed( file.size() );
+            preadExactly( file, compressed.data(), compressed.size(), 0 );
+            const auto output = vendorBzip2DecompressAll( { compressed.data(), compressed.size() } );
+            out.insert( out.end(), output.begin(), output.end() );
+        }, /* independent */ false );
     }
 
+    /**
+     * When a block decode fails (a false magic, a damaged block, a fault
+     * that outlived its retries), the whole-stream decode decides whether
+     * the file itself is bad: the block table gives way to the one-unit
+     * table, once, and the sink resumes after the bytes it already has.
+     */
     std::size_t
-    serialDecompress( const Sink& sink )
+    sweep( const Sink& sink ) override
     {
-        std::vector<std::uint8_t> compressed( m_file->size() );
-        preadExactly( *m_file, compressed.data(), compressed.size(), 0 );
-        const auto output = vendorBzip2DecompressAll( { compressed.data(), compressed.size() } );
-        if ( sink ) {
-            sink( { output.data(), output.size() } );
+        std::size_t emitted = 0;
+        if ( parallelizable() ) {
+            try {
+                return m_chunks.sweep( [&] ( std::size_t, const DecodedChunk& chunk ) {
+                    if ( sink ) {
+                        sink( { chunk.data.data(), chunk.data.size() } );
+                    }
+                    emitted += chunk.data.size();
+                    return true;
+                } );
+            } catch ( const RapidgzipError& ) {
+                publishWholeStream();
+            }
         }
-        return output.size();
+        return m_chunks.sweep( [&] ( std::size_t, const DecodedChunk& chunk ) {
+            if ( sink && ( chunk.data.size() > emitted ) ) {
+                sink( { chunk.data.data() + emitted, chunk.data.size() - emitted } );
+            }
+            return true;
+        } );
     }
 
     struct StreamInfo
@@ -469,16 +403,8 @@ private:
         std::uint32_t streamCrc{ 0 };
     };
 
-    std::unique_ptr<SharedFileReader> m_file;
-    ChunkFetcherConfiguration m_configuration;
-
     std::vector<Block> m_blocks;
     std::vector<StreamInfo> m_streams;
-    bool m_parallelUsable{ false };
-    std::unique_ptr<FrameParallelReader> m_parallel;
-
-    std::size_t m_serialSize{ 0 };
-    bool m_serialSizeKnown{ false };
 };
 
 }  // namespace rapidgzip::formats

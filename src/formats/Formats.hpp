@@ -66,8 +66,7 @@ public:
     [[nodiscard]] std::size_t
     readAt( std::size_t uncompressedOffset, std::uint8_t* buffer, std::size_t size ) override
     {
-        m_reader.seek( uncompressedOffset );
-        return m_reader.read( buffer, size );
+        return m_reader.readAt( uncompressedOffset, buffer, size );
     }
 
     [[nodiscard]] std::size_t
@@ -75,8 +74,7 @@ public:
                  std::size_t size,
                  std::vector<OwnedSpan>& spans ) override
     {
-        m_reader.seek( uncompressedOffset );
-        return m_reader.readSpans( size, spans );
+        return m_reader.readSpansAt( uncompressedOffset, size, spans );
     }
 
     [[nodiscard]] std::vector<index::Checkpoint>

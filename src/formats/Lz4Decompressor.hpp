@@ -11,7 +11,6 @@
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
-#include "../core/FrameParallelReader.hpp"
 #include "../io/FileReader.hpp"
 #include "../io/SharedFileReader.hpp"
 #include "Decompressor.hpp"
@@ -41,8 +40,7 @@ struct Lz4Frame
     bool independentBlocks{ false };
     bool hasContentChecksum{ false };
     std::uint32_t contentChecksum{ 0 };
-    /** From the header when C.Size is set, else measured by a serial
-     * sweep (0 until known for content-size-less frames). */
+    /** From the header when C.Size is set (0 otherwise). */
     std::size_t contentSize{ 0 };
     bool contentSizeKnown{ false };
 };
@@ -180,7 +178,7 @@ decodeLz4Block( const FileReader& file,
  * Decode and verify one whole frame: its blocks in order, linked blocks
  * with up to 64 KiB of the frame's earlier output as history, then the
  * content size and content checksum when the header records them. The
- * backend's serial path and salvage both run this.
+ * backend's frame units and salvage both run this.
  */
 [[nodiscard]] inline std::vector<std::uint8_t>
 decodeLz4Frame( const FileReader& file, const Lz4Frame& frame )
@@ -203,24 +201,31 @@ decodeLz4Frame( const FileReader& file, const Lz4Frame& frame )
 /**
  * LZ4 frame-format reader on the from-scratch block codec. The frame walk
  * is pure header arithmetic (block sizes are explicit), so the whole
- * stream is segmented without decompressing a byte. Frames with the
- * B.Indep flag decode block-parallel through FrameParallelReader — every
- * block is an independent unit, verified against its own block checksum on
- * the worker that decodes it. Linked-block frames (matches reach into the
- * previous block) take the verified serial path. Content checksums, when
- * present, are verified on every full decompress() in either mode.
+ * stream is segmented without decompressing a byte. When every frame has
+ * the B.Indep flag and a content size, every block is a unit of the chunked
+ * reader, verified against its own block checksum on the worker that
+ * decodes it, and the sweep checks each frame's content checksum as its
+ * last byte passes. Otherwise (matches reaching into the previous block)
+ * every frame is one unit, decoded and verified whole by decodeLz4Frame().
  */
-class Lz4Decompressor final : public Decompressor
+class Lz4Decompressor final : public FrameDecompressor
 {
 public:
     explicit Lz4Decompressor( std::unique_ptr<FileReader> file,
                               ChunkFetcherConfiguration configuration = {} ) :
-        m_file( ensureSharedFileReader( std::move( file ) ) ),
-        m_configuration( configuration )
+        FrameDecompressor( std::move( file ), configuration )
     {
         parseFrames();
-        if ( m_allIndependent ) {
-            buildParallelReader();
+        /* Blockwise parallelism needs every frame independent AND sized:
+         * the sweep's checksum walk finds frame boundaries by content size.
+         * Our writer always produces this profile. */
+        if ( !m_frames.empty()
+             && std::all_of( m_frames.begin(), m_frames.end(), [] ( const Lz4Frame& frame ) {
+                    return frame.independentBlocks && frame.contentSizeKnown;
+                } ) ) {
+            publishBlocks();
+        } else {
+            publishFrames();
         }
     }
 
@@ -228,118 +233,6 @@ public:
     format() const noexcept override
     {
         return Format::LZ4;
-    }
-
-    [[nodiscard]] bool
-    parallelizable() const noexcept override
-    {
-        return m_allIndependent;
-    }
-
-    std::size_t
-    decompress( const Sink& sink ) override
-    {
-        if ( !m_allIndependent ) {
-            return serialDecompress( sink );  /* verifies checksums per frame */
-        }
-
-        /* Parallel mode: sink spans are chunk-sized and cut across frames,
-         * so each frame's content hash is accumulated streamingly and
-         * checked as its last byte passes through. Every frame's content
-         * size is known here (parallel mode requires it). */
-        std::size_t frameCursor = 0;
-        Xxh32Streamer hasher;
-        std::size_t hashedInFrame = 0;
-
-        const auto verifyingSink = [&] ( BufferView span ) {
-            auto data = span;
-            while ( frameCursor < m_frames.size() ) {
-                const auto& frame = m_frames[frameCursor];
-                const auto take = std::min<std::size_t>( data.size(),
-                                                         frame.contentSize - hashedInFrame );
-                if ( frame.hasContentChecksum ) {
-                    hasher.update( data.data(), take );
-                }
-                hashedInFrame += take;
-                if ( hashedInFrame == frame.contentSize ) {
-                    if ( frame.hasContentChecksum
-                         && ( hasher.digest() != frame.contentChecksum ) ) {
-                        throw ChecksumError( "LZ4 content checksum mismatch" );
-                    }
-                    hasher = Xxh32Streamer();
-                    hashedInFrame = 0;
-                    ++frameCursor;
-                } else if ( take == data.size() ) {
-                    break;  /* span exhausted mid-frame */
-                }
-                data = data.subView( take, data.size() - take );
-            }
-            if ( sink ) {
-                sink( span );
-            }
-        };
-
-        const auto total = m_parallel->decompress( verifyingSink );
-        std::size_t expectedTotal = 0;
-        for ( const auto& frame : m_frames ) {
-            expectedTotal += frame.contentSize;
-        }
-        if ( total != expectedTotal ) {
-            throw RapidgzipError( "LZ4 frame content size mismatch" );
-        }
-        return total;
-    }
-
-    [[nodiscard]] std::size_t
-    size() override
-    {
-        if ( m_allIndependent ) {
-            return m_parallel->size();
-        }
-        ensureSerialSizesKnown();
-        std::size_t total = 0;
-        for ( const auto& frame : m_frames ) {
-            total += frame.contentSize;
-        }
-        return total;
-    }
-
-    [[nodiscard]] std::size_t
-    readAt( std::size_t uncompressedOffset, std::uint8_t* buffer, std::size_t size ) override
-    {
-        if ( m_allIndependent ) {
-            return m_parallel->readAt( uncompressedOffset, buffer, size );
-        }
-        /* Linked blocks: no random access without decoding the frame prefix.
-         * Stream and window (stopping once filled) — correctness over speed
-         * on the fallback path. */
-        return readRangeViaStreaming(
-            [this] ( const Sink& sink ) { return serialDecompress( sink ); },
-            uncompressedOffset, buffer, size );
-    }
-
-    [[nodiscard]] std::size_t
-    readSpansAt( std::size_t uncompressedOffset,
-                 std::size_t size,
-                 std::vector<OwnedSpan>& spans ) override
-    {
-        if ( m_allIndependent ) {
-            return m_parallel->readSpansAt( uncompressedOffset, size, spans );
-        }
-        return Decompressor::readSpansAt( uncompressedOffset, size, spans );
-    }
-
-    [[nodiscard]] std::vector<index::Checkpoint>
-    seekPoints() override
-    {
-        return m_allIndependent ? m_parallel->chunkSeekPoints() : std::vector<index::Checkpoint>{};
-    }
-
-    [[nodiscard]] bool
-    importSeekPoints( const std::vector<index::Checkpoint>& seekPoints,
-                      std::size_t uncompressedSizeBytes ) override
-    {
-        return m_allIndependent && m_parallel->adoptChunkOffsets( seekPoints, uncompressedSizeBytes );
     }
 
 private:
@@ -359,78 +252,87 @@ private:
             m_frames.push_back( parseLz4Frame( *m_file, offset ) );
             offset = m_frames.back().end;
         }
-        /* Blockwise parallelism needs every frame independent AND sized:
-         * the verifying sink walks frame boundaries by content size. Our
-         * writer always produces this profile; foreign files without it
-         * take the verified serial path. */
-        m_allIndependent = !m_frames.empty();
-        for ( const auto& frame : m_frames ) {
-            m_allIndependent = m_allIndependent
-                               && frame.independentBlocks && frame.contentSizeKnown;
-        }
     }
 
     void
-    buildParallelReader()
+    publishBlocks()
     {
         auto blocks = std::make_shared<std::vector<Lz4Block> >();
         for ( const auto& frame : m_frames ) {
             blocks->insert( blocks->end(), frame.blocks.begin(), frame.blocks.end() );
         }
-        std::vector<CompressedFrame> units;
+        std::vector<Unit> units;
         units.reserve( blocks->size() );
         for ( const auto& block : *blocks ) {
-            CompressedFrame unit;
-            unit.compressedBeginBits = block.dataBegin * 8;
-            unit.compressedEndBits = ( block.dataBegin + block.dataSize
-                                       + ( block.hasChecksum ? 4 : 0 ) ) * 8;
-            units.push_back( unit );
+            units.push_back( { block.dataBegin * 8,
+                               ( block.dataBegin + block.dataSize + ( block.hasChecksum ? 4 : 0 ) ) * 8,
+                               0 } );
         }
-        auto decoder = [blocks] ( const FileReader& file, const CompressedFrame& /* unit */,
-                                  std::size_t index, std::vector<std::uint8_t>& out ) {
+        publishUnits( units, [blocks] ( const FileReader& file, std::size_t index,
+                                        std::vector<std::uint8_t>& out ) {
             decodeLz4Block( file, ( *blocks )[index], out, /* history */ 0 );
-        };
-        m_parallel = std::make_unique<FrameParallelReader>(
-            std::shared_ptr<const FileReader>( m_file->clone().release() ),
-            std::move( units ), std::move( decoder ), m_configuration );
-    }
-
-    /** Serial path: frames in order, each decoded and verified whole.
-     * Flushes at frame ends so the sink's spans respect frame boundaries
-     * (the checksum plan depends on that). */
-    std::size_t
-    serialDecompress( const Sink& sink )
-    {
-        std::size_t total = 0;
-        for ( auto& frame : m_frames ) {
-            const auto output = decodeLz4Frame( *m_file, frame );
-            frame.contentSize = output.size();
-            frame.contentSizeKnown = true;
-            total += output.size();
-            if ( sink ) {
-                sink( { output.data(), output.size() } );
-            }
-        }
-        return total;
+        }, /* independent */ true );
     }
 
     void
-    ensureSerialSizesKnown()
+    publishFrames()
     {
+        auto frames = std::make_shared<const std::vector<Lz4Frame> >( m_frames );
+        std::vector<Unit> units;
         for ( const auto& frame : m_frames ) {
-            if ( !frame.contentSizeKnown ) {
-                (void)serialDecompress( {} );
-                return;
-            }
+            units.push_back( { frame.begin * 8, frame.end * 8, 0 } );
         }
+        publishUnits( units, [frames] ( const FileReader& file, std::size_t index,
+                                        std::vector<std::uint8_t>& out ) {
+            const auto output = decodeLz4Frame( file, ( *frames )[index] );
+            out.insert( out.end(), output.begin(), output.end() );
+        }, /* independent */ false );
     }
 
-    std::unique_ptr<SharedFileReader> m_file;
-    ChunkFetcherConfiguration m_configuration;
+    /** The block table's sweep also checks every frame's content size and
+     * content checksum: chunks cut across frames, so each frame's hash is
+     * accumulated as its bytes pass and checked at its last byte. Frame
+     * units verify themselves in decodeLz4Frame(). */
+    std::size_t
+    sweep( const Sink& sink ) override
+    {
+        if ( !parallelizable() ) {
+            return FrameDecompressor::sweep( sink );
+        }
+        std::size_t frameCursor = 0;
+        Xxh32Streamer hasher;
+        std::size_t hashedInFrame = 0;
+        return m_chunks.sweep( [&] ( std::size_t, const DecodedChunk& chunk ) {
+            BufferView data{ chunk.data.data(), chunk.data.size() };
+            while ( frameCursor < m_frames.size() ) {
+                const auto& frame = m_frames[frameCursor];
+                const auto take = std::min<std::size_t>( data.size(), frame.contentSize - hashedInFrame );
+                if ( frame.hasContentChecksum ) {
+                    hasher.update( data.data(), take );
+                }
+                hashedInFrame += take;
+                data = data.subView( take, data.size() - take );
+                if ( hashedInFrame < frame.contentSize ) {
+                    break;  /* chunk exhausted mid-frame */
+                }
+                if ( frame.hasContentChecksum && ( hasher.digest() != frame.contentChecksum ) ) {
+                    throw ChecksumError( "LZ4 content checksum mismatch" );
+                }
+                hasher = Xxh32Streamer();
+                hashedInFrame = 0;
+                ++frameCursor;
+            }
+            if ( !data.empty() || ( chunk.reachedStreamEnd && ( frameCursor < m_frames.size() ) ) ) {
+                throw RapidgzipError( "LZ4 frame content size mismatch" );
+            }
+            if ( sink ) {
+                sink( { chunk.data.data(), chunk.data.size() } );
+            }
+            return true;
+        } );
+    }
 
     std::vector<Lz4Frame> m_frames;
-    bool m_allIndependent{ false };
-    std::unique_ptr<FrameParallelReader> m_parallel;
 };
 
 }  // namespace rapidgzip::formats

@@ -70,7 +70,7 @@ vendorBzip2Compress( BufferView data, int blockSize100k = 9 )
 /**
  * Streaming decompression of a whole buffer, following CONCATENATED bzip2
  * streams like `bzip2 -d` does — the vendor ORACLE for the differential
- * tests and the Bzip2Decompressor's serial fallback.
+ * tests and the Bzip2Decompressor's whole-stream unit.
  */
 [[nodiscard]] inline std::vector<std::uint8_t>
 vendorBzip2DecompressAll( BufferView compressed )

@@ -109,7 +109,7 @@ vendorZstdDecompressFrame( BufferView frame, std::uint8_t* dst, std::size_t dstC
 /**
  * Streaming decompression of a whole buffer of concatenated (and/or
  * skippable) frames — the vendor ORACLE for the differential tests, and
- * the serial fallback for frames without a recorded content size.
+ * the whole-stream unit of a stream whose frames lack a content size.
  */
 [[nodiscard]] inline std::vector<std::uint8_t>
 vendorZstdDecompressAll( BufferView compressed )

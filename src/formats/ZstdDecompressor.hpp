@@ -11,7 +11,6 @@
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
-#include "../core/FrameParallelReader.hpp"
 #include "../index/Checkpoint.hpp"
 #include "../io/FileReader.hpp"
 #include "../io/SharedFileReader.hpp"
@@ -111,7 +110,7 @@ walkZstdDataFrame( const FileReader& file, std::size_t begin )
     }
     /* fcsSize == 0 means "unknown", and a genuinely empty frame also
      * reports 0 — the empty case is harmless to treat as unknown (its
-     * serial fallback cost is nil). */
+     * whole-stream decode costs nothing). */
     return { position, contentSize };
 }
 
@@ -127,103 +126,28 @@ walkZstdDataFrame( const FileReader& file, std::size_t begin )
  *     compressed AND decompressed sizes for every frame, zero decoding;
  *  2. frame headers with a content-size field: sizes recovered per frame
  *     while walking (ZSTD_compress always writes it);
- *  3. neither → verified serial streaming via ZSTD_decompressStream.
+ *  3. neither → the whole stream is one unit, decoded by the vendor
+ *     streaming decoder and then cached like any chunk.
  *
- * With sources 1 or 2 decompression fans frames out over the chunk
- * fetcher; integrity rides on zstd's own frame checksums (verified inside
- * the vendor decoder when present) plus the exact-content-size check every
- * frame decode enforces.
+ * With sources 1 or 2 every frame is a unit of the chunked reader and
+ * decodes on its pool; integrity rides on zstd's own frame checksums
+ * (verified inside the vendor decoder when present) plus the exact-content-
+ * size check every frame decode enforces.
  */
-class ZstdDecompressor final : public Decompressor
+class ZstdDecompressor final : public FrameDecompressor
 {
 public:
     explicit ZstdDecompressor( std::unique_ptr<FileReader> file,
                                ChunkFetcherConfiguration configuration = {} ) :
-        m_file( ensureSharedFileReader( std::move( file ) ) ),
-        m_configuration( configuration )
+        FrameDecompressor( std::move( file ), configuration )
     {
         parseFrames();
-        if ( m_allSized ) {
-            buildParallelReader();
-        }
     }
 
     [[nodiscard]] Format
     format() const noexcept override
     {
         return Format::ZSTD;
-    }
-
-    [[nodiscard]] bool
-    parallelizable() const noexcept override
-    {
-        return m_allSized;
-    }
-
-    std::size_t
-    decompress( const Sink& sink ) override
-    {
-        if ( m_allSized ) {
-            return m_parallel->decompress( sink ? sink : Sink{} );
-        }
-        /* Serial fallback: vendor streaming decode of the whole file. */
-        std::vector<std::uint8_t> compressed( m_file->size() );
-        preadExactly( *m_file, compressed.data(), compressed.size(), 0 );
-        const auto output = vendorZstdDecompressAll( { compressed.data(), compressed.size() } );
-        if ( sink ) {
-            sink( { output.data(), output.size() } );
-        }
-        return output.size();
-    }
-
-    [[nodiscard]] std::size_t
-    size() override
-    {
-        if ( m_allSized ) {
-            return m_parallel->size();
-        }
-        if ( !m_serialSizeKnown ) {
-            m_serialSize = decompress( {} );
-            m_serialSizeKnown = true;
-        }
-        return m_serialSize;
-    }
-
-    [[nodiscard]] std::size_t
-    readAt( std::size_t uncompressedOffset, std::uint8_t* buffer, std::size_t size ) override
-    {
-        if ( m_allSized ) {
-            return m_parallel->readAt( uncompressedOffset, buffer, size );
-        }
-        return readRangeViaStreaming(
-            [this] ( const Sink& sink ) { return decompress( sink ); },
-            uncompressedOffset, buffer, size );
-    }
-
-    [[nodiscard]] std::size_t
-    readSpansAt( std::size_t uncompressedOffset,
-                 std::size_t size,
-                 std::vector<OwnedSpan>& spans ) override
-    {
-        if ( m_allSized ) {
-            return m_parallel->readSpansAt( uncompressedOffset, size, spans );
-        }
-        return Decompressor::readSpansAt( uncompressedOffset, size, spans );
-    }
-
-    [[nodiscard]] std::vector<index::Checkpoint>
-    seekPoints() override
-    {
-        return m_allSized ? m_parallel->chunkSeekPoints() : std::vector<index::Checkpoint>{};
-    }
-
-    [[nodiscard]] bool
-    importSeekPoints( const std::vector<index::Checkpoint>& seekPoints,
-                      std::size_t uncompressedSizeBytes ) override
-    {
-        /* Without per-frame sizes there is no parallel reader to hand the
-         * offsets to (frame decodes need exact destination sizes). */
-        return m_allSized && m_parallel->adoptChunkOffsets( seekPoints, uncompressedSizeBytes );
     }
 
     /** True when a seekable-format seek table was found and adopted. */
@@ -305,19 +229,39 @@ private:
             }
         }
 
-        m_allSized = !rawFrames.empty();
+        auto frames = std::make_shared<std::vector<Unit> >();
         for ( const auto& frame : rawFrames ) {
-            m_allSized = m_allSized && frame.sized;
+            frames->push_back( { frame.begin * 8, frame.end * 8, frame.contentSize } );
         }
-
-        m_frames.reserve( rawFrames.size() );
-        for ( const auto& frame : rawFrames ) {
-            CompressedFrame unit;
-            unit.compressedBeginBits = frame.begin * 8;
-            unit.compressedEndBits = frame.end * 8;
-            unit.uncompressedSize = frame.contentSize;
-            m_frames.push_back( unit );
+        const auto allSized = !rawFrames.empty()
+                              && std::all_of( rawFrames.begin(), rawFrames.end(),
+                                              [] ( const RawFrame& frame ) { return frame.sized; } );
+        if ( allSized ) {
+            publishUnits( *frames, [frames] ( const FileReader& file, std::size_t index,
+                                              std::vector<std::uint8_t>& out ) {
+                const auto& frame = ( *frames )[index];
+                std::vector<std::uint8_t> compressed( ( frame.endBits - frame.beginBits ) / 8 );
+                preadExactly( file, compressed.data(), compressed.size(), frame.beginBits / 8 );
+                const auto previousSize = out.size();
+                out.resize( previousSize + frame.uncompressedSize );
+                const auto written = vendorZstdDecompressFrame(
+                    { compressed.data(), compressed.size() },
+                    out.data() + previousSize, frame.uncompressedSize );
+                if ( written != frame.uncompressedSize ) {
+                    throw RapidgzipError( "zstd frame decoded to an unexpected size" );
+                }
+            }, /* independent */ true );
+            return;
         }
+        /* Without every frame's size there is no destination to decode a
+         * frame into: the whole stream is one unit. */
+        publishUnits( { Unit{ 0, fileSize * 8, 0 } }, [] ( const FileReader& file, std::size_t,
+                                                           std::vector<std::uint8_t>& out ) {
+            std::vector<std::uint8_t> compressed( file.size() );
+            preadExactly( file, compressed.data(), compressed.size(), 0 );
+            const auto output = vendorZstdDecompressAll( { compressed.data(), compressed.size() } );
+            out.insert( out.end(), output.begin(), output.end() );
+        }, /* independent */ false );
     }
 
     [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t> >
@@ -341,39 +285,7 @@ private:
         return result;
     }
 
-    void
-    buildParallelReader()
-    {
-        auto decoder = [] ( const FileReader& file, const CompressedFrame& unit,
-                            std::size_t /* index */, std::vector<std::uint8_t>& out ) {
-            const auto begin = unit.compressedBeginBits / 8;
-            const auto compressedSize = ( unit.compressedEndBits - unit.compressedBeginBits ) / 8;
-            std::vector<std::uint8_t> compressed( compressedSize );
-            preadExactly( file, compressed.data(), compressed.size(), begin );
-            const auto previousSize = out.size();
-            out.resize( previousSize + unit.uncompressedSize );
-            const auto written = vendorZstdDecompressFrame(
-                { compressed.data(), compressed.size() },
-                out.data() + previousSize, unit.uncompressedSize );
-            if ( written != unit.uncompressedSize ) {
-                throw RapidgzipError( "zstd frame decoded to an unexpected size" );
-            }
-        };
-        m_parallel = std::make_unique<FrameParallelReader>(
-            std::shared_ptr<const FileReader>( m_file->clone().release() ),
-            m_frames, std::move( decoder ), m_configuration );
-    }
-
-    std::unique_ptr<SharedFileReader> m_file;
-    ChunkFetcherConfiguration m_configuration;
-
-    std::vector<CompressedFrame> m_frames;
-    bool m_allSized{ false };
     bool m_hasSeekTable{ false };
-    std::unique_ptr<FrameParallelReader> m_parallel;
-
-    std::size_t m_serialSize{ 0 };
-    bool m_serialSizeKnown{ false };
 };
 
 }  // namespace rapidgzip::formats

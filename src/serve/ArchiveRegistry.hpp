@@ -2,7 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -27,20 +26,9 @@ public:
     using RapidgzipError::RapidgzipError;
 };
 
-/** Thrown when an archive's admission semaphore is full — the server maps
- * it to 503 + Retry-After so one cold sweep cannot starve the pool. */
-class ArchiveBusyError : public RapidgzipError
-{
-public:
-    using RapidgzipError::RapidgzipError;
-};
-
 /** Limits governing the registry's failure behavior. */
 struct RegistryLimits
 {
-    /** Concurrent consumers (holding or waiting on a lease) per archive;
-     * 0 = unlimited. The excess consumer is refused, not queued. */
-    std::size_t maxConsumersPerArchive{ 0 };
     /** Initial negative-cache hold after a failed open; doubles per repeat
      * failure (capped at 64×). 0 disables negative caching. */
     std::uint32_t failedOpenBackoffMs{ 1000 };
@@ -87,11 +75,13 @@ struct ArchiveIdentity
  * adoption apply uniformly, and every reader is wired to the process-wide
  * chunk cache with its identity token.
  *
- * Decompressors are single-consumer objects (one consumer thread; the
- * parallelism is the chunk decoding underneath), so a Lease holds the
- * entry's mutex for the duration of a request — concurrent requests to
- * the SAME archive serialize at the reader while different archives
- * proceed in parallel, and cross-request reuse of decoded chunks happens
+ * open() hands out shared handles: a decompressor is thread-safe once its
+ * chunk table is published, so concurrent requests to the SAME archive
+ * read it in parallel, and a request that waits on a chunk decode holds up
+ * no other. Only an entry's first open (format detection, sidecar
+ * adoption) runs under that entry's mutex, so a slow open blocks only its
+ * own archive; a discovery sweep runs on the first read, under the
+ * reader's own table lock. Cross-request reuse of decoded chunks happens
  * in the shared cache tier below.
  */
 class ArchiveRegistry
@@ -112,44 +102,9 @@ public:
     struct Entry
     {
         ArchiveIdentity identity;
-        std::unique_ptr<formats::Decompressor> decompressor;
-        std::mutex consumerMutex;  /**< serializes the single-consumer reader */
+        std::mutex openMutex;  /**< guards decompressor; held by the first open */
+        std::shared_ptr<formats::Decompressor> decompressor;
         std::uint64_t lastUse{ 0 };
-        /** Consumers holding or waiting on a lease — the admission
-         * semaphore's count. Incremented before blocking on consumerMutex
-         * so queued waiters count against the archive's budget too. */
-        std::atomic<std::size_t> pendingConsumers{ 0 };
-    };
-
-    class Lease
-    {
-    public:
-        Lease( std::shared_ptr<Entry> entry, std::unique_lock<std::mutex> lock ) :
-            m_entry( std::move( entry ) ),
-            m_lock( std::move( lock ) )
-        {}
-
-        Lease( Lease&& ) = default;
-        Lease( const Lease& ) = delete;
-        Lease& operator=( Lease&& ) = delete;
-        Lease& operator=( const Lease& ) = delete;
-
-        ~Lease()
-        {
-            if ( m_entry ) {
-                m_entry->pendingConsumers.fetch_sub( 1, std::memory_order_relaxed );
-            }
-        }
-
-        [[nodiscard]] formats::Decompressor&
-        decompressor() const noexcept
-        {
-            return *m_entry->decompressor;
-        }
-
-    private:
-        std::shared_ptr<Entry> m_entry;
-        std::unique_lock<std::mutex> m_lock;
     };
 
     /**
@@ -158,7 +113,7 @@ public:
      * attempts and missing files; format errors (unknown magic, vendor
      * library absent) propagate as their own types.
      */
-    [[nodiscard]] Lease
+    [[nodiscard]] std::shared_ptr<formats::Decompressor>
     open( const std::string& urlPath )
     {
         const auto filePath = resolve( urlPath );
@@ -185,21 +140,10 @@ public:
             }
         }
 
-        /* Admission: count this consumer in BEFORE blocking on the
-         * consumer mutex — the semaphore bounds waiters, which is exactly
-         * how one cold 100 GB sweep would otherwise absorb every worker. */
-        const auto pending = entry->pendingConsumers.fetch_add( 1, std::memory_order_relaxed ) + 1;
-        if ( ( m_limits.maxConsumersPerArchive > 0 )
-             && ( pending > m_limits.maxConsumersPerArchive ) ) {
-            entry->pendingConsumers.fetch_sub( 1, std::memory_order_relaxed );
-            throw ArchiveBusyError( "Archive '" + urlPath + "' is at its concurrency limit ("
-                                    + std::to_string( m_limits.maxConsumersPerArchive ) + ")" );
-        }
-
-        /* The open itself (possibly a discovery sweep) runs outside the
-         * registry lock, under the entry's consumer mutex, so opening one
-         * slow archive never blocks requests for others. */
-        std::unique_lock<std::mutex> consumerLock( entry->consumerMutex );
+        /* The open itself runs outside the registry lock, under the entry's
+         * mutex, so opening one slow archive never blocks requests for
+         * others. */
+        const std::lock_guard<std::mutex> openLock( entry->openMutex );
         if ( !entry->decompressor ) {
             auto configuration = m_readerConfiguration;
             configuration.sharedCache = m_sharedCache;
@@ -207,13 +151,12 @@ public:
             try {
                 entry->decompressor = formats::openArchive( filePath, configuration );
             } catch ( const std::exception& exception ) {
-                entry->pendingConsumers.fetch_sub( 1, std::memory_order_relaxed );
                 recordFailedOpen( filePath, identity, exception.what() );
                 throw;
             }
             clearFailedOpen( filePath );
         }
-        return Lease( std::move( entry ), std::move( consumerLock ) );
+        return entry->decompressor;
     }
 
     [[nodiscard]] std::size_t
@@ -315,9 +258,9 @@ private:
         m_failedOpens.erase( filePath );
     }
 
-    /** Caller must hold m_mutex. Evicts least-recently-used entries that
-     * are not currently leased (shared_ptr keeps leased ones alive either
-     * way; skipping them keeps the table honest about what is open). */
+    /** Caller must hold m_mutex. Evicts least-recently-used entries that no
+     * open() is working on; requests in flight hold their decompressor
+     * alive either way. */
     void
     evictOverflow()
     {
@@ -325,7 +268,7 @@ private:
             auto victim = m_entries.end();
             for ( auto it = m_entries.begin(); it != m_entries.end(); ++it ) {
                 if ( it->second.use_count() > 1 ) {
-                    continue;  /* leased right now */
+                    continue;  /* being opened right now */
                 }
                 if ( ( victim == m_entries.end() )
                      || ( it->second->lastUse < victim->second->lastUse ) ) {
@@ -333,7 +276,7 @@ private:
                 }
             }
             if ( victim == m_entries.end() ) {
-                break;  /* everything is leased; stay oversized briefly */
+                break;  /* everything is being opened; stay oversized briefly */
             }
             m_entries.erase( victim );
         }

@@ -26,10 +26,10 @@ struct ServeMetrics
     telemetry::Counter& responses5xx;
     telemetry::Counter& bytesServed;
     /** Body bytes lent straight out of cached decoded chunks (borrowed
-     * spans, no copy) vs. bytes that went through a private range copy
-     * (the serial-fallback path). A healthy 200/206 hot path over chunked
-     * archives keeps rangeCopyBytes at 0 — serve_load asserts exactly
-     * that, and /metrics exposes both so the claim is checkable live. */
+     * spans, no copy) vs. bytes that went through a private range copy.
+     * Every backend lends chunk spans, so rangeCopyBytes stays at 0 —
+     * serve_load asserts exactly that, and /metrics exposes both so the
+     * claim is checkable live. */
     telemetry::Counter& zeroCopyBytes;
     telemetry::Counter& rangeCopyBytes;
     telemetry::Counter& zeroCopySpans;
@@ -53,7 +53,7 @@ struct ServeMetrics
             "Body bytes lent as refcounted spans of cached chunks (never copied)." ) ),
         rangeCopyBytes( telemetry::Registry::instance().counter(
             "rapidgzip_serve_range_copy_bytes_total",
-            "Body bytes copied into a private buffer (serial-fallback reads only)." ) ),
+            "Body bytes copied into a private buffer instead of lent from a cached chunk." ) ),
         zeroCopySpans( telemetry::Registry::instance().counter(
             "rapidgzip_serve_zero_copy_spans_total",
             "Refcounted chunk spans lent into responses." ) ),
@@ -92,8 +92,8 @@ struct ServeMetrics
     }
 
     /** Admission-control refusals by reason — "max_connections" (accept
-     * gate) or "archive_busy" (per-archive semaphore). The reason set is a
-     * small fixed vocabulary, so handles are cached like countStatus. */
+     * gate). The reason set is a small fixed vocabulary, so handles are
+     * cached like countStatus. */
     void
     countRejected( const char* reason )
     {

@@ -71,8 +71,6 @@ struct ServerConfiguration
     /** Graceful drain: after beginDrain(), in-flight work gets this long
      * to finish before remaining connections are dropped. */
     std::uint32_t drainTimeoutMs{ 10'000 };
-    /** Per-archive admission semaphore (see RegistryLimits). */
-    std::size_t maxConsumersPerArchive{ 0 };
     /** Failed-open negative-cache base backoff (see RegistryLimits). */
     std::uint32_t failedOpenBackoffMs{ 1000 };
 };
@@ -87,15 +85,14 @@ struct ServerConfiguration
  *   pipelining-safe: surplus bytes stay buffered until the in-flight
  *   response is sent, so requests are answered strictly in order)
  *        │ submit(shard, connection id, request)
- *   worker pool ─ ArchiveRegistry lease → Decompressor::readSpansAt
+ *   worker pool ─ ArchiveRegistry handle → Decompressor::readSpansAt
  *        │ per-shard completion queue + self-pipe wakeup
  *   shard loops ─ writev responses, resume parsing
  *
  * Incoming connections are distributed by SO_REUSEPORT: every shard binds
  * its own listener to the same address and the kernel spreads accepts by
- * 4-tuple hash. Where SO_REUSEPORT is unavailable the server falls back to
- * accepting on shard 0 only and handing accepted fds round-robin to the
- * other shards' inboxes (self-pipe wakeup, same as completions).
+ * 4-tuple hash. More than one shard therefore requires SO_REUSEPORT
+ * (Linux ≥ 3.9); a single shard does not set it.
  *
  * Responses are ZERO-COPY: a response is a small header string plus a body
  * of refcounted spans lent straight out of cached decoded chunks, flushed
@@ -121,8 +118,7 @@ public:
         m_sharedCache( std::make_shared<LruChunkCache>( m_configuration.cacheBytes ) ),
         m_registry( m_configuration.rootDirectory, m_configuration.maxArchives,
                     m_sharedCache, m_configuration.readerConfiguration,
-                    RegistryLimits{ m_configuration.maxConsumersPerArchive,
-                                    m_configuration.failedOpenBackoffMs } ),
+                    RegistryLimits{ m_configuration.failedOpenBackoffMs } ),
         m_workers( std::max<std::size_t>( 1, m_configuration.workerCount ) )
     {
         /* A daemon wants its pipeline counters live in /metrics; the
@@ -136,7 +132,9 @@ public:
     Server& operator=( const Server& ) = delete;
 
     /** Bind + listen on every shard; after this, port() reports the actual
-     * port. */
+     * port. Throws FileIoError when a listener cannot be opened, including
+     * when more than one shard is configured and SO_REUSEPORT cannot be
+     * set. */
     void
     start()
     {
@@ -144,14 +142,13 @@ public:
                                 ? std::max<std::size_t>( 1, std::thread::hardware_concurrency() )
                                 : m_configuration.shardCount;
         for ( std::size_t i = 0; i < shardCount; ++i ) {
-            m_shards.push_back( std::make_unique<Shard>( this, i ) );
+            m_shards.push_back( std::make_unique<Shard>( this ) );
         }
 
-        /* Shard 0 binds first (possibly to an ephemeral port) with
-         * SO_REUSEPORT already set when more shards will join — the option
-         * must be on EVERY socket in the group, including the first, before
-         * bind. setsockopt failure just means single-listener fallback. */
-        bool reusePort = shardCount > 1;
+        /* Shard 0 binds first (possibly to an ephemeral port); the others
+         * join its port. SO_REUSEPORT must be on EVERY socket of the group,
+         * including the first, before bind. */
+        const bool reusePort = shardCount > 1;
         m_shards[0]->listenFd = openListener( m_configuration.port, reusePort );
 
         sockaddr_in bound{};
@@ -160,29 +157,9 @@ public:
                             reinterpret_cast<sockaddr*>( &bound ), &boundSize ) == 0 ) {
             m_port.store( ntohs( bound.sin_port ) );
         }
-
-        for ( std::size_t i = 1; reusePort && ( i < m_shards.size() ); ++i ) {
-            bool shardReuse = true;
-            int fd = -1;
-            try {
-                fd = openListener( m_port.load(), shardReuse );
-            } catch ( const FileIoError& ) {
-                fd = -1;
-            }
-            if ( ( fd < 0 ) || !shardReuse ) {
-                /* SO_REUSEPORT did not take (old kernel, exotic platform):
-                 * close any extra listeners and fall back to accept-on-
-                 * shard-0 with fd handoff. */
-                closeFd( fd );
-                for ( std::size_t j = 1; j < i; ++j ) {
-                    closeFd( m_shards[j]->listenFd );
-                }
-                reusePort = false;
-                break;
-            }
-            m_shards[i]->listenFd = fd;
+        for ( std::size_t i = 1; i < m_shards.size(); ++i ) {
+            m_shards[i]->listenFd = openListener( m_port.load(), reusePort );
         }
-        m_fdHandoff = !reusePort && ( m_shards.size() > 1 );
     }
 
     [[nodiscard]] std::uint16_t
@@ -196,13 +173,6 @@ public:
     shardCount() const noexcept
     {
         return m_shards.size();
-    }
-
-    /** True when accepts funnel through shard 0 (no SO_REUSEPORT). */
-    [[nodiscard]] bool
-    usesFdHandoff() const noexcept
-    {
-        return m_fdHandoff;
     }
 
     /** Safe from any thread (and from within run()'s workers). */
@@ -334,12 +304,10 @@ private:
         }
     }
 
-    /** Create + bind + listen a non-blocking listener. @p reusePort is
-     * in-out: requests SO_REUSEPORT, cleared when the option did not take
-     * (caller decides on the fd-handoff fallback). Throws on bind/listen
-     * failure. */
+    /** Create + bind + listen a non-blocking listener, with SO_REUSEPORT
+     * when @p reusePort. Throws FileIoError on any failure. */
     [[nodiscard]] int
-    openListener( std::uint16_t port, bool& reusePort ) const
+    openListener( std::uint16_t port, bool reusePort ) const
     {
         int fd = ::socket( AF_INET, SOCK_STREAM, 0 );
         if ( fd < 0 ) {
@@ -347,14 +315,10 @@ private:
         }
         const int enable = 1;
         ::setsockopt( fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof( enable ) );
-        if ( reusePort ) {
-#if defined( SO_REUSEPORT )
-            if ( ::setsockopt( fd, SOL_SOCKET, SO_REUSEPORT, &enable, sizeof( enable ) ) != 0 ) {
-                reusePort = false;
-            }
-#else
-            reusePort = false;
-#endif
+        if ( reusePort && ( ::setsockopt( fd, SOL_SOCKET, SO_REUSEPORT, &enable, sizeof( enable ) ) != 0 ) ) {
+            const auto message = std::string( std::strerror( errno ) );
+            ::close( fd );
+            throw FileIoError( "SO_REUSEPORT, which more than one shard requires, failed: " + message );
         }
 
         sockaddr_in address{};
@@ -390,9 +354,8 @@ private:
 
     struct Shard
     {
-        Shard( Server* owner, std::size_t shardIndex ) :
-            server( owner ),
-            index( shardIndex )
+        explicit Shard( Server* owner ) :
+            server( owner )
         {
             int pipeFds[2];
             if ( ::pipe( pipeFds ) != 0 ) {
@@ -411,11 +374,6 @@ private:
                 server->m_liveConnections.fetch_sub( 1 );
             }
             connections.clear();
-            for ( auto fd : inbox ) {
-                ::close( fd );
-                server->m_liveConnections.fetch_sub( 1 );
-            }
-            inbox.clear();
             closeFd( listenFd );
             closeFd( wakeRead );
             closeFd( wakeWrite );
@@ -439,7 +397,6 @@ private:
             std::vector<std::uint64_t> pollIds;  /* connection id per slot, 0 = special */
 
             while ( !server->m_stopRequested.load() ) {
-                drainInbox();
                 drainCompletions();
 
                 /* Drain transitions happen here, on the shard's own thread:
@@ -454,7 +411,6 @@ private:
                     closeFd( listenFd );
                 }
                 if ( drainActive ) {
-                    drainInbox();
                     closeIdleForDrain();
                     if ( connections.empty() || ( nowMs() >= drainDeadlineMs ) ) {
                         break;
@@ -497,7 +453,6 @@ private:
                     char sink[256];
                     while ( ::read( wakeRead, sink, sizeof( sink ) ) > 0 ) {}
                 }
-                drainInbox();
                 drainCompletions();
 
                 std::size_t firstConnectionSlot = 1;
@@ -648,22 +603,6 @@ private:
             }
         }
 
-        /** Register an already-accepted, already-counted fd with this
-         * shard's connection table. */
-        void
-        adoptConnection( int fd )
-        {
-            setNonBlocking( fd );
-            const int enable = 1;
-            ::setsockopt( fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof( enable ) );
-            Connection connection;
-            connection.fd = fd;
-            connection.id = server->m_nextConnectionId.fetch_add( 1 ) + 1;
-            connection.lastActivityMs = nowMs();
-            server->m_metrics.connectionsAccepted.addUnchecked( 1 );
-            connections.emplace( connection.id, std::move( connection ) );
-        }
-
         void
         acceptNewConnections()
         {
@@ -676,44 +615,23 @@ private:
                     break;  /* EAGAIN or transient error: poll again */
                 }
                 const auto limit = server->m_configuration.maxConnections;
-                /* The admission count spans all shards (and fds parked in
-                 * handoff inboxes), so the global gate holds no matter
-                 * which listener the kernel picked. */
+                /* The admission count spans all shards, so the global gate
+                 * holds no matter which listener the kernel picked. */
                 const auto live = server->m_liveConnections.fetch_add( 1 ) + 1;
                 if ( ( limit > 0 ) && ( live > limit ) ) {
                     server->m_liveConnections.fetch_sub( 1 );
                     rejectConnection( fd );
                     continue;
                 }
-                if ( server->m_fdHandoff && ( server->m_shards.size() > 1 ) ) {
-                    /* No SO_REUSEPORT: shard 0 owns the only listener and
-                     * deals accepted fds round-robin across all shards. */
-                    const auto target = handoffCursor++ % server->m_shards.size();
-                    if ( target != index ) {
-                        auto& peer = *server->m_shards[target];
-                        {
-                            const std::lock_guard<std::mutex> lock( peer.inboxMutex );
-                            peer.inbox.push_back( fd );
-                        }
-                        peer.wake();
-                        continue;
-                    }
-                }
-                adoptConnection( fd );
-            }
-        }
-
-        /** Adopt fds handed off by the accepting shard. */
-        void
-        drainInbox()
-        {
-            std::vector<int> handed;
-            {
-                const std::lock_guard<std::mutex> lock( inboxMutex );
-                handed.swap( inbox );
-            }
-            for ( const auto fd : handed ) {
-                adoptConnection( fd );
+                setNonBlocking( fd );
+                const int enable = 1;
+                ::setsockopt( fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof( enable ) );
+                Connection connection;
+                connection.fd = fd;
+                connection.id = server->m_nextConnectionId.fetch_add( 1 ) + 1;
+                connection.lastActivityMs = nowMs();
+                server->m_metrics.connectionsAccepted.addUnchecked( 1 );
+                connections.emplace( connection.id, std::move( connection ) );
             }
         }
 
@@ -972,21 +890,15 @@ private:
         }
 
         Server* server;
-        std::size_t index{ 0 };
         int listenFd{ -1 };
         int wakeRead{ -1 };
         int wakeWrite{ -1 };
         std::map<std::uint64_t, Connection> connections;
         bool drainActive{ false };          /**< shard-thread mirror of the request */
         std::uint64_t drainDeadlineMs{ 0 };
-        std::size_t handoffCursor{ 0 };     /**< round-robin dealer (shard 0 only) */
 
         std::mutex completionMutex;
         std::vector<Completion> completions;
-
-        /** fds accepted by shard 0 awaiting adoption (handoff mode). */
-        std::mutex inboxMutex;
-        std::vector<int> inbox;
     };
 
     /* --- request handling (worker threads) ----------------------------- */
@@ -998,13 +910,6 @@ private:
             return handleRequestChecked( request, keepAlive );
         } catch ( const ArchiveNotFoundError& exception ) {
             return errorResponse( 404, exception.what(), keepAlive );
-        } catch ( const ArchiveBusyError& exception ) {
-            m_metrics.countRejected( "archive_busy" );
-            m_metrics.countStatus( 503 );
-            return stringResponse(
-                buildResponse( 503, "Content-Type: text/plain\r\nRetry-After: 1\r\n",
-                               std::string( exception.what() ) + "\n", keepAlive ),
-                keepAlive );
         } catch ( const std::exception& exception ) {
             /* Unknown format, vendor library missing, corrupt archive, … —
              * the archive's problem, not the server's, but 500 is the
@@ -1078,10 +983,9 @@ private:
                 keepAlive );
         }
 
-        auto lease = m_registry.open( target );
+        const auto decompressor = m_registry.open( target );
         m_metrics.countArchiveRequest( target );
-        auto& decompressor = lease.decompressor();
-        const auto totalSize = decompressor.size();
+        const auto totalSize = decompressor->size();
 
         if ( isHead ) {
             m_metrics.countStatus( 200 );
@@ -1108,7 +1012,7 @@ private:
          * so LRU eviction during the write is harmless. */
         Response response;
         response.keepAlive = keepAlive;
-        const auto got = decompressor.readSpansAt( first, length, response.body );
+        const auto got = decompressor->readSpansAt( first, length, response.body );
         if ( got != length ) {
             return errorResponse( 500, "Decoded range came up short", keepAlive );
         }
@@ -1141,7 +1045,6 @@ private:
     ServeMetrics m_metrics;
 
     std::vector<std::unique_ptr<Shard> > m_shards;
-    bool m_fdHandoff{ false };
     std::atomic<std::uint16_t> m_port{ 0 };
     std::atomic<bool> m_stopRequested{ false };
     std::atomic<bool> m_drainRequested{ false };

@@ -14,9 +14,12 @@
  *  - a decode campaign over every available backend at 1-10 % fault rates:
  *    every attempt either returns byte-exact data or throws a typed error,
  *    and a clean re-read after disarming is byte-exact;
+ *  - bzip2's fallback from its block table to the whole-stream decode
+ *    under chunk.decode faults: the sink receives every byte exactly once;
  *  - a loopback serve campaign: concurrent ranged GETs under serve.write
  *    and chunk.decode faults (each response 206-byte-exact or 500), a
- *    deterministic archive-busy 503, and a deterministic graceful drain
+ *    cached range answered while another request to the same archive is
+ *    still failing its decode, and a deterministic graceful drain
  *    (in-flight request completes, /readyz flips to 503 "draining").
  */
 
@@ -463,6 +466,45 @@ testDecodeCampaign()
     REQUIRE( successes > 0 );
 }
 
+#if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
+/**
+ * A bzip2 block decode that fails past its retries makes decompress() fall
+ * back to the whole-stream decode midway; the sink must then resume after
+ * the bytes the block sweep already emitted, never stream them twice.
+ */
+void
+testBzip2FallbackResumesSink()
+{
+    failsafe::disarmAll();
+    const auto data = workloads::fastqData( 2 * MiB, 0xB217 );
+    const auto file = formats::writeBzip2( data, 1 );
+
+    ChunkFetcherConfiguration configuration;
+    configuration.parallelism = 2;
+    configuration.chunkSizeBytes = 64 * KiB;
+
+    std::size_t completed = 0;
+    for ( std::uint64_t seed = 1; seed <= 20; ++seed ) {
+        auto decompressor = formats::makeDecompressor( std::make_unique<MemoryFileReader>( file ),
+                                                       configuration );
+        failsafe::configure( FaultPoint::CHUNK_DECODE, 0.5, seed );
+        std::vector<std::uint8_t> received;
+        try {
+            const auto total = decompressor->decompress( [&received] ( BufferView view ) {
+                received.insert( received.end(), view.begin(), view.end() );
+            } );
+            REQUIRE( total == data.size() );
+            REQUIRE( received == data );
+            ++completed;
+        } catch ( const RapidgzipError& ) {
+            /* a typed failure is acceptable; duplicated bytes are not */
+        }
+        failsafe::disarmAll();
+    }
+    REQUIRE( completed > 0 );
+}
+#endif
+
 /* --- loopback serve campaign -------------------------------------------- */
 
 struct ClientResponse
@@ -510,6 +552,14 @@ public:
             REQUIRE( got > 0 );
             sent += static_cast<std::size_t>( got );
         }
+    }
+
+    /** True when response bytes have arrived that no read consumed yet. */
+    [[nodiscard]] bool
+    hasUnreadBytes() const
+    {
+        char byte = 0;
+        return !m_buffer.empty() || ( ::recv( m_fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT ) > 0 );
     }
 
     [[nodiscard]] bool
@@ -678,24 +728,35 @@ testServeFaultCampaign()
 }
 
 void
-testServeBusyAndGracefulDrain()
+testServeWithoutLeaseAndGracefulDrain()
 {
     std::signal( SIGPIPE, SIG_IGN );
     failsafe::disarmAll();
 
     const auto directory = makeTempDirectory();
     const auto data = workloads::base64Data( 256 * KiB, 43 );
-    writeFile( directory + "/small.gz", compressPigzLike( data, 6, 64 * KiB ) );
+    const auto path = directory + "/small.gz";
+    writeFile( path, compressPigzLike( data, 6, 64 * KiB ) );
 
     serve::ServerConfiguration configuration;
     configuration.port = 0;
     configuration.rootDirectory = directory;
     configuration.workerCount = 2;
     configuration.cacheBytes = 32 * MiB;
-    configuration.maxConsumersPerArchive = 1;
     configuration.drainTimeoutMs = 5'000;
     configuration.readerConfiguration.parallelism = 2;
     configuration.readerConfiguration.chunkSizeBytes = 64 * KiB;
+    /* The sidecar index gives the archive its chunk table at open, so no
+     * sweep decodes (and caches) every chunk. */
+    std::size_t lastChunkStart = 0;
+    {
+        const auto decompressor = formats::openArchive( path, configuration.readerConfiguration,
+                                                        /* adoptSidecar */ false );
+        formats::writeSidecarIndex( *decompressor, path );
+        const auto seekPoints = decompressor->seekPoints();
+        REQUIRE( seekPoints.size() >= 2 );
+        lastChunkStart = seekPoints.back().uncompressedOffset;
+    }
 
     serve::Server server( std::move( configuration ) );
     server.start();
@@ -703,26 +764,29 @@ testServeBusyAndGracefulDrain()
     REQUIRE( port != 0 );
     std::thread loop( [&server] () { server.run(); } );
 
-    /* Per-archive admission: a request that is slowly failing its decode
-     * (every attempt injected, 100 ms latency each) holds the archive's
-     * single consumer slot, so a concurrent request gets the immediate
-     * 503 + Retry-After instead of queueing behind it. */
+    /* Requests share the archive's reader without a lease: while one
+     * request fails its decode slowly (every attempt injected, 100 ms each,
+     * three attempts), a request for a cached range of the same archive is
+     * answered first instead of queueing behind it. The cached range lies in
+     * the last chunk, so reading it prefetches no other chunk. */
+    const auto cachedOffset = lastChunkStart + 16;
+    const auto cachedRange = "Range: bytes=" + std::to_string( cachedOffset ) + "-"
+                             + std::to_string( cachedOffset + 63 ) + "\r\n";
+    const auto warm = simpleRequest( port, "GET", "/small.gz", cachedRange );
+    REQUIRE( warm.status == 206 );
     failsafe::configure( FaultPoint::CHUNK_DECODE, 1.0, /* seed */ 61, /* latency */ 100'000 );
-    std::thread slow( [&] () {
-        const auto response = simpleRequest( port, "GET", "/small.gz" );
-        REQUIRE( response.status == 500 );
-    } );
+    HttpClient slow( port );
+    slow.send( "GET /small.gz HTTP/1.1\r\nHost: t\r\nRange: bytes=1000-1063\r\n\r\n" );
     std::this_thread::sleep_for( std::chrono::milliseconds( 60 ) );
-    const auto busy = simpleRequest( port, "GET", "/small.gz" );
-    REQUIRE( busy.status == 503 );
-    REQUIRE( busy.headers.count( "retry-after" ) == 1 );
-    slow.join();
+    const auto cached = simpleRequest( port, "GET", "/small.gz", cachedRange );
+    REQUIRE( cached.status == 206 );
+    REQUIRE( cached.body.size() == 64 );
+    REQUIRE( std::memcmp( cached.body.data(), data.data() + cachedOffset, 64 ) == 0 );
+    REQUIRE( !slow.hasUnreadBytes() );  /* the failing request is still decoding */
+    ClientResponse failed;
+    REQUIRE( slow.readResponse( failed ) );
+    REQUIRE( failed.status == 500 );
     failsafe::disarmAll();
-
-    const auto metrics = simpleRequest( port, "GET", "/metrics" );
-    REQUIRE( metrics.status == 200 );
-    REQUIRE( metrics.body.find( "rapidgzip_serve_rejected_total{reason=\"archive_busy\"}" )
-             != std::string::npos );
 
     /* Graceful drain, deterministically: pool.task latency parks both
      * requests before their handlers run, drain begins in that window, so
@@ -766,7 +830,10 @@ main()
     testChunkDecodeRetryAndRecovery();
     testCacheNeverStoresFailures();
     testDecodeCampaign();
+#if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
+    testBzip2FallbackResumesSink();
+#endif
     testServeFaultCampaign();
-    testServeBusyAndGracefulDrain();
+    testServeWithoutLeaseAndGracefulDrain();
     return rapidgzip::test::finish( "testFailsafe" );
 }

@@ -2,23 +2,30 @@
  * Unit tests for the format-dispatch layer (src/formats/): magic-byte
  * detection, the XXH32 implementation against the specification vectors,
  * the from-scratch LZ4 block codec's edge cases, frame walking and seek
- * tables, bzip2 synthetic single-block streams, and the Decompressor
- * interface (decompress/size/readAt/seekPoints) per backend. The
- * randomized cross-format differential lives in testDifferential.cpp.
+ * tables, bzip2 synthetic single-block streams, the Decompressor
+ * interface (decompress/size/readAt/seekPoints) per backend, the chunked
+ * reader under every backend, and concurrent range reads on one
+ * decompressor of every layout. The randomized cross-format differential
+ * lives in testDifferential.cpp.
  */
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
-#include "core/FrameParallelReader.hpp"
+#include "core/ChunkedReader.hpp"
 #include "formats/Decompressor.hpp"
 #include "formats/Format.hpp"
 #include "formats/Formats.hpp"
 #include "formats/Lz4Codec.hpp"
 #include "formats/Lz4Writer.hpp"
 #include "formats/XxHash32.hpp"
+#include "gzip/BgzfWriter.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
 #include "workloads/DataGenerators.hpp"
@@ -330,51 +337,166 @@ testBzip2Reader()
 #endif
 
 void
-testFrameParallelReaderGrouping()
+testChunkedReader()
 {
-    /* Synthetic decoder: frame i yields i+1 bytes of value i. Exercises
-     * grouping, ordered traversal, offset bookkeeping, and readAt. */
-    std::vector<CompressedFrame> frames;
-    for ( std::size_t i = 0; i < 10; ++i ) {
-        CompressedFrame frame;
-        frame.compressedBeginBits = i * 1000 * 8;
-        frame.compressedEndBits = ( i + 1 ) * 1000 * 8;
-        frames.push_back( frame );
-    }
+    /* Synthetic table: chunk i decodes to i + 1 bytes of value i, its size
+     * unknown until the sweep that the first read runs. */
     ChunkFetcherConfiguration configuration;
     configuration.parallelism = 2;
-    configuration.chunkSizeBytes = 64 * KiB;  /* floor → 64 KiB chunks */
+    const auto file = std::make_shared<const MemoryFileReader>( std::vector<std::uint8_t>( 10 * 1000, 0 ) );
+    std::vector<index::Checkpoint> checkpoints;
+    for ( std::size_t i = 0; i < 10; ++i ) {
+        checkpoints.push_back( { i * 1000 * 8, 0 } );
+    }
+    const auto decoder = [] ( const FileReader&, std::size_t i ) {
+        DecodedChunk chunk;
+        chunk.data.assign( i + 1, static_cast<std::uint8_t>( i ) );
+        return chunk;
+    };
+    const auto makeReader = [&] () {
+        auto self = std::make_shared<ChunkedReader*>( nullptr );
+        auto reader = std::make_unique<ChunkedReader>( file, configuration, [self] () {
+            (void)( *self )->sweep( [] ( std::size_t, const DecodedChunk& ) { return true; } );
+        } );
+        *self = reader.get();
+        reader->publish( checkpoints, std::nullopt, decoder );
+        return reader;
+    };
 
-    auto file = std::make_shared<const MemoryFileReader>(
-        std::vector<std::uint8_t>( 10 * 1000, 0 ) );
-    FrameParallelReader reader(
-        file, frames,
-        [] ( const FileReader&, const CompressedFrame& frame, std::size_t index,
-             std::vector<std::uint8_t>& out ) {
-            (void)frame;
-            out.insert( out.end(), index + 1, static_cast<std::uint8_t>( index ) );
-        },
-        configuration );
-
-    std::vector<std::uint8_t> all;
-    const auto total = reader.decompress( [&all] ( BufferView span ) {
-        all.insert( all.end(), span.begin(), span.end() );
-    } );
-    REQUIRE( total == 55 );  /* 1 + 2 + ... + 10 */
-    REQUIRE( all.size() == 55 );
+    const auto reader = makeReader();
+    std::vector<std::uint8_t> all( 60 );
+    REQUIRE( reader->readAt( 0, all.data(), all.size() ) == 55 );  /* 1 + 2 + ... + 10 */
+    REQUIRE( reader->size() == 55 );
     std::size_t cursor = 0;
     for ( std::size_t i = 0; i < 10; ++i ) {
         for ( std::size_t j = 0; j < i + 1; ++j ) {
             REQUIRE( all[cursor++] == static_cast<std::uint8_t>( i ) );
         }
     }
-
     std::uint8_t probe[8];
-    REQUIRE( reader.readAt( 0, probe, 1 ) == 1 );
-    REQUIRE( probe[0] == 0 );
-    REQUIRE( reader.readAt( 54, probe, 8 ) == 1 );  /* last byte only */
+    REQUIRE( reader->readAt( 54, probe, 8 ) == 1 );  /* last byte only */
     REQUIRE( probe[0] == 9 );
-    REQUIRE( reader.readAt( 55, probe, 8 ) == 0 );
+    REQUIRE( reader->readAt( 55, probe, 8 ) == 0 );
+
+    /* Spans are lent out of the chunks they cross. */
+    std::vector<OwnedSpan> spans;
+    REQUIRE( reader->readSpansAt( 1, 5, spans ) == 5 );  /* bytes 1 1 2 2 2 */
+    REQUIRE( spans.size() == 2 );
+    REQUIRE( ( spans[0].size == 2 ) && spans[0].borrowed && ( spans[0].data[1] == 1 ) );
+    REQUIRE( ( spans[1].size == 3 ) && ( spans[1].data[2] == 2 ) );
+
+    /* Adopted offsets: the swept table round-trips; an understated chunk is
+     * accepted where no sizes are known yet and caught by the walk, which
+     * checks every chunk against its span in both directions. */
+    const auto swept = reader->table().checkpoints;
+    {
+        const auto fresh = makeReader();
+        const auto lock = fresh->lock();
+        REQUIRE( !fresh->adopt( std::vector<index::Checkpoint>( swept.begin() + 1, swept.end() ), 55 ) );
+        REQUIRE( fresh->adopt( swept, 55 ) );
+        REQUIRE( fresh->adopt( swept, 55 ) );  /* a sized table agrees */
+        auto shifted = swept;
+        shifted[3].uncompressedOffset -= 1;
+        REQUIRE( !fresh->adopt( shifted, 55 ) );  /* ...or refuses */
+    }
+    {
+        auto understated = swept;
+        understated[3].uncompressedOffset -= 1;
+        const auto fresh = makeReader();
+        {
+            const auto lock = fresh->lock();
+            REQUIRE( fresh->adopt( understated, 55 ) );
+        }
+        REQUIRE_THROWS_AS( (void)fresh->readAt( understated[3].uncompressedOffset, probe, 1 ),
+                           RapidgzipError );
+        REQUIRE_THROWS_AS( (void)fresh->readAt( 3, probe, 1 ), RapidgzipError );
+    }
+}
+
+/**
+ * Range reads from many threads on one decompressor of every layout the
+ * writers produce, with no size() call first: the first reads race to
+ * establish the chunk table, and every read must match the source.
+ */
+void
+testConcurrentReads()
+{
+    const auto data = workloads::silesiaLikeData( 512 * KiB, 0xC0C0 );
+    const BufferView span{ data.data(), data.size() };
+    ChunkFetcherConfiguration configuration;
+    configuration.parallelism = 2;
+    configuration.chunkSizeBytes = 64 * KiB;
+
+    const auto open = [&] ( const std::vector<std::uint8_t>& file ) {
+        return formats::makeDecompressor( std::make_unique<MemoryFileReader>( file ), configuration );
+    };
+    std::vector<std::pair<const char*, std::unique_ptr<formats::Decompressor> > > layouts;
+    layouts.emplace_back( "gzip plain", open( compressGzipLike( span ) ) );
+    layouts.emplace_back( "gzip pigz-like", open( compressPigzLike( span, 6, 64 * KiB ) ) );
+    layouts.emplace_back( "gzip BGZF", open( writeBgzf( span ) ) );
+    {
+        const auto file = compressGzipLike( span );
+        ParallelGzipReader swept( std::make_unique<MemoryFileReader>( file ), configuration );
+        REQUIRE( swept.decompressAll() == data.size() );
+        auto imported = std::make_unique<formats::GzipDecompressor>(
+            std::make_unique<MemoryFileReader>( file ), configuration );
+        imported->reader().importIndex( swept.exportIndex() );
+        layouts.emplace_back( "gzip imported index", std::move( imported ) );
+    }
+    layouts.emplace_back( "lz4", open( formats::writeLz4( span, formats::Lz4Writer::BlockMaxSize::KIB64 ) ) );
+#if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
+    layouts.emplace_back( "zstd seekable", open( formats::writeZstdSeekable( span, 3, 64 * KiB ) ) );
+    layouts.emplace_back( "zstd multi-frame", open( formats::writeZstdFrames( span, 3, 64 * KiB ) ) );
+#endif
+#if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
+    layouts.emplace_back( "bzip2", open( formats::writeBzip2( span, 1 ) ) );
+#endif
+
+    constexpr std::size_t THREADS = 4;
+    constexpr std::size_t READS = 200;
+    constexpr std::size_t MAX_READ = 4 * KiB;
+    for ( auto& [name, decompressor] : layouts ) {
+        std::atomic<std::size_t> mismatches{ 0 };
+        std::vector<std::thread> threads;
+        for ( std::size_t t = 0; t < THREADS; ++t ) {
+            threads.emplace_back( [&, t] () {
+                Xorshift64 random( 0x5EED0 + t );
+                std::vector<std::uint8_t> buffer( MAX_READ );
+                for ( std::size_t i = 0; i < READS; ++i ) {
+                    const auto offset = random.below( data.size() );
+                    const auto length = 1 + random.below( MAX_READ );
+                    const auto expected = std::min( length, data.size() - offset );
+                    try {
+                        std::size_t got = 0;
+                        if ( i % 2 == 0 ) {
+                            got = decompressor->readAt( offset, buffer.data(), length );
+                        } else {
+                            std::vector<OwnedSpan> spans;
+                            got = decompressor->readSpansAt( offset, length, spans );
+                            std::size_t position = 0;
+                            for ( const auto& lent : spans ) {
+                                std::memcpy( buffer.data() + position, lent.data, lent.size );
+                                position += lent.size;
+                            }
+                        }
+                        if ( ( got != expected )
+                             || ( std::memcmp( buffer.data(), data.data() + offset, got ) != 0 ) ) {
+                            ++mismatches;
+                        }
+                    } catch ( const std::exception& ) {
+                        ++mismatches;
+                    }
+                }
+            } );
+        }
+        for ( auto& thread : threads ) {
+            thread.join();
+        }
+        if ( mismatches.load() != 0 ) {
+            std::fprintf( stderr, "concurrent reads of %s: %zu mismatches\n", name, mismatches.load() );
+        }
+        REQUIRE( mismatches.load() == 0 );
+    }
 }
 
 }  // namespace
@@ -392,6 +514,7 @@ main()
 #if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
     testBzip2Reader();
 #endif
-    testFrameParallelReaderGrouping();
+    testChunkedReader();
+    testConcurrentReads();
     return rapidgzip::test::finish( "testFormats" );
 }

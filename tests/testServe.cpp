@@ -459,7 +459,10 @@ testSidecarAdoption()
     configuration.chunkSizeBytes = 128 * KiB;
 
     /* Open, measure and write the sidecar; then a fresh open adopts it and
-     * serves a slice at @p sliceOffset. */
+     * serves a slice at @p sliceOffset. Then a sidecar that understates the
+     * first chunk by 1000 bytes: either adoption refuses it, or the read at
+     * its second checkpoint throws instead of returning the bytes from 1000
+     * positions later. */
     const auto roundTrip = [&] ( const std::string& path, const std::vector<std::uint8_t>& archive,
                                  std::size_t sliceOffset ) {
         writeFile( path, archive );
@@ -474,6 +477,18 @@ testSidecarAdoption()
         std::vector<std::uint8_t> slice( 4096 );
         REQUIRE( fresh->readAt( sliceOffset, slice.data(), slice.size() ) == slice.size() );
         REQUIRE( std::memcmp( slice.data(), data.data() + sliceOffset, slice.size() ) == 0 );
+
+        const auto sidecarPath = formats::sidecarPathFor( path );
+        auto index = index::deserializeIndex( StandardFileReader( sidecarPath ) );
+        REQUIRE( index.checkpoints.size() >= 2 );
+        index.checkpoints[1].uncompressedOffset -= 1000;
+        writeFile( sidecarPath, index::serializeIndex( index ) );
+        auto tampered = formats::openArchive( path, configuration, /* adoptSidecar */ false );
+        if ( formats::trySidecarAdoption( *tampered, path ) ) {
+            REQUIRE_THROWS_AS( (void)tampered->readAt( index.checkpoints[1].uncompressedOffset,
+                                                       slice.data(), slice.size() ),
+                               RapidgzipError );
+        }
     };
 
     /* gzip: the sidecar carries the full bit-granular index with windows,

@@ -10,7 +10,8 @@
  * Every archive is opened lazily on first request (gzip/zstd/lz4/bzip2 by
  * magic bytes), adopts a fresh `<archive>.rgzidx` sidecar index when one
  * exists, and shares one process-wide byte-bounded chunk cache across all
- * clients and archives. GET (optionally ranged), HEAD, and /metrics.
+ * clients and archives. Concurrent requests to one archive read it in
+ * parallel. GET (optionally ranged), HEAD, and /metrics.
  */
 
 #include <csignal>
@@ -91,12 +92,12 @@ printUsage( const char* program )
         "  --cache-bytes N   shared chunk-cache budget, K/M/G suffixes ok (default 256M)\n"
         "  --max-archives N  open-archive LRU bound (default 64)\n"
         "  --threads N       event-loop shards, each its own poll() loop and\n"
-        "                    SO_REUSEPORT listener (default 0 = one per core)\n"
+        "                    listener; more than one needs SO_REUSEPORT\n"
+        "                    (Linux >= 3.9) (default 0 = one per core)\n"
         "  --workers N       request worker threads (default 4)\n"
         "  --parallelism N   decode threads per archive reader (default 2)\n"
         "  --trace FILE      record spans, write Chrome trace-event JSON on shutdown\n"
         "  --max-connections N        connection admission limit, 0 = off (default 1024)\n"
-        "  --max-consumers-per-archive N  concurrent requests per archive, 0 = off (default 0)\n"
         "  --header-timeout-ms N      slow-loris header deadline, 0 = off (default 10000)\n"
         "  --idle-timeout-ms N        keep-alive idle deadline, 0 = off (default 60000)\n"
         "  --write-timeout-ms N       stalled-write deadline, 0 = off (default 30000)\n"
@@ -161,9 +162,6 @@ main( int argc, char** argv )
             tracePath = nextValue();
         } else if ( argument == "--max-connections" ) {
             configuration.maxConnections = static_cast<std::size_t>( std::atoll( nextValue() ) );
-        } else if ( argument == "--max-consumers-per-archive" ) {
-            configuration.maxConsumersPerArchive =
-                static_cast<std::size_t>( std::atoll( nextValue() ) );
         } else if ( argument == "--header-timeout-ms" ) {
             configuration.headerReadTimeoutMs = static_cast<std::uint32_t>( std::atoll( nextValue() ) );
         } else if ( argument == "--idle-timeout-ms" ) {
@@ -219,10 +217,7 @@ main( int argc, char** argv )
 
         std::printf( "rapidgzip-serve listening on %s:%u, serving %s\n",
                      bindAddress.c_str(), server.port(), rootDirectory.c_str() );
-        std::printf( "rapidgzip-serve event-loop shards: %zu (%s)\n",
-                     server.shardCount(),
-                     server.usesFdHandoff() ? "fd handoff via shard 0"
-                                            : "SO_REUSEPORT listeners" );
+        std::printf( "rapidgzip-serve event-loop shards: %zu\n", server.shardCount() );
         std::printf( "rapidgzip-serve simd dispatch: %s (detected: %s)\n",
                      rapidgzip::simd::toString( rapidgzip::simd::activeLevel() ),
                      rapidgzip::simd::toString( rapidgzip::simd::detectedLevel() ) );
