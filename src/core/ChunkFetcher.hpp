@@ -26,7 +26,8 @@ namespace rapidgzip {
 
 /**
  * Configuration for the parallel chunk fetcher (paper §3.2). The prefetch
- * strategy decides which chunks to decode speculatively after each access:
+ * strategy decides which chunks to decode speculatively after each read,
+ * whose pattern the fetcher can only guess:
  *
  *  - FIXED:        always prefetch the next `parallelism` chunks.
  *  - ADAPTIVE:     start shallow and double the prefetch depth for every
@@ -34,6 +35,11 @@ namespace rapidgzip {
  *                  cheap for random access, full depth for linear scans.
  *  - MULTI_STREAM: track up to four interleaved sequential access streams
  *                  (the ratarmount FUSE pattern) and prefetch ahead of each.
+ *
+ * An ordered pass over every chunk (ChunkedReader::sweep) is known to be
+ * one before its first access, so it keeps the next `parallelism` chunks
+ * decoding from that first access on, whatever the strategy, and leaves the
+ * strategy's access pattern alone.
  */
 struct ChunkFetcherConfiguration
 {
@@ -133,9 +139,16 @@ public:
         return m_statistics;
     }
 
-    /** Blocking chunk access; dispatches strategy-driven prefetches. */
+    /** What an access tells the fetcher about the accesses after it. */
+    enum class Access
+    {
+        READ,          /**< prefetch as the configured strategy guesses */
+        ORDERED_PASS,  /**< part of a pass over every chunk in order */
+    };
+
+    /** Blocking chunk access; dispatches the prefetches @p access asks for. */
     [[nodiscard]] ChunkDataPtr
-    get( std::size_t index )
+    get( std::size_t index, Access access = Access::READ )
     {
         std::shared_future<ChunkDataPtr> future;
         {
@@ -174,7 +187,7 @@ public:
                     ++m_statistics.cacheHits;
                     RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_cache_hits_total",
                                                "Repeat chunk accesses served from a cache tier.", 1 );
-                    dispatchPrefetches( index );
+                    dispatchPrefetches( index, access );
                     evictStaleEntries( index );
                     return sharedChunk;
                 }
@@ -184,7 +197,7 @@ public:
                 future = insertDecodeTask( index, /* prefetched */ false );
             }
 
-            dispatchPrefetches( index );
+            dispatchPrefetches( index, access );
             evictStaleEntries( index );
         }
         telemetry::Span waitSpan{ "pipeline", "chunk.wait" };
@@ -210,9 +223,9 @@ public:
     /**
      * Serve only the first @p chunkCount chunks from now on, and start the
      * prefetch strategy's access pattern afresh; cached chunks stay. For an
-     * owner whose first pass over the chunks found the rest to be past the
+     * owner whose ordered pass over the chunks found the rest to be past the
      * end of the stream, and whose later reads should not be prefetched as
-     * a continuation of that pass.
+     * a continuation of that pass or of reads made during it.
      */
     void
     resetAccessPattern( std::size_t chunkCount )
@@ -320,10 +333,12 @@ private:
 
     /** Caller must hold m_mutex. */
     void
-    dispatchPrefetches( std::size_t accessedIndex )
+    dispatchPrefetches( std::size_t accessedIndex, Access access )
     {
         const auto parallelism = std::max<std::size_t>( 1, m_configuration.parallelism );
-        switch ( m_configuration.strategy ) {
+        const auto strategy = access == Access::ORDERED_PASS ? ChunkFetcherConfiguration::Strategy::FIXED
+                                                             : m_configuration.strategy;
+        switch ( strategy ) {
         case ChunkFetcherConfiguration::Strategy::FIXED:
             for ( std::size_t i = 1; i <= parallelism; ++i ) {
                 prefetch( accessedIndex + i );

@@ -193,11 +193,16 @@ public:
      * The ordered sweep: decode every chunk in order through the fetcher,
      * hand each to @p hook( index, chunk ), and publish the measured sizes
      * as the table's uncompressed offsets. @p hook returns false when its
-     * chunk ends the stream; the chunks after it leave the table. The
-     * fetcher stays, so the sweep's tail serves the reads that follow, but
-     * forgets the sweep's access pattern, which would otherwise skew its
-     * prefetch strategy. A failing decode or hook propagates and leaves the
-     * table as it was. Returns the total uncompressed size.
+     * chunk ends the stream; the chunks after it leave the table. A sweep
+     * is a pass over every chunk, known as one before its first access, so
+     * it asks the fetcher for an ordered pass: from chunk 0 on, the next
+     * `parallelism` chunks decode while the hook runs, whatever the prefetch
+     * strategy, instead of the strategy ramping up as for a reader it must
+     * guess about. The fetcher stays, so the sweep's tail serves the reads
+     * that follow, and its access pattern starts afresh, so those reads see
+     * the configured strategy as a reader that never swept would. A failing
+     * decode or hook propagates and leaves the table as it was. Returns the
+     * total uncompressed size.
      */
     template<typename Hook>
     std::size_t
@@ -208,7 +213,7 @@ public:
         std::size_t offset = 0;
         std::size_t count = 0;
         while ( count < table.checkpoints.size() ) {
-            const auto chunk = state->fetcher->get( count );
+            const auto chunk = state->fetcher->get( count, ChunkFetcher::Access::ORDERED_PASS );
             table.checkpoints[count].uncompressedOffset = offset;
             offset += chunk->data.size();
             if ( !hook( count++, *chunk ) ) {

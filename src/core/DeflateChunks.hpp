@@ -35,50 +35,63 @@ namespace rapidgzip {
  */
 
 inline constexpr std::size_t FULL_FLUSH_MARKER_SIZE = 4;
+/** The marker scan reads windows of this size, counted from its begin. */
+inline constexpr std::size_t FULL_FLUSH_SCAN_WINDOW = 128 * KiB;
 
 /**
- * Marker *end* offsets (chunk start candidates) of every marker lying wholly
- * in [searchBegin, searchEnd), in ascending order. The scan runs before any
- * chunk is dispatched, so it jumps between zero bytes with memchr (rare in
- * compressed data) and confirms each with one 4-byte compare.
+ * The end offset (a chunk start candidate) of the first marker lying wholly
+ * in [searchBegin, searchEnd) that @p accept( markerEnd ) takes, trying the
+ * markers in ascending order; std::nullopt when it takes none. The scan
+ * reads FULL_FLUSH_SCAN_WINDOW bytes at a time, so a search that accepts
+ * early reads little past its marker. It jumps between zero bytes with
+ * memchr (rare in compressed data) and confirms each with one 4-byte
+ * compare. The scan and @p accept run inside one `chunk.find` span.
  */
-[[nodiscard]] inline std::vector<std::size_t>
-findFullFlushMarkers( const FileReader& file, std::size_t searchBegin, std::size_t searchEnd )
+template<typename Accept>
+[[nodiscard]] std::optional<std::size_t>
+findFullFlushMarker( const FileReader& file, std::size_t searchBegin, std::size_t searchEnd,
+                     const Accept& accept )
 {
     static constexpr std::uint8_t MARKER[FULL_FLUSH_MARKER_SIZE] = { 0x00, 0x00, 0xFF, 0xFF };
-    constexpr std::size_t BLOCK = 4 * MiB;
 
     telemetry::Span findSpan{ "pipeline", "chunk.find" };
 
-    std::vector<std::size_t> result;
     searchEnd = std::min( searchEnd, file.size() );
-    if ( searchBegin >= searchEnd ) {
-        return result;
-    }
-    std::vector<std::uint8_t> buffer( std::min( BLOCK + FULL_FLUSH_MARKER_SIZE - 1,
-                                                searchEnd - searchBegin ) );
-    for ( std::size_t offset = searchBegin; offset < searchEnd; offset += BLOCK ) {
-        /* Each block reads marker-size - 1 bytes past its end so that exactly
-         * the markers STARTING in [offset, offset + BLOCK) are found here:
-         * none is missed at a block boundary and none is reported twice. */
-        const auto toRead = std::min( buffer.size(), searchEnd - offset );
-        if ( toRead < FULL_FLUSH_MARKER_SIZE ) {
-            break;
-        }
-        preadExactly( file, buffer.data(), toRead, offset );
+    std::vector<std::uint8_t> buffer;
+    for ( auto offset = searchBegin; offset + FULL_FLUSH_MARKER_SIZE <= searchEnd;
+          offset += FULL_FLUSH_SCAN_WINDOW ) {
+        /* Each window reads marker-size - 1 bytes past its end so that
+         * exactly the markers STARTING in it are found here: none is missed
+         * at a window boundary and none is reported twice. */
+        buffer.resize( std::min( FULL_FLUSH_SCAN_WINDOW + FULL_FLUSH_MARKER_SIZE - 1, searchEnd - offset ) );
+        preadExactly( file, buffer.data(), buffer.size(), offset );
         const auto* const begin = buffer.data();
-        const auto* const startsEnd = begin + toRead - ( FULL_FLUSH_MARKER_SIZE - 1 );
+        const auto* const startsEnd = begin + buffer.size() - ( FULL_FLUSH_MARKER_SIZE - 1 );
         for ( const auto* p = begin; p < startsEnd; ++p ) {
             p = static_cast<const std::uint8_t*>(
                 std::memchr( p, 0, static_cast<std::size_t>( startsEnd - p ) ) );
             if ( p == nullptr ) {
                 break;
             }
-            if ( std::memcmp( p, MARKER, FULL_FLUSH_MARKER_SIZE ) == 0 ) {
-                result.push_back( offset + static_cast<std::size_t>( p - begin ) + FULL_FLUSH_MARKER_SIZE );
+            const auto markerEnd = offset + static_cast<std::size_t>( p - begin ) + FULL_FLUSH_MARKER_SIZE;
+            if ( ( std::memcmp( p, MARKER, FULL_FLUSH_MARKER_SIZE ) == 0 ) && accept( markerEnd ) ) {
+                return markerEnd;
             }
         }
     }
+    return std::nullopt;
+}
+
+/** Marker end offsets of every marker lying wholly in [searchBegin,
+ * searchEnd), in ascending order: findFullFlushMarker() taking none. */
+[[nodiscard]] inline std::vector<std::size_t>
+findFullFlushMarkers( const FileReader& file, std::size_t searchBegin, std::size_t searchEnd )
+{
+    std::vector<std::size_t> result;
+    (void)findFullFlushMarker( file, searchBegin, searchEnd, [&result] ( std::size_t markerEnd ) {
+        result.push_back( markerEnd );
+        return false;
+    } );
     return result;
 }
 
@@ -146,27 +159,48 @@ nextGzipMember( const FileReader& file, std::size_t offset, BufferView known = {
 
 /**
  * Chunk starts of a gzip stream cut at full-flush restart points: the first
- * member's first Deflate byte, then every marker end at least
- * @p chunkSizeBytes past the previous start that passes
- * probeRawDeflatePoint(). ParallelGzipReader turns them into marker-derived
- * index checkpoints; the pugz-like baseline decodes between them, so the
- * measured implementation and its baseline never diverge on chunking.
+ * member's first Deflate byte S, then, after each start s, the first marker
+ * end at least @p chunkSizeBytes (C) past s that lies before the end of the
+ * file and passes probeRawDeflatePoint(). A candidate the probe rejects is a
+ * false marker match and stays inside its chunk.
+ *
+ * Each search jumps to the markers ending at s + C or later and reads on
+ * only until it accepts one, so a pigz-like file is read about one scan
+ * window per chunk, not whole. The first search ends at S + 2C: a stream
+ * without a restart point there — a plain `gzip` stream, or one whose
+ * flushes lie more than two chunk sizes apart — gets {S} alone after one
+ * chunk size of reading, and ParallelGzipReader decodes it with the
+ * two-stage sweep. Every later search runs to the end of the file.
+ *
+ * ParallelGzipReader turns the starts into marker-derived index
+ * checkpoints; the pugz-like baseline decodes between them, so the measured
+ * implementation and its baseline never diverge on chunking.
  */
 [[nodiscard]] inline std::vector<std::size_t>
 discoverRestartPoints( const FileReader& file, std::size_t chunkSizeBytes )
 {
     const auto header = readHeaderBytes( file, 0 );
     std::vector<std::size_t> starts{ parseGzipHeader( { header.data(), header.size() } ) };
-    for ( const auto candidate : findFullFlushMarkers( file, starts.front(), file.size() ) ) {
-        /* Merge flush intervals until the chunk is big enough; a candidate the
-         * probe rejects is a false marker match and stays inside its chunk. */
-        if ( ( candidate < file.size() )
-             && ( candidate - starts.back() >= std::max<std::size_t>( chunkSizeBytes, 1 ) )
-             && probeRawDeflatePoint( file, candidate ) ) {
-            starts.push_back( candidate );
+    /* Capped at the file size, which no chunk can exceed, so that no offset
+     * sum below can wrap. */
+    const auto chunkSize = std::max<std::size_t>( 1, std::min( chunkSizeBytes, file.size() ) );
+    auto searchEnd = std::min( file.size(), starts.front() + 2 * chunkSize );
+    while ( true ) {
+        const auto previous = starts.back();
+        /* Markers ending at previous + C or later start at previous + C - 4
+         * or later; none starting before the first Deflate byte counts. */
+        const auto searchBegin = std::max( starts.front(), previous + chunkSize - FULL_FLUSH_MARKER_SIZE );
+        const auto next = findFullFlushMarker(
+            file, searchBegin, searchEnd, [&file, previous, chunkSize] ( std::size_t candidate ) {
+                return ( candidate < file.size() ) && ( candidate - previous >= chunkSize )
+                       && probeRawDeflatePoint( file, candidate );
+            } );
+        if ( !next ) {
+            return starts;
         }
+        starts.push_back( *next );
+        searchEnd = file.size();
     }
-    return starts;
 }
 
 struct DecodedChunk

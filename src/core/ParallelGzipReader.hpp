@@ -35,10 +35,14 @@ namespace rapidgzip {
  * i + 1, every chunk decoded by GzipChunkFetcher::decodeChunkFromCheckpoint.
  * The table is an imported index, the BGZF BC-field scan, or full-flush
  * discovery. Discovery yields *marker-derived* checkpoints: byte-aligned,
- * windowless, found at `00 00 FF FF` sync markers, and guesses until the
+ * windowless, found at `00 00 FF FF` sync markers by a search that jumps
+ * from one chunk to the next (discoverRestartPoints), and guesses until the
  * footer-verified sweep fills in their uncompressed offsets. A stream
- * without restart points has a single such checkpoint; its sweep runs the
- * two-stage pipeline, whose harvested bit-granular index replaces the table.
+ * without a restart point within two chunk sizes of its first Deflate byte
+ * has a single such checkpoint; its sweep runs the two-stage pipeline, whose
+ * harvested bit-granular index replaces the table. The sweep over a table
+ * of several checkpoints keeps every pool thread decoding from its first
+ * chunk on (ChunkedReader::sweep).
  *
  * Correctness is layered: the sweep checks every member against its own
  * footer; a chunk that fails to decode at a marker-derived checkpoint, or
@@ -278,9 +282,9 @@ private:
      * sizes into the checkpoints' uncompressed offsets. The caller holds the
      * chunked reader's lock.
      *
-     * A table of one marker-derived checkpoint (no restart points) tries the
-     * two-stage sweep first; when that fails, the stream decodes as one
-     * chunk. A chunk that fails to decode at a marker-derived checkpoint had
+     * A table of one marker-derived checkpoint (no restart point within two
+     * chunk sizes of the start) tries the two-stage sweep first; when that
+     * fails, the stream decodes as one chunk. A chunk that fails to decode at a marker-derived checkpoint had
      * a false boundary — its start, or its end when that cuts a block, a
      * footer or a member header — which is merged away before the sweep
      * restarts. Returns std::nullopt and poisons the chunked state when it

@@ -338,8 +338,8 @@ naiveFullFlushMarkers( const std::vector<std::uint8_t>& bytes,
 void
 testFullFlushScan()
 {
-    /* The scan reads in blocks of this size, counted from searchBegin. */
-    constexpr std::size_t SCAN_BLOCK = 4 * MiB;
+    /* The scan reads in windows of this size, counted from searchBegin. */
+    constexpr std::size_t SCAN_BLOCK = FULL_FLUSH_SCAN_WINDOW;
 
     /* Exhaustive over a short stream: markers at the very start and the
      * very end, the overlapping runs 00 00 00 FF FF (one marker) and

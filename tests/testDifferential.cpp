@@ -13,8 +13,9 @@
  *           that every reader must agree on (salvage included: it must
  *           recover exactly the members zlib accepts one by one), the
  *           restart-point probe against zlib raw inflate on real and
- *           decoy markers, and a second member whose history reaches
- *           into the first, which every reader must reject;
+ *           decoy markers, a second member whose history reaches
+ *           into the first, which every reader must reject, and layouts
+ *           whose restart points lie past discovery's first search;
  *   zstd  — frame-parallel dispatch reader vs ZSTD_decompressStream;
  *   lz4   — from-scratch frame+block decoder vs LZ4_decompress_safe per
  *           block (both directions: our writer → vendor, vendor → ours);
@@ -107,11 +108,11 @@ buildCorpora( std::uint64_t seed )
 }
 
 [[nodiscard]] ChunkFetcherConfiguration
-config()
+config( std::size_t chunkSizeBytes = 256 * KiB )
 {
     ChunkFetcherConfiguration result;
     result.parallelism = 4;
-    result.chunkSizeBytes = 256 * KiB;
+    result.chunkSizeBytes = chunkSizeBytes;
     return result;
 }
 
@@ -165,20 +166,23 @@ requireTruncationsRejected( const std::vector<std::uint8_t>& file,
     }
 }
 
-/** The answers of GzipReader (zlib), decompressAll() and decompressAll(sink)
- * for @p file: the same bytes, or a throw from all three. Returns that
- * answer. */
+/** The answers of GzipReader (zlib), decompressAll(), decompressAll(sink)
+ * and, with @p checkReads, a fresh reader's size() + read() for @p file, the
+ * parallel readers reading with @p configuration: the same bytes, or a
+ * throw from all of them. Returns that answer. */
 std::optional<std::vector<std::uint8_t> >
-requireReadersAgree( const std::vector<std::uint8_t>& file )
+requireReadersAgree( const std::vector<std::uint8_t>& file,
+                     const ChunkFetcherConfiguration& configuration = config(),
+                     bool checkReads = true )
 {
     const auto serial = answerOf( [&file] () {
         return GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector();
     } );
-    const auto count = answerOf( [&file] () {
-        return ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), config() ).decompressAll();
+    const auto count = answerOf( [&] () {
+        return ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), configuration ).decompressAll();
     } );
-    const auto streamed = answerOf( [&file] () {
-        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), config() );
+    const auto streamed = answerOf( [&] () {
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
         std::vector<std::uint8_t> bytes;
         const auto total = reader.decompressAll( [&bytes] ( BufferView view ) {
             bytes.insert( bytes.end(), view.begin(), view.end() );
@@ -189,6 +193,15 @@ requireReadersAgree( const std::vector<std::uint8_t>& file )
     REQUIRE( count.has_value() == serial.has_value() );
     REQUIRE( !count || ( *count == serial->size() ) );
     REQUIRE( streamed == serial );
+    if ( checkReads ) {
+        const auto readBack = answerOf( [&] () {
+            ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
+            std::vector<std::uint8_t> bytes( reader.size() );
+            bytes.resize( reader.read( bytes.data(), bytes.size() ) );
+            return bytes;
+        } );
+        REQUIRE( readBack == serial );
+    }
     return serial;
 }
 
@@ -208,15 +221,17 @@ salvageAll( const std::vector<std::uint8_t>& file )
 
 /**
  * Flip single bytes at seeded positions in the Deflate data of @p file —
- * between each member's header and footer — and require the readers to
- * agree on every flipped file. The serial walk is our own decoder, so no
+ * between each member's header and footer — and require the readers
+ * (requireReadersAgree() with @p configuration and @p checkReads) to agree
+ * on every flipped file. The serial walk is our own decoder, so no
  * fallback hides a stream that zlib decodes and ours rejects. Salvage is
  * one more reader: it must recover exactly the members GzipReader accepts
  * when given each member's bytes alone, and report clean() exactly when
  * the strict readers return bytes.
  */
 void
-requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed )
+requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed,
+                   const ChunkFetcherConfiguration& configuration = config(), bool checkReads = true )
 {
     constexpr std::size_t FLIPS = 12;
     const MemoryFileReader reader( file );
@@ -246,7 +261,7 @@ requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed )
         }
         auto flipped = file;
         flipped[range->first + offset] ^= static_cast<std::uint8_t>( 1 + random() % 255 );
-        const auto strict = requireReadersAgree( flipped );
+        const auto strict = requireReadersAgree( flipped, configuration, checkReads );
 
         std::vector<std::uint8_t> acceptedMembers;
         for ( const auto& [begin, end] : memberRanges ) {
@@ -369,13 +384,6 @@ testCrossMemberBackReference()
                     std::numeric_limits<std::size_t>::max(), {} ).data;
             } );
             REQUIRE( chunk == serial );
-            const auto readBack = answerOf( [&file] () {
-                ParallelGzipReader parallel( std::make_unique<MemoryFileReader>( file ), config() );
-                std::vector<std::uint8_t> bytes( parallel.size() );
-                bytes.resize( parallel.read( bytes.data(), bytes.size() ) );
-                return bytes;
-            } );
-            REQUIRE( readBack == serial );
         }
     }
 }
@@ -416,6 +424,56 @@ testProbeOnDecoys()
     REQUIRE( verdicts.rejected >= 6 );
 }
 
+/**
+ * Two layouts whose first restart point ends more than two chunk sizes past
+ * the first Deflate byte, so discovery returns that byte alone and the
+ * sweep takes the two-stage pipeline: a pigz-like file whose flushes lie
+ * more than two chunk sizes apart, and a plain member of more than two
+ * chunk sizes followed by a pigz-like member. GzipReader, decompressAll(),
+ * decompressAll(sink), size() + read() and salvage agree on both, intact
+ * and under the flip sweep.
+ */
+void
+testLayoutsPastTheFirstSearch( std::uint64_t seed )
+{
+    constexpr std::size_t CHUNK_SIZE = 32 * KiB;
+    const auto text = workloads::base64Data( 512 * KiB + 321, seed );
+    const auto plainPart = workloads::base64Data( 128 * KiB, seed + 1 );
+    const auto fastq = workloads::fastqData( 256 * KiB, seed + 2 );
+    auto plainThenPigzLike = compressGzipLike( { plainPart.data(), plainPart.size() }, 6 );
+    const auto pigzLikeMember = compressPigzLike( { fastq.data(), fastq.size() }, 6, 16 * KiB );
+    plainThenPigzLike.insert( plainThenPigzLike.end(), pigzLikeMember.begin(), pigzLikeMember.end() );
+    auto plainThenPigzLikeData = plainPart;
+    plainThenPigzLikeData.insert( plainThenPigzLikeData.end(), fastq.begin(), fastq.end() );
+
+    struct Layout
+    {
+        const char* name;
+        std::vector<std::uint8_t> file;
+        std::vector<std::uint8_t> data;
+    };
+    const std::vector<Layout> layouts = {
+        { "pigz-like, flushes more than two chunk sizes apart",
+          compressPigzLike( { text.data(), text.size() }, 6, 256 * KiB ), text },
+        { "plain member, then a pigz-like one", plainThenPigzLike, plainThenPigzLikeData },
+    };
+    for ( const auto& layout : layouts ) {
+        std::printf( "  restart points past the first search: %s\n", layout.name );
+        std::fflush( stdout );
+        const MemoryFileReader reader( layout.file );
+        const auto markers = findFullFlushMarkers( reader, 0, layout.file.size() );
+        REQUIRE( !markers.empty() );
+        const auto starts = discoverRestartPoints( reader, CHUNK_SIZE );
+        REQUIRE( ( starts.size() == 1 ) && ( markers.front() - starts.front() > 2 * CHUNK_SIZE ) );
+
+        REQUIRE( requireReadersAgree( layout.file, config( CHUNK_SIZE ) ) == layout.data );
+        const auto [report, output] = salvageAll( layout.file );
+        REQUIRE( report.clean() );
+        REQUIRE( output == layout.data );
+        requireFlipsAgree( layout.file, seed++, config( CHUNK_SIZE ) );
+    }
+}
+
 void
 testGzipDifferential( const Corpus& corpus, std::uint64_t seed )
 {
@@ -449,8 +507,11 @@ testGzipDifferential( const Corpus& corpus, std::uint64_t seed )
         requireTruncationsRejected( *layout, corpus.data );
         (void)test::requireProbeAgreesWithZlib( *layout );
     }
+    /* size() + read() of a BGZF file use its BC-field table without a sweep,
+     * and no footer checks the members they decode, so they return the bytes
+     * of a flipped member that GzipReader rejects. */
     for ( const auto* layout : { &file, &pigzLike, &bgzf } ) {
-        requireFlipsAgree( *layout, seed++ );
+        requireFlipsAgree( *layout, seed++, config(), /* checkReads */ layout != &bgzf );
     }
 }
 
@@ -901,6 +962,7 @@ main()
 #endif
     }
     testCrossMemberBackReference();
+    testLayoutsPastTheFirstSearch( seed );
     testProbeOnDecoys();
     testCorruptionMatrix();
     testSalvageLz4SkippableFrames();

@@ -11,9 +11,13 @@
  * rejected wherever it sits, as `gzip -d` rejects it. The restart-point
  * probe accepts the decoy markers exactly when zlib does. A checkpoint
  * decode reads its compressed span once, whatever the number of members in
- * it. The sweep behind size() leaves no access pattern for the prefetch
- * strategy. A guessed chunk that starts inside an incompressible stretch
- * must bound its block search at the stored block it decodes from.
+ * it. Restart-point discovery returns the whole-file scan's table, or the
+ * first start alone when no restart point lies within two chunk sizes of
+ * it, and reads one chunk size of a plain member. The sweep behind size()
+ * leaves no access pattern for the prefetch strategy, and has the pool
+ * busy from its first chunk. A guessed chunk that starts inside an
+ * incompressible stretch must bound its block search at the stored block it
+ * decodes from.
  */
 
 #include <algorithm>
@@ -23,6 +27,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "blockfinder/NonCompressedBlockFinder.hpp"
@@ -222,15 +227,20 @@ storedGzipMember( const std::vector<std::uint8_t>& payload, bool emptyFinalBlock
     return file;
 }
 
+/** A gzip file and the bytes it decodes to. */
+struct GzipFile
+{
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint8_t> decoded;
+};
+
 /**
- * A sync marker inside stored data is a false restart point that decodes:
- * a stored block's payload holds `00 00 FF FF` and then a complete raw
- * Deflate stream, more than a chunk into the stream. It becomes a
- * marker-derived checkpoint, and the footer-verified sweep must keep its
- * bytes out of size() and read(): they equal the serial decode or throw.
+ * A stored gzip member whose payload holds, in its fourth stored block, a
+ * sync marker followed by a complete raw Deflate stream: a false restart
+ * point that decodes.
  */
-void
-testSyncMarkerInsideStoredData()
+[[nodiscard]] GzipFile
+syncMarkerInsideStoredData()
 {
     constexpr std::size_t STORED_MAX = 65535;
     auto payload = workloads::base64Data( 300 * KiB, 0x5707 );
@@ -244,8 +254,50 @@ testSyncMarkerInsideStoredData()
     const auto decoyOffset = 3 * STORED_MAX + 100;
     REQUIRE( decoyOffset + decoy.size() <= 4 * STORED_MAX );
     std::copy( decoy.begin(), decoy.end(), payload.begin() + static_cast<std::ptrdiff_t>( decoyOffset ) );
+    return { storedGzipMember( payload, /* emptyFinalBlock */ false ), payload };
+}
 
-    const auto file = storedGzipMember( payload, /* emptyFinalBlock */ false );
+/**
+ * A stored member closed by an empty final stored block whose CRC32 bits
+ * 0-9 read 0x003 (BFINAL, fixed Huffman codes, the 7-bit end-of-block
+ * code), so its footer start is a restart point the probe accepts, followed
+ * by a second member. Also returns where that footer starts.
+ */
+[[nodiscard]] std::pair<GzipFile, std::size_t>
+restartPointAtFooter()
+{
+    /* Vary three leading letters until the CRC32 reads as wanted. */
+    auto payload = workloads::base64Data( 200 * KiB, 0xF007 );
+    std::uint32_t tweak = 0;
+    while ( ( simd::crc32( 0, payload.data(), payload.size() ) & 0x3FFU ) != 0x003U ) {
+        ++tweak;
+        REQUIRE( tweak < 26U * 26U * 26U );
+        for ( std::size_t i = 0, rest = tweak; i < 3; ++i, rest /= 26 ) {
+            payload[i] = static_cast<std::uint8_t>( 'A' + rest % 26 );
+        }
+    }
+    auto file = storedGzipMember( payload, /* emptyFinalBlock */ true );
+    const auto footerStart = file.size() - GZIP_FOOTER_SIZE;
+    const auto text = workloads::base64Data( 64 * KiB, 0x5EC0 );
+    const auto second = compressGzipLike( { text.data(), text.size() }, 6 );
+    file.insert( file.end(), second.begin(), second.end() );
+    payload.insert( payload.end(), text.begin(), text.end() );
+    return { { std::move( file ), std::move( payload ) }, footerStart };
+}
+
+/**
+ * A sync marker inside stored data is a false restart point that decodes:
+ * a stored block's payload holds `00 00 FF FF` and then a complete raw
+ * Deflate stream, more than a chunk into the stream. It becomes a
+ * marker-derived checkpoint, and the footer-verified sweep must keep its
+ * bytes out of size() and read(): they equal the serial decode or throw.
+ */
+void
+testSyncMarkerInsideStoredData()
+{
+    const auto stored = syncMarkerInsideStoredData();
+    const auto& file = stored.bytes;
+    const auto& payload = stored.decoded;
 
     const auto configuration = config( 4, 128 * KiB );
     REQUIRE( GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector() == payload );
@@ -271,24 +323,9 @@ testSyncMarkerInsideStoredData()
 void
 testRestartPointAtFooter()
 {
-    /* Vary three leading letters until CRC32 bits 0-9 read 0x003: BFINAL,
-     * fixed Huffman codes, and the 7-bit end-of-block code. */
-    auto payload = workloads::base64Data( 200 * KiB, 0xF007 );
-    std::uint32_t tweak = 0;
-    while ( ( simd::crc32( 0, payload.data(), payload.size() ) & 0x3FFU ) != 0x003U ) {
-        ++tweak;
-        REQUIRE( tweak < 26U * 26U * 26U );
-        for ( std::size_t i = 0, rest = tweak; i < 3; ++i, rest /= 26 ) {
-            payload[i] = static_cast<std::uint8_t>( 'A' + rest % 26 );
-        }
-    }
-    auto file = storedGzipMember( payload, /* emptyFinalBlock */ true );
-    const auto footerStart = file.size() - GZIP_FOOTER_SIZE;
-    const auto text = workloads::base64Data( 64 * KiB, 0x5EC0 );
-    const auto second = compressGzipLike( { text.data(), text.size() }, 6 );
-    file.insert( file.end(), second.begin(), second.end() );
-    auto expected = payload;
-    expected.insert( expected.end(), text.begin(), text.end() );
+    const auto [gzipFile, footerStart] = restartPointAtFooter();
+    const auto& file = gzipFile.bytes;
+    const auto& expected = gzipFile.decoded;
 
     const auto configuration = config( 4, 128 * KiB );
     const auto starts = discoverRestartPoints( MemoryFileReader( file ), configuration.chunkSizeBytes );
@@ -417,6 +454,78 @@ testCheckpointDecodeReadsSpanOnce()
     }
 }
 
+/** The restart points of a scan over the whole file: every marker end at
+ * least @p chunkSizeBytes past the previous start that the probe accepts.
+ * Discovery worked this way before it jumped between chunks. */
+[[nodiscard]] std::vector<std::size_t>
+fullScanRestartPoints( const FileReader& file, std::size_t chunkSizeBytes )
+{
+    const auto header = readHeaderBytes( file, 0 );
+    std::vector<std::size_t> starts{ parseGzipHeader( { header.data(), header.size() } ) };
+    for ( const auto candidate : findFullFlushMarkers( file, starts.front(), file.size() ) ) {
+        if ( ( candidate < file.size() )
+             && ( candidate - starts.back() >= std::max<std::size_t>( chunkSizeBytes, 1 ) )
+             && probeRawDeflatePoint( file, candidate ) ) {
+            starts.push_back( candidate );
+        }
+    }
+    return starts;
+}
+
+/**
+ * Discovery jumps from one chunk to the next and bounds its first search at
+ * two chunk sizes C past the first Deflate byte S. On pigz-like base64,
+ * silesia-like and FASTQ files at 16, 64 and 512 KiB flush intervals, and on
+ * the decoy files above, read with 32 KiB, 128 KiB and 1 MiB chunks, it
+ * returns the whole-file scan's restart points where their first restart
+ * point ends within 2C of S, and {S} elsewhere. On a 16 MiB plain base64
+ * member with 1 MiB chunks, it reads one chunk size of the file and the
+ * header, not the whole file: at most 2C + 128 KiB.
+ */
+void
+testDiscoveryReadsOneSlice()
+{
+    std::vector<std::vector<std::uint8_t> > files;
+    for ( const auto& data : { workloads::base64Data( 3 * MiB, 0xD15C ),
+                               workloads::silesiaLikeData( 3 * MiB, 0xD15C ),
+                               workloads::fastqData( 3 * MiB, 0xD15C ) } ) {
+        for ( const auto flushInterval : { 16 * KiB, 64 * KiB, 512 * KiB } ) {
+            files.push_back( compressPigzLike( { data.data(), data.size() }, 6, flushInterval ) );
+        }
+    }
+    files.push_back( syncMarkerInsideStoredData().bytes );
+    files.push_back( restartPointAtFooter().first.bytes );
+
+    std::size_t sameAsScan = 0;
+    std::size_t firstSearchOnly = 0;
+    for ( const auto& file : files ) {
+        const MemoryFileReader reader( file );
+        for ( const auto chunkSize : { 32 * KiB, 128 * KiB, 1 * MiB } ) {
+            const auto reference = fullScanRestartPoints( reader, chunkSize );
+            const auto starts = discoverRestartPoints( reader, chunkSize );
+            if ( ( reference.size() > 1 ) && ( reference[1] - reference[0] <= 2 * chunkSize ) ) {
+                REQUIRE( starts == reference );
+                ++sameAsScan;
+            } else {
+                REQUIRE( starts == std::vector<std::size_t>{ reference.front() } );
+                ++firstSearchOnly;
+            }
+        }
+    }
+    std::printf( "  discovery: %zu cases equal the whole-file scan, %zu stop after the first search\n",
+                 sameAsScan, firstSearchOnly );
+    REQUIRE( sameAsScan >= 15 );
+    REQUIRE( firstSearchOnly >= 3 );
+
+    constexpr std::size_t CHUNK_SIZE = 1 * MiB;
+    const auto text = workloads::base64Data( 16 * MiB, 0x511CE );
+    const CountingFileReader plain( compressGzipLike( { text.data(), text.size() }, 6 ) );
+    REQUIRE( plain.size() > 8 * CHUNK_SIZE );
+    REQUIRE( discoverRestartPoints( plain, CHUNK_SIZE ).size() == 1 );
+    std::printf( "  discovery read %zu of %zu bytes of a plain member\n", plain.bytesRead(), plain.size() );
+    REQUIRE( plain.bytesRead() <= 2 * CHUNK_SIZE + 128 * KiB );
+}
+
 /**
  * The sweep behind size() must leave no access pattern behind for the
  * prefetch strategy: two interleaved sequential readers after size() get
@@ -453,6 +562,47 @@ testSweepLeavesNoAccessPattern()
     ParallelGzipReader fresh( std::make_unique<MemoryFileReader>( compressed ), configuration );
     fresh.importIndex( swept.exportIndex() );
     REQUIRE( interleavedPrefetches( swept ) == interleavedPrefetches( fresh ) );
+}
+
+/**
+ * A sweep is a pass over every chunk, known as one before its first access,
+ * so it fills the pool at once: when the hook of a sweep over 16 fixed-size
+ * chunks sees chunk 0, the fetcher has dispatched at least `parallelism`
+ * prefetches, under FIXED, ADAPTIVE and MULTI_STREAM alike. A strategy left
+ * to guess would have ADAPTIVE and MULTI_STREAM dispatch one there.
+ */
+void
+testSweepFillsPoolAtFirstChunk()
+{
+    constexpr std::size_t CHUNKS = 16;
+    constexpr std::size_t CHUNK_BYTES = 4 * KiB;
+    constexpr std::size_t PARALLELISM = 4;
+    std::vector<index::Checkpoint> checkpoints;
+    for ( std::size_t i = 0; i < CHUNKS; ++i ) {
+        checkpoints.push_back( { i * 8, 0 } );
+    }
+    for ( const auto strategy : { ChunkFetcherConfiguration::Strategy::FIXED,
+                                  ChunkFetcherConfiguration::Strategy::ADAPTIVE,
+                                  ChunkFetcherConfiguration::Strategy::MULTI_STREAM } ) {
+        ChunkedReader reader( std::make_shared<MemoryFileReader>( std::vector<std::uint8_t>( CHUNKS ) ),
+                              config( PARALLELISM, CHUNK_BYTES, strategy ), [] () {} );
+        reader.publish( checkpoints, std::nullopt, [] ( const FileReader&, std::size_t i ) {
+            DecodedChunk chunk;
+            chunk.data.assign( CHUNK_BYTES, static_cast<std::uint8_t>( i ) );
+            return chunk;
+        } );
+        std::size_t dispatchedAtFirstChunk = 0;
+        const auto lock = reader.lock();
+        const auto total = reader.sweep( [&] ( std::size_t i, const DecodedChunk& chunk ) {
+            if ( i == 0 ) {
+                dispatchedAtFirstChunk = reader.statistics().prefetchDispatched;
+            }
+            REQUIRE( chunk.data == std::vector<std::uint8_t>( CHUNK_BYTES, static_cast<std::uint8_t>( i ) ) );
+            return true;
+        } );
+        REQUIRE( total == CHUNKS * CHUNK_BYTES );
+        REQUIRE( dispatchedAtFirstChunk >= PARALLELISM );
+    }
 }
 
 /**
@@ -762,7 +912,9 @@ main()
     testSyncMarkerInsideStoredData();
     testRestartPointAtFooter();
     testCheckpointDecodeReadsSpanOnce();
+    testDiscoveryReadsOneSlice();
     testSweepLeavesNoAccessPattern();
+    testSweepFillsPoolAtFirstChunk();
     testGuessInsideStoredStretch();
 
     return rapidgzip::test::finish( "testParallelGzipReader" );
