@@ -6,10 +6,11 @@
 #include "CurrentHotpaths.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "bits/BitReader.hpp"
 #include "blockfinder/DynamicBlockFinderRapid.hpp"
-#include "core/GzipChunkFetcher.hpp"
+#include "core/ParallelGzipReader.hpp"
 #include "deflate/DecodedData.hpp"
 #include "deflate/DeflateDecoder.hpp"
 #include "gzip/GzipHeader.hpp"
@@ -236,14 +237,14 @@ measurePipelineBandwidth( const std::vector<std::uint8_t>& gz, std::size_t rawSi
                           bool referenceSymbolLoop, std::size_t parallelism,
                           std::size_t repeats )
 {
-    const MemoryFileReader file( gz );
-    const auto deflateStart = parseGzipHeader( { gz.data(), gz.size() } );
+    ChunkFetcherConfiguration configuration;
+    configuration.parallelism = parallelism;
+    configuration.chunkSizeBytes = 1 * MiB;
     bool allOk = true;
     deflate::Decoder::globalReferenceHuffmanDecoding().store( referenceSymbolLoop );
     const auto measurement = bench::measureBandwidth( rawSize, repeats, [&] () {
-        const auto member = GzipChunkFetcher::decompressMember(
-            file, deflateStart, parallelism, 1 * MiB );
-        allOk = allOk && ( member.uncompressedSize == rawSize );
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( gz ), configuration );
+        allOk = allOk && ( reader.decompressAll() == rawSize );
     } );
     deflate::Decoder::globalReferenceHuffmanDecoding().store( false );
     return allOk ? measurement.best : 0.0;

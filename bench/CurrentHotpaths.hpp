@@ -79,10 +79,10 @@ crc32Once( rapidgzip::BufferView data );
 [[nodiscard]] double
 measureCrc32Bandwidth( rapidgzip::BufferView data, std::size_t repeats );
 
-/** Best-of-@p repeats end-to-end decompressMember bandwidth (bytes/s) over
- * the gzip bytes in @p gz; @p referenceSymbolLoop toggles the in-tree
- * reference decode loop (construction and buffers stay current). Returns 0
- * on a size mismatch. */
+/** Best-of-@p repeats end-to-end bandwidth (bytes/s) of a fresh
+ * ParallelGzipReader's decompressAll() over the gzip bytes in @p gz, 1 MiB
+ * chunks; @p referenceSymbolLoop toggles the in-tree reference decode loop
+ * (construction and buffers stay current). Returns 0 on a size mismatch. */
 [[nodiscard]] double
 measurePipelineBandwidth( const std::vector<std::uint8_t>& gz, std::size_t rawSize,
                           bool referenceSymbolLoop, std::size_t parallelism,

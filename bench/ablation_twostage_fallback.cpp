@@ -45,12 +45,16 @@ analyzeWorkload(const char* name, const std::vector<std::uint8_t>& data)
          ++partition) {
         const auto chunk = GzipChunkFetcher::decodeChunkFromGuess(
             reader, partition * PARTITION * 8, (partition + 1) * PARTITION * 8,
-            std::numeric_limits<std::size_t>::max());
-        if (chunk.error != Error::NONE) {
+            GzipChunkFetcher::NO_LIMIT);
+        if (chunk.guess->error != Error::NONE) {
             continue;
         }
-        markedBytes += chunk.data.marked.size();
-        for (const auto& segment : chunk.data.plain) {
+        /* The first segment is stage-one output; members after it in the
+         * chunk decode with a known (empty) window, in 8-bit mode. */
+        const auto& firstSegment = chunk.guess->firstSegment;
+        markedBytes += firstSegment.marked.size();
+        plainBytes += chunk.data.size();
+        for (const auto& segment : firstSegment.plain) {
             plainBytes += segment.decodedSize();
         }
         ++chunks;

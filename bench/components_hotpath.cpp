@@ -20,7 +20,7 @@
  *                           finder (positions surviving the 8-bit prefix
  *                           filters), per-symbol counting vs the packed
  *                           64-bit histogram with the fused Kraft sum
- *  - chunk_pipeline:        end-to-end parallel decompressMember, current
+ *  - chunk_pipeline:        end-to-end ParallelGzipReader::decompressAll(), current
  *                           infrastructure with the symbol loop switched
  *                           between reference and fast (an in-tree ablation,
  *                           the one component not measured against legacy)

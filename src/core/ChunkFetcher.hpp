@@ -36,10 +36,11 @@ namespace rapidgzip {
  *  - MULTI_STREAM: track up to four interleaved sequential access streams
  *                  (the ratarmount FUSE pattern) and prefetch ahead of each.
  *
- * An ordered pass over every chunk (ChunkedReader::sweep) is known to be
- * one before its first access, so it keeps the next `parallelism` chunks
- * decoding from that first access on, whatever the strategy, and leaves the
- * strategy's access pattern alone.
+ * An ordered pass over every chunk (ChunkedReader::pass) is known to be one
+ * before its first access, so it keeps the next max(2 * parallelism, 4)
+ * chunks decoding from that first access on, whatever the strategy, and
+ * leaves the strategy's access pattern alone. The cache holds that
+ * look-ahead plus the chunk in use: max(2 * parallelism + 4, 8) chunks.
  */
 struct ChunkFetcherConfiguration
 {
@@ -53,8 +54,6 @@ struct ChunkFetcherConfiguration
     std::size_t parallelism{ std::max<std::size_t>( 1, std::thread::hardware_concurrency() ) };
     std::size_t chunkSizeBytes{ 4 * MiB };
     Strategy strategy{ Strategy::ADAPTIVE };
-    /** Decoded chunks kept in the cache; 0 = derive from parallelism. */
-    std::size_t cacheChunkCount{ 0 };
     /**
      * Minimum uncompressed distance between checkpoints the two-stage sweep
      * harvests into the seek index (member starts are always kept); 0 keeps
@@ -124,9 +123,7 @@ public:
         m_chunkCount( chunkCount ),
         m_decoder( std::move( decoder ) ),
         m_configuration( configuration ),
-        m_cacheCapacity( configuration.cacheChunkCount > 0
-                         ? configuration.cacheChunkCount
-                         : std::max<std::size_t>( 2 * configuration.parallelism + 4, 8 ) ),
+        m_cacheCapacity( std::max<std::size_t>( 2 * configuration.parallelism + 4, 8 ) ),
         m_cacheToken( makeCacheToken( configuration, m_chunkCount ) ),
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
@@ -318,11 +315,17 @@ private:
         return future;
     }
 
-    /** Caller must hold m_mutex. */
+    /** Caller must hold m_mutex. A chunk already cached counts as used now,
+     * so the LRU keeps a look-ahead's ready prefetches until they are
+     * consumed; it ages every other chunk from its last access. */
     void
     prefetch( std::size_t index )
     {
-        if ( ( index >= m_chunkCount ) || ( m_cache.find( index ) != m_cache.end() ) ) {
+        if ( index >= m_chunkCount ) {
+            return;
+        }
+        if ( const auto match = m_cache.find( index ); match != m_cache.end() ) {
+            match->second.lastUse = m_accessClock;
             return;
         }
         ++m_statistics.prefetchDispatched;
@@ -336,9 +339,13 @@ private:
     dispatchPrefetches( std::size_t accessedIndex, Access access )
     {
         const auto parallelism = std::max<std::size_t>( 1, m_configuration.parallelism );
-        const auto strategy = access == Access::ORDERED_PASS ? ChunkFetcherConfiguration::Strategy::FIXED
-                                                             : m_configuration.strategy;
-        switch ( strategy ) {
+        if ( access == Access::ORDERED_PASS ) {
+            for ( std::size_t i = 1; i <= std::max<std::size_t>( 2 * parallelism, 4 ); ++i ) {
+                prefetch( accessedIndex + i );
+            }
+            return;
+        }
+        switch ( m_configuration.strategy ) {
         case ChunkFetcherConfiguration::Strategy::FIXED:
             for ( std::size_t i = 1; i <= parallelism; ++i ) {
                 prefetch( accessedIndex + i );

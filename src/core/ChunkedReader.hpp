@@ -34,7 +34,8 @@ struct ChunkTable
 /**
  * The one chunked reader under every format (paper §3): a chunk table, the
  * ChunkFetcher that decodes, caches and prefetches its chunks on a thread
- * pool, one ordered sweep that measures unknown chunk sizes, and one walk
+ * pool, one ordered pass (under the sweep that measures unknown chunk
+ * sizes, and under gzip's stitched pass over guessed chunks), and one walk
  * from uncompressed offsets to chunks behind readAt() and readSpansAt().
  * The formats build tables on top of it: gzip hands it index checkpoints
  * decoded by GzipChunkFetcher::decodeChunkFromCheckpoint; zstd, lz4 and
@@ -134,15 +135,19 @@ public:
 
     /** Make @p checkpoints the table, decoded by @p decoder: sized with the
      * total @p size, or awaiting a sweep() when @p size is std::nullopt. The
-     * fetcher is built when a read or sweep first needs it. A constructor,
-     * which owns the reader alone, may call this without lock(). */
+     * fetcher is built when a read or pass first needs it. With
+     * @p stageOne, the chunks are no stream bytes (a guess grid's
+     * stage-one output): only a pass() reads them, and they stay out of
+     * the shared cache. A constructor, which owns the reader alone, may
+     * call this without lock(). */
     void
     publish( std::vector<index::Checkpoint> checkpoints,
              std::optional<std::size_t> size,
-             ChunkDecoder decoder )
+             ChunkDecoder decoder,
+             bool stageOne = false )
     {
         store( { ChunkTable{ std::move( checkpoints ), size.value_or( 0 ), size.has_value() },
-                 std::move( decoder ), {} } );
+                 std::move( decoder ), {}, stageOne } );
     }
 
     /** Drop the fetcher, with its cache and any failed prefetches. Without
@@ -190,19 +195,37 @@ public:
     }
 
     /**
-     * The ordered sweep: decode every chunk in order through the fetcher,
-     * hand each to @p hook( index, chunk ), and publish the measured sizes
-     * as the table's uncompressed offsets. @p hook returns false when its
-     * chunk ends the stream; the chunks after it leave the table. A sweep
-     * is a pass over every chunk, known as one before its first access, so
-     * it asks the fetcher for an ordered pass: from chunk 0 on, the next
-     * `parallelism` chunks decode while the hook runs, whatever the prefetch
-     * strategy, instead of the strategy ramping up as for a reader it must
-     * guess about. The fetcher stays, so the sweep's tail serves the reads
-     * that follow, and its access pattern starts afresh, so those reads see
-     * the configured strategy as a reader that never swept would. A failing
-     * decode or hook propagates and leaves the table as it was. Returns the
-     * total uncompressed size.
+     * The ordered pass: decode the table's chunks in order through the
+     * fetcher and hand each to @p hook( index, chunk ) until the hook
+     * returns false or the table ends. A pass is known to be one before its
+     * first access, so from chunk 0 on the fetcher keeps max(2P, 4) chunks
+     * decoding ahead while the hook runs, whatever the prefetch strategy.
+     * It publishes nothing. Returns the chunks handed to the hook.
+     */
+    template<typename Hook>
+    std::size_t
+    pass( const Hook& hook )
+    {
+        const auto state = withFetcher();
+        std::size_t count = 0;
+        while ( count < state->table.checkpoints.size() ) {
+            const auto chunk = state->fetcher->get( count, ChunkFetcher::Access::ORDERED_PASS );
+            if ( !hook( count++, *chunk ) ) {
+                break;
+            }
+        }
+        return count;
+    }
+
+    /**
+     * The ordered sweep: a pass() that publishes the measured sizes as the
+     * table's uncompressed offsets. @p hook returns false when its chunk
+     * ends the stream; the chunks after it leave the table. The fetcher
+     * stays, so the sweep's tail serves the reads that follow, and its
+     * access pattern starts afresh, so those reads see the configured
+     * strategy as a reader that never swept would. A failing decode or hook
+     * propagates and leaves the table as it was. Returns the total
+     * uncompressed size.
      */
     template<typename Hook>
     std::size_t
@@ -211,15 +234,11 @@ public:
         const auto state = withFetcher();
         auto table = state->table;
         std::size_t offset = 0;
-        std::size_t count = 0;
-        while ( count < table.checkpoints.size() ) {
-            const auto chunk = state->fetcher->get( count, ChunkFetcher::Access::ORDERED_PASS );
-            table.checkpoints[count].uncompressedOffset = offset;
-            offset += chunk->data.size();
-            if ( !hook( count++, *chunk ) ) {
-                break;
-            }
-        }
+        const auto count = pass( [&] ( std::size_t i, const DecodedChunk& chunk ) {
+            table.checkpoints[i].uncompressedOffset = offset;
+            offset += chunk.data.size();
+            return hook( i, chunk );
+        } );
         table.checkpoints.resize( count );
         table.size = offset;
         table.sized = true;
@@ -234,6 +253,7 @@ private:
         ChunkTable table;
         ChunkDecoder decoder;
         std::shared_ptr<ChunkFetcher> fetcher;
+        bool stageOne{ false };
     };
 
     void
@@ -252,6 +272,9 @@ private:
             /* The table's bit offsets go into the shared-cache key, so readers
              * of one archive with different tables never share entries. */
             auto configuration = m_configuration;
+            if ( m_state->stageOne ) {
+                configuration.sharedCache.reset();
+            }
             for ( const auto& checkpoint : m_state->table.checkpoints ) {
                 configuration.cacheIdentity =
                     mixHash( configuration.cacheIdentity ^ checkpoint.compressedOffsetBits );

@@ -237,6 +237,43 @@ struct DecodedChunk
     /** CRC32 of the bytes after the last member end (the whole chunk when
      * no member ends inside it) — the carry into the next chunk. */
     std::uint32_t trailingCrc32{ 0 };
+
+    /**
+     * Set only by a decode from a guessed offset, which knows no window
+     * (GzipChunkFetcher::decodeChunkFromGuess). Its output up to the first
+     * member end in the chunk, or all of it when no member ends there, is
+     * the stage-one output @ref firstSegment, whose markers the consumer
+     * resolves against the window. `data`, `memberEnds`, `trailingCrc32`
+     * and `crc32` describe only the members after that member end.
+     */
+    struct Guess
+    {
+        Guess() = default;
+        Guess( Guess&& ) noexcept = default;
+        Guess& operator=( Guess&& ) noexcept = default;
+
+        /** Hands the stage-one buffers back to the decode buffer pool, so a
+         * pass over guessed chunks allocates no new ones. */
+        ~Guess()
+        {
+            deflate::DecodedDataPool::release( std::move( firstSegment ) );
+        }
+
+        /** NONE, or why the chunk holds no usable decode: BLOCK_NOT_FOUND
+         * (no candidate decodes, or the members after it do not),
+         * EXCEEDED_OUTPUT_LIMIT, or TRUNCATED_STREAM (the file read short). */
+        Error error{ Error::NONE };
+        /** The block boundary the decode started at. */
+        std::size_t startBitOffset{ 0 };
+        /** The decode started at a stored block's LEN field, behind the
+         * block's three unread header bits. */
+        bool startedAtStoredBlock{ false };
+        deflate::DecodedData firstSegment;
+        /** The footer of the member that firstSegment ends, when it ends in
+         * this chunk. */
+        std::optional<std::size_t> firstSegmentFooter;
+    };
+    std::optional<Guess> guess;
 };
 
 /** Thrown by a chunk decode whose end boundary lies inside a Deflate block,
@@ -316,29 +353,36 @@ public:
     {
         std::size_t segmentBegin = 0;
         for ( const auto& memberEnd : chunk.memberEnds ) {
-            append( memberEnd.segmentCrc32, memberEnd.dataEndOffset - segmentBegin );
-            if ( !footerMatches( m_file, memberEnd.footerStartByte, m_memberCrc, m_memberSize ) ) {
+            if ( !consume( memberEnd.segmentCrc32, memberEnd.dataEndOffset - segmentBegin,
+                           memberEnd.footerStartByte ) ) {
                 return false;
             }
-            m_memberCrc = 0;
-            m_memberSize = 0;
             segmentBegin = memberEnd.dataEndOffset;
         }
-        append( chunk.trailingCrc32, chunk.data.size() - segmentBegin );
-        return true;
+        return consume( chunk.trailingCrc32, chunk.data.size() - segmentBegin );
+    }
+
+    /** Append @p length bytes whose CRC32 is @p segmentCrc to the current
+     * member. With @p footerStartByte they end it, and it must match the
+     * footer there. */
+    [[nodiscard]] bool
+    consume( std::uint32_t segmentCrc, std::size_t length,
+             std::optional<std::size_t> footerStartByte = std::nullopt )
+    {
+        if ( length > 0 ) {
+            m_memberCrc = simd::crc32Combine( m_memberCrc, segmentCrc, length );
+            m_memberSize += length;
+        }
+        if ( !footerStartByte ) {
+            return true;
+        }
+        const auto matches = footerMatches( m_file, *footerStartByte, m_memberCrc, m_memberSize );
+        m_memberCrc = 0;
+        m_memberSize = 0;
+        return matches;
     }
 
 private:
-    void
-    append( std::uint32_t segmentCrc, std::size_t length )
-    {
-        if ( length == 0 ) {
-            return;
-        }
-        m_memberCrc = simd::crc32Combine( m_memberCrc, segmentCrc, length );
-        m_memberSize += length;
-    }
-
     const FileReader& m_file;
     std::uint32_t m_memberCrc{ 0 };
     std::size_t m_memberSize{ 0 };

@@ -4,9 +4,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "../blockfinder/DynamicBlockFinderRapid.hpp"
 #include "../blockfinder/NonCompressedBlockFinder.hpp"
 #include "../common/Error.hpp"
-#include "../common/ThreadPool.hpp"
 #include "../common/Util.hpp"
 #include "../deflate/DecodedData.hpp"
 #include "../deflate/DeflateDecoder.hpp"
@@ -77,54 +75,34 @@ tallyFilterStatistics( const blockfinder::FilterStatistics& statistics )
  * bit offsets. Stage one runs in parallel per chunk — block-find from the
  * guess with the cascaded rapid finder (plus the non-compressed finder for
  * stored blocks), then two-stage-decode into marker/plain data until the
- * first block boundary at or past the chunk's end guess. Stage two is the
- * cheap sequential stitch: verify each chunk starts exactly where its
- * predecessor stopped (re-decoding from the known offset when the finder
- * was fooled or skipped an unfindable Fixed block), substitute markers with
- * the propagated window, and slide the window forward.
+ * first block boundary at or past the chunk's end guess, crossing into the
+ * gzip members that follow as a checkpoint chunk does. Stage two is the
+ * cheap sequential stitch (Stitcher): verify each chunk starts exactly
+ * where its predecessor stopped (re-decoding from the known offset when the
+ * finder was fooled or skipped an unfindable Fixed block), substitute
+ * markers with the propagated window, and slide the window forward.
  *
  * Correctness does not rest on the finders: a surviving false positive
  * produces wrong bytes whose CRC32 cannot match the gzip footer, which the
- * caller verifies — the same layering that guards marker-derived restart
+ * stitch verifies — the same layering that guards marker-derived restart
  * points (probeRawDeflatePoint in DeflateChunks.hpp).
  */
 class GzipChunkFetcher
 {
 public:
-    struct ChunkResult
-    {
-        Error error{ Error::NONE };
-        deflate::DecodedData data;
-        /** Absolute bit offset of the block the decode actually started at. */
-        std::size_t decodedStartBit{ 0 };
-        /** Absolute bit offset of the first unconsumed block boundary. */
-        std::size_t decodedEndBit{ 0 };
-        bool reachedStreamEnd{ false };
-        std::size_t blockCount{ 0 };
-        bool startedAtStoredBlock{ false };
-    };
-
-    struct MemberResult
-    {
-        std::size_t uncompressedSize{ 0 };
-        std::uint32_t crc32{ 0 };
-        /** Byte offset of the member's footer (just past the final Deflate byte). */
-        std::size_t footerStartByte{ 0 };
-        /** Chunks actually consumed for this member (not the guess grid,
-         * which spans to the file end for concatenated members). */
-        std::size_t chunkCount{ 0 };
-        /** Chunks whose speculative decode was discarded for a sequential
-         * re-decode (finder miss, mis-stitch, or decode failure). */
-        std::size_t redecodedChunks{ 0 };
-    };
+    static constexpr std::size_t NO_LIMIT = std::numeric_limits<std::size_t>::max();
 
     /**
      * Stage one for one chunk: find the first decodable block at or after
      * @p startBitGuess (before @p endBitGuess) and decode — windowless, with
      * 16-bit markers — until the first block boundary at or past
-     * @p endBitGuess, the final block, or @p maxBytes outputs.
+     * @p endBitGuess, or @p maxBytes outputs. When its member ends first, the
+     * chunk crosses into the members that follow as decodeMembers() does,
+     * within the same output budget. The result's `guess` holds where the
+     * decode started and its stage-one output, or why the chunk is unusable;
+     * the data never makes this throw.
      */
-    [[nodiscard]] static ChunkResult
+    [[nodiscard]] static DecodedChunk
     decodeChunkFromGuess( const FileReader& file,
                           std::size_t startBitGuess,
                           std::size_t endBitGuess,
@@ -134,17 +112,17 @@ public:
         const auto fileBits = fileSize * 8;
         endBitGuess = std::min( endBitGuess, fileBits );
 
-        ChunkResult result;
+        DecodedChunk result;
+        auto& guess = result.guess.emplace();
         if ( ( startBitGuess >= fileBits ) || ( endBitGuess <= startBitGuess ) ) {
-            result.error = Error::BLOCK_NOT_FOUND;
+            guess.error = Error::BLOCK_NOT_FOUND;
             return result;
         }
 
         /* Zero-churn buffers: the compressed span lives in a per-thread
          * buffer reused across chunks; the DecodedData comes from the shared
          * pool, is pre-sized to the chunk's expected yield, and is reused
-         * across failed candidates — steady-state decoding allocates
-         * nothing. */
+         * across failed candidates. */
         static thread_local std::vector<std::uint8_t> buffer;
         auto data = deflate::DecodedDataPool::acquire();
         const auto expectedYield =
@@ -157,7 +135,7 @@ public:
             const auto bufferEnd = std::min( fileSize, ceilDiv<std::size_t>( endBitGuess, 8 ) + margin );
             buffer.resize( bufferEnd - startByte );
             if ( file.pread( buffer.data(), buffer.size(), startByte ) != buffer.size() ) {
-                result.error = Error::TRUNCATED_STREAM;
+                guess.error = Error::TRUNCATED_STREAM;
                 deflate::DecodedDataPool::release( std::move( data ) );
                 return result;
             }
@@ -223,20 +201,26 @@ public:
                         return decoder.decode( reader, data, searchEndLocal, maxBytes );
                     }();
                     if ( decoded.error == Error::NONE ) {
-                        result.data = std::move( data );
-                        result.decodedStartBit = baseBit + candidate;
-                        result.decodedEndBit = baseBit + decoded.endBitOffset;
-                        result.reachedStreamEnd = decoded.reachedFinalBlock;
-                        result.blockCount = decoded.blockCount;
-                        result.startedAtStoredBlock = stored;
+                        guess.startBitOffset = baseBit + candidate;
+                        guess.startedAtStoredBlock = stored;
+                        guess.firstSegment = std::move( data );
+                        result.endBitOffset = baseBit + decoded.endBitOffset;
+                        if ( decoded.reachedFinalBlock ) {
+                            const auto footerEnd = ceilDiv<std::size_t>( result.endBitOffset, 8 ) + GZIP_FOOTER_SIZE;
+                            crossMembers( file, result, endBitGuess,
+                                          maxBytes - std::min( maxBytes, guess.firstSegment.totalSize() ),
+                                          footerEnd < bufferEnd ? view.subView( footerEnd - startByte,
+                                                                                bufferEnd - footerEnd )
+                                                                : BufferView() );
+                        }
                         return result;
                     }
                     if ( decoded.error == Error::EXCEEDED_OUTPUT_LIMIT ) {
                         /* The output budget is per chunk, not per candidate:
                          * retrying further candidates would multiply the
-                         * wasted decode work. Report terminally; the caller
+                         * wasted decode work. Report terminally; the stitch
                          * re-decodes sequentially without a limit. */
-                        result.error = Error::EXCEEDED_OUTPUT_LIMIT;
+                        guess.error = Error::EXCEEDED_OUTPUT_LIMIT;
                         deflate::DecodedDataPool::release( std::move( data ) );
                         return result;
                     }
@@ -258,86 +242,8 @@ public:
                 margin *= 4;  /* a candidate outran the buffer — widen and retry */
                 continue;
             }
-            result.error = Error::BLOCK_NOT_FOUND;
+            guess.error = Error::BLOCK_NOT_FOUND;
             deflate::DecodedDataPool::release( std::move( data ) );
-            return result;
-        }
-    }
-
-    /**
-     * Sequential-path decode from an exactly known block boundary with a
-     * known window (conventional 8-bit decoding throughout). Used for the
-     * first chunk of a member and whenever a speculative chunk has to be
-     * re-decoded.
-     */
-    [[nodiscard]] static ChunkResult
-    decodeChunkAtOffset( const FileReader& file,
-                         std::size_t startBit,
-                         std::size_t untilBit,
-                         std::size_t maxBytes,
-                         BufferView window,
-                         bool startAtStoredData = false )
-    {
-        const auto fileSize = file.size();
-        const auto fileBits = fileSize * 8;
-        untilBit = std::min( untilBit, fileBits );
-        /* A previous chunk's boundary block may have overshot PAST this
-         * chunk's whole range: untilBit <= startBit then means "decode zero
-         * blocks" (the loop below breaks immediately), and the buffer
-         * arithmetic must not underflow. */
-        untilBit = std::max( untilBit, startBit );
-
-        ChunkResult result;
-        if ( startBit >= fileBits ) {
-            result.error = Error::TRUNCATED_STREAM;
-            return result;
-        }
-
-        static thread_local std::vector<std::uint8_t> buffer;
-        auto data = deflate::DecodedDataPool::acquire();
-        const auto expectedYield =
-            std::min( { maxBytes,
-                        ( std::max( untilBit, startBit + 8 ) - startBit ) / 8 * EXPECTED_RATIO
-                        + 64 * KiB,
-                        PRESIZE_CAP } );
-
-        auto margin = INITIAL_DECODE_OVERSHOOT;
-        while ( true ) {
-            const auto startByte = startBit / 8;
-            const auto bufferEnd = std::min( fileSize, ceilDiv<std::size_t>( untilBit, 8 ) + margin );
-            buffer.resize( bufferEnd - startByte );
-            if ( file.pread( buffer.data(), buffer.size(), startByte ) != buffer.size() ) {
-                result.error = Error::TRUNCATED_STREAM;
-                deflate::DecodedDataPool::release( std::move( data ) );
-                return result;
-            }
-            const auto baseBit = startByte * 8;
-
-            BitReader reader( buffer.data(), buffer.size() );
-            reader.seek( startBit - baseBit );
-            deflate::Decoder decoder;
-            decoder.setInitialWindow( window );
-            decoder.setStartAtStoredData( startAtStoredData );
-            data.reset();
-            if ( data.plain.empty() ) {
-                data.plain.emplace_back();
-            }
-            data.plain.front().data.reserve( expectedYield );
-            const auto decoded = [&] () {
-                telemetry::Span decodeSpan{ "pipeline", "chunk.decode" };
-                return decoder.decode( reader, data, untilBit - baseBit, maxBytes );
-            }();
-            if ( ( decoded.error == Error::TRUNCATED_STREAM ) && ( bufferEnd < fileSize ) ) {
-                margin *= 4;
-                continue;
-            }
-            result.error = decoded.error;
-            result.data = std::move( data );
-            result.decodedStartBit = startBit;
-            result.decodedEndBit = baseBit + decoded.endBitOffset;
-            result.reachedStreamEnd = decoded.reachedFinalBlock;
-            result.blockCount = decoded.blockCount;
-            result.startedAtStoredBlock = startAtStoredData;
             return result;
         }
     }
@@ -350,22 +256,26 @@ public:
      * so BGZF and concatenated members ride the same path. This is what
      * makes seek()/read() O(1) in decoded work: exactly one inter-checkpoint
      * span is decoded, never the prefix of the file. It is
-     * ParallelGzipReader's only chunk decoder: imported, BGZF, harvested and
-     * marker-derived checkpoints all decode here.
+     * ParallelGzipReader's chunk decoder for imported, BGZF, harvested and
+     * marker-derived checkpoints. Every member the chunk decodes whole is
+     * checked against its footer: those that start inside it, and with
+     * @p startsMember (a BGZF row) the one it starts with.
      *
      * Throws InvalidGzipStreamError when the data under the checkpoint does
      * not decode — a stale or corrupt index, or a false restart point —
      * FalseChunkEndError when the decode stops past @p untilBits: the next
-     * checkpoint lies inside a block, a footer or a member header, and
-     * TruncatedStreamError when the file ends inside a block.
+     * checkpoint lies inside a block, a footer or a member header,
+     * TruncatedStreamError when the file ends inside a block, and
+     * ChecksumError for a member that disagrees with its footer.
      */
     [[nodiscard]] static DecodedChunk
     decodeChunkFromCheckpoint( const FileReader& file,
                                std::size_t startBits,
                                std::size_t untilBits,
-                               BufferView window )
+                               BufferView window,
+                               bool startsMember = false )
     {
-        auto chunk = decodeMembers( file, startBits, untilBits, window );
+        auto chunk = decodeMembers( file, startBits, untilBits, window, startsMember );
         if ( !chunk.reachedStreamEnd && ( chunk.endBitOffset > untilBits ) ) {
             throw FalseChunkEndError( "Chunk end at bit " + std::to_string( untilBits )
                                       + " is no block boundary; the decode stopped at bit "
@@ -375,259 +285,19 @@ public:
     }
 
     /**
-     * The serial authority: one sequential walk over the whole gzip stream
-     * with the same decoder as the chunks, span by span of @p spanBytes
-     * compressed bytes from the first member's first Deflate byte. The
-     * window carries across spans and empties at every member start; every
-     * member is checked against its footer, and the trailing-bytes rule
-     * decides what follows each footer. Memory stays bounded by one span's
-     * output. Hands every byte to @p sink when it is set and returns the
-     * uncompressed size. Throws for a truncated stream, a member that
-     * disagrees with its footer, and undecodable data.
-     */
-    [[nodiscard]] static std::size_t
-    decompressSerially( const FileReader& file,
-                        std::size_t spanBytes,
-                        const std::function<void( BufferView )>& sink = {} )
-    {
-        const auto spanBits = std::max<std::size_t>( spanBytes, 1 ) * 8;
-        const auto header = readHeaderBytes( file, 0 );
-        auto bit = parseGzipHeader( { header.data(), header.size() } ) * 8;
-        MemberVerifier verifier( file );
-        std::vector<std::uint8_t> window;
-        std::size_t total = 0;
-        while ( true ) {
-            const auto chunk = decodeMembers( file, bit, bit + spanBits, { window.data(), window.size() } );
-            if ( !verifier.consume( chunk ) ) {
-                throw ChecksumError( "Gzip member does not match its footer" );
-            }
-            if ( sink && !chunk.data.empty() ) {
-                sink( { chunk.data.data(), chunk.data.size() } );
-            }
-            total += chunk.data.size();
-            if ( chunk.reachedStreamEnd ) {
-                return total;
-            }
-            /* The next span continues the member the chunk ends in. */
-            std::size_t memberBegin = 0;
-            if ( !chunk.memberEnds.empty() ) {
-                memberBegin = chunk.memberEnds.back().dataEndOffset;
-                window.clear();
-            }
-            slideWindow( window, { chunk.data.data() + memberBegin, chunk.data.size() - memberBegin } );
-            bit = chunk.endBitOffset;
-        }
-    }
-
-    /**
-     * Decompress one gzip member's Deflate stream in parallel from guessed
-     * chunk offsets, stitching sequentially. Returns size, CRC32, and the
-     * footer position; throws InvalidGzipStreamError when the stream is
-     * undecodable. The caller verifies the returned CRC against the footer —
-     * that verification, not the block finding, is the correctness
-     * authority.
-     *
-     * When @p collectOutput is non-null the decompressed bytes are appended
-     * to it; otherwise they are discarded after CRC/window accounting
-     * (decompressAll semantics), keeping memory bounded by the in-flight
-     * chunk batch.
-     *
-     * When @p indexBuilder is non-null, every consumed chunk boundary is
-     * recorded as a checkpoint with the propagated window — index
-     * construction as a byproduct of the sweep (member-relative uncompressed
-     * offsets; the caller advances the member base).
-     */
-    [[nodiscard]] static MemberResult
-    decompressMember( const FileReader& file,
-                      std::size_t firstDeflateByte,
-                      std::size_t parallelism,
-                      std::size_t chunkSizeBytes,
-                      std::vector<std::uint8_t>* collectOutput = nullptr,
-                      index::IndexBuilder* indexBuilder = nullptr )
-    {
-        const auto fileSize = file.size();
-        const auto fileBits = fileSize * 8;
-        const auto startBit = firstDeflateByte * 8;
-        if ( startBit >= fileBits ) {
-            throw InvalidGzipStreamError( "Gzip member has no Deflate data" );
-        }
-
-        const auto chunkBytes = std::max<std::size_t>( chunkSizeBytes, 128 * KiB );
-        const auto chunkBits = chunkBytes * 8;
-        /* The guess grid spans to the FILE end because a member's end is
-         * only known after decoding it; for concatenated members the (at
-         * most one batch of) speculative decodes past the footer are
-         * discarded at reachedStreamEnd. */
-        const auto chunkCount = ceilDiv( fileBits - startBit, chunkBits );
-        /* Speculative output budget per chunk. Deflate can expand up to
-         * ~1032x, but budgeting for that would let a batch of in-flight
-         * 16-bit chunk buffers occupy hundreds of chunk sizes of memory;
-         * ratios beyond this cap (sparse files and the like) fall back to
-         * the sequential re-decode, whose single uncapped chunk matches the
-         * serial path's memory profile. */
-        const auto chunkOutputCap = chunkBytes * 64 + 16 * MiB;
-
-        const auto guessBegin = [startBit, chunkBits] ( std::size_t index ) {
-            return startBit + index * chunkBits;
-        };
-        /* The pool is declared AFTER everything its tasks reference, so its
-         * joining destructor runs first; the tasks themselves capture plain
-         * values (plus the caller-owned file) — never locals of this frame
-         * that unwinding could destroy while workers still run. */
-        ThreadPool pool( std::max<std::size_t>( 1, parallelism ) );
-        const auto dispatch = [&pool, &file, startBit, chunkBits, chunkOutputCap] ( std::size_t index ) {
-            return pool.submit( [&file, startBit, chunkBits, index, chunkOutputCap] () {
-                return decodeChunkFromGuess( file, startBit + index * chunkBits,
-                                             startBit + ( index + 1 ) * chunkBits,
-                                             chunkOutputCap );
-            } );
-        };
-
-        /* Bounded look-ahead: chunks are consumed strictly in order, so only
-         * the in-flight batch is resident at once. */
-        const auto batchLimit = std::max<std::size_t>( 2 * std::max<std::size_t>( 1, parallelism ), 4 );
-        std::vector<std::future<ChunkResult> > inFlight;
-        std::size_t nextToDispatch = 1;  /* chunk 0 decodes on this thread, exactly */
-        const auto topUp = [&] () {
-            while ( ( nextToDispatch < chunkCount ) && ( inFlight.size() < batchLimit ) ) {
-                inFlight.push_back( dispatch( nextToDispatch++ ) );
-            }
-        };
-        topUp();
-
-        MemberResult member;
-        std::uint32_t crc = 0;
-        std::vector<std::uint8_t> window;
-        std::vector<std::uint8_t> resolved;
-        std::size_t expectedBit = startBit;
-        bool reachedStreamEnd = false;
-
-        for ( std::size_t index = 0; index < chunkCount; ++index ) {
-            ++member.chunkCount;  /* chunks actually consumed, not the guess grid */
-            ChunkResult chunk;
-            bool speculativeAccepted = false;
-            if ( index == 0 ) {
-                chunk = decodeChunkAtOffset( file, startBit, guessBegin( 1 ), chunkOutputCap,
-                                             { window.data(), window.size() } );
-                if ( ( chunk.error == Error::EXCEEDED_OUTPUT_LIMIT ) ) {
-                    chunk = decodeChunkAtOffset( file, startBit, guessBegin( 1 ),
-                                                 std::numeric_limits<std::size_t>::max(),
-                                                 { window.data(), window.size() } );
-                }
-                if ( chunk.error != Error::NONE ) {
-                    throw InvalidGzipStreamError(
-                        "Cannot decode the gzip stream from its start: "
-                        + std::string( toString( chunk.error ) ) );
-                }
-            } else {
-                chunk = inFlight.front().get();
-                inFlight.erase( inFlight.begin() );
-                topUp();
-                /* A stored-block start is reported at its byte-aligned LEN
-                 * field; the equivalent boundary for a header at expectedBit
-                 * is 3 header bits plus padding later. (The unread padding
-                 * carries no data; a wrong BFINAL assumption decodes wrong
-                 * bytes that the caller's CRC verification rejects.) */
-                const auto storedDataBit = ceilDiv<std::size_t>( expectedBit + 3, 8 ) * 8;
-                const bool stitchMatches =
-                    ( chunk.decodedStartBit == expectedBit )
-                    || ( chunk.startedAtStoredBlock && ( chunk.decodedStartBit == storedDataBit ) );
-                speculativeAccepted = ( chunk.error == Error::NONE ) && stitchMatches;
-                if ( ( chunk.error != Error::NONE ) || !stitchMatches ) {
-                    /* The finder was fooled, skipped an unfindable block, or
-                     * the guess landed beyond the member: re-decode from the
-                     * authoritative boundary with the propagated window. */
-                    ++member.redecodedChunks;
-                    RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_redecodes_total",
-                                               "Speculative chunk decodes discarded for a sequential "
-                                               "re-decode (finder miss, mis-stitch, or decode failure).", 1 );
-                    chunk = decodeChunkAtOffset( file, expectedBit, guessBegin( index + 1 ),
-                                                 std::numeric_limits<std::size_t>::max(),
-                                                 { window.data(), window.size() } );
-                    if ( chunk.error != Error::NONE ) {
-                        throw InvalidGzipStreamError(
-                            "Cannot decode the gzip stream at bit offset "
-                            + std::to_string( expectedBit ) + ": "
-                            + std::string( toString( chunk.error ) ) );
-                    }
-                }
-            }
-
-            /* Harvest the checkpoint before the window slides: `expectedBit`
-             * is the authoritative boundary this chunk starts at (for an
-             * accepted stored-block candidate the real block header at
-             * expectedBit decodes identically — the unread padding carries
-             * no data), and `window` is exactly the history a decode
-             * resuming there needs. The chunk's surviving markers enable a
-             * sparse window (see IndexBuilder). */
-            if ( indexBuilder != nullptr ) {
-                indexBuilder->addCheckpoint( expectedBit, member.uncompressedSize,
-                                             { window.data(), window.size() },
-                                             speculativeAccepted ? &chunk.data : nullptr );
-            }
-
-            /* Stage two: resolve markers against the propagated window. */
-            {
-                telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
-                resolved.clear();
-                deflate::resolveInto( chunk.data, { window.data(), window.size() }, resolved );
-
-                if ( !resolved.empty() ) {
-                    crc = simd::crc32( crc, resolved.data(), resolved.size() );
-                    member.uncompressedSize += resolved.size();
-                    if ( collectOutput != nullptr ) {
-                        collectOutput->insert( collectOutput->end(), resolved.begin(), resolved.end() );
-                    }
-                    slideWindow( window, { resolved.data(), resolved.size() } );
-                }
-            }
-
-            expectedBit = chunk.decodedEndBit;
-            const auto endedStream = chunk.reachedStreamEnd;
-            /* The chunk's buffers are fully consumed (markers resolved,
-             * checkpoint harvested): recycle them for the next decode. */
-            deflate::DecodedDataPool::release( std::move( chunk.data ) );
-            if ( endedStream ) {
-                reachedStreamEnd = true;
-                break;
-            }
-        }
-
-        if ( !reachedStreamEnd ) {
-            throw InvalidGzipStreamError(
-                "Gzip stream ended before the final Deflate block — truncated file" );
-        }
-        member.crc32 = crc;
-        member.footerStartByte = ceilDiv<std::size_t>( expectedBit, 8 );
-        return member;
-    }
-
-private:
-    /** Make @p window the last WINDOW_SIZE bytes of @p window ++ @p bytes. */
-    static void
-    slideWindow( std::vector<std::uint8_t>& window, BufferView bytes )
-    {
-        if ( bytes.size() >= deflate::WINDOW_SIZE ) {
-            window.assign( bytes.end() - deflate::WINDOW_SIZE, bytes.end() );
-            return;
-        }
-        const auto keep = std::min( window.size(), deflate::WINDOW_SIZE - bytes.size() );
-        window.erase( window.begin(), window.end() - static_cast<std::ptrdiff_t>( keep ) );
-        window.insert( window.end(), bytes.begin(), bytes.end() );
-    }
-
-    /**
-     * The one decode loop behind decodeChunkFromCheckpoint() and
-     * decompressSerially(): decode from the block boundary @p startBits,
-     * with @p window as the history, to the first block boundary at or past
-     * @p untilBits or the end of the stream. The compressed span is read
-     * once, into the per-thread buffer, with an overshoot margin that widens
-     * when a block runs past it. Every member in the span decodes from that
-     * buffer: to its final block; its segment CRC and footer offset go into
-     * memberEnds; the trailing-bytes rule runs on the buffered bytes; and the
+     * The one decode loop behind every chunk from a known boundary: decode
+     * from the block boundary @p startBits, with @p window as the history,
+     * to the first block boundary at or past @p untilBits, the end of the
+     * stream, or @p maxBytes outputs. The compressed span is read once, into
+     * the per-thread buffer, with an overshoot margin that widens when a
+     * block runs past it. Every member in the span decodes from that buffer:
+     * to its final block; its segment CRC and footer offset go into
+     * memberEnds, and when the span holds the whole member (it starts inside
+     * the span, or at @p startBits with @p startsMember) it must match its
+     * footer; the trailing-bytes rule runs on the buffered bytes; and the
      * next member starts on a fresh decoder with an empty window. Members
-     * share the chunk's output, but each decodes into its own emptied buffer,
-     * so a back-reference into the previous member's bytes is
+     * share the chunk's output, but each decodes into its own emptied
+     * buffer, so a back-reference into the previous member's bytes is
      * EXCEEDED_WINDOW, zlib's "invalid distance too far back". A next member
      * that starts at or past @p untilBits ends the span there.
      */
@@ -635,7 +305,9 @@ private:
     decodeMembers( const FileReader& file,
                    std::size_t startBits,
                    std::size_t untilBits,
-                   BufferView window )
+                   BufferView window,
+                   bool startsMember = false,
+                   std::size_t maxBytes = NO_LIMIT )
     {
         constexpr auto TRUNCATED = "Gzip stream ended before the final Deflate block — truncated file";
         const auto fileSize = file.size();
@@ -661,6 +333,7 @@ private:
             DecodedChunk result;
             auto memberStartBit = startBits;
             auto memberWindow = window;
+            auto wholeMember = startsMember;
             bool truncated = false;
             while ( true ) {
                 BitReader reader( buffer.data(), buffer.size() );
@@ -674,7 +347,8 @@ private:
                 decoded.plain.front().data.reserve( expectedYield );
                 const auto status = [&] () {
                     telemetry::Span decodeSpan{ "pipeline", "chunk.decode" };
-                    return decoder.decode( reader, decoded, endBits - baseBit );
+                    return decoder.decode( reader, decoded, endBits - baseBit,
+                                           maxBytes - std::min( maxBytes, result.data.size() ) );
                 }();
                 if ( status.error == Error::TRUNCATED_STREAM ) {
                     if ( bufferEnd == fileSize ) {
@@ -703,6 +377,9 @@ private:
                 }
 
                 const auto footerByte = ceilDiv<std::size_t>( result.endBitOffset, 8 );
+                if ( wholeMember && !footerMatches( file, footerByte, segmentCrc, result.data.size() - before ) ) {
+                    throw ChecksumError( "Gzip member does not match its footer" );
+                }
                 result.memberEnds.push_back( { result.data.size(), segmentCrc, footerByte } );
                 const auto footerEnd = footerByte + GZIP_FOOTER_SIZE;
                 const auto next = nextGzipMember(
@@ -720,6 +397,7 @@ private:
                 }
                 memberStartBit = result.endBitOffset;
                 memberWindow = {};  /* a fresh member starts with an empty window */
+                wholeMember = true;
             }
             if ( truncated ) {
                 margin *= 4;  /* a block outran the buffer — widen and retry */
@@ -728,6 +406,220 @@ private:
             deflate::DecodedDataPool::release( std::move( decoded ) );
             result.crc32 = combineSegmentCrcs( result );
             return result;
+        }
+    }
+
+    /**
+     * Stage two, on the one thread that consumes a gzip stream's chunks in
+     * order — the stitched pass over the guess grid and the serial walk:
+     * stitch each chunk to where the previous one ended, resolve its markers
+     * against the propagated window, check every member against its footer
+     * (MemberVerifier), harvest the chunk's start into an IndexBuilder, and
+     * slide the window, emptying it at each member start. A chunk decoded
+     * from a known boundary starts where the previous one ended. A chunk
+     * decoded from a guess is accepted when it starts there too, or at the
+     * equivalent stored-data bit; otherwise it is re-decoded from there with
+     * the window.
+     */
+    class Stitcher
+    {
+    public:
+        /** Stitch the stream whose first Deflate bit is @p startBits,
+         * harvesting into @p builder unless it is nullptr. */
+        Stitcher( const FileReader& file, std::size_t startBits, index::IndexBuilder* builder ) :
+            m_file( file ),
+            m_verifier( file ),
+            m_builder( builder ),
+            m_endBits( startBits )
+        {}
+
+        /**
+         * Stitch @p decoded, the next chunk, whose decode was asked to end
+         * at the first block boundary at or past @p untilBits. Throws
+         * ChecksumError for a member that disagrees with its footer, and
+         * what decodeMembers() throws for a re-decode.
+         */
+        void
+        stitch( const DecodedChunk& decoded, std::size_t untilBits )
+        {
+            const auto* chunk = &decoded;
+            const DecodedChunk::Guess* accepted = nullptr;
+            DecodedChunk redecoded;
+            if ( decoded.guess ) {
+                /* A stored-block start is reported at its byte-aligned LEN
+                 * field; the equivalent boundary for a header at m_endBits
+                 * is 3 header bits plus padding later. (The unread padding
+                 * carries no data; a wrong BFINAL assumption decodes wrong
+                 * bytes that the footer check rejects.) */
+                const auto& guess = *decoded.guess;
+                const auto storedDataBit = ceilDiv<std::size_t>( m_endBits + 3, 8 ) * 8;
+                if ( ( guess.error == Error::NONE )
+                     && ( ( guess.startBitOffset == m_endBits )
+                          || ( guess.startedAtStoredBlock && ( guess.startBitOffset == storedDataBit ) ) ) ) {
+                    accepted = &guess;
+                } else {
+                    /* The finder was fooled, skipped an unfindable block, or
+                     * the guess landed past the chunk: re-decode from the
+                     * known boundary with the propagated window. */
+                    RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_redecodes_total",
+                                               "Speculative chunk decodes discarded for a sequential "
+                                               "re-decode (finder miss, mis-stitch, or decode failure).", 1 );
+                    redecoded = decodeMembers( m_file, m_endBits, untilBits, window() );
+                    chunk = &redecoded;
+                }
+            }
+
+            /* Harvest before the window slides: m_endBits is the boundary
+             * the chunk starts at (for an accepted stored-block candidate the
+             * real block header there decodes identically), and the window
+             * is exactly the history a decode resuming there needs. The
+             * accepted stage-one output enables a sparse window. */
+            if ( m_builder != nullptr ) {
+                m_builder->addCheckpoint( m_endBits, m_size, window(),
+                                          accepted != nullptr ? &accepted->firstSegment : nullptr );
+            }
+
+            if ( accepted != nullptr ) {
+                telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
+                m_resolved.clear();
+                deflate::resolveInto( accepted->firstSegment, window(), m_resolved );
+                const auto& footer = accepted->firstSegmentFooter;
+                verify( m_verifier.consume( simd::crc32( 0, m_resolved.data(), m_resolved.size() ),
+                                            m_resolved.size(), footer ) );
+                advance( m_resolved, footer ? std::optional<std::size_t>( m_resolved.size() ) : std::nullopt );
+            }
+            verify( m_verifier.consume( *chunk ) );
+            advance( chunk->data, chunk->memberEnds.empty()
+                                  ? std::nullopt
+                                  : std::optional<std::size_t>( chunk->memberEnds.back().dataEndOffset ) );
+            m_endBits = chunk->endBitOffset;
+            m_reachedStreamEnd = chunk->reachedStreamEnd;
+        }
+
+        /** Where the next chunk starts. */
+        [[nodiscard]] std::size_t
+        endBits() const noexcept
+        {
+            return m_endBits;
+        }
+
+        /** The history a decode from endBits() needs. */
+        [[nodiscard]] BufferView
+        window() const noexcept
+        {
+            return { m_window.data(), m_window.size() };
+        }
+
+        /** Uncompressed bytes stitched so far. */
+        [[nodiscard]] std::size_t
+        size() const noexcept
+        {
+            return m_size;
+        }
+
+        [[nodiscard]] bool
+        reachedStreamEnd() const noexcept
+        {
+            return m_reachedStreamEnd;
+        }
+
+    private:
+        static void
+        verify( bool membersMatch )
+        {
+            if ( !membersMatch ) {
+                throw ChecksumError( "Gzip member does not match its footer" );
+            }
+        }
+
+        /** Count @p bytes, the stream's next output, and slide the window
+         * over them; the last member that ends in them ends at
+         * @p lastMemberEnd, after which the window starts afresh. */
+        void
+        advance( BufferView bytes, std::optional<std::size_t> lastMemberEnd )
+        {
+            m_size += bytes.size();
+            if ( lastMemberEnd ) {
+                m_window.clear();
+                bytes = bytes.subView( *lastMemberEnd, bytes.size() - *lastMemberEnd );
+            }
+            if ( bytes.size() >= deflate::WINDOW_SIZE ) {
+                m_window.assign( bytes.end() - deflate::WINDOW_SIZE, bytes.end() );
+                return;
+            }
+            const auto keep = std::min( m_window.size(), deflate::WINDOW_SIZE - bytes.size() );
+            m_window.erase( m_window.begin(), m_window.end() - static_cast<std::ptrdiff_t>( keep ) );
+            m_window.insert( m_window.end(), bytes.begin(), bytes.end() );
+        }
+
+        const FileReader& m_file;
+        MemberVerifier m_verifier;
+        index::IndexBuilder* const m_builder;
+        std::size_t m_endBits;
+        std::vector<std::uint8_t> m_window;
+        /** The resolved stage-one output of the chunk being stitched. */
+        std::vector<std::uint8_t> m_resolved;
+        std::size_t m_size{ 0 };
+        bool m_reachedStreamEnd{ false };
+    };
+
+    /**
+     * The serial walk: one sequential pass over the whole gzip stream with
+     * the same decoder as the chunks, span by span of @p spanBytes
+     * compressed bytes from the first member's first Deflate byte, stitched
+     * by a Stitcher — which checks every member against its footer and, with
+     * @p builder, harvests a checkpoint and its window at every span start.
+     * Memory stays bounded by one span's output. Returns the uncompressed
+     * size. Throws for a truncated stream, a member that disagrees with its
+     * footer, and undecodable data.
+     */
+    [[nodiscard]] static std::size_t
+    decompressSerially( const FileReader& file,
+                        std::size_t spanBytes,
+                        index::IndexBuilder* builder = nullptr )
+    {
+        const auto spanBits = std::max<std::size_t>( spanBytes, 1 ) * 8;
+        const auto header = readHeaderBytes( file, 0 );
+        Stitcher stitcher( file, parseGzipHeader( { header.data(), header.size() } ) * 8, builder );
+        while ( !stitcher.reachedStreamEnd() ) {
+            const auto untilBits = stitcher.endBits() + spanBits;
+            const auto chunk = decodeMembers( file, stitcher.endBits(), untilBits, stitcher.window() );
+            stitcher.stitch( chunk, untilBits );
+        }
+        return stitcher.size();
+    }
+
+private:
+    /**
+     * @p result's stage-one segment ends its member. Apply the trailing-bytes
+     * rule after the footer (@p known: the file's bytes from the footer's end
+     * on, as far as they are buffered) and decode the members that start
+     * before @p untilBits, within @p maxBytes outputs, as decodeMembers()
+     * does. A failure there makes the chunk unusable, not the stream: the
+     * stitch re-decodes it from its known start.
+     */
+    static void
+    crossMembers( const FileReader& file, DecodedChunk& result, std::size_t untilBits, std::size_t maxBytes,
+                  BufferView known )
+    {
+        const auto footerByte = ceilDiv<std::size_t>( result.endBitOffset, 8 );
+        result.guess->firstSegmentFooter = footerByte;
+        try {
+            const auto next = nextGzipMember( file, footerByte + GZIP_FOOTER_SIZE, known );
+            if ( !next ) {
+                result.reachedStreamEnd = true;
+                return;
+            }
+            result.endBitOffset = *next * 8;
+            if ( result.endBitOffset < untilBits ) {
+                auto members = decodeMembers( file, result.endBitOffset, untilBits, {}, true, maxBytes );
+                members.guess = std::move( result.guess );
+                result = std::move( members );
+            }
+        } catch ( const InvalidGzipStreamError& ) {
+            result.guess->error = Error::BLOCK_NOT_FOUND;
+        } catch ( const ChecksumError& ) {
+            result.guess->error = Error::BLOCK_NOT_FOUND;
         }
     }
 

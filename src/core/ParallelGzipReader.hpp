@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -13,7 +11,6 @@
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
-#include "../gzip/GzipHeader.hpp"
 #include "../index/BgzfIndex.hpp"
 #include "../index/GzipIndex.hpp"
 #include "../index/IndexBuilder.hpp"
@@ -30,31 +27,35 @@ namespace rapidgzip {
  * ahead of the consumer; decoded chunks land in a bounded cache serving
  * random access reads.
  *
- * One chunk table drives all of it: the checkpoints of a GzipIndex (the
- * paper's §3.5 seek index), chunk i spanning checkpoint i to checkpoint
- * i + 1, every chunk decoded by GzipChunkFetcher::decodeChunkFromCheckpoint.
- * The table is an imported index, the BGZF BC-field scan, or full-flush
- * discovery. Discovery yields *marker-derived* checkpoints: byte-aligned,
- * windowless, found at `00 00 FF FF` sync markers by a search that jumps
- * from one chunk to the next (discoverRestartPoints), and guesses until the
- * footer-verified sweep fills in their uncompressed offsets. A stream
- * without a restart point within two chunk sizes of its first Deflate byte
- * has a single such checkpoint; its sweep runs the two-stage pipeline, whose
- * harvested bit-granular index replaces the table. The sweep over a table
- * of several checkpoints keeps every pool thread decoding from its first
- * chunk on (ChunkedReader::sweep).
+ * One chunk table drives all of it, the checkpoints of a GzipIndex (the
+ * paper's §3.5 seek index) with chunk i spanning checkpoint i to checkpoint
+ * i + 1, on one ChunkedReader. The table is an imported index, the BGZF
+ * BC-field scan, restart points, or the guess grid. Restart points are
+ * *marker-derived* checkpoints: byte-aligned, windowless, found at
+ * `00 00 FF FF` sync markers by a search that jumps from one chunk to the
+ * next (discoverRestartPoints), and unsized until the footer-verified sweep
+ * measures them. A stream without a restart point within two chunk sizes of
+ * its first Deflate byte — a plain `gzip` stream, concatenated members
+ * included — gets the guess grid instead: rows of guessed bit offsets,
+ * decoded on the same fetcher into stage-one output and stitched in order
+ * (GzipChunkFetcher::Stitcher); the bit-granular index that pass harvests
+ * becomes the table. Every ordered pass keeps max(2P, 4) decodes ahead of
+ * the consumer from its first chunk on (ChunkedReader::pass).
  *
- * Correctness is layered: the sweep checks every member against its own
+ * Correctness is layered: every pass checks every member against its own
  * footer; a chunk that fails to decode at a marker-derived checkpoint, or
  * whose decode stops past the next one, had a false boundary that is merged
- * away; whatever the chunked state cannot verify falls back to the serial
- * walk (GzipChunkFetcher::decompressSerially), which is the authority. One
+ * away; whatever a pass cannot verify falls back to the serial walk
+ * (GzipChunkFetcher::decompressSerially), which is the authority and
+ * harvests an index while it verifies, or throws for a broken file. A chunk
+ * decode checks every member it decodes whole, so reads from a BGZF table,
+ * which no sweep sizes, return no byte a footer has not checked. One
  * Deflate decoder serves all of it: chunks, the restart-point probe and the
  * serial walk.
  *
  * The table, its fetcher and the walk from offsets to chunks are a
  * ChunkedReader's. Thread model: the table is established under the chunked
- * reader's lock, by import, the BGZF scan or the sweep; once it is
+ * reader's lock, by import, the BGZF scan or a pass; once a sized table is
  * published, size(), readAt() and readSpansAt() take no lock of their own
  * and may be called from many threads. seek(), tell() and read() are a
  * cursor over readAt() for one thread.
@@ -67,7 +68,7 @@ public:
         m_file( ensureSharedFileReader( std::move( fileReader ) ) ),
         m_configuration( configuration ),
         m_chunks( std::shared_ptr<const FileReader>( m_file->clone().release() ), configuration,
-                  [this] () { establishOffsets(); } )
+                  [this] () { (void)sweep(); } )
     {}
 
     /* --- whole-stream interface ------------------------------------- */
@@ -75,79 +76,43 @@ public:
     /**
      * Decompress the whole stream in parallel with the footer-verified sweep
      * and return the number of uncompressed bytes. The bytes are discarded;
-     * use read() to obtain them.
-     *
-     * When the chunked state cannot produce verified bytes — a footer
-     * mismatch, or a failing chunk that is no false marker boundary — the
-     * serial walk answers: it is the authority and throws if the file
-     * itself is broken.
+     * use read() to obtain them. Throws when the file is broken: when no
+     * pass verifies the stream, the serial walk decides.
      */
     [[nodiscard]] std::size_t
     decompressAll()
     {
-        {
-            const auto lock = m_chunks.lock();
-            if ( !m_parallelResultUntrusted ) {
-                if ( const auto total = sweep() ) {
-                    return *total;
-                }
-            }
-        }
-        return GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes );
+        const auto lock = m_chunks.lock();
+        return sweep();
     }
 
     /**
      * Verified streaming decompression: run the footer-verified sweep
      * first (throwing on real corruption exactly like the sink-less
-     * overload), THEN stream the bytes through @p sink. The sweep's chunks
-     * stay in the fetcher cache, so the streaming pass mostly re-reads
-     * instead of re-decoding. When the chunked state cannot serve the
-     * stream the verification sweep just proved decodable (footer mismatch
-     * poisoned it, or a false restart boundary could not be merged away),
-     * the serial walk streams it instead — the consumer never sees
-     * unverified bytes and never loses a stream the serial walk can
-     * handle.
+     * overload), THEN stream the bytes through @p sink from the table the
+     * sweep or the serial walk verified. A sweep over restart points
+     * leaves its last chunks in the fetcher cache, so the streaming pass
+     * partly re-reads instead of re-decoding.
      */
     [[nodiscard]] std::size_t
     decompressAll( const std::function<void( BufferView )>& sink )
     {
+        const auto total = decompressAll();
         if ( !sink ) {
-            return decompressAll();
+            return total;
         }
-
-        static_cast<void>( decompressAll() );  /* throws on real corruption */
-
         std::size_t emitted = 0;
-        try {
-            std::vector<std::uint8_t> buffer( 4 * MiB );
-            while ( const auto got = readAt( emitted, buffer.data(), buffer.size() ) ) {
-                sink( { buffer.data(), got } );
-                emitted += got;
-            }
-            return emitted;
-        } catch ( const RapidgzipError& ) {
-            /* The chunked state cannot replay what the verification sweep
-             * answered serially; fall through to the authority. Bytes
-             * already emitted came from footer-verified chunks, so the
-             * serial stream below resumes AFTER them — decoding is
-             * deterministic and both paths verified the same file. */
+        std::vector<std::uint8_t> buffer( 4 * MiB );
+        while ( const auto got = readAt( emitted, buffer.data(), buffer.size() ) ) {
+            sink( { buffer.data(), got } );
+            emitted += got;
         }
-
-        std::size_t position = 0;
-        const auto total = GzipChunkFetcher::decompressSerially(
-            *m_file, m_configuration.chunkSizeBytes, [&] ( BufferView bytes ) {
-                if ( position + bytes.size() > emitted ) {
-                    const auto skip = position < emitted ? emitted - position : 0;
-                    sink( { bytes.data() + skip, bytes.size() - skip } );
-                }
-                position += bytes.size();
-            } );
-        return std::max( total, emitted );
+        return emitted;
     }
 
     /* --- random access interface ------------------------------------ */
 
-    /** Total uncompressed size. On a table of marker-derived checkpoints the
+    /** Total uncompressed size. On restart points or the guess grid the
      * first call runs the footer-verified sweep. */
     [[nodiscard]] std::size_t
     size()
@@ -195,8 +160,9 @@ public:
     /**
      * The seek index for this stream, which is the reader's chunk table.
      * Marker-derived checkpoints get their uncompressed offsets from the
-     * footer-verified sweep first; a stream without restart points gets the
-     * two-stage sweep's bit-granular checkpoints with compressed windows.
+     * footer-verified sweep first; the guess grid is replaced by the
+     * bit-granular checkpoints with compressed windows that its stitched
+     * pass, or the serial walk, harvests.
      * Serialize with index::serializeIndex() / index::exportGztoolIndex().
      */
     [[nodiscard]] GzipIndex
@@ -275,41 +241,47 @@ public:
     }
 
 private:
+    /** What the chunk table's checkpoints are. */
+    enum class Table
+    {
+        INDEX,           /**< an imported index, or one a pass sized or harvested */
+        BGZF,            /**< BC-field member starts, sized by their footers */
+        RESTART_POINTS,  /**< marker-derived checkpoints awaiting the sweep's sizes */
+        GUESS_GRID,      /**< guessed rows of stage-one output, read only by the stitched pass */
+    };
+
     /**
      * The footer-verified sweep behind decompressAll() and the first
-     * size()/readAt(): decode every chunk in order through the chunked
-     * reader, check each member against its own footer, and fill the chunk
-     * sizes into the checkpoints' uncompressed offsets. The caller holds the
-     * chunked reader's lock.
+     * size()/readAt(); the caller holds the chunked reader's lock. The guess
+     * grid takes the stitched pass (sweepGuessGrid()); every other table is
+     * swept in order through the chunked reader, each member checked against
+     * its own footer, and the measured chunk sizes fill in the checkpoints'
+     * uncompressed offsets.
      *
-     * A table of one marker-derived checkpoint (no restart point within two
-     * chunk sizes of the start) tries the two-stage sweep first; when that
-     * fails, the stream decodes as one chunk. A chunk that fails to decode at a marker-derived checkpoint had
-     * a false boundary — its start, or its end when that cuts a block, a
+     * A chunk that fails to decode at a marker-derived checkpoint had a
+     * false boundary — its start, or its end when that cuts a block, a
      * footer or a member header — which is merged away before the sweep
-     * restarts. Returns std::nullopt and poisons the chunked state when it
-     * cannot produce verified bytes; throws when the file ends before the
-     * stream's final block.
+     * restarts; a merge that leaves one checkpoint publishes the guess grid.
+     * When no pass can verify the stream, the serial walk decodes it,
+     * checks every member and harvests the index that becomes the table.
+     * Throws when the file is broken, when it ends before the stream's final
+     * block, and for a transient failure.
      */
-    [[nodiscard]] std::optional<std::size_t>
+    [[nodiscard]] std::size_t
     sweep()
     {
         ensureChunkTable();
-        if ( m_markerDerived && ( m_chunks.current().checkpoints.size() == 1 ) ) {
-            try {
-                return decompressAllTwoStage();
-            } catch ( const RapidgzipError& ) {
-                /* decode the stream as one chunk below */
-            }
-        }
         while ( true ) {
-            MemberVerifier verifier( *m_file );
-            const auto chunkCount = m_chunks.current().checkpoints.size();
             /* The hook sees the chunks in order, so a failing decode is
              * chunk number `verified`. */
             std::size_t verified = 0;
             std::size_t falseBoundary = 0;
             try {
+                if ( m_table == Table::GUESS_GRID ) {
+                    return sweepGuessGrid();
+                }
+                MemberVerifier verifier( *m_file );
+                const auto chunkCount = m_chunks.current().checkpoints.size();
                 const auto total = m_chunks.sweep( [&] ( std::size_t i, const DecodedChunk& chunk ) {
                     if ( !verifier.consume( chunk ) ) {
                         throw ChecksumError( "Gzip member does not match its footer" );
@@ -317,7 +289,7 @@ private:
                     ++verified;
                     if ( chunk.reachedStreamEnd ) {
                         /* Later marker-derived checkpoints lie in trailing padding. */
-                        return !m_markerDerived;
+                        return m_table != Table::RESTART_POINTS;
                     }
                     if ( i + 1 == chunkCount ) {
                         throw TruncatedStreamError(
@@ -325,10 +297,12 @@ private:
                     }
                     return true;
                 } );
-                m_markerDerived = false;
+                if ( m_table == Table::RESTART_POINTS ) {
+                    m_table = Table::INDEX;
+                }
                 return total;
             } catch ( const ChecksumError& ) {
-                return poison();
+                break;
             } catch ( const FalseChunkEndError& ) {
                 falseBoundary = verified + 1;
             } catch ( const TruncatedStreamError& ) {
@@ -345,42 +319,37 @@ private:
                 throw;
             }
             if ( !mergeFalseBoundary( falseBoundary ) ) {
-                return poison();
+                break;
             }
         }
+        index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
+        const auto total = GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes, &builder );
+        adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size(), total ) ) );
+        return total;
     }
 
     /**
-     * The two-stage sweep for a stream without restart points: per member,
-     * parallel chunk decodes from guessed bit offsets (GzipChunkFetcher),
-     * sequential marker resolution with window propagation, and footer
-     * verification — with guessed offsets the CRC32 check is the
-     * correctness authority. On success the harvested index becomes the
-     * chunk table. Throws on any failure.
+     * The two-stage pass over the guess grid: its rows decode on the
+     * chunked reader's fetcher, and the Stitcher stitches them in order,
+     * re-decoding the rows whose guess missed, resolving markers, checking
+     * every member against its footer and harvesting the index. The pass
+     * publishes nothing; on success the harvested index becomes the table.
      */
     [[nodiscard]] std::size_t
-    decompressAllTwoStage()
+    sweepGuessGrid()
     {
+        const auto grid = m_index;
         index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
-        std::optional<std::size_t> deflateStart = m_index->checkpoints.front().compressedOffsetBits / 8;
-        std::size_t total = 0;
-        while ( deflateStart ) {
-            const auto member = GzipChunkFetcher::decompressMember(
-                *m_file, *deflateStart, m_configuration.parallelism,
-                m_configuration.chunkSizeBytes, nullptr, &builder );
-            if ( !footerMatches( *m_file, member.footerStartByte, member.crc32,
-                                 member.uncompressedSize ) ) {
-                throw ChecksumError( "Two-stage parallel decode does not match the gzip footer" );
-            }
-            total += member.uncompressedSize;
-            builder.finishMember( member.uncompressedSize );
-            deflateStart = nextGzipMember( *m_file, member.footerStartByte + GZIP_FOOTER_SIZE );
+        GzipChunkFetcher::Stitcher stitcher( *m_file, grid->checkpoints.front().compressedOffsetBits, &builder );
+        (void)m_chunks.pass( [&] ( std::size_t i, const DecodedChunk& chunk ) {
+            stitcher.stitch( chunk, chunkEnd( grid->checkpoints, i ) );
+            return !stitcher.reachedStreamEnd();
+        } );
+        if ( !stitcher.reachedStreamEnd() ) {
+            throw TruncatedStreamError( "Gzip stream ended before the final Deflate block — truncated file" );
         }
-        /* Every member verified against its footer: the harvested index is
-         * trustworthy, and seek()/read() resume from its checkpoints instead
-         * of re-running (or serializing) the sweep. */
-        adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size() ) ) );
-        return total;
+        adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size(), stitcher.size() ) ) );
+        return stitcher.size();
     }
 
     /**
@@ -391,52 +360,94 @@ private:
     [[nodiscard]] bool
     mergeFalseBoundary( std::size_t boundary )
     {
-        if ( !m_markerDerived || ( boundary == 0 ) || ( boundary >= m_index->checkpoints.size() ) ) {
+        if ( ( m_table != Table::RESTART_POINTS ) || ( boundary == 0 )
+             || ( boundary >= m_index->checkpoints.size() ) ) {
             return false;
         }
-        auto table = std::make_shared<GzipIndex>( *m_index );
-        table->checkpoints.erase( table->checkpoints.begin() + static_cast<std::ptrdiff_t>( boundary ) );
-        adoptIndex( std::move( table ), /* markerDerived */ true );
+        auto starts = m_index->checkpoints;
+        starts.erase( starts.begin() + static_cast<std::ptrdiff_t>( boundary ) );
+        adoptRestartPoints( std::move( starts ) );
         return true;
     }
 
-    /** The chunked state cannot produce verified bytes for this stream; only
-     * the serial path may answer from now on, and reads throw. */
-    [[nodiscard]] std::optional<std::size_t>
-    poison()
+    /** The end bit of chunk @p i of @p checkpoints: where chunk i + 1
+     * starts, unlimited for the last. */
+    [[nodiscard]] static std::size_t
+    chunkEnd( const std::vector<index::Checkpoint>& checkpoints, std::size_t i )
     {
-        m_parallelResultUntrusted = true;
-        m_chunks.reset( /* keepSizes */ false );
-        return std::nullopt;
+        return i + 1 < checkpoints.size() ? checkpoints[i + 1].compressedOffsetBits
+                                          : GzipChunkFetcher::NO_LIMIT;
     }
 
     /**
-     * Make @p index the chunk table, every chunk decoded by
-     * GzipChunkFetcher::decodeChunkFromCheckpoint from its checkpoint and
-     * window. Marker-derived checkpoints await the sweep's sizes.
+     * Make @p index the chunk table. Restart points and the guess grid await
+     * a pass's sizes. Checkpoints decode with
+     * GzipChunkFetcher::decodeChunkFromCheckpoint from their window; the
+     * guess grid's row 0 decodes exactly from the stream's first Deflate
+     * bit, every other row with GzipChunkFetcher::decodeChunkFromGuess.
      */
     void
-    adoptIndex( std::shared_ptr<const GzipIndex> index, bool markerDerived = false )
+    adoptIndex( std::shared_ptr<const GzipIndex> index, Table table = Table::INDEX )
     {
         m_index = std::move( index );
-        m_markerDerived = markerDerived;
-        /* A trustworthy index supersedes whatever chunking failed before. */
-        m_parallelResultUntrusted = false;
+        m_table = table;
+        /* Speculative output budget per guessed row. Deflate can expand up
+         * to ~1032x, but budgeting for that would let the look-ahead's
+         * 16-bit row buffers occupy hundreds of row sizes of memory; ratios
+         * beyond this cap (sparse files and the like) fall back to the
+         * stitch's sequential re-decode, whose single uncapped chunk matches
+         * the serial walk's memory profile. */
+        const auto rowOutputCap = guessRowBytes() * 64 + 16 * MiB;
         /* The decoder runs on pool workers: it captures the immutable index
          * by shared_ptr and only uses const accessors. */
         m_chunks.publish(
             m_index->checkpoints,
-            markerDerived ? std::nullopt : std::optional<std::size_t>( m_index->uncompressedSizeBytes ),
-            [index = m_index] ( const FileReader& reader, std::size_t i ) {
-                const auto& checkpoints = index->checkpoints;
-                const auto startBits = checkpoints[i].compressedOffsetBits;
-                const auto untilBits = i + 1 < checkpoints.size()
-                                       ? checkpoints[i + 1].compressedOffsetBits
-                                       : std::numeric_limits<std::size_t>::max();
+            ( table == Table::INDEX ) || ( table == Table::BGZF )
+            ? std::optional<std::size_t>( m_index->uncompressedSizeBytes ) : std::nullopt,
+            [index = m_index, table, rowOutputCap] ( const FileReader& reader, std::size_t i ) {
+                const auto startBits = index->checkpoints[i].compressedOffsetBits;
+                const auto untilBits = chunkEnd( index->checkpoints, i );
+                if ( table == Table::GUESS_GRID ) {
+                    return i == 0 ? GzipChunkFetcher::decodeMembers( reader, startBits, untilBits, {}, true )
+                                  : GzipChunkFetcher::decodeChunkFromGuess( reader, startBits, untilBits,
+                                                                            rowOutputCap );
+                }
                 const auto window = index->windows.get( startBits );
                 return GzipChunkFetcher::decodeChunkFromCheckpoint(
-                    reader, startBits, untilBits, { window.data(), window.size() } );
-            } );
+                    reader, startBits, untilBits, { window.data(), window.size() }, table == Table::BGZF );
+            },
+            /* stageOne */ table == Table::GUESS_GRID );
+    }
+
+    /** Guessed rows are C' = max(C, 128 KiB) compressed bytes apart. */
+    [[nodiscard]] std::size_t
+    guessRowBytes() const
+    {
+        return std::max<std::size_t>( m_configuration.chunkSizeBytes, 128 * KiB );
+    }
+
+    /**
+     * Make @p starts the table as marker-derived checkpoints; a single one,
+     * the stream's first Deflate bit, becomes the guess grid instead: row i
+     * starts i * C' past it, up to the end of the file.
+     */
+    void
+    adoptRestartPoints( std::vector<index::Checkpoint> starts )
+    {
+        auto table = std::make_shared<GzipIndex>();
+        table->compressedSizeBytes = m_file->size();
+        if ( starts.size() > 1 ) {
+            table->checkpoints = std::move( starts );
+            adoptIndex( std::move( table ), Table::RESTART_POINTS );
+            return;
+        }
+        const auto fileBits = m_file->size() * 8;
+        auto bits = starts.front().compressedOffsetBits;
+        do {
+            table->checkpoints.push_back( { bits, 0 } );
+            bits += guessRowBytes() * 8;
+        } while ( bits < fileBits );
+        adoptIndex( std::move( table ), Table::GUESS_GRID );
     }
 
     void
@@ -450,45 +461,23 @@ private:
          * marker search, no flush markers, no decoding. */
         if ( auto bgzfIndex = index::tryBuildBgzfIndex( *m_file,
                                                         m_configuration.chunkSizeBytes ) ) {
-            adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ) );
+            adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ), Table::BGZF );
             return;
         }
-        auto markers = std::make_shared<GzipIndex>();
-        markers->compressedSizeBytes = m_file->size();
+        std::vector<index::Checkpoint> starts;
         for ( const auto start : discoverRestartPoints( *m_file, m_configuration.chunkSizeBytes ) ) {
-            markers->checkpoints.push_back( { start * 8, 0 } );
+            starts.push_back( { start * 8, 0 } );
         }
-        adoptIndex( std::move( markers ), /* markerDerived */ true );
-    }
-
-    /** The chunked reader's table builder: make the checkpoints'
-     * uncompressed offsets trustworthy; marker-derived ones run the
-     * footer-verified sweep. */
-    void
-    establishOffsets()
-    {
-        ensureChunkTable();
-        if ( m_markerDerived && !m_parallelResultUntrusted ) {
-            (void)sweep();
-        }
-        if ( m_parallelResultUntrusted ) {
-            throw RapidgzipError( "The parallel chunked decode cannot verify this stream; "
-                                  "decompressAll() decodes it serially" );
-        }
+        adoptRestartPoints( std::move( starts ) );
     }
 
     std::unique_ptr<SharedFileReader> m_file;
     ChunkFetcherConfiguration m_configuration;
 
     /* Under m_chunks' lock: the index behind the chunk table, whose windows
-     * and metadata the table's checkpoints pair with, and its state. */
+     * and metadata the table's checkpoints pair with, and what they are. */
     std::shared_ptr<const GzipIndex> m_index;
-    /** The checkpoints are sync-marker guesses whose uncompressed offsets no
-     * sweep has verified yet; only such checkpoints may be merged away. */
-    bool m_markerDerived{ false };
-    /** Set when the chunked state cannot produce verified bytes for this
-     * stream: only the serial path may answer. */
-    bool m_parallelResultUntrusted{ false };
+    Table m_table{ Table::INDEX };
 
     ChunkedReader m_chunks;
     std::size_t m_position{ 0 };

@@ -116,11 +116,12 @@ public:
     {
         /* Outliers (a pathological-ratio chunk's buffers) are destroyed
          * instead of retained: the pool bounds its steady-state footprint
-         * to MAX_POOLED * MAX_POOLED_CAPACITY_BYTES worst case. */
+         * to MAX_POOLED * MAX_POOLED_CAPACITY_BYTES worst case. A buffer
+         * that holds nothing (moved from) is not worth a slot. */
         const auto retainedBytes =
             data.marked.capacity() * sizeof( std::uint16_t )
             + ( data.plain.empty() ? 0 : data.plain.front().data.capacity() );
-        if ( retainedBytes > MAX_POOLED_CAPACITY_BYTES ) {
+        if ( ( retainedBytes == 0 ) || ( retainedBytes > MAX_POOLED_CAPACITY_BYTES ) ) {
             return;
         }
         data.reset();

@@ -50,9 +50,8 @@ public:
     decompress( const Sink& sink ) override
     {
         /* The sink overload runs the footer-verified sweep BEFORE streaming
-         * (and escalates to the serial walk, the authority, when the chunked
-         * state cannot serve a stream verification proved decodable), so a
-         * member whose Deflate stream decodes structurally but to wrong
+         * (the serial walk, the authority, answers what no pass verifies),
+         * so a member whose Deflate stream decodes structurally but to wrong
          * bytes throws instead of streaming garbage. */
         return m_reader.decompressAll( sink );
     }

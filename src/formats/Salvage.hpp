@@ -171,13 +171,29 @@ findFrameCandidate( BufferView data, std::size_t from, std::uint32_t dataMagic )
     return NOT_FOUND;
 }
 
+/** Thrown for a unit whose structure decodes to its end but whose
+ * checksum fails: the unit's extent is known, so the search resumes after
+ * it, not inside bytes that are its payload (a stored block may carry a
+ * complete gzip member verbatim). */
+class DamagedUnitError : public ChecksumError
+{
+public:
+    explicit DamagedUnitError( std::size_t unitEnd ) :
+        ChecksumError( "Gzip member does not match its footer" ),
+        end( unitEnd )
+    {}
+
+    std::size_t end;
+};
+
 /**
  * Decode and verify ONE gzip member at @p begin with the parts behind
  * ParallelGzipReader: the header rule (parseGzipHeader), our Deflate
  * decoder from an empty window to the member's final block, and the
  * CRC32 + ISIZE footer check (footerMatches). The decoder runs directly
  * on the in-memory buffer, so it stops at this member's final block.
- * Returns one past the footer; throws when any part rejects the member.
+ * Returns one past the footer; throws when any part rejects the member,
+ * DamagedUnitError when only the footer does.
  */
 [[nodiscard]] inline std::size_t
 decodeGzipMember( const MemoryFileReader& file,
@@ -197,7 +213,7 @@ decodeGzipMember( const MemoryFileReader& file,
     deflate::resolveInto( decoded, {}, out );
     const auto footer = ceilDiv<std::size_t>( status.endBitOffset, 8 );
     if ( !footerMatches( file, footer, simd::crc32( 0, out.data(), out.size() ), out.size() ) ) {
-        throw ChecksumError( "Gzip member does not match its footer" );
+        throw DamagedUnitError( footer + GZIP_FOOTER_SIZE );
     }
     return footer + GZIP_FOOTER_SIZE;
 }
@@ -205,7 +221,8 @@ decodeGzipMember( const MemoryFileReader& file,
 /**
  * The recovery loop of the byte-aligned containers. Candidates are visited
  * in ascending order; @p decodeUnit verifies the unit at a candidate and
- * returns its end, or throws, and the search resumes one byte further. A
+ * returns its end, or throws, and the search resumes one byte further, or
+ * after a DamagedUnitError's unit. A
  * skippable frame (zstd and lz4; no gzip candidate starts with its magic)
  * carries no content: intact, it extends verified coverage but counts no
  * unit.
@@ -231,6 +248,9 @@ salvageUnits( const MemoryFileReader& file,
         try {
             skippableEnd = skippableFrameEnd( file, pos );
             end = skippableEnd ? *skippableEnd : decodeUnit( file, pos, unit );
+        } catch ( const DamagedUnitError& damaged ) {
+            pos = damaged.end;
+            continue;
         } catch ( const std::exception& ) {
             ++pos;
             continue;

@@ -13,17 +13,13 @@
 namespace rapidgzip::index {
 
 /**
- * Harvests checkpoints and windows from the two-stage chunk sweep
- * (GzipChunkFetcher::decompressMember): the sweep already visits every chunk
- * boundary with the exact bit offset and the propagated 32 KiB window in
- * hand, so index construction is a byproduct of the first decompression
- * rather than a second pass — the property the paper's "first read builds
- * the index" workflow depends on.
- *
- * Offsets: bit offsets are absolute in the compressed file (the sweep works
- * in absolute bits). Uncompressed offsets arrive member-relative from the
- * sweep; the caller advances the member base between members via
- * finishMember().
+ * Harvests checkpoints and windows from the passes that consume a gzip
+ * stream in order (GzipChunkFetcher::Stitcher): the stitched pass over the
+ * guess grid and the serial walk already visit every chunk boundary with the
+ * exact bit offset, the absolute uncompressed offset and the propagated
+ * 32 KiB window in hand, so index construction is a byproduct of the first
+ * decompression rather than a second pass — the property the paper's
+ * "first read builds the index" workflow depends on.
  *
  * Sparse windows: when the accepted chunk decode was the speculative marker
  * decode AND the chunk produced at least a full window of output, the
@@ -47,18 +43,17 @@ public:
 
     /**
      * Record the chunk boundary at absolute @p compressedOffsetBits whose
-     * decode starts at member-relative uncompressed offset
-     * @p uncompressedOffsetInMember with @p window as preceding history.
-     * @p markedData is the chunk's stage-one output when the speculative
-     * decode was accepted (for sparse windows), nullptr otherwise.
+     * decode starts at uncompressed offset @p uncompressedOffset with
+     * @p window as preceding history. @p markedData is the chunk's stage-one
+     * output when the speculative decode was accepted (for sparse windows),
+     * nullptr otherwise.
      */
     void
     addCheckpoint( std::size_t compressedOffsetBits,
-                   std::size_t uncompressedOffsetInMember,
+                   std::size_t uncompressedOffset,
                    BufferView window,
                    const deflate::DecodedData* markedData = nullptr )
     {
-        const auto uncompressedOffset = m_uncompressedBase + uncompressedOffsetInMember;
         if ( !m_index.checkpoints.empty() ) {
             const auto& last = m_index.checkpoints.back();
             if ( compressedOffsetBits <= last.compressedOffsetBits ) {
@@ -85,26 +80,12 @@ public:
         }
     }
 
-    /** A member of @p uncompressedSize bytes is complete; later checkpoints
-     * belong to the next member. */
-    void
-    finishMember( std::size_t uncompressedSize )
-    {
-        m_uncompressedBase += uncompressedSize;
-    }
-
-    [[nodiscard]] std::size_t
-    checkpointCount() const noexcept
-    {
-        return m_index.checkpoints.size();
-    }
-
     /** Finalize: stamp the stream sizes and move the index out. */
     [[nodiscard]] GzipIndex
-    build( std::size_t compressedSizeBytes )
+    build( std::size_t compressedSizeBytes, std::size_t uncompressedSizeBytes )
     {
         m_index.compressedSizeBytes = compressedSizeBytes;
-        m_index.uncompressedSizeBytes = m_uncompressedBase;
+        m_index.uncompressedSizeBytes = uncompressedSizeBytes;
         return std::move( m_index );
     }
 
@@ -124,7 +105,6 @@ public:
 private:
     GzipIndex m_index;
     std::size_t m_spacing;
-    std::size_t m_uncompressedBase{ 0 };
 };
 
 }  // namespace rapidgzip::index

@@ -14,8 +14,10 @@
  *           recover exactly the members zlib accepts one by one), the
  *           restart-point probe against zlib raw inflate on real and
  *           decoy markers, a second member whose history reaches
- *           into the first, which every reader must reject, and layouts
- *           whose restart points lie past discovery's first search;
+ *           into the first, which every reader must reject, layouts
+ *           whose restart points lie past discovery's first search, and
+ *           concatenated plain members (4 KiB, 32 KiB, a decoy member in
+ *           stored data) whose guessed chunks cross member ends;
  *   zstd  — frame-parallel dispatch reader vs ZSTD_decompressStream;
  *   lz4   — from-scratch frame+block decoder vs LZ4_decompress_safe per
  *           block (both directions: our writer → vendor, vendor → ours);
@@ -167,13 +169,12 @@ requireTruncationsRejected( const std::vector<std::uint8_t>& file,
 }
 
 /** The answers of GzipReader (zlib), decompressAll(), decompressAll(sink)
- * and, with @p checkReads, a fresh reader's size() + read() for @p file, the
- * parallel readers reading with @p configuration: the same bytes, or a
- * throw from all of them. Returns that answer. */
+ * and a fresh reader's size() + read() for @p file, the parallel readers
+ * reading with @p configuration: the same bytes, or a throw from all of
+ * them. Returns that answer. */
 std::optional<std::vector<std::uint8_t> >
 requireReadersAgree( const std::vector<std::uint8_t>& file,
-                     const ChunkFetcherConfiguration& configuration = config(),
-                     bool checkReads = true )
+                     const ChunkFetcherConfiguration& configuration = config() )
 {
     const auto serial = answerOf( [&file] () {
         return GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector();
@@ -193,15 +194,13 @@ requireReadersAgree( const std::vector<std::uint8_t>& file,
     REQUIRE( count.has_value() == serial.has_value() );
     REQUIRE( !count || ( *count == serial->size() ) );
     REQUIRE( streamed == serial );
-    if ( checkReads ) {
-        const auto readBack = answerOf( [&] () {
-            ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
-            std::vector<std::uint8_t> bytes( reader.size() );
-            bytes.resize( reader.read( bytes.data(), bytes.size() ) );
-            return bytes;
-        } );
-        REQUIRE( readBack == serial );
-    }
+    const auto readBack = answerOf( [&] () {
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
+        std::vector<std::uint8_t> bytes( reader.size() );
+        bytes.resize( reader.read( bytes.data(), bytes.size() ) );
+        return bytes;
+    } );
+    REQUIRE( readBack == serial );
     return serial;
 }
 
@@ -222,8 +221,8 @@ salvageAll( const std::vector<std::uint8_t>& file )
 /**
  * Flip single bytes at seeded positions in the Deflate data of @p file —
  * between each member's header and footer — and require the readers
- * (requireReadersAgree() with @p configuration and @p checkReads) to agree
- * on every flipped file. The serial walk is our own decoder, so no
+ * (requireReadersAgree() with @p configuration) to agree on every flipped
+ * file. The serial walk is our own decoder, so no
  * fallback hides a stream that zlib decodes and ours rejects. Salvage is
  * one more reader: it must recover exactly the members GzipReader accepts
  * when given each member's bytes alone, and report clean() exactly when
@@ -231,7 +230,7 @@ salvageAll( const std::vector<std::uint8_t>& file )
  */
 void
 requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed,
-                   const ChunkFetcherConfiguration& configuration = config(), bool checkReads = true )
+                   const ChunkFetcherConfiguration& configuration = config() )
 {
     constexpr std::size_t FLIPS = 12;
     const MemoryFileReader reader( file );
@@ -261,7 +260,7 @@ requireFlipsAgree( const std::vector<std::uint8_t>& file, std::uint64_t seed,
         }
         auto flipped = file;
         flipped[range->first + offset] ^= static_cast<std::uint8_t>( 1 + random() % 255 );
-        const auto strict = requireReadersAgree( flipped, configuration, checkReads );
+        const auto strict = requireReadersAgree( flipped, configuration );
 
         std::vector<std::uint8_t> acceptedMembers;
         for ( const auto& [begin, end] : memberRanges ) {
@@ -330,22 +329,31 @@ gzipMember( const std::vector<std::uint8_t>& deflated, BufferView payload, bool 
  * both members' CRCs are valid, so only the decoder can catch a history
  * that runs across members. GzipReader rejects such a file, and so must
  * every reader on plain, pigz-like and BGZF-style layouts in which both
- * members fall in one chunk. The same layouts with a second member deflated
- * without the dictionary decode to both payloads.
+ * members fall in one chunk, and on a plain layout read with 128 KiB chunks
+ * whose first member is longer than two chunk sizes, so that a guessed row
+ * of the guess grid crosses into the second member. The same layouts with a
+ * second member deflated without the dictionary decode to both payloads.
  */
 void
 testCrossMemberBackReference()
 {
+    constexpr std::size_t GUESSED_CHUNK_SIZE = 128 * KiB;
     const auto first = workloads::base64Data( 48 * KiB, 0xC805 );
+    auto longFirst = workloads::base64Data( 592 * KiB, 0xC806 );
+    longFirst.insert( longFirst.end(), first.begin(), first.end() );
     const BufferView firstView( first.data(), first.size() );
     const BufferView tail = firstView.subView( first.size() - deflate::WINDOW_SIZE, deflate::WINDOW_SIZE );
     const BufferView second = firstView.subView( first.size() - 8 * KiB, 8 * KiB );
-    std::vector<std::uint8_t> expected = first;
-    expected.insert( expected.end(), second.begin(), second.end() );
+    const auto appendSecond = [&second] ( std::vector<std::uint8_t> bytes ) {
+        bytes.insert( bytes.end(), second.begin(), second.end() );
+        return bytes;
+    };
 
     auto bgzfFirst = writeBgzf( firstView, 6 );
     const std::vector<std::uint8_t> bgzfEof( bgzfFirst.end() - 28, bgzfFirst.end() );
     bgzfFirst.resize( bgzfFirst.size() - bgzfEof.size() );
+    const auto longPlainFirst = compressGzipLike( { longFirst.data(), longFirst.size() }, 6 );
+    REQUIRE( longPlainFirst.size() > 2 * GUESSED_CHUNK_SIZE );
 
     for ( const bool withDictionary : { true, false } ) {
         const auto deflated = rawDeflateWithDictionary( second, withDictionary ? tail : BufferView() );
@@ -358,16 +366,27 @@ testCrossMemberBackReference()
             return file;
         };
         const auto bgzfSecond = gzipMember( deflated, second, true );
-        const std::vector<std::pair<const char*, std::vector<std::uint8_t> > > layouts = {
-            { "plain", concatenate( compressGzipLike( firstView, 6 ), { &plainSecond } ) },
-            { "pigz-like", concatenate( compressPigzLike( firstView, 6, 16 * KiB ), { &plainSecond } ) },
-            { "BGZF-style", concatenate( bgzfFirst, { &bgzfSecond, &bgzfEof } ) },
+        struct Layout
+        {
+            const char* name;
+            std::vector<std::uint8_t> file;
+            std::vector<std::uint8_t> expected;
+            ChunkFetcherConfiguration configuration;
         };
-        for ( const auto& [name, file] : layouts ) {
+        const std::vector<Layout> layouts = {
+            { "plain", concatenate( compressGzipLike( firstView, 6 ), { &plainSecond } ),
+              appendSecond( first ), config() },
+            { "pigz-like", concatenate( compressPigzLike( firstView, 6, 16 * KiB ), { &plainSecond } ),
+              appendSecond( first ), config() },
+            { "BGZF-style", concatenate( bgzfFirst, { &bgzfSecond, &bgzfEof } ), appendSecond( first ), config() },
+            { "plain, crossed by a guessed row", concatenate( longPlainFirst, { &plainSecond } ),
+              appendSecond( longFirst ), config( GUESSED_CHUNK_SIZE ) },
+        };
+        for ( const auto& [name, file, expected, configuration] : layouts ) {
             std::printf( "  cross-member back-reference: %s, %s dictionary\n", name,
                          withDictionary ? "with" : "without" );
             std::fflush( stdout );
-            requireReadersAgree( file );
+            requireReadersAgree( file, configuration );
             const auto serial = answerOf( [&file] () {
                 return GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector();
             } );
@@ -474,6 +493,63 @@ testLayoutsPastTheFirstSearch( std::uint64_t seed )
     }
 }
 
+/**
+ * Concatenated plain members, the layout no restart point marks: members of
+ * 4 KiB and of 32 KiB, one compressGzipLike() call each, and a member whose
+ * stored block carries a complete gzip member as a decoy, followed by a
+ * plain member. Read with 128 KiB chunks, the guessed rows of the guess
+ * grid cross many member ends. GzipReader, decompressAll(),
+ * decompressAll(sink), size() + read() and salvage agree on each, intact
+ * and under the flip sweep.
+ */
+void
+testConcatenatedMembers( std::uint64_t seed )
+{
+    constexpr std::size_t CHUNK_SIZE = 128 * KiB;
+    const auto members = [] ( const std::vector<std::uint8_t>& data, std::size_t memberSize ) {
+        std::vector<std::uint8_t> file;
+        for ( std::size_t offset = 0; offset < data.size(); offset += memberSize ) {
+            const auto member = compressGzipLike(
+                { data.data() + offset, std::min( memberSize, data.size() - offset ) }, 6 );
+            file.insert( file.end(), member.begin(), member.end() );
+        }
+        return file;
+    };
+    const auto text = workloads::base64Data( 384 * KiB + 123, seed );
+
+    auto decoyData = workloads::base64Data( 200 * KiB, seed + 1 );
+    const auto decoyText = workloads::base64Data( 16 * KiB, seed + 2 );
+    const auto decoy = compressGzipLike( { decoyText.data(), decoyText.size() }, 6 );
+    decoyData.insert( decoyData.begin() + 150 * KiB, decoy.begin(), decoy.end() );
+    auto decoyFile = compressGzipLike( { decoyData.data(), decoyData.size() }, 0 );
+    const auto after = workloads::fastqData( 96 * KiB, seed + 3 );
+    const auto afterMember = compressGzipLike( { after.data(), after.size() }, 6 );
+    decoyFile.insert( decoyFile.end(), afterMember.begin(), afterMember.end() );
+    decoyData.insert( decoyData.end(), after.begin(), after.end() );
+
+    struct Layout
+    {
+        const char* name;
+        std::vector<std::uint8_t> file;
+        const std::vector<std::uint8_t>& data;
+    };
+    const std::vector<Layout> layouts = {
+        { "4 KiB members", members( text, 4 * KiB ), text },
+        { "32 KiB members", members( text, 32 * KiB ), text },
+        { "a stored member carrying a decoy member, then a plain one", decoyFile, decoyData },
+    };
+    for ( const auto& layout : layouts ) {
+        std::printf( "  concatenated members: %s (%zu bytes)\n", layout.name, layout.file.size() );
+        std::fflush( stdout );
+        REQUIRE( findFullFlushMarkers( MemoryFileReader( layout.file ), 0, layout.file.size() ).empty() );
+        REQUIRE( requireReadersAgree( layout.file, config( CHUNK_SIZE ) ) == layout.data );
+        const auto [report, output] = salvageAll( layout.file );
+        REQUIRE( report.clean() );
+        REQUIRE( output == layout.data );
+        requireFlipsAgree( layout.file, seed++, config( CHUNK_SIZE ) );
+    }
+}
+
 void
 testGzipDifferential( const Corpus& corpus, std::uint64_t seed )
 {
@@ -507,11 +583,8 @@ testGzipDifferential( const Corpus& corpus, std::uint64_t seed )
         requireTruncationsRejected( *layout, corpus.data );
         (void)test::requireProbeAgreesWithZlib( *layout );
     }
-    /* size() + read() of a BGZF file use its BC-field table without a sweep,
-     * and no footer checks the members they decode, so they return the bytes
-     * of a flipped member that GzipReader rejects. */
     for ( const auto* layout : { &file, &pigzLike, &bgzf } ) {
-        requireFlipsAgree( *layout, seed++, config(), /* checkReads */ layout != &bgzf );
+        requireFlipsAgree( *layout, seed++ );
     }
 }
 
@@ -963,6 +1036,7 @@ main()
     }
     testCrossMemberBackReference();
     testLayoutsPastTheFirstSearch( seed );
+    testConcatenatedMembers( seed );
     testProbeOnDecoys();
     testCorruptionMatrix();
     testSalvageLz4SkippableFrames();

@@ -14,10 +14,10 @@
  * it. Restart-point discovery returns the whole-file scan's table, or the
  * first start alone when no restart point lies within two chunk sizes of
  * it, and reads one chunk size of a plain member. The sweep behind size()
- * leaves no access pattern for the prefetch strategy, and has the pool
- * busy from its first chunk. A guessed chunk that starts inside an
- * incompressible stretch must bound its block search at the stored block it
- * decodes from.
+ * leaves no access pattern for the prefetch strategy, and an ordered pass
+ * keeps max(2P, 4) chunks decoding ahead from its first chunk without
+ * wasting one. A guessed chunk that starts inside an incompressible stretch
+ * must bound its block search at the stored block it decodes from.
  */
 
 #include <algorithm>
@@ -290,7 +290,7 @@ restartPointAtFooter()
  * a stored block's payload holds `00 00 FF FF` and then a complete raw
  * Deflate stream, more than a chunk into the stream. It becomes a
  * marker-derived checkpoint, and the footer-verified sweep must keep its
- * bytes out of size() and read(): they equal the serial decode or throw.
+ * bytes out of size() and read(): they equal the serial decode.
  */
 void
 testSyncMarkerInsideStoredData()
@@ -307,8 +307,7 @@ testSyncMarkerInsideStoredData()
              == 2 );
     REQUIRE( ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), configuration ).decompressAll()
              == payload.size() );
-    const auto readBack = answerOf( [&] () { return sizeThenRead( file, configuration ); } );
-    REQUIRE( !readBack || ( *readBack == payload ) );
+    REQUIRE( sizeThenRead( file, configuration ) == payload );
 }
 
 /**
@@ -566,15 +565,19 @@ testSweepLeavesNoAccessPattern()
 
 /**
  * A sweep is a pass over every chunk, known as one before its first access,
- * so it fills the pool at once: when the hook of a sweep over 16 fixed-size
- * chunks sees chunk 0, the fetcher has dispatched at least `parallelism`
- * prefetches, under FIXED, ADAPTIVE and MULTI_STREAM alike. A strategy left
- * to guess would have ADAPTIVE and MULTI_STREAM dispatch one there.
+ * so it fills the pool at once: when the hook of a sweep over 64 fixed-size
+ * chunks at parallelism 4 sees chunk 0, the fetcher has dispatched
+ * max(2P, 4) = 8 prefetches, under FIXED, ADAPTIVE and MULTI_STREAM alike
+ * (a strategy left to guess would have ADAPTIVE and MULTI_STREAM dispatch
+ * one there). The cache holds that look-ahead plus the chunk in use, and a
+ * prefetch of a cached chunk counts as a use, so the LRU evicts no ready
+ * prefetch before the pass consumes it: no prefetch is wasted, and only
+ * chunk 0 decodes on demand.
  */
 void
-testSweepFillsPoolAtFirstChunk()
+testOrderedPassLookAhead()
 {
-    constexpr std::size_t CHUNKS = 16;
+    constexpr std::size_t CHUNKS = 64;
     constexpr std::size_t CHUNK_BYTES = 4 * KiB;
     constexpr std::size_t PARALLELISM = 4;
     std::vector<index::Checkpoint> checkpoints;
@@ -601,7 +604,11 @@ testSweepFillsPoolAtFirstChunk()
             return true;
         } );
         REQUIRE( total == CHUNKS * CHUNK_BYTES );
-        REQUIRE( dispatchedAtFirstChunk >= PARALLELISM );
+        REQUIRE( dispatchedAtFirstChunk == 2 * PARALLELISM );
+        const auto statistics = reader.statistics();
+        REQUIRE( statistics.prefetchWasted == 0 );
+        REQUIRE( statistics.onDemandDecodes == 1 );
+        REQUIRE( statistics.prefetchHits == CHUNKS - 1 );
     }
 }
 
@@ -646,41 +653,37 @@ testGuessInsideStoredStretch()
     auto& registry = telemetry::Registry::instance();
     telemetry::setMetricsEnabled( true );
     const auto testedBefore = registry.counterTotal( "rapidgzip_blockfinder_positions_tested_total" );
-    auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, guessBit, endBitGuess, NO_LIMIT );
+    const auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, guessBit, endBitGuess, NO_LIMIT );
     const auto tested = registry.counterTotal( "rapidgzip_blockfinder_positions_tested_total" )
                         - testedBefore;
     telemetry::setMetricsEnabled( false );
-    REQUIRE( chunk.error == Error::NONE );
-    REQUIRE( chunk.startedAtStoredBlock );
-    REQUIRE( chunk.decodedStartBit == storedBit );
+    const auto& guess = *chunk.guess;
+    REQUIRE( guess.error == Error::NONE );
+    REQUIRE( guess.startedAtStoredBlock );
+    REQUIRE( guess.startBitOffset == storedBit );
+    REQUIRE( chunk.data.empty() );
     /* Every position up to and including the stored candidate, plus at most
      * one 48-position stride. An unbounded scan runs on through the second
      * block's payload to the next Dynamic header. */
     REQUIRE( tested <= storedBit - guessBit + 48 );
 
-    /* Serial reference: decode from the stream start up to the second
-     * block's header in the byte before its LEN, then on from there with the
-     * propagated window to the first boundary at or past the end guess. */
-    const auto prefix = GzipChunkFetcher::decodeChunkAtOffset( file, deflateStartBit, storedBit - 8,
-                                                               NO_LIMIT, {} );
-    REQUIRE( prefix.error == Error::NONE );
-    REQUIRE( prefix.decodedEndBit == storedBit - 8 );
-    std::vector<std::uint8_t> prefixBytes;
-    deflate::resolveInto( prefix.data, {}, prefixBytes );
+    /* Exact reference from the decode loop behind the checkpoint chunks:
+     * decode from the stream start up to the second block's header in the
+     * byte before its LEN, then on from there with the propagated window to
+     * the first boundary at or past the end guess. */
+    const auto prefix = GzipChunkFetcher::decodeChunkFromCheckpoint( file, deflateStartBit, storedBit - 8, {} );
+    REQUIRE( prefix.endBitOffset == storedBit - 8 );
+    const auto& prefixBytes = prefix.data;
     REQUIRE( std::equal( prefixBytes.begin(), prefixBytes.end(), data.begin() ) );
     const auto windowSize = std::min<std::size_t>( prefixBytes.size(), deflate::WINDOW_SIZE );
     const BufferView window( prefixBytes.data() + prefixBytes.size() - windowSize, windowSize );
-    const auto reference = GzipChunkFetcher::decodeChunkAtOffset( file, storedBit - 8, endBitGuess,
-                                                                  NO_LIMIT, window );
-    REQUIRE( reference.error == Error::NONE );
-    REQUIRE( chunk.decodedEndBit == reference.decodedEndBit );
+    const auto reference = GzipChunkFetcher::decodeMembers( file, storedBit - 8, endBitGuess, window );
+    REQUIRE( chunk.endBitOffset == reference.endBitOffset );
 
     std::vector<std::uint8_t> resolved;
-    deflate::resolveInto( chunk.data, window, resolved );
-    std::vector<std::uint8_t> expected;
-    deflate::resolveInto( reference.data, window, expected );
+    deflate::resolveInto( guess.firstSegment, window, resolved );
     REQUIRE( !resolved.empty() );
-    REQUIRE( resolved == expected );
+    REQUIRE( resolved == reference.data );
     REQUIRE( prefixBytes.size() + resolved.size() <= data.size() );
     REQUIRE( std::equal( resolved.begin(), resolved.end(),
                          data.begin() + static_cast<std::ptrdiff_t>( prefixBytes.size() ) ) );
@@ -703,41 +706,31 @@ main()
     checkFullRead( data, compressed, config( 1, 64 * 1024 ) );
     checkFullRead( data, compressed, config( 8, 4 * MiB ) );
 
-    /* Gzip-like stream without a single flush marker: the full-flush table
-     * degenerates to one chunk, but decompressAll routes through the
-     * two-stage pipeline and decodes in parallel anyway. Verify the actual
-     * BYTES against the serial zlib decode (the chunk fetcher's CRC check
-     * against the footer is cross-validated by the same comparison). */
+    /* Gzip-like stream without a single flush marker: discovery finds no
+     * restart point, but decompressAll stitches the guess grid's rows,
+     * decoded in parallel on the reader's own fetcher. Verify the actual
+     * BYTES against the serial zlib decode. */
     {
         const auto plain = compressGzipLike( { data.data(), data.size() }, 6 );
-        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( plain ),
-                                   config( 4, 1 * MiB ) );
-        REQUIRE( reader.chunkCount() == 1 );
-        REQUIRE( reader.decompressAll() == data.size() );
-
         const auto serial = decompressWithZlib( { plain.data(), plain.size() } );
-        std::vector<std::uint8_t> parallel;
-        MemoryFileReader file( plain );
-        const auto deflateStart = parseGzipHeader( { plain.data(), plain.size() } );
+        REQUIRE( serial == data );
         telemetry::setMetricsEnabled( true );
         const auto redecodesBefore =
             telemetry::Registry::instance().counterTotal( "rapidgzip_chunk_redecodes_total" );
-        const auto member = GzipChunkFetcher::decompressMember( file, deflateStart,
-                                                                /* parallelism */ 4,
-                                                                /* chunk size */ 1 * MiB,
-                                                                &parallel );
+        ParallelGzipReader reader( std::make_unique<MemoryFileReader>( plain ), config( 4, 1 * MiB ) );
+        REQUIRE( reader.decompressAll() == data.size() );
+        const auto redecodes =
+            telemetry::Registry::instance().counterTotal( "rapidgzip_chunk_redecodes_total" ) - redecodesBefore;
         telemetry::setMetricsEnabled( false );
-        REQUIRE( member.chunkCount > 1 );
-        /* Most chunks must come from the SPECULATIVE guessed-offset decode —
-         * if the block finders regressed, every chunk would silently fall
-         * back to the sequential re-decode and parallelism would be dead. */
-        REQUIRE( member.redecodedChunks < member.chunkCount / 2 );
-        /* The mis-stitch telemetry counter must agree with the member's own
-         * tally — the live counter is what /metrics and dashboards see. */
-        REQUIRE( telemetry::Registry::instance().counterTotal( "rapidgzip_chunk_redecodes_total" )
-                 == redecodesBefore + member.redecodedChunks );
+        /* The harvested index holds one checkpoint per stitched row. Most
+         * rows must come from the SPECULATIVE guessed-offset decode — if the
+         * block finders regressed, every row would silently fall back to the
+         * sequential re-decode and parallelism would be dead. */
+        REQUIRE( reader.chunkCount() > 1 );
+        REQUIRE( redecodes < reader.chunkCount() / 2 );
+        std::vector<std::uint8_t> parallel( data.size() + 16 );
+        parallel.resize( reader.read( parallel.data(), parallel.size() ) );
         REQUIRE( parallel == serial );
-        REQUIRE( parallel == data );
 
         /* A flipped byte must be caught by the footer verification, not
          * returned as silently corrupt output. */
@@ -914,7 +907,7 @@ main()
     testCheckpointDecodeReadsSpanOnce();
     testDiscoveryReadsOneSlice();
     testSweepLeavesNoAccessPattern();
-    testSweepFillsPoolAtFirstChunk();
+    testOrderedPassLookAhead();
     testGuessInsideStoredStretch();
 
     return rapidgzip::test::finish( "testParallelGzipReader" );
