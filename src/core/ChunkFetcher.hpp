@@ -79,14 +79,6 @@ struct ChunkFetcherConfiguration
      * never collide. Ignored without @ref sharedCache.
      */
     std::uint64_t cacheIdentity{ 0 };
-    /**
-     * Transient-failure retries per chunk decode (beyond the first attempt)
-     * before the failure propagates to consumers. Covers FileIoError,
-     * bad_alloc, and injected faults; each retry backs off exponentially.
-     * A failure that survives the budget is permanent for that get() — the
-     * poisoned future is evicted so a later access re-decodes from scratch.
-     */
-    unsigned decodeRetryCount{ 2 };
 };
 
 struct FetcherStatistics
@@ -247,7 +239,7 @@ private:
     makeCacheToken( const ChunkFetcherConfiguration& configuration, std::size_t chunkCount )
     {
         /* Chunk-table geometry is folded in so a re-chunked reader — e.g.
-         * after a false-boundary merge rebuilt the fetcher — can never hit
+         * one that adopted the index its pass harvested — can never hit
          * entries keyed under the stale table. */
         return mixHash( configuration.cacheIdentity )
                ^ mixHash( static_cast<std::uint64_t>( chunkCount ) << 8U )
@@ -269,14 +261,17 @@ private:
             [file = m_file, decoder = m_decoder, index] () -> ChunkDataPtr {
                 return std::make_shared<const DecodedChunk>( decoder( *file, index ) );
             };
-        /* Bounded transient-retry around the decode itself (inside the
+        /* Two transient retries around the decode itself (inside the
          * shared-cache single-flight wrapper below, so waiters of one
          * in-flight decode benefit from its retries too). Transient =
-         * I/O errors, allocation failure, injected faults; genuine data
-         * corruption fails identically every time, so it propagates on
-         * the first attempt instead of burning two more decodes. */
-        decode = [inner = std::move( decode ),
-                  retries = m_configuration.decodeRetryCount] () -> ChunkDataPtr {
+         * I/O errors, allocation failure, injected faults; each retry backs
+         * off exponentially. Genuine data corruption fails identically every
+         * time, so it propagates on the first attempt instead of burning
+         * more decodes. A failure that survives the retries is permanent for
+         * that get(): the poisoned future is evicted, so a later access
+         * re-decodes from scratch. */
+        decode = [inner = std::move( decode )] () -> ChunkDataPtr {
+            constexpr unsigned RETRIES = 2;
             for ( unsigned attempt = 0; ; ++attempt ) {
                 try {
                     failsafe::maybeFailAllocation();
@@ -285,11 +280,11 @@ private:
                     }
                     return inner();
                 } catch ( const failsafe::FaultInjectedError& ) {
-                    if ( attempt >= retries ) { countDecodeFailure(); throw; }
+                    if ( attempt >= RETRIES ) { countDecodeFailure(); throw; }
                 } catch ( const FileIoError& ) {
-                    if ( attempt >= retries ) { countDecodeFailure(); throw; }
+                    if ( attempt >= RETRIES ) { countDecodeFailure(); throw; }
                 } catch ( const std::bad_alloc& ) {
-                    if ( attempt >= retries ) { countDecodeFailure(); throw; }
+                    if ( attempt >= RETRIES ) { countDecodeFailure(); throw; }
                 } catch ( ... ) {
                     countDecodeFailure();
                     throw;  /* deterministic (corruption etc.) — retries cannot help */

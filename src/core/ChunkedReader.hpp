@@ -34,12 +34,12 @@ struct ChunkTable
 /**
  * The one chunked reader under every format (paper §3): a chunk table, the
  * ChunkFetcher that decodes, caches and prefetches its chunks on a thread
- * pool, one ordered pass (under the sweep that measures unknown chunk
- * sizes, and under gzip's stitched pass over guessed chunks), and one walk
- * from uncompressed offsets to chunks behind readAt() and readSpansAt().
- * The formats build tables on top of it: gzip hands it index checkpoints
- * decoded by GzipChunkFetcher::decodeChunkFromCheckpoint; zstd, lz4 and
- * bzip2 hand it their frames or blocks grouped into chunks.
+ * pool, one ordered pass (under every sweep that measures or verifies a
+ * table, gzip's stitched pass included), and one walk from uncompressed
+ * offsets to chunks behind readAt() and readSpansAt(). The formats build
+ * tables on top of it: gzip hands it index checkpoints, or restart points
+ * and guessed rows that its pass checks; zstd, lz4 and bzip2 hand it their
+ * frames or blocks grouped into chunks.
  *
  * Thread model: a table builder establishes or changes the table under
  * lock(). The builder given to the constructor runs there when a read finds
@@ -57,6 +57,14 @@ public:
     using ChunkDecoder = ChunkFetcher::ChunkDecoder;
     /** Publishes a sized table, or throws. Runs under lock(). */
     using TableBuilder = std::function<void()>;
+
+    /** What a table's chunks hold, which decides their shared-cache keys. */
+    enum class Rows
+    {
+        STREAM,      /**< the stream's bytes, keyed by the table's bit offsets */
+        UNVERIFIED,  /**< rows a pass checks, some of them maybe no stream bytes: keyed apart */
+        STAGE_ONE,   /**< with guessed rows of stage-one output: kept out of the shared cache */
+    };
 
     ChunkedReader( std::shared_ptr<const FileReader> file,
                    ChunkFetcherConfiguration configuration,
@@ -134,31 +142,28 @@ public:
     }
 
     /** Make @p checkpoints the table, decoded by @p decoder: sized with the
-     * total @p size, or awaiting a sweep() when @p size is std::nullopt. The
-     * fetcher is built when a read or pass first needs it. With
-     * @p stageOne, the chunks are no stream bytes (a guess grid's
-     * stage-one output): only a pass() reads them, and they stay out of
-     * the shared cache. A constructor, which owns the reader alone, may
-     * call this without lock(). */
+     * total @p size, or awaiting a pass when @p size is std::nullopt. The
+     * fetcher is built when a read or pass first needs it. @p rows other
+     * than STREAM may be no stream bytes: the shared cache keys them apart
+     * from every STREAM table's, or, with stage-one output, keeps them out.
+     * A constructor, which owns the reader alone, may call this without
+     * lock(). */
     void
     publish( std::vector<index::Checkpoint> checkpoints,
              std::optional<std::size_t> size,
              ChunkDecoder decoder,
-             bool stageOne = false )
+             Rows rows = Rows::STREAM )
     {
         store( { ChunkTable{ std::move( checkpoints ), size.value_or( 0 ), size.has_value() },
-                 std::move( decoder ), {}, stageOne } );
+                 std::move( decoder ), {}, rows } );
     }
 
-    /** Drop the fetcher, with its cache and any failed prefetches. Without
-     * @p keepSizes the table loses its sizes too, so the next read runs the
-     * table builder again. */
+    /** Drop the fetcher, with its cache and any failed prefetches. */
     void
-    reset( bool keepSizes )
+    reset()
     {
         auto state = *m_state;
         state.fetcher.reset();
-        state.table.sized = state.table.sized && keepSizes;
         store( std::move( state ) );
     }
 
@@ -200,7 +205,8 @@ public:
      * returns false or the table ends. A pass is known to be one before its
      * first access, so from chunk 0 on the fetcher keeps max(2P, 4) chunks
      * decoding ahead while the hook runs, whatever the prefetch strategy.
-     * It publishes nothing. Returns the chunks handed to the hook.
+     * It publishes nothing; a failing decode or hook propagates. Returns
+     * the chunks handed to the hook.
      */
     template<typename Hook>
     std::size_t
@@ -218,32 +224,46 @@ public:
     }
 
     /**
-     * The ordered sweep: a pass() that publishes the measured sizes as the
-     * table's uncompressed offsets. @p hook returns false when its chunk
-     * ends the stream; the chunks after it leave the table. The fetcher
-     * stays, so the sweep's tail serves the reads that follow, and its
-     * access pattern starts afresh, so those reads see the configured
-     * strategy as a reader that never swept would. A failing decode or hook
-     * propagates and leaves the table as it was. Returns the total
-     * uncompressed size.
+     * The ordered sweep: a pass() whose measured chunk sizes publishSizes()
+     * makes the table's uncompressed offsets. @p hook returns false when its
+     * chunk ends the stream. A failing decode or hook propagates and leaves
+     * the table as it was. Returns the total uncompressed size.
      */
     template<typename Hook>
     std::size_t
     sweep( const Hook& hook )
     {
-        const auto state = withFetcher();
-        auto table = state->table;
-        std::size_t offset = 0;
-        const auto count = pass( [&] ( std::size_t i, const DecodedChunk& chunk ) {
-            table.checkpoints[i].uncompressedOffset = offset;
-            offset += chunk.data.size();
+        std::vector<std::size_t> sizes;
+        (void)pass( [&] ( std::size_t i, const DecodedChunk& chunk ) {
+            sizes.push_back( chunk.data.size() );
             return hook( i, chunk );
         } );
-        table.checkpoints.resize( count );
+        return publishSizes( sizes );
+    }
+
+    /**
+     * Publish @p chunkSizes, the sizes a pass measured for the table's first
+     * chunks, as the uncompressed offsets; the chunks after them lie past
+     * the end of the stream and leave the table. The fetcher stays, so the
+     * pass's tail serves the reads that follow, and its access pattern
+     * starts afresh, so those reads see the configured strategy as a reader
+     * that never swept would. Returns the total uncompressed size.
+     */
+    std::size_t
+    publishSizes( const std::vector<std::size_t>& chunkSizes )
+    {
+        const auto state = withFetcher();
+        auto table = state->table;
+        table.checkpoints.resize( chunkSizes.size() );
+        std::size_t offset = 0;
+        for ( std::size_t i = 0; i < chunkSizes.size(); ++i ) {
+            table.checkpoints[i].uncompressedOffset = offset;
+            offset += chunkSizes[i];
+        }
         table.size = offset;
         table.sized = true;
-        state->fetcher->resetAccessPattern( count );
-        store( { std::move( table ), state->decoder, state->fetcher } );
+        state->fetcher->resetAccessPattern( chunkSizes.size() );
+        store( { std::move( table ), state->decoder, state->fetcher, state->rows } );
         return offset;
     }
 
@@ -253,7 +273,7 @@ private:
         ChunkTable table;
         ChunkDecoder decoder;
         std::shared_ptr<ChunkFetcher> fetcher;
-        bool stageOne{ false };
+        Rows rows{ Rows::STREAM };
     };
 
     void
@@ -272,8 +292,10 @@ private:
             /* The table's bit offsets go into the shared-cache key, so readers
              * of one archive with different tables never share entries. */
             auto configuration = m_configuration;
-            if ( m_state->stageOne ) {
+            if ( m_state->rows == Rows::STAGE_ONE ) {
                 configuration.sharedCache.reset();
+            } else if ( m_state->rows == Rows::UNVERIFIED ) {
+                configuration.cacheIdentity = mixHash( ~configuration.cacheIdentity );
             }
             for ( const auto& checkpoint : m_state->table.checkpoints ) {
                 configuration.cacheIdentity =

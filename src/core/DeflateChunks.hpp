@@ -102,7 +102,7 @@ findFullFlushMarkers( const FileReader& file, std::size_t searchBegin, std::size
  * finishes, one that fills the probe output, and one that runs out of probe
  * input. False sync-marker matches inside compressed data (probability
  * ~2^-32 per byte) virtually never survive this; the ones that would are
- * caught later by the chunk decode's end check and the footer verification.
+ * caught later by the stitch's start check and the footer verification.
  */
 [[nodiscard]] inline bool
 probeRawDeflatePoint( const FileReader& file, std::size_t offset )
@@ -169,11 +169,11 @@ nextGzipMember( const FileReader& file, std::size_t offset, BufferView known = {
  * window per chunk, not whole. The first search ends at S + 2C: a stream
  * without a restart point there — a plain `gzip` stream, or one whose
  * flushes lie more than two chunk sizes apart — gets {S} alone after one
- * chunk size of reading, and ParallelGzipReader decodes it with the
- * two-stage sweep. Every later search runs to the end of the file.
+ * chunk size of reading, and ParallelGzipReader decodes it with the guess
+ * grid. Every later search runs to the end of the file.
  *
- * ParallelGzipReader turns the starts into marker-derived index
- * checkpoints; the pugz-like baseline decodes between them, so the measured
+ * ParallelGzipReader turns the starts into exact rows of its chunk table;
+ * the pugz-like baseline decodes between them, so the measured
  * implementation and its baseline never diverge on chunking.
  */
 [[nodiscard]] inline std::vector<std::size_t>
@@ -239,12 +239,16 @@ struct DecodedChunk
     std::uint32_t trailingCrc32{ 0 };
 
     /**
-     * Set only by a decode from a guessed offset, which knows no window
-     * (GzipChunkFetcher::decodeChunkFromGuess). Its output up to the first
-     * member end in the chunk, or all of it when no member ends there, is
-     * the stage-one output @ref firstSegment, whose markers the consumer
-     * resolves against the window. `data`, `memberEnds`, `trailingCrc32`
-     * and `crc32` describe only the members after that member end.
+     * Set by every decode of an unverified row (GzipChunkFetcher::decodeRow):
+     * where the decode started, which the consumer checks against where the
+     * previous row ended. An exact row decoded from its start with an empty
+     * window, and `data` holds all of its output. A decode from a guessed
+     * offset knows no window (GzipChunkFetcher::decodeChunkFromGuess): its
+     * output up to the first member end in the chunk, or all of it when no
+     * member ends there, is the stage-one output @ref firstSegment, whose
+     * markers the consumer resolves against the window, and `data`,
+     * `memberEnds`, `trailingCrc32` and `crc32` describe only the members
+     * after that member end.
      */
     struct Guess
     {
@@ -268,21 +272,15 @@ struct DecodedChunk
         /** The decode started at a stored block's LEN field, behind the
          * block's three unread header bits. */
         bool startedAtStoredBlock{ false };
+        /** An exact row: @ref firstSegment is empty, and a checkpoint at the
+         * start needs no window. */
+        bool exact{ false };
         deflate::DecodedData firstSegment;
         /** The footer of the member that firstSegment ends, when it ends in
          * this chunk. */
         std::optional<std::size_t> firstSegmentFooter;
     };
     std::optional<Guess> guess;
-};
-
-/** Thrown by a chunk decode whose end boundary lies inside a Deflate block,
- * a gzip footer or a member header: the next chunk's start is no block
- * boundary of the stream. */
-class FalseChunkEndError : public InvalidGzipStreamError
-{
-public:
-    using InvalidGzipStreamError::InvalidGzipStreamError;
 };
 
 /** Thrown by a chunk decode that reaches the end of the file before the

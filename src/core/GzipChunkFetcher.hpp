@@ -79,13 +79,14 @@ tallyFilterStatistics( const blockfinder::FilterStatistics& statistics )
  * gzip members that follow as a checkpoint chunk does. Stage two is the
  * cheap sequential stitch (Stitcher): verify each chunk starts exactly
  * where its predecessor stopped (re-decoding from the known offset when the
- * finder was fooled or skipped an unfindable Fixed block), substitute
- * markers with the propagated window, and slide the window forward.
+ * finder was fooled, skipped an unfindable Fixed block, or a restart point
+ * was false), substitute markers with the propagated window, and slide the
+ * window forward.
  *
  * Correctness does not rest on the finders: a surviving false positive
  * produces wrong bytes whose CRC32 cannot match the gzip footer, which the
- * stitch verifies — the same layering that guards marker-derived restart
- * points (probeRawDeflatePoint in DeflateChunks.hpp).
+ * stitch verifies — the same layering that guards restart points
+ * (probeRawDeflatePoint in DeflateChunks.hpp).
  */
 class GzipChunkFetcher
 {
@@ -256,17 +257,16 @@ public:
      * so BGZF and concatenated members ride the same path. This is what
      * makes seek()/read() O(1) in decoded work: exactly one inter-checkpoint
      * span is decoded, never the prefix of the file. It is
-     * ParallelGzipReader's chunk decoder for imported, BGZF, harvested and
-     * marker-derived checkpoints. Every member the chunk decodes whole is
-     * checked against its footer: those that start inside it, and with
-     * @p startsMember (a BGZF row) the one it starts with.
+     * ParallelGzipReader's chunk decoder for imported, BGZF and harvested
+     * checkpoints. Every member the chunk decodes whole is checked against
+     * its footer: those that start inside it, and with @p startsMember (a
+     * BGZF row) the one it starts with.
      *
      * Throws InvalidGzipStreamError when the data under the checkpoint does
-     * not decode — a stale or corrupt index, or a false restart point —
-     * FalseChunkEndError when the decode stops past @p untilBits: the next
-     * checkpoint lies inside a block, a footer or a member header,
-     * TruncatedStreamError when the file ends inside a block, and
-     * ChecksumError for a member that disagrees with its footer.
+     * not decode, or when the decode stops past @p untilBits (the next
+     * checkpoint lies inside a block, a footer or a member header): a stale
+     * or corrupt index. Throws TruncatedStreamError when the file ends inside
+     * a block, and ChecksumError for a member that disagrees with its footer.
      */
     [[nodiscard]] static DecodedChunk
     decodeChunkFromCheckpoint( const FileReader& file,
@@ -277,11 +277,41 @@ public:
     {
         auto chunk = decodeMembers( file, startBits, untilBits, window, startsMember );
         if ( !chunk.reachedStreamEnd && ( chunk.endBitOffset > untilBits ) ) {
-            throw FalseChunkEndError( "Chunk end at bit " + std::to_string( untilBits )
-                                      + " is no block boundary; the decode stopped at bit "
-                                      + std::to_string( chunk.endBitOffset ) );
+            throw InvalidGzipStreamError( "Chunk end at bit " + std::to_string( untilBits )
+                                          + " is no block boundary; the decode stopped at bit "
+                                          + std::to_string( chunk.endBitOffset ) );
         }
         return chunk;
+    }
+
+    /**
+     * One row of a chunk table that a pass still checks, decoded to the
+     * first block boundary at or past @p untilBits; its `guess` reports
+     * where the decode started, and the data never makes this throw. An
+     * @p exact row (a restart point, or the stream's first Deflate bit)
+     * decodes as decodeMembers() does from @p startBits with an empty
+     * window and no output cap. When that throws for the data — a false
+     * restart point, or a sync flush, after which the stream still refers
+     * to the bytes before — and for every other row, decodeChunkFromGuess()
+     * decodes from @p startBits within @p maxBytes outputs. Transient
+     * failures (I/O, allocation) propagate.
+     */
+    [[nodiscard]] static DecodedChunk
+    decodeRow( const FileReader& file, std::size_t startBits, std::size_t untilBits, bool exact,
+               std::size_t maxBytes )
+    {
+        if ( exact ) {
+            try {
+                auto chunk = decodeMembers( file, startBits, untilBits, {} );
+                auto& guess = chunk.guess.emplace();
+                guess.startBitOffset = startBits;
+                guess.exact = true;
+                return chunk;
+            } catch ( const InvalidGzipStreamError& ) {
+            } catch ( const ChecksumError& ) {
+            }
+        }
+        return decodeChunkFromGuess( file, startBits, untilBits, maxBytes );
     }
 
     /**
@@ -411,15 +441,18 @@ public:
 
     /**
      * Stage two, on the one thread that consumes a gzip stream's chunks in
-     * order — the stitched pass over the guess grid and the serial walk:
-     * stitch each chunk to where the previous one ended, resolve its markers
-     * against the propagated window, check every member against its footer
-     * (MemberVerifier), harvest the chunk's start into an IndexBuilder, and
-     * slide the window, emptying it at each member start. A chunk decoded
-     * from a known boundary starts where the previous one ended. A chunk
-     * decoded from a guess is accepted when it starts there too, or at the
-     * equivalent stored-data bit; otherwise it is re-decoded from there with
-     * the window.
+     * order — every pass over a chunk table and the serial walk: stitch each
+     * chunk to where the previous one ended, resolve its markers against the
+     * propagated window, check every member against its footer
+     * (MemberVerifier), and slide the window, emptying it at each member
+     * start. One rule covers every row a pass checks (a chunk with a
+     * `guess`): it is accepted when it starts where the previous chunk
+     * ended, or at the equivalent stored-data bit; otherwise it is
+     * re-decoded from there with the window. So a false restart point costs
+     * one sequential re-decode, as a guess that missed does. A chunk without
+     * a `guess` — a checkpoint row of an index, or a span of the serial walk
+     * — starts where the previous one ended by construction. The checked
+     * rows' starts go into an IndexBuilder.
      */
     class Stitcher
     {
@@ -458,25 +491,28 @@ public:
                           || ( guess.startedAtStoredBlock && ( guess.startBitOffset == storedDataBit ) ) ) ) {
                     accepted = &guess;
                 } else {
-                    /* The finder was fooled, skipped an unfindable block, or
-                     * the guess landed past the chunk: re-decode from the
-                     * known boundary with the propagated window. */
+                    /* A false restart point, a fooled finder, a skipped
+                     * unfindable block, or a guess past the chunk: re-decode
+                     * from the known boundary with the propagated window. */
                     RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_redecodes_total",
                                                "Speculative chunk decodes discarded for a sequential "
                                                "re-decode (finder miss, mis-stitch, or decode failure).", 1 );
                     redecoded = decodeMembers( m_file, m_endBits, untilBits, window() );
                     chunk = &redecoded;
                 }
-            }
+                const auto exact = ( accepted != nullptr ) && accepted->exact;
+                m_rowsExact = m_rowsExact && exact;
 
-            /* Harvest before the window slides: m_endBits is the boundary
-             * the chunk starts at (for an accepted stored-block candidate the
-             * real block header there decodes identically), and the window
-             * is exactly the history a decode resuming there needs. The
-             * accepted stage-one output enables a sparse window. */
-            if ( m_builder != nullptr ) {
-                m_builder->addCheckpoint( m_endBits, m_size, window(),
-                                          accepted != nullptr ? &accepted->firstSegment : nullptr );
+                /* Harvest before the window slides: m_endBits is the
+                 * boundary the chunk starts at (for an accepted stored-block
+                 * candidate the real block header there decodes identically),
+                 * and the window is the history a decode resuming there
+                 * needs — none after an exact decode. The accepted stage-one
+                 * output enables a sparse window. */
+                if ( m_builder != nullptr ) {
+                    m_builder->addCheckpoint( m_endBits, m_size, exact ? BufferView() : window(),
+                                              accepted != nullptr ? &accepted->firstSegment : nullptr );
+                }
             }
 
             if ( accepted != nullptr ) {
@@ -523,6 +559,14 @@ public:
             return m_reachedStreamEnd;
         }
 
+        /** No chunk so far was re-decoded or stitched from stage-one output:
+         * every chunk holds its own start's bytes, exactly. */
+        [[nodiscard]] bool
+        rowsExact() const noexcept
+        {
+            return m_rowsExact;
+        }
+
     private:
         static void
         verify( bool membersMatch )
@@ -561,17 +605,18 @@ public:
         std::vector<std::uint8_t> m_resolved;
         std::size_t m_size{ 0 };
         bool m_reachedStreamEnd{ false };
+        bool m_rowsExact{ true };
     };
 
     /**
      * The serial walk: one sequential pass over the whole gzip stream with
      * the same decoder as the chunks, span by span of @p spanBytes
      * compressed bytes from the first member's first Deflate byte, stitched
-     * by a Stitcher — which checks every member against its footer and, with
-     * @p builder, harvests a checkpoint and its window at every span start.
-     * Memory stays bounded by one span's output. Returns the uncompressed
-     * size. Throws for a truncated stream, a member that disagrees with its
-     * footer, and undecodable data.
+     * by a Stitcher, which checks every member against its footer. With
+     * @p builder, it harvests a checkpoint and its window at every span
+     * start. Memory stays bounded by one span's output. Returns the
+     * uncompressed size. Throws for a truncated stream, a member that
+     * disagrees with its footer, and undecodable data.
      */
     [[nodiscard]] static std::size_t
     decompressSerially( const FileReader& file,
@@ -580,8 +625,11 @@ public:
     {
         const auto spanBits = std::max<std::size_t>( spanBytes, 1 ) * 8;
         const auto header = readHeaderBytes( file, 0 );
-        Stitcher stitcher( file, parseGzipHeader( { header.data(), header.size() } ) * 8, builder );
+        Stitcher stitcher( file, parseGzipHeader( { header.data(), header.size() } ) * 8, nullptr );
         while ( !stitcher.reachedStreamEnd() ) {
+            if ( builder != nullptr ) {
+                builder->addCheckpoint( stitcher.endBits(), stitcher.size(), stitcher.window() );
+            }
             const auto untilBits = stitcher.endBits() + spanBits;
             const auto chunk = decodeMembers( file, stitcher.endBits(), untilBits, stitcher.window() );
             stitcher.stitch( chunk, untilBits );

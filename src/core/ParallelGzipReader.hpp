@@ -30,26 +30,31 @@ namespace rapidgzip {
  * One chunk table drives all of it, the checkpoints of a GzipIndex (the
  * paper's §3.5 seek index) with chunk i spanning checkpoint i to checkpoint
  * i + 1, on one ChunkedReader. The table is an imported index, the BGZF
- * BC-field scan, restart points, or the guess grid. Restart points are
- * *marker-derived* checkpoints: byte-aligned, windowless, found at
+ * BC-field scan, or rows that a pass checks. Restart points, found at
  * `00 00 FF FF` sync markers by a search that jumps from one chunk to the
- * next (discoverRestartPoints), and unsized until the footer-verified sweep
- * measures them. A stream without a restart point within two chunk sizes of
- * its first Deflate byte — a plain `gzip` stream, concatenated members
- * included — gets the guess grid instead: rows of guessed bit offsets,
- * decoded on the same fetcher into stage-one output and stitched in order
- * (GzipChunkFetcher::Stitcher); the bit-granular index that pass harvests
- * becomes the table. Every ordered pass keeps max(2P, 4) decodes ahead of
- * the consumer from its first chunk on (ChunkedReader::pass).
+ * next (discoverRestartPoints), are exact rows: each decodes with an empty
+ * window, or, when that fails (a sync flush keeps the window, and a false
+ * restart point may not decode), from a guess at the same offset. A stream
+ * without a restart point within two chunk sizes of its first Deflate byte
+ * — a plain `gzip` stream, concatenated members included — gets the guess
+ * grid instead: an exact row at that byte, then rows of guessed bit
+ * offsets, decoded into stage-one output.
+ *
+ * Every table gets the same ordered pass, which keeps max(2P, 4) decodes
+ * ahead of the consumer from its first chunk on (ChunkedReader::pass), with
+ * one GzipChunkFetcher::Stitcher as its hook: it accepts a row that starts
+ * where the previous row ended and re-decodes any other from there with the
+ * window. A pass that stitched every row exactly as decoded fills in the
+ * table's uncompressed offsets; any other makes the bit-granular index it
+ * harvested the table.
  *
  * Correctness is layered: every pass checks every member against its own
- * footer; a chunk that fails to decode at a marker-derived checkpoint, or
- * whose decode stops past the next one, had a false boundary that is merged
- * away; whatever a pass cannot verify falls back to the serial walk
+ * footer, and a row that does not start where its predecessor ended is
+ * re-decoded; whatever a pass cannot verify falls back to the serial walk
  * (GzipChunkFetcher::decompressSerially), which is the authority and
  * harvests an index while it verifies, or throws for a broken file. A chunk
  * decode checks every member it decodes whole, so reads from a BGZF table,
- * which no sweep sizes, return no byte a footer has not checked. One
+ * which no pass sizes, return no byte a footer has not checked. One
  * Deflate decoder serves all of it: chunks, the restart-point probe and the
  * serial walk.
  *
@@ -74,7 +79,7 @@ public:
     /* --- whole-stream interface ------------------------------------- */
 
     /**
-     * Decompress the whole stream in parallel with the footer-verified sweep
+     * Decompress the whole stream in parallel with the footer-verified pass
      * and return the number of uncompressed bytes. The bytes are discarded;
      * use read() to obtain them. Throws when the file is broken: when no
      * pass verifies the stream, the serial walk decides.
@@ -87,10 +92,10 @@ public:
     }
 
     /**
-     * Verified streaming decompression: run the footer-verified sweep
-     * first (throwing on real corruption exactly like the sink-less
-     * overload), THEN stream the bytes through @p sink from the table the
-     * sweep or the serial walk verified. A sweep over restart points
+     * Verified streaming decompression: run the footer-verified pass first
+     * (throwing on real corruption exactly like the sink-less overload),
+     * THEN stream the bytes through @p sink from the table the pass or the
+     * serial walk verified. A pass that fills in the offsets of exact rows
      * leaves its last chunks in the fetcher cache, so the streaming pass
      * partly re-reads instead of re-decoding.
      */
@@ -112,8 +117,8 @@ public:
 
     /* --- random access interface ------------------------------------ */
 
-    /** Total uncompressed size. On restart points or the guess grid the
-     * first call runs the footer-verified sweep. */
+    /** Total uncompressed size. On rows a pass checks, the first call runs
+     * the footer-verified pass. */
     [[nodiscard]] std::size_t
     size()
     {
@@ -159,10 +164,11 @@ public:
 
     /**
      * The seek index for this stream, which is the reader's chunk table.
-     * Marker-derived checkpoints get their uncompressed offsets from the
-     * footer-verified sweep first; the guess grid is replaced by the
-     * bit-granular checkpoints with compressed windows that its stitched
-     * pass, or the serial walk, harvests.
+     * Rows a pass checks are first replaced: by the same windowless
+     * checkpoints with the uncompressed offsets the pass measured when it
+     * stitched every row exactly as decoded, else by the bit-granular
+     * checkpoints with compressed windows that the pass, or the serial
+     * walk, harvests.
      * Serialize with index::serializeIndex() / index::exportGztoolIndex().
      */
     [[nodiscard]] GzipIndex
@@ -241,28 +247,18 @@ public:
     }
 
 private:
-    /** What the chunk table's checkpoints are. */
-    enum class Table
-    {
-        INDEX,           /**< an imported index, or one a pass sized or harvested */
-        BGZF,            /**< BC-field member starts, sized by their footers */
-        RESTART_POINTS,  /**< marker-derived checkpoints awaiting the sweep's sizes */
-        GUESS_GRID,      /**< guessed rows of stage-one output, read only by the stitched pass */
-    };
-
     /**
-     * The footer-verified sweep behind decompressAll() and the first
-     * size()/readAt(); the caller holds the chunked reader's lock. The guess
-     * grid takes the stitched pass (sweepGuessGrid()); every other table is
-     * swept in order through the chunked reader, each member checked against
-     * its own footer, and the measured chunk sizes fill in the checkpoints'
-     * uncompressed offsets.
-     *
-     * A chunk that fails to decode at a marker-derived checkpoint had a
-     * false boundary — its start, or its end when that cuts a block, a
-     * footer or a member header — which is merged away before the sweep
-     * restarts; a merge that leaves one checkpoint publishes the guess grid.
-     * When no pass can verify the stream, the serial walk decodes it,
+     * The footer-verified pass behind decompressAll() and the first
+     * size()/readAt(); the caller holds the chunked reader's lock. Every
+     * table gets one ordered pass through the chunked reader, with a
+     * Stitcher as its hook: it re-decodes every row that does not start
+     * where the previous one ended, checks every member against its own
+     * footer, and harvests an index from the rows it checks. The pass
+     * publishes nothing until the stream is verified, as readers take no
+     * lock once a sized table exists. Then, when it stitched every row
+     * exactly as decoded, the measured row sizes fill in the table's
+     * uncompressed offsets; otherwise the harvested index becomes the table.
+     * When the pass cannot verify the stream, the serial walk decodes it,
      * checks every member and harvests the index that becomes the table.
      * Throws when the file is broken, when it ends before the stream's final
      * block, and for a transient failure.
@@ -271,103 +267,39 @@ private:
     sweep()
     {
         ensureChunkTable();
-        while ( true ) {
-            /* The hook sees the chunks in order, so a failing decode is
-             * chunk number `verified`. */
-            std::size_t verified = 0;
-            std::size_t falseBoundary = 0;
-            try {
-                if ( m_table == Table::GUESS_GRID ) {
-                    return sweepGuessGrid();
-                }
-                MemberVerifier verifier( *m_file );
-                const auto chunkCount = m_chunks.current().checkpoints.size();
-                const auto total = m_chunks.sweep( [&] ( std::size_t i, const DecodedChunk& chunk ) {
-                    if ( !verifier.consume( chunk ) ) {
-                        throw ChecksumError( "Gzip member does not match its footer" );
-                    }
-                    ++verified;
-                    if ( chunk.reachedStreamEnd ) {
-                        /* Later marker-derived checkpoints lie in trailing padding. */
-                        return m_table != Table::RESTART_POINTS;
-                    }
-                    if ( i + 1 == chunkCount ) {
-                        throw TruncatedStreamError(
-                            "Gzip stream ended before the final Deflate block — truncated file" );
-                    }
-                    return true;
-                } );
-                if ( m_table == Table::RESTART_POINTS ) {
-                    m_table = Table::INDEX;
-                }
-                return total;
-            } catch ( const ChecksumError& ) {
-                break;
-            } catch ( const FalseChunkEndError& ) {
-                falseBoundary = verified + 1;
-            } catch ( const TruncatedStreamError& ) {
-                throw;  /* no merge can make the file longer */
-            } catch ( const InvalidGzipStreamError& ) {
-                /* A bad chunk start; chunk 0 starts at the member's first
-                 * Deflate byte, so there the end is the suspect. */
-                falseBoundary = std::max<std::size_t>( verified, 1 );
-            } catch ( ... ) {
-                /* A transient failure (I/O, allocation, injected fault)
-                 * leaves failed prefetches in the cache: let the next sweep
-                 * start on a fresh fetcher. */
-                m_chunks.reset( /* keepSizes */ true );
-                throw;
+        const auto table = m_index;
+        try {
+            index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
+            GzipChunkFetcher::Stitcher stitcher( *m_file, table->checkpoints.front().compressedOffsetBits, &builder );
+            std::vector<std::size_t> sizes;
+            (void)m_chunks.pass( [&] ( std::size_t i, const DecodedChunk& chunk ) {
+                stitcher.stitch( chunk, chunkEnd( table->checkpoints, i ) );
+                sizes.push_back( chunk.data.size() );
+                return !stitcher.reachedStreamEnd();
+            } );
+            if ( !stitcher.reachedStreamEnd() ) {
+                throw TruncatedStreamError( "Gzip stream ended before the final Deflate block — truncated file" );
             }
-            if ( !mergeFalseBoundary( falseBoundary ) ) {
-                break;
+            if ( stitcher.rowsExact() ) {
+                return m_chunks.publishSizes( sizes );
             }
+            adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size(), stitcher.size() ) ) );
+            return stitcher.size();
+        } catch ( const TruncatedStreamError& ) {
+            throw;  /* no decode can make the file longer */
+        } catch ( const InvalidGzipStreamError& ) {
+        } catch ( const ChecksumError& ) {
+        } catch ( ... ) {
+            /* A transient failure (I/O, allocation, injected fault) leaves
+             * failed prefetches in the cache: let the next pass start on a
+             * fresh fetcher. */
+            m_chunks.reset();
+            throw;
         }
         index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
         const auto total = GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes, &builder );
         adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size(), total ) ) );
         return total;
-    }
-
-    /**
-     * The two-stage pass over the guess grid: its rows decode on the
-     * chunked reader's fetcher, and the Stitcher stitches them in order,
-     * re-decoding the rows whose guess missed, resolving markers, checking
-     * every member against its footer and harvesting the index. The pass
-     * publishes nothing; on success the harvested index becomes the table.
-     */
-    [[nodiscard]] std::size_t
-    sweepGuessGrid()
-    {
-        const auto grid = m_index;
-        index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
-        GzipChunkFetcher::Stitcher stitcher( *m_file, grid->checkpoints.front().compressedOffsetBits, &builder );
-        (void)m_chunks.pass( [&] ( std::size_t i, const DecodedChunk& chunk ) {
-            stitcher.stitch( chunk, chunkEnd( grid->checkpoints, i ) );
-            return !stitcher.reachedStreamEnd();
-        } );
-        if ( !stitcher.reachedStreamEnd() ) {
-            throw TruncatedStreamError( "Gzip stream ended before the final Deflate block — truncated file" );
-        }
-        adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size(), stitcher.size() ) ) );
-        return stitcher.size();
-    }
-
-    /**
-     * Erase the marker-derived checkpoint @p boundary that a failing chunk
-     * exposed as false, merging its chunk into the predecessor. Returns false
-     * for any other table, and when @p boundary is no inner checkpoint.
-     */
-    [[nodiscard]] bool
-    mergeFalseBoundary( std::size_t boundary )
-    {
-        if ( ( m_table != Table::RESTART_POINTS ) || ( boundary == 0 )
-             || ( boundary >= m_index->checkpoints.size() ) ) {
-            return false;
-        }
-        auto starts = m_index->checkpoints;
-        starts.erase( starts.begin() + static_cast<std::ptrdiff_t>( boundary ) );
-        adoptRestartPoints( std::move( starts ) );
-        return true;
     }
 
     /** The end bit of chunk @p i of @p checkpoints: where chunk i + 1
@@ -380,76 +312,35 @@ private:
     }
 
     /**
-     * Make @p index the chunk table. Restart points and the guess grid await
-     * a pass's sizes. Checkpoints decode with
-     * GzipChunkFetcher::decodeChunkFromCheckpoint from their window; the
-     * guess grid's row 0 decodes exactly from the stream's first Deflate
-     * bit, every other row with GzipChunkFetcher::decodeChunkFromGuess.
+     * Make @p index the sized chunk table. Its checkpoints decode with
+     * GzipChunkFetcher::decodeChunkFromCheckpoint from their windows; every
+     * @p bgzf row starts a member, which its decode checks against its
+     * footer.
      */
     void
-    adoptIndex( std::shared_ptr<const GzipIndex> index, Table table = Table::INDEX )
+    adoptIndex( std::shared_ptr<const GzipIndex> index, bool bgzf = false )
     {
         m_index = std::move( index );
-        m_table = table;
-        /* Speculative output budget per guessed row. Deflate can expand up
-         * to ~1032x, but budgeting for that would let the look-ahead's
-         * 16-bit row buffers occupy hundreds of row sizes of memory; ratios
-         * beyond this cap (sparse files and the like) fall back to the
-         * stitch's sequential re-decode, whose single uncapped chunk matches
-         * the serial walk's memory profile. */
-        const auto rowOutputCap = guessRowBytes() * 64 + 16 * MiB;
         /* The decoder runs on pool workers: it captures the immutable index
          * by shared_ptr and only uses const accessors. */
         m_chunks.publish(
-            m_index->checkpoints,
-            ( table == Table::INDEX ) || ( table == Table::BGZF )
-            ? std::optional<std::size_t>( m_index->uncompressedSizeBytes ) : std::nullopt,
-            [index = m_index, table, rowOutputCap] ( const FileReader& reader, std::size_t i ) {
+            m_index->checkpoints, m_index->uncompressedSizeBytes,
+            [index = m_index, bgzf] ( const FileReader& reader, std::size_t i ) {
                 const auto startBits = index->checkpoints[i].compressedOffsetBits;
-                const auto untilBits = chunkEnd( index->checkpoints, i );
-                if ( table == Table::GUESS_GRID ) {
-                    return i == 0 ? GzipChunkFetcher::decodeMembers( reader, startBits, untilBits, {}, true )
-                                  : GzipChunkFetcher::decodeChunkFromGuess( reader, startBits, untilBits,
-                                                                            rowOutputCap );
-                }
                 const auto window = index->windows.get( startBits );
                 return GzipChunkFetcher::decodeChunkFromCheckpoint(
-                    reader, startBits, untilBits, { window.data(), window.size() }, table == Table::BGZF );
-            },
-            /* stageOne */ table == Table::GUESS_GRID );
-    }
-
-    /** Guessed rows are C' = max(C, 128 KiB) compressed bytes apart. */
-    [[nodiscard]] std::size_t
-    guessRowBytes() const
-    {
-        return std::max<std::size_t>( m_configuration.chunkSizeBytes, 128 * KiB );
+                    reader, startBits, chunkEnd( index->checkpoints, i ), { window.data(), window.size() }, bgzf );
+            } );
     }
 
     /**
-     * Make @p starts the table as marker-derived checkpoints; a single one,
-     * the stream's first Deflate bit, becomes the guess grid instead: row i
-     * starts i * C' past it, up to the end of the file.
+     * Establish the chunk table: the BGZF index when the BC fields describe
+     * every member, else rows that a pass checks, unsized until then, each
+     * decoded by GzipChunkFetcher::decodeRow. Two or more restart points
+     * from discovery are exact rows; a single start S gets the guess grid
+     * instead, an exact row at S and rows guessed at S + i * C' up to the
+     * end of the file, C' = max(C, 128 KiB).
      */
-    void
-    adoptRestartPoints( std::vector<index::Checkpoint> starts )
-    {
-        auto table = std::make_shared<GzipIndex>();
-        table->compressedSizeBytes = m_file->size();
-        if ( starts.size() > 1 ) {
-            table->checkpoints = std::move( starts );
-            adoptIndex( std::move( table ), Table::RESTART_POINTS );
-            return;
-        }
-        const auto fileBits = m_file->size() * 8;
-        auto bits = starts.front().compressedOffsetBits;
-        do {
-            table->checkpoints.push_back( { bits, 0 } );
-            bits += guessRowBytes() * 8;
-        } while ( bits < fileBits );
-        adoptIndex( std::move( table ), Table::GUESS_GRID );
-    }
-
     void
     ensureChunkTable()
     {
@@ -461,23 +352,47 @@ private:
          * marker search, no flush markers, no decoding. */
         if ( auto bgzfIndex = index::tryBuildBgzfIndex( *m_file,
                                                         m_configuration.chunkSizeBytes ) ) {
-            adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ), Table::BGZF );
+            adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ), /* bgzf */ true );
             return;
         }
-        std::vector<index::Checkpoint> starts;
+        auto table = std::make_shared<GzipIndex>();
+        table->compressedSizeBytes = m_file->size();
+        auto& rows = table->checkpoints;
         for ( const auto start : discoverRestartPoints( *m_file, m_configuration.chunkSizeBytes ) ) {
-            starts.push_back( { start * 8, 0 } );
+            rows.push_back( { start * 8, 0 } );
         }
-        adoptRestartPoints( std::move( starts ) );
+        const auto grid = rows.size() == 1;
+        const auto rowBytes = std::max<std::size_t>( m_configuration.chunkSizeBytes, 128 * KiB );
+        for ( auto bits = rows.front().compressedOffsetBits + rowBytes * 8; grid && ( bits < m_file->size() * 8 );
+              bits += rowBytes * 8 ) {
+            rows.push_back( { bits, 0 } );
+        }
+        std::vector<bool> exact( rows.size(), !grid );
+        exact.front() = true;
+        m_index = std::move( table );
+
+        /* Speculative output budget per guessed row. Deflate can expand up
+         * to ~1032x, but budgeting for that would let the look-ahead's
+         * 16-bit row buffers occupy hundreds of row sizes of memory; ratios
+         * beyond this cap (sparse files and the like) fall back to the
+         * stitch's sequential re-decode, whose single uncapped chunk matches
+         * the serial walk's memory profile. */
+        const auto rowOutputCap = rowBytes * 64 + 16 * MiB;
+        m_chunks.publish(
+            m_index->checkpoints, std::nullopt,
+            [index = m_index, exact = std::move( exact ), rowOutputCap] ( const FileReader& reader, std::size_t i ) {
+                return GzipChunkFetcher::decodeRow( reader, index->checkpoints[i].compressedOffsetBits,
+                                                    chunkEnd( index->checkpoints, i ), exact[i], rowOutputCap );
+            },
+            grid ? ChunkedReader::Rows::STAGE_ONE : ChunkedReader::Rows::UNVERIFIED );
     }
 
     std::unique_ptr<SharedFileReader> m_file;
     ChunkFetcherConfiguration m_configuration;
 
     /* Under m_chunks' lock: the index behind the chunk table, whose windows
-     * and metadata the table's checkpoints pair with, and what they are. */
+     * and metadata the table's checkpoints pair with. */
     std::shared_ptr<const GzipIndex> m_index;
-    Table m_table{ Table::INDEX };
 
     ChunkedReader m_chunks;
     std::size_t m_position{ 0 };

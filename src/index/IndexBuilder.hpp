@@ -14,12 +14,14 @@ namespace rapidgzip::index {
 
 /**
  * Harvests checkpoints and windows from the passes that consume a gzip
- * stream in order (GzipChunkFetcher::Stitcher): the stitched pass over the
- * guess grid and the serial walk already visit every chunk boundary with the
- * exact bit offset, the absolute uncompressed offset and the propagated
- * 32 KiB window in hand, so index construction is a byproduct of the first
- * decompression rather than a second pass — the property the paper's
- * "first read builds the index" workflow depends on.
+ * stream in order: a reader's pass over the rows its
+ * GzipChunkFetcher::Stitcher checks (restart points and guessed rows) and
+ * the serial walk already visit every chunk boundary with the exact bit
+ * offset, the absolute uncompressed offset and the propagated 32 KiB window
+ * in hand, so index construction is a byproduct of the first decompression
+ * rather than a second pass — the property the paper's "first read builds
+ * the index" workflow depends on. A row that decoded exactly from a restart
+ * point needs no window, so it is harvested without one.
  *
  * Sparse windows: when the accepted chunk decode was the speculative marker
  * decode AND the chunk produced at least a full window of output, the

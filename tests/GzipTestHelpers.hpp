@@ -2,8 +2,9 @@
 
 /**
  * Helpers shared by the gzip reader tests: answers that may be a throw,
- * and zlib as the oracle for the restart-point probe — the probe used to be
- * a zlib raw inflate, and our Deflate decoder must keep its verdicts.
+ * zlib as the oracle for the restart-point probe — the probe used to be
+ * a zlib raw inflate, and our Deflate decoder must keep its verdicts — and
+ * a sync-flushed stream, whose restart points need the history before them.
  */
 
 #include <zlib.h>
@@ -16,7 +17,9 @@
 #include "common/Error.hpp"
 #include "core/DeflateChunks.hpp"
 #include "gzip/GzipHeader.hpp"
+#include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
+#include "workloads/DataGenerators.hpp"
 
 #include "TestHelpers.hpp"
 
@@ -80,6 +83,42 @@ requireProbeAgreesWithZlib( const std::vector<std::uint8_t>& file )
         ++( accepted ? verdicts.accepted : verdicts.rejected );
     }
     return verdicts;
+}
+
+/** A gzip file and the bytes it decodes to. */
+struct GzipFile
+{
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint8_t> decoded;
+};
+
+/**
+ * @p segments segments of 64 KiB, compressed as one gzip member with a
+ * Z_SYNC_FLUSH after each but the last: 16 KiB of fresh random bytes, then
+ * 48 KiB that repeat the bytes 20 KiB back, so each segment after the first
+ * starts its repeat inside the one before. A sync flush byte-aligns the
+ * stream behind a sync marker, as a full flush does, but keeps the window:
+ * the restart points after the first need the history before them.
+ */
+[[nodiscard]] inline GzipFile
+syncFlushedStream( std::size_t segments, std::uint64_t seed )
+{
+    constexpr std::size_t SEGMENT = 64 * KiB;
+    constexpr std::size_t FRESH = 16 * KiB;
+    constexpr std::size_t DISTANCE = 20 * KiB;
+    GzipFile result;
+    result.decoded = workloads::randomData( segments * SEGMENT, seed );
+    for ( std::size_t i = DISTANCE; i < result.decoded.size(); ++i ) {
+        if ( i % SEGMENT >= FRESH ) {
+            result.decoded[i] = result.decoded[i - DISTANCE];
+        }
+    }
+    detail::ZlibDeflateStream stream( 6, GZIP_WINDOW_BITS );
+    for ( std::size_t offset = 0; offset < result.decoded.size(); offset += SEGMENT ) {
+        stream.compress( { result.decoded.data() + offset, SEGMENT },
+                         offset + SEGMENT < result.decoded.size() ? Z_SYNC_FLUSH : Z_FINISH, result.bytes );
+    }
+    return result;
 }
 
 }  // namespace rapidgzip::test

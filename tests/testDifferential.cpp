@@ -15,9 +15,10 @@
  *           restart-point probe against zlib raw inflate on real and
  *           decoy markers, a second member whose history reaches
  *           into the first, which every reader must reject, layouts
- *           whose restart points lie past discovery's first search, and
+ *           whose restart points lie past discovery's first search,
  *           concatenated plain members (4 KiB, 32 KiB, a decoy member in
- *           stored data) whose guessed chunks cross member ends;
+ *           stored data) whose guessed chunks cross member ends, and a
+ *           sync-flushed stream whose restart points need the window;
  *   zstd  — frame-parallel dispatch reader vs ZSTD_decompressStream;
  *   lz4   — from-scratch frame+block decoder vs LZ4_decompress_safe per
  *           block (both directions: our writer → vendor, vendor → ours);
@@ -550,6 +551,30 @@ testConcatenatedMembers( std::uint64_t seed )
     }
 }
 
+/**
+ * A sync-flushed stream: 24 segments of 64 KiB with a Z_SYNC_FLUSH between
+ * them, each segment referring to the one before, read with 32 KiB chunks.
+ * Its restart points need the history before them, so their rows fall back
+ * to guesses from the same start, and flipped bytes make the exact decodes
+ * of some rows fail for the data. GzipReader, decompressAll(),
+ * decompressAll(sink), size() + read() and salvage agree, intact and under
+ * the flip sweep.
+ */
+void
+testSyncFlushedStream( std::uint64_t seed )
+{
+    constexpr std::size_t CHUNK_SIZE = 32 * KiB;
+    const auto stream = test::syncFlushedStream( 24, seed );
+    std::printf( "  sync-flushed stream (%zu bytes)\n", stream.bytes.size() );
+    std::fflush( stdout );
+    REQUIRE( discoverRestartPoints( MemoryFileReader( stream.bytes ), CHUNK_SIZE ).size() > 2 );
+    REQUIRE( requireReadersAgree( stream.bytes, config( CHUNK_SIZE ) ) == stream.decoded );
+    const auto [report, output] = salvageAll( stream.bytes );
+    REQUIRE( report.clean() );
+    REQUIRE( output == stream.decoded );
+    requireFlipsAgree( stream.bytes, seed, config( CHUNK_SIZE ) );
+}
+
 void
 testGzipDifferential( const Corpus& corpus, std::uint64_t seed )
 {
@@ -1037,6 +1062,7 @@ main()
     testCrossMemberBackReference();
     testLayoutsPastTheFirstSearch( seed );
     testConcatenatedMembers( seed );
+    testSyncFlushedStream( seed );
     testProbeOnDecoys();
     testCorruptionMatrix();
     testSalvageLz4SkippableFrames();

@@ -17,7 +17,10 @@
  * leaves no access pattern for the prefetch strategy, and an ordered pass
  * keeps max(2P, 4) chunks decoding ahead from its first chunk without
  * wasting one. A guessed chunk that starts inside an incompressible stretch
- * must bound its block search at the stored block it decodes from.
+ * must bound its block search at the stored block it decodes from. False
+ * restart points cost one re-decode each in a single pass, and a
+ * sync-flushed stream, whose restart points need the history before them,
+ * decodes each row once, through a shared cache too.
  */
 
 #include <algorithm>
@@ -45,6 +48,7 @@
 
 using namespace rapidgzip;
 using rapidgzip::test::answerOf;
+using rapidgzip::test::GzipFile;
 
 namespace {
 
@@ -227,33 +231,28 @@ storedGzipMember( const std::vector<std::uint8_t>& payload, bool emptyFinalBlock
     return file;
 }
 
-/** A gzip file and the bytes it decodes to. */
-struct GzipFile
-{
-    std::vector<std::uint8_t> bytes;
-    std::vector<std::uint8_t> decoded;
-};
-
 /**
- * A stored gzip member whose payload holds, in its fourth stored block, a
- * sync marker followed by a complete raw Deflate stream: a false restart
- * point that decodes.
+ * A stored gzip member whose payload holds @p decoys times, in its fourth
+ * stored block and in every third one after it, a sync marker followed by a
+ * complete raw Deflate stream: false restart points that decode.
  */
 [[nodiscard]] GzipFile
-syncMarkerInsideStoredData()
+syncMarkerInsideStoredData( std::size_t decoys = 1 )
 {
     constexpr std::size_t STORED_MAX = 65535;
-    auto payload = workloads::base64Data( 300 * KiB, 0x5707 );
+    auto payload = workloads::base64Data( 300 * KiB + ( decoys - 1 ) * 3 * STORED_MAX, 0x5707 );
     const auto text = workloads::base64Data( 16 * KiB, 0xDEC0 );
     const auto decoyMember = compressGzipLike( { text.data(), text.size() }, 6 );
     const auto decoyStart = parseGzipHeader( { decoyMember.data(), decoyMember.size() } );
     std::vector<std::uint8_t> decoy{ 0x00, 0x00, 0xFF, 0xFF };
     decoy.insert( decoy.end(), decoyMember.begin() + static_cast<std::ptrdiff_t>( decoyStart ),
                   decoyMember.end() - GZIP_FOOTER_SIZE );
-    /* Inside the fourth stored block, so no block header interrupts it. */
-    const auto decoyOffset = 3 * STORED_MAX + 100;
-    REQUIRE( decoyOffset + decoy.size() <= 4 * STORED_MAX );
-    std::copy( decoy.begin(), decoy.end(), payload.begin() + static_cast<std::ptrdiff_t>( decoyOffset ) );
+    for ( std::size_t block = 3; block < 3 + 3 * decoys; block += 3 ) {
+        /* Inside one stored block, so no block header interrupts it. */
+        const auto decoyOffset = block * STORED_MAX + 100;
+        REQUIRE( decoyOffset + decoy.size() <= ( block + 1 ) * STORED_MAX );
+        std::copy( decoy.begin(), decoy.end(), payload.begin() + static_cast<std::ptrdiff_t>( decoyOffset ) );
+    }
     return { storedGzipMember( payload, /* emptyFinalBlock */ false ), payload };
 }
 
@@ -288,9 +287,9 @@ restartPointAtFooter()
 /**
  * A sync marker inside stored data is a false restart point that decodes:
  * a stored block's payload holds `00 00 FF FF` and then a complete raw
- * Deflate stream, more than a chunk into the stream. It becomes a
- * marker-derived checkpoint, and the footer-verified sweep must keep its
- * bytes out of size() and read(): they equal the serial decode.
+ * Deflate stream, more than a chunk into the stream. It becomes a restart
+ * point, and the footer-verified pass must keep its bytes out of size() and
+ * read(): they equal the serial decode.
  */
 void
 testSyncMarkerInsideStoredData()
@@ -314,10 +313,10 @@ testSyncMarkerInsideStoredData()
  * A member closed by an empty final stored block ends in a sync marker, so
  * its footer start is a restart-point candidate. When the CRC32 bytes there
  * decode as an empty final block, the probe accepts it, and the chunk before
- * it ends where the footer and the next member's header begin. The sweep
- * must merge that checkpoint away instead of taking the member end for the
- * stream end: size(), read() and decompressAll() keep the later member, as
- * GzipReader does.
+ * it ends where the footer and the next member's header begin. The pass
+ * must re-decode the row at the footer from the next member's start instead
+ * of taking the member end for the stream end: size(), read() and
+ * decompressAll() keep the later member, as GzipReader does.
  */
 void
 testRestartPointAtFooter()
@@ -689,6 +688,133 @@ testGuessInsideStoredStretch()
                          data.begin() + static_cast<std::ptrdiff_t>( prefixBytes.size() ) ) );
 }
 
+/** Decodes in the process so far, while metrics are enabled. */
+struct DecodeCounts
+{
+    std::uint64_t fetcher{ 0 };    /**< prefetch_issued + on_demand_decodes */
+    std::uint64_t redecodes{ 0 };  /**< a Stitcher's sequential re-decodes */
+
+    [[nodiscard]] static DecodeCounts
+    now()
+    {
+        const auto& registry = telemetry::Registry::instance();
+        return { registry.counterTotal( "rapidgzip_prefetch_issued_total" )
+                 + registry.counterTotal( "rapidgzip_chunk_on_demand_decodes_total" ),
+                 registry.counterTotal( "rapidgzip_chunk_redecodes_total" ) };
+    }
+
+    [[nodiscard]] DecodeCounts
+    operator-( const DecodeCounts& before ) const
+    {
+        return { fetcher - before.fetcher, redecodes - before.redecodes };
+    }
+};
+
+/** decompressAll() of a fresh reader of @p file, checked against @p size:
+ * the decodes it took, printed under @p name, and the exported index. */
+[[nodiscard]] std::pair<DecodeCounts, GzipIndex>
+decompressCounted( const char* name, const std::vector<std::uint8_t>& file, std::size_t size,
+                   const ChunkFetcherConfiguration& configuration )
+{
+    telemetry::setMetricsEnabled( true );
+    const auto before = DecodeCounts::now();
+    ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
+    REQUIRE( reader.decompressAll() == size );
+    const auto counts = DecodeCounts::now() - before;
+    telemetry::setMetricsEnabled( false );
+    std::printf( "  %s: %llu chunk decodes, %llu redecodes\n", name,
+                 static_cast<unsigned long long>( counts.fetcher ),
+                 static_cast<unsigned long long>( counts.redecodes ) );
+    return { counts, reader.exportIndex() };
+}
+
+/** A fresh reader that imports @p index reads @p expected back whole. */
+void
+requireImportReadsBack( const std::vector<std::uint8_t>& file, const GzipIndex& index,
+                        const std::vector<std::uint8_t>& expected, const ChunkFetcherConfiguration& configuration )
+{
+    ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
+    reader.importIndex( index );
+    std::vector<std::uint8_t> bytes( expected.size() + 16 );
+    bytes.resize( reader.read( bytes.data(), bytes.size() ) );
+    REQUIRE( bytes == expected );
+}
+
+/**
+ * k = 16 false restart points that decode, three stored blocks apart, read
+ * with 128 KiB chunks at parallelism 4: discovery takes all of them, and
+ * one pass decodes each of the k + 1 rows once and re-decodes each decoy's
+ * row in place from where the previous row ended — exactly k redecodes.
+ * The fetcher's decodes stay within 2(k + 1): a pass that started again
+ * from chunk 0 for each false point would decode O(k²) chunks. size() +
+ * read() and an exported index read the payload back.
+ */
+void
+testFalseRestartPoints()
+{
+    constexpr std::size_t DECOYS = 16;
+    const auto stored = syncMarkerInsideStoredData( DECOYS );
+    const auto configuration = config( 4, 128 * KiB );
+    REQUIRE( discoverRestartPoints( MemoryFileReader( stored.bytes ), configuration.chunkSizeBytes ).size()
+             == DECOYS + 1 );
+
+    const auto [counts, exported] = decompressCounted( "16 false restart points", stored.bytes,
+                                                       stored.decoded.size(), configuration );
+    REQUIRE( counts.redecodes == DECOYS );
+    REQUIRE( counts.fetcher <= 2 * ( DECOYS + 1 ) );
+
+    REQUIRE( sizeThenRead( stored.bytes, configuration ) == stored.decoded );
+    requireImportReadsBack( stored.bytes, exported, stored.decoded, configuration );
+}
+
+/**
+ * A sync-flushed stream (24 segments of 64 KiB, each referring to the one
+ * before) read with 32 KiB chunks: its restart points need the history
+ * before them, so their empty-window decodes fail, and each such row falls
+ * back to a guess from the same start in the same task, which stitches
+ * without a re-decode. The fetcher decodes at most two chunks per restart
+ * point, and fewer than half of the rows are re-decoded. The output equals
+ * zlib's, through size() + read(), an exported index, and a shared cache,
+ * where the rows of the restart-point table, some of them stage-one output,
+ * must not be served to reads of the index the pass harvested at the same
+ * offsets.
+ */
+void
+testSyncFlushedStream()
+{
+    constexpr auto NO_LIMIT = std::numeric_limits<std::size_t>::max();
+    const auto stream = test::syncFlushedStream( 24, 0x5F1A );
+    const auto& file = stream.bytes;
+    const auto configuration = config( 4, 32 * KiB );
+    REQUIRE( decompressWithZlib( { file.data(), file.size() } ) == stream.decoded );
+
+    const MemoryFileReader fileReader( file );
+    const auto starts = discoverRestartPoints( fileReader, configuration.chunkSizeBytes );
+    std::size_t windowDependent = 0;
+    for ( std::size_t i = 0; i < starts.size(); ++i ) {
+        const auto untilBits = i + 1 < starts.size() ? starts[i + 1] * 8 : NO_LIMIT;
+        windowDependent += answerOf( [&] () {
+            return GzipChunkFetcher::decodeMembers( fileReader, starts[i] * 8, untilBits, {} ).data.size();
+        } ) ? 0 : 1;
+    }
+    std::printf( "  sync-flushed stream: %zu restart points, %zu need the window\n", starts.size(),
+                 windowDependent );
+    REQUIRE( windowDependent >= 1 );
+
+    const auto [counts, exported] = decompressCounted( "sync-flushed stream", file, stream.decoded.size(),
+                                                       configuration );
+    REQUIRE( counts.fetcher <= 2 * starts.size() );
+    REQUIRE( counts.redecodes < starts.size() / 2 );
+
+    REQUIRE( sizeThenRead( file, configuration ) == stream.decoded );
+    requireImportReadsBack( file, exported, stream.decoded, configuration );
+
+    auto shared = configuration;
+    shared.sharedCache = std::make_shared<LruChunkCache>( 64 * MiB );
+    shared.cacheIdentity = 0x5F1A;
+    REQUIRE( sizeThenRead( file, shared ) == stream.decoded );
+}
+
 }  // namespace
 
 int
@@ -854,8 +980,8 @@ main()
 
     /* Truncated streams must raise, not silently return a partial count —
      * on both the decompressAll and the read/size (offset discovery) path.
-     * The chunk the file ends in is no false boundary to merge away: the
-     * sweep stops there instead of re-decoding the stream once per chunk. */
+     * The pass stops at the chunk the file ends in instead of decoding the
+     * stream once per chunk. */
     {
         auto truncated = compressed;
         truncated.resize( truncated.size() / 2 );
@@ -909,6 +1035,8 @@ main()
     testSweepLeavesNoAccessPattern();
     testOrderedPassLookAhead();
     testGuessInsideStoredStretch();
+    testFalseRestartPoints();
+    testSyncFlushedStream();
 
     return rapidgzip::test::finish( "testParallelGzipReader" );
 }
