@@ -156,7 +156,10 @@ public:
  * reference ChunkCache for standalone readers. Eviction is strictly
  * least-recently-used and never lets the resident total exceed the byte
  * budget; a chunk larger than the whole budget is returned to the caller
- * but not retained (caching it would evict everything for one entry).
+ * but not retained (caching it would evict everything for one entry), and
+ * so is a chunk of stage-one output (DecodedChunk::guess, not exact): its
+ * 16-bit segment lies outside the `data` the budget charges, and only the
+ * stitch of its own pass turns it into stream bytes.
  */
 class LruChunkCache final : public ChunkCache
 {
@@ -260,6 +263,9 @@ private:
     void
     lockedInsert( const ChunkCacheKey& key, ChunkDataPtr chunk )
     {
+        if ( chunk && chunk->guess && !chunk->guess->exact ) {
+            return;
+        }
         if ( const auto existing = m_index.find( key ); existing != m_index.end() ) {
             /* Refresh in place; sizes are identical for identical keys. */
             m_lru.splice( m_lru.begin(), m_lru, existing->second );

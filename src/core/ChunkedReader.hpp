@@ -58,14 +58,6 @@ public:
     /** Publishes a sized table, or throws. Runs under lock(). */
     using TableBuilder = std::function<void()>;
 
-    /** What a table's chunks hold, which decides their shared-cache keys. */
-    enum class Rows
-    {
-        STREAM,      /**< the stream's bytes, keyed by the table's bit offsets */
-        UNVERIFIED,  /**< rows a pass checks, some of them maybe no stream bytes: keyed apart */
-        STAGE_ONE,   /**< with guessed rows of stage-one output: kept out of the shared cache */
-    };
-
     ChunkedReader( std::shared_ptr<const FileReader> file,
                    ChunkFetcherConfiguration configuration,
                    TableBuilder buildTable ) :
@@ -143,19 +135,19 @@ public:
 
     /** Make @p checkpoints the table, decoded by @p decoder: sized with the
      * total @p size, or awaiting a pass when @p size is std::nullopt. The
-     * fetcher is built when a read or pass first needs it. @p rows other
-     * than STREAM may be no stream bytes: the shared cache keys them apart
-     * from every STREAM table's, or, with stage-one output, keeps them out.
-     * A constructor, which owns the reader alone, may call this without
+     * fetcher is built when a read or pass first needs it. The chunks of
+     * an @p unverified table, which a pass still checks, may be no stream
+     * bytes: the shared cache keys them apart from every other table's. A
+     * constructor, which owns the reader alone, may call this without
      * lock(). */
     void
     publish( std::vector<index::Checkpoint> checkpoints,
              std::optional<std::size_t> size,
              ChunkDecoder decoder,
-             Rows rows = Rows::STREAM )
+             bool unverified = false )
     {
         store( { ChunkTable{ std::move( checkpoints ), size.value_or( 0 ), size.has_value() },
-                 std::move( decoder ), {}, rows } );
+                 std::move( decoder ), {}, unverified } );
     }
 
     /** Drop the fetcher, with its cache and any failed prefetches. */
@@ -263,7 +255,7 @@ public:
         table.size = offset;
         table.sized = true;
         state->fetcher->resetAccessPattern( chunkSizes.size() );
-        store( { std::move( table ), state->decoder, state->fetcher, state->rows } );
+        store( { std::move( table ), state->decoder, state->fetcher, state->unverified } );
         return offset;
     }
 
@@ -273,7 +265,7 @@ private:
         ChunkTable table;
         ChunkDecoder decoder;
         std::shared_ptr<ChunkFetcher> fetcher;
-        Rows rows{ Rows::STREAM };
+        bool unverified{ false };
     };
 
     void
@@ -292,9 +284,7 @@ private:
             /* The table's bit offsets go into the shared-cache key, so readers
              * of one archive with different tables never share entries. */
             auto configuration = m_configuration;
-            if ( m_state->rows == Rows::STAGE_ONE ) {
-                configuration.sharedCache.reset();
-            } else if ( m_state->rows == Rows::UNVERIFIED ) {
+            if ( m_state->unverified ) {
                 configuration.cacheIdentity = mixHash( ~configuration.cacheIdentity );
             }
             for ( const auto& checkpoint : m_state->table.checkpoints ) {

@@ -293,8 +293,13 @@ public:
      * window and no output cap. When that throws for the data — a false
      * restart point, or a sync flush, after which the stream still refers
      * to the bytes before — and for every other row, decodeChunkFromGuess()
-     * decodes from @p startBits within @p maxBytes outputs. Transient
-     * failures (I/O, allocation) propagate.
+     * decodes from @p startBits within @p maxBytes outputs. An exact decode
+     * that runs into the end of the file marks the row unusable
+     * (TRUNCATED_STREAM) without that search, which in the last row would
+     * decode from every block to the end of the file: the stitch re-decodes
+     * the row from where the previous one ended, which reports a truncated
+     * file and decodes a false restart point's row. Transient failures
+     * (I/O, allocation) propagate.
      */
     [[nodiscard]] static DecodedChunk
     decodeRow( const FileReader& file, std::size_t startBits, std::size_t untilBits, bool exact,
@@ -307,6 +312,10 @@ public:
                 guess.startBitOffset = startBits;
                 guess.exact = true;
                 return chunk;
+            } catch ( const TruncatedStreamError& ) {
+                DecodedChunk unusable;
+                unusable.guess.emplace().error = Error::TRUNCATED_STREAM;
+                return unusable;
             } catch ( const InvalidGzipStreamError& ) {
             } catch ( const ChecksumError& ) {
             }

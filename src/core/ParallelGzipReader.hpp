@@ -384,7 +384,7 @@ private:
                 return GzipChunkFetcher::decodeRow( reader, index->checkpoints[i].compressedOffsetBits,
                                                     chunkEnd( index->checkpoints, i ), exact[i], rowOutputCap );
             },
-            grid ? ChunkedReader::Rows::STAGE_ONE : ChunkedReader::Rows::UNVERIFIED );
+            /* unverified */ true );
     }
 
     std::unique_ptr<SharedFileReader> m_file;

@@ -809,10 +809,19 @@ testSyncFlushedStream()
     REQUIRE( sizeThenRead( file, configuration ) == stream.decoded );
     requireImportReadsBack( file, exported, stream.decoded, configuration );
 
+    /* The rows that fell back to stage-one output stay out of the shared
+     * cache, whose budget charges only `data`: after the pass it holds at
+     * most the rows that decoded exactly. */
     auto shared = configuration;
-    shared.sharedCache = std::make_shared<LruChunkCache>( 64 * MiB );
+    const auto cache = std::make_shared<LruChunkCache>( 64 * MiB );
+    shared.sharedCache = cache;
     shared.cacheIdentity = 0x5F1A;
-    REQUIRE( sizeThenRead( file, shared ) == stream.decoded );
+    ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), shared );
+    REQUIRE( reader.size() == stream.decoded.size() );
+    REQUIRE( cache->statistics().insertions <= starts.size() - windowDependent );
+    std::vector<std::uint8_t> bytes( stream.decoded.size() + 16 );
+    bytes.resize( reader.read( bytes.data(), bytes.size() ) );
+    REQUIRE( bytes == stream.decoded );
 }
 
 }  // namespace
@@ -981,7 +990,8 @@ main()
     /* Truncated streams must raise, not silently return a partial count —
      * on both the decompressAll and the read/size (offset discovery) path.
      * The pass stops at the chunk the file ends in instead of decoding the
-     * stream once per chunk. */
+     * stream once per chunk, and that restart point's row reports the
+     * truncation without a guess search over its blocks. */
     {
         auto truncated = compressed;
         truncated.resize( truncated.size() / 2 );
@@ -989,7 +999,14 @@ main()
         const auto* const counter = counting.get();
         ParallelGzipReader reader( std::move( counting ), config( 4, 256 * 1024 ) );
         REQUIRE( reader.chunkCount() >= 10 );
+        telemetry::setMetricsEnabled( true );
+        const auto positionsTested = [] () {
+            return telemetry::Registry::instance().counterTotal( "rapidgzip_blockfinder_positions_tested_total" );
+        };
+        const auto testedBefore = positionsTested();
         REQUIRE_THROWS_AS( (void)reader.decompressAll(), RapidgzipError );
+        REQUIRE( positionsTested() == testedBefore );
+        telemetry::setMetricsEnabled( false );
         REQUIRE( counter->bytesRead() <= 4 * truncated.size() );
 
         ParallelGzipReader sizeReader( std::make_unique<MemoryFileReader>( truncated ),

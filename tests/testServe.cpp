@@ -291,6 +291,19 @@ testLruCacheEvictionOrder()
     cache.insert( key( 9 ), makeChunk( 10 * ENTRY ) );
     REQUIRE( cache.get( key( 9 ) ) == nullptr );
     REQUIRE( cache.statistics().oversizedRejections == 1 );
+
+    /* So is stage-one output, whose 16-bit segment the budget does not
+     * charge; an exact row's bytes are kept. */
+    auto stageOne = std::make_shared<DecodedChunk>();
+    stageOne->guess.emplace().firstSegment.marked.resize( 10 * ENTRY );
+    const ChunkCache::ChunkDataPtr decoded = stageOne;
+    REQUIRE( cache.getOrDecode( key( 10 ), [&decoded] () { return decoded; } ) == decoded );
+    REQUIRE( cache.get( key( 10 ) ) == nullptr );
+    auto exactRow = std::make_shared<DecodedChunk>();
+    exactRow->data.assign( SIZE, 11 );
+    exactRow->guess.emplace().exact = true;
+    cache.insert( key( 11 ), exactRow );
+    REQUIRE( cache.get( key( 11 ) ) != nullptr );
 }
 
 void
