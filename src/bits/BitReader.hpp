@@ -43,11 +43,11 @@ namespace rapidgzip {
  * at most once and returns true iff at least n bits (n <= MAX_ENSURE_BITS)
  * are now buffered. While that guarantee holds, peekUnsafe()/consumeUnsafe()
  * touch ONLY the refill buffer — no bounds check, no refill, no memory
- * access — so an inner loop can pay for one refill and then decode several
- * Huffman symbols plus their extra bits from registers. Consuming more bits
- * than guaranteed is undefined behavior; the Deflate decoder enforces the
- * budget by entering its fast loop only while a whole worst-case
- * literal/length + distance group (48 bits) is guaranteed.
+ * access. The Deflate decoder's symbol loop goes one step further through a
+ * RegisterCursor: it refills without a branch (refillUnchecked(), 56–63
+ * bits) while enough input is left for the refills of one iteration, and
+ * leaves the last bytes of the input to the checked read()/peek() path.
+ * Consuming more bits than guaranteed is undefined behavior.
  */
 class BitReader
 {
@@ -149,13 +149,7 @@ public:
         const auto subBit = static_cast<unsigned>( bitOffset % 8U );
         std::uint64_t word = 0;
         if ( byteOffset + sizeof( std::uint64_t ) <= sizeInBytes ) {
-    #if defined( __BYTE_ORDER__ ) && ( __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__ )
-            std::memcpy( &word, data + byteOffset, sizeof( std::uint64_t ) );
-    #else
-            for ( unsigned i = 0; i < sizeof( std::uint64_t ); ++i ) {
-                word |= std::uint64_t( data[byteOffset + i] ) << ( 8U * i );
-            }
-    #endif
+            word = loadLittleEndian( data + byteOffset );
         } else {
             for ( std::size_t i = 0; byteOffset + i < sizeInBytes; ++i ) {
                 word |= std::uint64_t( data[byteOffset + i] ) << ( 8U * i );
@@ -301,14 +295,24 @@ public:
     class RegisterCursor
     {
     public:
+        /** Bits buffered after refillUnchecked(): 56–63. */
+        static constexpr unsigned UNCHECKED_REFILL_BITS = 56;
+
         explicit RegisterCursor( BitReader& reader ) noexcept :
             m_reader( reader ),
-            m_data( reader.m_data ),
-            m_sizeInBytes( reader.m_sizeInBytes ),
-            m_byteOffset( reader.m_byteOffset ),
+            m_next( reader.m_data + reader.m_byteOffset ),
+            m_end( reader.m_data + reader.m_sizeInBytes ),
             m_buffer( reader.m_buffer ),
             m_bufferBits( reader.m_bufferBits )
-        {}
+        {
+            /* refill() can buffer all 64 bits; give the last byte back, so
+             * that refillUnchecked() can shift by the count. Its bits stay
+             * in the buffer above the count, as real stream bits. */
+            if ( m_bufferBits == 64U ) {
+                m_bufferBits -= 8U;
+                --m_next;
+            }
+        }
 
         ~RegisterCursor()
         {
@@ -321,18 +325,39 @@ public:
         void
         sync() noexcept
         {
-            m_reader.m_byteOffset = m_byteOffset;
+            m_reader.m_byteOffset = static_cast<std::size_t>( m_next - m_reader.m_data );
             m_reader.m_buffer = m_buffer;
             m_reader.m_bufferBits = m_bufferBits;
         }
 
+        /** True while at least @p bytes of input lie past the buffered
+         * bits. Each refillUnchecked() loads 8 bytes and advances by at most
+         * 7, so 7k + 1 bytes allow k of them. */
         [[nodiscard]] bool
-        ensureBits( unsigned bitCount ) noexcept
+        hasInput( std::size_t bytes ) const noexcept
         {
-            if ( m_bufferBits < bitCount ) {
-                refill();
-            }
-            return m_bufferBits >= bitCount;
+            return static_cast<std::size_t>( m_end - m_next ) >= bytes;
+        }
+
+        /**
+         * Branch-free refill to 56–63 buffered bits: one 8-byte load ORed
+         * in above the buffered bits, and the cursor advances by the whole
+         * bytes it absorbed. Requires hasInput( 8 ). Every refill leaves all
+         * 64 buffer bits holding the stream's next 64 bits, and the bits
+         * above the count stay such real bits until consumed, so ORing the
+         * next word over them changes nothing: a table entry looked up from
+         * the buffer before a refill is the one looked up after it, and a
+         * lookup of up to 64 − consumed bits is valid after consuming past
+         * the count.
+         */
+        void
+        refillUnchecked() noexcept
+        {
+            RAPIDGZIP_ASSUME( m_bufferBits < 64U );
+            assert( hasInput( sizeof( std::uint64_t ) ) );
+            m_buffer |= loadLittleEndian( m_next ) << m_bufferBits;
+            m_next += 7U - m_bufferBits / 8U;
+            m_bufferBits |= UNCHECKED_REFILL_BITS;
         }
 
         [[nodiscard]] unsigned
@@ -374,30 +399,9 @@ public:
         }
 
     private:
-        void
-        refill() noexcept
-        {
-        #if defined( __BYTE_ORDER__ ) && ( __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__ )
-            if ( m_byteOffset + sizeof( std::uint64_t ) <= m_sizeInBytes ) {
-                std::uint64_t word;
-                std::memcpy( &word, m_data + m_byteOffset, sizeof( std::uint64_t ) );
-                m_buffer |= word << m_bufferBits;
-                const auto absorbed = ( 64U - m_bufferBits ) / 8U;
-                m_byteOffset += absorbed;
-                m_bufferBits += absorbed * 8U;
-                return;
-            }
-        #endif
-            while ( ( m_bufferBits <= 56U ) && ( m_byteOffset < m_sizeInBytes ) ) {
-                m_buffer |= std::uint64_t( m_data[m_byteOffset++] ) << m_bufferBits;
-                m_bufferBits += 8U;
-            }
-        }
-
         BitReader& m_reader;
-        const std::uint8_t* const m_data;
-        const std::size_t m_sizeInBytes;
-        std::size_t m_byteOffset;
+        const std::uint8_t* m_next;  /**< next byte to load into the buffer */
+        const std::uint8_t* const m_end;
         std::uint64_t m_buffer;
         unsigned m_bufferBits;
     };
@@ -454,6 +458,22 @@ private:
         return ( std::uint64_t( 1 ) << bitCount ) - 1U;
     }
 
+    /** The 8 bytes at @p data as a little-endian word: the first byte is
+     * the lowest, which is Deflate's LSB-first bit order. */
+    [[nodiscard]] static std::uint64_t
+    loadLittleEndian( const std::uint8_t* data ) noexcept
+    {
+        std::uint64_t word = 0;
+    #if defined( __BYTE_ORDER__ ) && ( __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__ )
+        std::memcpy( &word, data, sizeof( word ) );
+    #else
+        for ( unsigned i = 0; i < sizeof( word ); ++i ) {
+            word |= std::uint64_t( data[i] ) << ( 8U * i );
+        }
+    #endif
+        return word;
+    }
+
     void
     refill() noexcept
     {
@@ -472,9 +492,7 @@ private:
          * byte-at-a-time loop. */
         if ( m_byteOffset + sizeof( std::uint64_t ) <= m_sizeInBytes ) {
             RAPIDGZIP_ASSUME( m_bufferBits < 64U );
-            std::uint64_t word;
-            std::memcpy( &word, m_data + m_byteOffset, sizeof( std::uint64_t ) );
-            m_buffer |= word << m_bufferBits;
+            m_buffer |= loadLittleEndian( m_data + m_byteOffset ) << m_bufferBits;
             const auto absorbed = ( 64U - m_bufferBits ) / 8U;
             m_byteOffset += absorbed;
             m_bufferBits += absorbed * 8U;

@@ -101,13 +101,17 @@ public:
      * chunk crosses into the members that follow as decodeMembers() does,
      * within the same output budget. The result's `guess` holds where the
      * decode started and its stage-one output, or why the chunk is unusable;
-     * the data never makes this throw.
+     * the data never makes this throw. With @p spanHeld, the thread's span
+     * buffer already holds the bytes of @p file from @p startBitGuess's byte
+     * on, as read by a failed exact decode of the same row (decodeRow()),
+     * and as far as they reach they are not read again.
      */
     [[nodiscard]] static DecodedChunk
     decodeChunkFromGuess( const FileReader& file,
                           std::size_t startBitGuess,
                           std::size_t endBitGuess,
-                          std::size_t maxBytes )
+                          std::size_t maxBytes,
+                          bool spanHeld = false )
     {
         const auto fileSize = file.size();
         const auto fileBits = fileSize * 8;
@@ -120,11 +124,11 @@ public:
             return result;
         }
 
-        /* Zero-churn buffers: the compressed span lives in a per-thread
-         * buffer reused across chunks; the DecodedData comes from the shared
-         * pool, is pre-sized to the chunk's expected yield, and is reused
-         * across failed candidates. */
-        static thread_local std::vector<std::uint8_t> buffer;
+        /* Zero-churn buffers: the compressed span lives in the per-thread
+         * span buffer; the DecodedData comes from the shared pool, is
+         * pre-sized to the chunk's expected yield, and is reused across
+         * failed candidates. */
+        auto& span = spanBuffer();
         auto data = deflate::DecodedDataPool::acquire();
         const auto expectedYield =
             std::min( { maxBytes, ( endBitGuess - startBitGuess ) / 8 * EXPECTED_RATIO + 64 * KiB,
@@ -134,13 +138,21 @@ public:
         while ( true ) {
             const auto startByte = startBitGuess / 8;
             const auto bufferEnd = std::min( fileSize, ceilDiv<std::size_t>( endBitGuess, 8 ) + margin );
-            buffer.resize( bufferEnd - startByte );
-            if ( file.pread( buffer.data(), buffer.size(), startByte ) != buffer.size() ) {
-                guess.error = Error::TRUNCATED_STREAM;
-                deflate::DecodedDataPool::release( std::move( data ) );
-                return result;
+            if ( !spanHeld || ( span.startByte != startByte ) || ( span.bytes.size() < bufferEnd - startByte ) ) {
+                span.startByte = startByte;
+                span.bytes.resize( bufferEnd - startByte );
+                if ( file.pread( span.bytes.data(), span.bytes.size(), startByte ) != span.bytes.size() ) {
+                    guess.error = Error::TRUNCATED_STREAM;
+                    deflate::DecodedDataPool::release( std::move( data ) );
+                    return result;
+                }
+                spanHeld = true;
             }
-            const BufferView view( buffer.data(), buffer.size() );
+            /* Only the bytes a fresh read would hold: a longer held span
+             * must not change which candidates run out of input. The view
+             * dies at crossMembers(), whose decodeMembers() reuses the
+             * span buffer. */
+            const BufferView view( span.bytes.data(), bufferEnd - startByte );
             const auto baseBit = startByte * 8;
             const auto searchEndLocal = endBitGuess - baseBit;
 
@@ -298,29 +310,31 @@ public:
      * (TRUNCATED_STREAM) without that search, which in the last row would
      * decode from every block to the end of the file: the stitch re-decodes
      * the row from where the previous one ended, which reports a truncated
-     * file and decodes a false restart point's row. Transient failures
-     * (I/O, allocation) propagate.
+     * file and decodes a false restart point's row. The guess decode after
+     * a failed exact decode reads no byte the exact decode read. Transient
+     * failures (I/O, allocation) propagate.
      */
     [[nodiscard]] static DecodedChunk
     decodeRow( const FileReader& file, std::size_t startBits, std::size_t untilBits, bool exact,
                std::size_t maxBytes )
     {
-        if ( exact ) {
-            try {
-                auto chunk = decodeMembers( file, startBits, untilBits, {} );
-                auto& guess = chunk.guess.emplace();
-                guess.startBitOffset = startBits;
-                guess.exact = true;
-                return chunk;
-            } catch ( const TruncatedStreamError& ) {
-                DecodedChunk unusable;
-                unusable.guess.emplace().error = Error::TRUNCATED_STREAM;
-                return unusable;
-            } catch ( const InvalidGzipStreamError& ) {
-            } catch ( const ChecksumError& ) {
-            }
+        if ( !exact ) {
+            return decodeChunkFromGuess( file, startBits, untilBits, maxBytes );
         }
-        return decodeChunkFromGuess( file, startBits, untilBits, maxBytes );
+        try {
+            auto chunk = decodeMembers( file, startBits, untilBits, {} );
+            auto& guess = chunk.guess.emplace();
+            guess.startBitOffset = startBits;
+            guess.exact = true;
+            return chunk;
+        } catch ( const TruncatedStreamError& ) {
+            DecodedChunk unusable;
+            unusable.guess.emplace().error = Error::TRUNCATED_STREAM;
+            return unusable;
+        } catch ( const InvalidGzipStreamError& ) {
+        } catch ( const ChecksumError& ) {
+        }
+        return decodeChunkFromGuess( file, startBits, untilBits, maxBytes, /* spanHeld */ true );
     }
 
     /**
@@ -328,8 +342,8 @@ public:
      * from the block boundary @p startBits, with @p window as the history,
      * to the first block boundary at or past @p untilBits, the end of the
      * stream, or @p maxBytes outputs. The compressed span is read once, into
-     * the per-thread buffer, with an overshoot margin that widens when a
-     * block runs past it. Every member in the span decodes from that buffer:
+     * the per-thread span buffer, with an overshoot margin that widens when
+     * a block runs past it. Every member in the span decodes from that buffer:
      * to its final block; its segment CRC and footer offset go into
      * memberEnds, and when the span holds the whole member (it starts inside
      * the span, or at @p startBits with @p startsMember) it must match its
@@ -355,7 +369,8 @@ public:
         }
         const auto endBits = std::clamp( untilBits, startBits, fileSize * 8 );
 
-        static thread_local std::vector<std::uint8_t> buffer;
+        auto& span = spanBuffer();
+        auto& buffer = span.bytes;
         auto decoded = deflate::DecodedDataPool::acquire();
         const auto expectedYield =
             std::min( ( std::max( endBits, startBits + 8 ) - startBits ) / 8 * EXPECTED_RATIO + 64 * KiB,
@@ -365,6 +380,7 @@ public:
         while ( true ) {
             const auto startByte = startBits / 8;
             const auto bufferEnd = std::min( fileSize, ceilDiv<std::size_t>( endBits, 8 ) + margin );
+            span.startByte = startByte;
             buffer.resize( bufferEnd - startByte );
             preadExactly( file, buffer.data(), buffer.size(), startByte );
             const auto baseBit = startByte * 8;
@@ -647,6 +663,23 @@ public:
     }
 
 private:
+    /** The compressed bytes a thread decodes a chunk from, file bytes from
+     * `startByte` on: decodeMembers() and decodeChunkFromGuess() read their
+     * span into it, so a guess decode after a failed exact decode of the
+     * same row can take the bytes that decode read (decodeRow()). */
+    struct SpanBuffer
+    {
+        std::vector<std::uint8_t> bytes;
+        std::size_t startByte{ 0 };
+    };
+
+    [[nodiscard]] static SpanBuffer&
+    spanBuffer()
+    {
+        static thread_local SpanBuffer buffer;
+        return buffer;
+    }
+
     /**
      * @p result's stage-one segment ends its member. Apply the trailing-bytes
      * rule after the footer (@p known: the file's bytes from the footer's end

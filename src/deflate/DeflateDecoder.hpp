@@ -279,13 +279,13 @@ private:
 
     /**
      * The literal/length + distance symbol loop — where paper Table 2 puts
-     * most of the decode time. The fast path amortizes BitReader refills
-     * (one ensureBits() per iteration covers a worst-case 48-bit
-     * literal/length + distance group) and emits through the multi-symbol
-     * cached LUT with unchecked buffer appends; near the end of input it
-     * hands off to the checked reference loop, which owns the EOF
-     * semantics, so behavior at stream boundaries is identical by
-     * construction.
+     * most of the decode time. The fast loop carries the next table entry
+     * across each match, refills without a branch while enough input is
+     * left, takes up to three literal entries per refill, and emits with
+     * unchecked buffer appends. It leaves the last bytes of the input, and
+     * the symbols that may reach the output limit, to the checked reference
+     * loop, which owns the EOF and limit semantics, so behavior at stream
+     * boundaries and at the limit is identical by construction.
      */
     [[nodiscard]] Error
     decodeHuffmanBlock( BitReader& reader,
@@ -359,21 +359,54 @@ private:
         }
     }
 
+    /** 8-element blocks for the overlap-safe chunked match copy. */
+    static constexpr std::size_t WILDCOPY_CHUNK = 8;
+
+    /**
+     * Copy a match of @p length elements from @p distance elements back to
+     * @p destination, inside one buffer. For distance >= WILDCOPY_CHUNK the
+     * copy goes in 8-element blocks, each reading only elements that earlier
+     * blocks finalized, so an overlapping match replicates correctly. The
+     * first two blocks are unconditional (matches of at most 16 elements
+     * are most matches), so the copy may write up to 2 * WILDCOPY_CHUNK - 1
+     * elements past its end; FAST_LOOP_EMIT_SLACK reserves them. Shorter
+     * distances replicate element by element.
+     */
+    template<typename Element>
+    static void
+    copyWithin( Element* destination, std::size_t length, std::size_t distance ) noexcept
+    {
+        const auto* const source = destination - distance;
+        if ( distance >= WILDCOPY_CHUNK ) {
+            std::memcpy( destination, source, WILDCOPY_CHUNK * sizeof( Element ) );
+            std::memcpy( destination + WILDCOPY_CHUNK, source + WILDCOPY_CHUNK,
+                         WILDCOPY_CHUNK * sizeof( Element ) );
+            for ( std::size_t copied = 2 * WILDCOPY_CHUNK; copied < length; copied += WILDCOPY_CHUNK ) {
+                std::memcpy( destination + copied, source + copied, WILDCOPY_CHUNK * sizeof( Element ) );
+            }
+        } else {
+            for ( std::size_t i = 0; i < length; ++i ) {
+                destination[i] = source[i];
+            }
+        }
+    }
+
     /**
      * Append sink over a plain (8-bit) segment: the vector is grown in
      * geometric slabs and writes go through a raw cursor — no per-byte
      * size/capacity check — with the logical size restored on every exit
-     * path by the destructor. LZ77 copies take the seeded window first,
-     * then a contiguous memcpy when source and destination cannot overlap
-     * (distance >= remaining length), else byte-wise replication.
+     * path by the destructor. The seeded window's pointer and size are
+     * copied in, because byte stores may alias the decoder's members. LZ77
+     * copies take the seeded window first, then copyWithin().
      */
     class PlainFastSink
     {
     public:
         PlainFastSink( Decoder& decoder, DecodedData& data ) :
-            m_decoder( decoder ),
             m_out( data.plain.back().data ),
-            m_cursor( m_out.size() )
+            m_cursor( m_out.size() ),
+            m_window( decoder.m_window.data() ),
+            m_windowSize( decoder.m_windowSize )
         {
             /* Jump straight to the existing capacity — pure bookkeeping
              * thanks to FastVector's default-init resize — so ensure()
@@ -392,6 +425,21 @@ private:
 
         PlainFastSink( const PlainFastSink& ) = delete;
         PlainFastSink& operator=( const PlainFastSink& ) = delete;
+
+        /** Elements written so far. */
+        [[nodiscard]] std::size_t
+        size() const noexcept
+        {
+            return m_cursor;
+        }
+
+        /** The largest size at which @p need more elements fit without
+         * ensure() growing the buffer. */
+        [[nodiscard]] std::size_t
+        roomFor( std::size_t need ) const noexcept
+        {
+            return m_out.size() - std::min( m_out.size(), need );
+        }
 
         void
         ensure( std::size_t need )
@@ -424,60 +472,40 @@ private:
         [[nodiscard]] Error
         copyMatch( std::size_t length, std::size_t distance ) noexcept
         {
-            const auto start = m_cursor;
-            if ( distance > start + m_decoder.m_windowSize ) {
-                return Error::EXCEEDED_WINDOW;
-            }
-            auto* const out = m_data;
-            std::size_t remaining = length;
-            if ( distance > start ) {
-                const auto fromWindow = std::min( length, distance - start );
-                const auto* const source = m_decoder.m_window.data()
-                                           + m_decoder.m_windowSize - ( distance - start );
-                std::memcpy( out + m_cursor, source, fromWindow );
+            if ( distance > m_cursor ) {
+                if ( distance > m_cursor + m_windowSize ) {
+                    return Error::EXCEEDED_WINDOW;
+                }
+                /* The match starts in the seeded window; once the copy
+                 * reaches the output it stays there. */
+                const auto fromWindow = std::min( length, distance - m_cursor );
+                std::memcpy( m_data + m_cursor, m_window + m_windowSize - ( distance - m_cursor ), fromWindow );
                 m_cursor += fromWindow;
-                remaining -= fromWindow;
-            }
-            if ( remaining > 0 ) {
-                auto* const destination = out + m_cursor;
-                const auto* const source = destination - distance;
-                if ( distance >= WILDCOPY_CHUNK ) {
-                    /* Chunked wildcopy: each 8-byte block reads bytes
-                     * finalized by earlier blocks (distance >= chunk), so
-                     * any overlap replicates correctly; it may write up to
-                     * 7 bytes past the match end, headroom that
-                     * FAST_LOOP_EMIT_SLACK reserves. Turns the dominant
-                     * short-match copy into 1-2 load/store pairs instead of
-                     * a variable-length memcpy call. */
-                    std::size_t copied = 0;
-                    do {
-                        std::memcpy( destination + copied, source + copied, WILDCOPY_CHUNK );
-                        copied += WILDCOPY_CHUNK;
-                    } while ( copied < remaining );
-                    m_cursor += remaining;
-                } else {
-                    for ( ; remaining > 0; --remaining, ++m_cursor ) {
-                        out[m_cursor] = out[m_cursor - distance];
-                    }
+                length -= fromWindow;
+                if ( length == 0 ) {
+                    return Error::NONE;  /* copyWithin() would read before the output */
                 }
             }
+            copyWithin( m_data + m_cursor, length, distance );
+            m_cursor += length;
             return Error::NONE;
         }
 
     private:
-        Decoder& m_decoder;
         FastVector<std::uint8_t>& m_out;
         std::uint8_t* m_data{ nullptr };
         std::size_t m_cursor;
+        const std::uint8_t* const m_window;
+        const std::size_t m_windowSize;
     };
 
     /**
      * Append sink over the 16-bit marker buffer. The bulk fast path applies
      * when the copy source provably contains no marker (the last marker lies
      * before the source range): the copied symbols are then plain bytes, the
-     * marker clock needs no update, and non-overlapping runs become one
-     * memcpy. Matches that reach into the unknown window or over markers
-     * keep the exact per-symbol semantics of the reference path.
+     * marker clock needs no update, and copyWithin() replicates them.
+     * Matches that reach into the unknown window or over markers keep the
+     * exact per-symbol semantics of the reference path.
      */
     class MarkedFastSink
     {
@@ -506,6 +534,21 @@ private:
         MarkedFastSink( const MarkedFastSink& ) = delete;
         MarkedFastSink& operator=( const MarkedFastSink& ) = delete;
 
+        /** Elements written so far. */
+        [[nodiscard]] std::size_t
+        size() const noexcept
+        {
+            return m_cursor;
+        }
+
+        /** The largest size at which @p need more elements fit without
+         * ensure() growing the buffer. */
+        [[nodiscard]] std::size_t
+        roomFor( std::size_t need ) const noexcept
+        {
+            return m_out.size() - std::min( m_out.size(), need );
+        }
+
         void
         ensure( std::size_t need )
         {
@@ -529,30 +572,11 @@ private:
         copyMatch( std::size_t length, std::size_t distance ) noexcept
         {
             auto* const out = m_data;
-            const auto start = m_cursor;
-            if ( distance <= start ) {
-                const auto sourceBegin = start - distance;
-                if ( ( m_lastMarker == NO_MARKER ) || ( m_lastMarker < sourceBegin ) ) {
-                    if ( distance >= WILDCOPY_CHUNK ) {
-                        /* Same chunked wildcopy as the plain sink, in
-                         * 8-symbol blocks; overlap-safe for distance >=
-                         * chunk, overshoot covered by the emit slack. */
-                        auto* const destination = out + m_cursor;
-                        const auto* const source = out + sourceBegin;
-                        std::size_t copied = 0;
-                        do {
-                            std::memcpy( destination + copied, source + copied,
-                                         WILDCOPY_CHUNK * sizeof( std::uint16_t ) );
-                            copied += WILDCOPY_CHUNK;
-                        } while ( copied < length );
-                        m_cursor += length;
-                    } else {
-                        for ( std::size_t i = 0; i < length; ++i, ++m_cursor ) {
-                            out[m_cursor] = out[m_cursor - distance];
-                        }
-                    }
-                    return Error::NONE;
-                }
+            if ( ( distance <= m_cursor )
+                 && ( ( m_lastMarker == NO_MARKER ) || ( m_lastMarker < m_cursor - distance ) ) ) {
+                copyWithin( out + m_cursor, length, distance );
+                m_cursor += length;
+                return Error::NONE;
             }
             /* distance <= 32768 and position >= 0 bound the marker offset. */
             for ( std::size_t i = 0; i < length; ++i ) {
@@ -584,20 +608,27 @@ private:
      * steady-state capacity after the first chunk, making this moot. */
     static constexpr std::size_t GROWTH_SLACK = 64 * 1024;
 
-    /** Worst-case stream bits one fast-loop iteration may consume: a 15-bit
+    /** Literal entries the fast loop takes per refill, with no bit-count
+     * check between them. */
+    static constexpr unsigned FAST_LOOP_LITERAL_ENTRIES = 3;
+
+    /** Worst-case stream bits of one length and distance: a 15-bit
      * literal/length code + 5 extra bits + a 15-bit distance code + 13
-     * extra bits. One ensureBits() per iteration covers the whole group. */
-    static constexpr unsigned FAST_LOOP_GUARANTEED_BITS = 48;
+     * extra bits. */
+    static constexpr unsigned MAX_MATCH_BITS = 48;
 
-    /** 8-element blocks for the overlap-safe chunked match copy. */
-    static constexpr std::size_t WILDCOPY_CHUNK = 8;
+    /** Unread input bytes the fast loop needs at the top of an iteration,
+     * which refills at most twice: 7k + 1 bytes allow k refills, and 24
+     * allow three. The reference loop decodes the tail. */
+    static constexpr std::size_t FAST_LOOP_INPUT_HEADROOM = 24;
 
-    /** Worst-case elements emitted between two sink.ensure() calls: the
-     * inner literal chew emits at most 2 bytes per >= 1 consumed bit of the
-     * 48-bit guarantee, plus one maximum-length match including the
-     * wildcopy overshoot. */
+    /** Worst-case elements one fast-loop iteration writes past its start,
+     * overshoot included: three literal entries of two elements, then one
+     * maximum-length match with copyWithin()'s overshoot. It is also more
+     * than one iteration emits, so the loop stops this far before the
+     * output limit. */
     static constexpr std::size_t FAST_LOOP_EMIT_SLACK =
-        MAX_MATCH_LENGTH + WILDCOPY_CHUNK + 2 * FAST_LOOP_GUARANTEED_BITS;
+        2 * FAST_LOOP_LITERAL_ENTRIES + MAX_MATCH_LENGTH + 2 * WILDCOPY_CHUNK;
 
     template<typename Sink>
     [[nodiscard]] Error
@@ -605,79 +636,99 @@ private:
                             DecodedData& data,
                             const DynamicHuffmanCodings& codings )
     {
-        static_assert( FAST_LOOP_GUARANTEED_BITS <= BitReader::MAX_ENSURE_BITS );
-        const auto& literal = codings.literal;
+        using Literal = HuffmanCodingMultiCached;
+        constexpr auto literalMask = ( std::uint64_t( 1 ) << Literal::CACHE_BITS ) - 1U;
+        constexpr auto distanceMask =
+            ( std::uint64_t( 1 ) << HuffmanCodingDistanceCached::CACHE_BITS ) - 1U;
+        /* A refill leaves 56 bits for three literal entries, or for one
+         * length and distance; the next entry's lookup reads the 64 stream
+         * bits the refill left in the buffer (see refillUnchecked()). */
+        static_assert( FAST_LOOP_LITERAL_ENTRIES * Literal::CACHE_BITS
+                       <= BitReader::RegisterCursor::UNCHECKED_REFILL_BITS );
+        static_assert( MAX_MATCH_BITS <= BitReader::RegisterCursor::UNCHECKED_REFILL_BITS );
+        static_assert( ( FAST_LOOP_LITERAL_ENTRIES + 1 ) * Literal::CACHE_BITS <= 64 );
+        static_assert( MAX_MATCH_BITS + 15 <= 64 );  /* then a fallback literal, then a lookup */
+
         /* Hoist every loop invariant into locals: output stores are byte
          * stores that alias all class members, so anything not local would
          * be reloaded from memory on every iteration. The RegisterCursor
          * does the same for the BitReader's state and syncs back on scope
-         * exit; m_totalDecoded is mirrored in `produced`. */
-        constexpr auto cacheBits = HuffmanCodingMultiCached::CACHE_BITS;
-        constexpr auto cacheMask = ( std::uint64_t( 1 ) << cacheBits ) - 1U;
-        const auto* const multiTable = literal.tableData();
-        constexpr auto distanceMask =
-            ( std::uint64_t( 1 ) << HuffmanCodingDistanceCached::CACHE_BITS ) - 1U;
-        const auto* const distanceTable = codings.distance.tableData();
-        const auto hardByteLimit = m_hardByteLimit;
-        auto produced = m_totalDecoded;
+         * exit; m_totalDecoded follows the sink's size. Table entries are
+         * carried packed, in one register each. The tables are arrays in
+         * @p codings, so their addresses need no register of their own. */
+        const auto& literalFallback = codings.literal.fallback();
+        const auto& distanceFallback = codings.distance.fallback();
+        const bool distanceUsable = codings.distanceUsable;
+        const auto lookUp = [&codings] ( std::uint64_t bits ) {
+            return PackedEntry::load( codings.literal.tableData()[bits & literalMask] );
+        };
+        const auto isLiterals = [] ( PackedEntry entry ) {
+            return ( entry.kind() & Literal::LITERALS ) != 0;
+        };
         auto result = Error::NONE;
         bool blockDone = false;
         {
             Sink sink( *this, data );
+            const auto sizeBefore = sink.size();
+            /* The reference loop checks the limit after every symbol, so it
+             * decodes every symbol that may reach the limit. */
+            const auto room = m_hardByteLimit - std::min( m_hardByteLimit, m_totalDecoded );
+            const auto stopSize = sizeBefore + std::min( room - std::min( room, FAST_LOOP_EMIT_SLACK ),
+                                                         std::numeric_limits<std::size_t>::max()
+                                                         - sizeBefore );
+            /* Below this size the sink has room for an iteration, and the
+             * limit is not near. */
+            auto freeSize = std::min( stopSize, sink.roomFor( FAST_LOOP_EMIT_SLACK ) );
             BitReader::RegisterCursor cursor( reader );
-            while ( true ) {
-                if ( !cursor.ensureBits( FAST_LOOP_GUARANTEED_BITS ) ) {
-                    break;  /* near EOF: the checked reference loop finishes the block */
+            if ( cursor.hasInput( FAST_LOOP_INPUT_HEADROOM ) ) {
+                cursor.refillUnchecked();
+            }
+            /* The carried entry: looked up before the refill that precedes
+             * its use, which does not change it. */
+            auto entry = lookUp( cursor.peekBufferUnsafe() );
+            while ( cursor.hasInput( FAST_LOOP_INPUT_HEADROOM ) ) {
+                if ( sink.size() >= freeSize ) {
+                    if ( sink.size() >= stopSize ) {
+                        break;
+                    }
+                    sink.ensure( FAST_LOOP_EMIT_SLACK );
+                    freeSize = std::min( stopSize, sink.roomFor( FAST_LOOP_EMIT_SLACK ) );
                 }
-                if ( produced >= hardByteLimit ) {
-                    result = Error::EXCEEDED_OUTPUT_LIMIT;
-                    blockDone = true;
-                    break;
-                }
-                sink.ensure( FAST_LOOP_EMIT_SLACK );
+                cursor.refillUnchecked();
 
-                /* Chew literal entries straight from the refill buffer: each
-                 * costs one peek + one table hit + two stores, deferring the
-                 * refill until the buffered bits run short of one more
-                 * lookup. A non-literal entry is handled below under the
-                 * full 48-bit guarantee — when the buffer no longer
-                 * guarantees that, fall back to the outer loop WITHOUT
-                 * consuming; the same entry is re-peeked after the refill. */
-                const HuffmanCodingMultiCached::Entry* entry = nullptr;
-                while ( true ) {
-                    const auto& candidate = multiTable[cursor.peekBufferUnsafe() & cacheMask];
-                    if ( candidate.kind() == HuffmanCodingMultiCached::LITERALS ) {
-                        cursor.consumeUnsafe( candidate.bitsConsumed );
-                        const auto count = candidate.count();
-                        sink.pushPair( candidate.payload, count );
-                        produced += count;
-                        if ( cursor.bufferedBits() >= cacheBits ) {
-                            continue;
+                /* FAST_LOOP_LITERAL_ENTRIES literal entries, unrolled. */
+                if ( isLiterals( entry ) ) {
+                    cursor.consumeUnsafe( entry.bitsConsumed() );
+                    sink.pushPair( entry.payload(), entry.aux() );
+                    entry = lookUp( cursor.peekBufferUnsafe() );
+                    if ( isLiterals( entry ) ) {
+                        cursor.consumeUnsafe( entry.bitsConsumed() );
+                        sink.pushPair( entry.payload(), entry.aux() );
+                        entry = lookUp( cursor.peekBufferUnsafe() );
+                        if ( isLiterals( entry ) ) {
+                            cursor.consumeUnsafe( entry.bitsConsumed() );
+                            sink.pushPair( entry.payload(), entry.aux() );
+                            entry = lookUp( cursor.peekBufferUnsafe() );
                         }
-                        break;  /* refill, limit-check, and come back */
                     }
-                    if ( cursor.bufferedBits() >= FAST_LOOP_GUARANTEED_BITS ) {
-                        entry = &candidate;
+                    if ( isLiterals( entry ) ) {
+                        continue;
                     }
-                    break;
-                }
-                if ( entry == nullptr ) {
-                    continue;
+                    cursor.refillUnchecked();  /* a length and distance take up to 48 bits */
                 }
 
-                cursor.consumeUnsafe( entry->bitsConsumed );  /* 0 for FALLBACK */
+                cursor.consumeUnsafe( entry.bitsConsumed() );  /* 0 for FALLBACK */
                 std::size_t length = 0;
-                const auto kind = entry->kind();
-                if ( kind == HuffmanCodingMultiCached::LENGTH ) {
-                    length = entry->payload + cursor.readUnsafe( entry->extraBits() );
-                } else if ( kind == HuffmanCodingMultiCached::END_OF_BLOCK ) {
+                if ( entry.kind() == Literal::LENGTH ) {
+                    length = entry.payload() + cursor.readUnsafe( entry.aux() );
+                } else if ( entry.kind() == Literal::END_OF_BLOCK ) {
                     blockDone = true;
                     break;
                 } else {
                     /* FALLBACK: code longer than the cache window (or the
                      * invalid symbols 286/287) — the two-level LUT resolves
-                     * it under the >= 48-bit guarantee. */
-                    const auto symbol = literal.fallback().decodeUnsafe( cursor );
+                     * it within the refill's 56 bits. */
+                    const auto symbol = literalFallback.decodeUnsafe( cursor );
                     if ( symbol < 0 ) {
                         result = Error::INVALID_SYMBOL;
                         blockDone = true;
@@ -685,7 +736,7 @@ private:
                     }
                     if ( symbol < static_cast<int>( END_OF_BLOCK ) ) {
                         sink.pushPair( static_cast<std::uint16_t>( symbol ), 1 );
-                        ++produced;
+                        entry = lookUp( cursor.peekBufferUnsafe() );
                         continue;
                     }
                     if ( symbol == static_cast<int>( END_OF_BLOCK ) ) {
@@ -702,23 +753,22 @@ private:
                              + cursor.readUnsafe( LENGTH_EXTRA_BITS[lengthIndex] );
                 }
 
-                if ( !codings.distanceUsable ) {
+                if ( !distanceUsable ) {
                     result = Error::INVALID_DISTANCE;
                     blockDone = true;
                     break;
                 }
                 /* One table hit resolves code AND (usually) the extra bits;
-                 * extraBits() is 0 when folded, so the hot path is
+                 * the extra-bit count is 0 when folded, so the hot path is
                  * branch-free between the folded and unfolded cases. */
                 std::size_t distance = 0;
-                const auto& distanceEntry =
-                    distanceTable[cursor.peekBufferUnsafe() & distanceMask];
-                if ( distanceEntry.bitsConsumed != 0 ) {
-                    cursor.consumeUnsafe( distanceEntry.bitsConsumed );
-                    distance = distanceEntry.payload
-                               + cursor.readUnsafe( distanceEntry.extraBits() );
+                const auto distanceEntry = PackedEntry::load(
+                    codings.distance.tableData()[cursor.peekBufferUnsafe() & distanceMask] );
+                if ( distanceEntry.bitsConsumed() != 0 ) {
+                    cursor.consumeUnsafe( distanceEntry.bitsConsumed() );
+                    distance = distanceEntry.payload() + cursor.readUnsafe( distanceEntry.aux() );
                 } else {
-                    const auto distanceSymbol = codings.distance.fallback().decodeUnsafe( cursor );
+                    const auto distanceSymbol = distanceFallback.decodeUnsafe( cursor );
                     if ( ( distanceSymbol < 0 ) || ( distanceSymbol > 29 ) ) {
                         result = Error::INVALID_DISTANCE;
                         blockDone = true;
@@ -728,16 +778,18 @@ private:
                                + cursor.readUnsafe( DISTANCE_EXTRA_BITS[distanceSymbol] );
                 }
 
+                /* Look the next entry up before the copy, so that the load
+                 * overlaps it. */
+                entry = lookUp( cursor.peekBufferUnsafe() );
                 const auto error = sink.copyMatch( length, distance );
                 if ( error != Error::NONE ) {
                     result = error;
                     blockDone = true;
                     break;
                 }
-                produced += length;
             }
+            m_totalDecoded += sink.size() - sizeBefore;
         }
-        m_totalDecoded = produced;
         if ( blockDone ) {
             return result;
         }

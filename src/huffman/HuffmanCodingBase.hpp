@@ -199,6 +199,68 @@ buildTableByDoubling( Entry* table, unsigned bits, WriteLevel&& writeLevel )
 }
 
 /**
+ * A cached-table entry (HuffmanCodingMultiCached::Entry,
+ * HuffmanCodingDistanceCached::Entry: bitsConsumed, a kind nibble, an aux
+ * nibble and a 16-bit payload) as one 32-bit value: bitsConsumed in bits
+ * 0–7, kind in 8–11, aux in 12–15, payload in 16–31. A hot loop keeps an
+ * entry in one register this way, and consumes it with one shift by its low
+ * byte.
+ */
+class PackedEntry
+{
+public:
+    template<typename Entry>
+    [[nodiscard]] static PackedEntry
+    load( const Entry& entry ) noexcept
+    {
+        static_assert( sizeof( Entry ) == sizeof( std::uint32_t ) );
+    #if defined( __BYTE_ORDER__ ) && ( __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__ )
+        /* The field order of Entry is the value's byte order. */
+        std::uint32_t value;
+        std::memcpy( &value, &entry, sizeof( value ) );
+        return PackedEntry( value );
+    #else
+        const auto* const bytes = reinterpret_cast<const std::uint8_t*>( &entry );
+        std::uint16_t payload;
+        std::memcpy( &payload, bytes + 2, sizeof( payload ) );
+        return PackedEntry( bytes[0] | ( std::uint32_t( bytes[1] ) << 8U ) | ( std::uint32_t( payload ) << 16U ) );
+    #endif
+    }
+
+    [[nodiscard]] unsigned
+    bitsConsumed() const noexcept
+    {
+        return m_value & 0xFFU;
+    }
+
+    [[nodiscard]] unsigned
+    kind() const noexcept
+    {
+        return ( m_value >> 8U ) & 0x0FU;
+    }
+
+    /** A literal count or an extra-bit count. */
+    [[nodiscard]] unsigned
+    aux() const noexcept
+    {
+        return ( m_value >> 12U ) & 0x0FU;
+    }
+
+    [[nodiscard]] std::uint16_t
+    payload() const noexcept
+    {
+        return static_cast<std::uint16_t>( m_value >> 16U );
+    }
+
+private:
+    explicit constexpr PackedEntry( std::uint32_t value ) noexcept :
+        m_value( value )
+    {}
+
+    std::uint32_t m_value;
+};
+
+/**
  * Shared canonical-Huffman machinery (CRTP). Derived classes only decide the
  * lookup-table layout, built by buildLookupTables( const CanonicalCodes& );
  * code assignment, Kraft validation, and the decode() result conventions

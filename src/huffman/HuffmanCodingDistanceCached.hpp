@@ -46,11 +46,20 @@ public:
                              *   (0 = final distance, extra already folded in) */
     };
 
+    /** Fields in PackedEntry's byte order. */
     struct Entry
     {
-        std::uint16_t payload{ 0 };
         std::uint8_t bitsConsumed{ 0 };   /**< stream bits this entry accounts for */
         std::uint8_t kindAndExtra{ 0 };   /**< kind in low nibble, extra-bit count in high */
+        std::uint16_t payload{ 0 };
+
+        constexpr Entry() noexcept = default;
+
+        constexpr Entry( std::uint16_t payload_, std::uint8_t bitsConsumed_, std::uint8_t kindAndExtra_ ) noexcept :
+            bitsConsumed( bitsConsumed_ ),
+            kindAndExtra( kindAndExtra_ ),
+            payload( payload_ )
+        {}
 
         [[nodiscard]] Kind kind() const noexcept
         { return static_cast<Kind>( kindAndExtra & 0x0FU ); }

@@ -58,21 +58,32 @@ public:
      * cursor by count(), which keeps the hottest dispatch branch
      * (literal vs not) highly predictable instead of a 1-vs-2-symbol coin
      * flip. LENGTH entries with their extra bits folded in simply carry
-     * extraBits() == 0, unifying them with the overflow case.
+     * extraBits() == 0, unifying them with the overflow case. Each kind but
+     * FALLBACK is one bit, so that testing an entry for LITERALS tests one
+     * bit.
      */
     enum Kind : std::uint8_t
     {
         FALLBACK = 0,      /**< long code, invalid pattern, or symbol > 285: use fallback() */
         LITERALS = 1,      /**< payload = byte0 | byte1 << 8; emit count() bytes */
         LENGTH = 2,        /**< payload = base length; add extraBits() more stream bits */
-        END_OF_BLOCK = 3,  /**< symbol 256 */
+        END_OF_BLOCK = 4,  /**< symbol 256 */
     };
 
+    /** Fields in PackedEntry's byte order. */
     struct Entry
     {
-        std::uint16_t payload{ 0 };
         std::uint8_t bitsConsumed{ 0 };   /**< stream bits this entry accounts for */
         std::uint8_t kindAndAux{ 0 };     /**< kind in low nibble, count/extra in high */
+        std::uint16_t payload{ 0 };
+
+        constexpr Entry() noexcept = default;
+
+        constexpr Entry( std::uint16_t payload_, std::uint8_t bitsConsumed_, std::uint8_t kindAndAux_ ) noexcept :
+            bitsConsumed( bitsConsumed_ ),
+            kindAndAux( kindAndAux_ ),
+            payload( payload_ )
+        {}
 
         [[nodiscard]] Kind kind() const noexcept
         { return static_cast<Kind>( kindAndAux & 0x0FU ); }

@@ -3,11 +3,18 @@
  * LUTs, guaranteed-bits reads, wildcopy matches) vs its REFERENCE loop
  * (two-level LUT, checked reads) on arbitrary input from arbitrary bit
  * offsets, in both marker (unknown window) and plain (seeded window)
- * modes. The two paths must agree on error, end offset, block count, AND
- * every output unit — the bit-exactness contract the PR 4 hot paths claim.
+ * modes, under an output limit the input chooses. The two paths must agree
+ * on error, end offset, block count, AND every output unit — the
+ * bit-exactness contract the fast paths claim.
+ *
+ * The first input byte steers: bits 0–2 the start bit, bit 3 the seeded
+ * window, bits 4–7 the output limit (0: 4 MiB, n: 2^n bytes). The rest is
+ * the raw Deflate input.
  *
  * Build (Clang only): cmake -DRAPIDGZIP_FUZZ=ON, target fuzz_deflate.
  * Run: ./fuzz_deflate tests/fuzz/corpus/deflate -max_total_time=60
+ * Every compiler builds testFuzzDeflateReplay, which feeds each file of
+ * the corpus to LLVMFuzzerTestOneInput once (fuzz_replay_main.cpp).
  */
 
 #include <algorithm>
@@ -50,6 +57,7 @@ decodeWith( const std::uint8_t* data,
             std::size_t size,
             std::size_t startBit,
             bool seededWindow,
+            std::size_t maxBytes,
             bool reference )
 {
     rapidgzip::BitReader reader( data, size );
@@ -62,9 +70,7 @@ decodeWith( const std::uint8_t* data,
         decoder.setInitialWindow( { window.data(), window.size() } );
     }
     rapidgzip::deflate::DecodedData output;
-    const auto result = decoder.decode( reader, output,
-                                        std::numeric_limits<std::size_t>::max(),
-                                        /* maxBytes */ 4 * rapidgzip::MiB );
+    const auto result = decoder.decode( reader, output, std::numeric_limits<std::size_t>::max(), maxBytes );
     DecodeOutcome outcome;
     outcome.error = result.error;
     outcome.endBitOffset = result.endBitOffset;
@@ -87,16 +93,18 @@ LLVMFuzzerTestOneInput( const std::uint8_t* data, std::size_t size )
     }
     const std::size_t startBit = data[0] % 8;
     const bool seededWindow = ( data[0] & 0x08U ) != 0;
+    const unsigned limitExponent = data[0] >> 4U;
+    const std::size_t maxBytes = limitExponent == 0 ? 4 * rapidgzip::MiB : std::size_t( 1 ) << limitExponent;
 
-    const auto fast = decodeWith( data + 1, size - 1, startBit, seededWindow, false );
-    const auto referenceOutcome = decodeWith( data + 1, size - 1, startBit, seededWindow, true );
+    const auto fast = decodeWith( data + 1, size - 1, startBit, seededWindow, maxBytes, false );
+    const auto referenceOutcome = decodeWith( data + 1, size - 1, startBit, seededWindow, maxBytes, true );
 
     if ( !( fast == referenceOutcome ) ) {
         std::fprintf( stderr,
-                      "decoder divergence: startBit %zu seeded %d — "
+                      "decoder divergence: startBit %zu seeded %d maxBytes %zu — "
                       "fast(err %d, end %zu, blocks %zu, %zu marked, %zu plain) vs "
                       "reference(err %d, end %zu, blocks %zu, %zu marked, %zu plain)\n",
-                      startBit, int( seededWindow ),
+                      startBit, int( seededWindow ), maxBytes,
                       int( fast.error ), fast.endBitOffset, fast.blockCount,
                       fast.marked.size(), fast.plain.size(),
                       int( referenceOutcome.error ), referenceOutcome.endBitOffset,

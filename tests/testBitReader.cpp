@@ -4,6 +4,7 @@
  * past EOF, plus LSB-first bit-order and peek/skip semantics.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -177,7 +178,8 @@ main()
 
     /* Guaranteed-bits contract (PR 4): an ensureBits/readUnsafe loop must
      * reproduce a checked read() loop bit for bit, leave exactly the
-     * unguaranteeable tail, and agree through a RegisterCursor as well. */
+     * unguaranteeable tail, and agree through a RegisterCursor, refilled by
+     * refillUnchecked(), as well. */
     {
         const auto data = rapidgzip::workloads::randomData( 64 * KiB + 3, 0xFA57 );
 
@@ -200,7 +202,8 @@ main()
         BitReader plainReader( data.data(), data.size() );
         {
             BitReader::RegisterCursor cursor( cursorReader );
-            for ( int i = 0; i < 1000 && cursor.ensureBits( 57 ); ++i ) {
+            for ( int i = 0; i < 1000 && cursor.hasInput( 8 ); ++i ) {
+                cursor.refillUnchecked();
                 REQUIRE( cursor.readUnsafe( 13 ) == plainReader.read( 13 ) );
                 REQUIRE( ( cursor.peekBufferUnsafe()
                            & ( ( std::uint64_t( 1 ) << 5U ) - 1 ) ) == plainReader.peek( 5 ) );
@@ -210,6 +213,53 @@ main()
         }  /* destructor syncs the cursor back */
         REQUIRE( cursorReader.tell() == plainReader.tell() );
         REQUIRE( cursorReader.read( 17 ) == plainReader.read( 17 ) );
+    }
+
+    /* refillUnchecked() at every fill level 0–64 (a cursor gives a 64-bit
+     * fill's last byte back): it buffers 56–63 bits, where ensureBits()
+     * buffers 57–64, and the reads after it return the same bits and
+     * tell() as reads guarded by ensureBits(), also through the reader
+     * after the cursor syncs back. */
+    {
+        const auto data = rapidgzip::workloads::randomData( 256, 0xFA5A );
+        for ( std::size_t start = 0; start < 24; start += 8 ) {
+            for ( unsigned fill = 0; fill <= 64; ++fill ) {
+                BitReader reader( data.data(), data.size() );
+                reader.seek( start );
+                if ( fill > 0 ) {
+                    REQUIRE( reader.ensureBits( 1 ) );
+                    REQUIRE( reader.bufferedBits() == 64 );
+                }
+                for ( auto toSkip = 64 - fill; toSkip > 0; ) {
+                    const auto step = std::min( toSkip, 32U );
+                    reader.skip( step );
+                    toSkip -= step;
+                }
+                const auto position = reader.tell();
+                REQUIRE( position == start + 64 - fill );
+                BitReader guarded( data.data(), data.size() );
+                guarded.seek( position );
+                {
+                    BitReader::RegisterCursor cursor( reader );
+                    REQUIRE( cursor.bufferedBits() == std::min( fill, 56U + fill % 8U ) );
+                    REQUIRE( cursor.hasInput( 8 ) );
+                    cursor.refillUnchecked();
+                    REQUIRE( cursor.bufferedBits() >= BitReader::RegisterCursor::UNCHECKED_REFILL_BITS );
+                    REQUIRE( cursor.bufferedBits() <= 63 );
+                    REQUIRE( guarded.ensureBits( 57 ) );
+                    REQUIRE( guarded.bufferedBits() >= 57 );
+                    for ( unsigned taken = 0; taken + 7 <= BitReader::RegisterCursor::UNCHECKED_REFILL_BITS;
+                          taken += 7 ) {
+                        REQUIRE( cursor.readUnsafe( 7 ) == guarded.readUnsafe( 7 ) );
+                    }
+                }
+                REQUIRE( reader.tell() == guarded.tell() );
+                for ( int i = 0; i < 40; ++i ) {
+                    REQUIRE( reader.read( 29 ) == guarded.read( 29 ) );
+                    REQUIRE( reader.tell() == guarded.tell() );
+                }
+            }
+        }
     }
 
     /* peek64 and peekAt agree with seek + checked reads at any offset. */

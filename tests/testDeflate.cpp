@@ -13,6 +13,7 @@
 #include <zlib.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -250,6 +251,7 @@ struct DecodeSetup
 {
     std::size_t fromBit{ 0 };
     bool windowKnown{ true };
+    BufferView window{};  /**< the seeded window when windowKnown */
     bool startAtStoredData{ false };
     std::size_t maxBytes{ std::numeric_limits<std::size_t>::max() };
 };
@@ -263,7 +265,7 @@ decodeOnce( BufferView stream, const DecodeSetup& setup, bool reference )
     decoder.setReferenceHuffmanDecoding( reference );
     decoder.setStartAtStoredData( setup.startAtStoredData );
     if ( setup.windowKnown ) {
-        decoder.setInitialWindow( {} );
+        decoder.setInitialWindow( setup.window );
     }
     DecodeOutcome outcome;
     outcome.result = decoder.decode( reader, outcome.decoded,
@@ -297,6 +299,308 @@ decodeFastAndReference( BufferView stream, const DecodeSetup& setup )
                              reference.decoded.plain[i].data.begin() ) );
     }
     return fast;
+}
+
+/** The decode setups every fast-loop exit is checked in: plain mode from
+ * the stream start, and marker mode from the first Dynamic block at or
+ * after the middle of @p stream (from its start when there is none). */
+[[nodiscard]] std::vector<DecodeSetup>
+bothModes( BufferView stream )
+{
+    DecodeSetup plain;
+    DecodeSetup marked;
+    marked.windowKnown = false;
+    const blockfinder::DynamicBlockFinderNaive finder;
+    const auto blockBit = finder.find( stream, stream.size() / 2 * 8 );
+    marked.fromBit = blockBit == blockfinder::NOT_FOUND ? 0 : blockBit;
+    return { plain, marked };
+}
+
+/**
+ * Output limits inside Huffman blocks: maxBytes = 1 000 + 997·k for k < 200
+ * on 256 KiB base64, silesia-like and FASTQ level-6 streams, in both modes.
+ * The fast loop must stop at exactly the symbol where the reference loop
+ * stops, which is the first to reach maxBytes + 2 · MAX_MATCH_LENGTH.
+ */
+void
+testOutputLimitSweep()
+{
+    constexpr std::size_t SIZE = 256 * KiB;
+    std::size_t exceeded = 0;
+    for ( const auto& data : { workloads::base64Data( SIZE, 0x1A01 ), workloads::silesiaLikeData( SIZE, 0x1A02 ),
+                               workloads::fastqData( SIZE, 0x1A03 ) } ) {
+        const auto gz = compressGzipLike( { data.data(), data.size() }, 6 );
+        const auto stream = deflateStream( gz );
+        for ( auto setup : bothModes( stream ) ) {
+            for ( std::size_t k = 0; k < 200; ++k ) {
+                setup.maxBytes = 1000 + 997 * k;
+                const auto outcome = decodeFastAndReference( stream, setup );
+                const auto hardLimit = setup.maxBytes + 2 * deflate::MAX_MATCH_LENGTH;
+                if ( outcome.result.error == Error::EXCEEDED_OUTPUT_LIMIT ) {
+                    ++exceeded;
+                    REQUIRE( outcome.totalDecoded >= hardLimit );
+                    REQUIRE( outcome.totalDecoded < hardLimit + deflate::MAX_MATCH_LENGTH );
+                } else {
+                    REQUIRE( outcome.result.error == Error::NONE );
+                }
+            }
+        }
+    }
+    std::printf( "  output limit sweep: %zu of 1200 decodes stopped inside a block\n", exceeded );
+    REQUIRE( exceeded >= 600 );
+}
+
+/** A Deflate stream cut at each of its last 64 bytes: the fast loop hands
+ * the input tail to the reference loop, which reports the truncation. */
+void
+testTruncatedTail()
+{
+    for ( const auto& data : { workloads::silesiaLikeData( 64 * KiB, 0x1A04 ),
+                               workloads::base64Data( 64 * KiB, 0x1A05 ) } ) {
+        const auto gz = compressGzipLike( { data.data(), data.size() }, 6 );
+        const auto stream = deflateStream( gz );
+        const auto deflateSize = stream.size() - GZIP_FOOTER_SIZE;
+        const auto modes = bothModes( { stream.data(), deflateSize } );
+        for ( auto cut = deflateSize - 64; cut < deflateSize; ++cut ) {
+            for ( const auto& setup : modes ) {
+                const auto outcome = decodeFastAndReference( { stream.data(), cut }, setup );
+                REQUIRE( outcome.result.error == Error::TRUNCATED_STREAM );
+                REQUIRE( !outcome.result.reachedFinalBlock );
+            }
+        }
+    }
+}
+
+/** Complete code lengths for @p count symbols: the symbols before
+ * @p longCount get 12–15 bits, and the others, in the order of
+ * @p shortOrder, are shortened one by one from 15 bits as far as the Kraft
+ * sum allows, until it is exactly 1. */
+[[nodiscard]] std::vector<std::uint8_t>
+completeCodeLengths( std::size_t count, std::size_t longCount, const std::vector<std::size_t>& shortOrder )
+{
+    constexpr std::size_t KRAFT_ONE = std::size_t( 1 ) << 15U;
+    std::vector<std::uint8_t> lengths( count, 15 );
+    for ( std::size_t i = 0; i < longCount; ++i ) {
+        lengths[i] = static_cast<std::uint8_t>( 12 + i % 4 );
+    }
+    std::size_t units = 0;
+    for ( const auto length : lengths ) {
+        units += KRAFT_ONE >> length;
+    }
+    for ( const auto symbol : shortOrder ) {
+        auto& length = lengths[symbol];
+        while ( ( length > 1 ) && ( units + ( KRAFT_ONE >> length ) <= KRAFT_ONE ) ) {
+            units += KRAFT_ONE >> length;
+            --length;
+        }
+    }
+    REQUIRE( units == KRAFT_ONE );
+    return lengths;
+}
+
+/** Canonical Huffman codes of @p lengths (RFC 1951 §3.2.2). */
+[[nodiscard]] std::vector<std::uint32_t>
+canonicalCodes( const std::vector<std::uint8_t>& lengths )
+{
+    std::array<std::uint32_t, 17> lengthCount{};
+    for ( const auto length : lengths ) {
+        ++lengthCount[length];
+    }
+    lengthCount[0] = 0;
+    std::array<std::uint32_t, 17> nextCode{};
+    for ( std::size_t length = 1; length < nextCode.size(); ++length ) {
+        nextCode[length] = ( nextCode[length - 1] + lengthCount[length - 1] ) << 1U;
+    }
+    std::vector<std::uint32_t> codes( lengths.size() );
+    for ( std::size_t symbol = 0; symbol < lengths.size(); ++symbol ) {
+        if ( lengths[symbol] != 0 ) {
+            codes[symbol] = nextCode[lengths[symbol]]++;
+        }
+    }
+    return codes;
+}
+
+/**
+ * One final Dynamic block, built by hand, whose codes reach past both cached
+ * tables: 64 literals with 12–15-bit codes, most other literals at 14–15
+ * bits, and 8 distance codes (distances 1–16) with 12–15 bits. Its symbols
+ * mix those literals with matches of 3–258 bytes at distances up to 32 KiB,
+ * 40% of them at a long-code distance. Returns the raw stream and the bytes
+ * it decodes to.
+ */
+[[nodiscard]] std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t> >
+longCodeStream( std::size_t symbolCount, std::uint64_t seed )
+{
+    std::vector<std::size_t> literalOrder;
+    for ( std::size_t symbol = deflate::END_OF_BLOCK; symbol < deflate::MAX_LITERAL_SYMBOLS; ++symbol ) {
+        literalOrder.push_back( symbol );
+    }
+    for ( std::size_t symbol = 64; symbol < deflate::END_OF_BLOCK; ++symbol ) {
+        literalOrder.push_back( symbol );
+    }
+    std::vector<std::size_t> distanceOrder;
+    for ( std::size_t symbol = 8; symbol < deflate::MAX_DISTANCE_SYMBOLS; ++symbol ) {
+        distanceOrder.push_back( symbol );
+    }
+    const auto literalLengths = completeCodeLengths( deflate::MAX_LITERAL_SYMBOLS, 64, literalOrder );
+    const auto distanceLengths = completeCodeLengths( deflate::MAX_DISTANCE_SYMBOLS, 8, distanceOrder );
+    const auto literalCodes = canonicalCodes( literalLengths );
+    const auto distanceCodes = canonicalCodes( distanceLengths );
+
+    std::vector<std::uint8_t> stream;
+    std::vector<std::uint8_t> decoded;
+    deflatewriter::LsbBitWriter writer( stream );
+    writer.writeBits( 1, 1 );  /* BFINAL */
+    writer.writeBits( static_cast<std::uint32_t>( deflate::BLOCK_TYPE_DYNAMIC ), 2 );
+    writer.writeBits( deflate::MAX_LITERAL_SYMBOLS - 257, 5 );
+    writer.writeBits( deflate::MAX_DISTANCE_SYMBOLS - 1, 5 );
+    writer.writeBits( deflate::PRECODE_SYMBOLS - 4, 4 );
+    /* The precode: 4-bit codes for the lengths 0–15, so precode symbol s
+     * is written as s itself. */
+    for ( const auto symbol : deflate::PRECODE_ORDER ) {
+        writer.writeBits( symbol < 16 ? 4 : 0, deflate::PRECODE_BITS );
+    }
+    for ( const auto* lengths : { &literalLengths, &distanceLengths } ) {
+        for ( const auto length : *lengths ) {
+            writer.writeCode( length, 4 );
+        }
+    }
+
+    Xorshift64 random( seed );
+    const auto writeLiteral = [&] ( std::size_t symbol ) {
+        writer.writeCode( literalCodes[symbol], literalLengths[symbol] );
+        decoded.push_back( static_cast<std::uint8_t>( symbol ) );
+    };
+    for ( std::size_t i = 0; i < symbolCount; ++i ) {
+        const auto choice = random.below( 10 );
+        if ( ( choice < 5 ) || ( decoded.size() < 16 ) ) {
+            writeLiteral( choice < 3 ? random.below( 64 ) : random.below( 256 ) );
+            continue;
+        }
+        const auto length = random.below( 8 ) == 0 ? 3 + random.below( 256 ) : 3 + random.below( 14 );
+        const auto distance = choice < 7 ? 1 + random.below( 16 )
+                                         : 1 + random.below( std::min<std::size_t>( decoded.size(),
+                                                                                     deflate::WINDOW_SIZE ) );
+        const auto lengthIndex = static_cast<std::size_t>(
+            std::upper_bound( deflate::LENGTH_BASE.begin(), deflate::LENGTH_BASE.end(), length )
+            - deflate::LENGTH_BASE.begin() - 1 );
+        writer.writeCode( literalCodes[257 + lengthIndex], literalLengths[257 + lengthIndex] );
+        writer.writeBits( static_cast<std::uint32_t>( length - deflate::LENGTH_BASE[lengthIndex] ),
+                          deflate::LENGTH_EXTRA_BITS[lengthIndex] );
+        const auto distanceIndex = static_cast<std::size_t>(
+            std::upper_bound( deflate::DISTANCE_BASE.begin(), deflate::DISTANCE_BASE.end(), distance )
+            - deflate::DISTANCE_BASE.begin() - 1 );
+        writer.writeCode( distanceCodes[distanceIndex], distanceLengths[distanceIndex] );
+        writer.writeBits( static_cast<std::uint32_t>( distance - deflate::DISTANCE_BASE[distanceIndex] ),
+                          deflate::DISTANCE_EXTRA_BITS[distanceIndex] );
+        for ( std::size_t j = 0; j < length; ++j ) {
+            decoded.push_back( decoded[decoded.size() - distance] );
+        }
+    }
+    writer.writeCode( literalCodes[deflate::END_OF_BLOCK], literalLengths[deflate::END_OF_BLOCK] );
+    writer.alignToByte();
+    return { std::move( stream ), std::move( decoded ) };
+}
+
+/**
+ * Codes longer than the cached tables reach, so that the fast loop takes
+ * both tables' FALLBACK entries (longCodeStream()): decoded in both modes
+ * against the reference loop and zlib.
+ */
+void
+testLongCodes()
+{
+    const auto [stream, expected] = longCodeStream( 20000, 0x1A06 );
+    const BufferView view( stream.data(), stream.size() );
+    {
+        BitReader reader( stream.data(), stream.size() );
+        reader.seek( 3 );
+        deflate::DynamicHuffmanCodings codings;
+        REQUIRE( deflate::readDynamicCodings( reader, codings ) == Error::NONE );
+        REQUIRE( codings.literal.maxCodeLength() > HuffmanCodingMultiCached::CACHE_BITS );
+        REQUIRE( codings.distance.maxCodeLength() > HuffmanCodingDistanceCached::CACHE_BITS );
+    }
+    const auto zlib = inflateRawWithZlib( view );
+    REQUIRE( zlib.complete );
+    REQUIRE( zlib.output == expected );
+    std::printf( "  long codes: %zu bytes decode to %zu\n", stream.size(), expected.size() );
+
+    for ( const auto& setup : bothModes( view ) ) {
+        const auto outcome = decodeFastAndReference( view, setup );
+        REQUIRE( outcome.result.error == Error::NONE );
+        REQUIRE( outcome.result.reachedFinalBlock );
+        std::vector<std::uint8_t> resolved;
+        deflate::resolveInto( outcome.decoded, {}, resolved );
+        REQUIRE( resolved == expected );
+    }
+}
+
+/**
+ * A short seeded window of 1 000 bytes: a raw stream written against it as
+ * a preset dictionary holds a match of distance 1 005 after 5 fresh bytes,
+ * which reaches exactly the window's first byte, then a match of distance
+ * 55 that starts in the window's last 10 bytes and runs on into the output.
+ * With the window minus its first byte, the first match reaches one byte
+ * past it: EXCEEDED_WINDOW. In marker mode both come out as markers.
+ */
+void
+testWindowEdges()
+{
+    /* zlib finds no match at the first byte of its dictionary (its hash
+     * chains end at position 0), so the dictionary has one byte more. */
+    const auto dictionary = workloads::randomData( 1001, 0x1A07 );
+    const std::vector<std::uint8_t> window( dictionary.begin() + 1, dictionary.end() );
+    auto data = workloads::randomData( 5, 0x1A08 );
+    data.insert( data.end(), window.begin(), window.begin() + 40 );
+    data.insert( data.end(), window.end() - 10, window.end() );
+    for ( std::size_t i = 0; i < 30; ++i ) {
+        data.push_back( data[i] );
+    }
+    const auto tail = workloads::randomData( 300, 0x1A09 );
+    data.insert( data.end(), tail.begin(), tail.end() );
+
+    std::vector<std::uint8_t> stream( compressBound( static_cast<uLong>( data.size() ) ) + 64 );
+    {
+        z_stream zstream{};
+        REQUIRE( deflateInit2( &zstream, 9, Z_DEFLATED, -15, 8, Z_DEFAULT_STRATEGY ) == Z_OK );
+        REQUIRE( deflateSetDictionary( &zstream, dictionary.data(), static_cast<uInt>( dictionary.size() ) )
+                 == Z_OK );
+        zstream.next_in = const_cast<Bytef*>( data.data() );
+        zstream.avail_in = static_cast<uInt>( data.size() );
+        zstream.next_out = stream.data();
+        zstream.avail_out = static_cast<uInt>( stream.size() );
+        REQUIRE( ::deflate( &zstream, Z_FINISH ) == Z_STREAM_END );
+        stream.resize( stream.size() - zstream.avail_out );
+        deflateEnd( &zstream );
+    }
+    /* Room for the fast loop: it leaves the last 24 bytes to the reference
+     * loop, and the matches open the stream. */
+    REQUIRE( stream.size() > 300 );
+    const BufferView view( stream.data(), stream.size() );
+
+    DecodeSetup exact;
+    exact.window = { window.data(), window.size() };
+    const auto plain = decodeFastAndReference( view, exact );
+    REQUIRE( plain.result.error == Error::NONE );
+    std::vector<std::uint8_t> resolved;
+    deflate::resolveInto( plain.decoded, {}, resolved );
+    REQUIRE( resolved == data );
+
+    DecodeSetup shortByOne;
+    shortByOne.window = { window.data() + 1, window.size() - 1 };
+    const auto failed = decodeFastAndReference( view, shortByOne );
+    REQUIRE( failed.result.error == Error::EXCEEDED_WINDOW );
+    REQUIRE( failed.totalDecoded == 5 );
+
+    DecodeSetup marked;
+    marked.windowKnown = false;
+    const auto markers = decodeFastAndReference( view, marked );
+    REQUIRE( markers.result.error == Error::NONE );
+    REQUIRE( markers.decoded.marked.size() == data.size() );
+    REQUIRE( markers.decoded.marked[5] == deflate::MARKER_BASE + deflate::WINDOW_SIZE - 1000 );
+    resolved.clear();
+    deflate::resolveInto( markers.decoded, { window.data(), window.size() }, resolved );
+    REQUIRE( resolved == data );
 }
 
 /** Append a stored block; @p complement overrides NLEN. */
@@ -816,6 +1120,10 @@ main()
     testStoredBlocks();
     testStoredAndDynamicBlocks();
     testAllocationFreeDynamicHeaders();
+    testOutputLimitSweep();
+    testTruncatedTail();
+    testLongCodes();
+    testWindowEdges();
 
     return rapidgzip::test::finish( "testDeflate" );
 }

@@ -824,6 +824,28 @@ testSyncFlushedStream()
     REQUIRE( bytes == stream.decoded );
 }
 
+/**
+ * A restart point whose empty-window decode fails decodes from a guess on
+ * the bytes that decode read: a sync-flushed stream of 512 segments
+ * (8.6 MB) through a reader that counts its reads, parallelism 4, 1 MiB
+ * chunks, reads at most 1.5 times the file for a count-only
+ * decompressAll(). When the guess read the span and its 256 KiB margin
+ * again, this read 2.4 times the file.
+ */
+void
+testGuessFallbackReadsSpanOnce()
+{
+    const auto stream = test::syncFlushedStream( 512, 11 );
+    auto counting = std::make_unique<CountingFileReader>( stream.bytes );
+    const auto* const counter = counting.get();
+    ParallelGzipReader reader( std::move( counting ), config( 4, 1 * MiB ) );
+    REQUIRE( reader.decompressAll() == stream.decoded.size() );
+    const auto amplification = static_cast<double>( counter->bytesRead() )
+                               / static_cast<double>( stream.bytes.size() );
+    std::printf( "  sync-flushed stream of %zu bytes: read %.3fx\n", stream.bytes.size(), amplification );
+    REQUIRE( amplification <= 1.5 );
+}
+
 }  // namespace
 
 int
@@ -1054,6 +1076,7 @@ main()
     testGuessInsideStoredStretch();
     testFalseRestartPoints();
     testSyncFlushedStream();
+    testGuessFallbackReadsSpanOnce();
 
     return rapidgzip::test::finish( "testParallelGzipReader" );
 }
