@@ -214,6 +214,13 @@ public:
                         return decoder.decode( reader, data, searchEndLocal, maxBytes );
                     }();
                     if ( decoded.error == Error::NONE ) {
+                        {
+                            telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
+                            for ( const auto& segment : data.plain ) {
+                                guess.plainCrc32 = simd::crc32( guess.plainCrc32, segment.data.data(),
+                                                                segment.data.size() );
+                            }
+                        }
                         guess.startBitOffset = baseBit + candidate;
                         guess.startedAtStoredBlock = stored;
                         guess.firstSegment = std::move( data );
@@ -470,12 +477,15 @@ public:
      * chunk to where the previous one ended, resolve its markers against the
      * propagated window, check every member against its footer
      * (MemberVerifier), and slide the window, emptying it at each member
-     * start. One rule covers every row a pass checks (a chunk with a
-     * `guess`): it is accepted when it starts where the previous chunk
-     * ended, or at the equivalent stored-data bit; otherwise it is
-     * re-decoded from there with the window. So a false restart point costs
-     * one sequential re-decode, as a guess that missed does. A chunk without
-     * a `guess` — a checkpoint row of an index, or a span of the serial walk
+     * start. Of an accepted stage-one segment it reads only what needs the
+     * window: the 16-bit prefix, whose CRC it joins with the plain tail's
+     * from the pool task, and the last window of each plain segment. One
+     * rule covers every row a pass checks (a chunk with a `guess`): it is
+     * accepted when it starts where the previous chunk ended, or at the LEN
+     * field of a non-final stored block there; otherwise it is re-decoded
+     * from there with the window. So a false restart point costs one
+     * sequential re-decode, as a guess that missed does. A chunk without a
+     * `guess` — a checkpoint row of an index, or a span of the serial walk
      * — starts where the previous one ended by construction. The checked
      * rows' starts go into an IndexBuilder.
      */
@@ -504,16 +514,10 @@ public:
             const DecodedChunk::Guess* accepted = nullptr;
             DecodedChunk redecoded;
             if ( decoded.guess ) {
-                /* A stored-block start is reported at its byte-aligned LEN
-                 * field; the equivalent boundary for a header at m_endBits
-                 * is 3 header bits plus padding later. (The unread padding
-                 * carries no data; a wrong BFINAL assumption decodes wrong
-                 * bytes that the footer check rejects.) */
                 const auto& guess = *decoded.guess;
-                const auto storedDataBit = ceilDiv<std::size_t>( m_endBits + 3, 8 ) * 8;
                 if ( ( guess.error == Error::NONE )
-                     && ( ( guess.startBitOffset == m_endBits )
-                          || ( guess.startedAtStoredBlock && ( guess.startBitOffset == storedDataBit ) ) ) ) {
+                     && ( guess.startedAtStoredBlock ? startsAtStoredData( guess.startBitOffset )
+                                                     : ( guess.startBitOffset == m_endBits ) ) ) {
                     accepted = &guess;
                 } else {
                     /* A false restart point, a fooled finder, a skipped
@@ -541,13 +545,25 @@ public:
             }
 
             if ( accepted != nullptr ) {
+                /* Only the 16-bit prefix needs the window: the pool task
+                 * hashed the plain tail, and the window slides over the
+                 * tail's segments in place. */
                 telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
-                m_resolved.clear();
-                deflate::resolveInto( accepted->firstSegment, window(), m_resolved );
+                const auto& segment = accepted->firstSegment;
+                m_resolved.resize( segment.marked.size() );
+                deflate::replaceMarkers( segment.marked, window(), m_resolved.data() );
+                const auto size = segment.totalSize();
+                const auto crc = simd::crc32Combine( simd::crc32( 0, m_resolved.data(), m_resolved.size() ),
+                                                     accepted->plainCrc32, size - m_resolved.size() );
                 const auto& footer = accepted->firstSegmentFooter;
-                verify( m_verifier.consume( simd::crc32( 0, m_resolved.data(), m_resolved.size() ),
-                                            m_resolved.size(), footer ) );
-                advance( m_resolved, footer ? std::optional<std::size_t>( m_resolved.size() ) : std::nullopt );
+                verify( m_verifier.consume( crc, size, footer ) );
+                advance( m_resolved, std::nullopt );
+                for ( const auto& plain : segment.plain ) {
+                    advance( plain.data, std::nullopt );
+                }
+                if ( footer ) {
+                    m_window.clear();
+                }
             }
             verify( m_verifier.consume( *chunk ) );
             advance( chunk->data, chunk->memberEnds.empty()
@@ -601,6 +617,27 @@ public:
             }
         }
 
+        /**
+         * A stored-block start is reported at its byte-aligned LEN field, and
+         * its decode assumed BFINAL 0. So @p bit continues the stream only
+         * when it is the LEN field of a block at m_endBits whose three
+         * header bits, read from the file, are BFINAL 0 and BTYPE 00. Behind
+         * a final stored block the decode read the member's footer as
+         * Deflate, which the footer check would reject for the whole pass.
+         */
+        [[nodiscard]] bool
+        startsAtStoredData( std::size_t bit ) const
+        {
+            if ( bit != ceilDiv<std::size_t>( m_endBits + 3, 8 ) * 8 ) {
+                return false;
+            }
+            std::uint8_t header[2]{};
+            const auto shift = m_endBits % 8;
+            const auto got = m_file.pread( header, sizeof( header ), m_endBits / 8 );
+            return ( got * 8 >= shift + 3 )
+                   && ( ( ( static_cast<unsigned>( header[0] | ( header[1] << 8U ) ) >> shift ) & 0b111U ) == 0 );
+        }
+
         /** Count @p bytes, the stream's next output, and slide the window
          * over them; the last member that ends in them ends at
          * @p lastMemberEnd, after which the window starts afresh. */
@@ -626,8 +663,8 @@ public:
         index::IndexBuilder* const m_builder;
         std::size_t m_endBits;
         std::vector<std::uint8_t> m_window;
-        /** The resolved stage-one output of the chunk being stitched. */
-        std::vector<std::uint8_t> m_resolved;
+        /** The resolved 16-bit prefix of the chunk being stitched. */
+        FastVector<std::uint8_t> m_resolved;
         std::size_t m_size{ 0 };
         bool m_reachedStreamEnd{ false };
         bool m_rowsExact{ true };

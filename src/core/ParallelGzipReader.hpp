@@ -296,6 +296,8 @@ private:
             m_chunks.reset();
             throw;
         }
+        RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_serial_fallbacks_total",
+                                   "Passes that could not verify the stream and left it to the serial walk.", 1 );
         index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
         const auto total = GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes, &builder );
         adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size(), total ) ) );

@@ -864,7 +864,9 @@ private:
      * The paper's §3.3 fallback, checked at block granularity: once the
      * trailing WINDOW_SIZE outputs contain no marker, materialize them as a
      * real window and continue with plain 8-bit decoding — halving memory
-     * traffic and skipping stage two for the rest of the chunk.
+     * traffic and skipping stage two for the rest of the chunk. The plain
+     * output goes into an empty last segment when there is one, as a pooled
+     * DecodedData keeps with its capacity across reset().
      */
     void
     maybeFallBackToPlain( DecodedData& data )
@@ -884,7 +886,9 @@ private:
         for ( std::size_t i = 0; i < WINDOW_SIZE; ++i ) {
             m_window[i] = static_cast<std::uint8_t>( data.marked[size - WINDOW_SIZE + i] );
         }
-        data.plain.emplace_back();
+        if ( data.plain.empty() || !data.plain.back().data.empty() ) {
+            data.plain.emplace_back();
+        }
         m_plainMode = true;
     }
 

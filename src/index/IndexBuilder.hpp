@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -27,10 +28,11 @@ namespace rapidgzip::index {
  * decode AND the chunk produced at least a full window of output, the
  * chunk's surviving markers name exactly the window bytes any decode
  * starting at this checkpoint can ever reference (same bits, same
- * back-references; past 32 KiB of output the window is out of reach). Only
- * then is the window stored sparsely — a re-decoded (plain) chunk leaves no
- * marker trace, and a short chunk lets later input reach this window, so
- * both keep the full window.
+ * back-references; past 32 KiB of output the window is out of reach), and
+ * the chunk's first window of symbols holds all of them
+ * (referencedWindowOffsets()). Only then is the window stored sparsely — a
+ * re-decoded (plain) chunk leaves no marker trace, and a short chunk lets
+ * later input reach this window, so both keep the full window.
  */
 class IndexBuilder
 {
@@ -91,14 +93,24 @@ public:
         return std::move( m_index );
     }
 
-    /** Which full-window offsets (0 = oldest byte) @p data's markers reference. */
-    [[nodiscard]] static std::vector<bool>
+    /**
+     * Which full-window offsets (0 = oldest byte) @p data's markers
+     * reference, as a WINDOW_SIZE byte mask (nonzero: referenced). One
+     * window of symbols holds every marker value: a marker is created only
+     * where a match reaches before the row, distance > position, and a
+     * distance is at most WINDOW_SIZE, so position < WINDOW_SIZE; every
+     * later marker copies an earlier one. So only the first
+     * min( marked.size(), WINDOW_SIZE ) symbols are scanned.
+     */
+    [[nodiscard]] static std::vector<std::uint8_t>
     referencedWindowOffsets( const deflate::DecodedData& data )
     {
-        std::vector<bool> referenced( deflate::WINDOW_SIZE, false );
-        for ( const auto symbol : data.marked ) {
+        std::vector<std::uint8_t> referenced( deflate::WINDOW_SIZE, 0 );
+        const auto scanned = std::min( data.marked.size(), deflate::WINDOW_SIZE );
+        for ( std::size_t i = 0; i < scanned; ++i ) {
+            const auto symbol = data.marked[i];
             if ( symbol >= deflate::MARKER_BASE ) {
-                referenced[symbol - deflate::MARKER_BASE] = true;
+                referenced[symbol - deflate::MARKER_BASE] = 1;
             }
         }
         return referenced;

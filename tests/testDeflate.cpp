@@ -7,7 +7,8 @@
  * header repeats), and marker replacement itself must honor the window
  * indexing convention end to end. Stored blocks and the output limit are
  * checked on hand-built streams against the reference loop and zlib, and
- * steady-state decoding must not allocate per block.
+ * steady-state decoding must not allocate per block. A fallback into a
+ * pooled buffer reuses its empty plain segment.
  */
 
 #include <zlib.h>
@@ -889,6 +890,46 @@ testAllocationFreeDynamicHeaders()
     }
 }
 
+/**
+ * A marker-mode decode into a reset, reused DecodedData, as the decode
+ * buffer pool hands one out (its first plain segment emptied, its capacity
+ * kept), falls back into that segment: after the decode there is exactly
+ * one plain segment, in the same buffer with the same capacity, and the
+ * bytes equal the input, in each of two rounds.
+ */
+void
+testFallbackReusesPooledSegment()
+{
+    const auto data = workloads::base64Data( 2 * MiB, 0xFA11 );
+    const auto gz = compressGzipLike( { data.data(), data.size() }, 6 );
+    const auto stream = deflateStream( gz );
+
+    deflate::DecodedData decoded;
+    decoded.plain.emplace_back();
+    decoded.plain.front().data.resize( 1000 );
+    decoded.plain.front().data.reserve( data.size() + 1 * MiB );
+    for ( int round = 0; round < 2; ++round ) {
+        decoded.reset();
+        const auto* const buffer = decoded.plain.front().data.data();
+        const auto capacity = decoded.plain.front().data.capacity();
+
+        BitReader reader( stream.data(), stream.size() );
+        deflate::Decoder decoder;  /* no window: 16-bit output until the fallback */
+        const auto result = decoder.decode( reader, decoded );
+        REQUIRE( result.error == Error::NONE );
+        REQUIRE( result.reachedFinalBlock );
+        REQUIRE( decoder.inPlainMode() );
+        REQUIRE( !decoded.marked.empty() );
+        REQUIRE( decoded.plain.size() == 1 );
+        REQUIRE( decoded.plain.front().data.data() == buffer );
+        REQUIRE( decoded.plain.front().data.capacity() == capacity );
+
+        std::vector<std::uint8_t> resolved;
+        deflate::resolveInto( decoded, {}, resolved );
+        REQUIRE( resolved == data );
+    }
+}
+
 }  // namespace
 
 int
@@ -1120,6 +1161,7 @@ main()
     testStoredBlocks();
     testStoredAndDynamicBlocks();
     testAllocationFreeDynamicHeaders();
+    testFallbackReusesPooledSegment();
     testOutputLimitSweep();
     testTruncatedTail();
     testLongCodes();

@@ -56,6 +56,7 @@
 #include "gzip/GzipReader.hpp"
 #include "gzip/ZlibCompressor.hpp"
 #include "io/MemoryFileReader.hpp"
+#include "telemetry/Registry.hpp"
 #include "workloads/DataGenerators.hpp"
 
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
@@ -172,7 +173,8 @@ requireTruncationsRejected( const std::vector<std::uint8_t>& file,
 /** The answers of GzipReader (zlib), decompressAll(), decompressAll(sink)
  * and a fresh reader's size() + read() for @p file, the parallel readers
  * reading with @p configuration: the same bytes, or a throw from all of
- * them. Returns that answer. */
+ * them. A file zlib accepts is verified by the parallel pass alone: no
+ * parallel reader falls back to the serial walk. Returns that answer. */
 std::optional<std::vector<std::uint8_t> >
 requireReadersAgree( const std::vector<std::uint8_t>& file,
                      const ChunkFetcherConfiguration& configuration = config() )
@@ -180,6 +182,12 @@ requireReadersAgree( const std::vector<std::uint8_t>& file,
     const auto serial = answerOf( [&file] () {
         return GzipReader( std::make_unique<MemoryFileReader>( file ) ).decompressToVector();
     } );
+    const auto metricsWereEnabled = telemetry::metricsEnabled();
+    telemetry::setMetricsEnabled( true );
+    const auto serialFallbacks = [] () {
+        return telemetry::Registry::instance().counterTotal( "rapidgzip_serial_fallbacks_total" );
+    };
+    const auto fallbacksBefore = serialFallbacks();
     const auto count = answerOf( [&] () {
         return ParallelGzipReader( std::make_unique<MemoryFileReader>( file ), configuration ).decompressAll();
     } );
@@ -202,6 +210,9 @@ requireReadersAgree( const std::vector<std::uint8_t>& file,
         return bytes;
     } );
     REQUIRE( readBack == serial );
+    const auto fallbacks = serialFallbacks() - fallbacksBefore;
+    telemetry::setMetricsEnabled( metricsWereEnabled );
+    REQUIRE( !serial || ( fallbacks == 0 ) );
     return serial;
 }
 

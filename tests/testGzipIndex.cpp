@@ -4,10 +4,12 @@
  * end-to-end acceptance property — build an index on a NO-flush-point gzip
  * file, serialize, reload, and seek()/read() must return bytes identical to
  * the serial decoder while dispatching parallel chunk decodes from
- * checkpoints (never the serial single-chunk fallback).
+ * checkpoints (never the serial single-chunk fallback). The sparse-window
+ * mask scans one window of a row's markers and equals a full scan.
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -68,7 +70,7 @@ testWindowMap()
 
     /* Sparse insert: unreferenced bytes come back zeroed, referenced ones
      * intact. Marker offset 0 = oldest window byte. */
-    std::vector<bool> referenced( deflate::WINDOW_SIZE, false );
+    std::vector<std::uint8_t> referenced( deflate::WINDOW_SIZE, false );
     referenced[0] = true;
     referenced[deflate::WINDOW_SIZE - 1] = true;
     referenced[777] = true;
@@ -84,7 +86,7 @@ testWindowMap()
 
     /* Sparse with a SHORT window: its first byte is marker offset
      * WINDOW_SIZE - size. */
-    std::vector<bool> shortReferenced( deflate::WINDOW_SIZE, false );
+    std::vector<std::uint8_t> shortReferenced( deflate::WINDOW_SIZE, false );
     shortReferenced[deflate::WINDOW_SIZE - 100] = true;  /* first byte of the window */
     windows.insertSparse( 4004, { shortWindow.data(), shortWindow.size() }, shortReferenced );
     const auto sparseShort = windows.get( 4004 );
@@ -105,7 +107,7 @@ testWindowMap()
         for ( std::size_t i = 0; i < full.size(); ++i ) {
             full[i] = pattern( i );
         }
-        const std::vector<bool> allReferenced( deflate::WINDOW_SIZE, true );
+        const std::vector<std::uint8_t> allReferenced( deflate::WINDOW_SIZE, true );
         windows.insertSparse( 5005, { full.data(), full.size() }, allReferenced );
         REQUIRE( windows.get( 5005 ) == full );
     }
@@ -121,7 +123,7 @@ testWindowMap()
         REQUIRE( std::count( zeroed.begin(), zeroed.end(), 0 )
                  == static_cast<std::ptrdiff_t>( zeroed.size() ) );
         windows.insertSparse( 6006, { full.data(), full.size() },
-                              std::vector<bool>( deflate::WINDOW_SIZE, false ) );
+                              std::vector<std::uint8_t>( deflate::WINDOW_SIZE, false ) );
         REQUIRE( windows.get( 6006 ).size() == full.size() );
     }
 
@@ -132,7 +134,7 @@ testWindowMap()
      * would zero a referenced byte — the corruption class this pins. */
     {
         std::vector<std::uint8_t> window100( 100, 0x42 );
-        std::vector<bool> marks( deflate::WINDOW_SIZE, false );
+        std::vector<std::uint8_t> marks( deflate::WINDOW_SIZE, false );
         marks[deflate::WINDOW_SIZE - 101] = true;  /* before the window: no effect */
         marks[deflate::WINDOW_SIZE - 1] = true;    /* last byte: preserved */
         windows.insertSparse( 7007, { window100.data(), window100.size() }, marks );
@@ -150,7 +152,7 @@ testWindowMap()
     {
         std::vector<std::uint8_t> full( deflate::WINDOW_SIZE, 0x11 );
         windows.insert( 8008, { full.data(), full.size() } );
-        std::vector<bool> one( deflate::WINDOW_SIZE, false );
+        std::vector<std::uint8_t> one( deflate::WINDOW_SIZE, false );
         one[0] = true;
         std::vector<std::uint8_t> replacement( deflate::WINDOW_SIZE, 0x22 );
         windows.insertSparse( 8008, { replacement.data(), replacement.size() }, one );
@@ -386,12 +388,57 @@ testSweepIndexRoundTrip()
     REQUIRE( readCrc( imported ) == footerCrc );
 }
 
+/**
+ * referencedWindowOffsets() scans only the first window of a stage-one
+ * row's 16-bit symbols, where every marker value is created. Against a full
+ * scan of `marked`, kept here as the reference, it gives the same mask on
+ * every guessed row of base64, silesia-like and FASTQ data at 128 KiB and
+ * 1 MiB rows, rows whose markers outlive the first window included.
+ */
+void
+testOneWindowMarkerScan()
+{
+    std::size_t rows = 0;
+    std::size_t rowsWithLaterMarkers = 0;
+    for ( const auto& data : { workloads::base64Data( 4 * MiB, 0x5CA1 ), workloads::silesiaLikeData( 4 * MiB, 0x5CA2 ),
+                               workloads::fastqData( 4 * MiB, 0x5CA3 ) } ) {
+        const auto gz = compressGzipLike( { data.data(), data.size() }, 6 );
+        const MemoryFileReader file( gz );
+        for ( const auto rowBytes : { 128 * KiB, 1 * MiB } ) {
+            for ( auto start = rowBytes; start < gz.size(); start += rowBytes ) {
+                const auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, start * 8, ( start + rowBytes ) * 8,
+                                                                           GzipChunkFetcher::NO_LIMIT );
+                if ( chunk.guess->error != Error::NONE ) {
+                    continue;
+                }
+                const auto& marked = chunk.guess->firstSegment.marked;
+                std::vector<std::uint8_t> reference( deflate::WINDOW_SIZE, 0 );
+                bool laterMarker = false;
+                for ( std::size_t i = 0; i < marked.size(); ++i ) {
+                    if ( marked[i] >= deflate::MARKER_BASE ) {
+                        reference[marked[i] - deflate::MARKER_BASE] = 1;
+                        laterMarker = laterMarker || ( i >= deflate::WINDOW_SIZE );
+                    }
+                }
+                REQUIRE( index::IndexBuilder::referencedWindowOffsets( chunk.guess->firstSegment ) == reference );
+                ++rows;
+                rowsWithLaterMarkers += laterMarker ? 1 : 0;
+            }
+        }
+    }
+    std::printf( "  one-window marker scan: %zu rows, %zu with markers past the first window\n", rows,
+                 rowsWithLaterMarkers );
+    REQUIRE( rows >= 30 );
+    REQUIRE( rowsWithLaterMarkers >= 10 );
+}
+
 }  // namespace
 
 int
 main()
 {
     testWindowMap();
+    testOneWindowMarkerScan();
     testNativeSerialization();
     testGztoolFormat();
     testSweepIndexRoundTrip();

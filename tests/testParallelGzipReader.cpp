@@ -20,8 +20,13 @@
  * must bound its block search at the stored block it decodes from. False
  * restart points cost one re-decode each in a single pass, and a
  * sync-flushed stream, whose restart points need the history before them,
- * decodes each row once, through a shared cache too.
+ * decodes each row once, through a shared cache too. A guess at the LEN
+ * field of a member's final stored block is re-decoded in place instead of
+ * sending the file to the serial walk, and a guessed row's plain-tail CRC
+ * from the pool task matches zlib's.
  */
+
+#include <zlib.h>
 
 #include <algorithm>
 #include <atomic>
@@ -693,6 +698,7 @@ struct DecodeCounts
 {
     std::uint64_t fetcher{ 0 };    /**< prefetch_issued + on_demand_decodes */
     std::uint64_t redecodes{ 0 };  /**< a Stitcher's sequential re-decodes */
+    std::uint64_t fallbacks{ 0 };  /**< passes that left the stream to the serial walk */
 
     [[nodiscard]] static DecodeCounts
     now()
@@ -700,13 +706,14 @@ struct DecodeCounts
         const auto& registry = telemetry::Registry::instance();
         return { registry.counterTotal( "rapidgzip_prefetch_issued_total" )
                  + registry.counterTotal( "rapidgzip_chunk_on_demand_decodes_total" ),
-                 registry.counterTotal( "rapidgzip_chunk_redecodes_total" ) };
+                 registry.counterTotal( "rapidgzip_chunk_redecodes_total" ),
+                 registry.counterTotal( "rapidgzip_serial_fallbacks_total" ) };
     }
 
     [[nodiscard]] DecodeCounts
     operator-( const DecodeCounts& before ) const
     {
-        return { fetcher - before.fetcher, redecodes - before.redecodes };
+        return { fetcher - before.fetcher, redecodes - before.redecodes, fallbacks - before.fallbacks };
     }
 };
 
@@ -722,9 +729,10 @@ decompressCounted( const char* name, const std::vector<std::uint8_t>& file, std:
     REQUIRE( reader.decompressAll() == size );
     const auto counts = DecodeCounts::now() - before;
     telemetry::setMetricsEnabled( false );
-    std::printf( "  %s: %llu chunk decodes, %llu redecodes\n", name,
+    std::printf( "  %s: %llu chunk decodes, %llu redecodes, %llu serial fallbacks\n", name,
                  static_cast<unsigned long long>( counts.fetcher ),
-                 static_cast<unsigned long long>( counts.redecodes ) );
+                 static_cast<unsigned long long>( counts.redecodes ),
+                 static_cast<unsigned long long>( counts.fallbacks ) );
     return { counts, reader.exportIndex() };
 }
 
@@ -761,6 +769,7 @@ testFalseRestartPoints()
     const auto [counts, exported] = decompressCounted( "16 false restart points", stored.bytes,
                                                        stored.decoded.size(), configuration );
     REQUIRE( counts.redecodes == DECOYS );
+    REQUIRE( counts.fallbacks == 0 );
     REQUIRE( counts.fetcher <= 2 * ( DECOYS + 1 ) );
 
     REQUIRE( sizeThenRead( stored.bytes, configuration ) == stored.decoded );
@@ -805,6 +814,7 @@ testSyncFlushedStream()
                                                        configuration );
     REQUIRE( counts.fetcher <= 2 * starts.size() );
     REQUIRE( counts.redecodes < starts.size() / 2 );
+    REQUIRE( counts.fallbacks == 0 );
 
     REQUIRE( sizeThenRead( file, configuration ) == stream.decoded );
     requireImportReadsBack( file, exported, stream.decoded, configuration );
@@ -844,6 +854,168 @@ testGuessFallbackReadsSpanOnce()
                                / static_cast<double>( stream.bytes.size() );
     std::printf( "  sync-flushed stream of %zu bytes: read %.3fx\n", stream.bytes.size(), amplification );
     REQUIRE( amplification <= 1.5 );
+}
+
+/**
+ * Text in Dynamic blocks, then a short tail in one FINAL stored block. The
+ * switch to level 0 closes the text's last block with Z_BLOCK, so the
+ * tail's block header sits at a bit offset. The tail is varied until the
+ * footer's CRC32 bits 0-9 read 0x003 (BFINAL, fixed Huffman codes, the
+ * 7-bit end-of-block code): a decode from the tail's LEN field, which
+ * assumes BFINAL 0, then reads the footer as a final empty block and
+ * succeeds. Also returns where that LEN field starts and a chunk size that
+ * puts row 1 of the guess grid 64 bytes before it, inside the text's last
+ * block.
+ */
+struct FinalStoredBlockFile
+{
+    GzipFile gzip;
+    std::size_t lenBit{ 0 };
+    std::size_t chunkSize{ 0 };
+};
+
+[[nodiscard]] FinalStoredBlockFile
+finalStoredBlockAfterText()
+{
+    const auto text = workloads::base64Data( 256 * KiB, 0x57F1 );
+    std::vector<std::uint8_t> tail( 100, 'x' );
+    const auto textCrc = simd::crc32( 0, text.data(), text.size() );
+    std::uint32_t tweak = 0;
+    while ( ( simd::crc32( textCrc, tail.data(), tail.size() ) & 0x3FFU ) != 0x003U ) {
+        ++tweak;
+        REQUIRE( tweak < 26U * 26U * 26U );
+        for ( std::size_t i = 0, rest = tweak; i < 3; ++i, rest /= 26 ) {
+            tail[i] = static_cast<std::uint8_t>( 'A' + rest % 26 );
+        }
+    }
+
+    z_stream stream{};
+    REQUIRE( deflateInit2( &stream, 6, Z_DEFLATED, MAX_WBITS + 16, 8, Z_DEFAULT_STRATEGY ) == Z_OK );
+    std::vector<std::uint8_t> file( deflateBound( &stream, static_cast<uLong>( text.size() + tail.size() ) )
+                                    + 1 * KiB );
+    stream.next_out = file.data();
+    stream.avail_out = static_cast<uInt>( file.size() );
+    stream.next_in = const_cast<Bytef*>( text.data() );
+    stream.avail_in = static_cast<uInt>( text.size() );
+    REQUIRE( ::deflate( &stream, Z_NO_FLUSH ) == Z_OK );
+    REQUIRE( stream.avail_in == 0 );
+    REQUIRE( deflateParams( &stream, 0, Z_DEFAULT_STRATEGY ) == Z_OK );
+    stream.next_in = tail.data();
+    stream.avail_in = static_cast<uInt>( tail.size() );
+    REQUIRE( ::deflate( &stream, Z_FINISH ) == Z_STREAM_END );
+    file.resize( stream.total_out );
+    REQUIRE( deflateEnd( &stream ) == Z_OK );
+
+    /* One final stored block holds the tail: LEN, NLEN, the tail, the footer. */
+    const auto lenByte = file.size() - GZIP_FOOTER_SIZE - tail.size() - 4;
+    REQUIRE( ( file[lenByte] | ( file[lenByte + 1] << 8U ) ) == static_cast<int>( tail.size() ) );
+
+    auto decoded = text;
+    decoded.insert( decoded.end(), tail.begin(), tail.end() );
+    const auto chunkSize = lenByte - 64 - parseGzipHeader( { file.data(), file.size() } );
+    REQUIRE( chunkSize >= 128 * KiB );
+    return { { std::move( file ), std::move( decoded ) }, lenByte * 8, chunkSize };
+}
+
+/**
+ * A guessed row that starts at the LEN field of a member's FINAL stored
+ * block, right after the previous row's end: its decode assumed BFINAL 0
+ * and read the member's footer as a final empty block. The stitch reads
+ * the block header at the previous row's end, finds BFINAL 1, and
+ * re-decodes the row in place: one redecode and no fallback to the serial
+ * walk, with zlib's bytes through decompressAll(), size() + read() and an
+ * exported index.
+ */
+void
+testGuessAtFinalStoredBlock()
+{
+    constexpr auto NO_LIMIT = std::numeric_limits<std::size_t>::max();
+    const auto [gzipFile, lenBit, chunkSize] = finalStoredBlockAfterText();
+    const auto& file = gzipFile.bytes;
+    const auto& expected = gzipFile.decoded;
+    REQUIRE( decompressWithZlib( { file.data(), file.size() } ) == expected );
+
+    /* Row 0 ends at the tail's block header, and row 1's guess starts at its
+     * LEN field and reaches a false stream end. */
+    const MemoryFileReader fileReader( file );
+    const auto deflateStart = parseGzipHeader( { file.data(), file.size() } );
+    const auto rowStart = ( deflateStart + chunkSize ) * 8;
+    const auto row0 = GzipChunkFetcher::decodeMembers( fileReader, deflateStart * 8, rowStart, {} );
+    REQUIRE( !row0.reachedStreamEnd );
+    REQUIRE( ceilDiv<std::size_t>( row0.endBitOffset + 3, 8 ) * 8 == lenBit );
+    const auto headerByte = row0.endBitOffset / 8;
+    const auto header = static_cast<unsigned>( file[headerByte] | ( file[headerByte + 1] << 8U ) );
+    REQUIRE( ( ( header >> ( row0.endBitOffset % 8 ) ) & 0b111U ) == 0b001U );  /* BFINAL 1, BTYPE 00 */
+    const auto row1 = GzipChunkFetcher::decodeChunkFromGuess( fileReader, rowStart, file.size() * 8, NO_LIMIT );
+    REQUIRE( row1.guess->error == Error::NONE );
+    REQUIRE( row1.guess->startedAtStoredBlock );
+    REQUIRE( row1.guess->startBitOffset == lenBit );
+
+    const auto configuration = config( 2, chunkSize );
+    const auto [counts, exported] = decompressCounted( "final stored block after a row", file, expected.size(),
+                                                       configuration );
+    REQUIRE( counts.redecodes == 1 );
+    REQUIRE( counts.fallbacks == 0 );
+    REQUIRE( sizeThenRead( file, configuration ) == expected );
+    requireImportReadsBack( file, exported, expected, configuration );
+}
+
+/**
+ * The pool task hashes the plain tail of a guessed row's stage-one segment:
+ * Guess::plainCrc32 is zlib's CRC32 of firstSegment.plain, in order, on the
+ * guessed rows of base64, silesia-like and FASTQ data, and on a row whose
+ * first segment ends its member (firstSegmentFooter).
+ */
+void
+testGuessPlainCrc()
+{
+    constexpr auto NO_LIMIT = std::numeric_limits<std::size_t>::max();
+    /* Whether the segment has a plain tail. */
+    const auto requirePlainCrc = [] ( const DecodedChunk& chunk ) {
+        REQUIRE( chunk.guess->error == Error::NONE );
+        const auto& segment = chunk.guess->firstSegment;
+        auto crc = ::crc32( 0, nullptr, 0 );
+        for ( const auto& plain : segment.plain ) {
+            crc = ::crc32( crc, plain.data.data(), static_cast<uInt>( plain.data.size() ) );
+        }
+        REQUIRE( chunk.guess->plainCrc32 == crc );
+        return segment.totalSize() > segment.marked.size();
+    };
+
+    constexpr std::size_t ROW = 512 * KiB;
+    std::size_t rows = 0;
+    std::size_t rowsWithTail = 0;
+    for ( const auto& data : { workloads::base64Data( 4 * MiB, 0xC2C1 ), workloads::silesiaLikeData( 4 * MiB, 0xC2C2 ),
+                               workloads::fastqData( 4 * MiB, 0xC2C3 ) } ) {
+        const auto gz = compressGzipLike( { data.data(), data.size() }, 6 );
+        const MemoryFileReader file( gz );
+        for ( auto start = ROW; start < gz.size(); start += ROW ) {
+            const auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, start * 8, ( start + ROW ) * 8,
+                                                                       NO_LIMIT );
+            if ( chunk.guess->error == Error::NONE ) {
+                ++rows;
+                rowsWithTail += requirePlainCrc( chunk ) ? 1 : 0;
+            }
+        }
+    }
+    std::printf( "  plain-tail CRC: %zu guessed rows, %zu with a plain tail\n", rows, rowsWithTail );
+    REQUIRE( rows >= 8 );
+    REQUIRE( rowsWithTail >= 4 );
+
+    /* A row guessed inside the first of two members ends its first segment
+     * at that member's footer and decodes the second member behind it. */
+    const auto first = workloads::base64Data( 2 * MiB, 0xC2C4 );
+    const auto second = workloads::base64Data( 512 * KiB, 0xC2C5 );
+    auto members = compressGzipLike( { first.data(), first.size() }, 6 );
+    const auto firstSize = members.size();
+    const auto secondMember = compressGzipLike( { second.data(), second.size() }, 6 );
+    members.insert( members.end(), secondMember.begin(), secondMember.end() );
+    const MemoryFileReader file( members );
+    const auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, firstSize / 2 * 8, ( firstSize + 64 * KiB ) * 8,
+                                                               NO_LIMIT );
+    REQUIRE( chunk.guess->firstSegmentFooter == std::optional<std::size_t>( firstSize - GZIP_FOOTER_SIZE ) );
+    REQUIRE( !chunk.data.empty() );
+    REQUIRE( requirePlainCrc( chunk ) );
 }
 
 }  // namespace
@@ -1077,6 +1249,8 @@ main()
     testFalseRestartPoints();
     testSyncFlushedStream();
     testGuessFallbackReadsSpanOnce();
+    testGuessAtFinalStoredBlock();
+    testGuessPlainCrc();
 
     return rapidgzip::test::finish( "testParallelGzipReader" );
 }
