@@ -248,9 +248,7 @@ struct DecodedChunk
      * member ends there, is the stage-one output @ref firstSegment, whose
      * markers the consumer resolves against the window, and `data`,
      * `memberEnds`, `trailingCrc32` and `crc32` describe only the members
-     * after that member end. The decode also hashes the segment's plain
-     * tail (@ref plainCrc32), so the consumer reads only the 16-bit prefix
-     * and the last window of the tail.
+     * after that member end.
      */
     struct Guess
     {
@@ -278,9 +276,6 @@ struct DecodedChunk
          * start needs no window. */
         bool exact{ false };
         deflate::DecodedData firstSegment;
-        /** CRC32 of firstSegment.plain, its segments in order, taken by the
-         * pool task while the bytes are in its cache. */
-        std::uint32_t plainCrc32{ 0 };
         /** The footer of the member that firstSegment ends, when it ends in
          * this chunk. */
         std::optional<std::size_t> firstSegmentFooter;

@@ -214,13 +214,6 @@ public:
                         return decoder.decode( reader, data, searchEndLocal, maxBytes );
                     }();
                     if ( decoded.error == Error::NONE ) {
-                        {
-                            telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
-                            for ( const auto& segment : data.plain ) {
-                                guess.plainCrc32 = simd::crc32( guess.plainCrc32, segment.data.data(),
-                                                                segment.data.size() );
-                            }
-                        }
                         guess.startBitOffset = baseBit + candidate;
                         guess.startedAtStoredBlock = stored;
                         guess.firstSegment = std::move( data );
@@ -477,17 +470,16 @@ public:
      * chunk to where the previous one ended, resolve its markers against the
      * propagated window, check every member against its footer
      * (MemberVerifier), and slide the window, emptying it at each member
-     * start. Of an accepted stage-one segment it reads only what needs the
-     * window: the 16-bit prefix, whose CRC it joins with the plain tail's
-     * from the pool task, and the last window of each plain segment. One
-     * rule covers every row a pass checks (a chunk with a `guess`): it is
-     * accepted when it starts where the previous chunk ended, or at the LEN
-     * field of a non-final stored block there; otherwise it is re-decoded
-     * from there with the window. So a false restart point costs one
-     * sequential re-decode, as a guess that missed does. A chunk without a
-     * `guess` — a checkpoint row of an index, or a span of the serial walk
-     * — starts where the previous one ended by construction. The checked
-     * rows' starts go into an IndexBuilder.
+     * start. Of an accepted stage-one segment it copies only what needs the
+     * window, the resolved 16-bit prefix; the CRC and the window run over
+     * the plain segments in place. One rule covers every row a pass checks
+     * (a chunk with a `guess`): it is accepted when it starts where the
+     * previous chunk ended, or at the LEN field of a non-final stored block
+     * there; otherwise it is re-decoded from there with the window. So a
+     * false restart point costs one sequential re-decode, as a guess that
+     * missed does. A chunk without a `guess` — a checkpoint row of an index,
+     * or a span of the serial walk — starts where the previous one ended by
+     * construction. The checked rows' starts go into an IndexBuilder.
      */
     class Stitcher
     {
@@ -545,22 +537,20 @@ public:
             }
 
             if ( accepted != nullptr ) {
-                /* Only the 16-bit prefix needs the window: the pool task
-                 * hashed the plain tail, and the window slides over the
-                 * tail's segments in place. */
+                /* Only the 16-bit prefix needs the window; the CRC and the
+                 * window run over the plain tail's segments in place. */
                 telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
                 const auto& segment = accepted->firstSegment;
                 m_resolved.resize( segment.marked.size() );
                 deflate::replaceMarkers( segment.marked, window(), m_resolved.data() );
-                const auto size = segment.totalSize();
-                const auto crc = simd::crc32Combine( simd::crc32( 0, m_resolved.data(), m_resolved.size() ),
-                                                     accepted->plainCrc32, size - m_resolved.size() );
-                const auto& footer = accepted->firstSegmentFooter;
-                verify( m_verifier.consume( crc, size, footer ) );
+                auto crc = simd::crc32( 0, m_resolved.data(), m_resolved.size() );
                 advance( m_resolved, std::nullopt );
                 for ( const auto& plain : segment.plain ) {
+                    crc = simd::crc32( crc, plain.data.data(), plain.data.size() );
                     advance( plain.data, std::nullopt );
                 }
+                const auto& footer = accepted->firstSegmentFooter;
+                verify( m_verifier.consume( crc, segment.totalSize(), footer ) );
                 if ( footer ) {
                     m_window.clear();
                 }

@@ -95,22 +95,21 @@ public:
 
     /**
      * Which full-window offsets (0 = oldest byte) @p data's markers
-     * reference, as a WINDOW_SIZE byte mask (nonzero: referenced). One
-     * window of symbols holds every marker value: a marker is created only
-     * where a match reaches before the row, distance > position, and a
-     * distance is at most WINDOW_SIZE, so position < WINDOW_SIZE; every
-     * later marker copies an earlier one. So only the first
-     * min( marked.size(), WINDOW_SIZE ) symbols are scanned.
+     * reference. One window of symbols holds every marker value: a marker
+     * is created only where a match reaches before the row, distance >
+     * position, and a distance is at most WINDOW_SIZE, so position <
+     * WINDOW_SIZE; every later marker copies an earlier one. So only the
+     * first min( marked.size(), WINDOW_SIZE ) symbols are scanned.
      */
-    [[nodiscard]] static std::vector<std::uint8_t>
+    [[nodiscard]] static std::vector<bool>
     referencedWindowOffsets( const deflate::DecodedData& data )
     {
-        std::vector<std::uint8_t> referenced( deflate::WINDOW_SIZE, 0 );
+        std::vector<bool> referenced( deflate::WINDOW_SIZE, false );
         const auto scanned = std::min( data.marked.size(), deflate::WINDOW_SIZE );
         for ( std::size_t i = 0; i < scanned; ++i ) {
             const auto symbol = data.marked[i];
             if ( symbol >= deflate::MARKER_BASE ) {
-                referenced[symbol - deflate::MARKER_BASE] = 1;
+                referenced[symbol - deflate::MARKER_BASE] = true;
             }
         }
         return referenced;

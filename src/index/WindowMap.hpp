@@ -64,17 +64,15 @@ public:
 
     /**
      * Sparse insert: store @p window with every byte whose window offset is
-     * zero in the byte mask @p referenced replaced by zero. @p referenced
-     * indexes the FULL 32 KiB window coordinate space (0 = oldest byte, as
-     * markers do; IndexBuilder::referencedWindowOffsets() builds it); when
-     * @p window is shorter than 32 KiB its first byte corresponds to offset
-     * 32 KiB - window.size(). Offsets past the mask's end count as
-     * unreferenced.
+     * not flagged in @p referenced replaced by zero. @p referenced indexes
+     * the FULL 32 KiB window coordinate space (0 = oldest byte, as markers
+     * do); when @p window is shorter than 32 KiB its first byte corresponds
+     * to offset 32 KiB - window.size().
      */
     void
     insertSparse( std::size_t compressedOffsetBits,
                   BufferView window,
-                  const std::vector<std::uint8_t>& referenced )
+                  const std::vector<bool>& referenced )
     {
         if ( window.empty() ) {
             m_windows.erase( compressedOffsetBits );
@@ -83,9 +81,11 @@ public:
         std::vector<std::uint8_t> sparse( window.size() );
         const auto missing = deflate::WINDOW_SIZE - std::min( window.size(),
                                                               deflate::WINDOW_SIZE );
-        const auto masked = std::min( window.size(), referenced.size() - std::min( referenced.size(), missing ) );
-        for ( std::size_t i = 0; i < masked; ++i ) {
-            sparse[i] = referenced[missing + i] != 0 ? window[i] : std::uint8_t( 0 );
+        for ( std::size_t i = 0; i < window.size(); ++i ) {
+            const auto markerOffset = missing + i;
+            sparse[i] = ( ( markerOffset < referenced.size() ) && referenced[markerOffset] )
+                        ? window[i]
+                        : std::uint8_t( 0 );
         }
         m_windows[compressedOffsetBits] = compress( { sparse.data(), sparse.size() } );
     }

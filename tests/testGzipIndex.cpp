@@ -70,7 +70,7 @@ testWindowMap()
 
     /* Sparse insert: unreferenced bytes come back zeroed, referenced ones
      * intact. Marker offset 0 = oldest window byte. */
-    std::vector<std::uint8_t> referenced( deflate::WINDOW_SIZE, false );
+    std::vector<bool> referenced( deflate::WINDOW_SIZE, false );
     referenced[0] = true;
     referenced[deflate::WINDOW_SIZE - 1] = true;
     referenced[777] = true;
@@ -86,7 +86,7 @@ testWindowMap()
 
     /* Sparse with a SHORT window: its first byte is marker offset
      * WINDOW_SIZE - size. */
-    std::vector<std::uint8_t> shortReferenced( deflate::WINDOW_SIZE, false );
+    std::vector<bool> shortReferenced( deflate::WINDOW_SIZE, false );
     shortReferenced[deflate::WINDOW_SIZE - 100] = true;  /* first byte of the window */
     windows.insertSparse( 4004, { shortWindow.data(), shortWindow.size() }, shortReferenced );
     const auto sparseShort = windows.get( 4004 );
@@ -107,7 +107,7 @@ testWindowMap()
         for ( std::size_t i = 0; i < full.size(); ++i ) {
             full[i] = pattern( i );
         }
-        const std::vector<std::uint8_t> allReferenced( deflate::WINDOW_SIZE, true );
+        const std::vector<bool> allReferenced( deflate::WINDOW_SIZE, true );
         windows.insertSparse( 5005, { full.data(), full.size() }, allReferenced );
         REQUIRE( windows.get( 5005 ) == full );
     }
@@ -123,7 +123,7 @@ testWindowMap()
         REQUIRE( std::count( zeroed.begin(), zeroed.end(), 0 )
                  == static_cast<std::ptrdiff_t>( zeroed.size() ) );
         windows.insertSparse( 6006, { full.data(), full.size() },
-                              std::vector<std::uint8_t>( deflate::WINDOW_SIZE, false ) );
+                              std::vector<bool>( deflate::WINDOW_SIZE, false ) );
         REQUIRE( windows.get( 6006 ).size() == full.size() );
     }
 
@@ -134,7 +134,7 @@ testWindowMap()
      * would zero a referenced byte — the corruption class this pins. */
     {
         std::vector<std::uint8_t> window100( 100, 0x42 );
-        std::vector<std::uint8_t> marks( deflate::WINDOW_SIZE, false );
+        std::vector<bool> marks( deflate::WINDOW_SIZE, false );
         marks[deflate::WINDOW_SIZE - 101] = true;  /* before the window: no effect */
         marks[deflate::WINDOW_SIZE - 1] = true;    /* last byte: preserved */
         windows.insertSparse( 7007, { window100.data(), window100.size() }, marks );
@@ -152,7 +152,7 @@ testWindowMap()
     {
         std::vector<std::uint8_t> full( deflate::WINDOW_SIZE, 0x11 );
         windows.insert( 8008, { full.data(), full.size() } );
-        std::vector<std::uint8_t> one( deflate::WINDOW_SIZE, false );
+        std::vector<bool> one( deflate::WINDOW_SIZE, false );
         one[0] = true;
         std::vector<std::uint8_t> replacement( deflate::WINDOW_SIZE, 0x22 );
         windows.insertSparse( 8008, { replacement.data(), replacement.size() }, one );
@@ -412,11 +412,11 @@ testOneWindowMarkerScan()
                     continue;
                 }
                 const auto& marked = chunk.guess->firstSegment.marked;
-                std::vector<std::uint8_t> reference( deflate::WINDOW_SIZE, 0 );
+                std::vector<bool> reference( deflate::WINDOW_SIZE, false );
                 bool laterMarker = false;
                 for ( std::size_t i = 0; i < marked.size(); ++i ) {
                     if ( marked[i] >= deflate::MARKER_BASE ) {
-                        reference[marked[i] - deflate::MARKER_BASE] = 1;
+                        reference[marked[i] - deflate::MARKER_BASE] = true;
                         laterMarker = laterMarker || ( i >= deflate::WINDOW_SIZE );
                     }
                 }

@@ -22,8 +22,7 @@
  * sync-flushed stream, whose restart points need the history before them,
  * decodes each row once, through a shared cache too. A guess at the LEN
  * field of a member's final stored block is re-decoded in place instead of
- * sending the file to the serial walk, and a guessed row's plain-tail CRC
- * from the pool task matches zlib's.
+ * sending the file to the serial walk.
  */
 
 #include <zlib.h>
@@ -960,64 +959,6 @@ testGuessAtFinalStoredBlock()
     requireImportReadsBack( file, exported, expected, configuration );
 }
 
-/**
- * The pool task hashes the plain tail of a guessed row's stage-one segment:
- * Guess::plainCrc32 is zlib's CRC32 of firstSegment.plain, in order, on the
- * guessed rows of base64, silesia-like and FASTQ data, and on a row whose
- * first segment ends its member (firstSegmentFooter).
- */
-void
-testGuessPlainCrc()
-{
-    constexpr auto NO_LIMIT = std::numeric_limits<std::size_t>::max();
-    /* Whether the segment has a plain tail. */
-    const auto requirePlainCrc = [] ( const DecodedChunk& chunk ) {
-        REQUIRE( chunk.guess->error == Error::NONE );
-        const auto& segment = chunk.guess->firstSegment;
-        auto crc = ::crc32( 0, nullptr, 0 );
-        for ( const auto& plain : segment.plain ) {
-            crc = ::crc32( crc, plain.data.data(), static_cast<uInt>( plain.data.size() ) );
-        }
-        REQUIRE( chunk.guess->plainCrc32 == crc );
-        return segment.totalSize() > segment.marked.size();
-    };
-
-    constexpr std::size_t ROW = 512 * KiB;
-    std::size_t rows = 0;
-    std::size_t rowsWithTail = 0;
-    for ( const auto& data : { workloads::base64Data( 4 * MiB, 0xC2C1 ), workloads::silesiaLikeData( 4 * MiB, 0xC2C2 ),
-                               workloads::fastqData( 4 * MiB, 0xC2C3 ) } ) {
-        const auto gz = compressGzipLike( { data.data(), data.size() }, 6 );
-        const MemoryFileReader file( gz );
-        for ( auto start = ROW; start < gz.size(); start += ROW ) {
-            const auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, start * 8, ( start + ROW ) * 8,
-                                                                       NO_LIMIT );
-            if ( chunk.guess->error == Error::NONE ) {
-                ++rows;
-                rowsWithTail += requirePlainCrc( chunk ) ? 1 : 0;
-            }
-        }
-    }
-    std::printf( "  plain-tail CRC: %zu guessed rows, %zu with a plain tail\n", rows, rowsWithTail );
-    REQUIRE( rows >= 8 );
-    REQUIRE( rowsWithTail >= 4 );
-
-    /* A row guessed inside the first of two members ends its first segment
-     * at that member's footer and decodes the second member behind it. */
-    const auto first = workloads::base64Data( 2 * MiB, 0xC2C4 );
-    const auto second = workloads::base64Data( 512 * KiB, 0xC2C5 );
-    auto members = compressGzipLike( { first.data(), first.size() }, 6 );
-    const auto firstSize = members.size();
-    const auto secondMember = compressGzipLike( { second.data(), second.size() }, 6 );
-    members.insert( members.end(), secondMember.begin(), secondMember.end() );
-    const MemoryFileReader file( members );
-    const auto chunk = GzipChunkFetcher::decodeChunkFromGuess( file, firstSize / 2 * 8, ( firstSize + 64 * KiB ) * 8,
-                                                               NO_LIMIT );
-    REQUIRE( chunk.guess->firstSegmentFooter == std::optional<std::size_t>( firstSize - GZIP_FOOTER_SIZE ) );
-    REQUIRE( !chunk.data.empty() );
-    REQUIRE( requirePlainCrc( chunk ) );
-}
-
 }  // namespace
 
 int
@@ -1250,7 +1191,6 @@ main()
     testSyncFlushedStream();
     testGuessFallbackReadsSpanOnce();
     testGuessAtFinalStoredBlock();
-    testGuessPlainCrc();
 
     return rapidgzip::test::finish( "testParallelGzipReader" );
 }
