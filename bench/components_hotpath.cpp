@@ -1,61 +1,28 @@
 /**
- * Hot-path component benchmark: before/after throughput for each
- * optimization of the PR-4 overhaul, emitted as JSON (BENCH_hotpath.json)
- * so the perf trajectory is measured, committed, and CI-reproducible.
+ * Disabled-overhead guards for the two process-wide gates that every hot
+ * path checks: a telemetry hook (span + counter) and a failsafe fault probe
+ * must each cost one relaxed load while disabled. Each guard times the same
+ * 4 KiB CRC32 sweep with and without the gate and exits non-zero when the
+ * gated sweep is slower by more than the budget (2%) on every attempt.
  *
- * "Before" is the VERBATIM pre-PR implementation, vendored under
- * bench/legacy/ (namespace rapidgzip_legacy) — byte-wise BitReader refill,
- * per-symbol two-level-LUT decoding with push_back emission, per-symbol
- * precode counting — NOT the current tree in a compatibility mode, so the
- * committed speedups are true pre-PR-vs-post-PR deltas. Both sides'
- * measurement loops are compiled in their own translation units
- * (LegacyBaseline.cpp / CurrentHotpaths.cpp); see HotpathContracts.hpp.
+ * The per-component speed of the hot paths themselves is measured end to
+ * end by benchmark/ (BENCHMARK.json), and their bit-exactness is checked by
+ * the tier-1 tests (testDeflate, testBlockFinder, testSimd, testBitReader).
  *
- *  - bitreader_refill:      checked per-call read() on the legacy reader vs
- *                           the amortized ensureBits()/readUnsafe() loop
- *  - marker_decoder:        windowless (16-bit marker) Deflate decode from a
- *                           mid-stream block
- *  - plain_decoder:         the same comparison with a known window
- *  - blockfinder_rejection: the precode rejection stage of the rapid block
- *                           finder (positions surviving the 8-bit prefix
- *                           filters), per-symbol counting vs the packed
- *                           64-bit histogram with the fused Kraft sum
- *  - chunk_pipeline:        end-to-end ParallelGzipReader::decompressAll(), current
- *                           infrastructure with the symbol loop switched
- *                           between reference and fast (an in-tree ablation,
- *                           the one component not measured against legacy)
- *
- * PR 7 adds the SIMD dispatch layer (src/simd/) and three more components:
- *
- *  - replace_markers:       the two-stage marker substitution, pre-PR scalar
- *                           per-symbol loop vs the dispatched compare-and-
- *                           blend kernel (measured on a ~10%-marker mix and
- *                           on marker-free data, the fast-path sweep)
- *  - crc32:                 zlib's crc32 (the pre-PR CRC on every hot path)
- *                           vs the dispatched slice-by-16 / PCLMULQDQ kernel
- *  - precode_stage5:        the full cascade on positions that SURVIVE
- *                           stages 1-4, where the stage-5 RLE parse
- *                           dominates: pre-PR heap-allocating HuffmanCoding
- *                           vs the cached 128-entry precode LUT
- *
- * Every before/after pair is checked for bit-exact agreement before it is
- * timed — a diverging component aborts the benchmark.
+ * Run: ./components_hotpath
+ *   RAPIDGZIP_TELEMETRY_OVERHEAD_PCT / RAPIDGZIP_FAILSAFE_OVERHEAD_PCT
+ *   override the 2% budgets.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
-#include "blockfinder/DynamicBlockFinderNaive.hpp"
 #include "common/Util.hpp"
-#include "deflate/definitions.hpp"
 #include "failsafe/FaultInjection.hpp"
-#include "gzip/GzipHeader.hpp"
-#include "gzip/ZlibCompressor.hpp"
 #include "simd/Crc32.hpp"
 #include "simd/Dispatch.hpp"
 #include "telemetry/Registry.hpp"
@@ -63,263 +30,12 @@
 #include "workloads/DataGenerators.hpp"
 
 #include "BenchmarkHelpers.hpp"
-#include "CurrentHotpaths.hpp"
-#include "LegacyBaseline.hpp"
 
 using namespace rapidgzip;
 
 namespace {
 
-struct Row
-{
-    std::string component;
-    std::string workload;
-    std::string unit;
-    double before{ 0 };
-    double after{ 0 };
-};
-
-std::vector<Row> g_rows;
-
-void
-addRow( const std::string& component, const std::string& workload, const std::string& unit,
-        double before, double after )
-{
-    g_rows.push_back( { component, workload, unit, before, after } );
-    std::printf( "  %-24s %-10s %12.2f -> %12.2f %-8s %6.2fx\n",
-                 component.c_str(), workload.c_str(), before, after, unit.c_str(),
-                 after / std::max( before, 1e-9 ) );
-    std::fflush( stdout );
-}
-
-void
-writeJson( const char* path, double scale, std::size_t repeats, const char* notes )
-{
-    std::FILE* file = std::fopen( path, "w" );
-    if ( file == nullptr ) {
-        std::fprintf( stderr, "Cannot open %s for writing!\n", path );
-        std::exit( 1 );
-    }
-    std::fprintf( file, "{\n  \"benchmark\": \"components_hotpath\",\n"
-                        "  \"baseline\": \"bench/legacy (verbatim pre-PR hot paths)\",\n"
-                        "  \"simd_dispatch\": \"%s\",\n"
-                        "  \"scale\": %g,\n  \"repeats\": %zu,\n  \"components\": [\n",
-                  simd::toString( simd::activeLevel() ), scale, repeats );
-    for ( std::size_t i = 0; i < g_rows.size(); ++i ) {
-        const auto& row = g_rows[i];
-        std::fprintf( file,
-                      "    { \"component\": \"%s\", \"workload\": \"%s\", \"unit\": \"%s\", "
-                      "\"before\": %.2f, \"after\": %.2f, \"speedup\": %.3f }%s\n",
-                      row.component.c_str(), row.workload.c_str(), row.unit.c_str(),
-                      row.before, row.after, row.after / std::max( row.before, 1e-9 ),
-                      i + 1 < g_rows.size() ? "," : "" );
-    }
-    std::fprintf( file, "  ],\n  \"notes\": \"%s\"\n}\n", notes );
-    std::fclose( file );
-    std::printf( "\n  JSON written to %s\n", path );
-}
-
-[[nodiscard]] BufferView
-deflateStream( const std::vector<std::uint8_t>& gz )
-{
-    const auto start = parseGzipHeader( { gz.data(), gz.size() } );
-    return { gz.data() + start, gz.size() - start };
-}
-
-void
-require( bool condition, const char* what )
-{
-    if ( !condition ) {
-        std::fprintf( stderr, "EQUIVALENCE FAILURE: %s\n", what );
-        std::exit( 1 );
-    }
-}
-
-/** Interleave single-repeat before/after measurements and keep each side's
- * best: ambient load on a shared machine comes in phases, and pairing the
- * runs makes a slow phase hit both sides instead of biasing one. */
-template<typename MeasureBefore, typename MeasureAfter>
-[[nodiscard]] std::pair<double, double>
-interleaved( std::size_t repeats, const MeasureBefore& before, const MeasureAfter& after )
-{
-    double bestBefore = 0;
-    double bestAfter = 0;
-    for ( std::size_t i = 0; i < repeats; ++i ) {
-        bestBefore = std::max( bestBefore, before() );
-        bestAfter = std::max( bestAfter, after() );
-    }
-    return { bestBefore, bestAfter };
-}
-
-void
-benchmarkBitReader( std::size_t repeats )
-{
-    const auto data = workloads::randomData( bench::scaledSize( 32 * MiB ), 0xB17 );
-    constexpr unsigned BITS = 12;  /* a typical Huffman-code-sized request */
-    const BufferView view{ data.data(), data.size() };
-    const auto [before, after] = interleaved(
-        repeats,
-        [&] () { return legacybench::measureBitReaderBandwidth( view, BITS, 1 ); },
-        [&] () { return currentbench::measureBitReaderBandwidth( view, BITS, 1 ); } );
-    addRow( "bitreader_refill", "random_bits", "MB/s", before / 1e6, after / 1e6 );
-}
-
-void
-benchmarkDecoder( const char* workload, const std::vector<std::uint8_t>& raw,
-                  std::size_t repeats )
-{
-    const auto gz = compressGzipLike( { raw.data(), raw.size() }, 6 );
-    const auto stream = deflateStream( gz );
-
-    /* Marker mode: start at a found mid-stream block, window unknown. */
-    const blockfinder::DynamicBlockFinderNaive finder;
-    const auto midBlock = finder.find( stream, stream.size() / 4 * 8 );
-    require( midBlock != blockfinder::NOT_FOUND, "no mid-stream block found" );
-
-    for ( const bool windowKnown : { false, true } ) {
-        const auto fromBit = windowKnown ? 0 : midBlock;
-
-        /* Equivalence first: the legacy and current decoders must produce
-         * identical bytes (and identical markers, via the flattening). */
-        const auto legacyOut = legacybench::decodeOnce( stream, fromBit, windowKnown );
-        const auto currentOut = currentbench::decodeOnce( stream, fromBit, windowKnown );
-        require( legacyOut.ok, "legacy decoder error" );
-        require( currentOut.ok, "current decoder error" );
-        require( legacyOut.flattened == currentOut.flattened,
-                 "current decode diverges from the pre-PR decode" );
-
-        const auto decodedBytes = currentOut.totalSize;
-        const auto [before, after] = interleaved(
-            repeats,
-            [&] () { return legacybench::measureDecodeBandwidth(
-                         stream, fromBit, windowKnown, decodedBytes, 1 ); },
-            [&] () { return currentbench::measureDecodeBandwidth(
-                         stream, fromBit, windowKnown, decodedBytes, 1 ); } );
-        require( ( before > 0 ) && ( after > 0 ), "decode changed between runs" );
-        addRow( windowKnown ? "plain_decoder" : "marker_decoder", workload, "MB/s",
-                before / 1e6, after / 1e6 );
-    }
-}
-
-void
-benchmarkRejection( const char* workload, const std::vector<std::uint8_t>& raw,
-                    std::size_t repeats )
-{
-    const auto gz = compressGzipLike( { raw.data(), raw.size() }, 6 );
-    const auto stream = deflateStream( gz );
-
-    /* The precode stage only runs on positions surviving the 8-bit prefix
-     * filters (BFINAL = 0, BTYPE = dynamic, HLIT <= 29) — collect those so
-     * the measurement isolates the rejection stage this PR optimizes. */
-    const auto positions = currentbench::collectPrecodeStagePositions( stream );
-    require( !positions.empty(), "no precode-stage candidate positions" );
-
-    /* Equivalence first: packed vs pre-PR on acceptance and every precode
-     * counter, and packed vs the in-tree scalar variant per position. */
-    require( currentbench::runFilter( stream, positions )
-             == legacybench::runFilter( stream, positions ),
-             "packed precode filter diverges from the pre-PR filter" );
-    require( currentbench::scalarMatchesPacked( stream, positions ),
-             "packed precode filter diverges from the scalar variant" );
-
-    const auto [before, after] = interleaved(
-        repeats,
-        [&] () { return legacybench::measureRejectionRate( stream, positions, 1 ); },
-        [&] () { return currentbench::measureRejectionRate( stream, positions, 1 ); } );
-    addRow( "blockfinder_rejection", workload, "Mpos/s", before / 1e6, after / 1e6 );
-}
-
-void
-benchmarkReplaceMarkers( std::size_t repeats )
-{
-    /* A full 32 KiB last-window plus two symbol mixes: ~10% markers (a
-     * mid-chunk block that keeps referencing the unknown window) and
-     * marker-free (the dominant case once back-references die out, where the
-     * vector kernel degenerates to a narrowing sweep with zero per-symbol
-     * branches). */
-    auto window = workloads::randomData( deflate::WINDOW_SIZE, 0x37A7 );
-    const auto symbolCount = bench::scaledSize( 16 * MiB );
-
-    Xorshift64 random( 0x5CA1E );
-    for ( const auto markerPermille : { std::size_t( 100 ), std::size_t( 0 ) } ) {
-        std::vector<std::uint16_t> symbols( symbolCount );
-        for ( auto& symbol : symbols ) {
-            const auto raw16 = static_cast<std::uint16_t>( random() );
-            symbol = ( random() % 1000 ) < markerPermille
-                     ? static_cast<std::uint16_t>( raw16 | 0x8000U )
-                     : static_cast<std::uint16_t>( raw16 & 0x7FFFU );
-        }
-
-        require( legacybench::replaceMarkersOnce( symbols, window )
-                 == currentbench::replaceMarkersOnce( symbols, window ),
-                 "simd replaceMarkers diverges from the pre-PR scalar loop" );
-
-        const auto [before, after] = interleaved(
-            repeats,
-            [&] () { return legacybench::measureReplaceMarkersBandwidth( symbols, window, 1 ); },
-            [&] () { return currentbench::measureReplaceMarkersBandwidth( symbols, window, 1 ); } );
-        addRow( "replace_markers", markerPermille > 0 ? "markers_10pct" : "marker_free",
-                "MB/s", before / 1e6, after / 1e6 );
-    }
-}
-
-void
-benchmarkCrc32( std::size_t repeats )
-{
-    /* L2-resident working set: the row compares the KERNELS (zlib's
-     * slice-by-4 vs the dispatched PCLMUL fold), so the buffer must not be
-     * large enough for DRAM bandwidth to cap the fast side — at multi-GB/s
-     * a 64 MiB sweep measures the memory subsystem of a loaded shared
-     * machine, not the CRC code. In the pipeline the verifier runs on
-     * chunk-sized pieces that are cache-warm from the decoder anyway, so
-     * the resident case is also the representative one. Several passes per
-     * sample keep each timing window well above clock granularity. */
-    const auto data = workloads::randomData( bench::scaledSize( 2 * MiB ), 0xC12C );
-    const BufferView view{ data.data(), data.size() };
-
-    require( legacybench::crc32Once( view ) == currentbench::crc32Once( view ),
-             "simd crc32 diverges from zlib" );
-
-    const auto [before, after] = interleaved(
-        repeats,
-        [&] () { return legacybench::measureCrc32Bandwidth( view, 8 ); },
-        [&] () { return currentbench::measureCrc32Bandwidth( view, 8 ); } );
-    addRow( "crc32", "random", "MB/s", before / 1e6, after / 1e6 );
-}
-
-void
-benchmarkPrecodeStage5( const char* workload, const std::vector<std::uint8_t>& raw,
-                        std::size_t repeats )
-{
-    const auto gz = compressGzipLike( { raw.data(), raw.size() }, 6 );
-    const auto stream = deflateStream( gz );
-
-    /* Positions surviving stages 1-4: on these the stage-5 RLE parse IS the
-     * cost, so the full cascade isolates the cached-LUT change. Survivors
-     * are rare by design (~0.2% of precode-stage candidates), so tile the
-     * set up to a stable measurement size — identical work for both sides,
-     * and repeated header configurations are exactly what the LUT cache
-     * exploits on real streams. */
-    auto positions = currentbench::collectStage5Positions( stream );
-    require( !positions.empty(), "no stage-5 survivor positions" );
-    const auto uniquePositions = positions.size();
-    while ( positions.size() < 4096 ) {
-        positions.insert( positions.end(), positions.begin(),
-                          positions.begin() + uniquePositions );
-    }
-
-    require( currentbench::runFilter( stream, positions )
-             == legacybench::runFilter( stream, positions ),
-             "cached-LUT stage 5 diverges from the pre-PR cascade" );
-
-    const auto [before, after] = interleaved(
-        repeats,
-        [&] () { return legacybench::measureRejectionRate( stream, positions, 1 ); },
-        [&] () { return currentbench::measureRejectionRate( stream, positions, 1 ); } );
-    addRow( "precode_stage5", workload, "Mpos/s", before / 1e6, after / 1e6 );
-}
-
-/* --- telemetry overhead guard (PR 8) ------------------------------------ */
+/* --- telemetry overhead guard ------------------------------------------- */
 
 /* The two sweeps must live in this TU, [[gnu::noinline]], so the compiler
  * cannot specialize the hooked loop on the (known-at-link-time) disabled
@@ -373,12 +89,14 @@ constexpr bool GUARD_ENFORCED = true;
 constexpr bool GUARD_ENFORCED = true;
 #endif
 
-/* interleaved() always samples before-then-after, which is fine for the
- * figure benches but biases an EQUALITY guard: on a machine whose clock is
- * decaying (turbo falling off right after the rest of the suite), the
- * second position in every pair is systematically slower, and max-of-N
- * then charges that bias to one side as phantom overhead. Alternate the
- * order within pairs so clock drift hits both sides equally. */
+/* Interleave single-repeat measurements of both sides and keep each side's
+ * best: ambient load on a shared machine comes in phases, and pairing the
+ * runs makes a slow phase hit both sides. Always sampling A-then-B would
+ * still bias an EQUALITY guard: on a machine whose clock is decaying (turbo
+ * falling off right after the rest of the suite), the second position in
+ * every pair is systematically slower, and max-of-N then charges that bias
+ * to one side as phantom overhead. Alternate the order within pairs so
+ * clock drift hits both sides equally. */
 template<typename MeasureA, typename MeasureB>
 [[nodiscard]] std::pair<double, double>
 interleavedBalanced( std::size_t repeats, const MeasureA& a, const MeasureB& b )
@@ -401,7 +119,7 @@ interleavedBalanced( std::size_t repeats, const MeasureA& a, const MeasureB& b )
  * plain-vs-gated bandwidth, re-measured on a breach. A genuinely regressed
  * gate (work before the relaxed load) is over budget on EVERY attempt; a
  * scheduler hiccup on a busy host is not, so only a breach on all attempts
- * fails. The first attempt's numbers go into the committed JSON row. */
+ * fails. */
 template<typename PlainSweep, typename GatedSweep>
 void
 runOverheadGuard( const char* rowName, const char* gateLabel, const char* failureTag,
@@ -443,13 +161,8 @@ runOverheadGuard( const char* rowName, const char* gateLabel, const char* failur
             std::max( repeats, GUARD_MIN_REPEATS ),
             [&] () { return measure( plainSweep ); },
             [&] () { return measure( gatedSweep ); } );
-        if ( attempt == 0 ) {
-            /* Row semantics match the others: before = plain, after = with
-             * the disabled gate; "speedup" ~1.0 is the pass condition,
-             * printed so the committed JSON carries the overhead number,
-             * not just pass/fail. */
-            addRow( rowName, "crc32_4KiB", "MB/s", plain / 1e6, gated / 1e6 );
-        }
+        std::printf( "  %-20s plain %10.2f MB/s, gated %10.2f MB/s\n",
+                     rowName, plain / 1e6, gated / 1e6 );
         overheadPercent = ( plain / std::max( gated, 1.0 ) - 1.0 ) * 100.0;
         if ( !GUARD_ENFORCED || ( overheadPercent <= threshold ) ) {
             break;
@@ -486,7 +199,7 @@ benchmarkTelemetryOverhead( std::size_t repeats )
     telemetry::g_activeBits.store( savedBits, std::memory_order_relaxed );
 }
 
-/* --- failsafe overhead guard (PR 9) ------------------------------------- */
+/* --- failsafe overhead guard -------------------------------------------- */
 
 /* Same contract as the telemetry guard: a DISABLED fault probe must cost one
  * relaxed load and nothing else. The sweep interleaves a shouldInject()
@@ -526,69 +239,18 @@ benchmarkFailsafeOverhead( std::size_t repeats )
                       failsafeSweepWithoutProbe, failsafeSweepWithProbe );
 }
 
-void
-benchmarkPipeline( const char* workload, const std::vector<std::uint8_t>& raw,
-                   std::size_t repeats )
-{
-    const auto gz = compressGzipLike( { raw.data(), raw.size() }, 6 );
-    const auto parallelism = std::min<std::size_t>( 4, bench::threadSweep().back() );
-    const auto [before, after] = interleaved(
-        repeats,
-        [&] () { return currentbench::measurePipelineBandwidth(
-                     gz, raw.size(), /* referenceSymbolLoop */ true, parallelism, 1 ); },
-        [&] () { return currentbench::measurePipelineBandwidth(
-                     gz, raw.size(), /* referenceSymbolLoop */ false, parallelism, 1 ); } );
-    require( ( before > 0 ) && ( after > 0 ), "pipeline size mismatch" );
-    addRow( "chunk_pipeline", workload, "MB/s", before / 1e6, after / 1e6 );
-}
-
 }  // namespace
 
 int
 main()
 {
-    bench::printHeader( "Hot-path components: pre-PR baseline vs current (PR 4 + PR 7)" );
+    bench::printHeader( "Disabled-gate overhead guards (telemetry, failsafe)" );
     std::printf( "  simd dispatch: %s (detected %s)\n\n",
                  simd::toString( simd::activeLevel() ),
                  simd::toString( simd::detectedLevel() ) );
 
     const auto repeats = bench::benchRepeats( 3 );
-    const auto scale = bench::benchScale();
-    std::printf( "  %-24s %-13s %12s    %12s %-8s %7s\n",
-                 "component", "workload", "before", "after", "unit", "speedup" );
-
-    benchmarkBitReader( repeats );
-
-    const auto base64 = workloads::base64Data( bench::scaledSize( 16 * MiB ), 0x407B );
-    const auto silesia = workloads::silesiaLikeData( bench::scaledSize( 16 * MiB ), 0x407C );
-
-    benchmarkDecoder( "base64", base64, repeats );
-    benchmarkDecoder( "silesia", silesia, repeats );
-    benchmarkRejection( "base64", base64, repeats );
-    benchmarkRejection( "silesia", silesia, repeats );
-    benchmarkReplaceMarkers( repeats );
-    benchmarkCrc32( repeats );
-    benchmarkPrecodeStage5( "base64", base64, repeats );
-    benchmarkPrecodeStage5( "silesia", silesia, repeats );
-    benchmarkPipeline( "base64", base64, repeats );
-    benchmarkPipeline( "silesia", silesia, repeats );
     benchmarkTelemetryOverhead( repeats );
     benchmarkFailsafeOverhead( repeats );
-
-    const char* jsonPath = std::getenv( "RAPIDGZIP_BENCH_JSON" );
-    writeJson( ( jsonPath != nullptr ) && ( jsonPath[0] != '\0' ) ? jsonPath
-                                                                  : "BENCH_hotpath.json",
-               scale, repeats,
-               "PR 7 profiling: with markers, CRC32, and the stage-5 precode parse "
-               "vectorized or cached, the remaining bottleneck of the chunk pipeline is "
-               "the serial Huffman symbol-decode loop itself (bit-serial code resolution "
-               "in deflate::Decoder) - the multi-symbol LUT shrank it but it still "
-               "dominates per-chunk time ahead of stitching and verification." );
-
-    std::printf( "\n  Expected shape: >= 1.5x on marker_decoder and >= 2x on\n"
-                 "  blockfinder_rejection vs the pre-PR baseline (the PR-4 acceptance\n"
-                 "  gates); >= 1.5x on replace_markers and >= 3x on crc32 (the PR-7\n"
-                 "  gates, on an AVX2 machine); the refill amortization and pipeline\n"
-                 "  rows track the same wins upstream and downstream of the symbol loop.\n" );
     return 0;
 }

@@ -22,7 +22,7 @@ namespace rapidgzip {
 /**
  * Fixed-size thread pool with a FIFO task queue. Tasks return futures.
  * Kept deliberately simple: the chunk fetcher bounds its own queue depth
- * through the prefetch strategy, so no backpressure is needed here.
+ * through its prefetch depth, so no backpressure is needed here.
  *
  * Telemetry: queue depth gauge plus task wait/run latency histograms and
  * "pool.task" run spans, all gated so a disabled process pays one relaxed

@@ -18,12 +18,12 @@ namespace rapidgzip {
  * Identifies one decoded chunk across EVERY reader in the process. The
  * token folds together the archive identity (path + size + mtime hash, see
  * serve/ArchiveRegistry.hpp) and the reader's chunk-table geometry
- * (ChunkFetcher mixes in chunk count, chunk size and checkpoint spacing;
- * ChunkedReader first folds a hash of its table's bit offsets, and a tag
- * for rows a pass has yet to check, into the identity), so a re-chunked
- * reader — after an index adoption, or a pass that harvested its table —
- * can never hit entries from the stale table, and two readers share entries
- * exactly when their decodes are byte-identical.
+ * (ChunkFetcher mixes in chunk count and chunk size; ChunkedReader first
+ * folds a hash of its table's bit offsets, and a tag for rows a pass has yet
+ * to check, into the identity), so a re-chunked reader — after an index
+ * adoption, or a pass that harvested its table — can never hit entries from
+ * the stale table, and two readers share entries exactly when their decodes
+ * are byte-identical.
  */
 struct ChunkCacheKey
 {
@@ -109,51 +109,9 @@ lendChunkSpan( std::shared_ptr<const DecodedChunk> chunk,
 }
 
 /**
- * Storage interface for decoded chunks, shared by the per-reader tier and
- * the process-wide tier (serve daemon): ChunkFetcher talks only to this.
- * Implementations must be safe to call from many threads — the fetcher
- * consults the cache from pool workers.
- */
-class ChunkCache
-{
-public:
-    using ChunkDataPtr = std::shared_ptr<const DecodedChunk>;
-    using Decode = std::function<ChunkDataPtr()>;
-
-    virtual ~ChunkCache() = default;
-
-    /** nullptr on miss. A hit refreshes the entry's recency. */
-    [[nodiscard]] virtual ChunkDataPtr
-    get( const ChunkCacheKey& key ) = 0;
-
-    virtual void
-    insert( const ChunkCacheKey& key, ChunkDataPtr chunk ) = 0;
-
-    [[nodiscard]] virtual ChunkCacheStatistics
-    statistics() const = 0;
-
-    /**
-     * Cache-through decode. The default is get-else-decode-and-insert;
-     * implementations with single-flight dedup (LruChunkCache) override it
-     * so concurrent callers of the same cold key decode exactly once.
-     * @p decode may throw; the error propagates to every waiting caller.
-     */
-    [[nodiscard]] virtual ChunkDataPtr
-    getOrDecode( const ChunkCacheKey& key, const Decode& decode )
-    {
-        if ( auto chunk = get( key ) ) {
-            return chunk;
-        }
-        auto chunk = decode();
-        insert( key, chunk );
-        return chunk;
-    }
-};
-
-/**
  * Thread-safe byte-bounded LRU over decoded chunks with single-flight
- * decode dedup — the process-wide cache tier of the serve daemon, and the
- * reference ChunkCache for standalone readers. Eviction is strictly
+ * decode dedup: the process-wide cache tier of the serve daemon, which
+ * ChunkFetcher consults from the pool workers. Eviction is strictly
  * least-recently-used and never lets the resident total exceed the byte
  * budget; a chunk larger than the whole budget is returned to the caller
  * but not retained (caching it would evict everything for one entry), and
@@ -161,9 +119,12 @@ public:
  * 16-bit segment lies outside the `data` the budget charges, and only the
  * stitch of its own pass turns it into stream bytes.
  */
-class LruChunkCache final : public ChunkCache
+class LruChunkCache
 {
 public:
+    using ChunkDataPtr = std::shared_ptr<const DecodedChunk>;
+    using Decode = std::function<ChunkDataPtr()>;
+
     /** Rough per-entry bookkeeping cost charged on top of the chunk data. */
     static constexpr std::size_t PER_ENTRY_OVERHEAD = 256;
 
@@ -171,22 +132,23 @@ public:
         m_capacityBytes( capacityBytes )
     {}
 
+    /** nullptr on miss. A hit refreshes the entry's recency. */
     [[nodiscard]] ChunkDataPtr
-    get( const ChunkCacheKey& key ) override
+    get( const ChunkCacheKey& key )
     {
         const std::lock_guard<std::mutex> lock( m_mutex );
         return lockedGet( key );
     }
 
     void
-    insert( const ChunkCacheKey& key, ChunkDataPtr chunk ) override
+    insert( const ChunkCacheKey& key, ChunkDataPtr chunk )
     {
         const std::lock_guard<std::mutex> lock( m_mutex );
         lockedInsert( key, std::move( chunk ) );
     }
 
     [[nodiscard]] ChunkCacheStatistics
-    statistics() const override
+    statistics() const
     {
         const std::lock_guard<std::mutex> lock( m_mutex );
         auto result = m_statistics;
@@ -195,8 +157,13 @@ public:
         return result;
     }
 
+    /**
+     * Cache-through decode: concurrent callers of the same cold key decode
+     * exactly once. @p decode may throw; the error propagates to every
+     * waiting caller.
+     */
     [[nodiscard]] ChunkDataPtr
-    getOrDecode( const ChunkCacheKey& key, const Decode& decode ) override
+    getOrDecode( const ChunkCacheKey& key, const Decode& decode )
     {
         auto promise = std::make_shared<std::promise<ChunkDataPtr> >();
         std::shared_future<ChunkDataPtr> pending;

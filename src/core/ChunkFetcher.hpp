@@ -11,7 +11,6 @@
 #include <mutex>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "../common/ThreadPool.hpp"
 #include "../common/Util.hpp"
@@ -25,53 +24,33 @@
 namespace rapidgzip {
 
 /**
- * Configuration for the parallel chunk fetcher (paper §3.2). The prefetch
- * strategy decides which chunks to decode speculatively after each read,
- * whose pattern the fetcher can only guess:
- *
- *  - FIXED:        always prefetch the next `parallelism` chunks.
- *  - ADAPTIVE:     start shallow and double the prefetch depth for every
- *                  consecutive sequential access (the paper's default) —
- *                  cheap for random access, full depth for linear scans.
- *  - MULTI_STREAM: track up to four interleaved sequential access streams
- *                  (the ratarmount FUSE pattern) and prefetch ahead of each.
+ * Configuration for the parallel chunk fetcher (paper §3.2). After each read,
+ * whose pattern the fetcher can only guess, it prefetches the next
+ * min(parallelism, 2^streak) chunks, where the streak counts consecutive
+ * sequential accesses: cheap for random access, full depth for linear
+ * scans. A repeated access to the same chunk leaves the streak alone, and
+ * any other jump resets it.
  *
  * An ordered pass over every chunk (ChunkedReader::pass) is known to be one
  * before its first access, so it keeps the next max(2 * parallelism, 4)
- * chunks decoding from that first access on, whatever the strategy, and
- * leaves the strategy's access pattern alone. The cache holds that
- * look-ahead plus the chunk in use: max(2 * parallelism + 4, 8) chunks.
+ * chunks decoding from that first access on and leaves the streak alone.
+ * The cache holds that look-ahead plus the chunk in use:
+ * max(2 * parallelism + 4, 8) chunks.
  */
 struct ChunkFetcherConfiguration
 {
-    enum class Strategy
-    {
-        FIXED,
-        ADAPTIVE,
-        MULTI_STREAM,
-    };
-
     std::size_t parallelism{ std::max<std::size_t>( 1, std::thread::hardware_concurrency() ) };
     std::size_t chunkSizeBytes{ 4 * MiB };
-    Strategy strategy{ Strategy::ADAPTIVE };
-    /**
-     * Minimum uncompressed distance between checkpoints the two-stage sweep
-     * harvests into the seek index (member starts are always kept); 0 keeps
-     * every chunk boundary. Larger spacings shrink the serialized index
-     * (fewer 32 KiB windows) at the price of longer decode spans per seek —
-     * bench/table4_formats.cpp reports the trade-off.
-     */
-    std::size_t checkpointSpacingBytes{ 0 };
     /**
      * Optional process-wide cache tier (serve daemon). When set, decodes
-     * run through ChunkCache::getOrDecode — concurrent requests for the
+     * run through LruChunkCache::getOrDecode — concurrent requests for the
      * same cold chunk decode once — and the per-reader map only bridges a
      * decode to its first consumption: repeat accesses are served by the
      * shared tier so chunk residency is accounted, bounded, and evicted in
      * one place. When unset (the default), behavior is exactly the classic
      * per-reader cache.
      */
-    std::shared_ptr<ChunkCache> sharedCache{};
+    std::shared_ptr<LruChunkCache> sharedCache{};
     /**
      * Folded into every shared-cache key; must uniquely identify the
      * compressed archive (e.g. hash of path + size + mtime). Readers of the
@@ -81,22 +60,13 @@ struct ChunkFetcherConfiguration
     std::uint64_t cacheIdentity{ 0 };
 };
 
-struct FetcherStatistics
-{
-    std::size_t prefetchDispatched{ 0 };  /**< speculative chunk decodes submitted */
-    std::size_t prefetchHits{ 0 };        /**< accesses served by a speculative decode */
-    std::size_t onDemandDecodes{ 0 };     /**< accesses that had to decode synchronously */
-    std::size_t cacheHits{ 0 };           /**< repeat accesses served from a cache tier */
-    std::size_t evictions{ 0 };           /**< ready chunks dropped by the per-reader LRU */
-    std::size_t prefetchWasted{ 0 };      /**< speculative decodes evicted before any consumer */
-};
-
 /**
  * Decodes the chunks of a chunk table on a thread pool, caches the results,
- * and prefetches according to the configured strategy. Every public method
- * is safe to call from many threads: the cache, the statistics and the
- * access pattern sit behind one mutex, which get() releases while it waits
- * for a decode.
+ * and prefetches by the rule above. Every public method is safe to call from
+ * many threads: the cache and the access pattern sit behind one mutex, which
+ * get() releases while it waits for a decode. Each prefetch, consumption,
+ * on-demand decode, cache hit and wasted prefetch is counted once, in the
+ * telemetry registry.
  */
 class ChunkFetcher
 {
@@ -120,18 +90,10 @@ public:
         m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
     {}
 
-    /** A snapshot, taken under the cache lock. */
-    [[nodiscard]] FetcherStatistics
-    statistics() const
-    {
-        const std::lock_guard<std::mutex> lock( m_mutex );
-        return m_statistics;
-    }
-
     /** What an access tells the fetcher about the accesses after it. */
     enum class Access
     {
-        READ,          /**< prefetch as the configured strategy guesses */
+        READ,          /**< prefetch by the sequential streak */
         ORDERED_PASS,  /**< part of a pass over every chunk in order */
     };
 
@@ -147,12 +109,10 @@ public:
             if ( const auto match = m_cache.find( index ); match != m_cache.end() ) {
                 match->second.lastUse = m_accessClock;
                 if ( match->second.prefetched && !match->second.counted ) {
-                    ++m_statistics.prefetchHits;
                     match->second.counted = true;
                     RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_prefetch_consumed_total",
                                                "Chunk accesses served by a speculative decode.", 1 );
                 } else {
-                    ++m_statistics.cacheHits;
                     RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_cache_hits_total",
                                                "Repeat chunk accesses served from a cache tier.", 1 );
                 }
@@ -173,14 +133,12 @@ public:
                         ChunkCacheKey{ m_cacheToken, index } );
                 }
                 if ( sharedChunk ) {
-                    ++m_statistics.cacheHits;
                     RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_cache_hits_total",
                                                "Repeat chunk accesses served from a cache tier.", 1 );
                     dispatchPrefetches( index, access );
                     evictStaleEntries( index );
                     return sharedChunk;
                 }
-                ++m_statistics.onDemandDecodes;
                 RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_on_demand_decodes_total",
                                            "Chunk accesses that had to decode synchronously.", 1 );
                 future = insertDecodeTask( index, /* prefetched */ false );
@@ -211,10 +169,10 @@ public:
 
     /**
      * Serve only the first @p chunkCount chunks from now on, and start the
-     * prefetch strategy's access pattern afresh; cached chunks stay. For an
-     * owner whose ordered pass over the chunks found the rest to be past the
-     * end of the stream, and whose later reads should not be prefetched as
-     * a continuation of that pass or of reads made during it.
+     * sequential streak afresh; cached chunks stay. For an owner whose
+     * ordered pass over the chunks found the rest to be past the end of the
+     * stream, and whose later reads should not be prefetched as a
+     * continuation of that pass or of reads made during it.
      */
     void
     resetAccessPattern( std::size_t chunkCount )
@@ -223,7 +181,6 @@ public:
         m_chunkCount = std::min( m_chunkCount, chunkCount );
         m_lastAccess = SIZE_MAX;
         m_sequentialStreak = 0;
-        m_streams.clear();
     }
 
 private:
@@ -243,7 +200,7 @@ private:
          * entries keyed under the stale table. */
         return mixHash( configuration.cacheIdentity )
                ^ mixHash( static_cast<std::uint64_t>( chunkCount ) << 8U )
-               ^ mixHash( configuration.chunkSizeBytes + 3 * configuration.checkpointSpacingBytes );
+               ^ mixHash( configuration.chunkSizeBytes );
     }
 
     static void
@@ -323,7 +280,6 @@ private:
             match->second.lastUse = m_accessClock;
             return;
         }
-        ++m_statistics.prefetchDispatched;
         RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_prefetch_issued_total",
                                    "Speculative chunk decodes submitted to the pool.", 1 );
         (void)insertDecodeTask( index, /* prefetched */ true );
@@ -340,71 +296,18 @@ private:
             }
             return;
         }
-        switch ( m_configuration.strategy ) {
-        case ChunkFetcherConfiguration::Strategy::FIXED:
-            for ( std::size_t i = 1; i <= parallelism; ++i ) {
-                prefetch( accessedIndex + i );
-            }
-            break;
-
-        case ChunkFetcherConfiguration::Strategy::ADAPTIVE:
-        {
-            /* Repeated accesses to the same chunk (byte-wise read() loops)
-             * neither grow nor reset the sequential streak. */
-            if ( ( m_lastAccess != SIZE_MAX ) && ( accessedIndex == m_lastAccess + 1 ) ) {
-                ++m_sequentialStreak;
-            } else if ( accessedIndex != m_lastAccess ) {
-                m_sequentialStreak = 0;
-            }
-            m_lastAccess = accessedIndex;
-            const auto depth = std::min<std::size_t>(
-                parallelism,
-                std::size_t( 1 ) << std::min<std::size_t>( m_sequentialStreak, 16 ) );
-            for ( std::size_t i = 1; i <= depth; ++i ) {
-                prefetch( accessedIndex + i );
-            }
-            break;
+        /* Repeated accesses to the same chunk (byte-wise read() loops)
+         * neither grow nor reset the sequential streak. */
+        if ( ( m_lastAccess != SIZE_MAX ) && ( accessedIndex == m_lastAccess + 1 ) ) {
+            ++m_sequentialStreak;
+        } else if ( accessedIndex != m_lastAccess ) {
+            m_sequentialStreak = 0;
         }
-
-        case ChunkFetcherConfiguration::Strategy::MULTI_STREAM:
-        {
-            constexpr std::size_t MAX_STREAMS = 4;
-            auto stream = std::find_if( m_streams.begin(), m_streams.end(),
-                                        [accessedIndex] ( const AccessStream& s ) {
-                                            return s.nextExpected == accessedIndex
-                                                   || s.nextExpected == accessedIndex + 1;
-                                        } );
-            if ( stream == m_streams.end() ) {
-                if ( m_streams.size() >= MAX_STREAMS ) {
-                    stream = std::min_element( m_streams.begin(), m_streams.end(),
-                                               [] ( const AccessStream& a, const AccessStream& b ) {
-                                                   return a.lastUse < b.lastUse;
-                                               } );
-                } else {
-                    m_streams.push_back( {} );
-                    stream = std::prev( m_streams.end() );
-                }
-                stream->streak = 0;
-            } else if ( stream->nextExpected == accessedIndex ) {
-                /* True sequential advance; repeated accesses to the same
-                 * chunk (byte-wise read() loops) leave the streak alone. */
-                ++stream->streak;
-            }
-            stream->nextExpected = accessedIndex + 1;
-            stream->lastUse = m_accessClock;
-
-            /* Budget splits across streams; each ramps up with its streak
-             * like ADAPTIVE so a stray one-off access stays cheap. */
-            const auto perStreamBudget =
-                std::max<std::size_t>( 1, parallelism / std::max<std::size_t>( 1, m_streams.size() ) );
-            for ( const auto& s : m_streams ) {
-                const auto depth = std::min( perStreamBudget, s.streak + 1 );
-                for ( std::size_t i = 0; i < depth; ++i ) {
-                    prefetch( s.nextExpected + i );
-                }
-            }
-            break;
-        }
+        m_lastAccess = accessedIndex;
+        const auto depth = std::min<std::size_t>(
+            parallelism, std::size_t( 1 ) << std::min<std::size_t>( m_sequentialStreak, 16 ) );
+        for ( std::size_t i = 1; i <= depth; ++i ) {
+            prefetch( accessedIndex + i );
         }
     }
 
@@ -430,21 +333,12 @@ private:
                 break;  /* everything else is still decoding */
             }
             if ( victim->second.prefetched && !victim->second.counted ) {
-                ++m_statistics.prefetchWasted;
                 RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_prefetch_wasted_total",
                                            "Speculative decodes evicted before any consumer used them.", 1 );
             }
             m_cache.erase( victim );
-            ++m_statistics.evictions;
         }
     }
-
-    struct AccessStream
-    {
-        std::size_t nextExpected{ 0 };
-        std::size_t streak{ 0 };
-        std::uint64_t lastUse{ 0 };
-    };
 
     std::shared_ptr<const FileReader> m_file;
     std::size_t m_chunkCount{ 0 };
@@ -453,14 +347,12 @@ private:
     std::size_t m_cacheCapacity;
     std::uint64_t m_cacheToken;
 
-    mutable std::mutex m_mutex;
+    std::mutex m_mutex;
     std::map<std::size_t, CacheEntry> m_cache;
-    FetcherStatistics m_statistics;
     std::uint64_t m_accessClock{ 0 };
 
     std::size_t m_lastAccess{ SIZE_MAX };
     std::size_t m_sequentialStreak{ 0 };
-    std::vector<AccessStream> m_streams;
 
     /* Pool last: its destructor runs first, joining workers that capture m_file. */
     ThreadPool m_threadPool;

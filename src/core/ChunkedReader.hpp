@@ -48,8 +48,8 @@ struct ChunkTable
  * and fetcher alive across any later change. Once a sized table is
  * published, size(), readAt() and readSpansAt() take no lock of this
  * reader's; they only call ChunkFetcher::get, which locks its own cache.
- * Reads and statistics() may be called from many threads at once; the
- * table-building methods require lock().
+ * Reads may be called from many threads at once; the table-building methods
+ * require lock().
  */
 class ChunkedReader
 {
@@ -105,15 +105,6 @@ public:
                                               std::size_t offsetInChunk, std::size_t length ) {
             spans.push_back( lendChunkSpan( chunk, offsetInChunk, length ) );
         } );
-    }
-
-    /** A snapshot of the current fetcher's statistics; all zero before a
-     * read or sweep built one. */
-    [[nodiscard]] FetcherStatistics
-    statistics() const
-    {
-        const auto state = std::atomic_load( &m_state );
-        return state && state->fetcher ? state->fetcher->statistics() : FetcherStatistics{};
     }
 
     /* --- table building: the caller holds lock() -------------------------- */
@@ -196,9 +187,8 @@ public:
      * fetcher and hand each to @p hook( index, chunk ) until the hook
      * returns false or the table ends. A pass is known to be one before its
      * first access, so from chunk 0 on the fetcher keeps max(2P, 4) chunks
-     * decoding ahead while the hook runs, whatever the prefetch strategy.
-     * It publishes nothing; a failing decode or hook propagates. Returns
-     * the chunks handed to the hook.
+     * decoding ahead while the hook runs. It publishes nothing; a failing
+     * decode or hook propagates. Returns the chunks handed to the hook.
      */
     template<typename Hook>
     std::size_t
@@ -237,9 +227,9 @@ public:
      * Publish @p chunkSizes, the sizes a pass measured for the table's first
      * chunks, as the uncompressed offsets; the chunks after them lie past
      * the end of the stream and leave the table. The fetcher stays, so the
-     * pass's tail serves the reads that follow, and its access pattern
-     * starts afresh, so those reads see the configured strategy as a reader
-     * that never swept would. Returns the total uncompressed size.
+     * pass's tail serves the reads that follow, and its sequential streak
+     * starts afresh, so those reads are prefetched as they would be on a
+     * reader that never swept. Returns the total uncompressed size.
      */
     std::size_t
     publishSizes( const std::vector<std::size_t>& chunkSizes )

@@ -497,11 +497,13 @@ public:
          * Stitch @p decoded, the next chunk, whose decode was asked to end
          * at the first block boundary at or past @p untilBits. Throws
          * ChecksumError for a member that disagrees with its footer, and
-         * what decodeMembers() throws for a re-decode.
+         * what decodeMembers() throws for a re-decode. The whole hook is one
+         * `chunk.stitch` span; a re-decode's `chunk.decode` spans nest in it.
          */
         void
         stitch( const DecodedChunk& decoded, std::size_t untilBits )
         {
+            telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
             const auto* chunk = &decoded;
             const DecodedChunk::Guess* accepted = nullptr;
             DecodedChunk redecoded;
@@ -539,7 +541,6 @@ public:
             if ( accepted != nullptr ) {
                 /* Only the 16-bit prefix needs the window; the CRC and the
                  * window run over the plain tail's segments in place. */
-                telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
                 const auto& segment = accepted->firstSegment;
                 m_resolved.resize( segment.marked.size() );
                 deflate::replaceMarkers( segment.marked, window(), m_resolved.data() );

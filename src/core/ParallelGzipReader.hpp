@@ -23,9 +23,9 @@ namespace rapidgzip {
 
 /**
  * Parallel gzip decompressor (paper §3): a SharedFileReader feeds per-chunk
- * decodes on a thread pool; a strategy-driven prefetcher keeps the pool busy
- * ahead of the consumer; decoded chunks land in a bounded cache serving
- * random access reads.
+ * decodes on a thread pool; a prefetcher that ramps up with sequential
+ * access keeps the pool busy ahead of the consumer; decoded chunks land in a
+ * bounded cache serving random access reads.
  *
  * One chunk table drives all of it, the checkpoints of a GzipIndex (the
  * paper's §3.5 seek index) with chunk i spanning checkpoint i to checkpoint
@@ -230,13 +230,6 @@ public:
 
     /* --- introspection ----------------------------------------------- */
 
-    /** A snapshot of the chunk fetcher's statistics. */
-    [[nodiscard]] FetcherStatistics
-    fetcherStatistics() const
-    {
-        return m_chunks.statistics();
-    }
-
     /** Chunks in the current table; runs chunk-table discovery if needed. */
     [[nodiscard]] std::size_t
     chunkCount()
@@ -269,7 +262,7 @@ private:
         ensureChunkTable();
         const auto table = m_index;
         try {
-            index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
+            index::IndexBuilder builder;
             GzipChunkFetcher::Stitcher stitcher( *m_file, table->checkpoints.front().compressedOffsetBits, &builder );
             std::vector<std::size_t> sizes;
             (void)m_chunks.pass( [&] ( std::size_t i, const DecodedChunk& chunk ) {
@@ -298,7 +291,7 @@ private:
         }
         RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_serial_fallbacks_total",
                                    "Passes that could not verify the stream and left it to the serial walk.", 1 );
-        index::IndexBuilder builder( m_configuration.checkpointSpacingBytes );
+        index::IndexBuilder builder;
         const auto total = GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes, &builder );
         adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size(), total ) ) );
         return total;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -118,23 +117,12 @@ public:
     }
 
     /** Decode Huffman blocks symbol-by-symbol through the two-level LUT with
-     * checked reads, and stored blocks byte by byte — the pre-optimization
-     * hot paths, kept as the bit-exact reference for the equivalence tests
-     * and the before/after benchmark (bench/components_hotpath.cpp). */
+     * checked reads, and stored blocks byte by byte: the bit-exact reference
+     * that testDeflate and fuzz_deflate check the fast loop against. */
     void
     setReferenceHuffmanDecoding( bool reference ) noexcept
     {
         m_referenceDecoding = reference;
-    }
-
-    /** Process-global default adopted by newly constructed Decoders — the
-     * benchmark hook for A/B-ing code that builds its Decoders internally
-     * (the chunk fetcher pipeline). Not for production use. */
-    [[nodiscard]] static std::atomic<bool>&
-    globalReferenceHuffmanDecoding() noexcept
-    {
-        static std::atomic<bool> flag{ false };
-        return flag;
     }
 
     [[nodiscard]] Result
@@ -898,7 +886,7 @@ private:
     std::size_t m_windowSize{ 0 };
     bool m_plainMode{ false };
     bool m_startAtStoredData{ false };
-    bool m_referenceDecoding{ globalReferenceHuffmanDecoding().load( std::memory_order_relaxed ) };
+    bool m_referenceDecoding{ false };
     std::size_t m_lastMarkerPosition{ NO_MARKER };
     std::size_t m_totalDecoded{ 0 };
     std::size_t m_hardByteLimit{ std::numeric_limits<std::size_t>::max() };

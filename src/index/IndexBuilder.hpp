@@ -21,8 +21,9 @@ namespace rapidgzip::index {
  * offset, the absolute uncompressed offset and the propagated 32 KiB window
  * in hand, so index construction is a byproduct of the first decompression
  * rather than a second pass — the property the paper's "first read builds
- * the index" workflow depends on. A row that decoded exactly from a restart
- * point needs no window, so it is harvested without one.
+ * the index" workflow depends on. Every chunk boundary becomes a checkpoint,
+ * so the chunk size sets the spacing. A row that decoded exactly from a
+ * restart point needs no window, so it is harvested without one.
  *
  * Sparse windows: when the accepted chunk decode was the speculative marker
  * decode AND the chunk produced at least a full window of output, the
@@ -37,14 +38,6 @@ namespace rapidgzip::index {
 class IndexBuilder
 {
 public:
-    /** @p checkpointSpacingBytes: minimum uncompressed distance between kept
-     * checkpoints; 0 keeps every chunk boundary the sweep visits. Member
-     * starts are always kept (they are the only restart points an empty
-     * window can resume at). */
-    explicit IndexBuilder( std::size_t checkpointSpacingBytes = 0 ) :
-        m_spacing( checkpointSpacingBytes )
-    {}
-
     /**
      * Record the chunk boundary at absolute @p compressedOffsetBits whose
      * decode starts at uncompressed offset @p uncompressedOffset with
@@ -58,17 +51,9 @@ public:
                    BufferView window,
                    const deflate::DecodedData* markedData = nullptr )
     {
-        if ( !m_index.checkpoints.empty() ) {
-            const auto& last = m_index.checkpoints.back();
-            if ( compressedOffsetBits <= last.compressedOffsetBits ) {
-                return;  /* zero-block chunk: boundary did not advance */
-            }
-            /* Spacing applies to window-carrying checkpoints only; member
-             * starts (empty window) are always kept. */
-            if ( !window.empty() && ( m_spacing > 0 )
-                 && ( uncompressedOffset < last.uncompressedOffset + m_spacing ) ) {
-                return;
-            }
+        if ( !m_index.checkpoints.empty()
+             && ( compressedOffsetBits <= m_index.checkpoints.back().compressedOffsetBits ) ) {
+            return;  /* zero-block chunk: boundary did not advance */
         }
 
         m_index.checkpoints.push_back( { compressedOffsetBits, uncompressedOffset } );
@@ -117,7 +102,6 @@ public:
 
 private:
     GzipIndex m_index;
-    std::size_t m_spacing;
 };
 
 }  // namespace rapidgzip::index

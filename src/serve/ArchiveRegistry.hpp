@@ -89,7 +89,7 @@ class ArchiveRegistry
 public:
     ArchiveRegistry( std::string rootDirectory,
                      std::size_t maxArchives,
-                     std::shared_ptr<ChunkCache> sharedCache,
+                     std::shared_ptr<LruChunkCache> sharedCache,
                      ChunkFetcherConfiguration readerConfiguration,
                      RegistryLimits limits = {} ) :
         m_rootDirectory( std::move( rootDirectory ) ),
@@ -292,7 +292,7 @@ private:
 
     std::string m_rootDirectory;
     std::size_t m_maxArchives;
-    std::shared_ptr<ChunkCache> m_sharedCache;
+    std::shared_ptr<LruChunkCache> m_sharedCache;
     ChunkFetcherConfiguration m_readerConfiguration;
     RegistryLimits m_limits;
 

@@ -209,7 +209,7 @@ public:
         return m_metrics;
     }
 
-    [[nodiscard]] const ChunkCache&
+    [[nodiscard]] const LruChunkCache&
     sharedCache() const noexcept
     {
         return *m_sharedCache;
@@ -1040,7 +1040,7 @@ private:
     }
 
     ServerConfiguration m_configuration;
-    std::shared_ptr<ChunkCache> m_sharedCache;
+    std::shared_ptr<LruChunkCache> m_sharedCache;
     ArchiveRegistry m_registry;
     ServeMetrics m_metrics;
 

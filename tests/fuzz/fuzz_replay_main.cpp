@@ -6,6 +6,7 @@
  * unit test.
  *
  * Run: ./testFuzzDeflateReplay tests/fuzz/corpus/deflate
+ *      ./testFuzzBlockfinderReplay tests/fuzz/corpus/blockfinder
  */
 
 #include <algorithm>
@@ -45,6 +46,7 @@ main( int argc, char** argv )
         LLVMFuzzerTestOneInput( input.data(), input.size() );
         std::printf( "  %s: %zu bytes\n", path.filename().c_str(), input.size() );
     }
-    std::printf( "PASSED testFuzzDeflateReplay (%zu inputs)\n", files.size() );
+    std::printf( "PASSED %s (%zu inputs)\n", std::filesystem::path( argv[0] ).filename().c_str(),
+                 files.size() );
     return 0;
 }

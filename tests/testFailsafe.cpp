@@ -343,7 +343,7 @@ testCacheNeverStoresFailures()
     const ChunkCacheKey key{ 77, 3 };
 
     REQUIRE_THROWS_AS(
-        (void)cache.getOrDecode( key, [] () -> ChunkCache::ChunkDataPtr {
+        (void)cache.getOrDecode( key, [] () -> LruChunkCache::ChunkDataPtr {
             throw failsafe::FaultInjectedError( "decode" );
         } ),
         failsafe::FaultInjectedError );

@@ -1,7 +1,7 @@
 /**
  * core layer: ParallelGzipReader must reproduce the serial decoder's output
  * exactly — decompressAll counts, random access reads, index export/import,
- * every prefetch strategy, and single-chunk files without any flush markers.
+ * and single-chunk files without any flush markers.
  * On every base (plain, pigz-like, BGZF) with every kind of trailing bytes
  * (padding, cut or damaged members, intact members), GzipReader,
  * decompressAll() and a fresh reader's size() + read() agree; a sync
@@ -13,11 +13,12 @@
  * decode reads its compressed span once, whatever the number of members in
  * it. Restart-point discovery returns the whole-file scan's table, or the
  * first start alone when no restart point lies within two chunk sizes of
- * it, and reads one chunk size of a plain member. The sweep behind size()
- * leaves no access pattern for the prefetch strategy, and an ordered pass
- * keeps max(2P, 4) chunks decoding ahead from its first chunk without
- * wasting one. A guessed chunk that starts inside an incompressible stretch
- * must bound its block search at the stored block it decodes from. False
+ * it, and reads one chunk size of a plain member. An ordered pass keeps
+ * max(2P, 4) chunks decoding ahead from its first chunk without wasting
+ * one, and reads outside a pass prefetch min(P, 2^streak) chunks ahead,
+ * counted in the registry. A guessed chunk that starts inside an
+ * incompressible stretch must bound its block search at the stored block
+ * it decodes from. False
  * restart points cost one re-decode each in a single pass, and a
  * sync-flushed stream, whose restart points need the history before them,
  * decodes each row once, through a shared cache too. A guess at the LEN
@@ -57,15 +58,40 @@ using rapidgzip::test::GzipFile;
 namespace {
 
 ChunkFetcherConfiguration
-config( std::size_t parallelism, std::size_t chunkSize,
-        ChunkFetcherConfiguration::Strategy strategy = ChunkFetcherConfiguration::Strategy::ADAPTIVE )
+config( std::size_t parallelism, std::size_t chunkSize )
 {
     ChunkFetcherConfiguration result;
     result.parallelism = parallelism;
     result.chunkSizeBytes = chunkSize;
-    result.strategy = strategy;
     return result;
 }
+
+/** The chunk fetchers' registry counters in the process so far, while
+ * metrics are enabled. */
+struct FetcherCounts
+{
+    std::uint64_t issued{ 0 };    /**< speculative decodes submitted */
+    std::uint64_t consumed{ 0 };  /**< accesses served by a speculative decode */
+    std::uint64_t wasted{ 0 };    /**< speculative decodes evicted unused */
+    std::uint64_t onDemand{ 0 };  /**< accesses that decoded synchronously */
+
+    [[nodiscard]] static FetcherCounts
+    now()
+    {
+        const auto& registry = telemetry::Registry::instance();
+        return { registry.counterTotal( "rapidgzip_prefetch_issued_total" ),
+                 registry.counterTotal( "rapidgzip_prefetch_consumed_total" ),
+                 registry.counterTotal( "rapidgzip_prefetch_wasted_total" ),
+                 registry.counterTotal( "rapidgzip_chunk_on_demand_decodes_total" ) };
+    }
+
+    [[nodiscard]] FetcherCounts
+    operator-( const FetcherCounts& before ) const
+    {
+        return { issued - before.issued, consumed - before.consumed, wasted - before.wasted,
+                 onDemand - before.onDemand };
+    }
+};
 
 void
 checkFullRead( const std::vector<std::uint8_t>& original,
@@ -528,91 +554,95 @@ testDiscoveryReadsOneSlice()
     REQUIRE( plain.bytesRead() <= 2 * CHUNK_SIZE + 128 * KiB );
 }
 
-/**
- * The sweep behind size() must leave no access pattern behind for the
- * prefetch strategy: two interleaved sequential readers after size() get
- * the prefetches they get from a reader that never swept. With
- * MULTI_STREAM, a stream left at the sweep's end would take a share of the
- * prefetch budget for the whole run.
- */
-void
-testSweepLeavesNoAccessPattern()
+constexpr std::size_t SYNTHETIC_CHUNKS = 64;
+constexpr std::size_t SYNTHETIC_CHUNK_BYTES = 4 * KiB;
+constexpr std::size_t SYNTHETIC_PARALLELISM = 4;
+
+/** A ChunkedReader at parallelism 4 over 64 synthetic 4 KiB chunks, chunk i
+ * all bytes i: a sized table, or one awaiting a pass. */
+[[nodiscard]] std::unique_ptr<ChunkedReader>
+syntheticChunks( bool sized )
 {
-    const auto data = workloads::base64Data( 2 * MiB, 0xACCE );
-    const auto compressed = compressPigzLike( { data.data(), data.size() }, 6, 32 * KiB );
-    const auto configuration = config( 4, 32 * KiB, ChunkFetcherConfiguration::Strategy::MULTI_STREAM );
-
-    /* Alternate 16 KiB reads over the first and the second quarter of the
-     * stream, past the chunks the sweep left cached near the end. */
-    const auto interleavedPrefetches = [&] ( ParallelGzipReader& reader ) {
-        const auto before = reader.fetcherStatistics().prefetchDispatched;
-        const auto quarter = data.size() / 4;
-        std::vector<std::uint8_t> buffer( 16 * KiB );
-        for ( std::size_t offset = 0; offset + buffer.size() <= quarter; offset += buffer.size() ) {
-            for ( const auto base : { std::size_t( 0 ), quarter } ) {
-                reader.seek( base + offset );
-                REQUIRE( reader.read( buffer.data(), buffer.size() ) == buffer.size() );
-                REQUIRE( std::memcmp( buffer.data(), data.data() + base + offset, buffer.size() ) == 0 );
-            }
-        }
-        return reader.fetcherStatistics().prefetchDispatched - before;
-    };
-
-    ParallelGzipReader swept( std::make_unique<MemoryFileReader>( compressed ), configuration );
-    REQUIRE( swept.size() == data.size() );
-    REQUIRE( swept.chunkCount() >= 32 );
-    ParallelGzipReader fresh( std::make_unique<MemoryFileReader>( compressed ), configuration );
-    fresh.importIndex( swept.exportIndex() );
-    REQUIRE( interleavedPrefetches( swept ) == interleavedPrefetches( fresh ) );
+    auto reader = std::make_unique<ChunkedReader>(
+        std::make_shared<MemoryFileReader>( std::vector<std::uint8_t>( SYNTHETIC_CHUNKS ) ),
+        config( SYNTHETIC_PARALLELISM, SYNTHETIC_CHUNK_BYTES ), [] () {} );
+    std::vector<index::Checkpoint> checkpoints;
+    for ( std::size_t i = 0; i < SYNTHETIC_CHUNKS; ++i ) {
+        checkpoints.push_back( { i * 8, sized ? i * SYNTHETIC_CHUNK_BYTES : 0 } );
+    }
+    reader->publish( checkpoints,
+                     sized ? std::optional<std::size_t>( SYNTHETIC_CHUNKS * SYNTHETIC_CHUNK_BYTES ) : std::nullopt,
+                     [] ( const FileReader&, std::size_t i ) {
+                         DecodedChunk chunk;
+                         chunk.data.assign( SYNTHETIC_CHUNK_BYTES, static_cast<std::uint8_t>( i ) );
+                         return chunk;
+                     } );
+    return reader;
 }
 
 /**
  * A sweep is a pass over every chunk, known as one before its first access,
  * so it fills the pool at once: when the hook of a sweep over 64 fixed-size
  * chunks at parallelism 4 sees chunk 0, the fetcher has dispatched
- * max(2P, 4) = 8 prefetches, under FIXED, ADAPTIVE and MULTI_STREAM alike
- * (a strategy left to guess would have ADAPTIVE and MULTI_STREAM dispatch
- * one there). The cache holds that look-ahead plus the chunk in use, and a
- * prefetch of a cached chunk counts as a use, so the LRU evicts no ready
- * prefetch before the pass consumes it: no prefetch is wasted, and only
- * chunk 0 decodes on demand.
+ * max(2P, 4) = 8 prefetches, where a read would have dispatched one. The
+ * cache holds that look-ahead plus the chunk in use, and a prefetch of a
+ * cached chunk counts as a use, so the LRU evicts no ready prefetch before
+ * the pass consumes it: no prefetch is wasted, and only chunk 0 decodes on
+ * demand.
  */
 void
 testOrderedPassLookAhead()
 {
-    constexpr std::size_t CHUNKS = 64;
-    constexpr std::size_t CHUNK_BYTES = 4 * KiB;
-    constexpr std::size_t PARALLELISM = 4;
-    std::vector<index::Checkpoint> checkpoints;
-    for ( std::size_t i = 0; i < CHUNKS; ++i ) {
-        checkpoints.push_back( { i * 8, 0 } );
+    const auto reader = syntheticChunks( /* sized */ false );
+    telemetry::setMetricsEnabled( true );
+    const auto before = FetcherCounts::now();
+    std::uint64_t dispatchedAtFirstChunk = 0;
+    const auto lock = reader->lock();
+    const auto total = reader->sweep( [&] ( std::size_t i, const DecodedChunk& chunk ) {
+        if ( i == 0 ) {
+            dispatchedAtFirstChunk = ( FetcherCounts::now() - before ).issued;
+        }
+        REQUIRE( chunk.data == std::vector<std::uint8_t>( SYNTHETIC_CHUNK_BYTES, static_cast<std::uint8_t>( i ) ) );
+        return true;
+    } );
+    const auto counts = FetcherCounts::now() - before;
+    telemetry::setMetricsEnabled( false );
+    REQUIRE( total == SYNTHETIC_CHUNKS * SYNTHETIC_CHUNK_BYTES );
+    REQUIRE( dispatchedAtFirstChunk == 2 * SYNTHETIC_PARALLELISM );
+    REQUIRE( counts.wasted == 0 );
+    REQUIRE( counts.onDemand == 1 );
+    REQUIRE( counts.consumed == SYNTHETIC_CHUNKS - 1 );
+}
+
+/**
+ * A read outside a pass prefetches min(P, 2^streak) chunks ahead, where the
+ * streak counts sequential steps. One-byte reads at chunks 0, 1, 2, 3, 3, 4
+ * and 40 of 64 at P = 4 issue 1, 2, 3, 1, 0, 1 and 1 prefetches: the depth
+ * doubles per sequential step up to P, a repeated chunk leaves it alone (so
+ * chunk 4 still prefetches 8; a reset would stop at 6, already cached), and
+ * a jump resets it. Only chunks 0 and 40 decode on demand.
+ */
+void
+testPrefetchRamp()
+{
+    struct Step
+    {
+        std::size_t chunk;
+        std::uint64_t prefetches;
+    };
+    const auto reader = syntheticChunks( /* sized */ true );
+    telemetry::setMetricsEnabled( true );
+    for ( const auto step : { Step{ 0, 1 }, Step{ 1, 2 }, Step{ 2, 3 }, Step{ 3, 1 }, Step{ 3, 0 }, Step{ 4, 1 },
+                              Step{ 40, 1 } } ) {
+        const auto before = FetcherCounts::now();
+        std::uint8_t byte = 0;
+        REQUIRE( reader->readAt( step.chunk * SYNTHETIC_CHUNK_BYTES, &byte, 1 ) == 1 );
+        const auto counts = FetcherCounts::now() - before;
+        REQUIRE( byte == static_cast<std::uint8_t>( step.chunk ) );
+        REQUIRE( counts.issued == step.prefetches );
+        REQUIRE( counts.onDemand == ( ( step.chunk == 0 ) || ( step.chunk == 40 ) ? 1U : 0U ) );
     }
-    for ( const auto strategy : { ChunkFetcherConfiguration::Strategy::FIXED,
-                                  ChunkFetcherConfiguration::Strategy::ADAPTIVE,
-                                  ChunkFetcherConfiguration::Strategy::MULTI_STREAM } ) {
-        ChunkedReader reader( std::make_shared<MemoryFileReader>( std::vector<std::uint8_t>( CHUNKS ) ),
-                              config( PARALLELISM, CHUNK_BYTES, strategy ), [] () {} );
-        reader.publish( checkpoints, std::nullopt, [] ( const FileReader&, std::size_t i ) {
-            DecodedChunk chunk;
-            chunk.data.assign( CHUNK_BYTES, static_cast<std::uint8_t>( i ) );
-            return chunk;
-        } );
-        std::size_t dispatchedAtFirstChunk = 0;
-        const auto lock = reader.lock();
-        const auto total = reader.sweep( [&] ( std::size_t i, const DecodedChunk& chunk ) {
-            if ( i == 0 ) {
-                dispatchedAtFirstChunk = reader.statistics().prefetchDispatched;
-            }
-            REQUIRE( chunk.data == std::vector<std::uint8_t>( CHUNK_BYTES, static_cast<std::uint8_t>( i ) ) );
-            return true;
-        } );
-        REQUIRE( total == CHUNKS * CHUNK_BYTES );
-        REQUIRE( dispatchedAtFirstChunk == 2 * PARALLELISM );
-        const auto statistics = reader.statistics();
-        REQUIRE( statistics.prefetchWasted == 0 );
-        REQUIRE( statistics.onDemandDecodes == 1 );
-        REQUIRE( statistics.prefetchHits == CHUNKS - 1 );
-    }
+    telemetry::setMetricsEnabled( false );
 }
 
 /**
@@ -703,8 +733,8 @@ struct DecodeCounts
     now()
     {
         const auto& registry = telemetry::Registry::instance();
-        return { registry.counterTotal( "rapidgzip_prefetch_issued_total" )
-                 + registry.counterTotal( "rapidgzip_chunk_on_demand_decodes_total" ),
+        const auto fetcher = FetcherCounts::now();
+        return { fetcher.issued + fetcher.onDemand,
                  registry.counterTotal( "rapidgzip_chunk_redecodes_total" ),
                  registry.counterTotal( "rapidgzip_serial_fallbacks_total" ) };
     }
@@ -967,12 +997,8 @@ main()
     const auto data = workloads::base64Data( 8 * MiB + 4321, 0xF00D );
     const auto compressed = compressPigzLike( { data.data(), data.size() }, 6, 128 * 1024 );
 
-    /* All strategies, several parallelism/chunk-size combinations. */
-    for ( const auto strategy : { ChunkFetcherConfiguration::Strategy::FIXED,
-                                  ChunkFetcherConfiguration::Strategy::ADAPTIVE,
-                                  ChunkFetcherConfiguration::Strategy::MULTI_STREAM } ) {
-        checkFullRead( data, compressed, config( 4, 256 * 1024, strategy ) );
-    }
+    /* Several parallelism/chunk-size combinations. */
+    checkFullRead( data, compressed, config( 4, 256 * 1024 ) );
     checkFullRead( data, compressed, config( 1, 64 * 1024 ) );
     checkFullRead( data, compressed, config( 8, 4 * MiB ) );
 
@@ -1036,14 +1062,15 @@ main()
 
         /* Filling in the swept offsets keeps the fetcher: the tail of the
          * sweep behind size() serves the next read without a decode. */
-        const auto sweptDecodes = reader.fetcherStatistics().onDemandDecodes
-                                  + reader.fetcherStatistics().prefetchDispatched;
+        telemetry::setMetricsEnabled( true );
+        const auto beforeRead = FetcherCounts::now();
         std::uint8_t lastByte = 0;
         reader.seek( data.size() - 1 );
         REQUIRE( reader.read( &lastByte, 1 ) == 1 );
         REQUIRE( lastByte == data.back() );
-        REQUIRE( reader.fetcherStatistics().onDemandDecodes
-                 + reader.fetcherStatistics().prefetchDispatched == sweptDecodes );
+        const auto readCounts = FetcherCounts::now() - beforeRead;
+        telemetry::setMetricsEnabled( false );
+        REQUIRE( readCounts.issued + readCounts.onDemand == 0 );
 
         Xorshift64 random( 0xACCE55 );
         std::vector<std::uint8_t> buffer( 70000 );
@@ -1149,17 +1176,19 @@ main()
         REQUIRE_THROWS_AS( (void)sizeReader.size(), RapidgzipError );
     }
 
-    /* Fetcher statistics: a sequential sweep must mostly hit prefetches. */
+    /* Fetcher counters: a sequential sweep must mostly hit prefetches. */
     {
+        telemetry::setMetricsEnabled( true );
+        const auto before = FetcherCounts::now();
         ParallelGzipReader reader( std::make_unique<MemoryFileReader>( compressed ),
-                                   config( 4, 256 * 1024,
-                                           ChunkFetcherConfiguration::Strategy::FIXED ) );
+                                   config( 4, 256 * 1024 ) );
         REQUIRE( reader.decompressAll() == data.size() );
-        const auto& stats = reader.fetcherStatistics();
-        REQUIRE( stats.prefetchDispatched > 0 );
-        REQUIRE( stats.prefetchHits > 0 );
-        REQUIRE( stats.onDemandDecodes >= 1 );
-        REQUIRE( stats.prefetchHits + stats.onDemandDecodes >= reader.chunkCount() );
+        const auto counts = FetcherCounts::now() - before;
+        telemetry::setMetricsEnabled( false );
+        REQUIRE( counts.issued > 0 );
+        REQUIRE( counts.consumed > 0 );
+        REQUIRE( counts.onDemand >= 1 );
+        REQUIRE( counts.consumed + counts.onDemand >= reader.chunkCount() );
     }
 
     /* Incompressible data: stored blocks may contain fake sync markers; the
@@ -1184,8 +1213,8 @@ main()
     testRestartPointAtFooter();
     testCheckpointDecodeReadsSpanOnce();
     testDiscoveryReadsOneSlice();
-    testSweepLeavesNoAccessPattern();
     testOrderedPassLookAhead();
+    testPrefetchRamp();
     testGuessInsideStoredStretch();
     testFalseRestartPoints();
     testSyncFlushedStream();

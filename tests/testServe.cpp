@@ -296,7 +296,7 @@ testLruCacheEvictionOrder()
      * charge; an exact row's bytes are kept. */
     auto stageOne = std::make_shared<DecodedChunk>();
     stageOne->guess.emplace().firstSegment.marked.resize( 10 * ENTRY );
-    const ChunkCache::ChunkDataPtr decoded = stageOne;
+    const LruChunkCache::ChunkDataPtr decoded = stageOne;
     REQUIRE( cache.getOrDecode( key( 10 ), [&decoded] () { return decoded; } ) == decoded );
     REQUIRE( cache.get( key( 10 ) ) == nullptr );
     auto exactRow = std::make_shared<DecodedChunk>();
@@ -314,7 +314,7 @@ testLruCacheSingleFlight()
     std::atomic<int> decodes{ 0 };
 
     std::vector<std::thread> threads;
-    std::vector<ChunkCache::ChunkDataPtr> results( 16 );
+    std::vector<LruChunkCache::ChunkDataPtr> results( 16 );
     for ( std::size_t i = 0; i < results.size(); ++i ) {
         threads.emplace_back( [&cache, &decodes, &results, key, i] () {
             results[i] = cache.getOrDecode( key, [&decodes] () {
@@ -342,7 +342,7 @@ testLruCacheSingleFlight()
     for ( int i = 0; i < 4; ++i ) {
         fallible.emplace_back( [&cache, &failures, failing] () {
             try {
-                (void)cache.getOrDecode( failing, [] () -> ChunkCache::ChunkDataPtr {
+                (void)cache.getOrDecode( failing, [] () -> LruChunkCache::ChunkDataPtr {
                     std::this_thread::sleep_for( std::chrono::milliseconds( 10 ) );
                     throw RapidgzipError( "synthetic decode failure" );
                 } );
