@@ -7,7 +7,8 @@
  * byte-verifies EVERY response against the reference data.
  *
  * Emits BENCH_serve.json: requests/s, p50/p99 latency, shared-cache hit
- * rate. Exits non-zero on any non-2xx response or byte mismatch, so the CI
+ * rate, and the share of requests the event-loop shards answered without a
+ * worker. Exits non-zero on any non-2xx response or byte mismatch, so the CI
  * smoke run doubles as a correctness gate.
  *
  * Knobs (defaults scale with RAPIDGZIP_BENCH_SCALE):
@@ -407,6 +408,10 @@ main( int argc, char** argv )
     std::printf( "  %-22s %12.3f ms\n", "latency p50", p50 );
     std::printf( "  %-22s %12.3f ms\n", "latency p99", p99 );
     std::printf( "  %-22s %12.1f %%\n", "cache hit rate", 100.0 * cacheStats.hitRate() );
+    /* Over every request the server parsed, warm-up included. */
+    const auto parsed = static_cast<double>( metrics.requestsTotal.total() );
+    const auto loopShare = parsed > 0 ? static_cast<double>( metrics.requestsOnLoop.total() ) / parsed : 0.0;
+    std::printf( "  %-22s %12.1f %%\n", "answered on the loop", 100.0 * loopShare );
     std::printf( "  %-22s %12zu\n", "requests", requests );
     std::printf( "  %-22s %12zu\n", "errors", errors );
 
@@ -445,6 +450,7 @@ main( int argc, char** argv )
         "    \"latency_p50_ms\": %.3f,\n"
         "    \"latency_p99_ms\": %.3f,\n"
         "    \"cache_hit_rate\": %.4f,\n"
+        "    \"loop_share\": %.4f,\n"
         "    \"cache_hits\": %zu,\n"
         "    \"cache_misses\": %zu,\n"
         "    \"cache_insertions\": %zu,\n"
@@ -457,7 +463,7 @@ main( int argc, char** argv )
         "}\n",
         clientCount, archiveCount, archiveSize, REQUEST_BYTES, wallSeconds, threadCount, scale,
         requests, errors, requestsPerSecond, p50, p99,
-        cacheStats.hitRate(), cacheStats.hits, cacheStats.misses,
+        cacheStats.hitRate(), loopShare, cacheStats.hits, cacheStats.misses,
         cacheStats.insertions, cacheStats.evictions,
         static_cast<std::size_t>( metrics.bytesServed.total() ),
         zeroCopyBytes,

@@ -132,19 +132,29 @@ public:
         m_capacityBytes( capacityBytes )
     {}
 
-    /** nullptr on miss. A hit refreshes the entry's recency. */
+    /** nullptr on miss. A hit refreshes the entry's recency and counts; a
+     * miss counts unless @p countMiss is false, for a lookup whose caller
+     * repeats it where it may wait for the decode. */
     [[nodiscard]] ChunkDataPtr
-    get( const ChunkCacheKey& key )
+    get( const ChunkCacheKey& key, bool countMiss = true )
     {
         const std::lock_guard<std::mutex> lock( m_mutex );
-        return lockedGet( key );
+        auto chunk = lockedFind( key );
+        if ( chunk ) {
+            ++m_statistics.hits;
+        } else if ( countMiss ) {
+            ++m_statistics.misses;
+        }
+        return chunk;
     }
 
-    void
-    insert( const ChunkCacheKey& key, ChunkDataPtr chunk )
+    /** Whether @p key is resident; a resident entry's recency is refreshed.
+     * Counts neither a hit nor a miss: no chunk is handed out. */
+    [[nodiscard]] bool
+    refresh( const ChunkCacheKey& key )
     {
         const std::lock_guard<std::mutex> lock( m_mutex );
-        lockedInsert( key, std::move( chunk ) );
+        return lockedFind( key ) != nullptr;
     }
 
     [[nodiscard]] ChunkCacheStatistics
@@ -169,9 +179,11 @@ public:
         std::shared_future<ChunkDataPtr> pending;
         {
             const std::lock_guard<std::mutex> lock( m_mutex );
-            if ( auto chunk = lockedGet( key ) ) {
+            if ( auto chunk = lockedFind( key ) ) {
+                ++m_statistics.hits;
                 return chunk;
             }
+            ++m_statistics.misses;
             if ( const auto match = m_inFlight.find( key ); match != m_inFlight.end() ) {
                 /* Another thread is decoding this key right now: wait for
                  * ITS result instead of decoding again. Counted as a hit —
@@ -212,16 +224,15 @@ private:
         return ( chunk ? chunk->data.size() : 0 ) + PER_ENTRY_OVERHEAD;
     }
 
-    /** Caller must hold m_mutex. */
+    /** Caller must hold m_mutex. The resident chunk, moved to the LRU front;
+     * counts nothing. */
     [[nodiscard]] ChunkDataPtr
-    lockedGet( const ChunkCacheKey& key )
+    lockedFind( const ChunkCacheKey& key )
     {
         const auto match = m_index.find( key );
         if ( match == m_index.end() ) {
-            ++m_statistics.misses;
             return nullptr;
         }
-        ++m_statistics.hits;
         m_lru.splice( m_lru.begin(), m_lru, match->second );
         return match->second->second;
     }

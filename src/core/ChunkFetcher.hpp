@@ -44,11 +44,15 @@ struct ChunkFetcherConfiguration
     /**
      * Optional process-wide cache tier (serve daemon). When set, decodes
      * run through LruChunkCache::getOrDecode — concurrent requests for the
-     * same cold chunk decode once — and the per-reader map only bridges a
-     * decode to its first consumption: repeat accesses are served by the
-     * shared tier so chunk residency is accounted, bounded, and evicted in
-     * one place. When unset (the default), behavior is exactly the classic
-     * per-reader cache.
+     * same cold chunk decode once — and an access that finds its
+     * per-reader entry decoded drops the entry, so later accesses are served
+     * by the shared tier. That access is the first one for a prefetch that
+     * finished in time, but the second one for an on-demand decode, whose
+     * own access found it still decoding: each reader can hold up to
+     * max(2 * parallelism + 4, 8) decoded chunks outside the shared budget.
+     * A prefetch of a chunk the shared tier holds refreshes its recency and
+     * starts no decode. When unset (the default), behavior is exactly the
+     * classic per-reader cache.
      */
     std::shared_ptr<LruChunkCache> sharedCache{};
     /**
@@ -58,6 +62,16 @@ struct ChunkFetcherConfiguration
      * never collide. Ignored without @ref sharedCache.
      */
     std::uint64_t cacheIdentity{ 0 };
+};
+
+/** Whether a read may wait: for a chunk decode, for a table build, or for a
+ * lock held across either. A read with NEVER that would wait answers nothing
+ * instead; the chunk access that gives up has counted nothing and started
+ * nothing. */
+enum class Wait
+{
+    ALLOWED,
+    NEVER,
 };
 
 /**
@@ -97,16 +111,31 @@ public:
         ORDERED_PASS,  /**< part of a pass over every chunk in order */
     };
 
-    /** Blocking chunk access; dispatches the prefetches @p access asks for. */
+    /**
+     * Blocking chunk access; dispatches the prefetches @p access asks for.
+     * With Wait::NEVER it returns nullptr unless a cache tier holds the chunk
+     * decoded; a decoded failure counts as not held, so the next access that
+     * may wait evicts and re-decodes it.
+     */
     [[nodiscard]] ChunkDataPtr
-    get( std::size_t index, Access access = Access::READ )
+    get( std::size_t index, Access access = Access::READ, Wait wait = Wait::ALLOWED )
     {
         std::shared_future<ChunkDataPtr> future;
         {
             const std::lock_guard<std::mutex> lock( m_mutex );
+            const auto match = m_cache.find( index );
+            ChunkDataPtr sharedChunk;
+            if ( ( match == m_cache.end() ) && m_configuration.sharedCache ) {
+                sharedChunk = m_configuration.sharedCache->get( cacheKey( index ),
+                                                                /* countMiss */ wait == Wait::ALLOWED );
+            }
+            if ( ( wait == Wait::NEVER )
+                 && ( match == m_cache.end() ? !sharedChunk : !holdsChunk( match->second.future ) ) ) {
+                return nullptr;
+            }
             ++m_accessClock;
 
-            if ( const auto match = m_cache.find( index ); match != m_cache.end() ) {
+            if ( match != m_cache.end() ) {
                 match->second.lastUse = m_accessClock;
                 if ( match->second.prefetched && !match->second.counted ) {
                     match->second.counted = true;
@@ -120,25 +149,19 @@ public:
                 if ( m_configuration.sharedCache
                      && ( future.wait_for( std::chrono::seconds( 0 ) )
                           == std::future_status::ready ) ) {
-                    /* Shared-tier mode: the per-reader map only bridges a
-                     * decode to its first consumption — drop the ready
-                     * entry so repeats are served (and accounted) by the
-                     * shared tier, where residency is byte-bounded. */
+                    /* Shared-tier mode: an access that finds the entry
+                     * decoded drops it, so repeats are served (and
+                     * accounted) by the shared tier, where residency is
+                     * byte-bounded. */
                     m_cache.erase( match );
                 }
+            } else if ( sharedChunk ) {
+                RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_cache_hits_total",
+                                           "Repeat chunk accesses served from a cache tier.", 1 );
+                dispatchPrefetches( index, access );
+                evictStaleEntries( index );
+                return sharedChunk;
             } else {
-                ChunkDataPtr sharedChunk;
-                if ( m_configuration.sharedCache ) {
-                    sharedChunk = m_configuration.sharedCache->get(
-                        ChunkCacheKey{ m_cacheToken, index } );
-                }
-                if ( sharedChunk ) {
-                    RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_cache_hits_total",
-                                               "Repeat chunk accesses served from a cache tier.", 1 );
-                    dispatchPrefetches( index, access );
-                    evictStaleEntries( index );
-                    return sharedChunk;
-                }
                 RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_chunk_on_demand_decodes_total",
                                            "Chunk accesses that had to decode synchronously.", 1 );
                 future = insertDecodeTask( index, /* prefetched */ false );
@@ -191,6 +214,28 @@ private:
         bool prefetched{ false };
         bool counted{ false };
     };
+
+    [[nodiscard]] ChunkCacheKey
+    cacheKey( std::size_t index ) const noexcept
+    {
+        return { m_cacheToken, index };
+    }
+
+    /** Whether @p future is decoded to a chunk rather than still decoding
+     * or failed. */
+    [[nodiscard]] static bool
+    holdsChunk( const std::shared_future<ChunkDataPtr>& future )
+    {
+        if ( future.wait_for( std::chrono::seconds( 0 ) ) != std::future_status::ready ) {
+            return false;
+        }
+        try {
+            (void)future.get();
+            return true;
+        } catch ( ... ) {
+            return false;
+        }
+    }
 
     [[nodiscard]] static std::uint64_t
     makeCacheToken( const ChunkFetcherConfiguration& configuration, std::size_t chunkCount )
@@ -253,7 +298,7 @@ private:
         };
         if ( m_configuration.sharedCache ) {
             decode = [cache = m_configuration.sharedCache,
-                      key = ChunkCacheKey{ m_cacheToken, index },
+                      key = cacheKey( index ),
                       inner = std::move( decode )] () -> ChunkDataPtr {
                 return cache->getOrDecode( key, inner );
             };
@@ -269,7 +314,8 @@ private:
 
     /** Caller must hold m_mutex. A chunk already cached counts as used now,
      * so the LRU keeps a look-ahead's ready prefetches until they are
-     * consumed; it ages every other chunk from its last access. */
+     * consumed; it ages every other chunk from its last access. A chunk the
+     * shared tier holds needs no task: the access finds it there. */
     void
     prefetch( std::size_t index )
     {
@@ -278,6 +324,9 @@ private:
         }
         if ( const auto match = m_cache.find( index ); match != m_cache.end() ) {
             match->second.lastUse = m_accessClock;
+            return;
+        }
+        if ( m_configuration.sharedCache && m_configuration.sharedCache->refresh( cacheKey( index ) ) ) {
             return;
         }
         RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_prefetch_issued_total",

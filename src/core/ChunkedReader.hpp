@@ -49,7 +49,8 @@ struct ChunkTable
  * published, size(), readAt() and readSpansAt() take no lock of this
  * reader's; they only call ChunkFetcher::get, which locks its own cache.
  * Reads may be called from many threads at once; the table-building methods
- * require lock().
+ * require lock(). A read with Wait::NEVER never takes lock(): before the
+ * sized table and its fetcher are published it answers nothing.
  */
 class ChunkedReader
 {
@@ -71,14 +72,22 @@ public:
     [[nodiscard]] std::size_t
     size()
     {
-        return published()->table.size;
+        return *size( Wait::ALLOWED );
+    }
+
+    /** The total size; std::nullopt with Wait::NEVER before it is known. */
+    [[nodiscard]] std::optional<std::size_t>
+    size( Wait wait )
+    {
+        const auto state = published( wait );
+        return state ? std::optional<std::size_t>( state->table.size ) : std::nullopt;
     }
 
     /** The sized table. */
     [[nodiscard]] ChunkTable
     table()
     {
-        return published()->table;
+        return published( Wait::ALLOWED )->table;
     }
 
     /** Copy up to @p size bytes at uncompressed @p offset into @p buffer.
@@ -86,8 +95,8 @@ public:
     [[nodiscard]] std::size_t
     readAt( std::size_t offset, std::uint8_t* buffer, std::size_t size )
     {
-        return walk( offset, size, [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
-                                               std::size_t offsetInChunk, std::size_t length ) {
+        return walk( offset, size, Wait::ALLOWED, [&buffer] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                                              std::size_t offsetInChunk, std::size_t length ) {
             std::memcpy( buffer, chunk->data.data() + offsetInChunk, length );
             buffer += length;
         } );
@@ -96,13 +105,14 @@ public:
     /** Zero-copy variant of readAt(): lends refcounted spans straight out of
      * the decoded chunks. Each span keeps its whole chunk alive, so the bytes
      * stay valid past cache eviction for as long as the caller holds the
-     * span. Returns the bytes appended (short only at the end of the
-     * stream). */
+     * span. Returns the bytes appended: short at the end of the stream, and
+     * with Wait::NEVER also before the first chunk that is not decoded. */
     [[nodiscard]] std::size_t
-    readSpansAt( std::size_t offset, std::size_t size, std::vector<OwnedSpan>& spans )
+    readSpansAt( std::size_t offset, std::size_t size, std::vector<OwnedSpan>& spans,
+                 Wait wait = Wait::ALLOWED )
     {
-        return walk( offset, size, [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
-                                              std::size_t offsetInChunk, std::size_t length ) {
+        return walk( offset, size, wait, [&spans] ( const ChunkFetcher::ChunkDataPtr& chunk,
+                                                    std::size_t offsetInChunk, std::size_t length ) {
             spans.push_back( lendChunkSpan( chunk, offsetInChunk, length ) );
         } );
     }
@@ -290,13 +300,16 @@ private:
     }
 
     /** The published sized table with its fetcher; the first call runs the
-     * table builder. */
+     * table builder. With Wait::NEVER, nullptr until both are published. */
     [[nodiscard]] std::shared_ptr<const State>
-    published()
+    published( Wait wait )
     {
         if ( auto state = std::atomic_load( &m_state );
              state && state->table.sized && state->fetcher ) {
             return state;
+        }
+        if ( wait == Wait::NEVER ) {
+            return nullptr;
         }
         const std::lock_guard<std::mutex> guard( m_mutex );
         if ( !m_state || !m_state->table.sized ) {
@@ -311,14 +324,18 @@ private:
     /**
      * The one offset-to-chunk walk: from @p offset on, hand @p take each
      * chunk holding it, the offset into the chunk and the byte count to
-     * take, until @p size bytes or the end of the stream. Returns the bytes
-     * walked.
+     * take, until @p size bytes or the end of the stream. With Wait::NEVER
+     * it also stops before the first chunk it would wait for. Returns the
+     * bytes walked.
      */
     template<typename Take>
     [[nodiscard]] std::size_t
-    walk( std::size_t offset, std::size_t size, const Take& take )
+    walk( std::size_t offset, std::size_t size, Wait wait, const Take& take )
     {
-        const auto state = published();
+        const auto state = published( wait );
+        if ( !state ) {
+            return 0;
+        }
         const auto& checkpoints = state->table.checkpoints;
         const auto totalSize = state->table.size;
 
@@ -333,7 +350,10 @@ private:
                 std::distance( checkpoints.begin(), next ) ) - 1U;
             const auto chunkBegin = checkpoints[chunkIndex].uncompressedOffset;
             const auto chunkEnd = next == checkpoints.end() ? totalSize : next->uncompressedOffset;
-            const auto chunk = state->fetcher->get( chunkIndex );
+            const auto chunk = state->fetcher->get( chunkIndex, ChunkFetcher::Access::READ, wait );
+            if ( !chunk ) {
+                break;
+            }
             if ( chunk->data.size() != chunkEnd - chunkBegin ) {
                 /* Only possible when an imported index or a sidecar misstates
                  * a chunk's span, never with swept offsets. Both directions

@@ -125,6 +125,13 @@ public:
         return m_chunks.size();
     }
 
+    /** See ChunkedReader::size( Wait ). */
+    [[nodiscard]] std::optional<std::size_t>
+    size( Wait wait )
+    {
+        return m_chunks.size( wait );
+    }
+
     /** Read up to @p size bytes at @p offset. Returns bytes read. */
     [[nodiscard]] std::size_t
     readAt( std::size_t offset, std::uint8_t* buffer, std::size_t size )
@@ -134,9 +141,10 @@ public:
 
     /** Zero-copy variant of readAt() (see ChunkedReader::readSpansAt()). */
     [[nodiscard]] std::size_t
-    readSpansAt( std::size_t offset, std::size_t size, std::vector<OwnedSpan>& spans )
+    readSpansAt( std::size_t offset, std::size_t size, std::vector<OwnedSpan>& spans,
+                 Wait wait = Wait::ALLOWED )
     {
-        return m_chunks.readSpansAt( offset, size, spans );
+        return m_chunks.readSpansAt( offset, size, spans, wait );
     }
 
     void

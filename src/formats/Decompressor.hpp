@@ -61,8 +61,16 @@ public:
 
     /** Total uncompressed size. May cost a measuring sweep for containers
      * that do not record sizes (the sweep's chunks stay cached). */
-    [[nodiscard]] virtual std::size_t
-    size() = 0;
+    [[nodiscard]] std::size_t
+    size()
+    {
+        return *size( Wait::ALLOWED );
+    }
+
+    /** size(); with Wait::NEVER, std::nullopt instead of a sweep or of a
+     * wait for the sweep another thread runs. */
+    [[nodiscard]] virtual std::optional<std::size_t>
+    size( Wait wait ) = 0;
 
     /** Random access: read up to @p size bytes at @p uncompressedOffset.
      * Returns bytes read (short only at end of stream). */
@@ -74,13 +82,15 @@ public:
      * @p uncompressedOffset to @p spans as refcounted views lent straight out
      * of cached decoded chunks (span.borrowed == true, no byte is copied; the
      * span's owner reference keeps the chunk alive past LRU eviction for as
-     * long as the caller holds it). Returns bytes appended (short only at
-     * end of stream).
+     * long as the caller holds it). Returns bytes appended: short at the end
+     * of the stream, and with Wait::NEVER also before the first chunk that
+     * is not decoded yet, or when size( Wait::NEVER ) is unknown.
      */
     [[nodiscard]] virtual std::size_t
     readSpansAt( std::size_t uncompressedOffset,
                  std::size_t size,
-                 std::vector<OwnedSpan>& spans ) = 0;
+                 std::vector<OwnedSpan>& spans,
+                 Wait wait = Wait::ALLOWED ) = 0;
 
     /** Positions decoding can resume from without any prior state — frame,
      * block, or checkpoint starts; empty when the format exposes none
@@ -137,10 +147,12 @@ public:
         return sweep( sink );
     }
 
-    [[nodiscard]] std::size_t
-    size() override
+    using Decompressor::size;
+
+    [[nodiscard]] std::optional<std::size_t>
+    size( Wait wait ) override
     {
-        return m_chunks.size();
+        return m_chunks.size( wait );
     }
 
     [[nodiscard]] std::size_t
@@ -152,9 +164,10 @@ public:
     [[nodiscard]] std::size_t
     readSpansAt( std::size_t uncompressedOffset,
                  std::size_t size,
-                 std::vector<OwnedSpan>& spans ) override
+                 std::vector<OwnedSpan>& spans,
+                 Wait wait = Wait::ALLOWED ) override
     {
-        return m_chunks.readSpansAt( uncompressedOffset, size, spans );
+        return m_chunks.readSpansAt( uncompressedOffset, size, spans, wait );
     }
 
     /** The chunk table, when the container has more than one unit. */

@@ -56,10 +56,12 @@ public:
         return m_reader.decompressAll( sink );
     }
 
-    [[nodiscard]] std::size_t
-    size() override
+    using Decompressor::size;
+
+    [[nodiscard]] std::optional<std::size_t>
+    size( Wait wait ) override
     {
-        return m_reader.size();
+        return m_reader.size( wait );
     }
 
     [[nodiscard]] std::size_t
@@ -71,9 +73,10 @@ public:
     [[nodiscard]] std::size_t
     readSpansAt( std::size_t uncompressedOffset,
                  std::size_t size,
-                 std::vector<OwnedSpan>& spans ) override
+                 std::vector<OwnedSpan>& spans,
+                 Wait wait = Wait::ALLOWED ) override
     {
-        return m_reader.readSpansAt( uncompressedOffset, size, spans );
+        return m_reader.readSpansAt( uncompressedOffset, size, spans, wait );
     }
 
     [[nodiscard]] std::vector<index::Checkpoint>

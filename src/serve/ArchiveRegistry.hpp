@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -83,20 +84,28 @@ struct ArchiveIdentity
  * own archive; a discovery sweep runs on the first read, under the
  * reader's own table lock. Cross-request reuse of decoded chunks happens
  * in the shared cache tier below.
+ *
+ * A reader is destroyed by @p dispose, which the last holder of its handle
+ * calls, wherever that is; the default deletes it on the spot. Its
+ * destructor joins the reader's decode pool.
  */
 class ArchiveRegistry
 {
 public:
+    using Disposer = std::function<void( formats::Decompressor* )>;
+
     ArchiveRegistry( std::string rootDirectory,
                      std::size_t maxArchives,
                      std::shared_ptr<LruChunkCache> sharedCache,
                      ChunkFetcherConfiguration readerConfiguration,
-                     RegistryLimits limits = {} ) :
+                     RegistryLimits limits = {},
+                     Disposer dispose = std::default_delete<formats::Decompressor>() ) :
         m_rootDirectory( std::move( rootDirectory ) ),
         m_maxArchives( std::max<std::size_t>( 1, maxArchives ) ),
         m_sharedCache( std::move( sharedCache ) ),
         m_readerConfiguration( std::move( readerConfiguration ) ),
-        m_limits( limits )
+        m_limits( limits ),
+        m_dispose( std::move( dispose ) )
     {}
 
     struct Entry
@@ -111,10 +120,13 @@ public:
      * Open (or reuse) the archive behind @p urlPath — "/name.gz" relative
      * to the served root. Throws ArchiveNotFoundError for traversal
      * attempts and missing files; format errors (unknown magic, vendor
-     * library absent) propagate as their own types.
+     * library absent) propagate as their own types. With Wait::NEVER it
+     * returns the archive only when it is open already, and nullptr
+     * otherwise: it still checks the file's identity, but creates no entry,
+     * evicts none and never waits for an entry's first open.
      */
     [[nodiscard]] std::shared_ptr<formats::Decompressor>
-    open( const std::string& urlPath )
+    open( const std::string& urlPath, Wait wait = Wait::ALLOWED )
     {
         const auto filePath = resolve( urlPath );
         const auto identity = identify( filePath );
@@ -123,11 +135,15 @@ public:
         {
             const std::lock_guard<std::mutex> lock( m_mutex );
             ++m_useClock;
-            checkNegativeCache( filePath, identity );
+            if ( wait == Wait::ALLOWED ) {
+                checkNegativeCache( filePath, identity );
+            }
             const auto match = m_entries.find( filePath );
             if ( ( match != m_entries.end() ) && ( match->second->identity == identity ) ) {
                 match->second->lastUse = m_useClock;
                 entry = match->second;
+            } else if ( wait == Wait::NEVER ) {
+                return nullptr;
             } else {
                 if ( match != m_entries.end() ) {
                     m_entries.erase( match );  /* file changed on disk: reopen */
@@ -143,13 +159,18 @@ public:
         /* The open itself runs outside the registry lock, under the entry's
          * mutex, so opening one slow archive never blocks requests for
          * others. */
-        const std::lock_guard<std::mutex> openLock( entry->openMutex );
+        std::unique_lock<std::mutex> openLock( entry->openMutex, std::defer_lock );
+        if ( wait == Wait::NEVER ) {
+            return openLock.try_lock() ? entry->decompressor : nullptr;
+        }
+        openLock.lock();
         if ( !entry->decompressor ) {
             auto configuration = m_readerConfiguration;
             configuration.sharedCache = m_sharedCache;
             configuration.cacheIdentity = identity.token();
             try {
-                entry->decompressor = formats::openArchive( filePath, configuration );
+                entry->decompressor = std::shared_ptr<formats::Decompressor>(
+                    formats::openArchive( filePath, configuration ).release(), m_dispose );
             } catch ( const std::exception& exception ) {
                 recordFailedOpen( filePath, identity, exception.what() );
                 throw;
@@ -295,6 +316,7 @@ private:
     std::shared_ptr<LruChunkCache> m_sharedCache;
     ChunkFetcherConfiguration m_readerConfiguration;
     RegistryLimits m_limits;
+    Disposer m_dispose;
 
     mutable std::mutex m_mutex;
     std::map<std::string, std::shared_ptr<Entry> > m_entries;

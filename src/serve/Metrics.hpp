@@ -21,6 +21,8 @@ namespace rapidgzip::serve {
 struct ServeMetrics
 {
     telemetry::Counter& requestsTotal;
+    /** Requests a shard answered itself, without a worker. */
+    telemetry::Counter& requestsOnLoop;
     telemetry::Counter& responses2xx;
     telemetry::Counter& responses4xx;
     telemetry::Counter& responses5xx;
@@ -40,6 +42,9 @@ struct ServeMetrics
     ServeMetrics() :
         requestsTotal( telemetry::Registry::instance().counter(
             "rapidgzip_serve_requests_total", "HTTP requests parsed from client connections." ) ),
+        requestsOnLoop( telemetry::Registry::instance().counter(
+            "rapidgzip_serve_requests_on_loop_total",
+            "Requests answered on an event-loop shard, with every chunk already decoded." ) ),
         responses2xx( telemetry::Registry::instance().counter(
             "rapidgzip_serve_responses_2xx_total", "Responses sent with a 2xx status." ) ),
         responses4xx( telemetry::Registry::instance().counter(

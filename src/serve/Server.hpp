@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -84,10 +85,19 @@ struct ServerConfiguration
  *   shard loops ─ per-connection HTTP/1.1 state machines (keep-alive,
  *   pipelining-safe: surplus bytes stay buffered until the in-flight
  *   response is sent, so requests are answered strictly in order)
- *        │ submit(shard, connection id, request)
- *   worker pool ─ ArchiveRegistry handle → Decompressor::readSpansAt
+ *        │ the handler with Wait::NEVER: a range of an open, sized archive
+ *        │ whose chunks are all decoded in a cache tier is answered here
+ *        │ otherwise: submit(shard, connection id, request)
+ *   worker pool ─ the same handler with Wait::ALLOWED: ArchiveRegistry
+ *        │ handle → Decompressor::readSpansAt, opening and decoding
  *        │ per-shard completion queue + self-pipe wakeup
  *   shard loops ─ writev responses, resume parsing
+ *
+ * A shard answers a request itself only while no request waits unstarted
+ * in the worker queue, so a hit never overtakes a queued miss, and at most
+ * one request per connection per loop round, so a pipelined batch of hits
+ * takes turns with the shard's other connections. Every endpoint and every
+ * error answer comes from a worker.
  *
  * Incoming connections are distributed by SO_REUSEPORT: every shard binds
  * its own listener to the same address and the kernel spreads accepts by
@@ -118,7 +128,8 @@ public:
         m_sharedCache( std::make_shared<LruChunkCache>( m_configuration.cacheBytes ) ),
         m_registry( m_configuration.rootDirectory, m_configuration.maxArchives,
                     m_sharedCache, m_configuration.readerConfiguration,
-                    RegistryLimits{ m_configuration.failedOpenBackoffMs } ),
+                    RegistryLimits{ m_configuration.failedOpenBackoffMs },
+                    [this] ( formats::Decompressor* reader ) { dispose( reader ); } ),
         m_workers( std::max<std::size_t>( 1, m_configuration.workerCount ) )
     {
         /* A daemon wants its pipeline counters live in /metrics; the
@@ -246,6 +257,11 @@ private:
         bool awaitingResponse{ false };
         bool peerClosed{ false };
         bool closeAfterFlush{ false };
+        /** The loop round in which the shard last answered a request of
+         * this connection itself. */
+        std::uint64_t loopAnswerRound{ 0 };
+        /** A buffered request waits for the next loop round. */
+        bool dispatchDeferred{ false };
         /** Outbox = header bytes + refcounted body spans, flushed with
          * scatter-gather sendmsg. The spans hold their chunks alive until
          * the flush completes (or the connection dies). */
@@ -261,6 +277,13 @@ private:
         hasOutbox() const noexcept
         {
             return outboxTotal > 0;
+        }
+
+        /** The peer is gone and nothing is left to answer or send. */
+        [[nodiscard]] bool
+        finished() const noexcept
+        {
+            return peerClosed && !awaitingResponse && !hasOutbox() && !dispatchDeferred;
         }
     };
 
@@ -393,11 +416,20 @@ private:
         void
         loop()
         {
+            /* A shard thread must never wait; see dispose(). */
+            t_shardThread = true;
+            struct Reset
+            {
+                ~Reset() { t_shardThread = false; }
+            } reset;
+
             std::vector<pollfd> pollFds;
             std::vector<std::uint64_t> pollIds;  /* connection id per slot, 0 = special */
 
             while ( !server->m_stopRequested.load() ) {
+                ++round;
                 drainCompletions();
+                dispatchDeferred();
 
                 /* Drain transitions happen here, on the shard's own thread:
                  * every shard observes the shared flag, closes ITS listener,
@@ -442,7 +474,8 @@ private:
                     pollIds.push_back( id );
                 }
 
-                if ( ::poll( pollFds.data(), pollFds.size(), pollTimeoutMs() ) < 0 ) {
+                if ( ::poll( pollFds.data(), pollFds.size(),
+                             deferred.empty() ? pollTimeoutMs() : 0 ) < 0 ) {
                     if ( errno == EINTR ) {
                         continue;
                     }
@@ -713,36 +746,49 @@ private:
             if ( !tryDispatch( connection ) ) {
                 return false;
             }
-            /* Peer is gone and nothing is pending: nothing left to do. */
-            return !( connection.peerClosed && !connection.awaitingResponse
-                      && !connection.hasOutbox() );
+            return !connection.finished();
         }
 
-        /** Parse and dispatch the next buffered request, if any. Returns
-         * false when the connection should be closed immediately. */
+        /** Parse and dispatch the next buffered request, if any: answer it
+         * here when that needs no wait, else submit it to the workers.
+         * Returns false when the connection should be closed immediately. */
         [[nodiscard]] bool
         tryDispatch( Connection& connection )
         {
             if ( connection.awaitingResponse || connection.hasOutbox() ) {
                 return true;  /* strictly one response in flight per connection */
             }
+            if ( connection.loopAnswerRound == round ) {
+                /* One answer per connection per round: the rest of a
+                 * pipelined batch waits for the next round, after the
+                 * shard's other connections had their turn. */
+                if ( ( connection.parser.bufferedBytes() > 0 ) && !connection.dispatchDeferred ) {
+                    connection.dispatchDeferred = true;
+                    deferred.push_back( connection.id );
+                }
+                return true;
+            }
             HttpRequest request;
             if ( connection.parser.next( request ) ) {
-                connection.awaitingResponse = true;
                 server->m_metrics.requestsTotal.addUnchecked( 1 );
+                /* Arrival order: while a request waits unstarted in the
+                 * worker queue, a hit queues behind it. */
+                if ( server->m_unstartedRequests.load() == 0 ) {
+                    if ( auto response = server->serveRequest( request, Wait::NEVER ) ) {
+                        server->m_metrics.requestsOnLoop.addUnchecked( 1 );
+                        connection.loopAnswerRound = round;
+                        return respond( connection, std::move( *response ) );
+                    }
+                }
+                connection.awaitingResponse = true;
+                server->m_unstartedRequests.fetch_add( 1 );
                 const auto id = connection.id;
                 (void)server->m_workers.submit(
                     [owner = server, shard = this, id, request = std::move( request )] () {
+                        owner->m_unstartedRequests.fetch_sub( 1 );
                         Completion completion;
                         completion.connectionId = id;
-                        const auto beginNs = telemetry::nowNs();
-                        {
-                            telemetry::Span requestSpan{ "serve", "serve.request" };
-                            completion.response =
-                                owner->handleRequest( request, request.keepAlive() );
-                        }
-                        owner->m_metrics.requestLatency.recordUnchecked(
-                            telemetry::nowNs() - beginNs );
+                        completion.response = *owner->serveRequest( request, Wait::ALLOWED );
                         {
                             const std::lock_guard<std::mutex> lock( shard->completionMutex );
                             shard->completions.push_back( std::move( completion ) );
@@ -855,8 +901,24 @@ private:
             if ( !tryDispatch( connection ) ) {
                 return false;
             }
-            return !( connection.peerClosed && !connection.awaitingResponse
-                      && !connection.hasOutbox() );
+            return !connection.finished();
+        }
+
+        /** Queue @p response, from a worker or from this shard, and flush
+         * what the socket takes now — most responses fit the socket buffer,
+         * saving a poll round trip. Returns false when the connection should
+         * be closed. */
+        [[nodiscard]] bool
+        respond( Connection& connection, Response&& response )
+        {
+            connection.awaitingResponse = false;
+            const auto keepAlive = response.keepAlive;
+            queueResponse( connection, std::move( response ) );
+            /* During drain every flushed response ends its connection, so
+             * keep-alive clients wind down instead of holding the drain. */
+            connection.closeAfterFlush = !keepAlive || drainActive;
+            connection.lastActivityMs = nowMs();
+            return handleWritable( connection );
         }
 
         void
@@ -872,19 +934,25 @@ private:
                 if ( match == connections.end() ) {
                     continue;  /* connection died while the worker was busy */
                 }
-                auto& connection = match->second;
-                connection.awaitingResponse = false;
-                const auto keepAlive = completion.response.keepAlive;
-                queueResponse( connection, std::move( completion.response ) );
-                /* During drain every flushed response ends its connection,
-                 * so keep-alive clients wind down instead of holding the
-                 * drain. */
-                connection.closeAfterFlush = !keepAlive || drainActive;
-                connection.lastActivityMs = nowMs();
-                /* Try to flush immediately — most responses fit the socket
-                 * buffer, saving a poll round trip. */
-                if ( !handleWritable( connection ) ) {
+                if ( !respond( match->second, std::move( completion.response ) ) ) {
                     closeConnection( completion.connectionId );
+                }
+            }
+        }
+
+        /** The requests that tryDispatch() held back a round. */
+        void
+        dispatchDeferred()
+        {
+            for ( const auto id : std::exchange( deferred, {} ) ) {
+                const auto match = connections.find( id );
+                if ( match == connections.end() ) {
+                    continue;
+                }
+                auto& connection = match->second;
+                connection.dispatchDeferred = false;
+                if ( !tryDispatch( connection ) || connection.finished() ) {
+                    closeConnection( id );
                 }
             }
         }
@@ -896,25 +964,65 @@ private:
         std::map<std::uint64_t, Connection> connections;
         bool drainActive{ false };          /**< shard-thread mirror of the request */
         std::uint64_t drainDeadlineMs{ 0 };
+        std::uint64_t round{ 0 };           /**< loop rounds so far */
+        std::vector<std::uint64_t> deferred;  /**< connections tryDispatch() held back */
 
         std::mutex completionMutex;
         std::vector<Completion> completions;
     };
 
-    /* --- request handling (worker threads) ----------------------------- */
+    /* --- request handling (workers, and shards without waiting) -------- */
 
-    [[nodiscard]] Response
-    handleRequest( const HttpRequest& request, bool keepAlive )
+    /** Set on a shard's loop thread while it runs. */
+    static inline thread_local bool t_shardThread{ false };
+
+    /** A reader's destructor joins its decode pool, so a shard thread that
+     * drops the last handle of a reader the registry evicted meanwhile
+     * hands the reader to a worker. */
+    void
+    dispose( formats::Decompressor* reader )
+    {
+        std::unique_ptr<formats::Decompressor> owned( reader );
+        if ( t_shardThread ) {
+            (void)m_workers.submit( [owned = std::move( owned )] () {} );
+        }
+    }
+
+    /** One request through the handler, timed as one serve.request span
+     * and one sample of the request latency histogram. With Wait::NEVER it
+     * answers only what needs no wait, and records nothing when it gives
+     * up. */
+    [[nodiscard]] std::optional<Response>
+    serveRequest( const HttpRequest& request, Wait wait )
+    {
+        const auto beginNs = telemetry::nowNs();
+        telemetry::Span requestSpan{ "serve", "serve.request" };
+        auto response = handleRequest( request, request.keepAlive(), wait );
+        if ( response ) {
+            m_metrics.requestLatency.recordUnchecked( telemetry::nowNs() - beginNs );
+        } else {
+            requestSpan.dismiss();
+        }
+        return response;
+    }
+
+    /** The response; std::nullopt only with Wait::NEVER, when answering
+     * would wait or the answer is an error or an endpoint's. */
+    [[nodiscard]] std::optional<Response>
+    handleRequest( const HttpRequest& request, bool keepAlive, Wait wait )
     {
         try {
-            return handleRequestChecked( request, keepAlive );
-        } catch ( const ArchiveNotFoundError& exception ) {
-            return errorResponse( 404, exception.what(), keepAlive );
+            return handleRequestChecked( request, keepAlive, wait );
         } catch ( const std::exception& exception ) {
-            /* Unknown format, vendor library missing, corrupt archive, … —
-             * the archive's problem, not the server's, but 500 is the
-             * honest summary either way. */
-            return errorResponse( 500, exception.what(), keepAlive );
+            if ( wait == Wait::NEVER ) {
+                return std::nullopt;
+            }
+            /* A path outside the tree or not on disk is 404. Unknown
+             * format, vendor library missing, corrupt archive, … — the
+             * archive's problem, not the server's, but 500 is the honest
+             * summary either way. */
+            const auto notFound = dynamic_cast<const ArchiveNotFoundError*>( &exception ) != nullptr;
+            return errorResponse( notFound ? 404 : 500, exception.what(), keepAlive );
         }
     }
 
@@ -936,17 +1044,22 @@ private:
                                keepAlive );
     }
 
-    [[nodiscard]] Response
-    handleRequestChecked( const HttpRequest& request, bool keepAlive )
+    [[nodiscard]] std::optional<Response>
+    handleRequestChecked( const HttpRequest& request, bool keepAlive, Wait wait )
     {
         const bool isHead = request.method == "HEAD";
-        if ( ( request.method != "GET" ) && !isHead ) {
-            return errorResponse( 405, "Only GET and HEAD are supported", keepAlive );
-        }
-
         auto target = request.target;
         if ( const auto query = target.find( '?' ); query != std::string::npos ) {
             target.erase( query );
+        }
+        if ( ( wait == Wait::NEVER )
+             && ( ( ( request.method != "GET" ) && !isHead ) || ( target == "/healthz" )
+                  || ( target == "/readyz" ) || ( target == "/metrics" ) ) ) {
+            return std::nullopt;  /* only an archive's bytes are answered without a worker */
+        }
+
+        if ( ( request.method != "GET" ) && !isHead ) {
+            return errorResponse( 405, "Only GET and HEAD are supported", keepAlive );
         }
 
         if ( target == "/healthz" ) {
@@ -983,28 +1096,38 @@ private:
                 keepAlive );
         }
 
-        const auto decompressor = m_registry.open( target );
-        m_metrics.countArchiveRequest( target );
-        const auto totalSize = decompressor->size();
+        /* Without waiting, every step below gives up before it counts or
+         * decodes anything: the archive must be open, its size known, and
+         * every chunk of the range decoded in a cache tier. */
+        const auto decompressor = m_registry.open( target, wait );
+        const auto totalSize = decompressor ? decompressor->size( wait ) : std::nullopt;
+        if ( !totalSize ) {
+            return std::nullopt;
+        }
 
         if ( isHead ) {
+            m_metrics.countArchiveRequest( target );
             m_metrics.countStatus( 200 );
-            return stringResponse( buildResponseHead( 200, totalSize, {}, keepAlive ),
+            return stringResponse( buildResponseHead( 200, *totalSize, {}, keepAlive ),
                                    keepAlive );
         }
 
-        const auto range = resolveRange( request.header( "range" ), totalSize );
+        const auto range = resolveRange( request.header( "range" ), *totalSize );
         if ( range.outcome == RangeOutcome::UNSATISFIABLE ) {
+            if ( wait == Wait::NEVER ) {
+                return std::nullopt;
+            }
+            m_metrics.countArchiveRequest( target );
             m_metrics.countStatus( 416 );
             return stringResponse(
                 buildResponse( 416,
-                               "Content-Range: bytes */" + std::to_string( totalSize ) + "\r\n",
+                               "Content-Range: bytes */" + std::to_string( *totalSize ) + "\r\n",
                                {}, keepAlive ),
                 keepAlive );
         }
 
         const auto first = range.outcome == RangeOutcome::RANGE ? range.first : 0;
-        const auto length = range.outcome == RangeOutcome::RANGE ? range.length : totalSize;
+        const auto length = range.outcome == RangeOutcome::RANGE ? range.length : *totalSize;
 
         /* Zero-copy body: refcounted spans lent straight out of cached
          * decoded chunks. No byte of the range is copied on this path; the
@@ -1012,10 +1135,14 @@ private:
          * so LRU eviction during the write is harmless. */
         Response response;
         response.keepAlive = keepAlive;
-        const auto got = decompressor->readSpansAt( first, length, response.body );
+        const auto got = decompressor->readSpansAt( first, length, response.body, wait );
         if ( got != length ) {
+            if ( wait == Wait::NEVER ) {
+                return std::nullopt;
+            }
             return errorResponse( 500, "Decoded range came up short", keepAlive );
         }
+        m_metrics.countArchiveRequest( target );
         for ( const auto& span : response.body ) {
             if ( span.borrowed ) {
                 m_metrics.zeroCopyBytes.addUnchecked( span.size );
@@ -1030,7 +1157,7 @@ private:
             m_metrics.countStatus( 206 );
             const auto contentRange = "Content-Range: bytes " + std::to_string( first ) + "-"
                                       + std::to_string( first + length - 1 ) + "/"
-                                      + std::to_string( totalSize ) + "\r\n";
+                                      + std::to_string( *totalSize ) + "\r\n";
             response.head = buildResponseHead( 206, length, contentRange, keepAlive );
             return response;
         }
@@ -1050,6 +1177,8 @@ private:
     std::atomic<bool> m_drainRequested{ false };
     std::atomic<std::uint64_t> m_nextConnectionId{ 0 };
     std::atomic<std::size_t> m_liveConnections{ 0 };
+    /** Requests submitted to the workers that no worker started yet. */
+    std::atomic<std::size_t> m_unstartedRequests{ 0 };
 
     /* Pool last: its destructor runs first, joining workers that use the
      * registry, cache, metrics, and per-shard completion queues above. */

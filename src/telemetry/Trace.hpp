@@ -232,6 +232,13 @@ public:
         }
     }
 
+    /** Record nothing: the stretch turned out not to be what the name says. */
+    void
+    dismiss() noexcept
+    {
+        m_name = nullptr;
+    }
+
 private:
     const char* m_name{ nullptr };
     const char* m_category{ nullptr };

@@ -7,10 +7,14 @@
  * and an end-to-end loopback run of the daemon: concurrent ranged GETs
  * against gzip (pigz-like, and BGZF without a sidecar) and, when the vendor
  * library is present, zstd archives, byte-compared with the reference data.
+ * The shard loops answer cached ranges themselves: with no worker task,
+ * never during a decode, never ahead of a queued request, and one request
+ * per connection per loop round.
  */
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -245,6 +249,14 @@ makeChunk( std::size_t size, std::uint8_t fill = 0 )
     return chunk;
 }
 
+/** Fill @p key through the cache's one way in, a decode on a miss; a
+ * resident entry is refreshed instead. */
+void
+fillCache( LruChunkCache& cache, const ChunkCacheKey& key, LruChunkCache::ChunkDataPtr chunk )
+{
+    (void)cache.getOrDecode( key, [&chunk] () { return chunk; } );
+}
+
 void
 testLruCacheBudgetInvariant()
 {
@@ -256,7 +268,7 @@ testLruCacheBudgetInvariant()
         if ( rng.below( 3 ) == 0 ) {
             (void)cache.get( key );
         } else {
-            cache.insert( key, makeChunk( rng.below( 4096 ) ) );
+            fillCache( cache, key, makeChunk( rng.below( 4096 ) ) );
         }
         const auto stats = cache.statistics();
         REQUIRE( stats.currentBytes <= stats.capacityBytes );
@@ -275,11 +287,11 @@ testLruCacheEvictionOrder()
     LruChunkCache cache( 3 * ENTRY );
     const auto key = [] ( std::size_t i ) { return ChunkCacheKey{ 1, i }; };
 
-    cache.insert( key( 1 ), makeChunk( SIZE, 1 ) );
-    cache.insert( key( 2 ), makeChunk( SIZE, 2 ) );
-    cache.insert( key( 3 ), makeChunk( SIZE, 3 ) );
+    fillCache( cache, key( 1 ), makeChunk( SIZE, 1 ) );
+    fillCache( cache, key( 2 ), makeChunk( SIZE, 2 ) );
+    fillCache( cache, key( 3 ), makeChunk( SIZE, 3 ) );
     REQUIRE( cache.get( key( 1 ) ) != nullptr );  /* refresh: 2 becomes LRU */
-    cache.insert( key( 4 ), makeChunk( SIZE, 4 ) );
+    fillCache( cache, key( 4 ), makeChunk( SIZE, 4 ) );
 
     REQUIRE( cache.get( key( 2 ) ) == nullptr );
     REQUIRE( cache.get( key( 1 ) ) != nullptr );
@@ -288,7 +300,7 @@ testLruCacheEvictionOrder()
     REQUIRE( cache.statistics().evictions == 1 );
 
     /* A chunk larger than the whole budget is rejected, not cached. */
-    cache.insert( key( 9 ), makeChunk( 10 * ENTRY ) );
+    fillCache( cache, key( 9 ), makeChunk( 10 * ENTRY ) );
     REQUIRE( cache.get( key( 9 ) ) == nullptr );
     REQUIRE( cache.statistics().oversizedRejections == 1 );
 
@@ -302,7 +314,7 @@ testLruCacheEvictionOrder()
     auto exactRow = std::make_shared<DecodedChunk>();
     exactRow->data.assign( SIZE, 11 );
     exactRow->guess.emplace().exact = true;
-    cache.insert( key( 11 ), exactRow );
+    fillCache( cache, key( 11 ), exactRow );
     REQUIRE( cache.get( key( 11 ) ) != nullptr );
 }
 
@@ -374,7 +386,7 @@ testSpanLifetimeAcrossEviction()
         victim->data[i] = static_cast<std::uint8_t>( i * 31 + 7 );
     }
     const std::vector<std::uint8_t> reference( victim->data );
-    cache.insert( key( 1 ), victim );
+    fillCache( cache, key( 1 ), victim );
 
     /* Borrow a span of the cached chunk — exactly what a queued response
      * body holds while sendmsg() drains it. */
@@ -384,8 +396,8 @@ testSpanLifetimeAcrossEviction()
     victim.reset();  /* the cache and the span are now the only owners */
 
     /* Evict it: two more inserts blow the two-entry budget. */
-    cache.insert( key( 2 ), makeChunk( SIZE ) );
-    cache.insert( key( 3 ), makeChunk( SIZE ) );
+    fillCache( cache, key( 2 ), makeChunk( SIZE ) );
+    fillCache( cache, key( 3 ), makeChunk( SIZE ) );
     REQUIRE( cache.get( key( 1 ) ) == nullptr );  /* gone from the cache */
     REQUIRE( cache.statistics().evictions >= 1 );
 
@@ -439,6 +451,43 @@ testSharedCacheAcrossReaders()
     REQUIRE( third->readAt( 0, decoded.data(), decoded.size() ) == data.size() );
     REQUIRE( decoded == data );
     REQUIRE( configuration.sharedCache->statistics().insertions > afterSecond.insertions );
+}
+
+void
+testPrefetchSkipsResidentChunks()
+{
+    telemetry::setMetricsEnabled( true );
+    const auto data = workloads::base64Data( 1 * MiB, 77 );
+    const auto file = compressPigzLike( data, 6, 128 * KiB );
+
+    ChunkFetcherConfiguration configuration;
+    configuration.parallelism = 2;
+    configuration.chunkSizeBytes = 128 * KiB;
+    configuration.sharedCache = std::make_shared<LruChunkCache>( 64 * MiB );
+    configuration.cacheIdentity = 0xC0FFEE;
+
+    std::vector<std::uint8_t> decoded( data.size() );
+    {
+        auto warm = formats::makeDecompressor( std::make_unique<MemoryFileReader>( file ), configuration );
+        REQUIRE( warm->readAt( 0, decoded.data(), decoded.size() ) == data.size() );
+    }
+
+    /* A fresh reader of the same archive prefetches ahead of its sweep and
+     * of its sequential reads, but the shared tier holds every chunk those
+     * prefetches name, so none of them starts a task. */
+    const auto& registry = telemetry::Registry::instance();
+    const auto issuedBefore = registry.counterTotal( "rapidgzip_prefetch_issued_total" );
+    const auto onDemandBefore = registry.counterTotal( "rapidgzip_chunk_on_demand_decodes_total" );
+    auto reader = formats::makeDecompressor( std::make_unique<MemoryFileReader>( file ), configuration );
+    std::fill( decoded.begin(), decoded.end(), 0 );
+    constexpr std::size_t STEP = 48 * KiB;
+    for ( std::size_t offset = 0; offset < data.size(); offset += STEP ) {
+        const auto length = std::min( STEP, data.size() - offset );
+        REQUIRE( reader->readAt( offset, decoded.data() + offset, length ) == length );
+    }
+    REQUIRE( decoded == data );
+    REQUIRE( registry.counterTotal( "rapidgzip_prefetch_issued_total" ) == issuedBefore );
+    REQUIRE( registry.counterTotal( "rapidgzip_chunk_on_demand_decodes_total" ) == onDemandBefore );
 }
 
 /* --- sidecar adoption -------------------------------------------------- */
@@ -601,6 +650,32 @@ public:
             REQUIRE( got > 0 );
             sent += static_cast<std::size_t>( got );
         }
+    }
+
+    /** Whether bytes arrive within @p timeoutMs; reads none of them. */
+    [[nodiscard]] bool
+    readable( int timeoutMs ) const
+    {
+        pollfd entry{ m_fd, POLLIN, 0 };
+        return ( ::poll( &entry, 1, timeoutMs ) > 0 ) && ( ( entry.revents & POLLIN ) != 0 );
+    }
+
+    /** Take what the socket holds now, without waiting, and count the
+     * responses whose status line has arrived and is not read yet. */
+    [[nodiscard]] std::size_t
+    arrivedResponses()
+    {
+        char chunk[16 * 1024];
+        ssize_t got = 0;
+        while ( ( got = ::recv( m_fd, chunk, sizeof( chunk ), MSG_DONTWAIT ) ) > 0 ) {
+            m_buffer.append( chunk, static_cast<std::size_t>( got ) );
+        }
+        std::size_t count = 0;
+        for ( auto found = m_buffer.find( "HTTP/1.1 " ); found != std::string::npos;
+              found = m_buffer.find( "HTTP/1.1 ", found + 1 ) ) {
+            ++count;
+        }
+        return count;
     }
 
     /** False when the peer closed before a complete response arrived. */
@@ -880,6 +955,193 @@ testServeEndToEnd()
     REQUIRE( metrics.body.find( "rapidgzip_serve_requests_total" ) != std::string::npos );
     REQUIRE( metrics.body.find( "rapidgzip_serve_cache_hits" ) != std::string::npos );
     REQUIRE( metrics.body.find( "rapidgzip_serve_responses_2xx" ) != std::string::npos );
+
+    server.stop();
+    loop.join();
+}
+
+/* --- answers on the shard loop --------------------------------------- */
+
+[[nodiscard]] std::string
+rangeGet( const std::string& target, std::size_t first, std::size_t length )
+{
+    return "GET " + target + " HTTP/1.1\r\nHost: t\r\nRange: bytes=" + std::to_string( first ) + "-"
+           + std::to_string( first + length - 1 ) + "\r\n\r\n";
+}
+
+void
+expectRange( HttpClient& client, const std::vector<std::uint8_t>& data, std::size_t first,
+             std::size_t length )
+{
+    ClientResponse response;
+    REQUIRE( client.readResponse( response ) );
+    REQUIRE( response.status == 206 );
+    REQUIRE( response.body.size() == length );
+    REQUIRE( std::memcmp( response.body.data(), data.data() + first, length ) == 0 );
+}
+
+[[nodiscard]] std::uint64_t
+requestsOnLoop()
+{
+    return telemetry::Registry::instance().counterTotal( "rapidgzip_serve_requests_on_loop_total" );
+}
+
+/** Tasks any thread pool started: a pool samples a task's queue wait as the
+ * task starts. */
+[[nodiscard]] std::uint64_t
+poolTasksStarted()
+{
+    return telemetry::Registry::instance().histogram( "rapidgzip_pool_task_wait_seconds" ).snapshot().count;
+}
+
+/** An archive with a sidecar index in a fresh directory; returns the
+ * directory and the uncompressed offset of the archive's last chunk. */
+[[nodiscard]] std::pair<std::string, std::size_t>
+writeSidecarArchive( const std::vector<std::uint8_t>& data, const ChunkFetcherConfiguration& configuration )
+{
+    const auto directory = makeTempDirectory();
+    const auto path = directory + "/corpus.gz";
+    writeFile( path, compressPigzLike( data, 6, 128 * KiB ) );
+    const auto decompressor = formats::openArchive( path, configuration );
+    REQUIRE( decompressor->size() == data.size() );
+    formats::writeSidecarIndex( *decompressor, path );
+    const auto seekPoints = decompressor->seekPoints();
+    REQUIRE( seekPoints.size() >= 4 );
+    return { directory, seekPoints.back().uncompressedOffset };
+}
+
+void
+testServeAnswersHitsOnLoop()
+{
+    std::signal( SIGPIPE, SIG_IGN );
+    failsafe::disarmAll();
+
+    const auto data = workloads::base64Data( 1 * MiB, 51 );
+    ServerConfiguration configuration;
+    configuration.port = 0;
+    configuration.workerCount = 1;
+    configuration.shardCount = 1;
+    configuration.cacheBytes = 64 * MiB;
+    configuration.readerConfiguration.parallelism = 2;
+    configuration.readerConfiguration.chunkSizeBytes = 128 * KiB;
+    const auto [directory, lastChunk] = writeSidecarArchive( data, configuration.readerConfiguration );
+    configuration.rootDirectory = directory;
+
+    Server server( std::move( configuration ) );
+    server.start();
+    const auto port = server.port();
+    std::thread loop( [&server] () { server.run(); } );
+
+    /* Nothing is prefetched after the last chunk, and nothing prefetches
+     * the first. */
+    const auto cached = lastChunk;
+    const auto uncached = std::size_t( 1000 );
+    constexpr std::size_t LENGTH = 4096;
+
+    /* The first request opens the archive: a worker answers it. */
+    const auto onLoopBefore = requestsOnLoop();
+    HttpClient client( port );
+    client.send( rangeGet( "/corpus.gz", cached, LENGTH ) );
+    expectRange( client, data, cached, LENGTH );
+    REQUIRE( requestsOnLoop() == onLoopBefore );
+
+    /* Open, sized from the sidecar and decoded: the shard answers the same
+     * range itself, and no pool starts a task. */
+    const auto tasksBefore = poolTasksStarted();
+    client.send( rangeGet( "/corpus.gz", cached, LENGTH ) );
+    expectRange( client, data, cached, LENGTH );
+    REQUIRE( requestsOnLoop() == onLoopBefore + 1 );
+    REQUIRE( poolTasksStarted() == tasksBefore );
+
+    /* An uncached range parks the only worker in a slow decode. The shard
+     * answers a cached range on another connection meanwhile: no request
+     * that needs a decode runs on the loop. */
+    failsafe::configure( failsafe::FaultPoint::CHUNK_DECODE, 1.0, /* seed */ 71,
+                         /* latency */ 800'000 );
+    HttpClient missing( port );
+    missing.send( rangeGet( "/corpus.gz", uncached, LENGTH ) );
+    std::this_thread::sleep_for( std::chrono::milliseconds( 100 ) );
+    HttpClient hit( port );
+    hit.send( rangeGet( "/corpus.gz", cached, LENGTH ) );
+    expectRange( hit, data, cached, LENGTH );
+    REQUIRE( requestsOnLoop() == onLoopBefore + 2 );
+    REQUIRE( !missing.readable( 0 ) );
+
+    /* A request waits unstarted in the worker queue: a hit that arrives now
+     * queues behind it instead of overtaking it. */
+    HttpClient queued( port );
+    queued.send( "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" );
+    std::this_thread::sleep_for( std::chrono::milliseconds( 50 ) );
+    HttpClient behind( port );
+    behind.send( rangeGet( "/corpus.gz", cached, LENGTH ) );
+    REQUIRE( !behind.readable( 100 ) );
+    REQUIRE( !missing.readable( 0 ) );
+
+    /* The decode retries without the fault, and the worker answers all
+     * three in turn, the uncached range byte-exact. */
+    failsafe::disarmAll();
+    expectRange( missing, data, uncached, LENGTH );
+    ClientResponse health;
+    REQUIRE( queued.readResponse( health ) );
+    REQUIRE( health.status == 200 );
+    expectRange( behind, data, cached, LENGTH );
+    REQUIRE( requestsOnLoop() == onLoopBefore + 2 );
+
+    server.stop();
+    loop.join();
+}
+
+void
+testServePipelinedHitsTakeTurns()
+{
+    std::signal( SIGPIPE, SIG_IGN );
+
+    const auto data = workloads::base64Data( 1 * MiB, 53 );
+    ServerConfiguration configuration;
+    configuration.port = 0;
+    configuration.workerCount = 2;
+    configuration.shardCount = 1;
+    configuration.cacheBytes = 64 * MiB;
+    configuration.readerConfiguration.parallelism = 2;
+    configuration.readerConfiguration.chunkSizeBytes = 128 * KiB;
+    configuration.rootDirectory = writeSidecarArchive( data, configuration.readerConfiguration ).first;
+
+    Server server( std::move( configuration ) );
+    server.start();
+    const auto port = server.port();
+    std::thread loop( [&server] () { server.run(); } );
+
+    /* One full read decodes every chunk into the shared cache. */
+    REQUIRE( simpleRequest( port, "GET", "/corpus.gz" ).body.size() == data.size() );
+
+    /* Eight pipelined hits on one connection and one hit on another. The
+     * single answer is read first: had the shard answered the whole batch
+     * before it, all eight answers would have arrived by then. The shard
+     * answers one request per connection per round, so the single one comes
+     * between them, unless this client looked too late; hence the
+     * attempts. */
+    constexpr std::size_t LENGTH = 4096;
+    const auto onLoopBefore = requestsOnLoop();
+    bool between = false;
+    std::size_t answered = 0;
+    for ( std::size_t attempt = 0; ( attempt < 20 ) && !between; ++attempt ) {
+        HttpClient batch( port );
+        HttpClient single( port );
+        std::string requests;
+        for ( std::size_t i = 0; i < 8; ++i ) {
+            requests += rangeGet( "/corpus.gz", i * 120'000 + attempt, LENGTH );
+        }
+        batch.send( requests );
+        single.send( rangeGet( "/corpus.gz", 777'777 + attempt, 100 ) );
+        expectRange( single, data, 777'777 + attempt, 100 );
+        between = batch.arrivedResponses() < 8;
+        for ( std::size_t i = 0; i < 8; ++i ) {
+            expectRange( batch, data, i * 120'000 + attempt, LENGTH );
+        }
+        answered += 9;
+    }
+    REQUIRE( between );
+    REQUIRE( requestsOnLoop() == onLoopBefore + answered );
 
     server.stop();
     loop.join();
@@ -1180,8 +1442,11 @@ main()
     testLruCacheSingleFlight();
     testSpanLifetimeAcrossEviction();
     testSharedCacheAcrossReaders();
+    testPrefetchSkipsResidentChunks();
     testSidecarAdoption();
     testServeEndToEnd();
+    testServeAnswersHitsOnLoop();
+    testServePipelinedHitsTakeTurns();
     testServeMultiShard();
     testServeMultiShardDrain();
     testServeHardening();
