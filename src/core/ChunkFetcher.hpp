@@ -191,6 +191,23 @@ public:
     }
 
     /**
+     * Whether a cache tier holds chunk @p index decoded, so that get() with
+     * Wait::NEVER would return it. Counts nothing and starts nothing; a held
+     * chunk counts as used now in the tier that holds it, so the access that
+     * follows finds it there.
+     */
+    [[nodiscard]] bool
+    holds( std::size_t index )
+    {
+        const std::lock_guard<std::mutex> lock( m_mutex );
+        if ( const auto match = m_cache.find( index ); match != m_cache.end() ) {
+            match->second.lastUse = m_accessClock;
+            return holdsChunk( match->second.future );
+        }
+        return m_configuration.sharedCache && m_configuration.sharedCache->refresh( cacheKey( index ) );
+    }
+
+    /**
      * Serve only the first @p chunkCount chunks from now on, and start the
      * sequential streak afresh; cached chunks stay. For an owner whose
      * ordered pass over the chunks found the rest to be past the end of the

@@ -325,8 +325,10 @@ private:
      * The one offset-to-chunk walk: from @p offset on, hand @p take each
      * chunk holding it, the offset into the chunk and the byte count to
      * take, until @p size bytes or the end of the stream. With Wait::NEVER
-     * it also stops before the first chunk it would wait for. Returns the
-     * bytes walked.
+     * it walks only when a cache tier holds every chunk of the range, so it
+     * does not give up halfway, after its first accesses counted and
+     * prefetched; it still stops before a chunk that another thread evicted
+     * meanwhile. Returns the bytes walked.
      */
     template<typename Take>
     [[nodiscard]] std::size_t
@@ -338,21 +340,40 @@ private:
         }
         const auto& checkpoints = state->table.checkpoints;
         const auto totalSize = state->table.size;
+        const auto end = offset < totalSize ? offset + std::min( size, totalSize - offset ) : offset;
+
+        /* Hands visit( index, chunkBegin, chunkEnd ) each chunk holding bytes
+         * of [offset, end) until it returns false. */
+        const auto forEachChunk = [&] ( const auto& visit ) {
+            for ( auto position = offset; position < end; ) {
+                const auto next = std::upper_bound(
+                    checkpoints.begin(), checkpoints.end(), position,
+                    [] ( std::size_t value, const index::Checkpoint& checkpoint ) {
+                        return value < checkpoint.uncompressedOffset;
+                    } );
+                const auto chunkIndex = static_cast<std::size_t>(
+                    std::distance( checkpoints.begin(), next ) ) - 1U;
+                const auto chunkEnd = next == checkpoints.end() ? totalSize : next->uncompressedOffset;
+                if ( !visit( chunkIndex, checkpoints[chunkIndex].uncompressedOffset, chunkEnd ) ) {
+                    return false;
+                }
+                position = chunkEnd;
+            }
+            return true;
+        };
+
+        if ( ( wait == Wait::NEVER )
+             && !forEachChunk( [&state] ( std::size_t chunkIndex, std::size_t, std::size_t ) {
+                    return state->fetcher->holds( chunkIndex );
+                } ) ) {
+            return 0;
+        }
 
         std::size_t produced = 0;
-        while ( ( produced < size ) && ( offset < totalSize ) ) {
-            const auto next = std::upper_bound(
-                checkpoints.begin(), checkpoints.end(), offset,
-                [] ( std::size_t position, const index::Checkpoint& checkpoint ) {
-                    return position < checkpoint.uncompressedOffset;
-                } );
-            const auto chunkIndex = static_cast<std::size_t>(
-                std::distance( checkpoints.begin(), next ) ) - 1U;
-            const auto chunkBegin = checkpoints[chunkIndex].uncompressedOffset;
-            const auto chunkEnd = next == checkpoints.end() ? totalSize : next->uncompressedOffset;
+        (void)forEachChunk( [&] ( std::size_t chunkIndex, std::size_t chunkBegin, std::size_t chunkEnd ) {
             const auto chunk = state->fetcher->get( chunkIndex, ChunkFetcher::Access::READ, wait );
             if ( !chunk ) {
-                break;
+                return false;
             }
             if ( chunk->data.size() != chunkEnd - chunkBegin ) {
                 /* Only possible when an imported index or a sidecar misstates
@@ -363,11 +384,12 @@ private:
                 throw RapidgzipError( "Chunk size disagrees with the chunk table — "
                                       "stale or corrupt index" );
             }
-            const auto length = std::min( size - produced, chunkEnd - offset );
-            take( chunk, offset - chunkBegin, length );
+            const auto first = std::max( offset, chunkBegin );
+            const auto length = std::min( end, chunkEnd ) - first;
+            take( chunk, first - chunkBegin, length );
             produced += length;
-            offset += length;
-        }
+            return true;
+        } );
         return produced;
     }
 

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -14,6 +13,7 @@
 #include <utility>
 
 #include "../common/Error.hpp"
+#include "../common/ThreadPool.hpp"
 #include "../core/ChunkCache.hpp"
 #include "../formats/Sidecar.hpp"
 
@@ -70,6 +70,44 @@ struct ArchiveIdentity
 };
 
 /**
+ * Destroys the readers an ArchiveRegistry hands out, once their last handle
+ * drops, wherever that is. A reader's destructor joins its decode pool, so
+ * on a thread that must never wait — an event loop, marked by a LoopThread
+ * while it runs — the reader goes to @p workers and dies there.
+ */
+class ReaderDisposer
+{
+public:
+    /** Marks the constructing thread as one that must never wait, for the
+     * guard's lifetime. */
+    class LoopThread
+    {
+    public:
+        LoopThread() noexcept { t_loopThread = true; }
+        ~LoopThread() { t_loopThread = false; }
+        LoopThread( const LoopThread& ) = delete;
+        LoopThread& operator=( const LoopThread& ) = delete;
+    };
+
+    explicit ReaderDisposer( ThreadPool& workers ) noexcept :
+        m_workers( &workers )
+    {}
+
+    void
+    operator()( formats::Decompressor* reader ) const
+    {
+        std::unique_ptr<formats::Decompressor> owned( reader );
+        if ( t_loopThread ) {
+            (void)m_workers->submit( [owned = std::move( owned )] () {} );
+        }
+    }
+
+private:
+    static inline thread_local bool t_loopThread{ false };
+    ThreadPool* m_workers;
+};
+
+/**
  * The daemon's table of open archives: URL path → lazily opened
  * Decompressor, bounded by an LRU over open readers. Every open flows
  * through formats::openArchive, so format detection and sidecar-index
@@ -85,21 +123,18 @@ struct ArchiveIdentity
  * reader's own table lock. Cross-request reuse of decoded chunks happens
  * in the shared cache tier below.
  *
- * A reader is destroyed by @p dispose, which the last holder of its handle
- * calls, wherever that is; the default deletes it on the spot. Its
- * destructor joins the reader's decode pool.
+ * A reader is destroyed by @p dispose when the last holder of its handle
+ * drops it.
  */
 class ArchiveRegistry
 {
 public:
-    using Disposer = std::function<void( formats::Decompressor* )>;
-
     ArchiveRegistry( std::string rootDirectory,
                      std::size_t maxArchives,
                      std::shared_ptr<LruChunkCache> sharedCache,
                      ChunkFetcherConfiguration readerConfiguration,
-                     RegistryLimits limits = {},
-                     Disposer dispose = std::default_delete<formats::Decompressor>() ) :
+                     RegistryLimits limits,
+                     ReaderDisposer dispose ) :
         m_rootDirectory( std::move( rootDirectory ) ),
         m_maxArchives( std::max<std::size_t>( 1, maxArchives ) ),
         m_sharedCache( std::move( sharedCache ) ),
@@ -316,7 +351,7 @@ private:
     std::shared_ptr<LruChunkCache> m_sharedCache;
     ChunkFetcherConfiguration m_readerConfiguration;
     RegistryLimits m_limits;
-    Disposer m_dispose;
+    ReaderDisposer m_dispose;
 
     mutable std::mutex m_mutex;
     std::map<std::string, std::shared_ptr<Entry> > m_entries;

@@ -129,7 +129,7 @@ public:
         m_registry( m_configuration.rootDirectory, m_configuration.maxArchives,
                     m_sharedCache, m_configuration.readerConfiguration,
                     RegistryLimits{ m_configuration.failedOpenBackoffMs },
-                    [this] ( formats::Decompressor* reader ) { dispose( reader ); } ),
+                    ReaderDisposer( m_workers ) ),
         m_workers( std::max<std::size_t>( 1, m_configuration.workerCount ) )
     {
         /* A daemon wants its pipeline counters live in /metrics; the
@@ -416,12 +416,9 @@ private:
         void
         loop()
         {
-            /* A shard thread must never wait; see dispose(). */
-            t_shardThread = true;
-            struct Reset
-            {
-                ~Reset() { t_shardThread = false; }
-            } reset;
+            /* A shard thread must never wait, not even for a reader's
+             * destructor. */
+            const ReaderDisposer::LoopThread loopThread;
 
             std::vector<pollfd> pollFds;
             std::vector<std::uint64_t> pollIds;  /* connection id per slot, 0 = special */
@@ -461,10 +458,11 @@ private:
                 for ( auto& [id, connection] : connections ) {
                     short events = 0;
                     /* Backpressure: while a response is being computed or
-                     * written, stop reading — pipelined bytes already
-                     * received stay in the parser buffer. */
+                     * written, or a buffered request waits for the next
+                     * round, stop reading — pipelined bytes already received
+                     * stay in the parser buffer. */
                     if ( !connection.awaitingResponse && !connection.hasOutbox()
-                         && !connection.peerClosed ) {
+                         && !connection.dispatchDeferred && !connection.peerClosed ) {
                         events |= POLLIN;
                     }
                     if ( connection.hasOutbox() ) {
@@ -724,7 +722,11 @@ private:
         handleReadable( Connection& connection )
         {
             char buffer[16 * 1024];
-            while ( true ) {
+            /* Read until the socket is empty or the parser holds more than a
+             * header block may take; it then holds a request or fails it
+             * with 431. What a pipelining client sends beyond that waits in
+             * the socket. */
+            while ( connection.parser.bufferedBytes() <= RequestParser::MAX_HEADER_BYTES ) {
                 const auto got = ::recv( connection.fd, buffer, sizeof( buffer ), 0 );
                 if ( got > 0 ) {
                     connection.parser.feed( buffer, static_cast<std::size_t>( got ) );
@@ -973,21 +975,6 @@ private:
 
     /* --- request handling (workers, and shards without waiting) -------- */
 
-    /** Set on a shard's loop thread while it runs. */
-    static inline thread_local bool t_shardThread{ false };
-
-    /** A reader's destructor joins its decode pool, so a shard thread that
-     * drops the last handle of a reader the registry evicted meanwhile
-     * hands the reader to a worker. */
-    void
-    dispose( formats::Decompressor* reader )
-    {
-        std::unique_ptr<formats::Decompressor> owned( reader );
-        if ( t_shardThread ) {
-            (void)m_workers.submit( [owned = std::move( owned )] () {} );
-        }
-    }
-
     /** One request through the handler, timed as one serve.request span
      * and one sample of the request latency histogram. With Wait::NEVER it
      * answers only what needs no wait, and records nothing when it gives
@@ -1098,15 +1085,22 @@ private:
 
         /* Without waiting, every step below gives up before it counts or
          * decodes anything: the archive must be open, its size known, and
-         * every chunk of the range decoded in a cache tier. */
+         * every chunk of the range decoded in a cache tier. A worker counts
+         * the request once the archive is open, whatever the read does; the
+         * loop counts it only once its answer stands. */
         const auto decompressor = m_registry.open( target, wait );
+        if ( wait == Wait::ALLOWED ) {
+            m_metrics.countArchiveRequest( target );
+        }
         const auto totalSize = decompressor ? decompressor->size( wait ) : std::nullopt;
         if ( !totalSize ) {
             return std::nullopt;
         }
 
         if ( isHead ) {
-            m_metrics.countArchiveRequest( target );
+            if ( wait == Wait::NEVER ) {
+                m_metrics.countArchiveRequest( target );
+            }
             m_metrics.countStatus( 200 );
             return stringResponse( buildResponseHead( 200, *totalSize, {}, keepAlive ),
                                    keepAlive );
@@ -1117,7 +1111,6 @@ private:
             if ( wait == Wait::NEVER ) {
                 return std::nullopt;
             }
-            m_metrics.countArchiveRequest( target );
             m_metrics.countStatus( 416 );
             return stringResponse(
                 buildResponse( 416,
@@ -1142,7 +1135,9 @@ private:
             }
             return errorResponse( 500, "Decoded range came up short", keepAlive );
         }
-        m_metrics.countArchiveRequest( target );
+        if ( wait == Wait::NEVER ) {
+            m_metrics.countArchiveRequest( target );
+        }
         for ( const auto& span : response.body ) {
             if ( span.borrowed ) {
                 m_metrics.zeroCopyBytes.addUnchecked( span.size );
@@ -1181,7 +1176,8 @@ private:
     std::atomic<std::size_t> m_unstartedRequests{ 0 };
 
     /* Pool last: its destructor runs first, joining workers that use the
-     * registry, cache, metrics, and per-shard completion queues above. */
+     * registry, cache, metrics, and per-shard completion queues above. The
+     * registry's disposer hands it readers only from a running shard. */
     ThreadPool m_workers;
 };
 

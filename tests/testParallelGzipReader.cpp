@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -559,9 +560,10 @@ constexpr std::size_t SYNTHETIC_CHUNK_BYTES = 4 * KiB;
 constexpr std::size_t SYNTHETIC_PARALLELISM = 4;
 
 /** A ChunkedReader at parallelism 4 over 64 synthetic 4 KiB chunks, chunk i
- * all bytes i: a sized table, or one awaiting a pass. */
+ * all bytes i: a sized table, or one awaiting a pass. A valid
+ * @p chunkOneDecodes holds chunk 1's decode until it is ready. */
 [[nodiscard]] std::unique_ptr<ChunkedReader>
-syntheticChunks( bool sized )
+syntheticChunks( bool sized, std::shared_future<void> chunkOneDecodes = {} )
 {
     auto reader = std::make_unique<ChunkedReader>(
         std::make_shared<MemoryFileReader>( std::vector<std::uint8_t>( SYNTHETIC_CHUNKS ) ),
@@ -572,7 +574,10 @@ syntheticChunks( bool sized )
     }
     reader->publish( checkpoints,
                      sized ? std::optional<std::size_t>( SYNTHETIC_CHUNKS * SYNTHETIC_CHUNK_BYTES ) : std::nullopt,
-                     [] ( const FileReader&, std::size_t i ) {
+                     [chunkOneDecodes] ( const FileReader&, std::size_t i ) {
+                         if ( ( i == 1 ) && chunkOneDecodes.valid() ) {
+                             chunkOneDecodes.wait();
+                         }
                          DecodedChunk chunk;
                          chunk.data.assign( SYNTHETIC_CHUNK_BYTES, static_cast<std::uint8_t>( i ) );
                          return chunk;
@@ -642,6 +647,52 @@ testPrefetchRamp()
         REQUIRE( counts.issued == step.prefetches );
         REQUIRE( counts.onDemand == ( ( step.chunk == 0 ) || ( step.chunk == 40 ) ? 1U : 0U ) );
     }
+    telemetry::setMetricsEnabled( false );
+}
+
+/**
+ * A read that may not wait walks only when a cache tier holds every chunk of
+ * its range. A range that runs from a decoded chunk into one still decoding
+ * answers nothing, and counts no hit and dispatches no prefetch on the way:
+ * the read that may wait, which follows it, makes the only accesses.
+ */
+void
+testNeverWaitingReadGivesUpUncounted()
+{
+    std::promise<void> chunkOneDecodes;
+    const auto reader = syntheticChunks( /* sized */ true, chunkOneDecodes.get_future().share() );
+    telemetry::setMetricsEnabled( true );
+    const auto& registry = telemetry::Registry::instance();
+    const auto hits = [&registry] () { return registry.counterTotal( "rapidgzip_chunk_cache_hits_total" ); };
+
+    /* Chunk 0 decodes on demand and dispatches chunk 1, which stays
+     * decoding. */
+    std::uint8_t byte = 0;
+    REQUIRE( reader->readAt( 0, &byte, 1 ) == 1 );
+
+    auto before = FetcherCounts::now();
+    auto hitsBefore = hits();
+    std::vector<OwnedSpan> spans;
+    REQUIRE( reader->readSpansAt( SYNTHETIC_CHUNK_BYTES - 10, 20, spans, Wait::NEVER ) == 0 );
+    REQUIRE( spans.empty() );
+    auto counts = FetcherCounts::now() - before;
+    REQUIRE( ( counts.issued == 0 ) && ( counts.consumed == 0 ) && ( counts.onDemand == 0 ) );
+    REQUIRE( hits() == hitsBefore );
+
+    /* Inside chunk 0 it answers, and counts the hit. */
+    REQUIRE( reader->readSpansAt( 10, 20, spans, Wait::NEVER ) == 20 );
+    REQUIRE( ( spans.size() == 1 ) && ( spans[0].data[0] == 0 ) );
+    REQUIRE( hits() == hitsBefore + 1 );
+
+    chunkOneDecodes.set_value();
+    spans.clear();
+    before = FetcherCounts::now();
+    hitsBefore = hits();
+    REQUIRE( reader->readSpansAt( SYNTHETIC_CHUNK_BYTES - 10, 20, spans, Wait::ALLOWED ) == 20 );
+    REQUIRE( ( spans.size() == 2 ) && ( spans[0].data[0] == 0 ) && ( spans[1].data[0] == 1 ) );
+    counts = FetcherCounts::now() - before;
+    REQUIRE( ( counts.consumed == 1 ) && ( counts.onDemand == 0 ) );
+    REQUIRE( hits() == hitsBefore + 1 );
     telemetry::setMetricsEnabled( false );
 }
 
@@ -1215,6 +1266,7 @@ main()
     testDiscoveryReadsOneSlice();
     testOrderedPassLookAhead();
     testPrefetchRamp();
+    testNeverWaitingReadGivesUpUncounted();
     testGuessInsideStoredStretch();
     testFalseRestartPoints();
     testSyncFlushedStream();

@@ -13,6 +13,8 @@
  */
 
 #include <arpa/inet.h>
+#include <dirent.h>
+#include <limits.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -24,7 +26,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -276,7 +280,43 @@ testLruCacheBudgetInvariant()
     const auto stats = cache.statistics();
     REQUIRE( stats.insertions > 0 );
     REQUIRE( stats.evictions > 0 );
-    REQUIRE( stats.hits + stats.misses > 0 );
+    REQUIRE( stats.hits + stats.misses == 2000 );  /* every lookup counts once */
+}
+
+void
+testLruCacheCounting()
+{
+    LruChunkCache cache( 64 * KiB );
+    const ChunkCacheKey held{ 5, 1 };
+    const ChunkCacheKey absent{ 5, 2 };
+    using Counts = std::pair<std::size_t, std::size_t>;
+    const auto counts = [&cache] () {
+        const auto stats = cache.statistics();
+        return Counts{ stats.hits, stats.misses };
+    };
+
+    fillCache( cache, held, makeChunk( 100 ) );
+    REQUIRE( counts() == Counts( 0, 1 ) );  /* the fill's lookup missed */
+
+    REQUIRE( cache.get( held ) != nullptr );
+    REQUIRE( counts() == Counts( 1, 1 ) );
+    REQUIRE( cache.get( absent ) == nullptr );
+    REQUIRE( counts() == Counts( 1, 2 ) );
+
+    /* A lookup that will be repeated where it may wait counts its miss
+     * there, not here; a hit counts either way. */
+    REQUIRE( cache.get( absent, /* countMiss */ false ) == nullptr );
+    REQUIRE( counts() == Counts( 1, 2 ) );
+    REQUIRE( cache.get( held, /* countMiss */ false ) != nullptr );
+    REQUIRE( counts() == Counts( 2, 2 ) );
+
+    /* A refresh hands out no chunk and counts nothing. */
+    REQUIRE( cache.refresh( held ) );
+    REQUIRE( !cache.refresh( absent ) );
+    REQUIRE( counts() == Counts( 2, 2 ) );
+
+    fillCache( cache, held, makeChunk( 100 ) );
+    REQUIRE( counts() == Counts( 3, 2 ) );
 }
 
 void
@@ -606,6 +646,73 @@ testSidecarAdoption()
     }
 }
 
+/* --- registry ----------------------------------------------------------- */
+
+/** This process's open descriptors of the file at @p path. */
+[[nodiscard]] std::size_t
+openDescriptors( const std::string& path )
+{
+    char resolved[PATH_MAX];
+    REQUIRE( ::realpath( path.c_str(), resolved ) != nullptr );
+    std::size_t count = 0;
+    DIR* const directory = ::opendir( "/proc/self/fd" );
+    REQUIRE( directory != nullptr );
+    while ( const auto* const entry = ::readdir( directory ) ) {
+        char target[PATH_MAX];
+        const auto link = std::string( "/proc/self/fd/" ) + entry->d_name;
+        const auto length = ::readlink( link.c_str(), target, sizeof( target ) );
+        if ( ( length > 0 ) && ( std::string( target, static_cast<std::size_t>( length ) ) == resolved ) ) {
+            ++count;
+        }
+    }
+    ::closedir( directory );
+    return count;
+}
+
+void
+testRegistryDisposesOffTheLoop()
+{
+    const auto directory = makeTempDirectory();
+    const auto data = workloads::base64Data( 256 * KiB, 61 );
+    writeFile( directory + "/a.gz", compressPigzLike( data, 6, 64 * KiB ) );
+    writeFile( directory + "/b.gz", compressPigzLike( data, 6, 64 * KiB ) );
+    const auto path = directory + "/a.gz";
+
+    ChunkFetcherConfiguration readerConfiguration;
+    readerConfiguration.parallelism = 1;
+    readerConfiguration.chunkSizeBytes = 64 * KiB;
+    ThreadPool workers( 1 );
+    ArchiveRegistry registry( directory, /* maxArchives */ 1, std::make_shared<LruChunkCache>( 16 * MiB ),
+                              readerConfiguration, RegistryLimits{}, ReaderDisposer( workers ) );
+
+    /* Opening b.gz evicts a.gz, so the handle below is its reader's last.
+     * Off a loop, dropping it destroys the reader on the spot, which closes
+     * the archive. */
+    auto handle = registry.open( "/a.gz" );
+    REQUIRE( openDescriptors( path ) > 0 );
+    (void)registry.open( "/b.gz" );
+    handle.reset();
+    REQUIRE( openDescriptors( path ) == 0 );
+
+    /* A loop thread that drops the last handle hands the reader to a
+     * worker, here parked until the loop thread is done. */
+    std::promise<void> release;
+    (void)workers.submit( [parked = release.get_future().share()] () { parked.wait(); } );
+    handle = registry.open( "/a.gz" );
+    (void)registry.open( "/b.gz" );
+    std::thread loop( [&handle] () {
+        const ReaderDisposer::LoopThread loopThread;
+        handle.reset();
+    } );
+    loop.join();
+    REQUIRE( openDescriptors( path ) > 0 );
+    release.set_value();
+    for ( int attempt = 0; ( attempt < 500 ) && ( openDescriptors( path ) > 0 ); ++attempt ) {
+        std::this_thread::sleep_for( std::chrono::milliseconds( 10 ) );
+    }
+    REQUIRE( openDescriptors( path ) == 0 );
+}
+
 /* --- end-to-end over loopback ------------------------------------------ */
 
 struct ClientResponse
@@ -640,6 +747,12 @@ public:
 
     HttpClient( const HttpClient& ) = delete;
     HttpClient& operator=( const HttpClient& ) = delete;
+
+    [[nodiscard]] int
+    fd() const noexcept
+    {
+        return m_fd;
+    }
 
     void
     send( const std::string& raw ) const
@@ -1147,6 +1260,100 @@ testServePipelinedHitsTakeTurns()
     loop.join();
 }
 
+void
+testServePipelinedFloodKeepsBackpressure()
+{
+    std::signal( SIGPIPE, SIG_IGN );
+
+    const auto data = workloads::base64Data( 1 * MiB, 57 );
+    ServerConfiguration configuration;
+    configuration.port = 0;
+    configuration.workerCount = 1;
+    configuration.shardCount = 1;
+    configuration.cacheBytes = 16 * MiB;
+    configuration.readerConfiguration.parallelism = 2;
+    configuration.readerConfiguration.chunkSizeBytes = 128 * KiB;
+    configuration.rootDirectory = writeSidecarArchive( data, configuration.readerConfiguration ).first;
+
+    Server server( std::move( configuration ) );
+    server.start();
+    const auto port = server.port();
+    std::thread loop( [&server] () { server.run(); } );
+
+    /* Padded 4 KiB requests for one cached byte: every answer is the same
+     * bytes. The first opens the archive and decodes its chunk. */
+    const auto request = "GET /corpus.gz HTTP/1.1\r\nHost: t\r\nRange: bytes=0-0\r\nX-Padding: "
+                         + std::string( 4000, 'p' ) + "\r\n\r\n";
+    HttpClient client( port );
+    const auto fd = client.fd();
+    std::string answer;
+    for ( int i = 0; i < 2; ++i ) {
+        client.send( request );
+        answer.clear();
+        while ( ( answer.find( "\r\n\r\n" ) == std::string::npos )
+                || ( answer.size() < answer.find( "\r\n\r\n" ) + 5 ) ) {
+            char buffer[4096];
+            const auto got = ::recv( fd, buffer, sizeof( buffer ), 0 );
+            REQUIRE( got > 0 );
+            if ( got <= 0 ) {
+                break;
+            }
+            answer.append( buffer, static_cast<std::size_t>( got ) );
+        }
+    }
+    REQUIRE( answer.compare( 0, 13, "HTTP/1.1 206 " ) == 0 );
+    REQUIRE( answer.back() == static_cast<char>( data[0] ) );
+
+    /* Pipeline 32 MiB of them while reading every answer. One read takes
+     * the parser past a header block's worth at most, and the shard reads no
+     * more of a connection while a request of it waits in the parser, so
+     * the requests run ahead of their answers by the socket buffers and one
+     * read at most. A read that ran until the socket was empty would take in
+     * the flood as fast as the client sent it, while the shard answers one
+     * request per round. */
+    const int sendBuffer = 64 * KiB;
+    REQUIRE( ::setsockopt( fd, SOL_SOCKET, SO_SNDBUF, &sendBuffer, sizeof( sendBuffer ) ) == 0 );
+    constexpr std::size_t REQUESTS = 8192;
+    constexpr std::size_t AHEAD_LIMIT = 8 * MiB;
+    const auto streamBytes = REQUESTS * request.size();
+    const auto onLoopBefore = requestsOnLoop();
+    std::size_t sent = 0;
+    std::size_t received = 0;
+    std::size_t maxAhead = 0;
+    bool intact = true;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::minutes( 2 );
+    while ( ( received < REQUESTS * answer.size() ) && ( maxAhead <= AHEAD_LIMIT ) && intact
+            && ( std::chrono::steady_clock::now() < deadline ) ) {
+        while ( sent < streamBytes ) {
+            const auto offset = sent % request.size();
+            const auto got = ::send( fd, request.data() + offset, request.size() - offset,
+                                     MSG_NOSIGNAL | MSG_DONTWAIT );
+            if ( got <= 0 ) {
+                break;
+            }
+            sent += static_cast<std::size_t>( got );
+        }
+        char buffer[64 * 1024];
+        ssize_t got = 0;
+        while ( ( got = ::recv( fd, buffer, sizeof( buffer ), MSG_DONTWAIT ) ) > 0 ) {
+            for ( std::size_t i = 0; i < static_cast<std::size_t>( got ); ++i ) {
+                intact = intact && ( buffer[i] == answer[( received + i ) % answer.size()] );
+            }
+            received += static_cast<std::size_t>( got );
+        }
+        maxAhead = std::max( maxAhead, sent - received / answer.size() * request.size() );
+        pollfd entry{ fd, static_cast<short>( sent < streamBytes ? POLLIN | POLLOUT : POLLIN ), 0 };
+        (void)::poll( &entry, 1, 100 );
+    }
+    REQUIRE( intact );
+    REQUIRE( maxAhead <= AHEAD_LIMIT );
+    REQUIRE( received == REQUESTS * answer.size() );
+    REQUIRE( requestsOnLoop() == onLoopBefore + REQUESTS );
+
+    server.stop();
+    loop.join();
+}
+
 /* --- multi-shard: SO_REUSEPORT event loops, eviction churn, drain ------- */
 
 void
@@ -1326,6 +1533,11 @@ testServeHardening()
     /* No known magic: openArchive fails, feeding the negative open cache. */
     writeFile( directory + "/garbage.bin",
                std::vector<std::uint8_t>( 1024, std::uint8_t( 0x55 ) ) );
+    /* A gzip header over a reserved block type: it opens, and its first
+     * read fails. */
+    std::vector<std::uint8_t> corrupt{ 0x1F, 0x8B, 0x08, 0, 0, 0, 0, 0, 0, 0xFF };
+    corrupt.resize( 1024, 0xFF );
+    writeFile( directory + "/corrupt.gz", corrupt );
 
     ServerConfiguration configuration;
     configuration.port = 0;
@@ -1404,11 +1616,21 @@ testServeHardening()
     }
 
     /* Failed opens are negative-cached: the retry inside the backoff window
-     * is refused from the cache without re-probing the file. */
+     * is refused from the cache without re-probing the file. A failed open
+     * is no archive request; every request for an opened archive is, a
+     * read that fails included. */
+    const auto archiveRequests = [] () {
+        return telemetry::Registry::instance().counterTotal( "rapidgzip_serve_archive_requests_total" );
+    };
+    const auto archiveRequestsBefore = archiveRequests();
     REQUIRE( simpleRequest( port, "GET", "/garbage.bin" ).status == 500 );
     const auto cached = simpleRequest( port, "GET", "/garbage.bin" );
     REQUIRE( cached.status == 500 );
     REQUIRE( cached.body.find( "cached failure" ) != std::string::npos );
+    REQUIRE( archiveRequests() == archiveRequestsBefore );
+    REQUIRE( simpleRequest( port, "GET", "/corrupt.gz" ).status == 500 );
+    REQUIRE( simpleRequest( port, "GET", "/corrupt.gz", "Range: bytes=0-9\r\n" ).status == 500 );
+    REQUIRE( archiveRequests() == archiveRequestsBefore + 2 );
 
     /* Idle keep-alive connections are reaped by the idle deadline. */
     {
@@ -1438,15 +1660,18 @@ main()
     testRequestParserFailures();
     testRangeResolution();
     testLruCacheBudgetInvariant();
+    testLruCacheCounting();
     testLruCacheEvictionOrder();
     testLruCacheSingleFlight();
     testSpanLifetimeAcrossEviction();
     testSharedCacheAcrossReaders();
     testPrefetchSkipsResidentChunks();
     testSidecarAdoption();
+    testRegistryDisposesOffTheLoop();
     testServeEndToEnd();
     testServeAnswersHitsOnLoop();
     testServePipelinedHitsTakeTurns();
+    testServePipelinedFloodKeepsBackpressure();
     testServeMultiShard();
     testServeMultiShardDrain();
     testServeHardening();
