@@ -22,16 +22,8 @@
  * to stay at 0 — a non-zero value fails the bench.
  */
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -46,8 +38,12 @@
 #include "workloads/DataGenerators.hpp"
 
 #include "BenchmarkHelpers.hpp"
+#include "LoadClient.hpp"
+#include "Stats.hpp"
 
 using namespace rapidgzip;
+using rapidgzip::benchsuite::LoadClient;
+using rapidgzip::benchsuite::quantile;
 
 namespace {
 
@@ -110,121 +106,6 @@ private:
     std::vector<double> m_cumulative;
 };
 
-/** Blocking keep-alive HTTP client reduced to what the generator needs. */
-class LoadClient
-{
-public:
-    explicit LoadClient( std::uint16_t port )
-    {
-        m_fd = ::socket( AF_INET, SOCK_STREAM, 0 );
-        if ( m_fd < 0 ) {
-            return;
-        }
-        sockaddr_in address{};
-        address.sin_family = AF_INET;
-        address.sin_port = htons( port );
-        ::inet_pton( AF_INET, "127.0.0.1", &address.sin_addr );
-        if ( ::connect( m_fd, reinterpret_cast<sockaddr*>( &address ), sizeof( address ) ) != 0 ) {
-            ::close( m_fd );
-            m_fd = -1;
-        }
-    }
-
-    ~LoadClient()
-    {
-        if ( m_fd >= 0 ) {
-            ::close( m_fd );
-        }
-    }
-
-    LoadClient( const LoadClient& ) = delete;
-    LoadClient& operator=( const LoadClient& ) = delete;
-
-    [[nodiscard]] bool
-    connected() const noexcept
-    {
-        return m_fd >= 0;
-    }
-
-    [[nodiscard]] bool
-    send( const std::string& raw ) const
-    {
-        std::size_t sent = 0;
-        while ( sent < raw.size() ) {
-            const auto got = ::send( m_fd, raw.data() + sent, raw.size() - sent, MSG_NOSIGNAL );
-            if ( got < 0 ) {
-                if ( errno == EINTR ) {
-                    continue;  /* progress-neutral: retry the same span */
-                }
-                return false;
-            }
-            if ( got == 0 ) {
-                return false;
-            }
-            sent += static_cast<std::size_t>( got );
-        }
-        return true;
-    }
-
-    /** Read one response; true + status + body on success. */
-    [[nodiscard]] bool
-    readResponse( int& status, std::string& body )
-    {
-        std::size_t headerEnd = std::string::npos;
-        while ( ( headerEnd = m_buffer.find( "\r\n\r\n" ) ) == std::string::npos ) {
-            if ( !fill() ) {
-                return false;
-            }
-        }
-        const auto statusBegin = m_buffer.find( ' ' );
-        if ( ( statusBegin == std::string::npos ) || ( statusBegin > headerEnd ) ) {
-            return false;
-        }
-        status = std::atoi( m_buffer.c_str() + statusBegin + 1 );
-
-        std::size_t contentLength = 0;
-        const auto lengthPos = m_buffer.find( "Content-Length: " );
-        if ( ( lengthPos == std::string::npos ) || ( lengthPos > headerEnd ) ) {
-            return false;
-        }
-        contentLength = static_cast<std::size_t>(
-            std::atoll( m_buffer.c_str() + lengthPos + std::strlen( "Content-Length: " ) ) );
-
-        while ( m_buffer.size() < headerEnd + 4 + contentLength ) {
-            if ( !fill() ) {
-                return false;
-            }
-        }
-        body = m_buffer.substr( headerEnd + 4, contentLength );
-        m_buffer.erase( 0, headerEnd + 4 + contentLength );
-        return true;
-    }
-
-private:
-    [[nodiscard]] bool
-    fill()
-    {
-        char chunk[32 * 1024];
-        while ( true ) {
-            const auto got = ::recv( m_fd, chunk, sizeof( chunk ), 0 );
-            if ( got < 0 ) {
-                if ( errno == EINTR ) {
-                    continue;
-                }
-                return false;
-            }
-            if ( got == 0 ) {
-                return false;  /* peer closed */
-            }
-            m_buffer.append( chunk, static_cast<std::size_t>( got ) );
-            return true;
-        }
-    }
-
-    int m_fd{ -1 };
-    std::string m_buffer;
-};
-
 struct ClientTally
 {
     std::vector<double> latenciesMs;
@@ -244,18 +125,6 @@ writeFile( const std::string& path, const std::vector<std::uint8_t>& bytes )
         std::exit( 1 );
     }
     std::fclose( file );
-}
-
-[[nodiscard]] double
-percentile( std::vector<double>& sorted, double fraction )
-{
-    if ( sorted.empty() ) {
-        return 0;
-    }
-    const auto index = std::min( sorted.size() - 1,
-                                 static_cast<std::size_t>( fraction
-                                                           * static_cast<double>( sorted.size() ) ) );
-    return sorted[index];
 }
 
 }  // namespace
@@ -359,16 +228,17 @@ main( int argc, char** argv )
                                      + std::to_string( offset + REQUEST_BYTES - 1 ) + "\r\n\r\n";
                 const auto begin = std::chrono::steady_clock::now();
                 int status = 0;
-                std::string body;
+                const char* body = nullptr;
+                std::size_t bodySize = 0;
                 if ( !client.send( request )
-                     || !client.readResponse( status, body ) ) {
+                     || !client.readResponse( status, body, bodySize ) ) {
                     ++tally.errors;
                     return;  /* connection torn: this client is done */
                 }
                 const auto elapsed = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - begin ).count();
-                if ( ( status != 206 ) || ( body.size() != REQUEST_BYTES )
-                     || ( std::memcmp( body.data(), data.data() + offset, REQUEST_BYTES ) != 0 ) ) {
+                if ( ( status != 206 ) || ( bodySize != REQUEST_BYTES )
+                     || ( std::memcmp( body, data.data() + offset, REQUEST_BYTES ) != 0 ) ) {
                     ++tally.errors;
                     return;
                 }
@@ -396,11 +266,10 @@ main( int argc, char** argv )
         errors += tally.errors;
         latencies.insert( latencies.end(), tally.latenciesMs.begin(), tally.latenciesMs.end() );
     }
-    std::sort( latencies.begin(), latencies.end() );
 
     const auto requestsPerSecond = static_cast<double>( requests ) / std::max( wallSeconds, 1e-9 );
-    const auto p50 = percentile( latencies, 0.50 );
-    const auto p99 = percentile( latencies, 0.99 );
+    const auto p50 = quantile( latencies, 0.50 );
+    const auto p99 = quantile( latencies, 0.99 );
     const auto cacheStats = server.sharedCache().statistics();
     const auto& metrics = server.metrics();
 

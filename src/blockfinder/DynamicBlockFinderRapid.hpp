@@ -180,32 +180,78 @@ public:
         return testSurvivor( data, position, header, precodeCount, hlit, hdist, stats );
     }
 
-    /**
-     * Cascade on an already-positioned reader (API-compatible wrapper over
-     * the positionless fast path; the reader is not consumed).
-     */
-    [[nodiscard]] static bool
-    testHeader( BitReader& reader, FilterStatistics* statistics )
-    {
-        return testCandidate( { reader.data(), reader.sizeInBytes() }, reader.tell(),
-                              statistics );
-    }
-
-    /** The pre-optimization precode stage (19 checked 3-bit reads into a
-     * byte-array histogram), kept bit-exact for the before/after benchmark
-     * (bench/components_hotpath.cpp, table1) and the equivalence tests. */
-    [[nodiscard]] static bool
-    testHeaderScalar( BitReader& reader, FilterStatistics* statistics )
-    {
-        return testHeaderScalarImpl( reader, statistics );
-    }
-
+    /** The pre-optimization cascade (checked reads, per-symbol counting
+     * into a byte-array histogram), kept bit-exact as the reference that
+     * testCandidate() must agree with on every position and every counter. */
     [[nodiscard]] static bool
     testCandidateScalar( BufferView data, std::size_t position, FilterStatistics* statistics )
     {
         BitReader reader( data.data(), data.size() );
         reader.seek( position );
-        return testHeaderScalar( reader, statistics );
+        FilterStatistics scratch;
+        auto& stats = statistics != nullptr ? *statistics : scratch;
+        ++stats.positionsTested;
+
+        if ( reader.bitsLeft() < deflate::MIN_DYNAMIC_HEADER_BITS ) {
+            ++stats.invalidFinalBlock;  /* position not even probeable */
+            return false;
+        }
+
+        /* Stage 1+2+3: one 8-bit peek covers BFINAL, BTYPE, and HLIT. */
+        std::array<std::uint8_t, deflate::PRECODE_SYMBOLS> precodeLengths{};
+        const auto prefix = reader.peek( 8 );
+        if ( ( prefix & 0b1U ) != 0 ) {
+            ++stats.invalidFinalBlock;
+            return false;
+        }
+        if ( ( ( prefix >> 1U ) & 0b11U ) != deflate::BLOCK_TYPE_DYNAMIC ) {
+            ++stats.invalidCompressionType;
+            return false;
+        }
+        const auto hlit = static_cast<unsigned>( ( prefix >> 3U ) & 0b11111U );
+        if ( hlit > 29 ) {
+            ++stats.invalidPrecodeSize;
+            return false;
+        }
+        reader.skip( 8 );
+        const auto hdist = static_cast<unsigned>( reader.read( 5 ) );
+        const auto precodeCount = 4 + static_cast<unsigned>( reader.read( 4 ) );
+
+        /* Stage 4: per-symbol counting into a byte-array histogram. */
+        const auto precodeBits = precodeCount * deflate::PRECODE_BITS;
+        if ( reader.bitsLeft() < precodeBits ) {
+            ++stats.invalidPrecodeCode;
+            return false;
+        }
+        std::array<std::uint8_t, 8> precodeCountPerLength{};
+        for ( unsigned i = 0; i < precodeCount; ++i ) {
+            const auto length = static_cast<std::uint8_t>( reader.read( deflate::PRECODE_BITS ) );
+            precodeLengths[deflate::PRECODE_ORDER[i]] = length;
+            ++precodeCountPerLength[length];
+        }
+        std::int32_t available = 1;
+        unsigned maxPrecodeLength = 0;
+        for ( unsigned length = 1; length <= 7; ++length ) {
+            available <<= 1;
+            available -= precodeCountPerLength[length];
+            if ( available < 0 ) {
+                ++stats.invalidPrecodeCode;
+                return false;
+            }
+            if ( precodeCountPerLength[length] > 0 ) {
+                maxPrecodeLength = length;
+            }
+        }
+        if ( maxPrecodeLength == 0 ) {
+            ++stats.invalidPrecodeCode;  /* no symbols at all */
+            return false;
+        }
+        /* Complete iff the Kraft remainder at the max used length is 0. */
+        if ( ( available >> ( 7 - maxPrecodeLength ) ) != 0 ) {
+            ++stats.nonOptimalPrecodeCode;
+            return false;
+        }
+        return testEncodedData( reader, hlit, hdist, precodeLengths, stats );
     }
 
 private:
@@ -302,78 +348,6 @@ private:
         BitReader reader( data.data(), data.size() );
         reader.seek( position + HEADER_PREFIX_BITS
                      + precodeCount * deflate::PRECODE_BITS );
-        return testEncodedData( reader, hlit, hdist, precodeLengths, stats );
-    }
-
-    /** The pre-optimization implementation (checked reads, per-symbol
-     * counting), kept bit-exact for the before/after benchmarks and the
-     * equivalence tests. */
-    [[nodiscard]] static bool
-    testHeaderScalarImpl( BitReader& reader, FilterStatistics* statistics )
-    {
-        FilterStatistics scratch;
-        auto& stats = statistics != nullptr ? *statistics : scratch;
-        ++stats.positionsTested;
-
-        if ( reader.bitsLeft() < deflate::MIN_DYNAMIC_HEADER_BITS ) {
-            ++stats.invalidFinalBlock;  /* position not even probeable */
-            return false;
-        }
-
-        /* Stage 1+2+3: one 8-bit peek covers BFINAL, BTYPE, and HLIT. */
-        std::array<std::uint8_t, deflate::PRECODE_SYMBOLS> precodeLengths{};
-        const auto prefix = reader.peek( 8 );
-        if ( ( prefix & 0b1U ) != 0 ) {
-            ++stats.invalidFinalBlock;
-            return false;
-        }
-        if ( ( ( prefix >> 1U ) & 0b11U ) != deflate::BLOCK_TYPE_DYNAMIC ) {
-            ++stats.invalidCompressionType;
-            return false;
-        }
-        const auto hlit = static_cast<unsigned>( ( prefix >> 3U ) & 0b11111U );
-        if ( hlit > 29 ) {
-            ++stats.invalidPrecodeSize;
-            return false;
-        }
-        reader.skip( 8 );
-        const auto hdist = static_cast<unsigned>( reader.read( 5 ) );
-        const auto precodeCount = 4 + static_cast<unsigned>( reader.read( 4 ) );
-
-        /* Stage 4: per-symbol counting into a byte-array histogram. */
-        const auto precodeBits = precodeCount * deflate::PRECODE_BITS;
-        if ( reader.bitsLeft() < precodeBits ) {
-            ++stats.invalidPrecodeCode;
-            return false;
-        }
-        std::array<std::uint8_t, 8> precodeCountPerLength{};
-        for ( unsigned i = 0; i < precodeCount; ++i ) {
-            const auto length = static_cast<std::uint8_t>( reader.read( deflate::PRECODE_BITS ) );
-            precodeLengths[deflate::PRECODE_ORDER[i]] = length;
-            ++precodeCountPerLength[length];
-        }
-        std::int32_t available = 1;
-        unsigned maxPrecodeLength = 0;
-        for ( unsigned length = 1; length <= 7; ++length ) {
-            available <<= 1;
-            available -= precodeCountPerLength[length];
-            if ( available < 0 ) {
-                ++stats.invalidPrecodeCode;
-                return false;
-            }
-            if ( precodeCountPerLength[length] > 0 ) {
-                maxPrecodeLength = length;
-            }
-        }
-        if ( maxPrecodeLength == 0 ) {
-            ++stats.invalidPrecodeCode;  /* no symbols at all */
-            return false;
-        }
-        /* Complete iff the Kraft remainder at the max used length is 0. */
-        if ( ( available >> ( 7 - maxPrecodeLength ) ) != 0 ) {
-            ++stats.nonOptimalPrecodeCode;
-            return false;
-        }
         return testEncodedData( reader, hlit, hdist, precodeLengths, stats );
     }
 

@@ -8,8 +8,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <thread>
 #include <utility>
 
+#include "../common/ThreadPool.hpp"
 #include "DeflateChunks.hpp"
 
 namespace rapidgzip {
@@ -110,8 +113,11 @@ lendChunkSpan( std::shared_ptr<const DecodedChunk> chunk,
 
 /**
  * Thread-safe byte-bounded LRU over decoded chunks with single-flight
- * decode dedup: the process-wide cache tier of the serve daemon, which
- * ChunkFetcher consults from the pool workers. Eviction is strictly
+ * decode dedup: the process-wide cache tier of the serve daemon, and its
+ * one decode pool. Every ChunkFetcher on the tier decodes through
+ * decodeAsync(), so readers on the tier own no threads: the pool has
+ * hardware_concurrency() threads, started by its first task, so a tier
+ * that never decodes starts none. Eviction is strictly
  * least-recently-used and never lets the resident total exceed the byte
  * budget; a chunk larger than the whole budget is returned to the caller
  * but not retained (caching it would evict everything for one entry), and
@@ -217,6 +223,21 @@ public:
         return chunk;
     }
 
+    /** getOrDecode( @p key, @p decode ) on the tier's decode pool. */
+    [[nodiscard]] std::future<ChunkDataPtr>
+    decodeAsync( const ChunkCacheKey& key, Decode decode )
+    {
+        std::call_once( m_poolStarted, [this] () {
+            m_pool.emplace( std::thread::hardware_concurrency() );  /* 0 (unknown) starts one */
+        } );
+        /* The task holds the tier by raw pointer: the pool's destructor
+         * joins it before the tier goes, and a task that held the tier's
+         * last reference would have to join its own pool. */
+        return m_pool->submit( [this, key, decode = std::move( decode )] () {
+            return getOrDecode( key, decode );
+        } );
+    }
+
 private:
     [[nodiscard]] static std::size_t
     chargedBytes( const ChunkDataPtr& chunk ) noexcept
@@ -276,6 +297,11 @@ private:
     std::size_t m_currentBytes{ 0 };
     std::size_t m_capacityBytes;
     ChunkCacheStatistics m_statistics;
+
+    std::once_flag m_poolStarted;
+    /* Pool last: its destructor runs first, joining every task before the
+     * members above go. */
+    std::optional<ThreadPool> m_pool;
 };
 
 }  // namespace rapidgzip

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -39,12 +40,15 @@ namespace rapidgzip {
  */
 struct ChunkFetcherConfiguration
 {
+    /** The prefetch depth above and, without @ref sharedCache, the thread
+     * count of the reader's own decode pool. */
     std::size_t parallelism{ std::max<std::size_t>( 1, std::thread::hardware_concurrency() ) };
     std::size_t chunkSizeBytes{ 4 * MiB };
     /**
      * Optional process-wide cache tier (serve daemon). When set, decodes
-     * run through LruChunkCache::getOrDecode — concurrent requests for the
-     * same cold chunk decode once — and an access that finds its
+     * run on the tier's one decode pool through LruChunkCache::getOrDecode —
+     * the reader starts no threads, and concurrent requests for the same
+     * cold chunk decode once — and an access that finds its
      * per-reader entry decoded drops the entry, so later accesses are served
      * by the shared tier. That access is the first one for a prefetch that
      * finished in time, but the second one for an on-demand decode, whose
@@ -75,12 +79,12 @@ enum class Wait
 };
 
 /**
- * Decodes the chunks of a chunk table on a thread pool, caches the results,
- * and prefetches by the rule above. Every public method is safe to call from
- * many threads: the cache and the access pattern sit behind one mutex, which
- * get() releases while it waits for a decode. Each prefetch, consumption,
- * on-demand decode, cache hit and wasted prefetch is counted once, in the
- * telemetry registry.
+ * Decodes the chunks of a chunk table on a thread pool (the shared tier's,
+ * or else its own), caches the results, and prefetches by the rule above.
+ * Every public method is safe to call from many threads: the cache and the
+ * access pattern sit behind one mutex, which get() releases while it waits
+ * for a decode. Each prefetch, consumption, on-demand decode, cache hit and
+ * wasted prefetch is counted once, in the telemetry registry.
  */
 class ChunkFetcher
 {
@@ -100,9 +104,12 @@ public:
         m_decoder( std::move( decoder ) ),
         m_configuration( configuration ),
         m_cacheCapacity( std::max<std::size_t>( 2 * configuration.parallelism + 4, 8 ) ),
-        m_cacheToken( makeCacheToken( configuration, m_chunkCount ) ),
-        m_threadPool( std::max<std::size_t>( 1, configuration.parallelism ) )
-    {}
+        m_cacheToken( makeCacheToken( configuration, m_chunkCount ) )
+    {
+        if ( !m_configuration.sharedCache ) {
+            m_threadPool.emplace( std::max<std::size_t>( 1, configuration.parallelism ) );
+        }
+    }
 
     /** What an access tells the fetcher about the accesses after it. */
     enum class Access
@@ -313,14 +320,9 @@ private:
                 io::transientBackoff( attempt );
             }
         };
-        if ( m_configuration.sharedCache ) {
-            decode = [cache = m_configuration.sharedCache,
-                      key = cacheKey( index ),
-                      inner = std::move( decode )] () -> ChunkDataPtr {
-                return cache->getOrDecode( key, inner );
-            };
-        }
-        auto future = m_threadPool.submit( std::move( decode ) ).share();
+        auto future = ( m_configuration.sharedCache
+                        ? m_configuration.sharedCache->decodeAsync( cacheKey( index ), std::move( decode ) )
+                        : m_threadPool->submit( std::move( decode ) ) ).share();
         CacheEntry entry;
         entry.future = future;
         entry.lastUse = m_accessClock;
@@ -420,8 +422,9 @@ private:
     std::size_t m_lastAccess{ SIZE_MAX };
     std::size_t m_sequentialStreak{ 0 };
 
-    /* Pool last: its destructor runs first, joining workers that capture m_file. */
-    ThreadPool m_threadPool;
+    /* Without a shared tier, the reader's own pool. Last: its destructor
+     * runs first, joining workers that capture m_file. */
+    std::optional<ThreadPool> m_threadPool;
 };
 
 }  // namespace rapidgzip

@@ -400,10 +400,19 @@ public:
                     decoded.plain.emplace_back();
                 }
                 decoded.plain.front().data.reserve( expectedYield );
+                /* Resolving the member into the chunk's output, and its
+                 * CRC, count as decode time. */
+                const auto before = result.data.size();
+                std::uint32_t segmentCrc = 0;
                 const auto status = [&] () {
                     telemetry::Span decodeSpan{ "pipeline", "chunk.decode" };
-                    return decoder.decode( reader, decoded, endBits - baseBit,
-                                           maxBytes - std::min( maxBytes, result.data.size() ) );
+                    const auto decodeStatus = decoder.decode( reader, decoded, endBits - baseBit,
+                                                              maxBytes - std::min( maxBytes, before ) );
+                    if ( decodeStatus.error == Error::NONE ) {
+                        deflate::resolveInto( decoded, memberWindow, result.data );
+                        segmentCrc = simd::crc32( 0, result.data.data() + before, result.data.size() - before );
+                    }
+                    return decodeStatus;
                 }();
                 if ( status.error == Error::TRUNCATED_STREAM ) {
                     if ( bufferEnd == fileSize ) {
@@ -418,13 +427,6 @@ public:
                         + ": " + std::string( toString( status.error ) ) );
                 }
 
-                const auto before = result.data.size();
-                std::uint32_t segmentCrc = 0;
-                {
-                    telemetry::Span stitchSpan{ "pipeline", "chunk.stitch" };
-                    deflate::resolveInto( decoded, memberWindow, result.data );
-                    segmentCrc = simd::crc32( 0, result.data.data() + before, result.data.size() - before );
-                }
                 result.endBitOffset = baseBit + status.endBitOffset;
                 if ( !status.reachedFinalBlock ) {
                     result.trailingCrc32 = segmentCrc;

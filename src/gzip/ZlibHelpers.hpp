@@ -50,14 +50,6 @@ public:
         return ( stream.avail_in == 0 ) && ( m_nextInput >= m_size );
     }
 
-    /** Restart feeding from an absolute buffer offset (gzip member restart). */
-    void
-    seekTo( z_stream& stream, std::size_t offset ) noexcept
-    {
-        m_nextInput = std::min( offset, m_size );
-        stream.avail_in = 0;
-    }
-
 private:
     const std::uint8_t* m_data;
     std::size_t m_size;

@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "../common/Error.hpp"
-#include "../common/ThreadPool.hpp"
 #include "../core/ChunkCache.hpp"
 #include "../formats/Sidecar.hpp"
 
@@ -70,44 +69,6 @@ struct ArchiveIdentity
 };
 
 /**
- * Destroys the readers an ArchiveRegistry hands out, once their last handle
- * drops, wherever that is. A reader's destructor joins its decode pool, so
- * on a thread that must never wait — an event loop, marked by a LoopThread
- * while it runs — the reader goes to @p workers and dies there.
- */
-class ReaderDisposer
-{
-public:
-    /** Marks the constructing thread as one that must never wait, for the
-     * guard's lifetime. */
-    class LoopThread
-    {
-    public:
-        LoopThread() noexcept { t_loopThread = true; }
-        ~LoopThread() { t_loopThread = false; }
-        LoopThread( const LoopThread& ) = delete;
-        LoopThread& operator=( const LoopThread& ) = delete;
-    };
-
-    explicit ReaderDisposer( ThreadPool& workers ) noexcept :
-        m_workers( &workers )
-    {}
-
-    void
-    operator()( formats::Decompressor* reader ) const
-    {
-        std::unique_ptr<formats::Decompressor> owned( reader );
-        if ( t_loopThread ) {
-            (void)m_workers->submit( [owned = std::move( owned )] () {} );
-        }
-    }
-
-private:
-    static inline thread_local bool t_loopThread{ false };
-    ThreadPool* m_workers;
-};
-
-/**
  * The daemon's table of open archives: URL path → lazily opened
  * Decompressor, bounded by an LRU over open readers. Every open flows
  * through formats::openArchive, so format detection and sidecar-index
@@ -121,10 +82,9 @@ private:
  * adoption) runs under that entry's mutex, so a slow open blocks only its
  * own archive; a discovery sweep runs on the first read, under the
  * reader's own table lock. Cross-request reuse of decoded chunks happens
- * in the shared cache tier below.
- *
- * A reader is destroyed by @p dispose when the last holder of its handle
- * drops it.
+ * in the shared cache tier below, whose decode pool runs every reader's
+ * decodes: a reader owns no threads, so whoever drops its last handle, an
+ * event loop included, destroys it without a wait.
  */
 class ArchiveRegistry
 {
@@ -133,14 +93,12 @@ public:
                      std::size_t maxArchives,
                      std::shared_ptr<LruChunkCache> sharedCache,
                      ChunkFetcherConfiguration readerConfiguration,
-                     RegistryLimits limits,
-                     ReaderDisposer dispose ) :
+                     RegistryLimits limits ) :
         m_rootDirectory( std::move( rootDirectory ) ),
         m_maxArchives( std::max<std::size_t>( 1, maxArchives ) ),
         m_sharedCache( std::move( sharedCache ) ),
         m_readerConfiguration( std::move( readerConfiguration ) ),
-        m_limits( limits ),
-        m_dispose( std::move( dispose ) )
+        m_limits( limits )
     {}
 
     struct Entry
@@ -204,8 +162,7 @@ public:
             configuration.sharedCache = m_sharedCache;
             configuration.cacheIdentity = identity.token();
             try {
-                entry->decompressor = std::shared_ptr<formats::Decompressor>(
-                    formats::openArchive( filePath, configuration ).release(), m_dispose );
+                entry->decompressor = formats::openArchive( filePath, configuration );
             } catch ( const std::exception& exception ) {
                 recordFailedOpen( filePath, identity, exception.what() );
                 throw;
@@ -351,7 +308,6 @@ private:
     std::shared_ptr<LruChunkCache> m_sharedCache;
     ChunkFetcherConfiguration m_readerConfiguration;
     RegistryLimits m_limits;
-    ReaderDisposer m_dispose;
 
     mutable std::mutex m_mutex;
     std::map<std::string, std::shared_ptr<Entry> > m_entries;

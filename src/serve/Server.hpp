@@ -49,9 +49,10 @@ struct ServerConfiguration
      * shard runs its own poll() loop with its own connection table; they
      * share the registry, chunk cache, worker pool, and metrics. */
     std::size_t shardCount{ 1 };
-    /** Per-archive reader knobs. Keep parallelism modest: the daemon's
-     * concurrency comes from many archives × many requests; each reader's
-     * pool only bounds one chunk decode burst. */
+    /** Per-archive reader knobs. Every reader decodes on the chunk cache's
+     * one decode pool, so parallelism here is only a reader's prefetch
+     * depth; keep it modest, as the daemon's concurrency comes from many
+     * archives × many requests. */
     ChunkFetcherConfiguration readerConfiguration{};
 
     /* --- robustness limits (0 disables the corresponding guard) -------- */
@@ -79,7 +80,8 @@ struct ServerConfiguration
 /**
  * The rapidgzip-serve daemon core: N event-loop shards, each a thread
  * multiplexing non-blocking sockets with poll(), HTTP parsing and socket
- * I/O on the shard's loop, decode work on one shared ThreadPool. Layering
+ * I/O on the shard's loop, requests that may wait on one worker pool, and
+ * every chunk decode on the chunk cache's one decode pool. Layering
  * (see DESIGN.md "Serve"):
  *
  *   shard loops ─ per-connection HTTP/1.1 state machines (keep-alive,
@@ -89,7 +91,8 @@ struct ServerConfiguration
  *        │ whose chunks are all decoded in a cache tier is answered here
  *        │ otherwise: submit(shard, connection id, request)
  *   worker pool ─ the same handler with Wait::ALLOWED: ArchiveRegistry
- *        │ handle → Decompressor::readSpansAt, opening and decoding
+ *        │ handle → Decompressor::readSpansAt, opening, and waiting for
+ *        │ decodes on the cache's decode pool
  *        │ per-shard completion queue + self-pipe wakeup
  *   shard loops ─ writev responses, resume parsing
  *
@@ -114,8 +117,9 @@ struct ServerConfiguration
  * a worker completion for a connection that died meanwhile must not reach
  * whoever inherited the fd number.
  *
- * Thread model: construct + start() + run() from one thread; stop(),
- * beginDrain(), and port() are safe from any thread. The shared state the
+ * Thread model: the shards, the workers and the cache's decode pool, none
+ * of which grows with the open archives. Construct + start() + run() from
+ * one thread; stop(), beginDrain(), and port() are safe from any thread. The shared state the
  * shards touch concurrently — registry, chunk cache, telemetry registry,
  * worker pool, and the stop/drain/admission atomics — is thread-safe by
  * construction; everything per-connection is confined to its shard.
@@ -128,8 +132,7 @@ public:
         m_sharedCache( std::make_shared<LruChunkCache>( m_configuration.cacheBytes ) ),
         m_registry( m_configuration.rootDirectory, m_configuration.maxArchives,
                     m_sharedCache, m_configuration.readerConfiguration,
-                    RegistryLimits{ m_configuration.failedOpenBackoffMs },
-                    ReaderDisposer( m_workers ) ),
+                    RegistryLimits{ m_configuration.failedOpenBackoffMs } ),
         m_workers( std::max<std::size_t>( 1, m_configuration.workerCount ) )
     {
         /* A daemon wants its pipeline counters live in /metrics; the
@@ -416,10 +419,6 @@ private:
         void
         loop()
         {
-            /* A shard thread must never wait, not even for a reader's
-             * destructor. */
-            const ReaderDisposer::LoopThread loopThread;
-
             std::vector<pollfd> pollFds;
             std::vector<std::uint64_t> pollIds;  /* connection id per slot, 0 = special */
 
@@ -1176,8 +1175,7 @@ private:
     std::atomic<std::size_t> m_unstartedRequests{ 0 };
 
     /* Pool last: its destructor runs first, joining workers that use the
-     * registry, cache, metrics, and per-shard completion queues above. The
-     * registry's disposer hands it readers only from a running shard. */
+     * registry, cache, metrics, and per-shard completion queues above. */
     ThreadPool m_workers;
 };
 

@@ -16,9 +16,10 @@
  * it, and reads one chunk size of a plain member. An ordered pass keeps
  * max(2P, 4) chunks decoding ahead from its first chunk without wasting
  * one, and reads outside a pass prefetch min(P, 2^streak) chunks ahead,
- * counted in the registry. A guessed chunk that starts inside an
- * incompressible stretch must bound its block search at the stored block
- * it decodes from. False
+ * counted in the registry. A fetcher on a shared tier decodes on the
+ * tier's pool and joins nothing when it goes. A guessed chunk that starts
+ * inside an incompressible stretch must bound its block search at the
+ * stored block it decodes from. False
  * restart points cost one re-decode each in a single pass, and a
  * sync-flushed stream, whose restart points need the history before them,
  * decodes each row once, through a shared cache too. A guess at the LEN
@@ -30,12 +31,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -559,9 +562,24 @@ constexpr std::size_t SYNTHETIC_CHUNKS = 64;
 constexpr std::size_t SYNTHETIC_CHUNK_BYTES = 4 * KiB;
 constexpr std::size_t SYNTHETIC_PARALLELISM = 4;
 
-/** A ChunkedReader at parallelism 4 over 64 synthetic 4 KiB chunks, chunk i
- * all bytes i: a sized table, or one awaiting a pass. A valid
+/** Decodes synthetic chunk i to 4 KiB of bytes i. A valid
  * @p chunkOneDecodes holds chunk 1's decode until it is ready. */
+[[nodiscard]] ChunkFetcher::ChunkDecoder
+syntheticDecoder( std::shared_future<void> chunkOneDecodes )
+{
+    return [chunkOneDecodes] ( const FileReader&, std::size_t i ) {
+        if ( ( i == 1 ) && chunkOneDecodes.valid() ) {
+            chunkOneDecodes.wait();
+        }
+        DecodedChunk chunk;
+        chunk.data.assign( SYNTHETIC_CHUNK_BYTES, static_cast<std::uint8_t>( i ) );
+        return chunk;
+    };
+}
+
+/** A ChunkedReader at parallelism 4 over 64 synthetic chunks, decoded by
+ * syntheticDecoder( @p chunkOneDecodes ): a sized table, or one awaiting a
+ * pass. */
 [[nodiscard]] std::unique_ptr<ChunkedReader>
 syntheticChunks( bool sized, std::shared_future<void> chunkOneDecodes = {} )
 {
@@ -574,15 +592,40 @@ syntheticChunks( bool sized, std::shared_future<void> chunkOneDecodes = {} )
     }
     reader->publish( checkpoints,
                      sized ? std::optional<std::size_t>( SYNTHETIC_CHUNKS * SYNTHETIC_CHUNK_BYTES ) : std::nullopt,
-                     [chunkOneDecodes] ( const FileReader&, std::size_t i ) {
-                         if ( ( i == 1 ) && chunkOneDecodes.valid() ) {
-                             chunkOneDecodes.wait();
-                         }
-                         DecodedChunk chunk;
-                         chunk.data.assign( SYNTHETIC_CHUNK_BYTES, static_cast<std::uint8_t>( i ) );
-                         return chunk;
-                     } );
+                     syntheticDecoder( std::move( chunkOneDecodes ) ) );
     return reader;
+}
+
+/**
+ * A fetcher on a shared tier owns no threads: its decodes run on the tier's
+ * pool, so destroying it joins none of them. Chunk 0's read dispatches a
+ * prefetch of chunk 1, whose decode waits on a gate; the fetcher goes at
+ * once, and the decode still lands in the tier once the gate opens.
+ */
+void
+testSharedTierFetcherJoinsNothing()
+{
+    std::promise<void> gate;
+    auto configuration = config( SYNTHETIC_PARALLELISM, SYNTHETIC_CHUNK_BYTES );
+    configuration.sharedCache = std::make_shared<LruChunkCache>( 1 * MiB );
+    auto fetcher = std::make_unique<ChunkFetcher>(
+        std::make_shared<MemoryFileReader>( std::vector<std::uint8_t>( SYNTHETIC_CHUNKS ) ), SYNTHETIC_CHUNKS,
+        syntheticDecoder( gate.get_future().share() ), configuration );
+    REQUIRE( fetcher->get( 0 )->data.front() == 0 );
+    REQUIRE( configuration.sharedCache->statistics().insertions == 1 );
+
+    /* Destroyed on another thread, so a join fails the check instead of
+     * hanging the test. */
+    auto destroyed = std::async( std::launch::async, [&fetcher] () { fetcher.reset(); } );
+    REQUIRE( destroyed.wait_for( std::chrono::seconds( 1 ) ) == std::future_status::ready );
+
+    gate.set_value();
+    destroyed.get();
+    for ( int attempt = 0; ( attempt < 500 ) && ( configuration.sharedCache->statistics().insertions < 2 );
+          ++attempt ) {
+        std::this_thread::sleep_for( std::chrono::milliseconds( 10 ) );
+    }
+    REQUIRE( configuration.sharedCache->statistics().insertions == 2 );
 }
 
 /**
@@ -1267,6 +1310,7 @@ main()
     testOrderedPassLookAhead();
     testPrefetchRamp();
     testNeverWaitingReadGivesUpUncounted();
+    testSharedTierFetcherJoinsNothing();
     testGuessInsideStoredStretch();
     testFalseRestartPoints();
     testSyncFlushedStream();

@@ -7,9 +7,10 @@
  * and an end-to-end loopback run of the daemon: concurrent ranged GETs
  * against gzip (pigz-like, and BGZF without a sidecar) and, when the vendor
  * library is present, zstd archives, byte-compared with the reference data.
- * The shard loops answer cached ranges themselves: with no worker task,
- * never during a decode, never ahead of a queued request, and one request
- * per connection per loop round.
+ * The daemon's thread count stays flat as archives open: readers decode on
+ * the chunk cache's one pool. The shard loops answer cached ranges
+ * themselves: with no worker task, never during a decode, never ahead of a
+ * queued request, and one request per connection per loop round.
  */
 
 #include <arpa/inet.h>
@@ -669,8 +670,10 @@ openDescriptors( const std::string& path )
     return count;
 }
 
+/** Dropping an archive's last handle destroys its reader on the spot, which
+ * closes the archive: the reader owns no threads, so nothing waits. */
 void
-testRegistryDisposesOffTheLoop()
+testRegistryDropClosesArchive()
 {
     const auto directory = makeTempDirectory();
     const auto data = workloads::base64Data( 256 * KiB, 61 );
@@ -681,35 +684,14 @@ testRegistryDisposesOffTheLoop()
     ChunkFetcherConfiguration readerConfiguration;
     readerConfiguration.parallelism = 1;
     readerConfiguration.chunkSizeBytes = 64 * KiB;
-    ThreadPool workers( 1 );
     ArchiveRegistry registry( directory, /* maxArchives */ 1, std::make_shared<LruChunkCache>( 16 * MiB ),
-                              readerConfiguration, RegistryLimits{}, ReaderDisposer( workers ) );
+                              readerConfiguration, RegistryLimits{} );
 
-    /* Opening b.gz evicts a.gz, so the handle below is its reader's last.
-     * Off a loop, dropping it destroys the reader on the spot, which closes
-     * the archive. */
+    /* Opening b.gz evicts a.gz, so the handle below is its reader's last. */
     auto handle = registry.open( "/a.gz" );
     REQUIRE( openDescriptors( path ) > 0 );
     (void)registry.open( "/b.gz" );
     handle.reset();
-    REQUIRE( openDescriptors( path ) == 0 );
-
-    /* A loop thread that drops the last handle hands the reader to a
-     * worker, here parked until the loop thread is done. */
-    std::promise<void> release;
-    (void)workers.submit( [parked = release.get_future().share()] () { parked.wait(); } );
-    handle = registry.open( "/a.gz" );
-    (void)registry.open( "/b.gz" );
-    std::thread loop( [&handle] () {
-        const ReaderDisposer::LoopThread loopThread;
-        handle.reset();
-    } );
-    loop.join();
-    REQUIRE( openDescriptors( path ) > 0 );
-    release.set_value();
-    for ( int attempt = 0; ( attempt < 500 ) && ( openDescriptors( path ) > 0 ); ++attempt ) {
-        std::this_thread::sleep_for( std::chrono::milliseconds( 10 ) );
-    }
     REQUIRE( openDescriptors( path ) == 0 );
 }
 
@@ -1068,6 +1050,68 @@ testServeEndToEnd()
     REQUIRE( metrics.body.find( "rapidgzip_serve_requests_total" ) != std::string::npos );
     REQUIRE( metrics.body.find( "rapidgzip_serve_cache_hits" ) != std::string::npos );
     REQUIRE( metrics.body.find( "rapidgzip_serve_responses_2xx" ) != std::string::npos );
+
+    server.stop();
+    loop.join();
+}
+
+/** This process's thread count, from the Threads: line of /proc/self/status. */
+[[nodiscard]] std::size_t
+threadCount()
+{
+    std::FILE* const status = std::fopen( "/proc/self/status", "r" );
+    REQUIRE( status != nullptr );
+    std::size_t count = 0;
+    char line[256];
+    while ( std::fgets( line, sizeof( line ), status ) != nullptr ) {
+        if ( std::strncmp( line, "Threads:", 8 ) == 0 ) {
+            count = static_cast<std::size_t>( std::atoll( line + 8 ) );
+        }
+    }
+    REQUIRE( std::fclose( status ) == 0 );
+    return count;
+}
+
+/**
+ * Readers on the shared tier own no threads: every decode runs on the chunk
+ * cache's one pool. After one range of each of 64 archives, the daemon runs
+ * as many threads as after the first archive's, where a pool per reader
+ * would have added the readers' parallelism per archive.
+ */
+void
+testServeThreadsDoNotGrowWithArchives()
+{
+    std::signal( SIGPIPE, SIG_IGN );
+    constexpr std::size_t ARCHIVES = 64;
+    const auto directory = makeTempDirectory();
+    const auto data = workloads::base64Data( 64 * KiB, 64 );
+    const auto compressed = compressPigzLike( data, 6, 16 * KiB );
+    for ( std::size_t i = 0; i < ARCHIVES; ++i ) {
+        writeFile( directory + "/" + std::to_string( i ) + ".gz", compressed );
+    }
+
+    ServerConfiguration configuration;
+    configuration.port = 0;
+    configuration.rootDirectory = directory;
+    configuration.workerCount = 2;
+    configuration.maxArchives = ARCHIVES;
+    configuration.readerConfiguration.parallelism = 2;
+    configuration.readerConfiguration.chunkSizeBytes = 16 * KiB;
+    Server server( configuration );
+    server.start();
+    std::thread loop( [&server] () { server.run(); } );
+
+    std::size_t threadsAfterFirst = 0;
+    for ( std::size_t i = 0; i < ARCHIVES; ++i ) {
+        const auto response = simpleRequest( server.port(), "GET", "/" + std::to_string( i ) + ".gz",
+                                             "Range: bytes=1000-1063\r\n" );
+        REQUIRE( ( response.status == 206 ) && ( response.body.size() == 64 ) );
+        REQUIRE( std::memcmp( response.body.data(), data.data() + 1000, 64 ) == 0 );
+        if ( i == 0 ) {
+            threadsAfterFirst = threadCount();
+        }
+    }
+    REQUIRE( threadCount() == threadsAfterFirst );
 
     server.stop();
     loop.join();
@@ -1667,8 +1711,9 @@ main()
     testSharedCacheAcrossReaders();
     testPrefetchSkipsResidentChunks();
     testSidecarAdoption();
-    testRegistryDisposesOffTheLoop();
+    testRegistryDropClosesArchive();
     testServeEndToEnd();
+    testServeThreadsDoNotGrowWithArchives();
     testServeAnswersHitsOnLoop();
     testServePipelinedHitsTakeTurns();
     testServePipelinedFloodKeepsBackpressure();

@@ -94,8 +94,8 @@ printUsage( const char* program )
         "  --threads N       event-loop shards, each its own poll() loop and\n"
         "                    listener; more than one needs SO_REUSEPORT\n"
         "                    (Linux >= 3.9) (default 0 = one per core)\n"
-        "  --workers N       request worker threads (default 4)\n"
-        "  --parallelism N   decode threads per archive reader (default 2)\n"
+        "  --workers N       request worker threads (default 4); chunk decodes\n"
+        "                    run on one pool with a thread per core\n"
         "  --trace FILE      record spans, write Chrome trace-event JSON on shutdown\n"
         "  --max-connections N        connection admission limit, 0 = off (default 1024)\n"
         "  --header-timeout-ms N      slow-loris header deadline, 0 = off (default 10000)\n"
@@ -123,7 +123,7 @@ main( int argc, char** argv )
     rapidgzip::serve::ServerConfiguration configuration;
     configuration.port = 8080;
     configuration.shardCount = 0;  /* daemon default: one event-loop shard per core */
-    configuration.readerConfiguration.parallelism = 2;
+    configuration.readerConfiguration.parallelism = 2;  /* each reader's prefetch depth */
     std::string rootDirectory;
     std::string tracePath;
 
@@ -155,9 +155,6 @@ main( int argc, char** argv )
             configuration.shardCount = static_cast<std::size_t>( std::atoll( nextValue() ) );
         } else if ( argument == "--workers" ) {
             configuration.workerCount = static_cast<std::size_t>( std::atoll( nextValue() ) );
-        } else if ( argument == "--parallelism" ) {
-            configuration.readerConfiguration.parallelism =
-                static_cast<std::size_t>( std::atoll( nextValue() ) );
         } else if ( argument == "--trace" ) {
             tracePath = nextValue();
         } else if ( argument == "--max-connections" ) {
