@@ -242,7 +242,7 @@ main()
             for (std::size_t i = 0; i < SEEKS; ++i) {
                 auto decompressor = formats::makeDecompressor(
                     std::make_unique<MemoryFileReader>(file), config(P));
-                seekPointCount = decompressor->seekPoints().size();
+                seekPointCount = decompressor->exportIndex().checkpoints.size();
                 (void)decompressor->readAt(
                     random.below(std::max<std::size_t>(1, data.size() - sizeof(probe))),
                     probe, sizeof(probe));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -11,6 +10,7 @@
 
 #include "../common/Error.hpp"
 #include "../common/Util.hpp"
+#include "../formats/Decompressor.hpp"
 #include "../index/BgzfIndex.hpp"
 #include "../index/GzipIndex.hpp"
 #include "../index/IndexBuilder.hpp"
@@ -58,23 +58,34 @@ namespace rapidgzip {
  * Deflate decoder serves all of it: chunks, the restart-point probe and the
  * serial walk.
  *
- * The table, its fetcher and the walk from offsets to chunks are a
- * ChunkedReader's. Thread model: the table is established under the chunked
- * reader's lock, by import, the BGZF scan or a pass; once a sized table is
- * published, size(), readAt() and readSpansAt() take no lock of their own
- * and may be called from many threads. seek(), tell() and read() are a
- * cursor over readAt() for one thread.
+ * It is the gzip backend of the format layer: the file, the table, its
+ * fetcher and the walk from offsets to chunks are the formats::Decompressor
+ * base's, and so are size(), readAt() and readSpansAt(). Thread model: the
+ * table is established under the chunked reader's lock, by import, the
+ * BGZF scan or a pass; once a sized table is published, size(), readAt()
+ * and readSpansAt() take no lock of their own and may be called from many
+ * threads. seek(), tell() and read() are a cursor over readAt() for one
+ * thread.
  */
-class ParallelGzipReader
+class ParallelGzipReader final : public formats::Decompressor
 {
 public:
     explicit ParallelGzipReader( std::unique_ptr<FileReader> fileReader,
                                  ChunkFetcherConfiguration configuration = {} ) :
-        m_file( ensureSharedFileReader( std::move( fileReader ) ) ),
-        m_configuration( configuration ),
-        m_chunks( std::shared_ptr<const FileReader>( m_file->clone().release() ), configuration,
-                  [this] () { (void)sweep(); } )
+        Decompressor( std::move( fileReader ), configuration )
     {}
+
+    [[nodiscard]] formats::Format
+    format() const noexcept override
+    {
+        return formats::Format::GZIP;
+    }
+
+    [[nodiscard]] bool
+    parallelizable() const noexcept override
+    {
+        return true;
+    }
 
     /* --- whole-stream interface ------------------------------------- */
 
@@ -93,14 +104,15 @@ public:
 
     /**
      * Verified streaming decompression: run the footer-verified pass first
-     * (throwing on real corruption exactly like the sink-less overload),
-     * THEN stream the bytes through @p sink from the table the pass or the
-     * serial walk verified. A pass that fills in the offsets of exact rows
-     * leaves its last chunks in the fetcher cache, so the streaming pass
-     * partly re-reads instead of re-decoding.
+     * (throwing on real corruption exactly like decompressAll()), THEN
+     * stream the bytes through @p sink from the table the pass or the
+     * serial walk verified, so a member that decodes structurally but to
+     * wrong bytes throws instead of streaming garbage. A pass that fills in
+     * the offsets of exact rows leaves its last chunks in the fetcher cache,
+     * so the streaming pass partly re-reads instead of re-decoding.
      */
-    [[nodiscard]] std::size_t
-    decompressAll( const std::function<void( BufferView )>& sink )
+    std::size_t
+    decompress( const Sink& sink ) override
     {
         const auto total = decompressAll();
         if ( !sink ) {
@@ -115,37 +127,7 @@ public:
         return emitted;
     }
 
-    /* --- random access interface ------------------------------------ */
-
-    /** Total uncompressed size. On rows a pass checks, the first call runs
-     * the footer-verified pass. */
-    [[nodiscard]] std::size_t
-    size()
-    {
-        return m_chunks.size();
-    }
-
-    /** See ChunkedReader::size( Wait ). */
-    [[nodiscard]] std::optional<std::size_t>
-    size( Wait wait )
-    {
-        return m_chunks.size( wait );
-    }
-
-    /** Read up to @p size bytes at @p offset. Returns bytes read. */
-    [[nodiscard]] std::size_t
-    readAt( std::size_t offset, std::uint8_t* buffer, std::size_t size )
-    {
-        return m_chunks.readAt( offset, buffer, size );
-    }
-
-    /** Zero-copy variant of readAt() (see ChunkedReader::readSpansAt()). */
-    [[nodiscard]] std::size_t
-    readSpansAt( std::size_t offset, std::size_t size, std::vector<OwnedSpan>& spans,
-                 Wait wait = Wait::ALLOWED )
-    {
-        return m_chunks.readSpansAt( offset, size, spans, wait );
-    }
+    /* --- cursor interface ------------------------------------------- */
 
     void
     seek( std::size_t uncompressedOffset )
@@ -180,7 +162,7 @@ public:
      * Serialize with index::serializeIndex() / index::exportGztoolIndex().
      */
     [[nodiscard]] GzipIndex
-    exportIndex()
+    exportIndex() override
     {
         auto table = m_chunks.table();
         const auto lock = m_chunks.lock();
@@ -191,18 +173,15 @@ public:
     }
 
     /** Adopt checkpoints, windows, and offsets from @p index, skipping
-     * discovery: seek()/read() decode from the nearest checkpoint. */
+     * discovery: seek()/read() decode from the nearest checkpoint. An index
+     * without the compressed size (gztool's) is still caught by the
+     * per-chunk decode when it belongs to another file. */
     void
-    importIndex( const GzipIndex& index )
+    importIndex( const GzipIndex& index ) override
     {
+        checkIndex( index );
         if ( index.empty() ) {
             throw RapidgzipError( "Cannot import an empty gzip index" );
-        }
-        /* gztool-format imports do not record the compressed size (0 =
-         * unknown); the per-chunk decode still catches a wrong file. */
-        if ( ( index.compressedSizeBytes != 0 )
-             && ( index.compressedSizeBytes != m_file->size() ) ) {
-            throw RapidgzipError( "Gzip index does not match this file's size" );
         }
         if ( index.checkpoints.front().uncompressedOffset != 0 ) {
             throw RapidgzipError( "Gzip index must start at uncompressed offset 0" );
@@ -248,6 +227,12 @@ public:
     }
 
 private:
+    void
+    buildTable() override
+    {
+        (void)sweep();
+    }
+
     /**
      * The footer-verified pass behind decompressAll() and the first
      * size()/readAt(); the caller holds the chunked reader's lock. Every
@@ -300,7 +285,7 @@ private:
         RAPIDGZIP_TELEMETRY_COUNT( "rapidgzip_serial_fallbacks_total",
                                    "Passes that could not verify the stream and left it to the serial walk.", 1 );
         index::IndexBuilder builder;
-        const auto total = GzipChunkFetcher::decompressSerially( *m_file, m_configuration.chunkSizeBytes, &builder );
+        const auto total = GzipChunkFetcher::decompressSerially( *m_file, m_chunkSizeBytes, &builder );
         adoptIndex( std::make_shared<const GzipIndex>( builder.build( m_file->size(), total ) ) );
         return total;
     }
@@ -354,18 +339,18 @@ private:
          * block, so the full random-access index is a header scan away — no
          * marker search, no flush markers, no decoding. */
         if ( auto bgzfIndex = index::tryBuildBgzfIndex( *m_file,
-                                                        m_configuration.chunkSizeBytes ) ) {
+                                                        m_chunkSizeBytes ) ) {
             adoptIndex( std::make_shared<const GzipIndex>( std::move( *bgzfIndex ) ), /* bgzf */ true );
             return;
         }
         auto table = std::make_shared<GzipIndex>();
         table->compressedSizeBytes = m_file->size();
         auto& rows = table->checkpoints;
-        for ( const auto start : discoverRestartPoints( *m_file, m_configuration.chunkSizeBytes ) ) {
+        for ( const auto start : discoverRestartPoints( *m_file, m_chunkSizeBytes ) ) {
             rows.push_back( { start * 8, 0 } );
         }
         const auto grid = rows.size() == 1;
-        const auto rowBytes = std::max<std::size_t>( m_configuration.chunkSizeBytes, 128 * KiB );
+        const auto rowBytes = std::max<std::size_t>( m_chunkSizeBytes, 128 * KiB );
         for ( auto bits = rows.front().compressedOffsetBits + rowBytes * 8; grid && ( bits < m_file->size() * 8 );
               bits += rowBytes * 8 ) {
             rows.push_back( { bits, 0 } );
@@ -390,14 +375,9 @@ private:
             /* unverified */ true );
     }
 
-    std::unique_ptr<SharedFileReader> m_file;
-    ChunkFetcherConfiguration m_configuration;
-
     /* Under m_chunks' lock: the index behind the chunk table, whose windows
      * and metadata the table's checkpoints pair with. */
     std::shared_ptr<const GzipIndex> m_index;
-
-    ChunkedReader m_chunks;
     std::size_t m_position{ 0 };
 };
 

@@ -9,10 +9,12 @@
 #include <optional>
 #include <vector>
 
+#include "../common/Error.hpp"
 #include "../common/Util.hpp"
 #include "../core/ChunkCache.hpp"
 #include "../core/ChunkedReader.hpp"
 #include "../index/Checkpoint.hpp"
+#include "../index/GzipIndex.hpp"
 #include "../io/SharedFileReader.hpp"
 #include "../telemetry/Registry.hpp"
 #include "../telemetry/Trace.hpp"
@@ -21,13 +23,14 @@
 namespace rapidgzip::formats {
 
 /**
- * The format-dispatch layer's one consumer-facing interface. Each backend
- * (gzip via ParallelGzipReader, zstd, lz4, bzip2) implements streaming
- * whole-file decompression plus random access over one ChunkedReader,
+ * The format-dispatch layer's one reader type. It owns the archive's file
+ * and the one ChunkedReader over it; each backend (gzip's
+ * ParallelGzipReader, zstd, lz4, bzip2) builds that reader's chunk table,
  * whose chunks decode in parallel wherever the container provides
  * independently decodable units (zstd seekable/sized frames, lz4
  * independent blocks, bzip2 blocks, gzip chunks via the two-stage
- * pipeline). Obtain instances through makeDecompressor() (Formats.hpp),
+ * pipeline), and carries its index through exportIndex() and
+ * importIndex(). Obtain instances through makeDecompressor() (Formats.hpp),
  * which probes the magic bytes and routes.
  *
  * Thread model: every method may be called from many threads. A backend
@@ -43,6 +46,10 @@ public:
     using Sink = std::function<void( BufferView )>;
 
     virtual ~Decompressor() = default;
+
+    /* The chunked reader's table builder holds this object's address. */
+    Decompressor( const Decompressor& ) = delete;
+    Decompressor& operator=( const Decompressor& ) = delete;
 
     [[nodiscard]] virtual Format
     format() const noexcept = 0;
@@ -64,18 +71,24 @@ public:
     [[nodiscard]] std::size_t
     size()
     {
-        return *size( Wait::ALLOWED );
+        return m_chunks.size();
     }
 
     /** size(); with Wait::NEVER, std::nullopt instead of a sweep or of a
      * wait for the sweep another thread runs. */
-    [[nodiscard]] virtual std::optional<std::size_t>
-    size( Wait wait ) = 0;
+    [[nodiscard]] std::optional<std::size_t>
+    size( Wait wait )
+    {
+        return m_chunks.size( wait );
+    }
 
     /** Random access: read up to @p size bytes at @p uncompressedOffset.
      * Returns bytes read (short only at end of stream). */
-    [[nodiscard]] virtual std::size_t
-    readAt( std::size_t uncompressedOffset, std::uint8_t* buffer, std::size_t size ) = 0;
+    [[nodiscard]] std::size_t
+    readAt( std::size_t uncompressedOffset, std::uint8_t* buffer, std::size_t size )
+    {
+        return m_chunks.readAt( uncompressedOffset, buffer, size );
+    }
 
     /**
      * Zero-copy random access: append up to @p size bytes at
@@ -86,18 +99,14 @@ public:
      * of the stream, and with Wait::NEVER also before the first chunk that
      * is not decoded yet, or when size( Wait::NEVER ) is unknown.
      */
-    [[nodiscard]] virtual std::size_t
+    [[nodiscard]] std::size_t
     readSpansAt( std::size_t uncompressedOffset,
                  std::size_t size,
                  std::vector<OwnedSpan>& spans,
-                 Wait wait = Wait::ALLOWED ) = 0;
-
-    /** Positions decoding can resume from without any prior state — frame,
-     * block, or checkpoint starts; empty when the format exposes none
-     * (single-frame streams). Bit-granular (bzip2 blocks, gzip Deflate
-     * boundaries); byte-aligned formats use multiples of 8. */
-    [[nodiscard]] virtual std::vector<index::Checkpoint>
-    seekPoints() = 0;
+                 Wait wait = Wait::ALLOWED )
+    {
+        return m_chunks.readSpansAt( uncompressedOffset, size, spans, wait );
+    }
 
     /** True when decompress() decodes independent units on a thread pool
      * (as opposed to whole streams or frames, one unit each). */
@@ -105,37 +114,69 @@ public:
     parallelizable() const noexcept = 0;
 
     /**
-     * Adopt seek points previously exported from the SAME archive (a fresh
-     * RGZIDX02 sidecar) so size()/readAt() skip the measuring decode sweep
-     * that backends without recorded sizes (lz4 blocks, bzip2 blocks)
-     * otherwise pay on first access. Offsets are validated against the
-     * freshly scanned container geometry; returns false — leaving the
-     * reader untouched — when the backend cannot use them, the geometry
-     * disagrees (stale index), or sizes the container records disagree. A
-     * misstated size the container does not record makes the read of that
-     * chunk throw. Gzip resumption needs the checkpoint
-     * WINDOWS too and therefore imports the full index via
-     * ParallelGzipReader::importIndex instead of this entry point (see
-     * Sidecar.hpp for the dispatch).
+     * The archive's index: its format tag, this file's size, the total
+     * uncompressed size, and the positions decoding can resume from (frame,
+     * block, or checkpoint starts, with gzip's windows where a checkpoint
+     * needs its history). Bit-granular (bzip2 blocks, gzip Deflate
+     * boundaries); byte-aligned formats use multiples of 8. May cost the
+     * discovery sweep. Serialize with index::serializeIndex().
      */
-    [[nodiscard]] virtual bool
-    importSeekPoints( const std::vector<index::Checkpoint>& /* seekPoints */,
-                      std::size_t /* uncompressedSizeBytes */ )
+    [[nodiscard]] virtual GzipIndex
+    exportIndex() = 0;
+
+    /**
+     * Adopt @p index, exported earlier from the SAME archive (a sidecar), so
+     * size()/readAt() skip the discovery or measuring sweep. Throws
+     * RapidgzipError, leaving the reader untouched, when the index names
+     * another format or another compressed size, or when its checkpoints
+     * disagree with the container (a stale index). A misstated size the
+     * container does not record makes the read of that chunk throw.
+     */
+    virtual void
+    importIndex( const GzipIndex& index ) = 0;
+
+protected:
+    Decompressor( std::unique_ptr<FileReader> file, const ChunkFetcherConfiguration& configuration ) :
+        m_file( ensureSharedFileReader( std::move( file ) ) ),
+        m_chunkSizeBytes( configuration.chunkSizeBytes ),
+        m_chunks( std::shared_ptr<const FileReader>( m_file->clone().release() ), configuration,
+                  [this] () { buildTable(); } )
+    {}
+
+    /** Publishes a sized chunk table, or throws. Runs under the chunked
+     * reader's lock when a read finds no sized table. */
+    virtual void
+    buildTable() = 0;
+
+    /** The checks every importIndex() makes first: @p index names this
+     * backend's format and this file's size, where 0 means unknown
+     * (gztool-format indexes do not record it). */
+    void
+    checkIndex( const GzipIndex& index ) const
     {
-        return false;
+        if ( index.formatTag != static_cast<std::uint8_t>( format() ) ) {
+            throw RapidgzipError( "The index was exported from an archive of another format" );
+        }
+        if ( ( index.compressedSizeBytes != 0 ) && ( index.compressedSizeBytes != m_file->size() ) ) {
+            throw RapidgzipError( "The index does not match this file's size" );
+        }
     }
+
+    std::unique_ptr<SharedFileReader> m_file;
+    const std::size_t m_chunkSizeBytes;
+    ChunkedReader m_chunks;
 };
 
 /**
  * The frame backends' shared half (zstd, lz4, bzip2): the container's units
  * — frames or blocks, each decodable on its own — grouped into the chunks of
- * one ChunkedReader. A backend scans its container and hands the units and
- * a unit decoder to publishUnits(). size(), readAt(), readSpansAt(),
- * seekPoints() and importSeekPoints() are the chunked reader's, and
- * decompress() is its ordered sweep, which also measures unknown sizes for
- * the first read. A container without independent inner units hands over
- * the units it can only decode whole (an lz4 frame, a whole zstd or bzip2
- * stream); such a unit is decoded once and then cached like any chunk.
+ * the chunked reader. A backend scans its container and hands the units and
+ * a unit decoder to publishUnits(). Its index is the chunk table, and
+ * decompress() is the chunked reader's ordered sweep, which also measures
+ * unknown sizes for the first read. A container without independent inner
+ * units hands over the units it can only decode whole (an lz4 frame, a
+ * whole zstd or bzip2 stream); such a unit is decoded once and then cached
+ * like any chunk.
  */
 class FrameDecompressor : public Decompressor
 {
@@ -147,49 +188,38 @@ public:
         return sweep( sink );
     }
 
-    using Decompressor::size;
-
-    [[nodiscard]] std::optional<std::size_t>
-    size( Wait wait ) override
-    {
-        return m_chunks.size( wait );
-    }
-
-    [[nodiscard]] std::size_t
-    readAt( std::size_t uncompressedOffset, std::uint8_t* buffer, std::size_t size ) override
-    {
-        return m_chunks.readAt( uncompressedOffset, buffer, size );
-    }
-
-    [[nodiscard]] std::size_t
-    readSpansAt( std::size_t uncompressedOffset,
-                 std::size_t size,
-                 std::vector<OwnedSpan>& spans,
-                 Wait wait = Wait::ALLOWED ) override
-    {
-        return m_chunks.readSpansAt( uncompressedOffset, size, spans, wait );
-    }
-
-    /** The chunk table, when the container has more than one unit. */
-    [[nodiscard]] std::vector<index::Checkpoint>
-    seekPoints() override
-    {
-        auto table = m_chunks.table();
-        return m_unitCount > 1 ? std::move( table.checkpoints ) : std::vector<index::Checkpoint>{};
-    }
-
     [[nodiscard]] bool
     parallelizable() const noexcept override
     {
         return m_independentUnits;
     }
 
-    [[nodiscard]] bool
-    importSeekPoints( const std::vector<index::Checkpoint>& seekPoints,
-                      std::size_t uncompressedSizeBytes ) override
+    /** The sized chunk table, its checkpoints only when the container has
+     * more than one unit. Frames are self-contained: no windows. */
+    [[nodiscard]] GzipIndex
+    exportIndex() override
     {
+        auto table = m_chunks.table();
+        GzipIndex index;
+        index.formatTag = static_cast<std::uint8_t>( format() );
+        index.compressedSizeBytes = m_file->size();
+        index.uncompressedSizeBytes = table.size;
+        if ( m_unitCount > 1 ) {
+            index.checkpoints = std::move( table.checkpoints );
+        }
+        return index;
+    }
+
+    /** Adopts the index's uncompressed offsets when its compressed offsets
+     * are the freshly scanned table's (see ChunkedReader::adopt). */
+    void
+    importIndex( const GzipIndex& index ) override
+    {
+        checkIndex( index );
         const auto lock = m_chunks.lock();
-        return m_chunks.adopt( seekPoints, uncompressedSizeBytes );
+        if ( !m_chunks.adopt( index.checkpoints, index.uncompressedSizeBytes ) ) {
+            throw RapidgzipError( "The index does not match this archive's frames or blocks" );
+        }
     }
 
 protected:
@@ -209,13 +239,13 @@ protected:
     using UnitDecoder =
         std::function<void( const FileReader&, std::size_t unit, std::vector<std::uint8_t>& out )>;
 
-    FrameDecompressor( std::unique_ptr<FileReader> file,
-                       const ChunkFetcherConfiguration& configuration ) :
-        m_file( ensureSharedFileReader( std::move( file ) ) ),
-        m_chunks( std::shared_ptr<const FileReader>( m_file->clone().release() ), configuration,
-                  [this] () { (void)sweep( {} ); } ),
-        m_chunkSizeBytes( configuration.chunkSizeBytes )
-    {}
+    using Decompressor::Decompressor;
+
+    void
+    buildTable() override
+    {
+        (void)sweep( {} );
+    }
 
     /**
      * The ordered sweep behind decompress() and the first read of a table
@@ -281,11 +311,7 @@ protected:
             } );
     }
 
-    std::unique_ptr<SharedFileReader> m_file;
-    ChunkedReader m_chunks;
-
 private:
-    std::size_t m_chunkSizeBytes;
     /* Atomic: bzip2 replaces its table inside a sweep. */
     std::atomic<std::size_t> m_unitCount{ 0 };
     std::atomic<bool> m_independentUnits{ false };

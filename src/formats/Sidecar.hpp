@@ -2,7 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -34,40 +33,15 @@ sidecarPathFor( const std::string& archivePath )
     return archivePath + ".rgzidx";
 }
 
-/**
- * Build the exportable index for any backend. Gzip exports its own full
- * index (bit-granular checkpoints WITH compressed windows); frame-based
- * backends record their chunk seek points, which is all their resumption
- * needs (frames are self-contained — no windows). May cost the backend's
- * discovery sweep if it has not run yet.
- */
-[[nodiscard]] inline GzipIndex
-buildArchiveIndex( Decompressor& decompressor, std::size_t compressedSizeBytes )
-{
-    if ( auto* gzip = dynamic_cast<GzipDecompressor*>( &decompressor ) ) {
-        auto index = gzip->reader().exportIndex();
-        index.uncompressedSizeBytes = gzip->size();
-        return index;
-    }
-    GzipIndex index;
-    index.formatTag = static_cast<std::uint8_t>( decompressor.format() );
-    index.compressedSizeBytes = compressedSizeBytes;
-    index.uncompressedSizeBytes = decompressor.size();
-    index.checkpoints = decompressor.seekPoints();
-    return index;
-}
-
-/** Serialize @p decompressor's index next to the archive. Throws on I/O
- * failure; the write goes through a temp file + rename so a crashed writer
- * never leaves a torn sidecar for the freshness check to trust. */
+/** Serialize @p decompressor's index next to the archive; it records the
+ * size of the file the decompressor indexed. May cost the discovery sweep.
+ * Throws on I/O failure; the write goes through a temp file + rename so a
+ * crashed writer never leaves a torn sidecar for the freshness check to
+ * trust. */
 inline void
 writeSidecarIndex( Decompressor& decompressor, const std::string& archivePath )
 {
-    struct stat archiveStat{};
-    const auto compressedSize = ::stat( archivePath.c_str(), &archiveStat ) == 0
-                                ? static_cast<std::size_t>( archiveStat.st_size )
-                                : std::size_t( 0 );
-    const auto data = index::serializeIndex( buildArchiveIndex( decompressor, compressedSize ) );
+    const auto data = index::serializeIndex( decompressor.exportIndex() );
 
     const auto finalPath = sidecarPathFor( archivePath );
     const auto tempPath = finalPath + ".tmp";
@@ -88,10 +62,11 @@ writeSidecarIndex( Decompressor& decompressor, const std::string& archivePath )
 }
 
 /**
- * Adopt `<archive>.rgzidx` into @p decompressor when present and fresh:
- * sidecar mtime >= archive mtime, recorded compressed size matches the
- * file, format tag matches the detected backend. Returns true on adoption;
- * every failure mode returns false and leaves the reader untouched.
+ * Adopt `<archive>.rgzidx` into @p decompressor when present and fresh
+ * (sidecar mtime >= archive mtime) and when Decompressor::importIndex takes
+ * it, which checks the format tag, the compressed size and the
+ * checkpoints. Returns true on adoption; every failure mode returns false
+ * and leaves the reader untouched.
  */
 [[nodiscard]] inline bool
 trySidecarAdoption( Decompressor& decompressor, const std::string& archivePath )
@@ -104,30 +79,12 @@ trySidecarAdoption( Decompressor& decompressor, const std::string& archivePath )
          || ( sidecarStat.st_mtime < archiveStat.st_mtime ) ) {
         return false;
     }
-
-    GzipIndex index;
     try {
-        StandardFileReader file( sidecarPath );
-        index = index::deserializeIndex( file );
+        decompressor.importIndex( index::deserializeIndex( StandardFileReader( sidecarPath ) ) );
     } catch ( const RapidgzipError& ) {
-        return false;  /* corrupt/foreign sidecar: discovery still answers */
+        return false;  /* stale, corrupt or foreign sidecar: discovery still answers */
     }
-
-    if ( ( index.formatTag != static_cast<std::uint8_t>( decompressor.format() ) )
-         || ( index.compressedSizeBytes != static_cast<std::size_t>( archiveStat.st_size ) ) ) {
-        return false;
-    }
-
-    if ( auto* gzip = dynamic_cast<GzipDecompressor*>( &decompressor ) ) {
-        try {
-            gzip->reader().importIndex( index );
-        } catch ( const RapidgzipError& ) {
-            return false;
-        }
-        return true;
-    }
-
-    return decompressor.importSeekPoints( index.checkpoints, index.uncompressedSizeBytes );
+    return true;
 }
 
 /**

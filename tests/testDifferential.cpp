@@ -170,7 +170,7 @@ requireTruncationsRejected( const std::vector<std::uint8_t>& file,
     }
 }
 
-/** The answers of GzipReader (zlib), decompressAll(), decompressAll(sink)
+/** The answers of GzipReader (zlib), decompressAll(), decompress(sink)
  * and a fresh reader's size() + read() for @p file, the parallel readers
  * reading with @p configuration: the same bytes, or a throw from all of
  * them. A file zlib accepts is verified by the parallel pass alone: no
@@ -194,7 +194,7 @@ requireReadersAgree( const std::vector<std::uint8_t>& file,
     const auto streamed = answerOf( [&] () {
         ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
         std::vector<std::uint8_t> bytes;
-        const auto total = reader.decompressAll( [&bytes] ( BufferView view ) {
+        const auto total = reader.decompress( [&bytes] ( BufferView view ) {
             bytes.insert( bytes.end(), view.begin(), view.end() );
         } );
         REQUIRE( total == bytes.size() );
@@ -461,7 +461,7 @@ testProbeOnDecoys()
  * sweep takes the two-stage pipeline: a pigz-like file whose flushes lie
  * more than two chunk sizes apart, and a plain member of more than two
  * chunk sizes followed by a pigz-like member. GzipReader, decompressAll(),
- * decompressAll(sink), size() + read() and salvage agree on both, intact
+ * decompress(sink), size() + read() and salvage agree on both, intact
  * and under the flip sweep.
  */
 void
@@ -511,7 +511,7 @@ testLayoutsPastTheFirstSearch( std::uint64_t seed )
  * stored block carries a complete gzip member as a decoy, followed by a
  * plain member. Read with 128 KiB chunks, the guessed rows of the guess
  * grid cross many member ends. GzipReader, decompressAll(),
- * decompressAll(sink), size() + read() and salvage agree on each, intact
+ * decompress(sink), size() + read() and salvage agree on each, intact
  * and under the flip sweep.
  */
 void
@@ -568,7 +568,7 @@ testConcatenatedMembers( std::uint64_t seed )
  * Its restart points need the history before them, so their rows fall back
  * to guesses from the same start, and flipped bytes make the exact decodes
  * of some rows fail for the data. GzipReader, decompressAll(),
- * decompressAll(sink), size() + read() and salvage agree, intact and under
+ * decompress(sink), size() + read() and salvage agree, intact and under
  * the flip sweep.
  */
 void

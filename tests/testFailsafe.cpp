@@ -753,9 +753,9 @@ testServeWithoutLeaseAndGracefulDrain()
         const auto decompressor = formats::openArchive( path, configuration.readerConfiguration,
                                                         /* adoptSidecar */ false );
         formats::writeSidecarIndex( *decompressor, path );
-        const auto seekPoints = decompressor->seekPoints();
-        REQUIRE( seekPoints.size() >= 2 );
-        lastChunkStart = seekPoints.back().uncompressedOffset;
+        const auto checkpoints = decompressor->exportIndex().checkpoints;
+        REQUIRE( checkpoints.size() >= 2 );
+        lastChunkStart = checkpoints.back().uncompressedOffset;
     }
 
     serve::Server server( std::move( configuration ) );

@@ -3,16 +3,18 @@
  * detection, the XXH32 implementation against the specification vectors,
  * the from-scratch LZ4 block codec's edge cases, frame walking and seek
  * tables, bzip2 synthetic single-block streams, the Decompressor
- * interface (decompress/size/readAt/seekPoints) per backend, the chunked
- * reader under every backend, and concurrent range reads on one
- * decompressor of every layout. The randomized cross-format differential
- * lives in testDifferential.cpp.
+ * interface (decompress/size/readAt/exportIndex) per backend, the chunked
+ * reader under every backend, every backend's index export and import
+ * through the interface, and concurrent range reads on one decompressor of
+ * every layout. The randomized cross-format differential lives in
+ * testDifferential.cpp.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -27,7 +29,10 @@
 #include "formats/XxHash32.hpp"
 #include "gzip/BgzfWriter.hpp"
 #include "gzip/ZlibCompressor.hpp"
+#include "index/IndexSerializer.hpp"
 #include "io/MemoryFileReader.hpp"
+#include "telemetry/Registry.hpp"
+#include "telemetry/Telemetry.hpp"
 #include "workloads/DataGenerators.hpp"
 
 #if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
@@ -204,7 +209,7 @@ testLz4FrameReader()
     REQUIRE( decompressor.format() == Format::LZ4 );
     REQUIRE( decompressor.parallelizable() );
     REQUIRE( decompressor.size() == data.size() );
-    REQUIRE( !decompressor.seekPoints().empty() );
+    REQUIRE( !decompressor.exportIndex().checkpoints.empty() );
 
     /* readAt against ground truth at scattered offsets incl. boundaries. */
     std::uint8_t probe[512];
@@ -252,7 +257,7 @@ testZstdFrameReader()
         REQUIRE( decompressor.hasSeekTable() );
         REQUIRE( decompressor.parallelizable() );
         REQUIRE( decompressor.size() == data.size() );
-        REQUIRE( decompressor.seekPoints().size() >= 2 );
+        REQUIRE( decompressor.exportIndex().checkpoints.size() >= 2 );
 
         std::uint8_t probe[512];
         const auto got = decompressor.readAt( 123457, probe, sizeof( probe ) );
@@ -308,7 +313,7 @@ testBzip2Reader()
 
     /* Seek points start at the first block magic, right after "BZh1". */
     {
-        const auto points = decompressor.seekPoints();
+        const auto points = decompressor.exportIndex().checkpoints;
         REQUIRE( !points.empty() );
         REQUIRE( points.front().compressedOffsetBits == 32 );
     }
@@ -413,6 +418,128 @@ testChunkedReader()
     }
 }
 
+/** @p data as LZ4 frames of @p frameSize bytes each, flagged as linked
+ * blocks (FLG bit 5 clear), so the reader decodes every frame whole as one
+ * unit. */
+[[nodiscard]] std::vector<std::uint8_t>
+writeLinkedLz4( BufferView data, std::size_t frameSize )
+{
+    std::vector<std::uint8_t> file;
+    for ( std::size_t offset = 0; offset < data.size(); offset += frameSize ) {
+        const auto descriptor = file.size() + 4;  /* after the magic */
+        formats::Lz4Writer::writeFrame( file, data.subView( offset, frameSize ),
+                                        formats::Lz4Writer::BlockMaxSize::KIB64 );
+        file[descriptor] &= static_cast<std::uint8_t>( ~( 1U << 5U ) );
+        /* FLG, BD and the 8-byte content size; the header checksum follows. */
+        file[descriptor + 10] = static_cast<std::uint8_t>( ( formats::xxhash32( &file[descriptor], 10 ) >> 8U ) & 0xFFU );
+    }
+    return file;
+}
+
+/** Reads at scattered offsets, chunk boundaries and the end equal @p data. */
+void
+requireReadsMatch( formats::Decompressor& decompressor, const std::vector<std::uint8_t>& data )
+{
+    std::vector<std::uint8_t> probe( 5000 );
+    for ( const auto offset : { std::size_t( 0 ), std::size_t( 64 * KiB - 7 ), data.size() / 3,
+                                data.size() / 2 + 777, data.size() - 100 } ) {
+        const auto got = decompressor.readAt( offset, probe.data(), probe.size() );
+        REQUIRE( got == std::min( probe.size(), data.size() - offset ) );
+        REQUIRE( std::memcmp( probe.data(), data.data() + offset, got ) == 0 );
+    }
+    REQUIRE( decompressor.readAt( data.size(), probe.data(), probe.size() ) == 0 );
+}
+
+/**
+ * Every backend's index crosses the Decompressor interface: exported,
+ * serialized, parsed and imported into a fresh decompressor over the same
+ * bytes, it answers size() without a decode and the reads match. An index
+ * tagged with another format, one exported from another archive of the
+ * same format, and for a frame backend one with a checkpoint where no chunk
+ * starts are refused with RapidgzipError, and the reader still reads its
+ * own bytes.
+ */
+void
+testIndexCrossesInterface()
+{
+    const auto data = workloads::silesiaLikeData( 1 * MiB, 0x1DE7 );
+    const auto otherData = workloads::base64Data( 256 * KiB, 0x07E4 );
+    ChunkFetcherConfiguration configuration;
+    configuration.parallelism = 2;
+    configuration.chunkSizeBytes = 64 * KiB;
+    const auto open = [&configuration] ( const std::vector<std::uint8_t>& file ) {
+        return formats::makeDecompressor( std::make_unique<MemoryFileReader>( file ), configuration );
+    };
+
+    /* Every layout has at least two units: one unit exports no checkpoints. */
+    using Writer = std::function<std::vector<std::uint8_t>( BufferView )>;
+    const std::vector<std::pair<const char*, Writer> > layouts = {
+        { "gzip plain", [] ( BufferView span ) { return compressGzipLike( span ); } },
+        { "gzip pigz-like", [] ( BufferView span ) { return compressPigzLike( span, 6, 64 * KiB ); } },
+        { "gzip BGZF", [] ( BufferView span ) { return writeBgzf( span ); } },
+        { "lz4 independent blocks", [] ( BufferView span ) {
+              return formats::writeLz4( span, formats::Lz4Writer::BlockMaxSize::KIB64 );
+          } },
+        { "lz4 linked blocks", [] ( BufferView span ) { return writeLinkedLz4( span, 128 * KiB ); } },
+#if defined( RAPIDGZIP_HAVE_VENDOR_ZSTD )
+        { "zstd seekable", [] ( BufferView span ) { return formats::writeZstdSeekable( span, 3, 64 * KiB ); } },
+        { "zstd multi-frame", [] ( BufferView span ) { return formats::writeZstdFrames( span, 3, 64 * KiB ); } },
+#endif
+#if defined( RAPIDGZIP_HAVE_VENDOR_BZIP2 )
+        { "bzip2", [] ( BufferView span ) { return formats::writeBzip2( span, 1 ); } },
+#endif
+    };
+
+    const auto& registry = telemetry::Registry::instance();
+    for ( const auto& [name, write] : layouts ) {
+        std::fprintf( stderr, "index round trip: %s\n", name );
+        const auto file = write( { data.data(), data.size() } );
+        GzipIndex exported;
+        {
+            const auto source = open( file );
+            exported = source->exportIndex();
+            REQUIRE( exported.formatTag == static_cast<std::uint8_t>( source->format() ) );
+        }
+        REQUIRE( exported.compressedSizeBytes == file.size() );
+        REQUIRE( exported.uncompressedSizeBytes == data.size() );
+        REQUIRE( exported.checkpoints.size() >= 2 );
+
+        const auto serialized = index::serializeIndex( exported );
+        const auto parsed = index::deserializeIndex( BufferView( serialized.data(), serialized.size() ) );
+        const auto imported = open( file );
+        telemetry::setMetricsEnabled( true );
+        const auto issuedBefore = registry.counterTotal( "rapidgzip_prefetch_issued_total" );
+        const auto onDemandBefore = registry.counterTotal( "rapidgzip_chunk_on_demand_decodes_total" );
+        imported->importIndex( parsed );
+        REQUIRE( imported->size() == data.size() );
+        const auto issued = registry.counterTotal( "rapidgzip_prefetch_issued_total" ) - issuedBefore;
+        const auto onDemand = registry.counterTotal( "rapidgzip_chunk_on_demand_decodes_total" ) - onDemandBefore;
+        telemetry::setMetricsEnabled( false );
+        REQUIRE( issued == 0 );
+        REQUIRE( onDemand == 0 );
+        requireReadsMatch( *imported, data );
+
+        /* The same index tagged lz4 (bzip2 for an lz4 reader): only the tag
+         * differs. */
+        const auto refusing = open( file );
+        auto relabeled = parsed;
+        relabeled.formatTag = static_cast<std::uint8_t>( refusing->format() == Format::LZ4 ? Format::BZIP2
+                                                                                             : Format::LZ4 );
+        REQUIRE_THROWS_AS( refusing->importIndex( relabeled ), RapidgzipError );
+        /* A frame backend's table comes from its container scan, so a
+         * checkpoint where no chunk starts is refused; gzip's chunk decode
+         * finds that at the read. */
+        if ( refusing->format() != Format::GZIP ) {
+            auto moved = parsed;
+            moved.checkpoints[1].compressedOffsetBits += 8;
+            REQUIRE_THROWS_AS( refusing->importIndex( moved ), RapidgzipError );
+        }
+        const auto otherFile = write( { otherData.data(), otherData.size() } );
+        REQUIRE_THROWS_AS( refusing->importIndex( open( otherFile )->exportIndex() ), RapidgzipError );
+        requireReadsMatch( *refusing, data );
+    }
+}
+
 /**
  * Range reads from many threads on one decompressor of every layout the
  * writers produce, with no size() call first: the first reads race to
@@ -438,9 +565,9 @@ testConcurrentReads()
         const auto file = compressGzipLike( span );
         ParallelGzipReader swept( std::make_unique<MemoryFileReader>( file ), configuration );
         REQUIRE( swept.decompressAll() == data.size() );
-        auto imported = std::make_unique<formats::GzipDecompressor>(
-            std::make_unique<MemoryFileReader>( file ), configuration );
-        imported->reader().importIndex( swept.exportIndex() );
+        auto imported = std::make_unique<ParallelGzipReader>( std::make_unique<MemoryFileReader>( file ),
+                                                              configuration );
+        imported->importIndex( swept.exportIndex() );
         layouts.emplace_back( "gzip imported index", std::move( imported ) );
     }
     layouts.emplace_back( "lz4", open( formats::writeLz4( span, formats::Lz4Writer::BlockMaxSize::KIB64 ) ) );
@@ -515,6 +642,7 @@ main()
     testBzip2Reader();
 #endif
     testChunkedReader();
+    testIndexCrossesInterface();
     testConcurrentReads();
     return rapidgzip::test::finish( "testFormats" );
 }

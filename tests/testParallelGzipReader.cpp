@@ -210,7 +210,7 @@ testReadersAgreeOnTrailingBytes()
             const auto streamed = answerOf( [&] () {
                 ParallelGzipReader reader( std::make_unique<MemoryFileReader>( file ), configuration );
                 std::vector<std::uint8_t> bytes;
-                const auto total = reader.decompressAll( [&bytes] ( BufferView view ) {
+                const auto total = reader.decompress( [&bytes] ( BufferView view ) {
                     bytes.insert( bytes.end(), view.begin(), view.end() );
                 } );
                 REQUIRE( total == bytes.size() );

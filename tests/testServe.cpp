@@ -1162,9 +1162,9 @@ writeSidecarArchive( const std::vector<std::uint8_t>& data, const ChunkFetcherCo
     const auto decompressor = formats::openArchive( path, configuration );
     REQUIRE( decompressor->size() == data.size() );
     formats::writeSidecarIndex( *decompressor, path );
-    const auto seekPoints = decompressor->seekPoints();
-    REQUIRE( seekPoints.size() >= 4 );
-    return { directory, seekPoints.back().uncompressedOffset };
+    const auto checkpoints = decompressor->exportIndex().checkpoints;
+    REQUIRE( checkpoints.size() >= 4 );
+    return { directory, checkpoints.back().uncompressedOffset };
 }
 
 void
